@@ -41,7 +41,6 @@
 #include "fuzz/oracle.hh"
 #include "fuzz/schedule.hh"
 #include "harness/runner.hh"
-#include "sim/lane_audit.hh"
 #include "sim/random.hh"
 
 using namespace bms;
@@ -148,8 +147,6 @@ int
 main(int argc, char **argv)
 {
     bms::harness::applyCommonFlags(argc, argv);
-    if (sim::LaneAudit::active())
-        sim::LaneAudit::instance().setRun("fleet");
 
     bool quick = false;
     double placementFloor = 0.9;

@@ -1,14 +1,14 @@
 /**
  * @file
- * Extension bench: full-card 124-VF fan-out on the sharded engine.
+ * Extension bench: full-card 124-VF fan-out on the multi-queue engine.
  *
  * Sweeps the tenant count from a handful of PFs up to all 128
  * functions (4 PFs + 124 VFs, paper §IV-E) against a 4-SSD back end,
  * every tenant hammering 4K random reads through its own multi-SQ
  * NVMe driver. For each point the bench reports the modeled IOPS
  * ceiling and — because the sweep is also the stress test for the
- * per-lane event scheduler — the simulator's own events/sec and wall
- * time. Three gates make it CI-enforceable:
+ * event scheduler — the simulator's own events/sec and wall time.
+ * Three gates make it CI-enforceable:
  *
  *   --scale-floor=R     total IOPS at the largest point must be at
  *                       least R x the smallest point (default 2.0)
@@ -33,7 +33,6 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
-#include "sim/lane_audit.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -162,8 +161,6 @@ int
 main(int argc, char **argv)
 {
     bms::harness::applyCommonFlags(argc, argv);
-    if (sim::LaneAudit::active())
-        sim::LaneAudit::instance().setRun("full_card");
 
     bool quick = false;
     double scaleFloor = 2.0;

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Pre-PR gate: bms-lint determinism pass + clang-tidy + ASan/UBSan
-# test run + lane-conflict census gate.
+# test run.
 #
-# Usage: scripts/check.sh [--lint-only|--tidy-only|--san-only|--lane-only]
+# Usage: scripts/check.sh [--lint-only|--tidy-only|--san-only]
 #
 # 1. bms-lint (tools/bms-lint) over every source file in src/ and
 #    tests/: project determinism rules R1-R5 (wall-clock/entropy,
@@ -15,14 +15,9 @@
 #    the default build tree already exported one.
 # 3. A fresh ASan+UBSan build (-DBMS_SANITIZE="address;undefined")
 #    running the full ctest suite plus the pinned fuzz seeds.
-# 4. A -DBMS_LANE_AUDIT=ON build replaying the pinned fuzz seeds and
-#    the quick full-card sweep with the same-tick lane-conflict
-#    sanitizer armed, merging the per-run censuses into
-#    build-lane/lane_conflicts.json and gating every write-involving
-#    cross-lane conflict against scripts/lane_baseline.json.
 #
-# Build trees land in build-lint/, build-tidy/, build-asan/ and
-# build-lane/ so they never disturb an existing build/.
+# Build trees land in build-lint/, build-tidy/ and build-asan/ so they
+# never disturb an existing build/.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -123,8 +118,8 @@ run_san() {
     # drill with node losses and upgrade storms mid-wave.
     echo "== ASan+UBSan fuzz (fleet seeds) =="
     ./build-asan/fuzz --seeds=601:604 --fleet --horizon-ms=60 || fail=1
-    # Quick-mode full-card sweep: catches lane-sharding perf
-    # regressions via the events/sec floor (set low — ASan costs
+    # Quick-mode full-card sweep: 128-function fan-out under the
+    # sanitizers, with an events/sec floor set low (ASan costs
     # roughly an order of magnitude of simulator speed).
     echo "== ASan+UBSan ext_full_card (quick) =="
     ./build-asan/bench/ext_full_card --quick --events-floor=20000 \
@@ -142,59 +137,12 @@ run_san() {
         --wall-limit-s=580 || fail=1
 }
 
-run_lane() {
-    echo "== lane-conflict audit (BMS_LANE_AUDIT=ON) =="
-    cmake -B build-lane -S . -DBMS_LANE_AUDIT=ON >/dev/null
-    cmake --build build-lane --target fuzz ext_full_card ext_fleet \
-        bms-lint -j "${jobs}" >/dev/null
-    local out=build-lane
-    # The pinned fuzz schedules again, now with every instrumented
-    # shared structure reporting (tick, lane, object, read|write).
-    # Shorter horizons than the ASan pass: the census saturates fast
-    # (conflict *kinds* are gated, not counts).
-    ./${out}/fuzz --seeds=1:8 --horizon-ms=20 \
-        --lane-audit-out=${out}/census_base.json >/dev/null || fail=1
-    ./${out}/fuzz --seeds=201:204 --horizon-ms=20 --min-ssds=2 \
-        --force-migration \
-        --lane-audit-out=${out}/census_migration.json >/dev/null || fail=1
-    ./${out}/fuzz --seeds=301:304 --horizon-ms=15 --max-tenants=16 \
-        --lane-audit-out=${out}/census_multivf.json >/dev/null || fail=1
-    ./${out}/fuzz --seeds=401:404 --horizon-ms=60 --min-ssds=2 \
-        --remote-nodes=2 --force-tiering \
-        --lane-audit-out=${out}/census_tiering.json >/dev/null || fail=1
-    ./${out}/fuzz --seeds=501:504 --horizon-ms=20 --force-thin \
-        --lane-audit-out=${out}/census_thin.json >/dev/null || fail=1
-    # Fleet runs prefix every object with cardN.; the census tools
-    # strip the prefix, so multi-card conflicts gate against the same
-    # single-card baseline.
-    ./${out}/fuzz --seeds=601:602 --fleet --horizon-ms=40 \
-        --lane-audit-out=${out}/census_fleet.json >/dev/null || fail=1
-    ./${out}/bench/ext_full_card --quick --events-floor=50000 \
-        --wall-limit-s=300 \
-        --lane-audit-out=${out}/census_full_card.json \
-        --json=${out}/BENCH_full_card.json >/dev/null || fail=1
-    ./${out}/bench/ext_fleet --quick --events-floor=50000 \
-        --wall-limit-s=580 \
-        --lane-audit-out=${out}/census_fleet_bench.json \
-        --json=${out}/BENCH_fleet.json >/dev/null || fail=1
-    # One ranked census over every run — the artifact a parallel-lane
-    # PR reads to learn which objects need sharding or staging.
-    ./${out}/tools/bms-lint/bms-lint --merge-census \
-        ${out}/lane_conflicts.json ${out}/census_*.json || fail=1
-    echo "check.sh: merged census at ${out}/lane_conflicts.json"
-    # The invariant: every same-tick cross-lane conflict involving a
-    # write is known and baselined; anything new fails the gate.
-    ./${out}/tools/bms-lint/bms-lint --check-census \
-        scripts/lane_baseline.json ${out}/lane_conflicts.json || fail=1
-}
-
 case "${mode}" in
   --lint-only) run_lint ;;
   --tidy-only) run_tidy ;;
   --san-only)  run_san ;;
-  --lane-only) run_lane ;;
-  all)         run_lint; run_tidy; run_san; run_lane ;;
-  *) echo "usage: scripts/check.sh [--lint-only|--tidy-only|--san-only|--lane-only]" >&2
+  all)         run_lint; run_tidy; run_san ;;
+  *) echo "usage: scripts/check.sh [--lint-only|--tidy-only|--san-only]" >&2
      exit 2 ;;
 esac
 

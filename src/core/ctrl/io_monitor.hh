@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/engine/bms_engine.hh"
-#include "sim/lane_audit.hh"
 #include "sim/simulator.hh"
 
 namespace bms::core {
@@ -64,7 +63,6 @@ class IoMonitor : public sim::SimObject
         _current.resize(_last.size());
         _slotLast.resize(static_cast<std::size_t>(engine.ssdSlots()));
         _slotCurrent.resize(_slotLast.size());
-        BMS_LANE_AUDIT_NAME(_heatAudit, this->name() + ".heat");
     }
 
     /** Start periodic sampling. */
@@ -111,7 +109,6 @@ class IoMonitor : public sim::SimObject
     chunkHeatMbps(pcie::FunctionId fn, std::uint32_t nsid,
                   std::uint32_t chunk) const
     {
-        BMS_LANE_AUDIT_READ(_heatAudit);
         auto it = _heat.find(TargetController::heatKey(
             QosModule::key(fn, nsid), chunk));
         return it == _heat.end() ? 0.0 : it->second;
@@ -127,7 +124,6 @@ class IoMonitor : public sim::SimObject
     forEachChunkHeat(const std::function<void(std::uint32_t, std::uint32_t,
                                               double)> &fn) const
     {
-        BMS_LANE_AUDIT_READ(_heatAudit);
         std::vector<std::uint64_t> keys;
         keys.reserve(_heat.size());
         // BMS_LINT_ALLOW(unordered-iter): keys are sorted before use
@@ -211,7 +207,6 @@ class IoMonitor : public sim::SimObject
         // counts into an EMA so a burst cools off over a few periods
         // instead of instantly (hysteresis for the tiering policy).
         if (period_sec > 0.0) {
-            BMS_LANE_AUDIT_WRITE(_heatAudit);
             auto delta = _engine.targetController().drainHeat();
             // BMS_LINT_ALLOW(unordered-iter): per-key EMA fold —
             // entries are updated/erased independently, so the final
@@ -262,7 +257,6 @@ class IoMonitor : public sim::SimObject
     std::vector<SlotSample> _slotCurrent;
     /** heatKey → decayed MB/s. */
     std::unordered_map<std::uint64_t, double> _heat;
-    BMS_LANE_AUDIT_OBJ(_heatAudit);
 };
 
 } // namespace bms::core

@@ -55,8 +55,6 @@ NamespaceManager::registerSsd(int slot, std::uint64_t capacity_bytes,
     pool.slot = slot;
     pool.refs.assign(chunks, 0);
     pool.remote = remote;
-    BMS_LANE_AUDIT_NAME(pool.audit,
-                        "chunkpool.slot" + std::to_string(slot));
     auto it = std::find_if(_pools.begin(), _pools.end(),
                            [slot](const Pool &p) { return p.slot == slot; });
     if (it != _pools.end()) {
@@ -84,7 +82,6 @@ NamespaceManager::allocate(std::uint32_t chunks, Policy policy,
             return false;
         for (std::size_t c = 0; c < pool.refs.size(); ++c) {
             if (pool.refs[c] == 0) {
-                BMS_LANE_AUDIT_WRITE(pool.audit);
                 pool.refs[c] = 1;
                 out.push_back(Allocation{static_cast<std::uint8_t>(pool.slot),
                                          static_cast<std::uint8_t>(c)});
@@ -273,7 +270,6 @@ std::uint64_t
 NamespaceManager::freeChunks(int slot) const
 {
     if (const Pool *pool = poolFor(slot)) {
-        BMS_LANE_AUDIT_READ(pool->audit);
         return static_cast<std::uint64_t>(
             std::count(pool->refs.begin(), pool->refs.end(), 0));
     }
@@ -294,7 +290,6 @@ NamespaceManager::occupancy() const
     std::vector<Occupancy> out;
     out.reserve(_pools.size());
     for (const Pool &pool : _pools) {
-        BMS_LANE_AUDIT_READ(pool.audit);
         Occupancy o;
         o.slot = pool.slot;
         o.total = pool.refs.size();
@@ -569,7 +564,6 @@ NamespaceManager::retainChunk(int slot, std::uint8_t chunk)
                int(chunk));
     BMS_ASSERT(pool->refs[chunk] > 0, "retain of a free chunk ",
                int(chunk), " on slot ", slot);
-    BMS_LANE_AUDIT_WRITE(pool->audit);
     ++pool->refs[chunk];
 }
 
@@ -663,7 +657,6 @@ NamespaceManager::takeChunk(int slot)
         return std::nullopt;
     for (std::size_t c = 0; c < pool->refs.size(); ++c) {
         if (pool->refs[c] == 0) {
-            BMS_LANE_AUDIT_WRITE(pool->audit);
             pool->refs[c] = 1;
             return static_cast<std::uint8_t>(c);
         }
@@ -680,7 +673,6 @@ NamespaceManager::releaseChunk(int slot, std::uint8_t chunk)
                int(chunk));
     BMS_ASSERT(pool->refs[chunk] > 0, "double free of chunk ", int(chunk),
                " on slot ", slot);
-    BMS_LANE_AUDIT_WRITE(pool->audit);
     --pool->refs[chunk];
     // Dropping to a single owner ends CoW protection for it — every
     // decrement path (destroy, TRIM, CoW cutover, snapshot delete)

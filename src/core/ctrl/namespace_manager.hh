@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/engine/bms_engine.hh"
-#include "sim/lane_audit.hh"
 
 namespace bms::core {
 
@@ -288,7 +287,6 @@ class NamespaceManager
         std::vector<std::uint16_t> refs;
         int quiesce = 0;
         bool remote = false;
-        BMS_LANE_AUDIT_OBJ(audit);
     };
 
     struct NsRecord

@@ -10,7 +10,6 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
                      EngineConfig cfg)
     : SimObject(sim, name), _cfg(cfg)
 {
-    _chip.setLaneAuditName(name + ".chipmem");
     _qos = std::make_unique<QosModule>(sim, name + ".qos");
     _gate = std::make_unique<MigrationGate>(sim, name + ".miggate");
     _target = std::make_unique<TargetController>(sim, name + ".target",
@@ -34,10 +33,6 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
             is_pf,
             [this](FrontFunction &fn, const nvme::Sqe &sqe,
                    std::uint16_t sqid) { handleFrontIo(fn, sqe, sqid); }));
-        // Each virtual controller runs on its own event lane so the
-        // 128-function fan-out keeps per-lane heaps small.
-        if (_cfg.perLaneEvents)
-            _functions.back()->setEventLane(sim.createLane());
     }
     // The production board exposes two x8 back-end interfaces; every
     // pair of SSD slots shares one (paper §IV-E).
@@ -54,10 +49,6 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
             sim, name + ".adaptor" + std::to_string(s),
             static_cast<std::uint8_t>(s), _chip, _cfg, &_dramBusy,
             _ifaceLinks[static_cast<std::size_t>(s / 2)].get()));
-        // One event lane per SSD slot: back-end queueing/completion
-        // traffic stays out of the front-function heaps.
-        if (_cfg.perLaneEvents)
-            _adaptors.back()->setEventLane(sim.createLane());
     }
 }
 
@@ -107,8 +98,6 @@ BmsEngine::bind(pcie::FunctionId fn, std::uint32_t nsid,
     BMS_ASSERT_LE(size_blocks, geom.capacityBlocks(),
                   "namespace larger than its mapping table");
     NsBinding &ref = *binding;
-    ref.map.setLaneAuditName("lbamap.fn" + std::to_string(int(fn)) +
-                             ".ns" + std::to_string(nsid));
     _bindings.emplace(key, std::move(binding));
     _functions.at(fn)->addNamespace(info);
     return ref;

@@ -14,11 +14,9 @@
 #define BMS_CORE_ENGINE_CHIP_MEMORY_HH
 
 #include <cstdint>
-#include <string>
 
 #include "pcie/types.hh"
 #include "sim/check.hh"
-#include "sim/lane_audit.hh"
 #include "sim/sparse_memory.hh"
 
 namespace bms::core {
@@ -43,7 +41,6 @@ class ChipMemory : public pcie::MemoryIf
     {
         BMS_ASSERT(contains(addr),
                    "chip-memory read outside window: addr=", addr);
-        BMS_LANE_AUDIT_READ(_laneAudit);
         _mem.read(addr - kWindowBase, len, out);
     }
 
@@ -53,16 +50,7 @@ class ChipMemory : public pcie::MemoryIf
     {
         BMS_ASSERT(contains(addr),
                    "chip-memory write outside window: addr=", addr);
-        BMS_LANE_AUDIT_WRITE(_laneAudit);
         _mem.write(addr - kWindowBase, len, data);
-    }
-
-    /** Name this memory in the lane-conflict census (DESIGN.md §13). */
-    void
-    setLaneAuditName(const std::string &audit_name)
-    {
-        (void)audit_name;
-        BMS_LANE_AUDIT_NAME(_laneAudit, audit_name);
     }
 
     /** Allocate chip memory (rings, PRP-list slots). Never freed. */
@@ -71,7 +59,6 @@ class ChipMemory : public pcie::MemoryIf
     {
         BMS_ASSERT(align && (align & (align - 1)) == 0,
                    "alignment must be a power of two: ", align);
-        BMS_LANE_AUDIT_WRITE(_laneAudit);
         _next = (_next + align - 1) & ~(align - 1);
         std::uint64_t addr = kWindowBase + _next;
         _next += len;
@@ -82,7 +69,6 @@ class ChipMemory : public pcie::MemoryIf
   private:
     sim::SparseMemory _mem;
     std::uint64_t _next = 4096;
-    BMS_LANE_AUDIT_OBJ(_laneAudit);
 };
 
 } // namespace bms::core

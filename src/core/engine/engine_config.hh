@@ -26,13 +26,6 @@ struct EngineConfig
     int backendLanes = 4;
 
     /**
-     * Per-object event lanes for functions/adaptors. False runs the
-     * whole engine on the flat queue — same simulated behaviour, used
-     * by the scheduling-equivalence tests.
-     */
-    bool perLaneEvents = true;
-
-    /**
      * Engine pipeline latency from SQE arrival to back-end forward:
      * target-controller decode + LBA map lookup + QoS decision.
      */

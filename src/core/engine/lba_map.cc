@@ -25,7 +25,6 @@ LbaMapTable::setEntry(std::uint32_t row, std::uint32_t col,
         return false;
     if (chunk_base > _geom.maxChunkBase() || ssd_id > _geom.maxSlotId())
         return false;
-    BMS_LANE_AUDIT_WRITE(_laneAudit);
     _entries[row * _geom.entriesPerRow + col] =
         _geom.wide
             ? static_cast<std::uint16_t>(
@@ -46,7 +45,6 @@ LbaMapTable::invalidate(std::uint32_t row, std::uint32_t col)
 {
     if (row >= _geom.rows || col >= _geom.entriesPerRow)
         return;
-    BMS_LANE_AUDIT_WRITE(_laneAudit);
     _validation[row] &= static_cast<std::uint8_t>(~(1u << col));
     _shared[row] &= static_cast<std::uint8_t>(~(1u << col));
     if (sim::Check::paranoid())
@@ -60,7 +58,6 @@ LbaMapTable::setShared(std::uint32_t row, std::uint32_t col, bool shared)
         return;
     BMS_ASSERT(!shared || (_validation[row] & (1u << col)),
                "marking an invalid entry shared: row=", row, " col=", col);
-    BMS_LANE_AUDIT_WRITE(_laneAudit);
     if (shared)
         _shared[row] |= static_cast<std::uint8_t>(1u << col);
     else
@@ -72,7 +69,6 @@ LbaMapTable::entryShared(std::uint32_t row, std::uint32_t col) const
 {
     if (row >= _geom.rows || col >= _geom.entriesPerRow)
         return false;
-    BMS_LANE_AUDIT_READ(_laneAudit);
     return _shared[row] & (1u << col);
 }
 
@@ -121,14 +117,12 @@ LbaMapTable::entryValid(std::uint32_t row, std::uint32_t col) const
 {
     if (row >= _geom.rows || col >= _geom.entriesPerRow)
         return false;
-    BMS_LANE_AUDIT_READ(_laneAudit);
     return _validation[row] & (1u << col);
 }
 
 std::optional<LbaMapping>
 LbaMapTable::translate(std::uint64_t host_lba) const
 {
-    BMS_LANE_AUDIT_READ(_laneAudit);
     std::uint64_t chunk = host_lba / _geom.chunkBlocks; // HL / CS
     std::uint64_t row = chunk / _geom.entriesPerRow;    // Eq. (1)
     std::uint64_t col = chunk % _geom.entriesPerRow;    // Eq. (2)

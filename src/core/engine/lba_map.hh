@@ -34,11 +34,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "nvme/defs.hh"
-#include "sim/lane_audit.hh"
 #include "sim/types.hh"
 
 namespace bms::core {
@@ -155,14 +153,6 @@ class LbaMapTable
      */
     void checkInvariants() const;
 
-    /** Name this table in the lane-conflict census (DESIGN.md §13). */
-    void
-    setLaneAuditName(const std::string &audit_name)
-    {
-        (void)audit_name;
-        BMS_LANE_AUDIT_NAME(_laneAudit, audit_name);
-    }
-
   private:
     static constexpr std::uint8_t kSsdIdMask = 0x03;  // bits [1:0]
     static constexpr std::uint8_t kBaseShift = 2;     // bits [7:2]
@@ -174,7 +164,6 @@ class LbaMapTable
     std::vector<std::uint16_t> _entries;   // rows * entriesPerRow
     std::vector<std::uint8_t> _validation; // one vector per row
     std::vector<std::uint8_t> _shared;     // one CoW vector per row
-    BMS_LANE_AUDIT_OBJ(_laneAudit);
 };
 
 } // namespace bms::core

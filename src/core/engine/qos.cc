@@ -38,9 +38,6 @@ void
 QosModule::setLimits(std::uint32_t ns_key, QosLimits limits)
 {
     NsState &ns = _ns[ns_key];
-    BMS_LANE_AUDIT_NAME(ns.audit, name() + ".bucket" +
-                                      std::to_string(ns_key));
-    BMS_LANE_AUDIT_WRITE(ns.audit);
     ns.limits = limits;
     ns.lastRefill = now();
     // Start with a full burst allowance and a clean slate — a
@@ -56,7 +53,6 @@ QosModule::limitsFor(std::uint32_t ns_key) const
     auto it = _ns.find(ns_key);
     if (it == _ns.end())
         return nullptr;
-    BMS_LANE_AUDIT_READ(it->second.audit);
     return &it->second.limits;
 }
 
@@ -66,7 +62,6 @@ QosModule::bufferDepth(std::uint32_t ns_key) const
     auto it = _ns.find(ns_key);
     if (it == _ns.end())
         return 0;
-    BMS_LANE_AUDIT_READ(it->second.audit);
     return it->second.buffer.size();
 }
 
@@ -134,14 +129,11 @@ QosModule::submit(std::uint32_t ns_key, std::uint64_t bytes,
     auto it = _ns.find(ns_key);
     if (it == _ns.end() || it->second.limits.unlimited()) {
         // No threshold programmed: pass through (Fig. 5 fast path).
-        if (it != _ns.end())
-            BMS_LANE_AUDIT_READ(it->second.audit);
         ++_passed;
         forward();
         return;
     }
     NsState &ns = it->second;
-    BMS_LANE_AUDIT_WRITE(ns.audit);
     refill(ns);
     if (ns.buffer.empty() && tryConsume(ns, bytes)) {
         ++_passed;
@@ -165,7 +157,6 @@ QosModule::scheduleDispatch(std::uint32_t ns_key)
     NsState &ns = _ns[ns_key];
     if (ns.dispatchScheduled || ns.buffer.empty())
         return;
-    BMS_LANE_AUDIT_WRITE(ns.audit);
     ns.dispatchScheduled = true;
     sim::Tick delay = readyDelay(ns, ns.buffer.front().first);
     schedule(delay, [this, ns_key] { dispatch(ns_key); });
@@ -175,7 +166,6 @@ void
 QosModule::dispatch(std::uint32_t ns_key)
 {
     NsState &ns = _ns[ns_key];
-    BMS_LANE_AUDIT_WRITE(ns.audit);
     ns.dispatchScheduled = false;
     refill(ns);
     ++_dispatchDepth;

@@ -20,7 +20,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "sim/lane_audit.hh"
 #include "sim/simulator.hh"
 
 namespace bms::core {
@@ -108,7 +107,6 @@ class QosModule : public sim::SimObject
         sim::Tick lastRefill = 0;
         std::deque<std::pair<std::uint64_t, std::function<void()>>> buffer;
         bool dispatchScheduled = false;
-        BMS_LANE_AUDIT_OBJ(audit);
     };
 
     void refill(NsState &ns);

@@ -101,7 +101,6 @@ struct FleetConfig
     sim::Tick fwActivateMax = sim::milliseconds(250);
     /** Remote storage nodes behind each card (node-loss drills). */
     int remoteNodesPerCard = 0;
-    bool perLaneEvents = true;
 };
 
 /** Rolling-wave operation kind. */

@@ -46,7 +46,6 @@ FleetManager::FleetManager(const FleetConfig &cfg) : _cfg(cfg)
         tb.chunkBytes = _cfg.chunkBytes;
         tb.ioQueues = _cfg.ioQueues;
         tb.queueDepth = _cfg.queueDepth;
-        tb.perLaneEvents = _cfg.perLaneEvents;
         if (_cfg.remoteNodesPerCard > 0) {
             tb.remoteNodes = _cfg.remoteNodesPerCard;
             tb.volumesPerNode = 1;

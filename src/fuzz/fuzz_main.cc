@@ -7,7 +7,7 @@
  *        [--no-upgrade] [--no-migration] [--force-migration]
  *        [--remote-nodes=N] [--force-tiering] [--thin] [--force-thin]
  *        [--fleet] [--cards=N] [--no-wave] [--no-drill]
- *        [--paranoid] [--log=LEVEL] [--lane-audit-out=PATH]
+ *        [--paranoid] [--log=LEVEL]
  *
  * --fleet switches to the fleet topology (seed family 601+): N cards
  * in one simulation, randomized admissions, a rolling wave and a
@@ -17,9 +17,13 @@
  *
  * BMS_FUZZ_SEED=N is equivalent to --seed=N (repro from CI logs).
  * Exits nonzero on the first failing seed, after printing the seed
- * and the op log of the interleaving that broke.
+ * and the op log of the interleaving that broke. A malformed number,
+ * an empty --seeds range (B < A) or an unknown flag exits 2 before
+ * running anything.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,19 +32,42 @@
 #include "fuzz/fleet_fuzzer.hh"
 #include "fuzz/fuzzer.hh"
 #include "harness/runner.hh"
-#include "sim/lane_audit.hh"
 
 using namespace bms;
 
 namespace {
 
+/**
+ * Parse all of @p text as an unsigned number (decimal, 0x-hex or
+ * 0-octal, as strtoull base 0). @return false if it is empty, signed,
+ * out of range or has trailing characters.
+ */
+bool
+parseNumber(const char *text, std::uint64_t &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoull(text, &end, 0);
+    return errno == 0 && *end == '\0';
+}
+
+/**
+ * Match `FLAG<number>` in @p arg. @return false if @p arg is another
+ * flag; exits 2 if the value is not a number.
+ */
 bool
 parseU64(const char *arg, const char *flag, std::uint64_t &out)
 {
     std::size_t n = std::strlen(flag);
     if (std::strncmp(arg, flag, n) != 0)
         return false;
-    out = std::strtoull(arg + n, nullptr, 0);
+    if (!parseNumber(arg + n, out)) {
+        std::fprintf(stderr, "fuzz: %s wants a number, got '%s'\n", flag,
+                     arg + n);
+        std::exit(2);
+    }
     return true;
 }
 
@@ -123,7 +150,13 @@ main(int argc, char **argv)
     std::uint64_t first = 1, last = 1;
     bool seeded = false;
     if (const char *env = std::getenv("BMS_FUZZ_SEED")) {
-        first = last = std::strtoull(env, nullptr, 0);
+        if (!parseNumber(env, first)) {
+            std::fprintf(stderr,
+                         "fuzz: BMS_FUZZ_SEED wants a number, got '%s'\n",
+                         env);
+            return 2;
+        }
+        last = first;
         seeded = true;
     }
     for (int i = 1; i < argc; ++i) {
@@ -133,13 +166,21 @@ main(int argc, char **argv)
             first = last = v;
             seeded = true;
         } else if (std::strncmp(a, "--seeds=", 8) == 0) {
-            const char *colon = std::strchr(a + 8, ':');
-            if (!colon) {
-                std::fprintf(stderr, "fuzz: --seeds wants A:B\n");
+            std::string range = a + 8;
+            std::size_t colon = range.find(':');
+            if (colon == std::string::npos ||
+                !parseNumber(range.substr(0, colon).c_str(), first) ||
+                !parseNumber(range.c_str() + colon + 1, last)) {
+                std::fprintf(stderr, "fuzz: --seeds wants A:B, got '%s'\n",
+                             range.c_str());
                 return 2;
             }
-            first = std::strtoull(a + 8, nullptr, 0);
-            last = std::strtoull(colon + 1, nullptr, 0);
+            if (last < first) {
+                std::fprintf(stderr,
+                             "fuzz: --seeds=%s is empty (B < A)\n",
+                             range.c_str());
+                return 2;
+            }
             seeded = true;
         } else if (parseU64(a, "--horizon-ms=", v)) {
             cfg.horizon = sim::milliseconds(v);
@@ -176,8 +217,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(a, "--no-drill") == 0) {
             fleet_cfg.enableDrill = false;
         } else if (std::strncmp(a, "--paranoid", 10) == 0 ||
-                   std::strncmp(a, "--log=", 6) == 0 ||
-                   std::strncmp(a, "--lane-audit-out=", 17) == 0) {
+                   std::strncmp(a, "--log=", 6) == 0) {
             // handled by applyCommonFlags
         } else {
             std::fprintf(stderr, "fuzz: unknown flag %s\n", a);
@@ -190,10 +230,6 @@ main(int argc, char **argv)
 
     for (std::uint64_t seed = first; seed <= last; ++seed) {
         cfg.seed = seed;
-        if (sim::LaneAudit::active()) {
-            sim::LaneAudit::instance().setRun("seed" +
-                                              std::to_string(seed));
-        }
         // Failures panic (abort) inside run(), printing the seed and
         // the op log — exactly what a sweep script wants to capture.
         if (fleet) {

@@ -8,28 +8,9 @@
 #include <string>
 
 #include "sim/check.hh"
-#include "sim/lane_audit.hh"
 #include "sim/log.hh"
 
 namespace bms::harness {
-
-namespace {
-
-/** Destination of --lane-audit-out= (atexit handlers cannot capture). */
-std::string g_laneAuditPath;
-std::string g_laneAuditProg;
-
-void
-writeLaneCensus()
-{
-    if (!sim::LaneAudit::instance().writeJson(g_laneAuditPath,
-                                              g_laneAuditProg)) {
-        std::fprintf(stderr, "lane-audit: cannot write %s\n",
-                     g_laneAuditPath.c_str());
-    }
-}
-
-} // namespace
 
 void
 applyCommonFlags(int argc, char **argv)
@@ -49,15 +30,6 @@ applyCommonFlags(int argc, char **argv)
                 sim::Log::setLevel(sim::LogLevel::Trace);
             else
                 std::fprintf(stderr, "unknown log level '%s'\n", lvl);
-        } else if (std::strncmp(argv[i], "--lane-audit-out=", 17) == 0) {
-            // Same-tick lane-conflict census (DESIGN.md §13): record
-            // every instrumented access and dump the ranked census on
-            // exit. Meaningful in -DBMS_LANE_AUDIT=ON builds; elsewhere
-            // the hooks are compiled out and the census is empty.
-            g_laneAuditPath = argv[i] + 17;
-            g_laneAuditProg = argv[0];
-            sim::LaneAudit::instance().enable();
-            std::atexit(writeLaneCensus);
         }
     }
 }

@@ -85,7 +85,6 @@ BmStoreTestbed::BmStoreTestbed(const TestbedConfig &cfg) : TestbedBase(cfg)
     int remote_slots = cfg.remoteNodes * cfg.volumesPerNode;
     core::EngineConfig ecfg = cfg.engine;
     ecfg.ssdSlots = cfg.ssdCount + remote_slots;
-    ecfg.perLaneEvents = cfg.perLaneEvents;
     _engine = _sim->make<core::BmsEngine>(*_sim, nm("bms"), ecfg);
     _engineSlot = &_host->addSlot(16);
     _engineSlot->attach(*_engine);
@@ -128,9 +127,6 @@ BmStoreTestbed::BmStoreTestbed(const TestbedConfig &cfg) : TestbedBase(cfg)
     for (int i = 0; i < cfg.ssdCount; ++i) {
         auto *ssd = _sim->make<ssd::SsdDevice>(
             *_sim, nm("bssd" + std::to_string(i)), cfg.ssdConfig(i));
-        // Media/controller events for each SSD get a private lane.
-        if (cfg.perLaneEvents)
-            ssd->setEventLane(_sim->createLane());
         _ssds.push_back(ssd);
         _controller->attachBackendSsd(i, *ssd, [&ready] { ++ready; });
     }
@@ -140,7 +136,6 @@ BmStoreTestbed::BmStoreTestbed(const TestbedConfig &cfg) : TestbedBase(cfg)
     // the local SSDs.
     for (int n = 0; n < cfg.remoteNodes; ++n) {
         remote::StorageServer::Config scfg = cfg.remoteServer;
-        scfg.perLaneEvents = cfg.perLaneEvents;
         auto *server = _sim->make<remote::StorageServer>(
             *_sim, nm("node" + std::to_string(n)), scfg);
         auto *net = _sim->make<remote::NetworkLink>(
@@ -199,9 +194,6 @@ BmStoreTestbed::attachTenant(pcie::FunctionId fn, std::uint64_t bytes,
     auto *drv = _sim->make<host::NvmeDriver>(
         *_sim, nm("tenant.fn" + std::to_string(fn)), _host->memory(),
         _host->irq(), *_engineSlot, cpus, fn, dc);
-    // Tenant drivers are per-function hot paths: private event lane.
-    if (_cfg.perLaneEvents)
-        drv->setEventLane(_sim->createLane());
     bool ready = false;
     drv->init([&ready] { ready = true; });
     runUntilTrue([&ready] { return ready; });
@@ -223,8 +215,6 @@ BmStoreTestbed::attachDriver(pcie::FunctionId fn, std::uint32_t nsid,
         nm("tenant.fn" + std::to_string(fn) + ".ns" + std::to_string(nsid)),
         _host->memory(), _host->irq(), *_engineSlot, _host->cpus(), fn,
         dc);
-    if (_cfg.perLaneEvents)
-        drv->setEventLane(_sim->createLane());
     if (ready) {
         // Mid-run attach: the caller is inside an event handler and
         // cannot pump the simulation — init completes asynchronously.

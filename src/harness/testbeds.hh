@@ -47,8 +47,7 @@ struct TestbedConfig
      * Prefix for every component name ("card3." gives "card3.bms",
      * "card3.bssd0", ...). Required to keep names unique when
      * several testbeds share one simulation; empty for the classic
-     * single-card world so all existing names (and the lane-audit
-     * census baseline) are unchanged.
+     * single-card world so all existing names are unchanged.
      */
     std::string namePrefix;
     host::HostConfig host;
@@ -93,13 +92,6 @@ struct TestbedConfig
     remote::NetworkProfile network;
     remote::RemoteClientConfig remoteClient;
     /// @}
-
-    /**
-     * Per-object event lanes everywhere (engine, SSDs, drivers,
-     * storage nodes). False runs the world on the flat event queue;
-     * the scheduling-equivalence tests compare the two.
-     */
-    bool perLaneEvents = true;
 
     /** Effective SSD config for back-end slot @p slot. */
     const ssd::SsdDevice::Config &

@@ -13,8 +13,6 @@ StorageServer::StorageServer(sim::Simulator &sim, std::string name,
     for (int i = 0; i < cfg.ssdCount; ++i) {
         auto *disk = sim.make<ssd::SsdDevice>(
             sim, name + ".ssd" + std::to_string(i), cfg.ssd);
-        if (cfg.perLaneEvents)
-            disk->setEventLane(sim.createLane());
         pcie::RootPort &port = _host->addSlot(4);
         port.attach(*disk);
         host::NvmeDriver::Config dc;
@@ -22,8 +20,6 @@ StorageServer::StorageServer(sim::Simulator &sim, std::string name,
         auto *drv = sim.make<host::NvmeDriver>(
             sim, name + ".nvme" + std::to_string(i), _host->memory(),
             _host->irq(), port, _host->cpus(), 0, dc);
-        if (cfg.perLaneEvents)
-            drv->setEventLane(sim.createLane());
         drv->init([&ready] { ++ready; });
         _ssds.push_back(disk);
         _drivers.push_back(drv);

@@ -56,8 +56,6 @@ class StorageServer : public sim::SimObject
         std::uint32_t maxIoBytes = 2 * 1024 * 1024;
         /** Bounce buffers (concurrent disk I/Os); excess requests queue. */
         int bounceBuffers = 64;
-        /** Give each server-side SSD and driver its own event lane. */
-        bool perLaneEvents = true;
     };
 
     StorageServer(sim::Simulator &sim, std::string name, Config cfg);

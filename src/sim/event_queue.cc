@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/check.hh"
-#include "sim/lane_audit.hh"
 
 namespace bms::sim {
 
@@ -18,133 +17,82 @@ EventQueue::~EventQueue()
     Check::popTickSource(this);
 }
 
-LaneId
-EventQueue::createLane()
-{
-    BMS_ASSERT_LT(_lanes.size(), kMaxLanes, "event lane id space exhausted");
-    _lanes.emplace_back();
-    return static_cast<LaneId>(_lanes.size() - 1);
-}
-
 EventId
-EventQueue::scheduleOn(LaneId lane, Tick when, Callback cb)
+EventQueue::schedule(Tick when, Callback cb)
 {
     BMS_ASSERT(when >= _now, "cannot schedule into the past: when=", when,
                " now=", _now);
     BMS_ASSERT(cb, "null event callback scheduled for tick ", when);
-    BMS_ASSERT_LT(lane, _lanes.size(), "schedule on unknown lane ", lane);
-    Lane &L = _lanes[lane];
 
     std::uint32_t slot;
-    if (!L.freeSlots.empty()) {
-        slot = L.freeSlots.back();
-        L.freeSlots.pop_back();
+    if (!_freeSlots.empty()) {
+        slot = _freeSlots.back();
+        _freeSlots.pop_back();
     } else {
-        slot = static_cast<std::uint32_t>(L.slots.size());
-        BMS_ASSERT_LT(slot, kMaxSlots, "lane ", lane, " slot space exhausted");
-        L.slots.emplace_back();
+        BMS_ASSERT_LT(_slots.size(), kMaxSlots, "event slot space exhausted");
+        slot = static_cast<std::uint32_t>(_slots.size());
+        _slots.emplace_back();
     }
-    Slot &s = L.slots[slot];
+    Slot &s = _slots[slot];
     s.cb = std::move(cb);
     s.state = SlotState::Pending;
 
-    std::uint64_t seq = _nextSeq++;
-    L.heap.push_back(HeapEntry{when, seq, slot});
-    std::push_heap(L.heap.begin(), L.heap.end(), EntryLater{});
-    // If the new entry became the lane head, advertise it to the top
-    // heap; stale references to the previous head are dropped lazily.
-    if (L.heap.front().seq == seq)
-        pushTop(when, seq, lane);
+    _heap.push_back(HeapEntry{when, _nextSeq++, slot});
+    std::push_heap(_heap.begin(), _heap.end(), EntryLater{});
     ++_live;
-    return makeId(s.gen, lane, slot);
+    return makeId(s.gen, slot);
 }
 
 void
 EventQueue::cancel(EventId id)
 {
-    if (id == kInvalidEventId)
-        return;
-    auto lane = static_cast<std::uint32_t>((id >> kSlotBits) &
-                                           (kMaxLanes - 1));
-    auto slot = static_cast<std::uint32_t>(id & (kMaxSlots - 1));
-    auto gen = static_cast<std::uint32_t>(id >> 32);
+    auto slot = static_cast<std::uint32_t>(id);
+    auto gen = static_cast<std::uint32_t>(id >> kSlotBits);
     // Ids of executed (or never-issued) events fail the generation
     // check and cancelling them is a no-op. The tombstoned entry is
-    // purged when it reaches its lane head, so tombstone accounting
-    // can never outgrow the heaps.
-    if (lane >= _lanes.size())
+    // purged when it reaches the heap head, so tombstone accounting
+    // can never outgrow the heap.
+    if (slot >= _slots.size())
         return;
-    Lane &L = _lanes[lane];
-    if (slot >= L.slots.size())
-        return;
-    Slot &s = L.slots[slot];
+    Slot &s = _slots[slot];
     if (s.gen != gen || s.state != SlotState::Pending)
         return;
     s.state = SlotState::Cancelled;
     s.cb = nullptr;
-    ++L.cancelled;
+    ++_cancelled;
     BMS_ASSERT(_live > 0, "cancel(", id, ") with no live events");
     --_live;
 }
 
 void
-EventQueue::pushTop(Tick when, std::uint64_t seq, std::uint32_t lane)
+EventQueue::popHead()
 {
-    _top.push_back(TopEntry{when, seq, lane});
-    std::push_heap(_top.begin(), _top.end(), TopLater{});
+    std::pop_heap(_heap.begin(), _heap.end(), EntryLater{});
+    _heap.pop_back();
 }
 
 void
-EventQueue::popTop()
+EventQueue::releaseSlot(std::uint32_t slot)
 {
-    std::pop_heap(_top.begin(), _top.end(), TopLater{});
-    _top.pop_back();
-}
-
-void
-EventQueue::releaseSlot(Lane &lane, std::uint32_t slot)
-{
-    Slot &s = lane.slots[slot];
+    Slot &s = _slots[slot];
     s.cb = nullptr;
     s.state = SlotState::Free;
     if (++s.gen == 0)
         s.gen = 1;
-    lane.freeSlots.push_back(slot);
-}
-
-void
-EventQueue::purgeLaneHead(Lane &lane)
-{
-    while (!lane.heap.empty()) {
-        const HeapEntry &h = lane.heap.front();
-        if (lane.slots[h.slot].state != SlotState::Cancelled)
-            break;
-        releaseSlot(lane, h.slot);
-        std::pop_heap(lane.heap.begin(), lane.heap.end(), EntryLater{});
-        lane.heap.pop_back();
-        BMS_ASSERT(lane.cancelled > 0, "tombstone count underflow");
-        --lane.cancelled;
-    }
+    _freeSlots.push_back(slot);
 }
 
 bool
-EventQueue::settleTop()
+EventQueue::purgeHead()
 {
-    while (!_top.empty()) {
-        TopEntry t = _top.front();
-        Lane &L = _lanes[t.lane];
-        if (!L.heap.empty() && L.heap.front().seq == t.seq) {
-            if (L.slots[L.heap.front().slot].state == SlotState::Pending)
-                return true; // genuine, runnable lane head
-            // Head is tombstoned: purge it (and any tombstoned
-            // successors) and re-advertise the lane's new head.
-            popTop();
-            purgeLaneHead(L);
-            if (!L.heap.empty())
-                pushTop(L.heap.front().when, L.heap.front().seq, t.lane);
-            continue;
-        }
-        popTop(); // stale reference to an executed/purged head
+    while (!_heap.empty()) {
+        std::uint32_t slot = _heap.front().slot;
+        if (_slots[slot].state != SlotState::Cancelled)
+            return true;
+        releaseSlot(slot);
+        popHead();
+        BMS_ASSERT(_cancelled > 0, "tombstone count underflow");
+        --_cancelled;
     }
     return false;
 }
@@ -152,20 +100,12 @@ EventQueue::settleTop()
 bool
 EventQueue::runOne()
 {
-    if (!settleTop())
+    if (!purgeHead())
         return false;
-    TopEntry t = _top.front();
-    popTop();
-    Lane &L = _lanes[t.lane];
-
-    HeapEntry h = L.heap.front();
-    std::pop_heap(L.heap.begin(), L.heap.end(), EntryLater{});
-    L.heap.pop_back();
-    Callback cb = std::move(L.slots[h.slot].cb);
-    releaseSlot(L, h.slot);
-    purgeLaneHead(L);
-    if (!L.heap.empty())
-        pushTop(L.heap.front().when, L.heap.front().seq, t.lane);
+    HeapEntry h = _heap.front();
+    popHead();
+    Callback cb = std::move(_slots[h.slot].cb);
+    releaseSlot(h.slot);
 
     BMS_ASSERT(h.when >= _now, "event popped in the past: when=", h.when,
                " now=", _now);
@@ -174,11 +114,6 @@ EventQueue::runOne()
     ++_executed;
     if (Check::paranoid())
         checkInvariants();
-    // Publish (queue, lane, tick) so lane-audited structures can tag
-    // accesses made by this callback; one untaken branch when the
-    // audit is off (see sim/lane_audit.hh).
-    LaneAudit::EventScope auditScope(this, static_cast<LaneId>(t.lane),
-                                     h.when);
     cb();
     return true;
 }
@@ -186,11 +121,11 @@ EventQueue::runOne()
 void
 EventQueue::runUntil(Tick limit)
 {
-    // settleTop() purges tombstones on the way to the head, so the
+    // purgeHead() drops tombstones on the way to the head, so the
     // limit check below always sees the next *live* event; a
     // cancelled early entry can never let an event beyond @p limit
-    // execute. Re-settling inside runOne() is O(1) once settled.
-    while (settleTop() && _top.front().when <= limit)
+    // execute.
+    while (purgeHead() && _heap.front().when <= limit)
         runOne();
     if (_now < limit)
         _now = limit;
@@ -207,41 +142,18 @@ EventQueue::runAll()
 void
 EventQueue::checkInvariants() const
 {
-    std::size_t live = 0;
-    std::size_t cancelled = 0;
-    for (const Lane &L : _lanes) {
-        // Slab accounting: every slot is either in the heap (pending
-        // or tombstoned) or on the free list.
-        BMS_ASSERT_EQ(L.heap.size() + L.freeSlots.size(), L.slots.size(),
-                      "lane slab accounting does not cover the heap");
-        BMS_ASSERT_LE(L.cancelled, L.heap.size(),
-                      "tombstone count outgrew the lane heap");
-        if (!L.heap.empty()) {
-            BMS_ASSERT(L.heap.front().when >= _now,
-                       "lane head scheduled in the past: when=",
-                       L.heap.front().when, " now=", _now);
-        }
-        live += L.heap.size() - L.cancelled;
-        cancelled += L.cancelled;
-    }
-    BMS_ASSERT_EQ(live, _live,
-                  "live accounting does not cover the lane heaps");
-
-    // Reachability: every non-empty lane's current head must be
-    // advertised in the top heap, or the merge would skip the lane.
-    for (std::size_t lane = 0; lane < _lanes.size(); ++lane) {
-        const Lane &L = _lanes[lane];
-        if (L.heap.empty())
-            continue;
-        bool found = false;
-        for (const TopEntry &t : _top) {
-            if (t.lane == lane && t.seq == L.heap.front().seq) {
-                found = true;
-                break;
-            }
-        }
-        BMS_ASSERT(found, "lane ", lane,
-                   " head is not reachable from the top heap");
+    // Slab accounting: every slot is either in the heap (pending or
+    // tombstoned) or on the free list.
+    BMS_ASSERT_EQ(_heap.size() + _freeSlots.size(), _slots.size(),
+                  "slab accounting does not cover the heap");
+    BMS_ASSERT_LE(_cancelled, _heap.size(),
+                  "tombstone count outgrew the heap");
+    BMS_ASSERT_EQ(_heap.size() - _cancelled, _live,
+                  "live accounting does not cover the heap");
+    if (!_heap.empty()) {
+        BMS_ASSERT(_heap.front().when >= _now,
+                   "heap head scheduled in the past: when=",
+                   _heap.front().when, " now=", _now);
     }
 }
 

@@ -1,22 +1,19 @@
 /**
  * @file
- * Deterministic discrete-event queue, sharded into per-component
- * event lanes.
+ * Deterministic discrete-event queue.
  *
  * Events scheduled at the same tick execute in scheduling order
  * (FIFO), which keeps every experiment bit-for-bit reproducible for a
- * given seed. Internally the queue is split into lanes (one per hot
- * component: front function, SSD slot, host driver, ...); each lane
- * keeps a small binary heap of POD entries while callbacks live in a
- * per-lane slab. A top-level heap merges the lane heads in exact
- * global (when, seq) order, where `seq` is a queue-wide monotone
- * schedule counter — so the execution order is *identical* to a
- * single flat queue regardless of how events are partitioned into
- * lanes. Determinism therefore does not depend on the lane layout.
+ * given seed. The queue is one binary heap of POD (when, seq, slot)
+ * entries, where `seq` is a monotone schedule counter; callbacks live
+ * in a slab indexed by `slot`, so heap sifts move 24-byte entries
+ * rather than std::function objects.
  *
  * Cancellation tombstones the slab slot; the entry is purged when it
- * reaches its lane head, so cancelled bookkeeping is always bounded
+ * reaches the heap head, so cancelled bookkeeping is always bounded
  * by the heap contents (checkInvariants() enforces the accounting).
+ * Slots are reused, so every EventId carries the slot's generation:
+ * a stale id can never cancel the event that took its slot over.
  */
 
 #ifndef BMS_SIM_EVENT_QUEUE_HH
@@ -36,15 +33,9 @@ using EventId = std::uint64_t;
 /** Id returned for events that were not actually scheduled. */
 inline constexpr EventId kInvalidEventId = 0;
 
-/** Identifies one event lane; lane 0 always exists (the default). */
-using LaneId = std::uint16_t;
-
-/** Lane every event lands on unless a component opts into its own. */
-inline constexpr LaneId kDefaultLane = 0;
-
 /**
  * Priority queue of timed callbacks with deterministic same-tick
- * ordering, O(log lane-size) schedule/pop, and O(1) cancellation.
+ * ordering, O(log n) schedule/pop, and O(1) cancellation.
  */
 class EventQueue
 {
@@ -60,35 +51,18 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Create a new event lane and return its id. Lanes are cheap;
-     * hot components get one each so their heaps stay small and
-     * cache-resident. Never returns kDefaultLane.
-     */
-    LaneId createLane();
-
-    /** Number of lanes (>= 1; lane 0 always exists). */
-    std::size_t laneCount() const { return _lanes.size(); }
-
-    /**
-     * Schedule @p cb to run at absolute time @p when on lane 0.
+     * Schedule @p cb to run at absolute time @p when.
      * @pre when >= now()
      * @return id usable with cancel().
      */
-    EventId
-    schedule(Tick when, Callback cb)
-    {
-        return scheduleOn(kDefaultLane, when, std::move(cb));
-    }
+    EventId schedule(Tick when, Callback cb);
 
-    /** Schedule @p cb to run @p delay ticks from now on lane 0. */
+    /** Schedule @p cb to run @p delay ticks from now. */
     EventId
     scheduleAfter(Tick delay, Callback cb)
     {
-        return scheduleOn(kDefaultLane, _now + delay, std::move(cb));
+        return schedule(_now + delay, std::move(cb));
     }
-
-    /** Schedule @p cb at absolute time @p when on lane @p lane. */
-    EventId scheduleOn(LaneId lane, Tick when, Callback cb);
 
     /**
      * Cancel a pending event. Cancelling an already-executed or
@@ -123,25 +97,21 @@ class EventQueue
 
     /**
      * Structure-wide self-check (BMS_ASSERT on violation):
-     *  - no lane head is in the past;
-     *  - every heap entry is accounted as either live or cancelled,
-     *    so tombstone bookkeeping cannot grow unboundedly;
-     *  - per-lane slab accounting (heap + free list covers the slab);
-     *  - every non-empty lane's head is reachable from the top heap.
+     *  - slab accounting: heap + free list covers the slab;
+     *  - tombstones never outnumber the heap entries, and every other
+     *    heap entry is live, so cancel bookkeeping cannot grow
+     *    unboundedly;
+     *  - the heap head is not in the past.
      * Runs after every pop under Check::paranoid(); tests call it
      * directly.
      */
     void checkInvariants() const;
 
   private:
-    /** EventId layout: generation(32) | lane(14) | slot(18).
-     *  Lanes are per-component, so fleet-scale runs (hundreds of
-     *  cards × ~130 lanes each) need the wide lane space; each lane's
-     *  slab stays far below 256k pending callbacks. */
-    static constexpr unsigned kSlotBits = 18;
-    static constexpr unsigned kLaneBits = 14;
-    static constexpr std::uint32_t kMaxSlots = 1u << kSlotBits;
-    static constexpr std::uint32_t kMaxLanes = 1u << kLaneBits;
+    /** EventId layout: generation(32) | slot(32). Generations start
+     *  at 1, so no issued id equals kInvalidEventId. */
+    static constexpr unsigned kSlotBits = 32;
+    static constexpr std::size_t kMaxSlots = std::size_t{1} << kSlotBits;
 
     enum class SlotState : std::uint8_t
     {
@@ -177,56 +147,26 @@ class EventQueue
         SlotState state = SlotState::Free;
     };
 
-    struct Lane
-    {
-        std::vector<HeapEntry> heap; ///< binary heap (EntryLater)
-        std::vector<Slot> slots;     ///< callback slab
-        std::vector<std::uint32_t> freeSlots;
-        std::size_t cancelled = 0; ///< tombstones still in `heap`
-    };
-
-    /** Lazily-maintained reference to a lane head. */
-    struct TopEntry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t lane;
-    };
-
-    struct TopLater
-    {
-        bool
-        operator()(const TopEntry &a, const TopEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
     static EventId
-    makeId(std::uint32_t gen, LaneId lane, std::uint32_t slot)
+    makeId(std::uint32_t gen, std::uint32_t slot)
     {
-        return (static_cast<EventId>(gen) << 32) |
-               (static_cast<EventId>(lane) << kSlotBits) | slot;
+        return (static_cast<EventId>(gen) << kSlotBits) | slot;
     }
 
-    void pushTop(Tick when, std::uint64_t seq, std::uint32_t lane);
-    void popTop();
-    void releaseSlot(Lane &lane, std::uint32_t slot);
-    /** Drop tombstoned entries sitting at @p lane's head. */
-    void purgeLaneHead(Lane &lane);
+    void popHead();
+    void releaseSlot(std::uint32_t slot);
     /**
-     * Make _top.front() reference the true global-minimum runnable
-     * event, purging tombstones and stale head references on the way.
+     * Drop tombstoned entries sitting at the heap head.
      * @return false if no runnable event remains.
      */
-    bool settleTop();
+    bool purgeHead();
 
-    std::vector<Lane> _lanes{1}; ///< lane 0 always exists
-    std::vector<TopEntry> _top;  ///< binary heap (TopLater)
+    std::vector<HeapEntry> _heap; ///< binary heap (EntryLater)
+    std::vector<Slot> _slots;     ///< callback slab
+    std::vector<std::uint32_t> _freeSlots;
+    std::size_t _cancelled = 0; ///< tombstones still in `_heap`
     Tick _now = 0;
-    std::uint64_t _nextSeq = 1; ///< queue-wide schedule order
+    std::uint64_t _nextSeq = 1; ///< schedule order
     std::size_t _live = 0;
     std::uint64_t _executed = 0;
 };

@@ -55,27 +55,6 @@ class Simulator
         return _queue.scheduleAfter(delay, std::move(cb));
     }
 
-    /** Schedule @p cb at absolute tick @p when on event lane @p lane. */
-    EventId
-    scheduleOnAt(LaneId lane, Tick when, EventQueue::Callback cb)
-    {
-        return _queue.scheduleOn(lane, when, std::move(cb));
-    }
-
-    /** Schedule @p cb after @p delay ticks on event lane @p lane. */
-    EventId
-    scheduleOnAfter(LaneId lane, Tick delay, EventQueue::Callback cb)
-    {
-        return _queue.scheduleOn(lane, now() + delay, std::move(cb));
-    }
-
-    /**
-     * Create a new event lane (see EventQueue::createLane). Hot
-     * components call setEventLane() with the result so their events
-     * stay in a small private heap.
-     */
-    LaneId createLane() { return _queue.createLane(); }
-
     void cancel(EventId id) { _queue.cancel(id); }
 
     /** Run until simulated time @p limit. */
@@ -129,19 +108,11 @@ class SimObject
     Simulator &sim() const { return _sim; }
     Tick now() const { return _sim.now(); }
 
-    /**
-     * Route this component's self-scheduled events through @p lane.
-     * Purely a data-structure placement hint: execution order is
-     * independent of lane assignment (see EventQueue).
-     */
-    void setEventLane(LaneId lane) { _lane = lane; }
-    LaneId eventLane() const { return _lane; }
-
   protected:
     EventId
     schedule(Tick delay, EventQueue::Callback cb)
     {
-        return _sim.scheduleOnAfter(_lane, delay, std::move(cb));
+        return _sim.scheduleAfter(delay, std::move(cb));
     }
 
     /** Register a statistic under "<component name>.<stat>". */
@@ -182,7 +153,6 @@ class SimObject
   private:
     Simulator &_sim;
     std::string _name;
-    LaneId _lane = kDefaultLane;
 };
 
 } // namespace bms::sim

@@ -66,5 +66,12 @@ TEST(Determinism, EventCountsReproducible)
         harness::runFio(bed.sim(), disk, spec);
         return bed.sim().queue().executedCount();
     };
-    EXPECT_EQ(run(42), run(42));
+    std::uint64_t events = run(42);
+    EXPECT_EQ(events, run(42));
+    // Golden anchor: two runs of one binary cannot notice a change
+    // that moves the replay; this recorded count can. It assumes
+    // libstdc++ (sim::Rng draws through std::uniform_int_distribution
+    // and std::normal_distribution) and is expected to move only when
+    // objects get their own RNG streams (ROADMAP item 2(b)).
+    EXPECT_EQ(events, 999290u);
 }

@@ -29,6 +29,31 @@ runSeed(std::uint64_t seed, sim::Tick horizon = sim::milliseconds(30))
     return fuzzer.run();
 }
 
+/**
+ * Golden replay anchors. Every determinism test below compares two
+ * runs of one binary, which cannot notice a refactor that changes a
+ * replay; these recorded values can. They assume libstdc++, because
+ * sim::Rng draws through std::uniform_int_distribution and
+ * std::normal_distribution, whose algorithms the standard leaves to
+ * the library. The one change expected to re-pin them is giving each
+ * object its own RNG stream (ROADMAP item 2(b)); any other change
+ * that moves them changed simulated behaviour.
+ */
+struct Anchor
+{
+    std::uint64_t totalOps;
+    std::uint64_t verifiedBlocks;
+    sim::Tick finishedAt;
+};
+
+void
+expectAnchor(const fuzz::FuzzReport &r, const Anchor &golden)
+{
+    EXPECT_EQ(r.totalOps, golden.totalOps);
+    EXPECT_EQ(r.verifiedBlocks, golden.verifiedBlocks);
+    EXPECT_EQ(r.finishedAt, golden.finishedAt);
+}
+
 } // namespace
 
 // The ctest-pinned seed set: short horizon, full feature mix. Any
@@ -76,8 +101,8 @@ TEST(Fuzz, MigrationSeedsPassTheOracle)
 }
 
 // Pinned multi-VF seeds: up to 16 tenant functions (PFs + VFs), so
-// the sharded event lanes, per-function multi-SQ arbitration, and
-// fetch coalescing all see real fan-out under the oracle.
+// per-function multi-SQ arbitration and fetch coalescing see real
+// fan-out under the oracle.
 TEST(Fuzz, MultiVfSeedsPassTheOracle)
 {
     for (std::uint64_t seed = 301; seed <= 304; ++seed) {
@@ -161,10 +186,11 @@ TEST(Fuzz, TieringSeedsAreDeterministic)
     EXPECT_EQ(a.remoteRetries, b.remoteRetries);
     EXPECT_EQ(a.maxCompletionGap, b.maxCompletionGap);
     EXPECT_EQ(a.finishedAt, b.finishedAt);
+    expectAnchor(a, {13883, 24874, 1602000000});
 }
 
-// Multi-VF runs must replay byte-identically too — this is the
-// regression gate for the sharded event queue's deterministic merge.
+// Multi-VF runs must replay byte-identically too: 16 functions put
+// the most same-tick events through the queue's (when, seq) order.
 TEST(Fuzz, MultiVfSeedsAreDeterministic)
 {
     auto run = [] {
@@ -185,6 +211,7 @@ TEST(Fuzz, MultiVfSeedsAreDeterministic)
     EXPECT_EQ(a.faultWindows, b.faultWindows);
     EXPECT_EQ(a.maxCompletionGap, b.maxCompletionGap);
     EXPECT_EQ(a.finishedAt, b.finishedAt);
+    expectAnchor(a, {14813, 35353, 498000000});
 }
 
 // One seed is one interleaving: two runs of the same seed must agree
@@ -213,6 +240,9 @@ TEST(Fuzz, IdenticalSeedsProduceIdenticalRuns)
     EXPECT_EQ(a.migratedBytes, b.migratedBytes);
     EXPECT_EQ(a.maxCompletionGap, b.maxCompletionGap);
     EXPECT_EQ(a.finishedAt, b.finishedAt);
+    // `fuzz --seed=42 --horizon-ms=30` prints ops=5298
+    // verified-blocks=14559.
+    expectAnchor(a, {5298, 14559, 50000000});
 }
 
 // Same for the migration-heavy mode.
@@ -235,6 +265,7 @@ TEST(Fuzz, MigrationSeedsAreDeterministic)
     EXPECT_EQ(a.migrationsCompleted, b.migrationsCompleted);
     EXPECT_EQ(a.migratedBytes, b.migratedBytes);
     EXPECT_EQ(a.finishedAt, b.finishedAt);
+    expectAnchor(a, {621, 3171, 8094000000});
 }
 
 // Different seeds must diverge — a sweep that replays one schedule N
@@ -410,6 +441,7 @@ TEST(Fuzz, ThinSeedsAreDeterministic)
     EXPECT_EQ(a.cowCopies, b.cowCopies);
     EXPECT_EQ(a.maxCompletionGap, b.maxCompletionGap);
     EXPECT_EQ(a.finishedAt, b.finishedAt);
+    expectAnchor(a, {1208, 9489, 8209000000});
 }
 
 namespace {
@@ -648,4 +680,6 @@ TEST(Fuzz, FleetSeedsAreDeterministic)
     // same schedule, byte-identical operator history.
     EXPECT_EQ(a.traceHash, b.traceHash);
     EXPECT_EQ(a.finishedAt, b.finishedAt);
+    // Golden anchor (see Anchor above).
+    EXPECT_EQ(a.traceHash, 0x04f68b3d686cfc64u);
 }

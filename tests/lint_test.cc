@@ -1,10 +1,8 @@
 /**
  * @file
- * Determinism-auditor tests (DESIGN.md §13): bms-lint rule fixtures —
- * one planted violation per rule R1-R5 plus the suppression
- * machinery — and the same-tick lane-conflict sanitizer's self-test,
- * which plants a deliberate cross-lane same-tick write and expects
- * the audit to flag it.
+ * Static determinism lint tests (DESIGN.md §13): bms-lint rule
+ * fixtures — one planted violation per rule R1-R5 plus the
+ * suppression machinery.
  *
  * The planted violations live inside string literals, which the
  * linter blanks before matching — so this file stays clean when the
@@ -18,9 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "lint.hh"
-#include "sim/lane_audit.hh"
-#include "sim/simulator.hh"
-#include "tests/test_util.hh"
 
 using namespace bms;
 
@@ -37,23 +32,6 @@ rulesIn(const std::string &path, const std::string &content,
     std::sort(out.begin(), out.end());
     return out;
 }
-
-/** RAII: enabled, labeled, empty LaneAudit for one test. */
-struct AuditFixture
-{
-    sim::LaneAudit &audit = sim::LaneAudit::instance();
-    AuditFixture()
-    {
-        audit.reset();
-        audit.enable();
-        audit.setRun("selftest");
-    }
-    ~AuditFixture()
-    {
-        audit.disable();
-        audit.reset();
-    }
-};
 
 } // namespace
 
@@ -183,151 +161,4 @@ TEST(BmsLint, CatalogListsAllFiveRules)
     EXPECT_STREQ(cat[2].id, "pointer-order");
     EXPECT_STREQ(cat[3].id, "bare-assert");
     EXPECT_STREQ(cat[4].id, "tick-epsilon");
-}
-
-// ---------------------------------------------------------------------
-// Lane-conflict sanitizer self-test
-// ---------------------------------------------------------------------
-
-TEST(LaneAudit, FlagsPlantedCrossLaneSameTickWrite)
-{
-    AuditFixture fx;
-    sim::Simulator sim;
-    sim::LaneId lane1 = sim.createLane();
-    std::uint32_t obj = fx.audit.registerObject("fixture.shared");
-
-    // The deliberate conflict: two lanes write one object at tick 100.
-    sim.scheduleOnAt(sim::kDefaultLane, 100, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    });
-    sim.scheduleOnAt(lane1, 100, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    });
-    sim.runUntil(200);
-
-    std::vector<sim::LaneAudit::Conflict> wc = fx.audit.writeConflicts();
-    ASSERT_EQ(wc.size(), 1u);
-    EXPECT_EQ(wc[0].object, "fixture.shared");
-    EXPECT_EQ(wc[0].kind, "write-write");
-    EXPECT_EQ(wc[0].firstTick, 100u);
-    EXPECT_EQ(wc[0].firstRun, "selftest");
-    EXPECT_NE(wc[0].laneA, wc[0].laneB);
-}
-
-TEST(LaneAudit, FlagsCrossLaneReadOfSameTickWrite)
-{
-    AuditFixture fx;
-    sim::Simulator sim;
-    sim::LaneId lane1 = sim.createLane();
-    std::uint32_t obj = fx.audit.registerObject("fixture.shared");
-
-    sim.scheduleOnAt(sim::kDefaultLane, 50, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    });
-    sim.scheduleOnAt(lane1, 50, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Read);
-    });
-    sim.runUntil(100);
-
-    std::vector<sim::LaneAudit::Conflict> wc = fx.audit.writeConflicts();
-    ASSERT_EQ(wc.size(), 1u);
-    EXPECT_EQ(wc[0].kind, "read-write");
-}
-
-TEST(LaneAudit, SameLaneAndDifferentTickAreClean)
-{
-    AuditFixture fx;
-    sim::Simulator sim;
-    sim::LaneId lane1 = sim.createLane();
-    std::uint32_t obj = fx.audit.registerObject("fixture.shared");
-
-    // Same lane, same tick: ordered by (when, seq) — no conflict.
-    sim.scheduleOnAt(lane1, 10, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    });
-    sim.scheduleOnAt(lane1, 10, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    });
-    // Cross-lane but different ticks: ordered by time — no conflict.
-    sim.scheduleOnAt(sim::kDefaultLane, 20, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    });
-    sim.scheduleOnAt(lane1, 30, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    });
-    sim.runUntil(100);
-
-    EXPECT_TRUE(fx.audit.writeConflicts().empty());
-    EXPECT_EQ(fx.audit.recordedAccesses(), 4u);
-}
-
-TEST(LaneAudit, CrossLaneReadsAreCensusedButNotGated)
-{
-    AuditFixture fx;
-    sim::Simulator sim;
-    sim::LaneId lane1 = sim.createLane();
-    std::uint32_t obj = fx.audit.registerObject("fixture.shared");
-
-    sim.scheduleOnAt(sim::kDefaultLane, 5, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Read);
-    });
-    sim.scheduleOnAt(lane1, 5, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Read);
-    });
-    sim.runUntil(100);
-
-    EXPECT_TRUE(fx.audit.writeConflicts().empty());
-    std::vector<sim::LaneAudit::Conflict> all = fx.audit.census();
-    ASSERT_EQ(all.size(), 1u);
-    EXPECT_EQ(all[0].kind, "read-read");
-}
-
-TEST(LaneAudit, AccessesOutsideEventsAndWhenDisabledAreIgnored)
-{
-    AuditFixture fx;
-    std::uint32_t obj = fx.audit.registerObject("fixture.shared");
-
-    // No event context: construction-time access, not recorded.
-    fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    EXPECT_EQ(fx.audit.recordedAccesses(), 0u);
-
-    // Disabled: the EventScope does not arm, nothing is recorded.
-    fx.audit.disable();
-    sim::Simulator sim;
-    sim.scheduleOnAt(sim::kDefaultLane, 1, [&] {
-        fx.audit.record(obj, sim::LaneAudit::Access::Write);
-    });
-    sim.runUntil(10);
-    EXPECT_EQ(fx.audit.recordedAccesses(), 0u);
-}
-
-TEST(LaneAudit, CensusRanksByCountThenName)
-{
-    AuditFixture fx;
-    sim::Simulator sim;
-    sim::LaneId lane1 = sim.createLane();
-    std::uint32_t hot = fx.audit.registerObject("fixture.hot");
-    std::uint32_t cold = fx.audit.registerObject("fixture.cold");
-
-    for (sim::Tick t = 1; t <= 3; ++t) {
-        sim.scheduleOnAt(sim::kDefaultLane, t, [&] {
-            fx.audit.record(hot, sim::LaneAudit::Access::Write);
-        });
-        sim.scheduleOnAt(lane1, t, [&] {
-            fx.audit.record(hot, sim::LaneAudit::Access::Write);
-        });
-    }
-    sim.scheduleOnAt(sim::kDefaultLane, 7, [&] {
-        fx.audit.record(cold, sim::LaneAudit::Access::Write);
-    });
-    sim.scheduleOnAt(lane1, 7, [&] {
-        fx.audit.record(cold, sim::LaneAudit::Access::Write);
-    });
-    sim.runUntil(100);
-
-    std::vector<sim::LaneAudit::Conflict> wc = fx.audit.writeConflicts();
-    ASSERT_EQ(wc.size(), 2u);
-    EXPECT_EQ(wc[0].object, "fixture.hot");
-    EXPECT_GT(wc[0].count, wc[1].count);
-    EXPECT_EQ(wc[1].object, "fixture.cold");
 }

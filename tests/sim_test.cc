@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
-#include "harness/runner.hh"
-#include "harness/testbeds.hh"
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
@@ -18,7 +18,6 @@
 #include "sim/stats.hh"
 #include "sim/stats_registry.hh"
 #include "tests/test_util.hh"
-#include "workload/fio.hh"
 
 using namespace bms::sim;
 
@@ -34,15 +33,29 @@ TEST(EventQueue, RunsInTimeOrder)
     EXPECT_EQ(q.now(), 30u);
 }
 
+// Same-tick events run in scheduling order, so the execution order is
+// the schedule stably sorted by tick.
 TEST(EventQueue, SameTickIsFifo)
 {
-    EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i)
-        q.schedule(5, [&order, i] { order.push_back(i); });
-    q.runAll();
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+    std::vector<Tick> one_tick(10, 5);
+    // Colliding ticks on purpose: (when, seq) breaks the ties.
+    std::vector<Tick> colliding;
+    for (int i = 0; i < 64; ++i)
+        colliding.push_back(10 * static_cast<Tick>((i * 7) % 5));
+    for (const std::vector<Tick> &ticks : {one_tick, colliding}) {
+        EventQueue q;
+        std::vector<std::size_t> order;
+        for (std::size_t i = 0; i < ticks.size(); ++i)
+            q.schedule(ticks[i], [&order, i] { order.push_back(i); });
+        q.runAll();
+        std::vector<std::size_t> expected(ticks.size());
+        std::iota(expected.begin(), expected.end(), 0);
+        std::stable_sort(expected.begin(), expected.end(),
+                         [&ticks](std::size_t a, std::size_t b) {
+                             return ticks[a] < ticks[b];
+                         });
+        EXPECT_EQ(order, expected);
+    }
 }
 
 TEST(EventQueue, CancelPreventsExecution)
@@ -78,6 +91,27 @@ TEST(EventQueue, CancelOfExecutedIdDoesNotCorruptBookkeeping)
     q.checkInvariants();
     q.runAll();
     EXPECT_TRUE(q.empty());
+    q.checkInvariants();
+}
+
+// A slot is recycled as soon as its event runs, so a stale id names a
+// slot that a newer event may own. The generation half of the id must
+// keep cancel() of the stale id away from the new owner.
+TEST(EventQueue, StaleIdDoesNotCancelSlotReuser)
+{
+    EventQueue q;
+    EventId a = q.schedule(10, [] {});
+    ASSERT_TRUE(q.runOne());
+    bool b_ran = false;
+    EventId b = q.schedule(20, [&] { b_ran = true; });
+    // b reuses a's slot (the low 32 bits) under a newer generation.
+    ASSERT_EQ(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
+    ASSERT_NE(a, b);
+    q.cancel(a);
+    EXPECT_EQ(q.size(), 1u);
+    q.checkInvariants();
+    q.runAll();
+    EXPECT_TRUE(b_ran);
     q.checkInvariants();
 }
 
@@ -188,163 +222,6 @@ TEST(EventQueue, EventsCanScheduleEvents)
     q.runAll();
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(q.now(), 40u);
-}
-
-// Lane partitioning is invisible to execution order: events merge in
-// exact global (when, schedule-order), identical to a flat queue.
-TEST(EventQueue, LanesMergeInGlobalScheduleOrder)
-{
-    EventQueue q;
-    LaneId a = q.createLane();
-    LaneId b = q.createLane();
-    EXPECT_NE(a, kDefaultLane);
-    EXPECT_NE(a, b);
-    std::vector<int> order;
-    // Interleave lanes and ticks; same-tick events on *different*
-    // lanes must still run in scheduling order.
-    q.scheduleOn(a, 20, [&] { order.push_back(2); });
-    q.scheduleOn(b, 10, [&] { order.push_back(0); });
-    q.scheduleOn(kDefaultLane, 10, [&] { order.push_back(1); });
-    q.scheduleOn(b, 20, [&] { order.push_back(3); });
-    q.scheduleOn(a, 30, [&] { order.push_back(4); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-    EXPECT_EQ(q.executedCount(), 5u);
-}
-
-// The same schedule spread across lanes and packed on one lane must
-// execute identically — the determinism argument for lane sharding.
-TEST(EventQueue, LaneLayoutDoesNotChangeExecutionOrder)
-{
-    auto run = [](bool sharded) {
-        EventQueue q;
-        std::vector<LaneId> lanes{kDefaultLane};
-        if (sharded)
-            for (int i = 0; i < 3; ++i)
-                lanes.push_back(q.createLane());
-        std::vector<int> order;
-        for (int i = 0; i < 64; ++i) {
-            LaneId lane = lanes[i % lanes.size()];
-            // Colliding ticks on purpose: (when, seq) breaks ties.
-            q.scheduleOn(lane, 10 * ((i * 7) % 5), [&order, i] {
-                order.push_back(i);
-            });
-        }
-        q.runAll();
-        return order;
-    };
-    EXPECT_EQ(run(false), run(true));
-}
-
-TEST(EventQueue, CancelWorksAcrossLanes)
-{
-    EventQueue q;
-    LaneId a = q.createLane();
-    bool ran = false;
-    EventId on_a = q.scheduleOn(a, 10, [&] { ran = true; });
-    q.scheduleOn(a, 10, [] {});
-    q.schedule(10, [] {});
-    q.cancel(on_a);
-    q.cancel(on_a); // double cancel: no-op
-    EXPECT_EQ(q.size(), 2u);
-    q.runAll();
-    EXPECT_FALSE(ran);
-    EXPECT_EQ(q.executedCount(), 2u);
-    q.checkInvariants();
-}
-
-TEST(EventQueue, LanedEventsCanScheduleAcrossLanes)
-{
-    EventQueue q;
-    LaneId a = q.createLane();
-    LaneId b = q.createLane();
-    int hops = 0;
-    std::function<void()> hop = [&] {
-        if (++hops < 6)
-            q.scheduleOn(hops % 2 ? b : a, q.now() + 5, hop);
-    };
-    q.scheduleOn(a, 0, hop);
-    q.runAll();
-    EXPECT_EQ(hops, 6);
-    EXPECT_EQ(q.now(), 25u);
-    q.checkInvariants();
-}
-
-TEST(EventQueue, SchedulingOnUnknownLanePanics)
-{
-    EventQueue q;
-    EXPECT_PANIC(q.scheduleOn(42, 10, [] {}));
-}
-
-namespace {
-
-/**
- * Fingerprint of a full remote-tier run: a BM-Store card with local
- * SSDs plus a storage node behind a network link, one chunk spilled
- * remote, tenant I/O over both paths.
- */
-struct RemoteRunPrint
-{
-    std::uint64_t completed;
-    std::uint64_t p999;
-    std::uint64_t events;
-    Tick endedAt;
-
-    bool
-    operator==(const RemoteRunPrint &o) const
-    {
-        return completed == o.completed && p999 == o.p999 &&
-               events == o.events && endedAt == o.endedAt;
-    }
-};
-
-RemoteRunPrint
-runRemoteTopology(bool per_lane_events)
-{
-    bms::harness::TestbedConfig cfg;
-    cfg.ssdCount = 2;
-    cfg.seed = 99;
-    cfg.chunkBytes = mib(1);
-    cfg.ssd.functionalData = true;
-    cfg.remoteNodes = 1;
-    cfg.remoteServer.ssd.functionalData = true;
-    cfg.perLaneEvents = per_lane_events;
-    bms::harness::BmStoreTestbed bed(cfg);
-    auto &disk = bed.attachTenant(0, mib(2));
-
-    bool done = false;
-    bed.controller().tiering().spill(0, 1, 0, -1, [&](bool ok) {
-        EXPECT_TRUE(ok);
-        done = true;
-    });
-    EXPECT_TRUE(bms::test::runUntil(bed.sim(), [&] { return done; },
-                                    seconds(10)));
-
-    bms::workload::FioJobSpec spec = bms::workload::fioRandR1();
-    spec.runTime = milliseconds(50);
-    bms::workload::FioResult res =
-        bms::harness::runFio(bed.sim(), disk, spec);
-    EXPECT_EQ(res.errors, 0u);
-    return {res.completed, res.latency.p999(),
-            bed.sim().queue().executedCount(), bed.sim().now()};
-}
-
-} // namespace
-
-// Lane sharding must stay invisible at whole-system scale even with
-// the remote tier in play: storage-node machines, network callbacks
-// and the tiering cutover all run on their own lanes, yet the flat
-// queue executes the exact same history.
-TEST(EventQueue, RemoteTopologyIdenticalOnFlatAndLanedQueues)
-{
-    RemoteRunPrint laned = runRemoteTopology(true);
-    RemoteRunPrint flat = runRemoteTopology(false);
-    EXPECT_TRUE(laned == flat)
-        << "laned: completed=" << laned.completed << " p999="
-        << laned.p999 << " events=" << laned.events << " end="
-        << laned.endedAt << " | flat: completed=" << flat.completed
-        << " p999=" << flat.p999 << " events=" << flat.events
-        << " end=" << flat.endedAt;
 }
 
 TEST(Simulator, OwnsObjectsAndTime)

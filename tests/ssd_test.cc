@@ -263,6 +263,14 @@ struct EnvelopeCase
     double lat_lo_us, lat_hi_us;
 };
 
+// Print a case as its name. The default printer dumps the struct's raw
+// bytes, the name pointer among them, so the test names would change
+// from build to build.
+static void PrintTo(const EnvelopeCase &c, std::ostream *os)
+{
+    *os << '"' << c.name << '"';
+}
+
 class NativeEnvelope : public ::testing::TestWithParam<EnvelopeCase>
 {
 };

@@ -516,7 +516,7 @@ ruleTickEpsilon(const std::string &path, const Stripped &s,
     for (std::size_t pos = code.find("schedule"); pos != std::string::npos;
          pos = code.find("schedule", pos + 1)) {
         // Accept any schedule-family identifier: schedule, scheduleAt,
-        // scheduleOnAfter, reschedule, rescheduleAt, ...
+        // scheduleAfter, reschedule, rescheduleAt, ...
         std::size_t idStart = pos;
         while (idStart > 0 && identChar(code[idStart - 1]))
             --idStart;
@@ -811,189 +811,6 @@ lintFile(const std::string &filePath, const std::string &asPath)
         }
     }
     return lintContent(path, buf.str(), headerContent);
-}
-
-namespace {
-
-/** Fleet runs prefix every SimObject with "card<N>." (one simulated
- *  card per prefix); the census identity is the per-card object, so
- *  the prefix is stripped before comparing against a single-card
- *  baseline. */
-std::string
-stripCardPrefix(const std::string &obj)
-{
-    if (obj.compare(0, 4, "card") != 0)
-        return obj;
-    std::size_t i = 4;
-    while (i < obj.size() &&
-           std::isdigit(static_cast<unsigned char>(obj[i])))
-        ++i;
-    if (i == 4 || i >= obj.size() || obj[i] != '.')
-        return obj;
-    return obj.substr(i + 1);
-}
-
-} // namespace
-
-std::vector<std::string>
-checkCensus(const std::string &baselinePath,
-            const std::vector<std::string> &censusPaths,
-            std::string &error)
-{
-    auto extract = [](const std::string &line, const char *key)
-        -> std::string {
-        std::string pat = std::string("\"") + key + "\": \"";
-        std::size_t pos = line.find(pat);
-        if (pos == std::string::npos)
-            return "";
-        std::size_t start = pos + pat.size();
-        std::size_t end = line.find('"', start);
-        if (end == std::string::npos)
-            return "";
-        return line.substr(start, end - start);
-    };
-    auto load = [&](const std::string &path,
-                    std::set<std::string> &out) -> bool {
-        std::ifstream f(path);
-        if (!f)
-            return false;
-        std::string line;
-        while (std::getline(f, line)) {
-            std::string obj = stripCardPrefix(extract(line, "object"));
-            std::string kind = extract(line, "kind");
-            if (obj.empty() || kind.empty() || kind == "read-read")
-                continue; // cross-lane reads are commutative: not gated
-            out.insert(obj + " [" + kind + "]");
-        }
-        return true;
-    };
-
-    std::set<std::string> baseline;
-    if (!load(baselinePath, baseline)) {
-        error = "cannot read baseline census " + baselinePath;
-        return {};
-    }
-    std::vector<std::string> bad;
-    for (const std::string &path : censusPaths) {
-        std::set<std::string> seen;
-        if (!load(path, seen)) {
-            error = "cannot read census " + path;
-            return {};
-        }
-        for (const std::string &entry : seen) {
-            if (!baseline.count(entry))
-                bad.push_back(entry + " (from " + path + ")");
-        }
-    }
-    std::sort(bad.begin(), bad.end());
-    bad.erase(std::unique(bad.begin(), bad.end()), bad.end());
-    return bad;
-}
-
-bool
-mergeCensus(const std::string &outPath,
-            const std::vector<std::string> &inPaths, std::string &error)
-{
-    auto extractStr = [](const std::string &line,
-                         const char *key) -> std::string {
-        std::string pat = std::string("\"") + key + "\": \"";
-        std::size_t pos = line.find(pat);
-        if (pos == std::string::npos)
-            return "";
-        std::size_t start = pos + pat.size();
-        std::size_t end = line.find('"', start);
-        if (end == std::string::npos)
-            return "";
-        return line.substr(start, end - start);
-    };
-    auto extractNum = [](const std::string &line, const char *key,
-                         unsigned long long &out) -> bool {
-        std::string pat = std::string("\"") + key + "\": ";
-        std::size_t pos = line.find(pat);
-        if (pos == std::string::npos)
-            return false;
-        std::size_t start = pos + pat.size();
-        if (start >= line.size() ||
-            !std::isdigit(static_cast<unsigned char>(line[start])))
-            return false;
-        out = std::stoull(line.substr(start));
-        return true;
-    };
-
-    struct Entry
-    {
-        unsigned long long count = 0;
-        unsigned long long firstTick = 0;
-        std::string firstRun;
-        std::string lanes = "[0, 0]";
-    };
-    // std::map: merged output order must not depend on hash state.
-    std::map<std::pair<std::string, std::string>, Entry> merged;
-    unsigned long long objects = 0, recorded = 0;
-
-    for (const std::string &path : inPaths) {
-        std::ifstream f(path);
-        if (!f) {
-            error = "cannot read census " + path;
-            return false;
-        }
-        std::string line;
-        while (std::getline(f, line)) {
-            unsigned long long n = 0;
-            std::string obj = stripCardPrefix(extractStr(line, "object"));
-            std::string kind = extractStr(line, "kind");
-            if (obj.empty() || kind.empty()) {
-                // Header lines: take the per-process maxima/sums.
-                if (extractNum(line, "objects", n))
-                    objects = std::max(objects, n);
-                if (extractNum(line, "recordedAccesses", n))
-                    recorded += n;
-                continue;
-            }
-            Entry &e = merged[{obj, kind}];
-            if (extractNum(line, "count", n))
-                e.count += n;
-            if (e.firstRun.empty()) {
-                extractNum(line, "firstTick", e.firstTick);
-                e.firstRun = extractStr(line, "firstRun");
-                std::size_t lb = line.find('[');
-                std::size_t rb = line.find(']');
-                if (lb != std::string::npos && rb != std::string::npos &&
-                    rb > lb)
-                    e.lanes = line.substr(lb, rb - lb + 1);
-            }
-        }
-    }
-
-    // Rank like LaneAudit::writeJson: count desc, then object, kind.
-    std::vector<std::pair<std::pair<std::string, std::string>, Entry>>
-        rows(merged.begin(), merged.end());
-    std::sort(rows.begin(), rows.end(), [](const auto &a, const auto &b) {
-        if (a.second.count != b.second.count)
-            return a.second.count > b.second.count;
-        return a.first < b.first;
-    });
-
-    std::ofstream out(outPath);
-    if (!out) {
-        error = "cannot write merged census " + outPath;
-        return false;
-    }
-    out << "{\n  \"schema\": \"bms-lane-census-v1\",\n"
-        << "  \"binary\": \"merged(" << inPaths.size() << " censuses)\",\n"
-        << "  \"objects\": " << objects << ",\n"
-        << "  \"recordedAccesses\": " << recorded << ",\n"
-        << "  \"conflicts\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto &[key, e] = rows[i];
-        out << "    {\"object\": \"" << key.first << "\", \"kind\": \""
-            << key.second << "\", \"count\": " << e.count
-            << ", \"firstTick\": " << e.firstTick << ", \"firstRun\": \""
-            << e.firstRun << "\", \"lanes\": " << e.lanes << "}"
-            << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    return static_cast<bool>(out);
 }
 
 } // namespace bms::lint

@@ -1,11 +1,11 @@
 /**
  * @file
- * bms-lint — project-specific determinism checker (the static half of
- * the determinism auditor, DESIGN.md §13).
+ * bms-lint — project-specific static determinism checker
+ * (DESIGN.md §13).
  *
- * Everything the repro guarantees — byte-identical seed replays, the
- * write-stamp oracle, the flat-vs-laned equivalence proof — rests on
- * the simulator being perfectly deterministic. clang-tidy cannot
+ * Everything the repro guarantees — byte-identical seed replays and
+ * the write-stamp oracle — rests on the simulator being perfectly
+ * deterministic. clang-tidy cannot
  * express the project rules that protect that property, so this
  * checker enforces them lexically, file by file:
  *
@@ -105,29 +105,6 @@ std::vector<Violation> lintContent(const std::string &path,
  */
 std::vector<Violation> lintFile(const std::string &filePath,
                                 const std::string &asPath = "");
-
-/**
- * Lane-census regression gate: every write-involving conflict
- * (kind != "read-read") present in any of @p censusPaths must already
- * appear (same object, same kind) in @p baselinePath.
- * @return the unbaselined "object [kind]" strings, empty when clean.
- *         On I/O error, fills @p error and returns empty.
- */
-std::vector<std::string>
-checkCensus(const std::string &baselinePath,
-            const std::vector<std::string> &censusPaths,
-            std::string &error);
-
-/**
- * Merge the censuses at @p inPaths into one ranked census at
- * @p outPath (same "bms-lane-census-v1" schema): counts are summed
- * per (object, kind); firstTick/firstRun/lanes come from the first
- * input that saw the pair. @return false (with @p error filled) on
- * I/O error.
- */
-bool mergeCensus(const std::string &outPath,
-                 const std::vector<std::string> &inPaths,
-                 std::string &error);
 
 } // namespace bms::lint
 

@@ -4,12 +4,10 @@
  *
  *   bms-lint [--as-path=PATH] FILE...          lint source files
  *   bms-lint --list-rules                      print the catalog
- *   bms-lint --check-census BASELINE CENSUS... lane-census gate
- *   bms-lint --merge-census OUT CENSUS...      fold runs into one census
  *
- * Exit status: 0 clean, 1 violations/unbaselined conflicts, 2 usage
- * or I/O error. Output is one `file:line: [rule] message` per
- * violation — the format scripts/check.sh and editors expect.
+ * Exit status: 0 clean, 1 violations, 2 usage or I/O error. Output
+ * is one `file:line: [rule] message` per violation — the format
+ * scripts/check.sh and editors expect.
  */
 
 #include <cstdio>
@@ -26,8 +24,6 @@ main(int argc, char **argv)
 
     std::string asPath;
     std::vector<std::string> files;
-    bool censusMode = false;
-    bool mergeMode = false;
 
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
@@ -35,10 +31,6 @@ main(int argc, char **argv)
             for (const RuleInfo &r : ruleCatalog())
                 std::printf("%-15s %s\n", r.id, r.summary);
             return 0;
-        } else if (std::strcmp(a, "--check-census") == 0) {
-            censusMode = true;
-        } else if (std::strcmp(a, "--merge-census") == 0) {
-            mergeMode = true;
         } else if (std::strncmp(a, "--as-path=", 10) == 0) {
             asPath = a + 10;
         } else if (a[0] == '-' && a[1] == '-') {
@@ -49,64 +41,10 @@ main(int argc, char **argv)
         }
     }
 
-    if (mergeMode) {
-        if (files.size() < 2) {
-            std::fprintf(stderr, "usage: bms-lint --merge-census OUT "
-                                 "CENSUS...\n");
-            return 2;
-        }
-        std::string out = files.front();
-        files.erase(files.begin());
-        std::string error;
-        if (!mergeCensus(out, files, error)) {
-            std::fprintf(stderr, "bms-lint: %s\n", error.c_str());
-            return 2;
-        }
-        return 0;
-    }
-
-    if (censusMode) {
-        if (files.size() < 2) {
-            std::fprintf(stderr, "usage: bms-lint --check-census "
-                                 "BASELINE CENSUS...\n");
-            return 2;
-        }
-        std::string baseline = files.front();
-        files.erase(files.begin());
-        std::string error;
-        std::vector<std::string> bad =
-            checkCensus(baseline, files, error);
-        if (!error.empty()) {
-            std::fprintf(stderr, "bms-lint: %s\n", error.c_str());
-            return 2;
-        }
-        for (const std::string &b : bad) {
-            std::fprintf(stderr,
-                         "bms-lint: unbaselined cross-lane write "
-                         "conflict: %s\n",
-                         b.c_str());
-        }
-        if (!bad.empty()) {
-            std::fprintf(stderr,
-                         "bms-lint: %zu conflict(s) not in %s — new "
-                         "same-tick cross-lane write sharing; shard "
-                         "the object per lane or re-baseline with a "
-                         "written rationale (DESIGN.md §13)\n",
-                         bad.size(), baseline.c_str());
-            return 1;
-        }
-        std::printf("bms-lint: lane census clean against %s\n",
-                    baseline.c_str());
-        return 0;
-    }
-
     if (files.empty()) {
         std::fprintf(stderr,
                      "usage: bms-lint [--as-path=PATH] FILE...\n"
-                     "       bms-lint --list-rules\n"
-                     "       bms-lint --check-census BASELINE "
-                     "CENSUS...\n"
-                     "       bms-lint --merge-census OUT CENSUS...\n");
+                     "       bms-lint --list-rules\n");
         return 2;
     }
     if (!asPath.empty() && files.size() != 1) {
