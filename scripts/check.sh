@@ -118,23 +118,27 @@ run_san() {
     # drill with node losses and upgrade storms mid-wave.
     echo "== ASan+UBSan fuzz (fleet seeds) =="
     ./build-asan/fuzz --seeds=601:604 --fleet --horizon-ms=60 || fail=1
+    # The quick benches write their JSON records into build-asan/, so
+    # the committed full-mode BENCH_*.json files stay untouched.
+    #
     # Quick-mode full-card sweep: 128-function fan-out under the
     # sanitizers, with an events/sec floor set low (ASan costs
     # roughly an order of magnitude of simulator speed).
     echo "== ASan+UBSan ext_full_card (quick) =="
     ./build-asan/bench/ext_full_card --quick --events-floor=20000 \
-        --wall-limit-s=300 || fail=1
+        --wall-limit-s=300 --json=build-asan/BENCH_full_card.json || fail=1
     # Quick-mode remote-tier bench: the tiering transparency gate
     # (tenant p99 under spill/promote churn vs idle) runs on simulated
     # time, so it holds even at ASan speed.
     echo "== ASan+UBSan ext_remote_storage (quick) =="
-    ./build-asan/bench/ext_remote_storage --quick || fail=1
+    ./build-asan/bench/ext_remote_storage --quick \
+        --json=build-asan/BENCH_remote_tier.json || fail=1
     # Quick-mode fleet smoke: an 8-card rolling wave plus drill with
     # the makespan gate on simulated time (ASan-proof) and a floor on
     # events/sec set an order of magnitude under native speed.
     echo "== ASan+UBSan ext_fleet (quick) =="
     ./build-asan/bench/ext_fleet --quick --events-floor=20000 \
-        --wall-limit-s=580 || fail=1
+        --wall-limit-s=580 --json=build-asan/BENCH_fleet.json || fail=1
 }
 
 case "${mode}" in

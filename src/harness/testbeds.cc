@@ -151,7 +151,7 @@ BmStoreTestbed::BmStoreTestbed(const TestbedConfig &cfg) : TestbedBase(cfg)
             auto *rdev = _sim->make<remote::RemoteNvmeDevice>(
                 *_sim,
                 nm("rvol" + std::to_string(n) + "." + std::to_string(v)),
-                *net, *server, vol, cfg.remoteClient);
+                *net, *server, vol);
             _remotes.push_back(rdev);
             int slot = remoteSlot(n, v);
             // Mark the slot remote BEFORE attach: registerSsd reads

@@ -90,7 +90,6 @@ struct TestbedConfig
     std::uint64_t remoteVolumeBytes = sim::mib(64);
     remote::StorageServer::Config remoteServer;
     remote::NetworkProfile network;
-    remote::RemoteClientConfig remoteClient;
     /// @}
 
     /** Effective SSD config for back-end slot @p slot. */

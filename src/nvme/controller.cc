@@ -211,13 +211,7 @@ ControllerModel::pump(std::uint16_t sqid)
         sq.head = static_cast<std::uint16_t>((sq.head + 1) % sq.size);
         auto buf = std::make_shared<std::array<std::uint8_t, sizeof(Sqe)>>();
         _up->dmaRead(addr, sizeof(Sqe), buf->data(), [this, buf, sqid] {
-            Sqe sqe = fromBytes<Sqe>(buf->data());
-            if (_cfg.cmdProcDelay == 0) {
-                dispatch(sqe, sqid);
-            } else {
-                schedule(_cfg.cmdProcDelay,
-                         [this, sqe, sqid] { dispatch(sqe, sqid); });
-            }
+            fetched(fromBytes<Sqe>(buf->data()), sqid);
         });
     }
 }
@@ -342,16 +336,19 @@ ControllerModel::fetchBurst(std::uint16_t sqid, std::uint32_t maxN)
                  [this, buf, sqid, n] {
         // One completion delivers the whole burst in ring order; the
         // event queue's same-tick FIFO keeps intra-SQ order intact.
-        for (std::uint32_t i = 0; i < n; ++i) {
-            Sqe sqe = fromBytes<Sqe>(buf->data() + i * sizeof(Sqe));
-            if (_cfg.cmdProcDelay == 0) {
-                dispatch(sqe, sqid);
-            } else {
-                schedule(_cfg.cmdProcDelay,
-                         [this, sqe, sqid] { dispatch(sqe, sqid); });
-            }
-        }
+        for (std::uint32_t i = 0; i < n; ++i)
+            fetched(fromBytes<Sqe>(buf->data() + i * sizeof(Sqe)), sqid);
     });
+}
+
+void
+ControllerModel::fetched(const Sqe &sqe, std::uint16_t sqid)
+{
+    if (_cfg.cmdProcDelay == 0) {
+        dispatch(sqe, sqid);
+        return;
+    }
+    schedule(_cfg.cmdProcDelay, [this, sqe, sqid] { dispatch(sqe, sqid); });
 }
 
 void

@@ -39,14 +39,11 @@ enum class ArbitrationMode : std::uint8_t
     WeightedRoundRobin,
 };
 
-/** Static description of one namespace as exposed by a controller. */
+/** Static description of one namespace (kBlockSize blocks). */
 struct NamespaceInfo
 {
     std::uint32_t nsid = 0;
     std::uint64_t sizeBlocks = 0;
-    std::uint32_t blockSize = kBlockSize;
-
-    std::uint64_t sizeBytes() const { return sizeBlocks * blockSize; }
 };
 
 /**
@@ -62,7 +59,11 @@ class ControllerModel : public sim::SimObject
     {
         pcie::FunctionId fn = 0;
         std::uint16_t maxIoQueues = 64;
-        /** Internal latency from SQE arrival to execution start. */
+        /**
+         * Internal latency from SQE arrival to execution start (the
+         * BMS-Engine front functions' frontPipelineDelay; zero on
+         * back-end devices).
+         */
         sim::Tick cmdProcDelay = 0;
         /** Serial/model identity reported by Identify Controller. */
         std::string model = "BMS-SIM-CTRL";
@@ -234,6 +235,11 @@ class ControllerModel : public sim::SimObject
     void disable();
     void doorbell(const DoorbellRef &ref, std::uint64_t value);
     void pump(std::uint16_t sqid);
+    /**
+     * A fetched SQE: dispatch it after cmdProcDelay (inline when the
+     * delay is zero, as on back-end SSDs).
+     */
+    void fetched(const Sqe &sqe, std::uint16_t sqid);
     void dispatch(const Sqe &sqe, std::uint16_t sqid);
     void adminBuiltin(const Sqe &sqe);
     void identify(const Sqe &sqe);

@@ -8,90 +8,39 @@ using nvme::IoOpcode;
 using nvme::Sqe;
 using nvme::Status;
 
-RemoteNvmeDevice::RemoteNvmeDevice(sim::Simulator &sim, std::string name,
-                                   NetworkLink &link,
-                                   StorageServer &server, int volume,
-                                   RemoteClientConfig ccfg)
-    : SimObject(sim, name), _link(link), _server(server), _volume(volume),
-      _ccfg(ccfg)
-{
-    BMS_ASSERT(_ccfg.window > 0, "remote client window must be positive");
-    nvme::ControllerModel::Config cfg;
-    cfg.fn = 0;
-    cfg.model = "BMS-REMOTE-VOL";
-    _ctrl = std::make_unique<Controller>(sim, name + ".ctrl", cfg, *this);
-    nvme::NamespaceInfo ns;
-    ns.nsid = 1;
-    ns.sizeBlocks = server.volumeBytes(volume) / nvme::kBlockSize;
-    _ctrl->addNamespace(ns);
+namespace {
 
+/** Max requests awaiting a response at once; excess queue. */
+constexpr int kClientWindow = 32;
+/**
+ * Response deadline per attempt, measured from the moment the request
+ * message is handed to the link. Sized so a saturated pipe (a full
+ * window of 2 MiB transfers queued on one 2.9 GB/s direction is
+ * ~23 ms of serialization) never trips it.
+ */
+constexpr sim::Tick kRequestTimeout = sim::milliseconds(250);
+/**
+ * Retries after the first attempt before giving up. A command to a
+ * dead node therefore fails after kRequestTimeout x (1 + kMaxRetries)
+ * = 750 ms, the figure behind TieringManager capping its chunk moves
+ * at maxSegmentRetries = 2.
+ */
+constexpr int kMaxRetries = 2;
+
+} // namespace
+
+RemoteNvmeDevice::RemoteNvmeDevice(sim::Simulator &sim,
+                                   const std::string &name,
+                                   NetworkLink &link,
+                                   StorageServer &server, int volume)
+    : Endpoint(sim, name, "BMS-REMOTE-VOL",
+               server.volumeBytes(volume) / nvme::kBlockSize),
+      _link(link), _server(server), _volume(volume)
+{
     registerStat("ios", [this] { return double(_ios); });
     registerStat("timeouts", [this] { return double(_timeouts); });
     registerStat("retries", [this] { return double(_retries); });
     registerStat("exhausted", [this] { return double(_exhausted); });
-}
-
-void
-RemoteNvmeDevice::mmioWrite(pcie::FunctionId fn, std::uint64_t offset,
-                            std::uint64_t value)
-{
-    BMS_ASSERT_EQ(fn, 0, "remote NVMe device is single-function");
-    _ctrl->regWrite(offset, value);
-}
-
-std::uint64_t
-RemoteNvmeDevice::mmioRead(pcie::FunctionId fn, std::uint64_t offset)
-{
-    BMS_ASSERT_EQ(fn, 0, "remote NVMe device is single-function");
-    return _ctrl->regRead(offset);
-}
-
-void
-RemoteNvmeDevice::attached(pcie::PcieUpstreamIf &upstream)
-{
-    _up = &upstream;
-    _ctrl->setUpstream(&upstream);
-}
-
-void
-RemoteNvmeDevice::resolveSegments(
-    const Sqe &sqe, std::function<void(std::vector<nvme::DmaSegment>)> then)
-{
-    std::uint64_t len = sqe.dataBytes();
-    if (!nvme::needsPrpList(sqe.prp1, len)) {
-        then(nvme::decodePrp(sqe.prp1, sqe.prp2, len, {}));
-        return;
-    }
-    std::uint32_t entries = nvme::prpPageCount(sqe.prp1, len) - 1;
-    auto raw = std::make_shared<std::vector<std::uint64_t>>(entries);
-    _up->dmaRead(sqe.prp2,
-                 static_cast<std::uint32_t>(entries * sizeof(std::uint64_t)),
-                 reinterpret_cast<std::uint8_t *>(raw->data()),
-                 [sqe, len, raw, then = std::move(then)] {
-                     then(nvme::decodePrp(sqe.prp1, sqe.prp2, len, *raw));
-                 });
-}
-
-void
-RemoteNvmeDevice::dmaSegments(const std::vector<nvme::DmaSegment> &segs,
-                              bool to_host, std::uint8_t *buf,
-                              std::function<void()> done)
-{
-    BMS_ASSERT(!segs.empty(), "DMA with no PRP segments");
-    auto remaining = std::make_shared<std::size_t>(segs.size());
-    auto fire = [remaining, done = std::move(done)] {
-        if (--*remaining == 0)
-            done();
-    };
-    std::uint64_t off = 0;
-    for (const auto &seg : segs) {
-        std::uint8_t *p = buf + off;
-        if (to_host)
-            _up->dmaWrite(seg.addr, seg.len, p, fire);
-        else
-            _up->dmaRead(seg.addr, seg.len, p, fire);
-        off += seg.len;
-    }
 }
 
 void
@@ -100,9 +49,11 @@ RemoteNvmeDevice::executeIo(const Sqe &sqe, std::uint16_t sqid)
     auto op = static_cast<IoOpcode>(sqe.opcode);
     if (op != IoOpcode::Read && op != IoOpcode::Write &&
         op != IoOpcode::Flush) {
-        _ctrl->complete(sqid, sqe.cid, Status::InvalidOpcode);
+        complete(sqid, sqe.cid, Status::InvalidOpcode);
         return;
     }
+    if (op != IoOpcode::Flush && !checkRange(sqe, sqid))
+        return;
     ++_ios;
 
     Flight f;
@@ -151,7 +102,7 @@ RemoteNvmeDevice::enqueue(Flight f)
 void
 RemoteNvmeDevice::pump()
 {
-    while (_wireInflight < _ccfg.window && !_sendq.empty()) {
+    while (_wireInflight < kClientWindow && !_sendq.empty()) {
         Flight f = std::move(_sendq.front());
         _sendq.pop_front();
         ++_wireInflight;
@@ -188,7 +139,7 @@ RemoteNvmeDevice::sendAttempt(Flight f)
     _link.send(0, req, [this, io = std::move(io)]() mutable {
         _server.execute(_volume, std::move(io));
     });
-    schedule(_ccfg.requestTimeout, [this, id] { onTimeout(id); });
+    schedule(kRequestTimeout, [this, id] { onTimeout(id); });
 }
 
 void
@@ -215,7 +166,7 @@ RemoteNvmeDevice::onTimeout(std::uint64_t id)
     ++_timeouts;
     Flight f = std::move(it->second);
     _pending.erase(it);
-    if (f.attempt > _ccfg.maxRetries) {
+    if (f.attempt > kMaxRetries) {
         ++_exhausted;
         logWarn("remote request gave up after ", f.attempt,
                 " attempts (len=", f.len, ")");
@@ -235,11 +186,11 @@ RemoteNvmeDevice::finishFlight(Flight f, bool ok)
     --_wireInflight;
     pump();
     if (!ok) {
-        _ctrl->complete(f.sqid, f.sqe.cid, Status::DataTransferError);
+        complete(f.sqid, f.sqe.cid, Status::DataTransferError);
         return;
     }
     if (f.isWrite || f.isFlush || f.len == 0) {
-        _ctrl->complete(f.sqid, f.sqe.cid, Status::Success);
+        complete(f.sqid, f.sqe.cid, Status::Success);
         return;
     }
     // Read: scatter the returned payload to the upstream buffers.
@@ -249,7 +200,7 @@ RemoteNvmeDevice::finishFlight(Flight f, bool ok)
     std::uint16_t sqid = f.sqid;
     std::uint16_t cid = f.sqe.cid;
     dmaSegments(*segs, true, data->data(), [this, data, segs, sqid, cid] {
-        _ctrl->complete(sqid, cid, Status::Success);
+        complete(sqid, cid, Status::Success);
     });
 }
 

@@ -5,13 +5,17 @@
  * namespace = one exported volume) whose media is a StorageServer
  * across a NetworkLink.
  *
- * Because it implements pcie::PcieDeviceIf and fetches its commands
- * and data through whatever PcieUpstreamIf it is attached to, it can
- * sit (a) in a host slot — a plain NVMe-oF-style initiator — or
- * (b) in a BMS-Engine back-end slot, giving BM-Store tenants remote
- * volumes behind the exact same front-end VFs, LBA mapping and QoS:
- * the paper's §VI-D "add remote storage support to cope with more
- * storage scenarios".
+ * Because it is an nvme::Endpoint and fetches its commands and data
+ * through whatever PcieUpstreamIf it is attached to, it can sit (a)
+ * in a host slot — a plain NVMe-oF-style initiator — or (b) in a
+ * BMS-Engine back-end slot, giving BM-Store tenants remote volumes
+ * behind the exact same front-end VFs, LBA mapping and QoS: the
+ * paper's §VI-D "add remote storage support to cope with more storage
+ * scenarios".
+ *
+ * Reads and writes are checked against the volume first: a bad
+ * namespace or an LBA past the end completes locally (InvalidNamespace
+ * / LbaOutOfRange) without going on the wire.
  *
  * The initiator keeps a bounded window of requests on the wire; each
  * request carries a unique id and is covered by a sim-clock timeout.
@@ -28,36 +32,19 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "nvme/controller.hh"
-#include "nvme/prp.hh"
-#include "pcie/device.hh"
+#include "nvme/endpoint.hh"
 #include "remote/network.hh"
 #include "remote/storage_server.hh"
 #include "sim/simulator.hh"
 
 namespace bms::remote {
 
-/** Initiator-side protocol knobs. */
-struct RemoteClientConfig
-{
-    /** Max requests awaiting a response at once; excess queue. */
-    int window = 32;
-    /**
-     * Response deadline per attempt, measured from the moment the
-     * request message is handed to the link. Sized so a saturated
-     * pipe (a full window of 2 MiB transfers queued on one 2.9 GB/s
-     * direction is ~23 ms of serialization) never trips it.
-     */
-    sim::Tick requestTimeout = sim::milliseconds(250);
-    /** Retries after the first attempt before giving up. */
-    int maxRetries = 2;
-};
-
 /** NVMe front end for one remote volume. */
-class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
+class RemoteNvmeDevice : public nvme::Endpoint
 {
   public:
     /**
@@ -66,22 +53,8 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
      * @param server the storage target
      * @param volume volume id previously created on the server
      */
-    RemoteNvmeDevice(sim::Simulator &sim, std::string name,
-                     NetworkLink &link, StorageServer &server, int volume,
-                     RemoteClientConfig ccfg = RemoteClientConfig());
-
-    /** @name PcieDeviceIf */
-    /// @{
-    int functionCount() const override { return 1; }
-    void mmioWrite(pcie::FunctionId fn, std::uint64_t offset,
-                   std::uint64_t value) override;
-    std::uint64_t mmioRead(pcie::FunctionId fn,
-                           std::uint64_t offset) override;
-    void attached(pcie::PcieUpstreamIf &upstream) override;
-    /// @}
-
-    nvme::ControllerModel &controller() { return *_ctrl; }
-    const RemoteClientConfig &clientConfig() const { return _ccfg; }
+    RemoteNvmeDevice(sim::Simulator &sim, const std::string &name,
+                     NetworkLink &link, StorageServer &server, int volume);
 
     /** @name Protocol counters (tests, monitor). */
     /// @{
@@ -99,28 +72,10 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
     int wireInflight() const { return _wireInflight; }
     /// @}
 
+  protected:
+    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override;
+
   private:
-    class Controller : public nvme::ControllerModel
-    {
-      public:
-        Controller(sim::Simulator &sim, std::string name, Config cfg,
-                   RemoteNvmeDevice &owner)
-            : ControllerModel(sim, std::move(name), cfg), _owner(owner)
-        {}
-
-      protected:
-        void
-        executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override
-        {
-            _owner.executeIo(sqe, sqid);
-        }
-
-      private:
-        RemoteNvmeDevice &_owner;
-    };
-
-    friend class Controller;
-
     /** One command in flight on (or queued for) the wire. */
     struct Flight
     {
@@ -136,7 +91,6 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
         int attempt = 0;
     };
 
-    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid);
     void enqueue(Flight f);
     void pump();
     void sendAttempt(Flight f);
@@ -144,20 +98,9 @@ class RemoteNvmeDevice : public sim::SimObject, public pcie::PcieDeviceIf
     void onTimeout(std::uint64_t id);
     void finishFlight(Flight f, bool ok);
 
-    /** SsdDevice-style PRP walk through the upstream interface. */
-    void resolveSegments(const nvme::Sqe &sqe,
-                         std::function<void(std::vector<nvme::DmaSegment>)>
-                             then);
-    void dmaSegments(const std::vector<nvme::DmaSegment> &segs,
-                     bool to_host, std::uint8_t *buf,
-                     std::function<void()> done);
-
     NetworkLink &_link;
     StorageServer &_server;
     int _volume;
-    RemoteClientConfig _ccfg;
-    std::unique_ptr<Controller> _ctrl;
-    pcie::PcieUpstreamIf *_up = nullptr;
 
     std::deque<Flight> _sendq;
     std::unordered_map<std::uint64_t, Flight> _pending;

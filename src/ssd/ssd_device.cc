@@ -9,22 +9,17 @@ using nvme::IoOpcode;
 using nvme::Sqe;
 using nvme::Status;
 
-SsdDevice::SsdDevice(sim::Simulator &sim, std::string name, Config cfg)
-    : SimObject(sim, name), _cfg(cfg), _fwRev(cfg.profile.firmwareRev)
+SsdDevice::SsdDevice(sim::Simulator &sim, const std::string &name,
+                     Config cfg)
+    : Endpoint(sim, name,
+               cfg.hddProfile ? cfg.hddProfile->model : cfg.profile.model,
+               (cfg.hddProfile ? cfg.hddProfile->capacityBytes
+                               : cfg.profile.capacityBytes) /
+                   nvme::kBlockSize),
+      _cfg(std::move(cfg)),
+      _fwRev(_cfg.hddProfile ? _cfg.hddProfile->firmwareRev
+                             : _cfg.profile.firmwareRev)
 {
-    nvme::ControllerModel::Config ctrl_cfg;
-    ctrl_cfg.fn = 0;
-    std::uint64_t capacity;
-    if (_cfg.hddProfile) {
-        ctrl_cfg.model = _cfg.hddProfile->model;
-        _fwRev = _cfg.hddProfile->firmwareRev;
-        capacity = _cfg.hddProfile->capacityBytes;
-    } else {
-        ctrl_cfg.model = _cfg.profile.model;
-        capacity = _cfg.profile.capacityBytes;
-    }
-    _ctrl = std::make_unique<Controller>(sim, name + ".ctrl", ctrl_cfg,
-                                         *this);
     if (_cfg.hddProfile) {
         _media = std::make_unique<HddMediaModel>(sim, name + ".media",
                                                  *_cfg.hddProfile);
@@ -32,32 +27,6 @@ SsdDevice::SsdDevice(sim::Simulator &sim, std::string name, Config cfg)
         _media = std::make_unique<MediaModel>(sim, name + ".media",
                                               _cfg.profile);
     }
-    nvme::NamespaceInfo ns;
-    ns.nsid = 1;
-    ns.sizeBlocks = capacity / nvme::kBlockSize;
-    _ctrl->addNamespace(ns);
-}
-
-void
-SsdDevice::mmioWrite(pcie::FunctionId fn, std::uint64_t offset,
-                     std::uint64_t value)
-{
-    BMS_ASSERT_EQ(fn, 0, "back-end SSD is single-function");
-    _ctrl->regWrite(offset, value);
-}
-
-std::uint64_t
-SsdDevice::mmioRead(pcie::FunctionId fn, std::uint64_t offset)
-{
-    BMS_ASSERT_EQ(fn, 0, "back-end SSD is single-function");
-    return _ctrl->regRead(offset);
-}
-
-void
-SsdDevice::attached(pcie::PcieUpstreamIf &upstream)
-{
-    _up = &upstream;
-    _ctrl->setUpstream(&upstream);
 }
 
 const std::string &
@@ -70,8 +39,8 @@ std::uint16_t
 SsdDevice::smartTemperatureK() const
 {
     // 35 C idle floor; up to ~+35 C at full-interface load.
-    double bytes = static_cast<double>(_ctrl->readBytes() +
-                                       _ctrl->writeBytes());
+    double bytes = static_cast<double>(controller().readBytes() +
+                                       controller().writeBytes());
     double secs = sim::toSec(now());
     double load = secs > 0.0 ? bytes / secs / 3.3e9 : 0.0; // 0..~1
     if (load > 1.0)
@@ -84,7 +53,8 @@ SsdDevice::smartPercentageUsed() const
 {
     // Rated endurance for the P4510 2 TB class: ~2.6 PBW.
     double rated = 2.6e15;
-    double used = static_cast<double>(_ctrl->writeBytes()) / rated * 100.0;
+    double used =
+        static_cast<double>(controller().writeBytes()) / rated * 100.0;
     if (used > 255.0)
         used = 255.0;
     return static_cast<std::uint8_t>(used);
@@ -93,24 +63,9 @@ SsdDevice::smartPercentageUsed() const
 void
 SsdDevice::hardReset(bool wipe_data)
 {
-    _ctrl->regWrite(nvme::kRegCc, 0); // drop CC.EN → full disable
+    controller().regWrite(nvme::kRegCc, 0); // drop CC.EN → full disable
     if (wipe_data)
         _flash.clear();
-}
-
-bool
-SsdDevice::checkRange(const Sqe &sqe, std::uint16_t sqid)
-{
-    const nvme::NamespaceInfo *ns = _ctrl->findNamespace(sqe.nsid);
-    if (!ns) {
-        _ctrl->complete(sqid, sqe.cid, Status::InvalidNamespace);
-        return false;
-    }
-    if (sqe.slba() + sqe.nlb() > ns->sizeBlocks) {
-        _ctrl->complete(sqid, sqe.cid, Status::LbaOutOfRange);
-        return false;
-    }
-    return true;
 }
 
 void
@@ -145,51 +100,8 @@ SsdDevice::dispatchIo(const Sqe &sqe, std::uint16_t sqid)
         doWriteZeroes(sqe, sqid);
         return;
       default:
-        _ctrl->complete(sqid, sqe.cid, Status::InvalidOpcode);
+        complete(sqid, sqe.cid, Status::InvalidOpcode);
         return;
-    }
-}
-
-void
-SsdDevice::resolveSegments(
-    const Sqe &sqe, std::function<void(std::vector<nvme::DmaSegment>)> then)
-{
-    std::uint64_t len = sqe.dataBytes();
-    if (!nvme::needsPrpList(sqe.prp1, len)) {
-        then(nvme::decodePrp(sqe.prp1, sqe.prp2, len, {}));
-        return;
-    }
-    // Fetch the PRP list from upstream memory (host DRAM natively;
-    // BMS-Engine chip memory when behind BM-Store).
-    std::uint32_t entries = nvme::prpPageCount(sqe.prp1, len) - 1;
-    auto raw = std::make_shared<std::vector<std::uint64_t>>(entries);
-    _up->dmaRead(sqe.prp2,
-                 static_cast<std::uint32_t>(entries * sizeof(std::uint64_t)),
-                 reinterpret_cast<std::uint8_t *>(raw->data()),
-                 [sqe, len, raw, then = std::move(then)] {
-                     then(nvme::decodePrp(sqe.prp1, sqe.prp2, len, *raw));
-                 });
-}
-
-void
-SsdDevice::dmaSegments(const std::vector<nvme::DmaSegment> &segs,
-                       bool to_host, std::uint8_t *buf,
-                       std::function<void()> done)
-{
-    BMS_ASSERT(!segs.empty(), "DMA with no PRP segments");
-    auto remaining = std::make_shared<std::size_t>(segs.size());
-    auto fire = [remaining, done = std::move(done)] {
-        if (--*remaining == 0)
-            done();
-    };
-    std::uint64_t off = 0;
-    for (const auto &seg : segs) {
-        std::uint8_t *p = buf ? buf + off : nullptr;
-        if (to_host)
-            _up->dmaWrite(seg.addr, seg.len, p, fire);
-        else
-            _up->dmaRead(seg.addr, seg.len, p, fire);
-        off += seg.len;
     }
 }
 
@@ -206,8 +118,7 @@ SsdDevice::doRead(const Sqe &sqe, std::uint16_t sqid)
         _media->read(sqe.slba() * nvme::kBlockSize, bytes,
                      [this, sqe, sqid] {
                          ++_mediaErrors;
-                         _ctrl->complete(sqid, sqe.cid,
-                                         Status::DataTransferError);
+                         complete(sqid, sqe.cid, Status::DataTransferError);
                      });
         return;
     }
@@ -225,7 +136,7 @@ SsdDevice::doRead(const Sqe &sqe, std::uint16_t sqid)
                 ptr = data->data();
             }
             dmaSegments(segs, true, ptr, [this, sqe, sqid, data] {
-                _ctrl->complete(sqid, sqe.cid, Status::Success);
+                complete(sqid, sqe.cid, Status::Success);
             });
         });
     });
@@ -243,8 +154,7 @@ SsdDevice::doWrite(const Sqe &sqe, std::uint16_t sqid)
         _media->write(sqe.slba() * nvme::kBlockSize, sqe.dataBytes(),
                       [this, sqe, sqid] {
                           ++_mediaErrors;
-                          _ctrl->complete(sqid, sqe.cid,
-                                          Status::DataTransferError);
+                          complete(sqid, sqe.cid, Status::DataTransferError);
                       });
         return;
     }
@@ -263,7 +173,7 @@ SsdDevice::doWrite(const Sqe &sqe, std::uint16_t sqid)
                         if (data)
                             _flash.write(media_off, len, data->data());
                         _media->write(media_off, len, [this, sqe, sqid] {
-                            _ctrl->complete(sqid, sqe.cid, Status::Success);
+                            complete(sqid, sqe.cid, Status::Success);
                         });
                     });
     });
@@ -284,7 +194,7 @@ SsdDevice::doWriteZeroes(const Sqe &sqe, std::uint16_t sqid)
     if (_cfg.functionalData)
         _flash.clearRange(off, len);
     _media->flush([this, sqe, sqid] {
-        _ctrl->complete(sqid, sqe.cid, Status::Success);
+        complete(sqid, sqe.cid, Status::Success);
     });
 }
 
@@ -292,7 +202,7 @@ void
 SsdDevice::doFlush(const Sqe &sqe, std::uint16_t sqid)
 {
     _media->flush([this, sqe, sqid] {
-        _ctrl->complete(sqid, sqe.cid, Status::Success);
+        complete(sqid, sqe.cid, Status::Success);
     });
 }
 
@@ -304,19 +214,19 @@ SsdDevice::executeAdmin(const Sqe &sqe)
         // cdw10 NUMD (dwords - 1); we stage opaque bytes.
         std::uint32_t bytes = ((sqe.cdw10 & 0xffff) + 1) * 4;
         _fwStaging.resize(_fwStaging.size() + bytes);
-        _ctrl->complete(0, sqe.cid, Status::Success);
+        complete(0, sqe.cid, Status::Success);
         return;
       }
       case AdminOpcode::FirmwareCommit: {
         if (_upgrading) {
-            _ctrl->complete(0, sqe.cid, Status::NamespaceNotReady);
+            complete(0, sqe.cid, Status::NamespaceNotReady);
             return;
         }
         // Activation stalls the device: no new command fetching until
         // the new image boots. Inflight I/O has already completed by
         // the time the BMS hot-upgrade flow issues the commit.
         _upgrading = true;
-        _ctrl->pauseFetch();
+        controller().pauseFetch();
         const auto &p = _cfg.profile;
         sim::Tick stall = static_cast<sim::Tick>(sim().rng().uniformInt(
             p.fwActivateMin, p.fwActivateMax));
@@ -327,8 +237,8 @@ SsdDevice::executeAdmin(const Sqe &sqe)
             ++_fwActivations;
             _fwRev = "VDV10" + std::to_string(131 + _fwActivations);
             _fwStaging.clear();
-            _ctrl->resumeFetch();
-            _ctrl->complete(0, sqe.cid, Status::Success);
+            controller().resumeFetch();
+            complete(0, sqe.cid, Status::Success);
         });
         return;
       }
@@ -337,14 +247,14 @@ SsdDevice::executeAdmin(const Sqe &sqe)
         auto data =
             std::make_shared<std::vector<std::uint8_t>>(nvme::kPageSize, 0);
         std::uint16_t cid = sqe.cid;
-        _ctrl->dmaToHost(sqe, data->data(), nvme::kPageSize,
-                         [this, cid, data] {
-                             _ctrl->complete(0, cid, Status::Success);
-                         });
+        controller().dmaToHost(sqe, data->data(), nvme::kPageSize,
+                               [this, cid, data] {
+                                   complete(0, cid, Status::Success);
+                               });
         return;
       }
       default:
-        _ctrl->complete(0, sqe.cid, Status::InvalidOpcode);
+        complete(0, sqe.cid, Status::InvalidOpcode);
         return;
     }
 }

@@ -2,11 +2,12 @@
  * @file
  * NVMe SSD device model.
  *
- * One PCIe function exposing one NVMe controller with a single
- * namespace spanning the device capacity, a calibrated media timing
- * model, optional functional data storage, and a firmware slot that
- * supports download/commit with a realistic multi-second activation
- * stall (the raw material of the paper's hot-upgrade evaluation).
+ * An nvme::Endpoint (one PCIe function, one NVMe controller) with a
+ * single namespace spanning the device capacity, a calibrated media
+ * timing model, optional functional data storage, and a firmware slot
+ * that supports download/commit with a realistic multi-second
+ * activation stall (the raw material of the paper's hot-upgrade
+ * evaluation).
  *
  * The same object attaches either to a host RootPort (native
  * baseline) or to a BMS-Engine host-adaptor port (BM-Store testbed):
@@ -17,16 +18,12 @@
 #define BMS_SSD_SSD_DEVICE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include <optional>
-
-#include "nvme/controller.hh"
-#include "nvme/prp.hh"
-#include "pcie/device.hh"
+#include "nvme/endpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/sparse_memory.hh"
 #include "ssd/hdd_model.hh"
@@ -64,7 +61,7 @@ struct FaultConfig
  * SATA personality (§VI-A) — same command interface, spinning-disk
  * media timing.
  */
-class SsdDevice : public sim::SimObject, public pcie::PcieDeviceIf
+class SsdDevice : public nvme::Endpoint
 {
   public:
     struct Config
@@ -79,19 +76,8 @@ class SsdDevice : public sim::SimObject, public pcie::PcieDeviceIf
         FaultConfig faults;
     };
 
-    SsdDevice(sim::Simulator &sim, std::string name, Config cfg);
+    SsdDevice(sim::Simulator &sim, const std::string &name, Config cfg);
 
-    /** @name PcieDeviceIf */
-    /// @{
-    int functionCount() const override { return 1; }
-    void mmioWrite(pcie::FunctionId fn, std::uint64_t offset,
-                   std::uint64_t value) override;
-    std::uint64_t mmioRead(pcie::FunctionId fn,
-                           std::uint64_t offset) override;
-    void attached(pcie::PcieUpstreamIf &upstream) override;
-    /// @}
-
-    nvme::ControllerModel &controller() { return *_ctrl; }
     const SsdProfile &profile() const { return _cfg.profile; }
     StorageMediaIf &media() { return *_media; }
     bool isHdd() const { return _cfg.hddProfile.has_value(); }
@@ -145,61 +131,19 @@ class SsdDevice : public sim::SimObject, public pcie::PcieDeviceIf
     /** Direct access to stored bytes (test support). */
     sim::SparseMemory &flash() { return _flash; }
 
+  protected:
+    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override;
+    void executeAdmin(const nvme::Sqe &sqe) override;
+
   private:
-    /** The controller personality of this SSD. */
-    class Controller : public nvme::ControllerModel
-    {
-      public:
-        Controller(sim::Simulator &sim, std::string name, Config config,
-                   SsdDevice &owner)
-            : ControllerModel(sim, std::move(name), config), _owner(owner)
-        {}
-
-      protected:
-        void
-        executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override
-        {
-            _owner.executeIo(sqe, sqid);
-        }
-
-        void
-        executeAdmin(const nvme::Sqe &sqe) override
-        {
-            _owner.executeAdmin(sqe);
-        }
-
-      private:
-        SsdDevice &_owner;
-    };
-
-    friend class Controller;
-
-    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid);
     void dispatchIo(const nvme::Sqe &sqe, std::uint16_t sqid);
-    void executeAdmin(const nvme::Sqe &sqe);
     void doRead(const nvme::Sqe &sqe, std::uint16_t sqid);
     void doWrite(const nvme::Sqe &sqe, std::uint16_t sqid);
     void doWriteZeroes(const nvme::Sqe &sqe, std::uint16_t sqid);
     void doFlush(const nvme::Sqe &sqe, std::uint16_t sqid);
 
-    /**
-     * Resolve the command's PRPs into DMA segments, fetching the PRP
-     * list over the upstream link when present.
-     */
-    void resolveSegments(
-        const nvme::Sqe &sqe,
-        std::function<void(std::vector<nvme::DmaSegment>)> then);
-
-    /** Run @p done once per-segment DMA of @p buf has finished. */
-    void dmaSegments(const std::vector<nvme::DmaSegment> &segs, bool to_host,
-                     std::uint8_t *buf, std::function<void()> done);
-
-    bool checkRange(const nvme::Sqe &sqe, std::uint16_t sqid);
-
     Config _cfg;
-    std::unique_ptr<Controller> _ctrl;
     std::unique_ptr<StorageMediaIf> _media;
-    pcie::PcieUpstreamIf *_up = nullptr;
 
     sim::SparseMemory _flash;
 

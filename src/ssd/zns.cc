@@ -1,6 +1,7 @@
 #include "ssd/zns.hh"
 
 #include <cstring>
+#include <utility>
 
 namespace bms::ssd {
 
@@ -8,48 +9,26 @@ using nvme::IoOpcode;
 using nvme::Sqe;
 using nvme::Status;
 
-ZnsSsd::ZnsSsd(sim::Simulator &sim, std::string name, Config cfg)
-    : SimObject(sim, name), _cfg(cfg)
-{
-    nvme::ControllerModel::Config ctrl_cfg;
-    ctrl_cfg.fn = 0;
-    ctrl_cfg.model = "BMS-ZNS-SIM";
-    _ctrl = std::make_unique<Controller>(sim, name + ".ctrl", ctrl_cfg,
-                                         *this);
-    _media = std::make_unique<MediaModel>(sim, name + ".media",
-                                          _cfg.profile.media);
-    _zoneBlocks = _cfg.profile.zoneBytes / nvme::kBlockSize;
-    std::uint64_t zones =
-        _cfg.profile.media.capacityBytes / _cfg.profile.zoneBytes;
-    _zones.resize(zones);
+namespace {
 
-    nvme::NamespaceInfo ns;
-    ns.nsid = 1;
-    ns.sizeBlocks = zones * _zoneBlocks;
-    _ctrl->addNamespace(ns);
-}
-
-void
-ZnsSsd::mmioWrite(pcie::FunctionId fn, std::uint64_t offset,
-                  std::uint64_t value)
-{
-    BMS_ASSERT_EQ(fn, 0, "ZNS SSD is single-function");
-    _ctrl->regWrite(offset, value);
-}
-
+/** Blocks covered by the whole zones that fit the profile's capacity. */
 std::uint64_t
-ZnsSsd::mmioRead(pcie::FunctionId fn, std::uint64_t offset)
+zonedBlocks(const ZnsProfile &p)
 {
-    BMS_ASSERT_EQ(fn, 0, "ZNS SSD is single-function");
-    return _ctrl->regRead(offset);
+    return p.media.capacityBytes / p.zoneBytes *
+           (p.zoneBytes / nvme::kBlockSize);
 }
 
-void
-ZnsSsd::attached(pcie::PcieUpstreamIf &upstream)
-{
-    _up = &upstream;
-    _ctrl->setUpstream(&upstream);
-}
+} // namespace
+
+ZnsSsd::ZnsSsd(sim::Simulator &sim, const std::string &name, Config cfg)
+    : Endpoint(sim, name, "BMS-ZNS-SIM", zonedBlocks(cfg.profile)),
+      _cfg(std::move(cfg)),
+      _media(std::make_unique<MediaModel>(sim, name + ".media",
+                                          _cfg.profile.media)),
+      _zoneBlocks(_cfg.profile.zoneBytes / nvme::kBlockSize),
+      _zones(_cfg.profile.media.capacityBytes / _cfg.profile.zoneBytes)
+{}
 
 ZoneState
 ZnsSsd::zoneState(std::uint64_t zone) const
@@ -66,7 +45,7 @@ ZnsSsd::writePointer(std::uint64_t zone) const
 void
 ZnsSsd::completeZns(std::uint16_t sqid, std::uint16_t cid, ZnsStatus st)
 {
-    _ctrl->complete(sqid, cid, static_cast<Status>(st));
+    complete(sqid, cid, static_cast<Status>(st));
 }
 
 void
@@ -90,11 +69,11 @@ ZnsSsd::executeIo(const Sqe &sqe, std::uint16_t sqid)
         return;
       case static_cast<std::uint8_t>(IoOpcode::Flush):
         _media->flush([this, sqe, sqid] {
-            _ctrl->complete(sqid, sqe.cid, Status::Success);
+            complete(sqid, sqe.cid, Status::Success);
         });
         return;
       default:
-        _ctrl->complete(sqid, sqe.cid, Status::InvalidOpcode);
+        complete(sqid, sqe.cid, Status::InvalidOpcode);
         return;
     }
 }
@@ -102,11 +81,9 @@ ZnsSsd::executeIo(const Sqe &sqe, std::uint16_t sqid)
 void
 ZnsSsd::doRead(const Sqe &sqe, std::uint16_t sqid)
 {
-    std::uint64_t end = sqe.slba() + sqe.nlb();
-    if (end > _zones.size() * _zoneBlocks) {
-        _ctrl->complete(sqid, sqe.cid, Status::LbaOutOfRange);
+    if (!checkRange(sqe, sqid))
         return;
-    }
+    std::uint64_t end = sqe.slba() + sqe.nlb();
     // Reads may not cross a zone boundary (spec default).
     if (sqe.slba() / _zoneBlocks != (end - 1) / _zoneBlocks) {
         completeZns(sqid, sqe.cid, ZnsStatus::ZoneBoundaryError);
@@ -115,18 +92,19 @@ ZnsSsd::doRead(const Sqe &sqe, std::uint16_t sqid)
     std::uint64_t len = sqe.dataBytes();
     std::uint64_t off = sqe.slba() * nvme::kBlockSize;
     _media->read(off, len, [this, sqe, sqid, len, off] {
-        std::shared_ptr<std::vector<std::uint8_t>> data;
-        const std::uint8_t *ptr = nullptr;
-        if (_cfg.functionalData) {
-            data = std::make_shared<std::vector<std::uint8_t>>(len);
-            _flash.read(off, len, data->data());
-            ptr = data->data();
-        }
-        _up->dmaWrite(sqe.prp1, static_cast<std::uint32_t>(len), ptr,
-                      [this, sqe, sqid, data] {
-                          _ctrl->complete(sqid, sqe.cid,
-                                          Status::Success);
-                      });
+        resolveSegments(sqe, [this, sqe, sqid, len, off](
+                                 std::vector<nvme::DmaSegment> segs) {
+            std::shared_ptr<std::vector<std::uint8_t>> data;
+            std::uint8_t *ptr = nullptr;
+            if (_cfg.functionalData) {
+                data = std::make_shared<std::vector<std::uint8_t>>(len);
+                _flash.read(off, len, data->data());
+                ptr = data->data();
+            }
+            dmaSegments(segs, true, ptr, [this, sqe, sqid, data] {
+                complete(sqid, sqe.cid, Status::Success);
+            });
+        });
     });
 }
 
@@ -199,12 +177,10 @@ ZnsSsd::resetZone(std::uint64_t zone_idx)
 void
 ZnsSsd::doWrite(const Sqe &sqe, std::uint16_t sqid, bool is_append)
 {
+    if (!checkRange(sqe, sqid))
+        return;
     std::uint64_t slba = sqe.slba();
     std::uint32_t blocks = sqe.nlb();
-    if (slba + blocks > _zones.size() * _zoneBlocks) {
-        _ctrl->complete(sqid, sqe.cid, Status::LbaOutOfRange);
-        return;
-    }
     std::uint64_t zone_idx = slba / _zoneBlocks;
     Zone &z = _zones[zone_idx];
 
@@ -243,27 +219,23 @@ ZnsSsd::doWrite(const Sqe &sqe, std::uint16_t sqid, bool is_append)
     std::uint64_t off = assigned * nvme::kBlockSize;
     // Fetch the payload, commit to media, complete (dw0 = assigned
     // LBA for appends).
-    std::shared_ptr<std::vector<std::uint8_t>> data;
-    std::uint8_t *ptr = nullptr;
-    if (_cfg.functionalData) {
-        data = std::make_shared<std::vector<std::uint8_t>>(len);
-        ptr = data->data();
-    }
-    _up->dmaRead(sqe.prp1, static_cast<std::uint32_t>(len), ptr,
-                 [this, sqe, sqid, len, off, assigned, is_append,
-                  data] {
-                     if (data)
-                         _flash.write(off, static_cast<std::uint32_t>(len),
-                                      data->data());
-                     _media->write(off, len, [this, sqe, sqid, assigned,
-                                              is_append] {
-                         _ctrl->complete(
-                             sqid, sqe.cid, Status::Success,
-                             is_append
-                                 ? static_cast<std::uint32_t>(assigned)
-                                 : 0);
-                     });
-                 });
+    std::uint32_t dw0 = is_append ? static_cast<std::uint32_t>(assigned) : 0;
+    resolveSegments(sqe, [this, sqe, sqid, len, off, dw0](
+                             std::vector<nvme::DmaSegment> segs) {
+        std::shared_ptr<std::vector<std::uint8_t>> data;
+        std::uint8_t *ptr = nullptr;
+        if (_cfg.functionalData) {
+            data = std::make_shared<std::vector<std::uint8_t>>(len);
+            ptr = data->data();
+        }
+        dmaSegments(segs, false, ptr, [this, sqe, sqid, len, off, dw0, data] {
+            if (data)
+                _flash.write(off, len, data->data());
+            _media->write(off, len, [this, sqe, sqid, dw0] {
+                complete(sqid, sqe.cid, Status::Success, dw0);
+            });
+        });
+    });
 }
 
 void
@@ -271,7 +243,7 @@ ZnsSsd::doZoneMgmtSend(const Sqe &sqe, std::uint16_t sqid)
 {
     std::uint64_t zone_idx = sqe.slba() / _zoneBlocks;
     if (zone_idx >= _zones.size()) {
-        _ctrl->complete(sqid, sqe.cid, Status::LbaOutOfRange);
+        complete(sqid, sqe.cid, Status::LbaOutOfRange);
         return;
     }
     auto action = static_cast<ZoneAction>(sqe.cdw13 & 0xff);
@@ -293,10 +265,10 @@ ZnsSsd::doZoneMgmtSend(const Sqe &sqe, std::uint16_t sqid)
         finishZone(z);
         break;
       default:
-        _ctrl->complete(sqid, sqe.cid, Status::InvalidField);
+        complete(sqid, sqe.cid, Status::InvalidField);
         return;
     }
-    _ctrl->complete(sqid, sqe.cid, Status::Success);
+    complete(sqid, sqe.cid, Status::Success);
 }
 
 void
@@ -306,7 +278,7 @@ ZnsSsd::doZoneMgmtRecv(const Sqe &sqe, std::uint16_t sqid)
     // contains SLBA, as many as fit the (single-page) buffer.
     std::uint64_t first = sqe.slba() / _zoneBlocks;
     if (first >= _zones.size()) {
-        _ctrl->complete(sqid, sqe.cid, Status::LbaOutOfRange);
+        complete(sqid, sqe.cid, Status::LbaOutOfRange);
         return;
     }
     std::uint32_t max_desc = nvme::kPageSize / 64;
@@ -328,10 +300,10 @@ ZnsSsd::doZoneMgmtRecv(const Sqe &sqe, std::uint16_t sqid)
         std::memcpy(d + 24, &wp, 8);
     }
     std::uint16_t cid = sqe.cid;
-    _up->dmaWrite(sqe.prp1, nvme::kPageSize, buf->data(),
-                  [this, cid, sqid, buf] {
-                      _ctrl->complete(sqid, cid, Status::Success);
-                  });
+    controller().dmaToHost(sqe, buf->data(), nvme::kPageSize,
+                           [this, cid, sqid, buf] {
+                               complete(sqid, cid, Status::Success);
+                           });
 }
 
 } // namespace bms::ssd

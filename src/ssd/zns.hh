@@ -18,10 +18,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "nvme/controller.hh"
-#include "pcie/device.hh"
+#include "nvme/endpoint.hh"
 #include "sim/simulator.hh"
 #include "sim/sparse_memory.hh"
 #include "ssd/media_model.hh"
@@ -76,7 +76,7 @@ struct ZnsProfile
 };
 
 /** A ZNS SSD endpoint. */
-class ZnsSsd : public sim::SimObject, public pcie::PcieDeviceIf
+class ZnsSsd : public nvme::Endpoint
 {
   public:
     struct Config
@@ -85,19 +85,7 @@ class ZnsSsd : public sim::SimObject, public pcie::PcieDeviceIf
         bool functionalData = false;
     };
 
-    ZnsSsd(sim::Simulator &sim, std::string name, Config cfg);
-
-    /** @name PcieDeviceIf */
-    /// @{
-    int functionCount() const override { return 1; }
-    void mmioWrite(pcie::FunctionId fn, std::uint64_t offset,
-                   std::uint64_t value) override;
-    std::uint64_t mmioRead(pcie::FunctionId fn,
-                           std::uint64_t offset) override;
-    void attached(pcie::PcieUpstreamIf &upstream) override;
-    /// @}
-
-    nvme::ControllerModel &controller() { return *_ctrl; }
+    ZnsSsd(sim::Simulator &sim, const std::string &name, Config cfg);
 
     /** @name Zone introspection (tests, management tooling). */
     /// @{
@@ -110,6 +98,9 @@ class ZnsSsd : public sim::SimObject, public pcie::PcieDeviceIf
     std::uint32_t activeZones() const { return _activeZones; }
     /// @}
 
+  protected:
+    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override;
+
   private:
     struct Zone
     {
@@ -117,28 +108,6 @@ class ZnsSsd : public sim::SimObject, public pcie::PcieDeviceIf
         std::uint64_t wp = 0; ///< offset within the zone, in blocks
     };
 
-    class Controller : public nvme::ControllerModel
-    {
-      public:
-        Controller(sim::Simulator &sim, std::string name, Config cfg,
-                   ZnsSsd &owner)
-            : ControllerModel(sim, std::move(name), cfg), _owner(owner)
-        {}
-
-      protected:
-        void
-        executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override
-        {
-            _owner.executeIo(sqe, sqid);
-        }
-
-      private:
-        ZnsSsd &_owner;
-    };
-
-    friend class Controller;
-
-    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid);
     void doRead(const nvme::Sqe &sqe, std::uint16_t sqid);
     void doWrite(const nvme::Sqe &sqe, std::uint16_t sqid,
                  bool is_append);
@@ -155,12 +124,10 @@ class ZnsSsd : public sim::SimObject, public pcie::PcieDeviceIf
                      ZnsStatus st);
 
     Config _cfg;
-    std::unique_ptr<Controller> _ctrl;
     std::unique_ptr<MediaModel> _media;
-    pcie::PcieUpstreamIf *_up = nullptr;
     sim::SparseMemory _flash;
 
-    std::uint64_t _zoneBlocks = 0;
+    std::uint64_t _zoneBlocks;
     std::vector<Zone> _zones;
     std::uint32_t _openZones = 0;
     std::uint32_t _activeZones = 0;

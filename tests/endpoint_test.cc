@@ -1,0 +1,252 @@
+/**
+ * @file
+ * The shared single-function NVMe endpoint (nvme::Endpoint), driven
+ * through real SQ/CQ rings on each device model built on it: SSD,
+ * ZNS SSD and remote volume. All three must walk PRP2 and scattered
+ * PRP lists, and reject a foreign namespace or an LBA past the end of
+ * namespace 1 with the status a real controller reports.
+ */
+
+#include <functional>
+#include <ostream>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "nvme/endpoint.hh"
+#include "remote/network.hh"
+#include "remote/remote_device.hh"
+#include "remote/storage_server.hh"
+#include "ssd/ssd_device.hh"
+#include "ssd/zns.hh"
+#include "tests/test_util.hh"
+
+using namespace bms;
+using nvme::IoOpcode;
+using nvme::Status;
+
+namespace {
+
+/** One device model, built with functional data in @p sim. */
+struct DeviceCase
+{
+    const char *name;
+    std::function<nvme::Endpoint *(sim::Simulator &sim)> make;
+};
+
+// Print a case as its name: gtest would otherwise dump raw bytes, and
+// ctest names each instance after the printed parameter.
+void
+PrintTo(const DeviceCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+nvme::Endpoint *
+makeSsd(sim::Simulator &sim)
+{
+    ssd::SsdDevice::Config cfg;
+    cfg.functionalData = true;
+    return sim.make<ssd::SsdDevice>(sim, "ssd", cfg);
+}
+
+nvme::Endpoint *
+makeZns(sim::Simulator &sim)
+{
+    ssd::ZnsSsd::Config cfg;
+    cfg.functionalData = true;
+    return sim.make<ssd::ZnsSsd>(sim, "zns", cfg);
+}
+
+nvme::Endpoint *
+makeRemote(sim::Simulator &sim)
+{
+    remote::StorageServer::Config scfg;
+    scfg.ssd.functionalData = true;
+    auto *server = sim.make<remote::StorageServer>(sim, "target", scfg);
+    int vol = server->addVolume({0, 0, sim::mib(64)});
+    auto *link = sim.make<remote::NetworkLink>(sim, "net");
+    return sim.make<remote::RemoteNvmeDevice>(sim, "rvol", *link, *server,
+                                              vol);
+}
+
+constexpr std::uint32_t kPage = nvme::kPageSize;
+
+/** Ring-level driver for one endpoint over a FakeUpstream. */
+class EndpointTest : public ::testing::TestWithParam<DeviceCase>
+{
+  protected:
+    struct Ring
+    {
+        std::uint64_t sq, cq;
+        std::uint16_t depth, qid;
+        std::uint16_t tail = 0, head = 0;
+        bool phase = true;
+    };
+
+    sim::Simulator sim{91};
+    test::FakeUpstream up{sim};
+    nvme::Endpoint *dev;
+    Ring admin{0x10000, 0x20000, 32, 0};
+    Ring ioq{0x30000, 0x40000, 64, 1};
+    std::uint16_t nextCid = 0;
+
+    EndpointTest() : dev(GetParam().make(sim))
+    {
+        dev->attached(up);
+        dev->mmioWrite(0, nvme::kRegAqa, (31ull << 16) | 31);
+        dev->mmioWrite(0, nvme::kRegAsq, admin.sq);
+        dev->mmioWrite(0, nvme::kRegAcq, admin.cq);
+        dev->mmioWrite(0, nvme::kRegCc, nvme::kCcEnable);
+        nvme::Sqe cq;
+        cq.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoCq);
+        cq.prp1 = ioq.cq;
+        cq.cdw10 = (static_cast<std::uint32_t>(ioq.depth - 1) << 16) | 1;
+        cq.cdw11 = (1u << 16) | 0x3;
+        EXPECT_TRUE(submit(admin, cq).ok());
+        nvme::Sqe sq;
+        sq.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoSq);
+        sq.prp1 = ioq.sq;
+        sq.cdw10 = cq.cdw10;
+        sq.cdw11 = (1u << 16) | 0x1;
+        EXPECT_TRUE(submit(admin, sq).ok());
+    }
+
+    /** Submit @p sqe on @p r and wait for its completion. */
+    nvme::Cqe
+    submit(Ring &r, nvme::Sqe sqe)
+    {
+        sqe.cid = nextCid++;
+        std::uint8_t raw[sizeof(nvme::Sqe)];
+        nvme::toBytes(sqe, raw);
+        up.memory.write(r.sq + r.tail * sizeof(raw), sizeof(raw), raw);
+        r.tail = static_cast<std::uint16_t>((r.tail + 1) % r.depth);
+        dev->mmioWrite(0, nvme::sqDoorbellOffset(r.qid), r.tail);
+        nvme::Cqe out;
+        EXPECT_TRUE(test::runUntil(sim, [&] {
+            std::uint8_t craw[sizeof(nvme::Cqe)];
+            up.memory.read(r.cq + r.head * sizeof(craw), sizeof(craw), craw);
+            nvme::Cqe cqe = nvme::fromBytes<nvme::Cqe>(craw);
+            if (cqe.phase() != r.phase)
+                return false;
+            r.head = static_cast<std::uint16_t>((r.head + 1) % r.depth);
+            if (r.head == 0)
+                r.phase = !r.phase;
+            out = cqe;
+            return true;
+        }));
+        return out;
+    }
+
+    /** Read or write @p blocks at @p slba through (prp1, prp2). */
+    nvme::Cqe
+    rw(IoOpcode op, std::uint64_t slba, std::uint32_t blocks,
+       std::uint64_t prp1, std::uint64_t prp2, std::uint32_t nsid = 1)
+    {
+        nvme::Sqe s;
+        s.opcode = static_cast<std::uint8_t>(op);
+        s.nsid = nsid;
+        s.setSlba(slba);
+        s.setNlb(blocks);
+        s.prp1 = prp1;
+        s.prp2 = prp2;
+        return submit(ioq, s);
+    }
+
+    /** Store a PRP list at @p addr. */
+    void
+    prpList(std::uint64_t addr, const std::vector<std::uint64_t> &entries)
+    {
+        const auto *raw =
+            reinterpret_cast<const std::uint8_t *>(entries.data());
+        up.memory.write(addr, entries.size() * sizeof(std::uint64_t), raw);
+    }
+
+    /** Fill the page at @p addr with a pattern unique to @p seed. */
+    std::vector<std::uint8_t>
+    fillPage(std::uint64_t addr, std::uint8_t seed)
+    {
+        std::vector<std::uint8_t> v(kPage);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = static_cast<std::uint8_t>(seed + i * 7);
+        up.memory.write(addr, kPage, v.data());
+        return v;
+    }
+
+    std::vector<std::uint8_t>
+    page(std::uint64_t addr)
+    {
+        std::vector<std::uint8_t> v(kPage);
+        up.memory.read(addr, kPage, v.data());
+        return v;
+    }
+
+    std::uint64_t
+    nsBlocks() const
+    {
+        return dev->controller().findNamespace(1)->sizeBlocks;
+    }
+};
+
+} // namespace
+
+// (a) PRP1 and a direct PRP2 naming non-adjacent pages, both ways.
+TEST_P(EndpointTest, TwoPagesThroughDirectPrp2)
+{
+    auto a = fillPage(0x200000, 0x11);
+    fillPage(0x201000, 0xEE); // the page after A must not be stored
+    auto c = fillPage(0x203000, 0x33);
+    ASSERT_TRUE(rw(IoOpcode::Write, 0, 2, 0x200000, 0x203000).ok());
+
+    ASSERT_TRUE(rw(IoOpcode::Read, 0, 2, 0x300000, 0x308000).ok());
+    EXPECT_EQ(page(0x300000), a);
+    EXPECT_EQ(page(0x308000), c);
+    EXPECT_EQ(page(0x301000), std::vector<std::uint8_t>(kPage, 0));
+}
+
+// (b) Three pages through a PRP list whose entries are scattered.
+TEST_P(EndpointTest, ThreePagesThroughScatteredPrpList)
+{
+    auto p0 = fillPage(0x200000, 0x21);
+    auto p1 = fillPage(0x240000, 0x42);
+    auto p2 = fillPage(0x210000, 0x63);
+    prpList(0x280000, {0x240000, 0x210000});
+    ASSERT_TRUE(rw(IoOpcode::Write, 0, 3, 0x200000, 0x280000).ok());
+
+    prpList(0x290000, {0x3a0000, 0x320000});
+    ASSERT_TRUE(rw(IoOpcode::Read, 0, 3, 0x350000, 0x290000).ok());
+    EXPECT_EQ(page(0x350000), p0);
+    EXPECT_EQ(page(0x3a0000), p1);
+    EXPECT_EQ(page(0x320000), p2);
+}
+
+// (c) Only namespace 1 exists.
+TEST_P(EndpointTest, ForeignNamespaceIsInvalid)
+{
+    fillPage(0x200000, 0x55);
+    EXPECT_EQ(rw(IoOpcode::Write, 0, 1, 0x200000, 0, 2).status(),
+              Status::InvalidNamespace);
+    EXPECT_EQ(rw(IoOpcode::Read, 0, 1, 0x300000, 0, 2).status(),
+              Status::InvalidNamespace);
+}
+
+// (d) A range ending past namespace 1 is refused: whole, straddling the
+// end, or wrapping.
+TEST_P(EndpointTest, LbaPastTheEndIsOutOfRange)
+{
+    std::uint64_t end = nsBlocks();
+    EXPECT_EQ(rw(IoOpcode::Read, end, 1, 0x300000, 0).status(),
+              Status::LbaOutOfRange);
+    EXPECT_EQ(rw(IoOpcode::Read, end - 1, 2, 0x300000, 0x308000).status(),
+              Status::LbaOutOfRange);
+    // An SLBA so large that SLBA + NLB wraps past zero.
+    EXPECT_EQ(rw(IoOpcode::Read, ~0ull, 2, 0x300000, 0x308000).status(),
+              Status::LbaOutOfRange);
+    EXPECT_EQ(rw(IoOpcode::Write, end, 1, 0x200000, 0).status(),
+              Status::LbaOutOfRange);
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, EndpointTest,
+                         ::testing::Values(DeviceCase{"Ssd", makeSsd},
+                                           DeviceCase{"Zns", makeZns},
+                                           DeviceCase{"Remote", makeRemote}));

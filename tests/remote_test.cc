@@ -127,9 +127,12 @@ TEST(RemoteVolume, WritesTraverseForwardDirection)
     EXPECT_LT(r.link->bytesCarried(1), 1024u);  // only the completion
 }
 
-TEST(RemoteVolume, OutOfRangeFailsAtServer)
+// The volume bound is checked at the initiator: the command completes
+// with an error without a request going on the wire.
+TEST(RemoteVolume, OutOfRangeFailsBeforeTheWire)
 {
     NativeRemote r;
+    std::uint64_t sent = r.link->messagesCarried(0);
     bool done = false;
     host::BlockRequest rd;
     rd.op = host::BlockRequest::Op::Read;
@@ -141,6 +144,7 @@ TEST(RemoteVolume, OutOfRangeFailsAtServer)
     };
     r.driver->submit(std::move(rd));
     EXPECT_TRUE(test::runUntil(r.sim, [&] { return done; }));
+    EXPECT_EQ(r.link->messagesCarried(0), sent);
 }
 
 // The initiator's own accounting must agree with the link's: every

@@ -35,12 +35,27 @@ namespace bms::test {
 
 /**
  * Upstream fake: functional memory, one-tick DMA, interrupt capture.
- * Lets controller-level tests run without links or a host model.
+ * Lets controller-level tests run without links or a host model. Its
+ * MemoryIf face gives tests untimed access to the same memory (e.g.
+ * for nvme::buildPrp to place a PRP list).
  */
-class FakeUpstream : public pcie::PcieUpstreamIf
+class FakeUpstream : public pcie::PcieUpstreamIf, public pcie::MemoryIf
 {
   public:
     explicit FakeUpstream(sim::Simulator &sim) : _sim(sim) {}
+
+    void
+    read(std::uint64_t addr, std::uint32_t len, std::uint8_t *out) override
+    {
+        memory.read(addr, len, out);
+    }
+
+    void
+    write(std::uint64_t addr, std::uint32_t len,
+          const std::uint8_t *data) override
+    {
+        memory.write(addr, len, data);
+    }
 
     void
     dmaRead(std::uint64_t addr, std::uint32_t len, std::uint8_t *out,

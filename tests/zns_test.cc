@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "nvme/prp.hh"
 #include "ssd/zns.hh"
 #include "tests/test_util.hh"
 
@@ -26,6 +27,8 @@ struct Fixture
     ZnsSsd *dev;
 
     std::uint64_t io_sq = 0x30000, io_cq = 0x40000;
+    /** Data buffer of every IO command, and its PRP list if needed. */
+    std::uint64_t data_buf = 0x100000, prp_list = 0x50000;
     std::uint16_t depth = 256;
     std::uint16_t tail = 0, head = 0;
     bool phase = true;
@@ -105,14 +108,20 @@ struct Fixture
         EXPECT_TRUE(done);
     }
 
-    /** Submit one IO command and wait for its CQE. */
+    /**
+     * Submit one IO command and wait for its CQE. Its data buffer is
+     * the contiguous region at data_buf, described by real PRPs.
+     */
     nvme::Cqe
     io(const std::function<void(nvme::Sqe &)> &fill)
     {
         nvme::Sqe sqe;
         sqe.nsid = 1;
-        sqe.prp1 = 0x100000; // single-page buffer
         fill(sqe);
+        nvme::PrpPair prp =
+            nvme::buildPrp(data_buf, sqe.dataBytes(), prp_list, up);
+        sqe.prp1 = prp.prp1;
+        sqe.prp2 = prp.prp2;
         sqe.cid = next_cid++;
         std::uint8_t raw[64];
         nvme::toBytes(sqe, raw);
@@ -296,7 +305,7 @@ TEST(Zns, ReportZonesDescribesState)
     ASSERT_TRUE(cqe.ok());
     // Parse the first two 64-byte descriptors from the buffer.
     std::uint8_t buf[128];
-    f.up.memory.read(0x100000, 128, buf);
+    f.up.memory.read(f.data_buf, 128, buf);
     EXPECT_EQ(buf[1] >> 4,
               static_cast<int>(ZoneState::ImplicitlyOpen));
     std::uint64_t wp0;
@@ -310,12 +319,12 @@ TEST(Zns, ResetDropsData)
     Fixture f(Fixture::smallProfile(), /*functional=*/true);
     // Write a marker via the data path.
     std::vector<std::uint8_t> marker(4096, 0xEE);
-    f.up.memory.write(0x100000, 4096, marker.data());
+    f.up.memory.write(f.data_buf, 4096, marker.data());
     ASSERT_TRUE(f.write(0).ok());
     // After a reset, reading the same LBA must return zeroes.
     ASSERT_TRUE(f.zoneSend(0, ZoneAction::Reset).ok());
     std::vector<std::uint8_t> junk(4096, 0xAB);
-    f.up.memory.write(0x100000, 4096, junk.data());
+    f.up.memory.write(f.data_buf, 4096, junk.data());
     ASSERT_TRUE(f.io([&](nvme::Sqe &s) {
                      s.opcode =
                          static_cast<std::uint8_t>(nvme::IoOpcode::Read);
@@ -323,7 +332,7 @@ TEST(Zns, ResetDropsData)
                      s.setNlb(1);
                  }).ok());
     std::vector<std::uint8_t> after(4096);
-    f.up.memory.read(0x100000, 4096, after.data());
+    f.up.memory.read(f.data_buf, 4096, after.data());
     for (std::uint8_t b : after)
         ASSERT_EQ(b, 0);
 }
