@@ -14,7 +14,9 @@
 #    image ships gcc only). Reuses build/compile_commands.json when
 #    the default build tree already exported one.
 # 3. A fresh ASan+UBSan build (-DBMS_SANITIZE="address;undefined")
-#    running the full ctest suite plus the pinned fuzz seeds.
+#    running the full ctest suite, the pinned fuzz seeds and the quick
+#    benches, and failing unless ext_fleet --quick replays the pinned
+#    trace hash and event count.
 #
 # Build trees land in build-lint/, build-tidy/ and build-asan/ so they
 # never disturb an existing build/.
@@ -139,6 +141,23 @@ run_san() {
     echo "== ASan+UBSan ext_fleet (quick) =="
     ./build-asan/bench/ext_fleet --quick --events-floor=20000 \
         --wall-limit-s=580 --json=build-asan/BENCH_fleet.json || fail=1
+    # The quick wave's replay is pinned: a change that moves a single
+    # event or trace line of the fleet path changes these.
+    echo "== fleet replay gate =="
+    check_fleet_replay build-asan/BENCH_fleet.json || fail=1
+}
+
+# Fail unless the fleet record $1 holds the pinned quick-wave replay.
+check_fleet_replay() {
+    local json="$1" hash=f559f7f52bc8cbcb events=42554002
+    if grep -q "\"traceHash\": \"${hash}\"" "${json}" &&
+        grep -q "\"events\": ${events}," "${json}"; then
+        echo "fleet replay: traceHash ${hash}, ${events} events"
+        return 0
+    fi
+    echo "check.sh: fleet replay moved: ${json} does not read traceHash" \
+        "${hash} with ${events} events" >&2
+    return 1
 }
 
 case "${mode}" in

@@ -381,7 +381,7 @@ MigrationManager::cutover()
     }
     // The source chunk returns to the free pool only once the last
     // pre-cutover command that translated onto it has completed.
-    gate.whenChunkIdle(j.srcSlot, j.srcChunk, j.chunkBlocks, [this] {
+    gate.whenChunkIdle(j.srcSlot, j.srcChunk, [this] {
         Job &j = *_current;
         _ns.releaseChunk(j.srcSlot, j.srcChunk);
         logInfo("migration #", j.id, " done: ", j.bytesCopied,
@@ -399,15 +399,14 @@ MigrationManager::abortCurrent(const char *why)
         _engine.migrationGate().closeMigration();
     // In-flight mirror legs still target the destination chunk; free
     // it only once they have landed.
-    _engine.migrationGate().whenChunkIdle(
-        j.dSlot, j.dChunk, j.chunkBlocks, [this] {
-            Job &j = *_current;
-            if (j.dstTaken) {
-                _ns.releaseChunk(j.dSlot, j.dChunk);
-                j.dstTaken = false;
-            }
-            finishCurrent(false);
-        });
+    _engine.migrationGate().whenChunkIdle(j.dSlot, j.dChunk, [this] {
+        Job &j = *_current;
+        if (j.dstTaken) {
+            _ns.releaseChunk(j.dSlot, j.dChunk);
+            j.dstTaken = false;
+        }
+        finishCurrent(false);
+    });
 }
 
 void

@@ -448,7 +448,6 @@ NamespaceManager::snapshot(pcie::FunctionId fn, std::uint32_t nsid)
             return std::nullopt;
         }
     }
-    std::uint32_t chunks = 0;
     for (std::size_t i = 0; i < rec->allocs.size(); ++i) {
         const Allocation &a = rec->allocs[i];
         if (a.unallocated())
@@ -457,9 +456,7 @@ NamespaceManager::snapshot(pcie::FunctionId fn, std::uint32_t nsid)
         binding->map.setShared(
             static_cast<std::uint32_t>(i / geom.entriesPerRow),
             static_cast<std::uint32_t>(i % geom.entriesPerRow), true);
-        ++chunks;
     }
-    (void)chunks;
     std::uint32_t id = _nextSnapId++;
     _snaps.push_back(SnapRecord{id, fn, nsid, binding->info.sizeBlocks,
                                 rec->allocs, rec->policy, rec->pinSlot});

@@ -8,7 +8,7 @@ namespace bms::core {
 
 BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
                      EngineConfig cfg)
-    : SimObject(sim, name), _cfg(cfg)
+    : SimObject(sim, name), _cfg(cfg), _chip(sim.pages())
 {
     _qos = std::make_unique<QosModule>(sim, name + ".qos");
     _gate = std::make_unique<MigrationGate>(sim, name + ".miggate");

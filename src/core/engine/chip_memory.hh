@@ -36,8 +36,10 @@ class ChipMemory : public pcie::MemoryIf
         return addr >= kWindowBase && addr < kWindowBase + kWindowSize;
     }
 
+    explicit ChipMemory(sim::PageStore &store) : _mem(store) {}
+
     void
-    read(std::uint64_t addr, std::uint32_t len, std::uint8_t *out) override
+    read(std::uint64_t addr, std::uint32_t len, sim::DataOut out) override
     {
         BMS_ASSERT(contains(addr),
                    "chip-memory read outside window: addr=", addr);
@@ -45,13 +47,15 @@ class ChipMemory : public pcie::MemoryIf
     }
 
     void
-    write(std::uint64_t addr, std::uint32_t len,
-          const std::uint8_t *data) override
+    write(std::uint64_t addr, std::uint32_t len, sim::DataIn data) override
     {
         BMS_ASSERT(contains(addr),
                    "chip-memory write outside window: addr=", addr);
         _mem.write(addr - kWindowBase, len, data);
     }
+
+    /** Pages present (written and not since dropped). */
+    std::size_t allocatedPages() const { return _mem.allocatedPages(); }
 
     /** Allocate chip memory (rings, PRP-list slots). Never freed. */
     std::uint64_t

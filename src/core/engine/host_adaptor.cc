@@ -272,11 +272,12 @@ HostAdaptor::reserveUp(sim::Tick start, std::uint64_t bytes)
 
 void
 HostAdaptor::dmaRead(std::uint64_t addr, std::uint32_t len,
-                     std::uint8_t *out, std::function<void()> done)
+                     sim::DataOut out, std::function<void()> done)
 {
     std::uint64_t orig = GlobalPrp::originalAddr(addr);
     if (ChipMemory::contains(orig)) {
-        // Command fetch, PRP-list fetch: served from chip memory.
+        // Command fetch, PRP-list fetch, or a migration segment's
+        // write data: served from chip memory.
         _chipBytes += len;
         sim::Tick fin = reserveDown(now() + _cfg.chipMemLatency, len);
         sim().scheduleAt(fin, [this, orig, len, out,
@@ -292,11 +293,12 @@ HostAdaptor::dmaRead(std::uint64_t addr, std::uint32_t len,
 
 void
 HostAdaptor::dmaWrite(std::uint64_t addr, std::uint32_t len,
-                      const std::uint8_t *data, std::function<void()> done)
+                      sim::DataIn data, std::function<void()> done)
 {
     std::uint64_t orig = GlobalPrp::originalAddr(addr);
     if (ChipMemory::contains(orig)) {
-        // CQE post into the adaptor's completion ring.
+        // CQE post into the adaptor's completion ring, or a
+        // migration segment's read data landing in its staging buffer.
         _chipBytes += len;
         sim::Tick fin = reserveUp(now(), len) + _cfg.chipMemLatency;
         sim().scheduleAt(fin, [this, orig, len, data,
@@ -312,9 +314,8 @@ HostAdaptor::dmaWrite(std::uint64_t addr, std::uint32_t len,
 
 void
 HostAdaptor::routeToHost(bool to_host, std::uint64_t addr,
-                         std::uint32_t len, std::uint8_t *rbuf,
-                         const std::uint8_t *wbuf,
-                         std::function<void()> done)
+                         std::uint32_t len, sim::DataOut rbuf,
+                         sim::DataIn wbuf, std::function<void()> done)
 {
     BMS_ASSERT(_hostUp, "engine not attached to host");
     if (sim::Check::paranoid())

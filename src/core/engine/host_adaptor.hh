@@ -95,10 +95,9 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
 
     /** @name PcieUpstreamIf — SSD-initiated traffic enters here. */
     /// @{
-    void dmaRead(std::uint64_t addr, std::uint32_t len, std::uint8_t *out,
+    void dmaRead(std::uint64_t addr, std::uint32_t len, sim::DataOut out,
                  std::function<void()> done) override;
-    void dmaWrite(std::uint64_t addr, std::uint32_t len,
-                  const std::uint8_t *data,
+    void dmaWrite(std::uint64_t addr, std::uint32_t len, sim::DataIn data,
                   std::function<void()> done) override;
     void msix(pcie::FunctionId fn, std::uint16_t vector) override;
     /// @}
@@ -127,7 +126,7 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     /** Same, toward the engine. */
     sim::Tick reserveUp(sim::Tick start, std::uint64_t bytes);
     void routeToHost(bool to_host, std::uint64_t addr, std::uint32_t len,
-                     std::uint8_t *rbuf, const std::uint8_t *wbuf,
+                     sim::DataOut rbuf, sim::DataIn wbuf,
                      std::function<void()> done);
     void checkDrained();
 

@@ -361,10 +361,8 @@ MigrationGate::releaseHeld()
 
 void
 MigrationGate::whenChunkIdle(std::uint8_t slot, std::uint8_t chunk,
-                             std::uint64_t chunk_blocks,
                              std::function<void()> idle)
 {
-    (void)chunk_blocks;
     std::uint32_t key = chunkKey(slot, chunk);
     auto it = _chunkInflight.find(key);
     if (it == _chunkInflight.end() || it->second == 0) {

@@ -113,7 +113,6 @@ class MigrationGate : public sim::SimObject
 
     /** Fire @p idle once no admitted I/O touches (slot, chunk). */
     void whenChunkIdle(std::uint8_t slot, std::uint8_t chunk,
-                       std::uint64_t chunk_blocks,
                        std::function<void()> idle);
     /// @}
 

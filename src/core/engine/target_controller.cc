@@ -519,66 +519,65 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
         finish();
     };
 
+    // Step ③: point the leg's PRPs at its host pages, tagged with the
+    // function id. A leg of more than two pages gets its rewritten PRP
+    // list in a page-aligned chip-memory slot, which it holds until its
+    // back-end completion (NVMe reads a list page's last entry as a
+    // chain pointer, so a list never straddles a page).
     auto build_sqe = [this, &sqe, fn_id, single,
-                      &host_pages](const PhysExtent &ext) {
+                      &host_pages](const PhysExtent &ext,
+                                   std::uint64_t &list_slot) {
         Sqe bsqe = sqe;
         bsqe.nsid = 1; // back-end SSDs expose one raw namespace
         bsqe.setSlba(ext.physLba);
         bsqe.setNlb(static_cast<std::uint32_t>(ext.blocks));
 
+        // The single-extent fast path rewrites the whole transfer; a
+        // split leg selects its own pages.
         std::uint64_t ext_len = ext.blocks * nvme::kBlockSize;
-        if (single) {
-            // Fast path: rewrite PRP1/PRP2 in place (step ③).
-            bsqe.prp1 = GlobalPrp::encode(sqe.prp1, fn_id, false);
-            std::uint32_t pages = nvme::prpPageCount(sqe.prp1,
-                                                     sqe.dataBytes());
-            if (pages == 2) {
-                bsqe.prp2 = GlobalPrp::encode(sqe.prp2, fn_id, false);
-            } else if (pages > 2) {
-                ++_listsRewritten;
-                std::vector<std::uint64_t> list;
-                list.reserve(host_pages.size() - 1);
-                for (std::size_t i = 1; i < host_pages.size(); ++i)
-                    list.push_back(GlobalPrp::encode(host_pages[i], fn_id,
-                                                     false));
-                std::uint64_t chip_addr = _engine.chipMemory().alloc(
-                    list.size() * 8, 8);
-                _engine.chipMemory().write(
-                    chip_addr, static_cast<std::uint32_t>(list.size() * 8),
-                    reinterpret_cast<const std::uint8_t *>(list.data()));
-                bsqe.prp2 = GlobalPrp::encode(chip_addr, fn_id, true);
-            } else {
-                bsqe.prp2 = 0;
-            }
-        } else {
-            // Split path: select this extent's pages.
-            std::size_t first_page = ext.byteOffset / nvme::kPageSize;
-            std::size_t page_count =
-                (ext_len + nvme::kPageSize - 1) / nvme::kPageSize;
-            BMS_ASSERT_LE(first_page + page_count, host_pages.size(),
-                          "extent pages exceed rewritten PRP list");
-            bsqe.prp1 = GlobalPrp::encode(host_pages[first_page], fn_id,
+        std::size_t first_page =
+            single ? 0 : ext.byteOffset / nvme::kPageSize;
+        std::size_t page_count =
+            single ? host_pages.size()
+                   : (ext_len + nvme::kPageSize - 1) / nvme::kPageSize;
+        BMS_ASSERT_LE(first_page + page_count, host_pages.size(),
+                      "extent pages exceed rewritten PRP list");
+        bsqe.prp1 = GlobalPrp::encode(host_pages[first_page], fn_id, false);
+        if (page_count == 1) {
+            bsqe.prp2 = 0;
+        } else if (page_count == 2) {
+            bsqe.prp2 = GlobalPrp::encode(host_pages[first_page + 1], fn_id,
                                           false);
-            if (page_count == 1) {
-                bsqe.prp2 = 0;
-            } else if (page_count == 2) {
-                bsqe.prp2 = GlobalPrp::encode(host_pages[first_page + 1],
-                                              fn_id, false);
-            } else {
-                ++_listsRewritten;
-                std::vector<std::uint64_t> list;
-                for (std::size_t i = 1; i < page_count; ++i)
-                    list.push_back(GlobalPrp::encode(
-                        host_pages[first_page + i], fn_id, false));
-                std::uint64_t chip_addr = _engine.chipMemory().alloc(
-                    list.size() * 8, 8);
-                _engine.chipMemory().write(
-                    chip_addr, static_cast<std::uint32_t>(list.size() * 8),
-                    reinterpret_cast<const std::uint8_t *>(list.data()));
-                bsqe.prp2 = GlobalPrp::encode(chip_addr, fn_id, true);
-            }
+        } else {
+            ++_listsRewritten;
+            std::vector<std::uint64_t> list;
+            list.reserve(page_count - 1);
+            for (std::size_t i = 1; i < page_count; ++i)
+                list.push_back(GlobalPrp::encode(host_pages[first_page + i],
+                                                 fn_id, false));
+            BMS_ASSERT_LE(list.size() * 8, nvme::kPageSize,
+                          "PRP list exceeds one page");
+            list_slot = takeListSlot();
+            _engine.chipMemory().write(
+                list_slot, static_cast<std::uint32_t>(list.size() * 8),
+                reinterpret_cast<const std::uint8_t *>(list.data()));
+            bsqe.prp2 = GlobalPrp::encode(list_slot, fn_id, true);
         }
         return bsqe;
+    };
+    auto submit_leg = [this, &build_sqe](HostAdaptor &ad,
+                                         const PhysExtent &ext,
+                                         HostAdaptor::CqeHandler on_cqe) {
+        std::uint64_t list_slot = 0;
+        Sqe bsqe = build_sqe(ext, list_slot);
+        if (list_slot != 0) {
+            on_cqe = [this, list_slot,
+                      on_cqe = std::move(on_cqe)](const nvme::Cqe &cqe) {
+                _freeListSlots.push_back(list_slot);
+                on_cqe(cqe);
+            };
+        }
+        ad.submitIo(bsqe, std::move(on_cqe));
     };
 
     for (const PhysExtent &ext : extents) {
@@ -589,7 +588,7 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
             continue;
         }
         ++_forwarded;
-        ad.submitIo(build_sqe(ext), on_backend_cqe);
+        submit_leg(ad, ext, on_backend_cqe);
     }
     for (const PhysExtent &m : mirrors) {
         HostAdaptor &ad = _engine.adaptor(m.ssdId);
@@ -600,14 +599,24 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
             finish();
             continue;
         }
-        ad.submitIo(build_sqe(m),
-                    m.strict ? HostAdaptor::CqeHandler(on_strict_cqe)
-                             : HostAdaptor::CqeHandler(on_mirror_cqe));
+        submit_leg(ad, m,
+                   m.strict ? HostAdaptor::CqeHandler(on_strict_cqe)
+                            : HostAdaptor::CqeHandler(on_mirror_cqe));
     }
     // Zero-filled ranges DMA straight from the engine's zero page to
     // the host buffer — no media access, no heat.
     for (const auto &[addr, len] : zero_pieces)
         _engine.hostUpstream()->dmaWrite(addr, len, kZeroPage, finish);
+}
+
+std::uint64_t
+TargetController::takeListSlot()
+{
+    if (_freeListSlots.empty())
+        return _engine.chipMemory().alloc(nvme::kPageSize, nvme::kPageSize);
+    std::uint64_t slot = _freeListSlots.back();
+    _freeListSlots.pop_back();
+    return slot;
 }
 
 void
@@ -814,7 +823,7 @@ TargetController::attemptTrim(FrontFunction &fn,
     }
     const std::uint64_t chunk_blocks = g.chunkBlocks;
     gate.whenChunkIdle(
-        slot, static_cast<std::uint8_t>(base), chunk_blocks,
+        slot, static_cast<std::uint8_t>(base),
         [this, &fn, job, idx, key, done, slot, base, chunk_blocks] {
             NsBinding *b =
                 _engine.findBinding(fn.functionId(), job->sqe.nsid);

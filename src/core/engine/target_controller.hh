@@ -215,6 +215,9 @@ class TargetController : public sim::SimObject
     void fail(FrontFunction &fn, const nvme::Sqe &sqe, std::uint16_t sqid,
               nvme::Status st);
 
+    /** A page-aligned chip-memory page for one leg's PRP list. */
+    std::uint64_t takeListSlot();
+
     /** Re-enter forward() after a chunk op resolved (QoS was already
      *  charged on the first pass). */
     void retryForward(FrontFunction &fn, const nvme::Sqe &sqe,
@@ -281,6 +284,8 @@ class TargetController : public sim::SimObject
     TrimHook _trimHook;
     CowHook _cowHook;
     NsRefHook _nsRefHook;
+    /** PRP-list slots no leg holds, reused last-in first-out. */
+    std::vector<std::uint64_t> _freeListSlots;
     std::uint64_t _forwarded = 0;
     std::uint64_t _split = 0;
     std::uint64_t _listsRewritten = 0;

@@ -1,7 +1,6 @@
 #include "fuzz/oracle.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <utility>
@@ -16,6 +15,8 @@ namespace {
 /** Pattern salt base; xor'd with the oracle uid per word group. */
 constexpr std::uint64_t kMagic = 0xb35ee0f5'0c1e0000ULL;
 constexpr std::uint32_t kWordsPerBlock = nvme::kBlockSize / 8;
+static_assert(nvme::kBlockSize == sim::SparseMemory::kPageBytes,
+              "the oracle fills and verifies one page per block");
 
 std::uint64_t
 mixWord(std::uint32_t uid, std::uint64_t block, std::uint64_t stamp)
@@ -220,10 +221,11 @@ OracleDevice::write(std::uint64_t block, std::uint32_t nblocks,
     }
     std::uint32_t len = nblocks * nvme::kBlockSize;
     std::uint64_t buf = acquireBuffer();
-    std::vector<std::uint8_t> img(len);
+    // A block is a whole page: the fill takes a fresh page and copies
+    // nothing, and a page the device still holds keeps its bytes.
     for (std::uint32_t i = 0; i < nblocks; ++i)
-        fillPattern(img.data() + i * nvme::kBlockSize, block + i, stamp);
-    _mem.write(buf, len, img.data());
+        fillPattern(_mem.raw().fillPage(buf + i * nvme::kBlockSize),
+                    block + i, stamp);
 
     bool faulty_at_submit = _faultsActive;
     ++_writes;
@@ -326,7 +328,7 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
     req.offset = _cfg.baseOffset + block * nvme::kBlockSize;
     req.len = len;
     req.dataAddr = buf;
-    req.done = [this, block, nblocks, len, buf, submitted, faulty_at_submit,
+    req.done = [this, block, nblocks, buf, submitted, faulty_at_submit,
                 done = std::move(done)](bool ok) {
         auto it = std::find(_readSubmits.begin(), _readSubmits.end(),
                             submitted);
@@ -345,21 +347,22 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
                 done(false);
             return;
         }
-        std::vector<std::uint8_t> img(len);
-        _mem.read(buf, len, img.data());
-        releaseBuffer(buf);
+        // Verified in place, on the pages the device delivered.
+        std::vector<StampLife> valid;
         for (std::uint32_t i = 0; i < nblocks; ++i) {
             std::uint64_t b = block + i;
             // Legal stamps: lifetime overlaps this read's flight.
             // (born <= now() holds for every recorded entry, so only
             // the death side needs checking.)
-            std::vector<StampLife> valid;
+            valid.clear();
             for (const StampLife &l : _state[b].lives)
                 if (l.died >= submitted)
                     valid.push_back(l);
-            verifyBlock(img.data() + i * nvme::kBlockSize, b, valid);
+            verifyBlock(_mem.raw().page(buf + i * nvme::kBlockSize), b,
+                        valid);
             ++_verifiedBlocks;
         }
+        releaseBuffer(buf);
         if (done)
             done(true);
     };

@@ -1,7 +1,8 @@
 /**
  * @file
- * Host DRAM: sparse functional storage plus a bump allocator for
- * driver/application buffers (queue rings, PRP lists, data buffers).
+ * Host DRAM: sparse functional storage (pages of the simulation's
+ * page store) plus a bump allocator for driver/application buffers
+ * (queue rings, PRP lists, data buffers).
  */
 
 #ifndef BMS_HOST_HOST_MEMORY_HH
@@ -22,15 +23,16 @@ class HostMemory : public pcie::MemoryIf
     /** Allocations start above the (modeled) kernel image. */
     static constexpr std::uint64_t kAllocBase = 0x0100'0000;
 
+    explicit HostMemory(sim::PageStore &store) : _mem(store) {}
+
     void
-    read(std::uint64_t addr, std::uint32_t len, std::uint8_t *out) override
+    read(std::uint64_t addr, std::uint32_t len, sim::DataOut out) override
     {
         _mem.read(addr, len, out);
     }
 
     void
-    write(std::uint64_t addr, std::uint32_t len,
-          const std::uint8_t *data) override
+    write(std::uint64_t addr, std::uint32_t len, sim::DataIn data) override
     {
         _mem.write(addr, len, data);
     }

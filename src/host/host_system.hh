@@ -37,6 +37,7 @@ class HostSystem : public sim::SimObject
     HostSystem(sim::Simulator &sim, std::string name, Config cfg = Config())
         : SimObject(sim, name),
           _cfg(cfg),
+          _mem(sim.pages()),
           _irq(sim, name + ".irq"),
           _cpus(cfg.cores)
     {}

@@ -139,13 +139,10 @@ NvmeDriver::createIoQueue(std::uint16_t qid, std::function<void()> then)
     q.depth = _cfg.queueDepth;
     q.sqBase = _mem.alloc(static_cast<std::uint64_t>(q.depth) * sizeof(Sqe));
     q.cqBase = _mem.alloc(static_cast<std::uint64_t>(q.depth) * sizeof(Cqe));
-    q.slots.resize(q.depth);
-    for (std::uint16_t cid = 0; cid < q.depth; ++cid) {
-        // Preallocate a PRP-list page and a data slot per cid.
-        q.slots[cid].prpListAddr = _mem.alloc(nvme::kPageSize);
-        q.slots[cid].dataAddr = _mem.alloc(_cfg.maxIoBytes);
-        q.freeCids.push_back(static_cast<std::uint16_t>(q.depth - 1 - cid));
-    }
+    // A PRP-list page and a data slot per cid, where one page-aligned
+    // allocation each would have placed them.
+    q.slotBase = _mem.alloc(static_cast<std::uint64_t>(q.depth) *
+                            slotStride());
 
     _irq.registerHandler(_port.irqDomain(), _fn, qid,
                          [this, qid] { ioIrq(qid); },
@@ -189,18 +186,47 @@ NvmeDriver::submit(BlockRequest req)
     int idx = req.queueHint >= 0 ? req.queueHint % _cfg.ioQueues
                                  : (_rrQueue++ % _cfg.ioQueues);
     Queue &q = _queues[static_cast<std::size_t>(idx) + 1];
-    if (q.freeCids.empty()) {
+    if (!cidAvailable(q)) {
         q.waitq.push_back(std::move(req));
         return;
     }
     pushToQueue(q, std::move(req));
 }
 
+std::uint64_t
+NvmeDriver::slotStride() const
+{
+    std::uint64_t data = (_cfg.maxIoBytes + nvme::kPageSize - 1) /
+                         nvme::kPageSize * nvme::kPageSize;
+    return nvme::kPageSize + data;
+}
+
+std::uint64_t
+NvmeDriver::prpListAddr(const Queue &q, std::uint16_t cid) const
+{
+    return q.slotBase + cid * slotStride();
+}
+
+bool
+NvmeDriver::cidAvailable(const Queue &q) const
+{
+    return !q.freeCids.empty() || q.freshCid < q.depth;
+}
+
 void
 NvmeDriver::pushToQueue(Queue &q, BlockRequest req)
 {
-    std::uint16_t cid = q.freeCids.back();
-    q.freeCids.pop_back();
+    // Released cids first, most recent on top, then the lowest fresh
+    // one: so only as many cids as were ever in flight at once hold a
+    // slot.
+    std::uint16_t cid;
+    if (!q.freeCids.empty()) {
+        cid = q.freeCids.back();
+        q.freeCids.pop_back();
+    } else {
+        cid = q.freshCid++;
+        q.slots.emplace_back();
+    }
     Slot &slot = q.slots[cid];
     BMS_ASSERT(!slot.busy, "free-cid list handed out a busy slot");
     slot.busy = true;
@@ -238,8 +264,8 @@ NvmeDriver::pushToQueue(Queue &q, BlockRequest req)
         range.slba = slot.req.offset / nvme::kBlockSize;
         std::uint8_t raw[sizeof(nvme::DsmRange)];
         nvme::toBytes(range, raw);
-        _mem.write(slot.prpListAddr, sizeof(raw), raw);
-        sqe.prp1 = slot.prpListAddr;
+        _mem.write(prpListAddr(q, cid), sizeof(raw), raw);
+        sqe.prp1 = prpListAddr(q, cid);
         sqe.cdw10 = 0; // NR - 1: one range
         sqe.cdw11 = nvme::kDsmAttrDeallocate;
     } else if (slot.req.op != BlockRequest::Op::Flush) {
@@ -249,10 +275,10 @@ NvmeDriver::pushToQueue(Queue &q, BlockRequest req)
                    " len=", slot.req.len);
         sqe.setSlba(slot.req.offset / nvme::kBlockSize);
         sqe.setNlb(slot.req.len / nvme::kBlockSize);
+        std::uint64_t list = prpListAddr(q, cid);
         std::uint64_t data =
-            slot.req.dataAddr ? slot.req.dataAddr : slot.dataAddr;
-        nvme::PrpPair prp =
-            nvme::buildPrp(data, slot.req.len, slot.prpListAddr, _mem);
+            slot.req.dataAddr ? slot.req.dataAddr : list + nvme::kPageSize;
+        nvme::PrpPair prp = nvme::buildPrp(data, slot.req.len, list, _mem);
         sqe.prp1 = prp.prp1;
         sqe.prp2 = prp.prp2;
     }
@@ -336,7 +362,7 @@ NvmeDriver::finishRequest(Queue &q, const nvme::Cqe &cqe,
     if (done)
         sim().scheduleAt(at, [done = std::move(done), ok] { done(ok); });
 
-    if (!q.waitq.empty() && !q.freeCids.empty()) {
+    if (!q.waitq.empty() && cidAvailable(q)) {
         BlockRequest next = std::move(q.waitq.front());
         q.waitq.pop_front();
         pushToQueue(q, std::move(next));

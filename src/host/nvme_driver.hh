@@ -82,12 +82,11 @@ class NvmeDriver : public sim::SimObject, public BlockDeviceIf
                       std::function<void(const nvme::Cqe &)> done);
 
   private:
+    /** The request a CID carries while it is in flight. */
     struct Slot
     {
         bool busy = false;
         BlockRequest req;
-        std::uint64_t prpListAddr = 0;
-        std::uint64_t dataAddr = 0;
     };
 
     struct Queue
@@ -96,14 +95,26 @@ class NvmeDriver : public sim::SimObject, public BlockDeviceIf
         std::uint16_t depth = 0;
         std::uint64_t sqBase = 0;
         std::uint64_t cqBase = 0;
+        /** Per-CID PRP-list page, then data slot, at a fixed stride. */
+        std::uint64_t slotBase = 0;
         std::uint16_t sqTail = 0;
         std::uint16_t cqHead = 0;
         bool cqPhase = true;
+        /** By CID, grown to the highest CID handed out. */
         std::vector<Slot> slots;
+        /** Released CIDs, handed out again before any fresh one. */
         std::vector<std::uint16_t> freeCids;
+        /** Lowest CID never handed out. */
+        std::uint16_t freshCid = 0;
         std::deque<BlockRequest> waitq;
         std::uint32_t inflight = 0;
     };
+
+    /** Bytes from one cid's PRP-list page to the next one's. */
+    std::uint64_t slotStride() const;
+    /** The PRP-list page of @p cid; its data slot follows it. */
+    std::uint64_t prpListAddr(const Queue &q, std::uint16_t cid) const;
+    bool cidAvailable(const Queue &q) const;
 
     void setupAdminQueues();
     void createIoQueue(std::uint16_t qid, std::function<void()> then);

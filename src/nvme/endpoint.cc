@@ -98,24 +98,63 @@ Endpoint::resolveSegments(const Sqe &sqe,
 
 void
 Endpoint::dmaSegments(const std::vector<DmaSegment> &segs, bool to_host,
-                      std::uint8_t *buf, std::function<void()> done)
+                      sim::DataOut buf, std::function<void()> done)
 {
     BMS_ASSERT(!segs.empty(), "DMA with no PRP segments");
     pcie::PcieUpstreamIf &up = *_ctrl.upstream();
-    auto remaining = std::make_shared<std::size_t>(segs.size());
-    auto fire = [remaining, done = std::move(done)] {
-        if (--*remaining == 0)
-            done();
+    // One shared countdown: each segment's callback copies only the
+    // pointer, never @p done.
+    struct Countdown
+    {
+        std::size_t remaining;
+        std::function<void()> done;
+    };
+    auto left = std::make_shared<Countdown>(
+        Countdown{segs.size(), std::move(done)});
+    auto fire = [left] {
+        if (--left->remaining == 0)
+            left->done();
     };
     std::uint64_t off = 0;
     for (const auto &seg : segs) {
-        std::uint8_t *p = buf ? buf + off : nullptr;
         if (to_host)
-            up.dmaWrite(seg.addr, seg.len, p, fire);
+            up.dmaWrite(seg.addr, seg.len, buf + off, fire);
         else
-            up.dmaRead(seg.addr, seg.len, p, fire);
+            up.dmaRead(seg.addr, seg.len, buf + off, fire);
         off += seg.len;
     }
+}
+
+void
+Endpoint::dmaToHost(const std::vector<DmaSegment> &segs,
+                    const sim::SparseMemory *media, std::uint64_t off,
+                    std::uint64_t len, std::function<void()> done)
+{
+    if (!media) {
+        dmaSegments(segs, true, nullptr, std::move(done));
+        return;
+    }
+    auto data = std::make_shared<sim::SparseMemory>(sim().pages());
+    media->read(off, len, {*data, 0});
+    dmaSegments(segs, true, {*data, 0},
+                [data, done = std::move(done)] { done(); });
+}
+
+void
+Endpoint::dmaFromHost(const std::vector<DmaSegment> &segs,
+                      sim::SparseMemory *media, std::uint64_t off,
+                      std::uint64_t len, std::function<void()> done)
+{
+    if (!media) {
+        dmaSegments(segs, false, nullptr, std::move(done));
+        return;
+    }
+    auto data = std::make_shared<sim::SparseMemory>(sim().pages());
+    dmaSegments(segs, false, {*data, 0},
+                [media, off, len, data, done = std::move(done)] {
+                    media->write(off, len, {*data, 0});
+                    done();
+                });
 }
 
 } // namespace bms::nvme

@@ -24,6 +24,7 @@
 #include "nvme/prp.hh"
 #include "pcie/device.hh"
 #include "sim/simulator.hh"
+#include "sim/sparse_memory.hh"
 
 namespace bms::nvme {
 
@@ -85,11 +86,31 @@ class Endpoint : public sim::SimObject, public pcie::PcieDeviceIf
 
     /**
      * DMA @p buf segment by segment (@p to_host: device → upstream)
-     * and run @p done once every segment has finished. A null @p buf
-     * moves no real bytes (timing-only transfer).
+     * and run @p done once every segment has finished. Each segment's
+     * data moves when that segment arrives. An empty @p buf moves no
+     * real bytes (timing-only transfer).
      */
     void dmaSegments(const std::vector<DmaSegment> &segs, bool to_host,
-                     std::uint8_t *buf, std::function<void()> done);
+                     sim::DataOut buf, std::function<void()> done);
+
+    /**
+     * DMA [off, off+len) of @p media to the command's buffers. The
+     * pages are taken now, the instant the data leaves the media, so
+     * a later write to @p media cannot change what lands upstream. A
+     * null @p media moves no bytes.
+     */
+    void dmaToHost(const std::vector<DmaSegment> &segs,
+                   const sim::SparseMemory *media, std::uint64_t off,
+                   std::uint64_t len, std::function<void()> done);
+
+    /**
+     * DMA the command's buffers into [off, off+len) of @p media, which
+     * takes the pages once every segment has arrived, just before
+     * @p done. A null @p media moves no bytes.
+     */
+    void dmaFromHost(const std::vector<DmaSegment> &segs,
+                     sim::SparseMemory *media, std::uint64_t off,
+                     std::uint64_t len, std::function<void()> done);
 
   private:
     /** The controller, handing fetched commands back to the owner. */

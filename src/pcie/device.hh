@@ -35,17 +35,19 @@ class PcieUpstreamIf
 
     /**
      * Device-initiated read of upstream memory (SQE fetch, PRP fetch,
-     * write-data fetch). @p out may be null for timing-only transfers.
+     * write-data fetch). The data lands in @p out when the completion
+     * arrives; @p out may be empty for timing-only transfers.
      */
     virtual void dmaRead(std::uint64_t addr, std::uint32_t len,
-                         std::uint8_t *out, std::function<void()> done) = 0;
+                         sim::DataOut out, std::function<void()> done) = 0;
 
     /**
      * Device-initiated posted write to upstream memory (read data,
-     * CQE post). @p data may be null for timing-only transfers.
+     * CQE post). The data lands when the write arrives; @p data may
+     * be empty for timing-only transfers.
      */
     virtual void dmaWrite(std::uint64_t addr, std::uint32_t len,
-                          const std::uint8_t *data,
+                          sim::DataIn data,
                           std::function<void()> done) = 0;
 
     /** Raise MSI-X @p vector on behalf of function @p fn. */

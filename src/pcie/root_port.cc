@@ -40,7 +40,7 @@ RootPort::hostMmioRead(FunctionId fn, std::uint64_t offset)
 }
 
 void
-RootPort::dmaRead(std::uint64_t addr, std::uint32_t len, std::uint8_t *out,
+RootPort::dmaRead(std::uint64_t addr, std::uint32_t len, sim::DataOut out,
                   std::function<void()> done)
 {
     // Read request TLP travels upstream; completion data streams back
@@ -55,8 +55,8 @@ RootPort::dmaRead(std::uint64_t addr, std::uint32_t len, std::uint8_t *out,
 }
 
 void
-RootPort::dmaWrite(std::uint64_t addr, std::uint32_t len,
-                   const std::uint8_t *data, std::function<void()> done)
+RootPort::dmaWrite(std::uint64_t addr, std::uint32_t len, sim::DataIn data,
+                   std::function<void()> done)
 {
     // Posted write: payload occupies the upstream channel.
     sim::Tick arrive = _link.up().reserve(now(), len);

@@ -62,10 +62,9 @@ class RootPort : public sim::SimObject, public PcieUpstreamIf
 
     /** @name PcieUpstreamIf (device-initiated traffic) */
     /// @{
-    void dmaRead(std::uint64_t addr, std::uint32_t len, std::uint8_t *out,
+    void dmaRead(std::uint64_t addr, std::uint32_t len, sim::DataOut out,
                  std::function<void()> done) override;
-    void dmaWrite(std::uint64_t addr, std::uint32_t len,
-                  const std::uint8_t *data,
+    void dmaWrite(std::uint64_t addr, std::uint32_t len, sim::DataIn data,
                   std::function<void()> done) override;
     void msix(FunctionId fn, std::uint16_t vector) override;
     /// @}

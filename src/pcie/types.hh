@@ -13,6 +13,7 @@
 
 #include <cstdint>
 
+#include "sim/sparse_memory.hh"
 #include "sim/types.hh"
 
 namespace bms::pcie {
@@ -48,19 +49,21 @@ inline constexpr std::uint32_t kMsixBytes = 16;
 /**
  * Functional byte-addressable memory. Implemented by the host memory
  * model; also by the BMS-Engine chip memory (global PRP store).
+ * Payload moves as page references (see sim::SparseMemory); protocol
+ * units (SQEs, CQEs, PRP lists) as bytes.
  */
 class MemoryIf
 {
   public:
     virtual ~MemoryIf() = default;
 
-    /** Copy @p len bytes at @p addr into @p out (must be non-null). */
+    /** Read @p len bytes at @p addr into @p out (must be set). */
     virtual void read(std::uint64_t addr, std::uint32_t len,
-                      std::uint8_t *out) = 0;
+                      sim::DataOut out) = 0;
 
-    /** Copy @p len bytes from @p data (non-null) to @p addr. */
+    /** Write @p len bytes from @p data (must be set) to @p addr. */
     virtual void write(std::uint64_t addr, std::uint32_t len,
-                       const std::uint8_t *data) = 0;
+                       sim::DataIn data) = 0;
 };
 
 /** Receiver of MSI-X interrupts (the host interrupt controller). */

@@ -4,6 +4,17 @@
 
 namespace bms::remote {
 
+namespace {
+
+/** Target-side software cost per I/O (poll-mode target). */
+constexpr sim::Tick kPerIoCost = sim::microsecondsF(1.5);
+/** Largest I/O one request may carry (bounce-buffer size). */
+constexpr std::uint32_t kMaxIoBytes = 2 * 1024 * 1024;
+/** Bounce buffers (concurrent disk I/Os); excess requests queue. */
+constexpr int kBounceBuffers = 64;
+
+} // namespace
+
 StorageServer::StorageServer(sim::Simulator &sim, std::string name,
                              Config cfg)
     : SimObject(sim, name), _cfg(cfg)
@@ -25,8 +36,8 @@ StorageServer::StorageServer(sim::Simulator &sim, std::string name,
         _drivers.push_back(drv);
     }
     _diskNextFree.assign(static_cast<std::size_t>(cfg.ssdCount), 0);
-    for (int i = 0; i < cfg.bounceBuffers; ++i)
-        _freeBufs.push_back(_host->memory().alloc(cfg.maxIoBytes));
+    for (int i = 0; i < kBounceBuffers; ++i)
+        _freeBufs.push_back(_host->memory().alloc(kMaxIoBytes));
     // Bring-up happens at t=0 before any workload; drive it inline.
     sim::Tick deadline = sim.now() + sim::seconds(2);
     while (ready != cfg.ssdCount) {
@@ -86,15 +97,15 @@ StorageServer::execute(int volume, RemoteIo io)
         io.done(false);
         return;
     }
-    BMS_ASSERT_LE(io.len, _cfg.maxIoBytes,
+    BMS_ASSERT_LE(io.len, kMaxIoBytes,
                   "remote I/O larger than the bounce buffer");
     ++_served;
     // Target-side software processing on the poll-mode core.
-    sim::Tick start = _targetCore.reserve(now(), _cfg.perIoCost);
-    sim().scheduleAt(start + _cfg.perIoCost, [this, vol,
-                                              io = std::move(io)]() mutable {
-        submitIo(vol, std::move(io));
-    });
+    sim::Tick start = _targetCore.reserve(now(), kPerIoCost);
+    sim().scheduleAt(start + kPerIoCost,
+                     [this, vol, io = std::move(io)]() mutable {
+                         submitIo(vol, std::move(io));
+                     });
 }
 
 void

@@ -50,12 +50,6 @@ class StorageServer : public sim::SimObject
     {
         int ssdCount = 1;
         ssd::SsdDevice::Config ssd;
-        /** Target-side software cost per I/O (poll-mode target). */
-        sim::Tick perIoCost = sim::microsecondsF(1.5);
-        /** Largest I/O one request may carry (bounce-buffer size). */
-        std::uint32_t maxIoBytes = 2 * 1024 * 1024;
-        /** Bounce buffers (concurrent disk I/Os); excess requests queue. */
-        int bounceBuffers = 64;
     };
 
     StorageServer(sim::Simulator &sim, std::string name, Config cfg);

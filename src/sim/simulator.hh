@@ -14,6 +14,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/log.hh"
+#include "sim/page_store.hh"
 #include "sim/random.hh"
 #include "sim/stats_registry.hh"
 #include "sim/types.hh"
@@ -40,6 +41,8 @@ class Simulator
     EventQueue &queue() { return _queue; }
     Rng &rng() { return _rng; }
     StatsRegistry &stats() { return _stats; }
+    /** Pages behind every functional memory of this world. */
+    PageStore &pages() { return _pages; }
 
     /** Schedule @p cb at absolute tick @p when. */
     EventId
@@ -82,6 +85,9 @@ class Simulator
     }
 
   private:
+    // First member, so it dies last: the objects and pending events
+    // drop their page references before the store checks its count.
+    PageStore _pages;
     EventQueue _queue;
     Rng _rng;
     StatsRegistry _stats;

@@ -17,6 +17,7 @@ SsdDevice::SsdDevice(sim::Simulator &sim, const std::string &name,
                                : cfg.profile.capacityBytes) /
                    nvme::kBlockSize),
       _cfg(std::move(cfg)),
+      _flash(sim.pages()),
       _fwRev(_cfg.hddProfile ? _cfg.hddProfile->firmwareRev
                              : _cfg.profile.firmwareRev)
 {
@@ -128,16 +129,10 @@ SsdDevice::doRead(const Sqe &sqe, std::uint16_t sqid)
     _media->read(media_off, len, [this, sqe, sqid, len, media_off] {
         resolveSegments(sqe, [this, sqe, sqid, len, media_off](
                                  std::vector<nvme::DmaSegment> segs) {
-            std::shared_ptr<std::vector<std::uint8_t>> data;
-            std::uint8_t *ptr = nullptr;
-            if (_cfg.functionalData) {
-                data = std::make_shared<std::vector<std::uint8_t>>(len);
-                _flash.read(media_off, len, data->data());
-                ptr = data->data();
-            }
-            dmaSegments(segs, true, ptr, [this, sqe, sqid, data] {
-                complete(sqid, sqe.cid, Status::Success);
-            });
+            dmaToHost(segs, _cfg.functionalData ? &_flash : nullptr,
+                      media_off, len, [this, sqe, sqid] {
+                          complete(sqid, sqe.cid, Status::Success);
+                      });
         });
     });
 }
@@ -162,16 +157,8 @@ SsdDevice::doWrite(const Sqe &sqe, std::uint16_t sqid)
     std::uint64_t media_off = sqe.slba() * nvme::kBlockSize;
     resolveSegments(sqe, [this, sqe, sqid, len, media_off](
                              std::vector<nvme::DmaSegment> segs) {
-        std::shared_ptr<std::vector<std::uint8_t>> data;
-        std::uint8_t *ptr = nullptr;
-        if (_cfg.functionalData) {
-            data = std::make_shared<std::vector<std::uint8_t>>(len);
-            ptr = data->data();
-        }
-        dmaSegments(segs, false, ptr,
-                    [this, sqe, sqid, len, media_off, data] {
-                        if (data)
-                            _flash.write(media_off, len, data->data());
+        dmaFromHost(segs, _cfg.functionalData ? &_flash : nullptr,
+                    media_off, len, [this, sqe, sqid, len, media_off] {
                         _media->write(media_off, len, [this, sqe, sqid] {
                             complete(sqid, sqe.cid, Status::Success);
                         });

@@ -26,6 +26,7 @@ ZnsSsd::ZnsSsd(sim::Simulator &sim, const std::string &name, Config cfg)
       _cfg(std::move(cfg)),
       _media(std::make_unique<MediaModel>(sim, name + ".media",
                                           _cfg.profile.media)),
+      _flash(sim.pages()),
       _zoneBlocks(_cfg.profile.zoneBytes / nvme::kBlockSize),
       _zones(_cfg.profile.media.capacityBytes / _cfg.profile.zoneBytes)
 {}
@@ -94,16 +95,10 @@ ZnsSsd::doRead(const Sqe &sqe, std::uint16_t sqid)
     _media->read(off, len, [this, sqe, sqid, len, off] {
         resolveSegments(sqe, [this, sqe, sqid, len, off](
                                  std::vector<nvme::DmaSegment> segs) {
-            std::shared_ptr<std::vector<std::uint8_t>> data;
-            std::uint8_t *ptr = nullptr;
-            if (_cfg.functionalData) {
-                data = std::make_shared<std::vector<std::uint8_t>>(len);
-                _flash.read(off, len, data->data());
-                ptr = data->data();
-            }
-            dmaSegments(segs, true, ptr, [this, sqe, sqid, data] {
-                complete(sqid, sqe.cid, Status::Success);
-            });
+            dmaToHost(segs, _cfg.functionalData ? &_flash : nullptr, off,
+                      len, [this, sqe, sqid] {
+                          complete(sqid, sqe.cid, Status::Success);
+                      });
         });
     });
 }
@@ -222,19 +217,12 @@ ZnsSsd::doWrite(const Sqe &sqe, std::uint16_t sqid, bool is_append)
     std::uint32_t dw0 = is_append ? static_cast<std::uint32_t>(assigned) : 0;
     resolveSegments(sqe, [this, sqe, sqid, len, off, dw0](
                              std::vector<nvme::DmaSegment> segs) {
-        std::shared_ptr<std::vector<std::uint8_t>> data;
-        std::uint8_t *ptr = nullptr;
-        if (_cfg.functionalData) {
-            data = std::make_shared<std::vector<std::uint8_t>>(len);
-            ptr = data->data();
-        }
-        dmaSegments(segs, false, ptr, [this, sqe, sqid, len, off, dw0, data] {
-            if (data)
-                _flash.write(off, len, data->data());
-            _media->write(off, len, [this, sqe, sqid, dw0] {
-                complete(sqid, sqe.cid, Status::Success, dw0);
-            });
-        });
+        dmaFromHost(segs, _cfg.functionalData ? &_flash : nullptr, off, len,
+                    [this, sqe, sqid, len, off, dw0] {
+                        _media->write(off, len, [this, sqe, sqid, dw0] {
+                            complete(sqid, sqe.cid, Status::Success, dw0);
+                        });
+                    });
     });
 }
 

@@ -32,7 +32,6 @@ namespace bms::virt {
 struct VmConfig
 {
     int vcpus = 4;
-    std::uint64_t memBytes = sim::gib(4);
     host::PlatformProfile profile = host::centos7Guest();
 };
 

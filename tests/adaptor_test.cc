@@ -192,7 +192,7 @@ class ScriptedSsd : public pcie::PcieDeviceIf
 struct Fixture
 {
     sim::Simulator sim{55};
-    ChipMemory chip;
+    ChipMemory chip{sim.pages()};
     core::EngineConfig cfg;
     test::FakeUpstream hostUp{sim};
     HostAdaptor *adaptor;

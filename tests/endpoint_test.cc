@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -116,12 +117,26 @@ class EndpointTest : public ::testing::TestWithParam<DeviceCase>
     nvme::Cqe
     submit(Ring &r, nvme::Sqe sqe)
     {
+        post(r, std::move(sqe));
+        return reap(r);
+    }
+
+    /** Place @p sqe on @p r and ring its doorbell. */
+    void
+    post(Ring &r, nvme::Sqe sqe)
+    {
         sqe.cid = nextCid++;
         std::uint8_t raw[sizeof(nvme::Sqe)];
         nvme::toBytes(sqe, raw);
         up.memory.write(r.sq + r.tail * sizeof(raw), sizeof(raw), raw);
         r.tail = static_cast<std::uint16_t>((r.tail + 1) % r.depth);
         dev->mmioWrite(0, nvme::sqDoorbellOffset(r.qid), r.tail);
+    }
+
+    /** Wait for the next completion on @p r. */
+    nvme::Cqe
+    reap(Ring &r)
+    {
         nvme::Cqe out;
         EXPECT_TRUE(test::runUntil(sim, [&] {
             std::uint8_t craw[sizeof(nvme::Cqe)];
@@ -143,6 +158,13 @@ class EndpointTest : public ::testing::TestWithParam<DeviceCase>
     rw(IoOpcode op, std::uint64_t slba, std::uint32_t blocks,
        std::uint64_t prp1, std::uint64_t prp2, std::uint32_t nsid = 1)
     {
+        return submit(ioq, rwSqe(op, slba, blocks, prp1, prp2, nsid));
+    }
+
+    static nvme::Sqe
+    rwSqe(IoOpcode op, std::uint64_t slba, std::uint32_t blocks,
+          std::uint64_t prp1, std::uint64_t prp2, std::uint32_t nsid = 1)
+    {
         nvme::Sqe s;
         s.opcode = static_cast<std::uint8_t>(op);
         s.nsid = nsid;
@@ -150,7 +172,7 @@ class EndpointTest : public ::testing::TestWithParam<DeviceCase>
         s.setNlb(blocks);
         s.prp1 = prp1;
         s.prp2 = prp2;
-        return submit(ioq, s);
+        return s;
     }
 
     /** Store a PRP list at @p addr. */
@@ -250,3 +272,59 @@ INSTANTIATE_TEST_SUITE_P(Devices, EndpointTest,
                          ::testing::Values(DeviceCase{"Ssd", makeSsd},
                                            DeviceCase{"Zns", makeZns},
                                            DeviceCase{"Remote", makeRemote}));
+
+namespace {
+
+/** The endpoints whose payload moves between flash and host pages. */
+class FlashEndpointTest : public EndpointTest
+{
+  protected:
+    /**
+     * Post a write of the page at @p addr over block 0. A zone only
+     * takes writes at its write pointer, so ZNS resets zone 0 first.
+     */
+    void
+    postOverwrite(std::uint64_t addr)
+    {
+        if (std::string(GetParam().name) == "Zns") {
+            nvme::Sqe reset;
+            reset.opcode = ssd::kOpZoneMgmtSend;
+            reset.nsid = 1;
+            reset.cdw13 = static_cast<std::uint32_t>(ssd::ZoneAction::Reset);
+            post(ioq, reset);
+        }
+        post(ioq, rwSqe(IoOpcode::Write, 0, 1, addr, 0));
+    }
+};
+
+} // namespace
+
+// A read takes its pages at the flash access: a write that lands on
+// the same LBA before the read's DMA completes cannot change the bytes
+// the read delivers, and a later read sees the new ones.
+TEST_P(FlashEndpointTest, OverwriteBeforeDmaCompletionDeliversOldBytes)
+{
+    auto old_page = fillPage(0x200000, 0x11);
+    ASSERT_TRUE(rw(IoOpcode::Write, 0, 1, 0x200000, 0).ok());
+    auto new_page = fillPage(0x210000, 0x77);
+
+    // Data landing in host memory now takes 1 ms: the read's pages sit
+    // in flight from its flash access on.
+    up.writeDelay = sim::milliseconds(1);
+    std::uint64_t writes = up.dmaWrites;
+    post(ioq, rwSqe(IoOpcode::Read, 0, 1, 0x300000, 0));
+    ASSERT_TRUE(test::runUntil(sim, [&] { return up.dmaWrites > writes; }));
+    postOverwrite(0x210000);
+    int cqes = std::string(GetParam().name) == "Zns" ? 3 : 2;
+    for (int i = 0; i < cqes; ++i)
+        EXPECT_TRUE(reap(ioq).ok());
+    EXPECT_EQ(page(0x300000), old_page);
+
+    up.writeDelay = 1;
+    ASSERT_TRUE(rw(IoOpcode::Read, 0, 1, 0x308000, 0).ok());
+    EXPECT_EQ(page(0x308000), new_page);
+}
+
+INSTANTIATE_TEST_SUITE_P(Devices, FlashEndpointTest,
+                         ::testing::Values(DeviceCase{"Ssd", makeSsd},
+                                           DeviceCase{"Zns", makeZns}));

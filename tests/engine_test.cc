@@ -169,6 +169,104 @@ TEST(BmsEngine, PrpListRewrittenFor128k)
     EXPECT_EQ(got, data);
 }
 
+namespace {
+
+/** Closed loop of 32 KiB writes and reads (8 pages each) at depth 8. */
+class MultiPageLoop
+{
+  public:
+    static constexpr std::uint32_t kLen = 32 * 1024;
+    static constexpr std::uint64_t kDepth = 8;
+
+    MultiPageLoop(host::BlockDeviceIf &dev, std::uint64_t buf)
+        : _dev(dev), _buf(buf)
+    {}
+
+    /** Issue I/Os until @p total have been submitted in all. */
+    void
+    runTo(std::uint64_t total)
+    {
+        _limit = total;
+        pump();
+    }
+
+    std::uint64_t completed() const { return _done; }
+
+  private:
+    void
+    pump()
+    {
+        while (_issued < _limit && _issued - _done < kDepth) {
+            host::BlockRequest req;
+            req.op = _issued % 2 ? host::BlockRequest::Op::Read
+                                 : host::BlockRequest::Op::Write;
+            req.offset = (_issued % 1024) * kLen;
+            req.len = kLen;
+            req.dataAddr = _buf + (_issued % kDepth) * kLen;
+            req.done = [this](bool ok) {
+                EXPECT_TRUE(ok);
+                ++_done;
+                pump();
+            };
+            ++_issued;
+            _dev.submit(std::move(req));
+        }
+    }
+
+    host::BlockDeviceIf &_dev;
+    std::uint64_t _buf;
+    std::uint64_t _issued = 0, _done = 0, _limit = 0;
+};
+
+} // namespace
+
+// Each back-end leg of more than two pages holds a PRP-list slot in
+// chip memory only until its completion, so chip memory stops growing
+// once the slots cover the most legs ever in flight at once.
+TEST(BmsEngine, PrpListSlotsBoundChipMemory)
+{
+    harness::BmStoreTestbed bed(bmsConfig(1, /*functional=*/false));
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(16));
+    MultiPageLoop loop(disk, bed.host().memory().alloc(
+                                 MultiPageLoop::kLen * MultiPageLoop::kDepth));
+    loop.runTo(1000);
+    ASSERT_TRUE(test::runUntil(
+        bed.sim(), [&] { return loop.completed() == 1000; }));
+    std::size_t pages = bed.engine().chipMemory().allocatedPages();
+
+    loop.runTo(10000);
+    ASSERT_TRUE(test::runUntil(
+        bed.sim(), [&] { return loop.completed() == 10000; }));
+    EXPECT_GE(bed.engine().targetController().rewrittenPrpLists(), 10000u);
+    EXPECT_EQ(bed.engine().chipMemory().allocatedPages(), pages);
+}
+
+// The page store checks its own count when the simulation dies: a
+// functional testbed that moved real bytes through host, chip and
+// flash memory must hand back every page it took, or ~PageStore
+// panics (LeakSanitizer cannot see a page a lost reference pins).
+TEST(BmsEngine, TeardownReturnsEveryPage)
+{
+    auto bed = std::make_unique<harness::BmStoreTestbed>(bmsConfig(2));
+    host::NvmeDriver &disk = bed->attachTenant(0, sim::gib(128));
+    auto &mem = bed->host().memory();
+    auto data = pattern(128 * 1024, 0x5c);
+    std::uint64_t buf = mem.alloc(128 * 1024);
+    mem.write(buf, 128 * 1024, data.data());
+    // Straddle the 64 GiB chunk boundary: a split across both SSDs.
+    std::uint64_t off = sim::gib(64) - 64 * 1024;
+    ASSERT_TRUE(doIo(*bed, disk, host::BlockRequest::Op::Write, off,
+                     128 * 1024, buf));
+    std::uint64_t rbuf = mem.alloc(128 * 1024);
+    ASSERT_TRUE(doIo(*bed, disk, host::BlockRequest::Op::Read, off,
+                     128 * 1024, rbuf));
+    std::vector<std::uint8_t> got(128 * 1024);
+    mem.read(rbuf, 128 * 1024, got.data());
+    EXPECT_EQ(got, data);
+    EXPECT_GT(bed->sim().pages().livePages(), 0u);
+    bed.reset();
+}
+
 TEST(BmsEngine, OutOfRangeRejected)
 {
     harness::BmStoreTestbed bed(bmsConfig(1, false));

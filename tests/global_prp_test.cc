@@ -83,7 +83,8 @@ TEST(ChipMemory, WindowDisjointFromHostAllocations)
 
 TEST(ChipMemory, AllocReadWrite)
 {
-    ChipMemory chip;
+    bms::sim::PageStore store;
+    ChipMemory chip(store);
     std::uint64_t a = chip.alloc(256, 64);
     std::uint64_t b = chip.alloc(256, 64);
     EXPECT_NE(a, b);
@@ -100,7 +101,8 @@ TEST(ChipMemory, AllocReadWrite)
 
 TEST(ChipMemory, WindowAddressFitsGlobalPrpOriginalField)
 {
-    ChipMemory chip;
+    bms::sim::PageStore store;
+    ChipMemory chip(store);
     std::uint64_t a = chip.alloc(4096);
     std::uint64_t g = GlobalPrp::encode(a, 9, true);
     EXPECT_EQ(GlobalPrp::originalAddr(g), a);

@@ -142,6 +142,38 @@ TEST(Migration, MovesChunkAndPreservesDataUnderLiveWrites)
     EXPECT_EQ(got, tail);
 }
 
+// A chunk nobody wrote moves as absent pages: the copy stores nothing
+// on the destination, and the chunk still reads back as zeroes.
+TEST(Migration, NeverWrittenChunkStaysAbsent)
+{
+    harness::BmStoreTestbed bed(migConfig(2, /*functional=*/true));
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::mib(16));
+    core::MigrationManager &mig = bed.controller().migration();
+    bool done = false;
+    core::MigrationManager::Report rep;
+    ASSERT_TRUE(mig.migrate(0, 1, 0, core::MigrationManager::kAutoSlot,
+                            [&](core::MigrationManager::Report r) {
+                                rep = r;
+                                done = true;
+                            }));
+    ASSERT_TRUE(
+        test::runUntil(bed.sim(), [&] { return done; }, sim::seconds(5)));
+    ASSERT_TRUE(rep.ok);
+    EXPECT_GE(rep.bytesCopied, sim::mib(8));
+    EXPECT_EQ(bed.ssd(rep.dstSlot).flash().allocatedPages(), 0u);
+
+    constexpr std::uint32_t kLen = 64 * 1024;
+    auto &mem = bed.host().memory();
+    std::uint64_t rbuf = mem.alloc(kLen);
+    auto junk = pattern(kLen, 0x44);
+    mem.write(rbuf, kLen, junk.data());
+    ASSERT_TRUE(
+        doIo(bed, disk, host::BlockRequest::Op::Read, 0, kLen, rbuf));
+    std::vector<std::uint8_t> got(kLen);
+    mem.read(rbuf, kLen, got.data());
+    EXPECT_EQ(got, std::vector<std::uint8_t>(kLen, 0));
+}
+
 // Copy traffic is paced through the QoS module: an 8x lower budget
 // must stretch the copy phase by roughly that factor.
 TEST(Migration, QosBudgetPacesTheCopy)

@@ -19,19 +19,21 @@ class TestMemory : public bms::pcie::MemoryIf
 {
   public:
     void
-    read(std::uint64_t addr, std::uint32_t len, std::uint8_t *out) override
+    read(std::uint64_t addr, std::uint32_t len,
+         bms::sim::DataOut out) override
     {
         _mem.read(addr, len, out);
     }
     void
     write(std::uint64_t addr, std::uint32_t len,
-          const std::uint8_t *data) override
+          bms::sim::DataIn data) override
     {
         _mem.write(addr, len, data);
     }
 
   private:
-    bms::sim::SparseMemory _mem;
+    bms::sim::PageStore _store;
+    bms::sim::SparseMemory _mem{_store};
 };
 
 } // namespace

@@ -347,7 +347,8 @@ TEST(SampleStats, Moments)
 
 TEST(SparseMemory, ReadBackWritten)
 {
-    SparseMemory m;
+    PageStore store;
+    SparseMemory m(store);
     std::uint8_t data[100];
     for (int i = 0; i < 100; ++i)
         data[i] = static_cast<std::uint8_t>(i);
@@ -360,12 +361,138 @@ TEST(SparseMemory, ReadBackWritten)
 
 TEST(SparseMemory, UnwrittenReadsZero)
 {
-    SparseMemory m;
+    PageStore store;
+    SparseMemory m(store);
     std::uint8_t out[16];
     m.read(123456789, 16, out);
     for (std::uint8_t b : out)
         EXPECT_EQ(b, 0);
     EXPECT_EQ(m.allocatedPages(), 0u);
+}
+
+namespace {
+
+/** A page of @p byte. */
+std::vector<std::uint8_t>
+filled(std::uint8_t byte)
+{
+    return std::vector<std::uint8_t>(SparseMemory::kPageBytes, byte);
+}
+
+std::vector<std::uint8_t>
+pageAt(const SparseMemory &m, std::uint64_t addr)
+{
+    std::vector<std::uint8_t> out(SparseMemory::kPageBytes);
+    m.read(addr, out.size(), out.data());
+    return out;
+}
+
+} // namespace
+
+TEST(SparseMemory, PartialWriteToSharedPageLeavesOtherHolder)
+{
+    PageStore store;
+    SparseMemory a(store), b(store);
+    auto old = filled(0x5a);
+    a.write(0, old.size(), old.data());
+    b.write(0x8000, old.size(), DataIn(a, 0)); // by reference
+    EXPECT_EQ(store.livePages(), 1u);
+
+    const std::uint8_t patch[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    b.write(0x8000 + 100, sizeof(patch), patch);
+    // b copied the page before writing; a still sees every old byte.
+    EXPECT_EQ(store.livePages(), 2u);
+    EXPECT_EQ(pageAt(a, 0), old);
+    auto want = old;
+    std::copy(patch, patch + sizeof(patch), want.begin() + 100);
+    EXPECT_EQ(pageAt(b, 0x8000), want);
+}
+
+TEST(SparseMemory, WholePageWriteTakesFreshPageWithoutCopying)
+{
+    PageStore store;
+    SparseMemory a(store), b(store);
+    auto old = filled(0x11);
+    a.write(0, old.size(), old.data());
+    b.write(0, old.size(), DataIn(a, 0));
+    {
+        // Leave a freed page of 0xEE on the free list: the next fresh
+        // page reuses it.
+        SparseMemory gone(store);
+        auto junk = filled(0xEE);
+        gone.write(0, junk.size(), junk.data());
+    }
+    std::uint8_t *fresh = b.fillPage(0);
+    EXPECT_NE(fresh, a.page(0));
+    EXPECT_EQ(fresh[0], 0xEE); // the shared page was not copied in
+    EXPECT_EQ(store.livePages(), 2u);
+    std::fill(fresh, fresh + SparseMemory::kPageBytes, 0x22);
+    EXPECT_EQ(pageAt(a, 0), old);
+    EXPECT_EQ(pageAt(b, 0), filled(0x22));
+
+    // A whole-page byte write behaves the same: a's page stays.
+    b.write(0, old.size(), DataIn(a, 0));
+    auto next = filled(0x33);
+    b.write(0, next.size(), next.data());
+    EXPECT_EQ(pageAt(a, 0), old);
+    EXPECT_EQ(pageAt(b, 0), next);
+}
+
+TEST(SparseMemory, MovingAbsentPageInstallsNothing)
+{
+    PageStore store;
+    SparseMemory src(store), dst(store);
+    auto data = filled(0x77);
+    dst.write(0x1000, data.size(), data.data());
+    ASSERT_EQ(store.livePages(), 1u);
+
+    // Three pages nobody wrote move over a present page and two
+    // absent ones: the present page is dropped, nothing is installed.
+    dst.write(0, 3 * SparseMemory::kPageBytes, DataIn(src, 0x40000));
+    EXPECT_EQ(dst.allocatedPages(), 0u);
+    EXPECT_EQ(store.livePages(), 0u);
+    EXPECT_EQ(pageAt(dst, 0x1000), filled(0));
+}
+
+TEST(SparseMemory, ClearAndDestructionReturnEveryPage)
+{
+    PageStore store;
+    {
+        SparseMemory a(store), b(store);
+        auto data = filled(0x42);
+        for (std::uint64_t p = 0; p < 8; ++p)
+            a.write(p * SparseMemory::kPageBytes, data.size(), data.data());
+        b.write(0, 4 * SparseMemory::kPageBytes, DataIn(a, 0));
+        EXPECT_EQ(store.livePages(), 8u);
+
+        // Whole pages go; a partial edge page is zero-filled instead.
+        a.clearRange(0, 2 * SparseMemory::kPageBytes + 100);
+        EXPECT_EQ(a.allocatedPages(), 6u);
+        EXPECT_EQ(pageAt(a, 0), filled(0));
+        auto edge = data;
+        std::fill(edge.begin(), edge.begin() + 100, 0);
+        EXPECT_EQ(pageAt(a, 2 * SparseMemory::kPageBytes), edge);
+        EXPECT_EQ(pageAt(b, 0), data); // b's references are its own
+
+        a.clear();
+        EXPECT_EQ(a.allocatedPages(), 0u);
+        EXPECT_EQ(store.livePages(), 4u);
+        b.write(0x100000, data.size(), data.data());
+        EXPECT_EQ(store.livePages(), 5u);
+    }
+    EXPECT_EQ(store.livePages(), 0u);
+}
+
+// Slab pages are invisible to LeakSanitizer, so the store counts its
+// own: a reference still held when it dies is a leak, and it panics.
+TEST(PageStoreDeathTest, LeakedPagePanicsAtTeardown)
+{
+    EXPECT_DEATH(
+        {
+            PageStore store;
+            store.alloc();
+        },
+        "pages still referenced");
 }
 
 TEST(TimeSeries, BucketsByTime)

@@ -42,23 +42,24 @@ namespace bms::test {
 class FakeUpstream : public pcie::PcieUpstreamIf, public pcie::MemoryIf
 {
   public:
-    explicit FakeUpstream(sim::Simulator &sim) : _sim(sim) {}
+    explicit FakeUpstream(sim::Simulator &sim)
+        : memory(sim.pages()), _sim(sim)
+    {}
 
     void
-    read(std::uint64_t addr, std::uint32_t len, std::uint8_t *out) override
+    read(std::uint64_t addr, std::uint32_t len, sim::DataOut out) override
     {
         memory.read(addr, len, out);
     }
 
     void
-    write(std::uint64_t addr, std::uint32_t len,
-          const std::uint8_t *data) override
+    write(std::uint64_t addr, std::uint32_t len, sim::DataIn data) override
     {
         memory.write(addr, len, data);
     }
 
     void
-    dmaRead(std::uint64_t addr, std::uint32_t len, std::uint8_t *out,
+    dmaRead(std::uint64_t addr, std::uint32_t len, sim::DataOut out,
             std::function<void()> done) override
     {
         _sim.scheduleAfter(1, [this, addr, len, out,
@@ -70,11 +71,12 @@ class FakeUpstream : public pcie::PcieUpstreamIf, public pcie::MemoryIf
     }
 
     void
-    dmaWrite(std::uint64_t addr, std::uint32_t len,
-             const std::uint8_t *data, std::function<void()> done) override
+    dmaWrite(std::uint64_t addr, std::uint32_t len, sim::DataIn data,
+             std::function<void()> done) override
     {
-        _sim.scheduleAfter(1, [this, addr, len, data,
-                               done = std::move(done)] {
+        ++dmaWrites;
+        _sim.scheduleAfter(writeDelay, [this, addr, len, data,
+                                        done = std::move(done)] {
             if (data)
                 memory.write(addr, len, data);
             done();
@@ -90,6 +92,10 @@ class FakeUpstream : public pcie::PcieUpstreamIf, public pcie::MemoryIf
     }
 
     sim::SparseMemory memory;
+    /** Device → memory writes issued so far. */
+    std::uint64_t dmaWrites = 0;
+    /** Ticks a device → memory write takes to land. */
+    sim::Tick writeDelay = 1;
     std::vector<std::pair<pcie::FunctionId, std::uint16_t>> interrupts;
     std::function<void(pcie::FunctionId, std::uint16_t)> onInterrupt;
 
