@@ -16,7 +16,8 @@
 # 3. A fresh ASan+UBSan build (-DBMS_SANITIZE="address;undefined")
 #    running the full ctest suite, the pinned fuzz seeds and the quick
 #    benches, and failing unless ext_fleet --quick replays the pinned
-#    trace hash and event count.
+#    trace hash and event count and ext_full_card --quick the pinned
+#    event counts.
 #
 # Build trees land in build-lint/, build-tidy/ and build-asan/ so they
 # never disturb an existing build/.
@@ -145,6 +146,11 @@ run_san() {
     # event or trace line of the fleet path changes these.
     echo "== fleet replay gate =="
     check_fleet_replay build-asan/BENCH_fleet.json || fail=1
+    # The quick full-card sweep's replay is pinned the same way: both
+    # NVMe initiators (tenant driver, host adaptor) sit on its fan-out
+    # path, so any change to their timing moves these counts.
+    echo "== full-card replay gate =="
+    check_full_card_replay build-asan/BENCH_full_card.json || fail=1
 }
 
 # Fail unless the fleet record $1 holds the pinned quick-wave replay.
@@ -157,6 +163,21 @@ check_fleet_replay() {
     fi
     echo "check.sh: fleet replay moved: ${json} does not read traceHash" \
         "${hash} with ${events} events" >&2
+    return 1
+}
+
+# Fail unless the full-card record $1 holds the pinned quick sweep:
+# these event counts at its 4-, 16- and 48-tenant points, in order.
+check_full_card_replay() {
+    local json="$1" events="12675 49061 58308" got
+    got=$(grep -o '"events": [0-9]*' "${json}" | grep -o '[0-9]*$' |
+          tr '\n' ' ' | sed 's/ $//')
+    if [ "${got}" = "${events}" ]; then
+        echo "full-card replay: events ${events}"
+        return 0
+    fi
+    echo "check.sh: full-card replay moved: ${json} reads events" \
+        "'${got}', not '${events}'" >&2
     return 1
 }
 

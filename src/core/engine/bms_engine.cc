@@ -22,9 +22,6 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
         fc.model = "BM-Store virtual NVMe";
         fc.arb = _cfg.frontArb;
         fc.arbBurst = _cfg.frontArbBurst;
-        fc.wrrWeightHigh = _cfg.frontWrrWeightHigh;
-        fc.wrrWeightMedium = _cfg.frontWrrWeightMedium;
-        fc.wrrWeightLow = _cfg.frontWrrWeightLow;
         fc.doorbellBatchDelay = _cfg.frontDoorbellBatch;
         fc.maxIoQueues = _cfg.frontMaxIoQueues;
         bool is_pf = i < _cfg.pfCount;

@@ -54,6 +54,15 @@ class ChipMemory : public pcie::MemoryIf
         _mem.write(addr - kWindowBase, len, data);
     }
 
+    /** Drop [addr, addr+len): it reads as zeroes again. */
+    void
+    clear(std::uint64_t addr, std::uint64_t len)
+    {
+        BMS_ASSERT(contains(addr) && contains(addr + len - 1),
+                   "chip-memory clear outside window: addr=", addr);
+        _mem.clearRange(addr - kWindowBase, len);
+    }
+
     /** Pages present (written and not since dropped). */
     std::size_t allocatedPages() const { return _mem.allocatedPages(); }
 

@@ -51,9 +51,6 @@ struct EngineConfig
     /** Engine DRAM bandwidth for the store-and-forward ablation. */
     sim::Bandwidth engineDramBw = sim::Bandwidth::gbPerSec(8.0);
 
-    /** Back-end queue depth per SSD. */
-    std::uint16_t backendQueueDepth = 1024;
-
     /**
      * Front-end SQ fetch arbitration across each function's IO SQs
      * (paper §IV-E: the engine exposes full multi-queue virtual
@@ -64,13 +61,6 @@ struct EngineConfig
 
     /** SQEs fetched from one SQ per arbitration service. */
     std::uint8_t frontArbBurst = 8;
-
-    /** @name Front-end WRR class weights (services per round). */
-    /// @{
-    std::uint8_t frontWrrWeightHigh = 4;
-    std::uint8_t frontWrrWeightMedium = 2;
-    std::uint8_t frontWrrWeightLow = 1;
-    /// @}
 
     /** Doorbell batching window for front functions (0 = same-tick). */
     sim::Tick frontDoorbellBatch = 0;

@@ -12,6 +12,27 @@ namespace bms::core {
 using nvme::Cqe;
 using nvme::Sqe;
 
+namespace {
+
+/** Admin ring entries; the ring holds one command fewer. */
+constexpr std::uint16_t kAdminEntries = 32;
+/** Back-end commands in flight per SSD; the IO ring has one entry
+ *  more, since a ring of N entries holds N - 1 commands. */
+constexpr std::uint16_t kBackendCommands = 1024;
+constexpr std::uint16_t kIoEntries = kBackendCommands + 1;
+
+/** @name Layout of an adaptor's chip block. */
+/// @{
+constexpr std::uint64_t kIdentifyPage = 0;
+constexpr std::uint64_t kAdminSq = kIdentifyPage + nvme::kPageSize;
+constexpr std::uint64_t kAdminCq = kAdminSq + kAdminEntries * sizeof(Sqe);
+constexpr std::uint64_t kIoSq = kAdminCq + kAdminEntries * sizeof(Cqe);
+constexpr std::uint64_t kIoCq = kIoSq + kIoEntries * sizeof(Sqe);
+constexpr std::uint64_t kBlockBytes = kIoCq + kIoEntries * sizeof(Cqe);
+/// @}
+
+} // namespace
+
 HostAdaptor::HostAdaptor(sim::Simulator &sim, std::string name,
                          std::uint8_t ssd_slot, ChipMemory &chip,
                          const EngineConfig &cfg,
@@ -22,7 +43,10 @@ HostAdaptor::HostAdaptor(sim::Simulator &sim, std::string name,
       _chip(chip),
       _cfg(cfg),
       _backLink(cfg.backendLanes),
-      _ifaceLink(iface_link)
+      _ifaceLink(iface_link),
+      _block(chip.alloc(kBlockBytes, nvme::kPageSize)),
+      _admin(chip, 0, kAdminEntries, _block + kAdminSq, _block + kAdminCq),
+      _io(chip, 1, kIoEntries, _block + kIoSq, _block + kIoCq)
 {
     if (shared_dram_busy)
         _dramBusy = shared_dram_busy;
@@ -31,7 +55,7 @@ HostAdaptor::HostAdaptor(sim::Simulator &sim, std::string name,
     registerStat("chipBytes", [this] { return double(_chipBytes); });
     registerStat("completedIos",
                  [this] { return double(_completedIos); });
-    registerStat("inflight", [this] { return double(_inflight); });
+    registerStat("inflight", [this] { return double(inflight()); });
 }
 
 void
@@ -46,19 +70,19 @@ HostAdaptor::attachSsd(pcie::PcieDeviceIf &ssd)
 void
 HostAdaptor::detachSsd()
 {
-    BMS_ASSERT_EQ(_inflight, 0u, "detach with I/O in flight");
+    BMS_ASSERT_EQ(inflight(), 0u, "detach with I/O in flight");
     _ssd = nullptr;
     _ready = false;
 }
 
 void
-HostAdaptor::ssdMmio(std::uint64_t offset, std::uint64_t value)
+HostAdaptor::ssdMmio(nvme::RegWrite w)
 {
     BMS_ASSERT(_ssd, "MMIO write to empty back-end slot");
     sim::Tick arrive = _backLink.down().controlArrival(now());
     pcie::PcieDeviceIf *ssd = _ssd;
-    sim().scheduleAt(arrive, [ssd, offset, value] {
-        ssd->mmioWrite(0, offset, value);
+    sim().scheduleAt(arrive, [ssd, w] {
+        ssd->mmioWrite(0, w.offset, w.value);
     });
 }
 
@@ -66,67 +90,32 @@ void
 HostAdaptor::init(std::function<void()> ready)
 {
     BMS_ASSERT(_ssd, "bring-up with no SSD in slot");
-    // Fresh rings each bring-up (hot-plug replaces the whole state).
-    _admin = Ring{};
-    _admin.depth = 32;
-    _admin.sqBase = _chip.alloc(_admin.depth * sizeof(Sqe));
-    _admin.cqBase = _chip.alloc(_admin.depth * sizeof(Cqe));
-    _admin.pending.resize(_admin.depth);
-    for (std::uint16_t i = 0; i < _admin.depth; ++i)
-        _admin.freeCids.push_back(static_cast<std::uint16_t>(
-            _admin.depth - 1 - i));
-
-    _io = Ring{};
-    _io.depth = _cfg.backendQueueDepth;
-    _io.sqBase = _chip.alloc(static_cast<std::uint64_t>(_io.depth) *
-                             sizeof(Sqe));
-    _io.cqBase = _chip.alloc(static_cast<std::uint64_t>(_io.depth) *
-                             sizeof(Cqe));
-    _io.pending.resize(_io.depth);
-    for (std::uint16_t i = 0; i < _io.depth; ++i)
-        _io.freeCids.push_back(static_cast<std::uint16_t>(
-            _io.depth - 1 - i));
-
-    std::uint64_t aqa =
-        (static_cast<std::uint64_t>(_admin.depth - 1) << 16) |
-        (_admin.depth - 1);
-    ssdMmio(nvme::kRegAqa, aqa);
-    ssdMmio(nvme::kRegAsq, _admin.sqBase);
-    ssdMmio(nvme::kRegAcq, _admin.cqBase);
-    ssdMmio(nvme::kRegCc, nvme::kCcEnable);
+    // The same block every bring-up, emptied: a hot-plugged SSD's CQs
+    // start with no stale phase bits, and chip memory does not grow
+    // per replacement.
+    _chip.clear(_block, kBlockBytes);
+    _admin.reset();
+    _io.reset();
+    for (const nvme::RegWrite &w : _admin.enable())
+        ssdMmio(w);
 
     // Identify namespace 1 → capacity, then create the IO queues.
-    std::uint64_t id_page = _chip.alloc(nvme::kPageSize, 4096);
     Sqe id;
     id.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::Identify);
     id.nsid = 1;
     id.cdw10 = static_cast<std::uint32_t>(nvme::IdentifyCns::Namespace);
-    id.prp1 = id_page;
-    adminCommand(id, [this, id_page, ready = std::move(ready)](
-                         const Cqe &cqe) {
+    id.prp1 = _block + kIdentifyPage;
+    adminCommand(id, [this, ready = std::move(ready)](const Cqe &cqe) {
         BMS_ASSERT(cqe.ok(), "back-end identify failed");
         std::uint8_t raw[8];
-        _chip.read(id_page, 8, raw);
+        _chip.read(_block + kIdentifyPage, 8, raw);
         std::uint64_t nsze;
         std::memcpy(&nsze, raw, 8);
         _capacity = nsze * nvme::kBlockSize;
 
-        Sqe ccq;
-        ccq.opcode =
-            static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoCq);
-        ccq.prp1 = _io.cqBase;
-        ccq.cdw10 = (static_cast<std::uint32_t>(_io.depth - 1) << 16) | 1;
-        ccq.cdw11 = (1u << 16) | 0x3; // vector 1, IEN, PC
-        adminCommand(ccq, [this, ready](const Cqe &c1) {
+        adminCommand(_io.createCq(), [this, ready](const Cqe &c1) {
             BMS_ASSERT(c1.ok(), "back-end CreateIoCq failed");
-            Sqe csq;
-            csq.opcode =
-                static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoSq);
-            csq.prp1 = _io.sqBase;
-            csq.cdw10 =
-                (static_cast<std::uint32_t>(_io.depth - 1) << 16) | 1;
-            csq.cdw11 = (1u << 16) | 0x1; // CQ 1, PC
-            adminCommand(csq, [this, ready](const Cqe &c2) {
+            adminCommand(_io.createSq(), [this, ready](const Cqe &c2) {
                 BMS_ASSERT(c2.ok(), "back-end CreateIoSq failed");
                 _ready = true;
                 logInfo("back-end SSD ready, capacity ",
@@ -141,35 +130,26 @@ void
 HostAdaptor::submitIo(const Sqe &sqe, CqeHandler done)
 {
     BMS_ASSERT(_ready, "I/O submitted before back-end bring-up");
-    push(_io, 1, sqe, std::move(done));
+    push(_io, sqe, std::move(done));
 }
 
 void
 HostAdaptor::adminCommand(const Sqe &sqe, CqeHandler done)
 {
-    push(_admin, 0, sqe, std::move(done));
+    push(_admin, sqe, std::move(done));
 }
 
 void
-HostAdaptor::push(Ring &ring, std::uint16_t qid, Sqe sqe, CqeHandler done)
+HostAdaptor::push(Ring &ring, const Sqe &sqe, CqeHandler done)
 {
-    if (ring.freeCids.empty()) {
-        ring.waitq.emplace_back(sqe, std::move(done));
-        return;
-    }
-    std::uint16_t cid = ring.freeCids.back();
-    ring.freeCids.pop_back();
-    sqe.cid = cid;
-    ring.pending[cid] = std::move(done);
-    ++_inflight;
+    if (std::optional<std::uint16_t> cid = ring.admit({sqe, std::move(done)}))
+        issue(ring, *cid);
+}
 
-    std::uint8_t raw[sizeof(Sqe)];
-    nvme::toBytes(sqe, raw);
-    _chip.write(ring.sqBase + static_cast<std::uint64_t>(ring.sqTail) *
-                                  sizeof(Sqe),
-                sizeof(Sqe), raw);
-    ring.sqTail = static_cast<std::uint16_t>((ring.sqTail + 1) % ring.depth);
-    ssdMmio(nvme::sqDoorbellOffset(qid), ring.sqTail);
+void
+HostAdaptor::issue(Ring &ring, std::uint16_t cid)
+{
+    ssdMmio(ring.push(ring[cid].sqe, cid));
 }
 
 void
@@ -178,59 +158,35 @@ HostAdaptor::msix(pcie::FunctionId fn, std::uint16_t vector)
     BMS_ASSERT_EQ(fn, 0, "back-end SSD is single-function");
     sim::Tick arrive = _backLink.up().controlArrival(now());
     sim().scheduleAt(arrive, [this, vector] {
-        if (vector == 0)
-            scanCq(_admin, 0);
-        else
-            scanCq(_io, 1);
+        scanCq(vector == 0 ? _admin : _io);
     });
 }
 
 void
-HostAdaptor::scanCq(Ring &ring, std::uint16_t qid)
+HostAdaptor::scanCq(Ring &ring)
 {
     bool any = false;
-    for (;;) {
-        std::uint8_t raw[sizeof(Cqe)];
-        _chip.read(ring.cqBase + static_cast<std::uint64_t>(ring.cqHead) *
-                                     sizeof(Cqe),
-                   sizeof(Cqe), raw);
-        Cqe cqe = nvme::fromBytes<Cqe>(raw);
-        if (cqe.phase() != ring.cqPhase)
-            break;
-        ring.cqHead =
-            static_cast<std::uint16_t>((ring.cqHead + 1) % ring.depth);
-        if (ring.cqHead == 0)
-            ring.cqPhase = !ring.cqPhase;
+    while (std::optional<Cqe> cqe = ring.pop()) {
         any = true;
-
-        BMS_ASSERT_LT(cqe.cid, ring.pending.size(),
-                      "completion for unknown cid");
-        CqeHandler handler = std::move(ring.pending[cqe.cid]);
-        ring.pending[cqe.cid] = nullptr;
-        ring.freeCids.push_back(cqe.cid);
-        BMS_ASSERT(_inflight > 0,
-                   "completion with no I/O in flight");
-        --_inflight;
-        if (&ring == &_io)
-            ++_completedIos;
-        if (handler)
-            handler(cqe);
-
-        if (!ring.waitq.empty() && !ring.freeCids.empty()) {
-            auto [next_sqe, next_done] = std::move(ring.waitq.front());
-            ring.waitq.pop_front();
-            push(ring, qid, next_sqe, std::move(next_done));
-        }
+        ring.complete(
+            cqe->cid,
+            [&](nvme::Command cmd) {
+                if (&ring == &_io)
+                    ++_completedIos;
+                if (cmd.done)
+                    cmd.done(*cqe);
+            },
+            [&](std::uint16_t next) { issue(ring, next); });
     }
     if (any)
-        ssdMmio(nvme::cqDoorbellOffset(qid), ring.cqHead);
+        ssdMmio(ring.cqDoorbell());
     checkDrained();
 }
 
 void
 HostAdaptor::whenDrained(std::function<void()> cb)
 {
-    if (_inflight == 0) {
+    if (inflight() == 0) {
         cb();
         return;
     }
@@ -240,7 +196,7 @@ HostAdaptor::whenDrained(std::function<void()> cb)
 void
 HostAdaptor::checkDrained()
 {
-    if (_inflight != 0 || _drainWaiters.empty())
+    if (inflight() != 0 || _drainWaiters.empty())
         return;
     auto waiters = std::move(_drainWaiters);
     _drainWaiters.clear();

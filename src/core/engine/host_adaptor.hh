@@ -19,13 +19,13 @@
 #define BMS_CORE_ENGINE_HOST_ADAPTOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "core/engine/chip_memory.hh"
 #include "core/engine/engine_config.hh"
 #include "nvme/defs.hh"
+#include "nvme/queue_pair.hh"
 #include "pcie/device.hh"
 #include "pcie/link.hh"
 #include "sim/simulator.hh"
@@ -80,7 +80,11 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     void adminCommand(const nvme::Sqe &sqe, CqeHandler done);
 
     /** Commands submitted to the SSD and not yet completed. */
-    std::uint32_t inflight() const { return _inflight; }
+    std::uint32_t
+    inflight() const
+    {
+        return _admin.inflight() + _io.inflight();
+    }
 
     /** Invoke @p cb once inflight() reaches zero. */
     void whenDrained(std::function<void()> cb);
@@ -103,22 +107,13 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     /// @}
 
   private:
-    struct Ring
-    {
-        std::uint64_t sqBase = 0;
-        std::uint64_t cqBase = 0;
-        std::uint16_t depth = 0;
-        std::uint16_t sqTail = 0;
-        std::uint16_t cqHead = 0;
-        bool cqPhase = true;
-        std::vector<CqeHandler> pending; // by cid
-        std::vector<std::uint16_t> freeCids;
-        std::deque<std::pair<nvme::Sqe, CqeHandler>> waitq;
-    };
+    using Ring = nvme::QueuePair<nvme::Command>;
 
-    void ssdMmio(std::uint64_t offset, std::uint64_t value);
-    void push(Ring &ring, std::uint16_t qid, nvme::Sqe sqe, CqeHandler done);
-    void scanCq(Ring &ring, std::uint16_t qid);
+    void ssdMmio(nvme::RegWrite w);
+    void push(Ring &ring, const nvme::Sqe &sqe, CqeHandler done);
+    /** Write the command holding @p cid at the SQ tail and ring. */
+    void issue(Ring &ring, std::uint16_t cid);
+    void scanCq(Ring &ring);
 
     /** Reserve the slot link and the shared x8 interface (if any)
      *  for a transfer toward the SSD; returns the finish tick. */
@@ -140,6 +135,9 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
 
     bool _ready = false;
     std::uint64_t _capacity = 0;
+    /** Chip block of the identify page and both rings: allocated
+     *  once, cleared at every bring-up. */
+    std::uint64_t _block;
     Ring _admin;
     Ring _io;
 
@@ -149,7 +147,6 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     sim::Tick _dramBusyLocal = 0;
     sim::Tick *_dramBusy = &_dramBusyLocal;
 
-    std::uint32_t _inflight = 0;
     std::vector<std::function<void()>> _drainWaiters;
     std::uint64_t _routedHostBytes = 0;
     std::uint64_t _chipBytes = 0;

@@ -12,6 +12,20 @@ using nvme::Cqe;
 using nvme::IoOpcode;
 using nvme::Sqe;
 
+namespace {
+
+/** Admin ring entries; the ring holds one command fewer. */
+constexpr std::uint16_t kAdminEntries = 32;
+
+/** Bytes from one cid's PRP-list page to the next one's: the page,
+ *  then a data slot of the largest transfer. */
+constexpr std::uint64_t kSlotStride =
+    nvme::kPageSize + NvmeDriver::kMaxIoBytes;
+static_assert(NvmeDriver::kMaxIoBytes % nvme::kPageSize == 0,
+              "data slots stay page-aligned");
+
+} // namespace
+
 NvmeDriver::NvmeDriver(sim::Simulator &sim, std::string name,
                        HostMemory &memory, InterruptController &irq,
                        pcie::RootPort &port, CpuSet &cpus,
@@ -26,12 +40,22 @@ NvmeDriver::NvmeDriver(sim::Simulator &sim, std::string name,
 {
     BMS_ASSERT(_cfg.ioQueues >= 1, "driver needs at least one IO queue");
     BMS_ASSERT(_cfg.queueDepth >= 2, "NVMe queues need depth >= 2");
+    // Queues are built in place as bring-up creates them; references
+    // to them must stay valid meanwhile.
+    _queues.reserve(_cfg.ioQueues);
 }
 
 void
 NvmeDriver::init(std::function<void()> ready)
 {
-    setupAdminQueues();
+    std::uint64_t sq = _mem.alloc(kAdminEntries * sizeof(Sqe));
+    std::uint64_t cq = _mem.alloc(kAdminEntries * sizeof(Cqe));
+    _adminDataPage = _mem.alloc(nvme::kPageSize);
+    _admin.emplace(_mem, 0, kAdminEntries, sq, cq);
+    _irq.registerHandler(_port.irqDomain(), _fn, 0,
+                         [this] { adminIrq(); }, _cfg.profile.irqDelivery);
+    for (const nvme::RegWrite &w : _admin->enable())
+        mmio(w);
 
     // Identify namespace → capacity; then create the IO queues.
     Sqe id;
@@ -46,8 +70,6 @@ NvmeDriver::init(std::function<void()> ready)
         std::uint64_t nsze;
         std::memcpy(&nsze, raw, 8);
         _capacity = nsze * nvme::kBlockSize;
-
-        // Create queues 1..N, chained.
         createIoQueuesFrom(1, std::move(ready));
     });
 }
@@ -63,114 +85,61 @@ NvmeDriver::createIoQueuesFrom(std::uint16_t qid,
         ready();
         return;
     }
-    createIoQueue(qid, [this, qid, ready = std::move(ready)]() mutable {
-        createIoQueuesFrom(static_cast<std::uint16_t>(qid + 1),
-                           std::move(ready));
+    std::uint16_t depth = _cfg.queueDepth;
+    std::uint64_t sq = _mem.alloc(static_cast<std::uint64_t>(depth) *
+                                  sizeof(Sqe));
+    std::uint64_t cq = _mem.alloc(static_cast<std::uint64_t>(depth) *
+                                  sizeof(Cqe));
+    // A PRP-list page and a data slot per cid, where one page-aligned
+    // allocation each would have placed them.
+    std::uint64_t slots = _mem.alloc(depth * kSlotStride);
+    IoQueue &q = _queues.emplace_back(_mem, qid, depth, sq, cq, slots);
+    _irq.registerHandler(_port.irqDomain(), _fn, qid,
+                         [this, qid] { ioIrq(qid); },
+                         _cfg.profile.irqDelivery);
+
+    adminCommand(q.createCq(), [this, qid,
+                                ready = std::move(ready)](const Cqe &c) {
+        BMS_ASSERT(c.ok(), "CreateIoCq ", qid, " failed");
+        std::uint8_t prio = nvme::kQPrioMedium;
+        if (!_cfg.sqPriorities.empty())
+            prio = _cfg.sqPriorities[(qid - 1) % _cfg.sqPriorities.size()];
+        adminCommand(_queues[qid - 1].createSq(prio),
+                     [this, qid, ready](const Cqe &c2) {
+                         BMS_ASSERT(c2.ok(), "CreateIoSq failed");
+                         createIoQueuesFrom(
+                             static_cast<std::uint16_t>(qid + 1), ready);
+                     });
     });
-}
-
-void
-NvmeDriver::setupAdminQueues()
-{
-    _adminSqBase = _mem.alloc(_adminDepth * sizeof(Sqe));
-    _adminCqBase = _mem.alloc(_adminDepth * sizeof(Cqe));
-    _adminDataPage = _mem.alloc(nvme::kPageSize);
-
-    _irq.registerHandler(_port.irqDomain(), _fn, 0,
-                         [this] { adminIrq(); }, _cfg.profile.irqDelivery);
-
-    std::uint64_t aqa = (static_cast<std::uint64_t>(_adminDepth - 1) << 16) |
-                        (_adminDepth - 1);
-    _port.hostMmioWrite(_fn, nvme::kRegAqa, aqa);
-    _port.hostMmioWrite(_fn, nvme::kRegAsq, _adminSqBase);
-    _port.hostMmioWrite(_fn, nvme::kRegAcq, _adminCqBase);
-    _port.hostMmioWrite(_fn, nvme::kRegCc, nvme::kCcEnable);
 }
 
 void
 NvmeDriver::adminCommand(Sqe sqe, std::function<void(const Cqe &)> done)
 {
-    std::uint16_t cid = _adminNextCid++;
-    sqe.cid = cid;
-    _adminPending[cid] = std::move(done);
+    if (std::optional<std::uint16_t> cid =
+            _admin->admit({sqe, std::move(done)}))
+        issueAdmin(*cid);
+}
 
-    std::uint8_t raw[sizeof(Sqe)];
-    nvme::toBytes(sqe, raw);
-    _mem.write(_adminSqBase + static_cast<std::uint64_t>(_adminSqTail) *
-                                  sizeof(Sqe),
-               sizeof(Sqe), raw);
-    _adminSqTail = static_cast<std::uint16_t>((_adminSqTail + 1) %
-                                              _adminDepth);
-    _port.hostMmioWrite(_fn, nvme::sqDoorbellOffset(0), _adminSqTail);
+void
+NvmeDriver::issueAdmin(std::uint16_t cid)
+{
+    mmio(_admin->push((*_admin)[cid].sqe, cid));
 }
 
 void
 NvmeDriver::adminIrq()
 {
-    for (;;) {
-        std::uint8_t raw[sizeof(Cqe)];
-        _mem.read(_adminCqBase + static_cast<std::uint64_t>(_adminCqHead) *
-                                     sizeof(Cqe),
-                  sizeof(Cqe), raw);
-        Cqe cqe = nvme::fromBytes<Cqe>(raw);
-        if (cqe.phase() != _adminPhase)
-            break;
-        _adminCqHead = static_cast<std::uint16_t>((_adminCqHead + 1) %
-                                                  _adminDepth);
-        if (_adminCqHead == 0)
-            _adminPhase = !_adminPhase;
-        auto it = _adminPending.find(cqe.cid);
-        if (it != _adminPending.end()) {
-            auto cb = std::move(it->second);
-            _adminPending.erase(it);
-            cb(cqe);
-        }
+    while (std::optional<Cqe> cqe = _admin->pop()) {
+        _admin->complete(
+            cqe->cid,
+            [&](nvme::Command cmd) {
+                if (cmd.done)
+                    cmd.done(*cqe);
+            },
+            [this](std::uint16_t cid) { issueAdmin(cid); });
     }
-    _port.hostMmioWrite(_fn, nvme::cqDoorbellOffset(0), _adminCqHead);
-}
-
-void
-NvmeDriver::createIoQueue(std::uint16_t qid, std::function<void()> then)
-{
-    if (_queues.empty())
-        _queues.resize(_cfg.ioQueues + 1u);
-    Queue &q = _queues[qid];
-    q.qid = qid;
-    q.depth = _cfg.queueDepth;
-    q.sqBase = _mem.alloc(static_cast<std::uint64_t>(q.depth) * sizeof(Sqe));
-    q.cqBase = _mem.alloc(static_cast<std::uint64_t>(q.depth) * sizeof(Cqe));
-    // A PRP-list page and a data slot per cid, where one page-aligned
-    // allocation each would have placed them.
-    q.slotBase = _mem.alloc(static_cast<std::uint64_t>(q.depth) *
-                            slotStride());
-
-    _irq.registerHandler(_port.irqDomain(), _fn, qid,
-                         [this, qid] { ioIrq(qid); },
-                         _cfg.profile.irqDelivery);
-
-    Sqe ccq;
-    ccq.opcode = static_cast<std::uint8_t>(AdminOpcode::CreateIoCq);
-    ccq.prp1 = q.cqBase;
-    ccq.cdw10 = (static_cast<std::uint32_t>(q.depth - 1) << 16) | qid;
-    ccq.cdw11 = (static_cast<std::uint32_t>(qid) << 16) | 0x3; // IEN|PC
-    adminCommand(ccq, [this, qid, then = std::move(then)](const Cqe &c) {
-        BMS_ASSERT(c.ok(), "CreateIoCq ", qid, " failed");
-        Queue &q = _queues[qid];
-        Sqe csq;
-        csq.opcode = static_cast<std::uint8_t>(AdminOpcode::CreateIoSq);
-        csq.prp1 = q.sqBase;
-        csq.cdw10 = (static_cast<std::uint32_t>(q.depth - 1) << 16) | qid;
-        std::uint8_t prio = _cfg.sqPriority;
-        if (!_cfg.sqPriorities.empty())
-            prio = _cfg.sqPriorities[(qid - 1) % _cfg.sqPriorities.size()];
-        // PC | QPRIO in bits 2:1 | CQID in the high half.
-        csq.cdw11 = (static_cast<std::uint32_t>(qid) << 16) |
-                    (static_cast<std::uint32_t>(prio & 0x3) << 1) | 0x1;
-        adminCommand(csq, [then](const Cqe &c2) {
-            BMS_ASSERT(c2.ok(), "CreateIoSq failed");
-            then();
-        });
-    });
+    mmio(_admin->cqDoorbell());
 }
 
 void
@@ -181,62 +150,22 @@ NvmeDriver::submit(BlockRequest req)
     // range descriptor, not req.len bytes (DSM ranges may cover up
     // to 4 GiB each regardless of MDTS).
     BMS_ASSERT(req.op == BlockRequest::Op::Discard ||
-                   req.len <= _cfg.maxIoBytes,
+                   req.len <= kMaxIoBytes,
                "request exceeds MDTS: len=", req.len);
     int idx = req.queueHint >= 0 ? req.queueHint % _cfg.ioQueues
                                  : (_rrQueue++ % _cfg.ioQueues);
-    Queue &q = _queues[static_cast<std::size_t>(idx) + 1];
-    if (!cidAvailable(q)) {
-        q.waitq.push_back(std::move(req));
-        return;
-    }
-    pushToQueue(q, std::move(req));
-}
-
-std::uint64_t
-NvmeDriver::slotStride() const
-{
-    std::uint64_t data = (_cfg.maxIoBytes + nvme::kPageSize - 1) /
-                         nvme::kPageSize * nvme::kPageSize;
-    return nvme::kPageSize + data;
-}
-
-std::uint64_t
-NvmeDriver::prpListAddr(const Queue &q, std::uint16_t cid) const
-{
-    return q.slotBase + cid * slotStride();
-}
-
-bool
-NvmeDriver::cidAvailable(const Queue &q) const
-{
-    return !q.freeCids.empty() || q.freshCid < q.depth;
+    IoQueue &q = _queues[static_cast<std::size_t>(idx)];
+    if (std::optional<std::uint16_t> cid = q.admit(std::move(req)))
+        issueIo(q, *cid);
 }
 
 void
-NvmeDriver::pushToQueue(Queue &q, BlockRequest req)
+NvmeDriver::issueIo(IoQueue &q, std::uint16_t cid)
 {
-    // Released cids first, most recent on top, then the lowest fresh
-    // one: so only as many cids as were ever in flight at once hold a
-    // slot.
-    std::uint16_t cid;
-    if (!q.freeCids.empty()) {
-        cid = q.freeCids.back();
-        q.freeCids.pop_back();
-    } else {
-        cid = q.freshCid++;
-        q.slots.emplace_back();
-    }
-    Slot &slot = q.slots[cid];
-    BMS_ASSERT(!slot.busy, "free-cid list handed out a busy slot");
-    slot.busy = true;
-    slot.req = std::move(req);
-    ++q.inflight;
-
+    const BlockRequest &req = q[cid];
     Sqe sqe;
-    sqe.cid = cid;
     sqe.nsid = _cfg.nsid;
-    switch (slot.req.op) {
+    switch (req.op) {
       case BlockRequest::Op::Read:
         sqe.opcode = static_cast<std::uint8_t>(IoOpcode::Read);
         break;
@@ -250,123 +179,91 @@ NvmeDriver::pushToQueue(Queue &q, BlockRequest req)
         sqe.opcode = static_cast<std::uint8_t>(IoOpcode::Dsm);
         break;
     }
-    if (slot.req.op == BlockRequest::Op::Discard) {
+    std::uint64_t list = q.slotBase + cid * kSlotStride;
+    if (req.op == BlockRequest::Op::Discard) {
         // One 16-byte Dataset-Management range descriptor, staged in
         // the slot's (page-aligned) PRP-list page.
-        BMS_ASSERT(slot.req.len % nvme::kBlockSize == 0 &&
-                       slot.req.offset % nvme::kBlockSize == 0,
-                   "discard not block-aligned: offset=", slot.req.offset,
-                   " len=", slot.req.len);
+        BMS_ASSERT(req.len % nvme::kBlockSize == 0 &&
+                       req.offset % nvme::kBlockSize == 0,
+                   "discard not block-aligned: offset=", req.offset,
+                   " len=", req.len);
         nvme::DsmRange range;
         range.cattr = 0;
-        range.nlb =
-            static_cast<std::uint32_t>(slot.req.len / nvme::kBlockSize);
-        range.slba = slot.req.offset / nvme::kBlockSize;
+        range.nlb = static_cast<std::uint32_t>(req.len / nvme::kBlockSize);
+        range.slba = req.offset / nvme::kBlockSize;
         std::uint8_t raw[sizeof(nvme::DsmRange)];
         nvme::toBytes(range, raw);
-        _mem.write(prpListAddr(q, cid), sizeof(raw), raw);
-        sqe.prp1 = prpListAddr(q, cid);
+        _mem.write(list, sizeof(raw), raw);
+        sqe.prp1 = list;
         sqe.cdw10 = 0; // NR - 1: one range
         sqe.cdw11 = nvme::kDsmAttrDeallocate;
-    } else if (slot.req.op != BlockRequest::Op::Flush) {
-        BMS_ASSERT(slot.req.len % nvme::kBlockSize == 0 &&
-                       slot.req.offset % nvme::kBlockSize == 0,
-                   "I/O not block-aligned: offset=", slot.req.offset,
-                   " len=", slot.req.len);
-        sqe.setSlba(slot.req.offset / nvme::kBlockSize);
-        sqe.setNlb(slot.req.len / nvme::kBlockSize);
-        std::uint64_t list = prpListAddr(q, cid);
-        std::uint64_t data =
-            slot.req.dataAddr ? slot.req.dataAddr : list + nvme::kPageSize;
-        nvme::PrpPair prp = nvme::buildPrp(data, slot.req.len, list, _mem);
+    } else if (req.op != BlockRequest::Op::Flush) {
+        BMS_ASSERT(req.len % nvme::kBlockSize == 0 &&
+                       req.offset % nvme::kBlockSize == 0,
+                   "I/O not block-aligned: offset=", req.offset,
+                   " len=", req.len);
+        sqe.setSlba(req.offset / nvme::kBlockSize);
+        sqe.setNlb(req.len / nvme::kBlockSize);
+        std::uint64_t data = req.dataAddr ? req.dataAddr
+                                          : list + nvme::kPageSize;
+        nvme::PrpPair prp = nvme::buildPrp(data, req.len, list, _mem);
         sqe.prp1 = prp.prp1;
         sqe.prp2 = prp.prp2;
     }
 
-    // Charge submission CPU; ring the doorbell after the critical-path
-    // part of the submit syscall. The submission may overlap deferred
-    // completion work up to the profile's slack.
-    CpuCore &core = _cpus.pick(q.qid - 1);
+    // Charge submission CPU; write the SQE and ring the doorbell after
+    // the critical-path part of the submit syscall. The submission may
+    // overlap deferred completion work up to the profile's slack.
+    CpuCore &core = _cpus.pick(q.qid() - 1);
     sim::Tick start = core.reserveWithSlack(
         now(), _cfg.profile.submit.occupancy, _cfg.profile.deferSlack);
     sim::Tick ring_at = start + _cfg.profile.submit.latency;
-    std::uint16_t qid = q.qid;
-    sim().scheduleAt(ring_at, [this, qid, sqe] {
-        ringDoorbell(_queues[qid], sqe);
+    std::uint16_t qid = q.qid();
+    sim().scheduleAt(ring_at, [this, qid, cid, sqe] {
+        mmio(_queues[qid - 1].push(sqe, cid));
     });
-}
-
-void
-NvmeDriver::ringDoorbell(Queue &q, const nvme::Sqe &sqe)
-{
-    std::uint8_t raw[sizeof(Sqe)];
-    nvme::toBytes(sqe, raw);
-    _mem.write(q.sqBase + static_cast<std::uint64_t>(q.sqTail) * sizeof(Sqe),
-               sizeof(Sqe), raw);
-    q.sqTail = static_cast<std::uint16_t>((q.sqTail + 1) % q.depth);
-    _port.hostMmioWrite(_fn, nvme::sqDoorbellOffset(q.qid), q.sqTail);
 }
 
 void
 NvmeDriver::ioIrq(std::uint16_t qid)
 {
-    Queue &q = _queues[qid];
+    IoQueue &q = _queues[qid - 1];
     ++_interrupts;
     CpuCore &core = _cpus.pick(qid - 1);
     sim::Tick irq_start = core.reserve(now(), _cfg.profile.irq.occupancy);
 
     bool any = false;
-    for (;;) {
-        std::uint8_t raw[sizeof(Cqe)];
-        _mem.read(q.cqBase + static_cast<std::uint64_t>(q.cqHead) *
-                                 sizeof(Cqe),
-                  sizeof(Cqe), raw);
-        Cqe cqe = nvme::fromBytes<Cqe>(raw);
-        if (cqe.phase() != q.cqPhase)
-            break;
-        q.cqHead = static_cast<std::uint16_t>((q.cqHead + 1) % q.depth);
-        if (q.cqHead == 0)
-            q.cqPhase = !q.cqPhase;
+    while (std::optional<Cqe> cqe = q.pop()) {
         any = true;
-        finishRequest(q, cqe, irq_start);
+        bool ok = cqe->ok();
+        q.complete(
+            cqe->cid,
+            [&](BlockRequest req) {
+                // Per-CQE completion cost: the occupancy caps
+                // throughput, but the requester's callback runs after
+                // only the critical-path part — deferred completion
+                // work (io_getevents bookkeeping etc.) overlaps with
+                // the device.
+                core.reserve(now(), _cfg.profile.completion.occupancy);
+                sim::Tick at = irq_start + _cfg.profile.irq.latency +
+                               _cfg.profile.completion.latency;
+                if (at < now())
+                    at = now();
+                if (req.done)
+                    sim().scheduleAt(at, [done = std::move(req.done), ok] {
+                        done(ok);
+                    });
+            },
+            [&](std::uint16_t cid) { issueIo(q, cid); });
     }
     if (any)
-        _port.hostMmioWrite(_fn, nvme::cqDoorbellOffset(qid), q.cqHead);
+        mmio(q.cqDoorbell());
 }
 
 void
-NvmeDriver::finishRequest(Queue &q, const nvme::Cqe &cqe,
-                          sim::Tick irq_start)
+NvmeDriver::mmio(nvme::RegWrite w)
 {
-    BMS_ASSERT_LT(cqe.cid, q.slots.size(),
-                  "completion for unknown cid");
-    Slot &slot = q.slots[cqe.cid];
-    BMS_ASSERT(slot.busy, "completion for idle slot");
-    bool ok = cqe.ok();
-    auto done = std::move(slot.req.done);
-    slot.busy = false;
-    slot.req = BlockRequest{};
-    q.freeCids.push_back(cqe.cid);
-    --q.inflight;
-
-    // Per-CQE completion cost: the occupancy caps throughput, but the
-    // requester's callback runs after only the critical-path part —
-    // deferred completion work (io_getevents bookkeeping etc.)
-    // overlaps with the device.
-    CpuCore &core = _cpus.pick(q.qid - 1);
-    core.reserve(now(), _cfg.profile.completion.occupancy);
-    sim::Tick at = irq_start + _cfg.profile.irq.latency +
-                   _cfg.profile.completion.latency;
-    if (at < now())
-        at = now();
-    if (done)
-        sim().scheduleAt(at, [done = std::move(done), ok] { done(ok); });
-
-    if (!q.waitq.empty() && cidAvailable(q)) {
-        BlockRequest next = std::move(q.waitq.front());
-        q.waitq.pop_front();
-        pushToQueue(q, std::move(next));
-    }
+    _port.hostMmioWrite(_fn, w.offset, w.value);
 }
 
 } // namespace bms::host

@@ -15,9 +15,8 @@
 #define BMS_HOST_NVME_DRIVER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "host/block.hh"
@@ -26,6 +25,7 @@
 #include "host/interrupts.hh"
 #include "host/platform_profile.hh"
 #include "nvme/defs.hh"
+#include "nvme/queue_pair.hh"
 #include "pcie/root_port.hh"
 #include "sim/simulator.hh"
 
@@ -35,17 +35,18 @@ namespace bms::host {
 class NvmeDriver : public sim::SimObject, public BlockDeviceIf
 {
   public:
+    /** Largest data transfer of one command (MDTS). */
+    static constexpr std::uint32_t kMaxIoBytes = 2 * 1024 * 1024;
+
     struct Config
     {
         std::uint16_t ioQueues = 4;
+        /** Entries per IO ring; a ring holds queueDepth - 1 commands. */
         std::uint16_t queueDepth = 1024;
-        std::uint32_t maxIoBytes = 2 * 1024 * 1024;
         std::uint32_t nsid = 1;
-        /** QPRIO requested for every IO SQ (WRR class; see nvme). */
-        std::uint8_t sqPriority = nvme::kQPrioMedium;
         /**
-         * Optional per-queue QPRIO override: IO queue i uses
-         * sqPriorities[i % size()]. Empty = all sqPriority.
+         * Per-queue QPRIO (WRR class; see nvme): IO queue i uses
+         * sqPriorities[i % size()]. Empty = all medium.
          */
         std::vector<std::uint8_t> sqPriorities;
         PlatformProfile profile;
@@ -82,52 +83,31 @@ class NvmeDriver : public sim::SimObject, public BlockDeviceIf
                       std::function<void(const nvme::Cqe &)> done);
 
   private:
-    /** The request a CID carries while it is in flight. */
-    struct Slot
+    /** An IO queue: its rings and CIDs, and per CID a PRP-list page
+     *  then a data slot, at a fixed stride from slotBase. */
+    struct IoQueue : nvme::QueuePair<BlockRequest>
     {
-        bool busy = false;
-        BlockRequest req;
+        IoQueue(HostMemory &mem, std::uint16_t qid, std::uint16_t entries,
+                std::uint64_t sq_base, std::uint64_t cq_base,
+                std::uint64_t slot_base)
+            : QueuePair(mem, qid, entries, sq_base, cq_base),
+              slotBase(slot_base)
+        {}
+
+        std::uint64_t slotBase;
     };
 
-    struct Queue
-    {
-        std::uint16_t qid = 0;
-        std::uint16_t depth = 0;
-        std::uint64_t sqBase = 0;
-        std::uint64_t cqBase = 0;
-        /** Per-CID PRP-list page, then data slot, at a fixed stride. */
-        std::uint64_t slotBase = 0;
-        std::uint16_t sqTail = 0;
-        std::uint16_t cqHead = 0;
-        bool cqPhase = true;
-        /** By CID, grown to the highest CID handed out. */
-        std::vector<Slot> slots;
-        /** Released CIDs, handed out again before any fresh one. */
-        std::vector<std::uint16_t> freeCids;
-        /** Lowest CID never handed out. */
-        std::uint16_t freshCid = 0;
-        std::deque<BlockRequest> waitq;
-        std::uint32_t inflight = 0;
-    };
-
-    /** Bytes from one cid's PRP-list page to the next one's. */
-    std::uint64_t slotStride() const;
-    /** The PRP-list page of @p cid; its data slot follows it. */
-    std::uint64_t prpListAddr(const Queue &q, std::uint16_t cid) const;
-    bool cidAvailable(const Queue &q) const;
-
-    void setupAdminQueues();
-    void createIoQueue(std::uint16_t qid, std::function<void()> then);
     /** Create IO queues qid..ioQueues one after another, then ready().
      *  Plain recursion — a self-capturing shared std::function would
      *  be a reference cycle and leak (caught by LeakSanitizer). */
     void createIoQueuesFrom(std::uint16_t qid, std::function<void()> ready);
+    void issueAdmin(std::uint16_t cid);
     void adminIrq();
     void ioIrq(std::uint16_t qid);
-    void pushToQueue(Queue &q, BlockRequest req);
-    void ringDoorbell(Queue &q, const nvme::Sqe &sqe);
-    void finishRequest(Queue &q, const nvme::Cqe &cqe,
-                       sim::Tick irq_start);
+    /** Build the SQE of the request holding @p cid, charge the submit
+     *  CPU cost, then write it at the tail and ring. */
+    void issueIo(IoQueue &q, std::uint16_t cid);
+    void mmio(nvme::RegWrite w);
 
     HostMemory &_mem;
     InterruptController &_irq;
@@ -139,18 +119,10 @@ class NvmeDriver : public sim::SimObject, public BlockDeviceIf
     bool _ready = false;
     std::uint64_t _capacity = 0;
 
-    // Admin queue state.
-    std::uint64_t _adminSqBase = 0, _adminCqBase = 0;
-    std::uint16_t _adminDepth = 32;
-    std::uint16_t _adminSqTail = 0, _adminCqHead = 0;
-    bool _adminPhase = true;
-    std::uint16_t _adminNextCid = 0;
+    /** Built at init, once its rings are allocated. */
+    std::optional<nvme::QueuePair<nvme::Command>> _admin;
     std::uint64_t _adminDataPage = 0;
-    std::unordered_map<std::uint16_t,
-                       std::function<void(const nvme::Cqe &)>>
-        _adminPending;
-
-    std::vector<Queue> _queues; // index 0 unused; 1..ioQueues
+    std::vector<IoQueue> _queues; // qid 1..ioQueues at index qid - 1
     int _rrQueue = 0;
     std::uint64_t _interrupts = 0;
 };

@@ -7,6 +7,17 @@
 
 namespace bms::nvme {
 
+namespace {
+
+/** @name WRR class weights: services per arbitration round. */
+/// @{
+constexpr std::uint32_t kWrrWeightHigh = 4;
+constexpr std::uint32_t kWrrWeightMedium = 2;
+constexpr std::uint32_t kWrrWeightLow = 1;
+/// @}
+
+} // namespace
+
 ControllerModel::ControllerModel(sim::Simulator &sim, std::string name,
                                  Config cfg)
     : SimObject(sim, std::move(name)), _cfg(cfg)
@@ -183,7 +194,15 @@ ControllerModel::doorbell(const DoorbellRef &ref, std::uint64_t value)
         auto &sq = _sqs[ref.qid];
         if (!sq.valid)
             return;
-        sq.tail = static_cast<std::uint16_t>(value % sq.size);
+        auto tail = static_cast<std::uint16_t>(value % sq.size);
+        // A ring holding `size` entries reads as empty (tail == head)
+        // and loses all of them: an initiator keeps at most size - 1
+        // in it (nvme::QueuePair).
+        std::uint32_t added = (tail + sq.size - sq.tail) % sq.size;
+        BMS_ASSERT_LT(sq.backlog() + added, std::uint32_t{sq.size},
+                      "SQ ", ref.qid, " overrun: tail ", tail, " laps head ",
+                      sq.head);
+        sq.tail = tail;
         sq.maxBacklog = std::max(sq.maxBacklog, sq.backlog());
         // Admin commands are strict-priority in every mode; IO SQs go
         // through the configured arbiter.
@@ -270,12 +289,10 @@ ControllerModel::arbitrate()
         // Urgent is strict-priority: drain it before the weighted
         // classes see any service at all.
         serviceRound(kQPrioUrgent, ~0u, &_wrrCursor[kQPrioUrgent]);
-        serviceRound(kQPrioHigh, _cfg.wrrWeightHigh,
-                     &_wrrCursor[kQPrioHigh]);
-        serviceRound(kQPrioMedium, _cfg.wrrWeightMedium,
+        serviceRound(kQPrioHigh, kWrrWeightHigh, &_wrrCursor[kQPrioHigh]);
+        serviceRound(kQPrioMedium, kWrrWeightMedium,
                      &_wrrCursor[kQPrioMedium]);
-        serviceRound(kQPrioLow, _cfg.wrrWeightLow,
-                     &_wrrCursor[kQPrioLow]);
+        serviceRound(kQPrioLow, kWrrWeightLow, &_wrrCursor[kQPrioLow]);
     }
     for (std::size_t qid = 1; qid < _sqs.size(); ++qid) {
         if (_sqs[qid].valid && _sqs[qid].backlog() != 0) {

@@ -34,7 +34,7 @@ enum class ArbitrationMode : std::uint8_t
     RoundRobin,
     /**
      * NVMe weighted round-robin: urgent class is strict-priority,
-     * high/medium/low receive bursts proportional to their weights.
+     * high/medium/low receive bursts in the ratio 4:2:1.
      */
     WeightedRoundRobin,
 };
@@ -71,12 +71,6 @@ class ControllerModel : public sim::SimObject
         ArbitrationMode arb = ArbitrationMode::Immediate;
         /** Max SQEs fetched from one SQ per arbitration service. */
         std::uint8_t arbBurst = 4;
-        /** @name WRR class weights (services per grand round). */
-        /// @{
-        std::uint8_t wrrWeightHigh = 4;
-        std::uint8_t wrrWeightMedium = 2;
-        std::uint8_t wrrWeightLow = 1;
-        /// @}
         /**
          * Doorbell batching window: SQ doorbells rung within this
          * many ticks of a pending arbitration pass coalesce into it

@@ -108,10 +108,11 @@ class ScriptedSsd : public pcie::PcieDeviceIf
             return;
         }
         // CreateIoCq / CreateIoSq etc.: just succeed. Capture the IO
-        // SQ base for later fetches.
+        // ring base and size for later fetches.
         if (sqe.opcode ==
             static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoSq)) {
             ioSq = sqe.prp1;
+            ioEntries = static_cast<std::uint16_t>((sqe.cdw10 >> 16) + 1);
         }
         if (sqe.opcode ==
             static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoCq)) {
@@ -144,7 +145,7 @@ class ScriptedSsd : public pcie::PcieDeviceIf
     {
         while (ioHead != tail) {
             std::uint16_t slot = ioHead;
-            ioHead = static_cast<std::uint16_t>((ioHead + 1) % 1024);
+            ioHead = static_cast<std::uint16_t>((ioHead + 1) % ioEntries);
             auto buf =
                 std::make_shared<std::array<std::uint8_t, 64>>();
             upstream->dmaRead(ioSq + slot * 64ull, 64, buf->data(),
@@ -172,7 +173,7 @@ class ScriptedSsd : public pcie::PcieDeviceIf
         auto buf = std::make_shared<std::array<std::uint8_t, 16>>();
         nvme::toBytes(cqe, buf->data());
         std::uint16_t slot = ioCqTail;
-        ioCqTail = static_cast<std::uint16_t>((ioCqTail + 1) % 1024);
+        ioCqTail = static_cast<std::uint16_t>((ioCqTail + 1) % ioEntries);
         if (ioCqTail == 0)
             ioPhase = !ioPhase;
         upstream->dmaWrite(ioCq + slot * 16ull, 16, buf->data(),
@@ -184,7 +185,7 @@ class ScriptedSsd : public pcie::PcieDeviceIf
     bool enabled = false;
     std::uint64_t asq = 0, acq = 0, ioSq = 0, ioCq = 0;
     std::uint16_t adminHead = 0, adminCqTail = 0;
-    std::uint16_t ioHead = 0, ioCqTail = 0;
+    std::uint16_t ioHead = 0, ioCqTail = 0, ioEntries = 0;
     bool adminPhase = true, ioPhase = true;
     std::vector<nvme::Sqe> seenIo;
 };

@@ -12,8 +12,6 @@
 #include "tests/test_util.hh"
 
 using namespace bms;
-using nvme::AdminOpcode;
-using nvme::Cqe;
 using nvme::IoOpcode;
 using nvme::Sqe;
 using nvme::Status;
@@ -47,6 +45,10 @@ class ArbHarness
     sim::Simulator sim{11};
     test::FakeUpstream up{sim};
     RecordingController *ctrl;
+    test::RingInitiator host{
+        sim, up, [this](std::uint64_t offset, std::uint64_t value) {
+            ctrl->regWrite(offset, value);
+        }};
 
     static constexpr std::uint16_t kDepth = 1024;
 
@@ -59,49 +61,15 @@ class ArbHarness
         ns.nsid = 1;
         ns.sizeBlocks = 1 << 20;
         ctrl->addNamespace(ns);
-        ctrl->regWrite(nvme::kRegAqa, (31ull << 16) | 31);
-        ctrl->regWrite(nvme::kRegAsq, 0x10000);
-        ctrl->regWrite(nvme::kRegAcq, 0x20000);
-        ctrl->regWrite(nvme::kRegCc, nvme::kCcEnable);
-    }
-
-    std::uint16_t
-    adminSubmit(Sqe sqe)
-    {
-        sqe.cid = _nextAdminCid++;
-        std::uint8_t raw[64];
-        nvme::toBytes(sqe, raw);
-        up.memory.write(0x10000 + _adminTail * 64ull, 64, raw);
-        _adminTail = static_cast<std::uint16_t>((_adminTail + 1) % 32);
-        ctrl->regWrite(nvme::sqDoorbellOffset(0), _adminTail);
-        sim.runFor(sim::microseconds(5));
-        return sqe.cid;
+        host.enable();
     }
 
     /** Create IO queue pair @p qid with WRR class @p prio. */
     void
     createQueue(std::uint16_t qid, std::uint8_t prio)
     {
-        Queue q;
-        q.sqBase = 0x100000ull + qid * 0x40000ull;
-        q.cqBase = 0x2000000ull + qid * 0x40000ull;
-        _queues.resize(std::max<std::size_t>(_queues.size(), qid + 1u));
-        _queues[qid] = q;
-
-        Sqe ccq;
-        ccq.opcode = static_cast<std::uint8_t>(AdminOpcode::CreateIoCq);
-        ccq.prp1 = q.cqBase;
-        ccq.cdw10 = (static_cast<std::uint32_t>(kDepth - 1) << 16) | qid;
-        ccq.cdw11 = (static_cast<std::uint32_t>(qid) << 16) | 0x1; // PC
-        adminSubmit(ccq);
-
-        Sqe csq;
-        csq.opcode = static_cast<std::uint8_t>(AdminOpcode::CreateIoSq);
-        csq.prp1 = q.sqBase;
-        csq.cdw10 = (static_cast<std::uint32_t>(kDepth - 1) << 16) | qid;
-        csq.cdw11 = (static_cast<std::uint32_t>(qid) << 16) |
-                    (static_cast<std::uint32_t>(prio & 0x3) << 1) | 0x1;
-        adminSubmit(csq);
+        host.createIoQueue(qid, kDepth, 0x100000ull + qid * 0x40000ull,
+                           0x2000000ull + qid * 0x40000ull, prio);
         ASSERT_TRUE(ctrl->sqSnapshot(qid).valid);
         EXPECT_EQ(ctrl->sqSnapshot(qid).prio, prio & 0x3);
     }
@@ -110,28 +78,19 @@ class ArbHarness
     void
     fill(std::uint16_t qid, int n)
     {
-        Queue &q = _queues[qid];
         for (int i = 0; i < n; ++i) {
             Sqe sqe;
             sqe.opcode = static_cast<std::uint8_t>(IoOpcode::Read);
             sqe.nsid = 1;
-            sqe.cid = q.nextCid++;
             sqe.prp1 = 0x8000000;
             sqe.setSlba(0);
             sqe.setNlb(1);
-            std::uint8_t raw[64];
-            nvme::toBytes(sqe, raw);
-            up.memory.write(q.sqBase + q.tail * 64ull, 64, raw);
-            q.tail = static_cast<std::uint16_t>((q.tail + 1) % kDepth);
+            host.place(qid, sqe);
         }
     }
 
     /** Ring @p qid's doorbell at the current tail. */
-    void
-    ring(std::uint16_t qid)
-    {
-        ctrl->regWrite(nvme::sqDoorbellOffset(qid), _queues[qid].tail);
-    }
+    void ring(std::uint16_t qid) { host.ring(qid); }
 
     /** Dispatches seen for @p sqid. */
     int
@@ -143,24 +102,12 @@ class ArbHarness
                 ++n;
         return n;
     }
-
-  private:
-    struct Queue
-    {
-        std::uint64_t sqBase = 0, cqBase = 0;
-        std::uint16_t tail = 0;
-        std::uint16_t nextCid = 0;
-    };
-
-    std::vector<Queue> _queues;
-    std::uint16_t _adminTail = 0;
-    std::uint16_t _nextAdminCid = 0;
 };
 
 } // namespace
 
 // Three saturated queues in distinct WRR classes must be fetched in
-// proportion to their class weights (4:2:1 by default) — measured
+// proportion to their class weights (4:2:1) — measured
 // mid-drain, before any class's backlog runs dry.
 TEST(Arbitration, WrrWeightsHonoredWithinTolerance)
 {

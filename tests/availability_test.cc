@@ -188,6 +188,76 @@ TEST(HotPlug, IoContinuesAcrossReplacement)
     EXPECT_EQ(bed.controller().hotPlug().replacementsCompleted(), 1u);
 }
 
+// A back-end bring-up reuses the adaptor's one chip block of rings, so
+// replacing SSD after SSD does not grow chip memory.
+TEST(HotPlug, ChipMemoryStaysBoundedAcrossReplacements)
+{
+    harness::BmStoreTestbed bed(cfgOf(1));
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(128));
+    auto replaceAndRead = [&](int n) {
+        auto *spare = bed.sim().make<ssd::SsdDevice>(
+            bed.sim(), "spare" + std::to_string(n), ssd::SsdDevice::Config());
+        bool replaced = false;
+        bed.controller().hotPlug().replace(
+            0, *spare, [&](core::HotPlugManager::Report r) {
+                EXPECT_TRUE(r.ok);
+                replaced = true;
+            });
+        ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return replaced; },
+                                   sim::seconds(20)));
+        int done = 0;
+        for (int i = 0; i < 8; ++i) {
+            host::BlockRequest rd;
+            rd.op = host::BlockRequest::Op::Read;
+            rd.offset = static_cast<std::uint64_t>(i) * 4096;
+            rd.len = 4096;
+            rd.done = [&](bool ok) {
+                EXPECT_TRUE(ok);
+                ++done;
+            };
+            disk.submit(std::move(rd));
+        }
+        ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return done == 8; }));
+    };
+    replaceAndRead(0);
+    std::size_t pages = bed.engine().chipMemory().allocatedPages();
+    for (int n = 1; n < 4; ++n)
+        replaceAndRead(n);
+    EXPECT_EQ(bed.engine().chipMemory().allocatedPages(), pages);
+}
+
+// Storing a slot's I/O context stops fetch on its tenants' functions.
+// A tenant that fills its ring meanwhile must lose nothing: a ring of N
+// entries holds N - 1 commands, and the rest wait in the driver.
+TEST(IoContext, FullRingWhileFetchPausedLosesNothing)
+{
+    harness::TestbedConfig cfg = cfgOf(1);
+    cfg.ioQueues = 1;
+    cfg.queueDepth = 4;
+    harness::BmStoreTestbed bed(cfg);
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(128));
+    bool stored = false;
+    bed.engine().storeIoContext(0, [&] { stored = true; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return stored; }));
+
+    int done = 0;
+    for (int i = 0; i < 4; ++i) {
+        host::BlockRequest rd;
+        rd.op = host::BlockRequest::Op::Read;
+        rd.offset = static_cast<std::uint64_t>(i) * 4096;
+        rd.len = 4096;
+        rd.done = [&](bool ok) {
+            EXPECT_TRUE(ok);
+            ++done;
+        };
+        disk.submit(std::move(rd));
+    }
+    bed.sim().runFor(sim::milliseconds(1));
+    EXPECT_EQ(done, 0);
+    bed.engine().reloadIoContext(0);
+    EXPECT_TRUE(test::runUntil(bed.sim(), [&] { return done == 4; }));
+}
+
 TEST(IoMonitor, RatesTrackLoad)
 {
     harness::BmStoreTestbed bed(cfgOf(1));

@@ -50,23 +50,17 @@ class EchoController : public nvme::ControllerModel
     }
 };
 
-/** Driver-side shim: admin ring in fake host memory. */
+/** Driver-side shim: raw rings in fake host memory. */
 class Harness
 {
   public:
     sim::Simulator sim{7};
     test::FakeUpstream up{sim};
     EchoController *ctrl;
-
-    std::uint64_t asq = 0x10000, acq = 0x20000;
-    std::uint16_t sq_tail = 0, cq_head = 0;
-    bool phase = true;
-    std::uint16_t next_cid = 0;
-
-    std::uint64_t io_sq = 0x30000, io_cq = 0x40000;
-    std::uint16_t io_depth = 64;
-    std::uint16_t io_tail = 0, io_head = 0;
-    bool io_phase = true;
+    test::RingInitiator host{
+        sim, up, [this](std::uint64_t offset, std::uint64_t value) {
+            ctrl->regWrite(offset, value);
+        }};
 
     explicit Harness(int max_queues = 8)
     {
@@ -79,104 +73,27 @@ class Harness
         ns.nsid = 1;
         ns.sizeBlocks = 1 << 20;
         ctrl->addNamespace(ns);
-        enable();
+        host.enable();
     }
 
+    Cqe adminRoundTrip(const Sqe &sqe) { return host.submit(0, sqe); }
+
+    void createIoQueues() { host.createIoQueue(1, 64, 0x30000, 0x40000); }
+
+    /** Post a one-block read on IO queue 1. */
     void
-    enable()
-    {
-        ctrl->regWrite(nvme::kRegAqa, (31ull << 16) | 31);
-        ctrl->regWrite(nvme::kRegAsq, asq);
-        ctrl->regWrite(nvme::kRegAcq, acq);
-        ctrl->regWrite(nvme::kRegCc, nvme::kCcEnable);
-    }
-
-    std::uint16_t
-    adminSubmit(Sqe sqe)
-    {
-        sqe.cid = next_cid++;
-        std::uint8_t raw[64];
-        nvme::toBytes(sqe, raw);
-        up.memory.write(asq + sq_tail * 64ull, 64, raw);
-        sq_tail = static_cast<std::uint16_t>((sq_tail + 1) % 32);
-        ctrl->regWrite(nvme::sqDoorbellOffset(0), sq_tail);
-        return sqe.cid;
-    }
-
-    /** Pop the next admin CQE if present. */
-    bool
-    adminPoll(Cqe &out)
-    {
-        std::uint8_t raw[16];
-        up.memory.read(acq + cq_head * 16ull, 16, raw);
-        Cqe cqe = nvme::fromBytes<Cqe>(raw);
-        if (cqe.phase() != phase)
-            return false;
-        cq_head = static_cast<std::uint16_t>((cq_head + 1) % 32);
-        if (cq_head == 0)
-            phase = !phase;
-        ctrl->regWrite(nvme::cqDoorbellOffset(0), cq_head);
-        out = cqe;
-        return true;
-    }
-
-    Cqe
-    adminRoundTrip(Sqe sqe)
-    {
-        adminSubmit(sqe);
-        Cqe cqe;
-        EXPECT_TRUE(test::runUntil(sim, [&] { return adminPoll(cqe); }));
-        return cqe;
-    }
-
-    void
-    createIoQueues()
-    {
-        Sqe ccq;
-        ccq.opcode = static_cast<std::uint8_t>(AdminOpcode::CreateIoCq);
-        ccq.prp1 = io_cq;
-        ccq.cdw10 = (static_cast<std::uint32_t>(io_depth - 1) << 16) | 1;
-        ccq.cdw11 = (1u << 16) | 0x3;
-        EXPECT_TRUE(adminRoundTrip(ccq).ok());
-        Sqe csq;
-        csq.opcode = static_cast<std::uint8_t>(AdminOpcode::CreateIoSq);
-        csq.prp1 = io_sq;
-        csq.cdw10 = (static_cast<std::uint32_t>(io_depth - 1) << 16) | 1;
-        csq.cdw11 = (1u << 16) | 0x1;
-        EXPECT_TRUE(adminRoundTrip(csq).ok());
-    }
-
-    void
-    ioSubmit(std::uint16_t cid)
+    ioSubmit()
     {
         Sqe sqe;
         sqe.opcode = static_cast<std::uint8_t>(nvme::IoOpcode::Read);
         sqe.nsid = 1;
-        sqe.cid = cid;
         sqe.prp1 = 0x80000;
         sqe.setSlba(0);
         sqe.setNlb(1);
-        std::uint8_t raw[64];
-        nvme::toBytes(sqe, raw);
-        up.memory.write(io_sq + io_tail * 64ull, 64, raw);
-        io_tail = static_cast<std::uint16_t>((io_tail + 1) % io_depth);
-        ctrl->regWrite(nvme::sqDoorbellOffset(1), io_tail);
+        host.post(1, sqe);
     }
 
-    bool
-    ioPoll(Cqe &out)
-    {
-        std::uint8_t raw[16];
-        up.memory.read(io_cq + io_head * 16ull, 16, raw);
-        Cqe cqe = nvme::fromBytes<Cqe>(raw);
-        if (cqe.phase() != io_phase)
-            return false;
-        io_head = static_cast<std::uint16_t>((io_head + 1) % io_depth);
-        if (io_head == 0)
-            io_phase = !io_phase;
-        out = cqe;
-        return true;
-    }
+    bool ioPoll(Cqe &out) { return host.poll(1, out); }
 };
 
 } // namespace
@@ -258,8 +175,8 @@ TEST(Controller, IoCommandsFlowAndComplete)
 {
     Harness h;
     h.createIoQueues();
-    for (std::uint16_t i = 0; i < 10; ++i)
-        h.ioSubmit(i);
+    for (int i = 0; i < 10; ++i)
+        h.ioSubmit();
     int completed = 0;
     EXPECT_TRUE(test::runUntil(h.sim, [&] {
         Cqe cqe;
@@ -290,8 +207,8 @@ TEST(Controller, PhaseFlipsOnWrap)
     // Submit more than the queue depth in waves to force CQ wrap.
     int completed = 0;
     for (int wave = 0; wave < 3; ++wave) {
-        for (std::uint16_t i = 0; i < 40; ++i)
-            h.ioSubmit(static_cast<std::uint16_t>(wave * 40 + i));
+        for (int i = 0; i < 40; ++i)
+            h.ioSubmit();
         EXPECT_TRUE(test::runUntil(h.sim, [&] {
             Cqe cqe;
             while (h.ioPoll(cqe)) {
@@ -309,8 +226,8 @@ TEST(Controller, PauseFetchHoldsCommands)
     Harness h;
     h.createIoQueues();
     h.ctrl->pauseFetch();
-    h.ioSubmit(0);
-    h.ioSubmit(1);
+    h.ioSubmit();
+    h.ioSubmit();
     h.sim.runFor(sim::milliseconds(1));
     EXPECT_EQ(h.ctrl->ioSeen, 0);
 
@@ -319,13 +236,27 @@ TEST(Controller, PauseFetchHoldsCommands)
         test::runUntil(h.sim, [&] { return h.ctrl->ioSeen == 2; }));
 }
 
+// An initiator keeps at most size - 1 commands in a ring: with all
+// `size` in it the tail would equal the head and read as empty, losing
+// every one. The controller refuses the tail write that would do so.
+TEST(Controller, SqOverrunPanics)
+{
+    Harness h;
+    h.createIoQueues();
+    h.ctrl->pauseFetch();
+    for (int i = 0; i < 63; ++i)
+        h.ioSubmit();
+    EXPECT_EQ(h.ctrl->sqSnapshot(1).backlog, 63u);
+    EXPECT_PANIC(h.ioSubmit());
+}
+
 TEST(Controller, InflightTracksOutstanding)
 {
     Harness h;
     h.createIoQueues();
     h.ctrl->holdIo = true;
-    for (std::uint16_t i = 0; i < 5; ++i)
-        h.ioSubmit(i);
+    for (int i = 0; i < 5; ++i)
+        h.ioSubmit();
     EXPECT_TRUE(test::runUntil(h.sim, [&] { return h.ctrl->ioSeen == 5; }));
     EXPECT_EQ(h.ctrl->inflight(), 5u);
     for (auto [sqid, cid] : h.ctrl->held)

@@ -117,6 +117,24 @@ TEST(Driver, AdminCommandPathWorks)
     EXPECT_TRUE(test::runUntil(bed.sim(), [&] { return done; }));
 }
 
+// The admin ring holds 31 commands; the rest wait for a CID instead of
+// overwriting SQEs the controller has not fetched yet.
+TEST(Driver, AdminQueueOverflowWaitsAndDrains)
+{
+    harness::NativeTestbed bed(oneDisk());
+    int done = 0;
+    const int n = 40;
+    for (int i = 0; i < n; ++i) {
+        nvme::Sqe gf;
+        gf.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::GetFeatures);
+        bed.driver(0).adminCommand(gf, [&](const nvme::Cqe &cqe) {
+            EXPECT_TRUE(cqe.ok());
+            ++done;
+        });
+    }
+    EXPECT_TRUE(test::runUntil(bed.sim(), [&] { return done == n; }));
+}
+
 TEST(OffsetBlockDevice, TranslatesAndBounds)
 {
     sim::Simulator sim(5);

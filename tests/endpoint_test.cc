@@ -77,80 +77,19 @@ constexpr std::uint32_t kPage = nvme::kPageSize;
 class EndpointTest : public ::testing::TestWithParam<DeviceCase>
 {
   protected:
-    struct Ring
-    {
-        std::uint64_t sq, cq;
-        std::uint16_t depth, qid;
-        std::uint16_t tail = 0, head = 0;
-        bool phase = true;
-    };
-
     sim::Simulator sim{91};
     test::FakeUpstream up{sim};
     nvme::Endpoint *dev;
-    Ring admin{0x10000, 0x20000, 32, 0};
-    Ring ioq{0x30000, 0x40000, 64, 1};
-    std::uint16_t nextCid = 0;
+    test::RingInitiator host{
+        sim, up, [this](std::uint64_t offset, std::uint64_t value) {
+            dev->mmioWrite(0, offset, value);
+        }};
 
     EndpointTest() : dev(GetParam().make(sim))
     {
         dev->attached(up);
-        dev->mmioWrite(0, nvme::kRegAqa, (31ull << 16) | 31);
-        dev->mmioWrite(0, nvme::kRegAsq, admin.sq);
-        dev->mmioWrite(0, nvme::kRegAcq, admin.cq);
-        dev->mmioWrite(0, nvme::kRegCc, nvme::kCcEnable);
-        nvme::Sqe cq;
-        cq.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoCq);
-        cq.prp1 = ioq.cq;
-        cq.cdw10 = (static_cast<std::uint32_t>(ioq.depth - 1) << 16) | 1;
-        cq.cdw11 = (1u << 16) | 0x3;
-        EXPECT_TRUE(submit(admin, cq).ok());
-        nvme::Sqe sq;
-        sq.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoSq);
-        sq.prp1 = ioq.sq;
-        sq.cdw10 = cq.cdw10;
-        sq.cdw11 = (1u << 16) | 0x1;
-        EXPECT_TRUE(submit(admin, sq).ok());
-    }
-
-    /** Submit @p sqe on @p r and wait for its completion. */
-    nvme::Cqe
-    submit(Ring &r, nvme::Sqe sqe)
-    {
-        post(r, std::move(sqe));
-        return reap(r);
-    }
-
-    /** Place @p sqe on @p r and ring its doorbell. */
-    void
-    post(Ring &r, nvme::Sqe sqe)
-    {
-        sqe.cid = nextCid++;
-        std::uint8_t raw[sizeof(nvme::Sqe)];
-        nvme::toBytes(sqe, raw);
-        up.memory.write(r.sq + r.tail * sizeof(raw), sizeof(raw), raw);
-        r.tail = static_cast<std::uint16_t>((r.tail + 1) % r.depth);
-        dev->mmioWrite(0, nvme::sqDoorbellOffset(r.qid), r.tail);
-    }
-
-    /** Wait for the next completion on @p r. */
-    nvme::Cqe
-    reap(Ring &r)
-    {
-        nvme::Cqe out;
-        EXPECT_TRUE(test::runUntil(sim, [&] {
-            std::uint8_t craw[sizeof(nvme::Cqe)];
-            up.memory.read(r.cq + r.head * sizeof(craw), sizeof(craw), craw);
-            nvme::Cqe cqe = nvme::fromBytes<nvme::Cqe>(craw);
-            if (cqe.phase() != r.phase)
-                return false;
-            r.head = static_cast<std::uint16_t>((r.head + 1) % r.depth);
-            if (r.head == 0)
-                r.phase = !r.phase;
-            out = cqe;
-            return true;
-        }));
-        return out;
+        host.enable();
+        host.createIoQueue(1, 64, 0x30000, 0x40000);
     }
 
     /** Read or write @p blocks at @p slba through (prp1, prp2). */
@@ -158,7 +97,7 @@ class EndpointTest : public ::testing::TestWithParam<DeviceCase>
     rw(IoOpcode op, std::uint64_t slba, std::uint32_t blocks,
        std::uint64_t prp1, std::uint64_t prp2, std::uint32_t nsid = 1)
     {
-        return submit(ioq, rwSqe(op, slba, blocks, prp1, prp2, nsid));
+        return host.submit(1, rwSqe(op, slba, blocks, prp1, prp2, nsid));
     }
 
     static nvme::Sqe
@@ -291,9 +230,9 @@ class FlashEndpointTest : public EndpointTest
             reset.opcode = ssd::kOpZoneMgmtSend;
             reset.nsid = 1;
             reset.cdw13 = static_cast<std::uint32_t>(ssd::ZoneAction::Reset);
-            post(ioq, reset);
+            host.post(1, reset);
         }
-        post(ioq, rwSqe(IoOpcode::Write, 0, 1, addr, 0));
+        host.post(1, rwSqe(IoOpcode::Write, 0, 1, addr, 0));
     }
 };
 
@@ -312,12 +251,12 @@ TEST_P(FlashEndpointTest, OverwriteBeforeDmaCompletionDeliversOldBytes)
     // in flight from its flash access on.
     up.writeDelay = sim::milliseconds(1);
     std::uint64_t writes = up.dmaWrites;
-    post(ioq, rwSqe(IoOpcode::Read, 0, 1, 0x300000, 0));
+    host.post(1, rwSqe(IoOpcode::Read, 0, 1, 0x300000, 0));
     ASSERT_TRUE(test::runUntil(sim, [&] { return up.dmaWrites > writes; }));
     postOverwrite(0x210000);
     int cqes = std::string(GetParam().name) == "Zns" ? 3 : 2;
     for (int i = 0; i < cqes; ++i)
-        EXPECT_TRUE(reap(ioq).ok());
+        EXPECT_TRUE(host.reap(1).ok());
     EXPECT_EQ(page(0x300000), old_page);
 
     up.writeDelay = 1;

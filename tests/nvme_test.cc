@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests of the NVMe substrate: wire formats, doorbell decoding,
- * PRP build/decode round trips.
+ * PRP build/decode round trips, the initiator queue pair.
  */
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "nvme/defs.hh"
 #include "nvme/prp.hh"
+#include "nvme/queue_pair.hh"
 #include "sim/sparse_memory.hh"
 
 using namespace bms::nvme;
@@ -209,3 +213,144 @@ INSTANTIATE_TEST_SUITE_P(
     Sizes, PrpProperty,
     ::testing::Values(512, 4096, 8192, 12288, 65536, 131072, 1048576,
                       2 * 1048576));
+
+namespace {
+
+constexpr std::uint64_t kSq = 0x10000;
+constexpr std::uint64_t kCq = 0x20000;
+
+/** Play the controller: post a CQE for @p cid at CQ slot @p slot. */
+void
+postCqe(TestMemory &mem, std::uint16_t slot, std::uint16_t cid, bool phase)
+{
+    Cqe cqe;
+    cqe.cid = cid;
+    cqe.setStatusPhase(Status::Success, phase);
+    std::uint8_t raw[sizeof(Cqe)];
+    toBytes(cqe, raw);
+    mem.write(kCq + slot * sizeof(Cqe), sizeof(raw), raw);
+}
+
+Sqe
+sqeAt(TestMemory &mem, std::uint16_t slot)
+{
+    std::uint8_t raw[sizeof(Sqe)];
+    mem.read(kSq + slot * sizeof(Sqe), sizeof(raw), raw);
+    return fromBytes<Sqe>(raw);
+}
+
+/** Complete @p cid on @p qp, expecting no parked command to start. */
+template <typename Cmd>
+Cmd
+completeIdle(QueuePair<Cmd> &qp, std::uint16_t cid)
+{
+    Cmd out{};
+    qp.complete(
+        cid, [&](Cmd c) { out = std::move(c); },
+        [](std::uint16_t) { ADD_FAILURE() << "nothing was parked"; });
+    return out;
+}
+
+} // namespace
+
+// Three laps over a 4-entry pair: the SQ tail wraps, the CQ phase flips
+// at each lap, and a CQE left from the lap before never pops as new.
+TEST(QueuePair, ThreeLapsWrapTailAndFlipPhase)
+{
+    TestMemory mem;
+    QueuePair<int> qp(mem, 1, 4, kSq, kCq);
+    bool phase = true; // the controller's
+    for (int n = 0; n < 12; ++n) {
+        auto slot = static_cast<std::uint16_t>(n % 4);
+        EXPECT_FALSE(qp.pop()) << "stale CQE popped at command " << n;
+        std::optional<std::uint16_t> cid = qp.admit(n);
+        ASSERT_TRUE(cid);
+        Sqe sqe;
+        sqe.opcode = static_cast<std::uint8_t>(IoOpcode::Read);
+        sqe.cdw10 = static_cast<std::uint32_t>(n);
+        RegWrite ring = qp.push(sqe, *cid);
+        EXPECT_EQ(ring.offset, sqDoorbellOffset(1));
+        EXPECT_EQ(ring.value, (slot + 1u) % 4);
+        EXPECT_EQ(sqeAt(mem, slot).cdw10, static_cast<std::uint32_t>(n));
+        EXPECT_EQ(sqeAt(mem, slot).cid, *cid);
+
+        postCqe(mem, slot, *cid, phase);
+        std::optional<Cqe> cqe = qp.pop();
+        ASSERT_TRUE(cqe);
+        EXPECT_EQ(cqe->cid, *cid);
+        EXPECT_EQ(qp.cqDoorbell().offset, cqDoorbellOffset(1));
+        EXPECT_EQ(qp.cqDoorbell().value, (slot + 1u) % 4);
+        EXPECT_EQ(completeIdle(qp, cqe->cid), n);
+        if (slot == 3)
+            phase = !phase;
+    }
+    EXPECT_FALSE(qp.pop());
+}
+
+// A ring of N entries holds N - 1 commands: with N the tail would equal
+// the head, which the controller reads as empty.
+TEST(QueuePair, FourEntriesHoldThreeCommands)
+{
+    TestMemory mem;
+    QueuePair<int> qp(mem, 1, 4, kSq, kCq);
+    EXPECT_EQ(qp.admit(10), std::optional<std::uint16_t>(0));
+    EXPECT_EQ(qp.admit(11), std::optional<std::uint16_t>(1));
+    EXPECT_EQ(qp.admit(12), std::optional<std::uint16_t>(2));
+    EXPECT_EQ(qp.inflight(), 3u);
+    EXPECT_FALSE(qp.admit(13));
+    EXPECT_EQ(qp.inflight(), 3u);
+}
+
+// Released CIDs go out again most recent first, then the lowest one
+// never used.
+TEST(QueuePair, ReleasedCidsReturnMostRecentFirst)
+{
+    TestMemory mem;
+    QueuePair<int> qp(mem, 1, 8, kSq, kCq);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(qp.admit(i), std::optional<std::uint16_t>(i));
+    completeIdle(qp, 2);
+    completeIdle(qp, 0);
+    EXPECT_EQ(qp.admit(20), std::optional<std::uint16_t>(0));
+    EXPECT_EQ(qp.admit(21), std::optional<std::uint16_t>(2));
+    EXPECT_EQ(qp.admit(22), std::optional<std::uint16_t>(4));
+    EXPECT_EQ(qp.admit(23), std::optional<std::uint16_t>(5));
+    EXPECT_EQ(qp[2], 21);
+}
+
+// Commands that found no CID leave in arrival order, each once a
+// completion has freed a CID and run its own command first.
+TEST(QueuePair, WaitingCommandsLeaveInArrivalOrder)
+{
+    TestMemory mem;
+    QueuePair<int> qp(mem, 1, 3, kSq, kCq); // two CIDs
+    EXPECT_TRUE(qp.admit(100));
+    EXPECT_TRUE(qp.admit(101));
+    for (int v = 102; v < 105; ++v)
+        EXPECT_FALSE(qp.admit(v));
+
+    std::vector<std::string> log;
+    auto finish = [&](std::uint16_t cid) {
+        std::uint32_t before = qp.inflight();
+        qp.complete(
+            cid,
+            [&](int v) {
+                // The CID is free before the command's own work runs.
+                EXPECT_EQ(qp.inflight(), before - 1);
+                log.push_back("run " + std::to_string(v));
+            },
+            [&](std::uint16_t next) {
+                EXPECT_EQ(next, cid);
+                log.push_back("issue " + std::to_string(qp[next]));
+            });
+    };
+    finish(1);
+    finish(0);
+    finish(1);
+    finish(0);
+    finish(1);
+    EXPECT_EQ(log, (std::vector<std::string>{
+                       "run 101", "issue 102", "run 100", "issue 103",
+                       "run 102", "issue 104", "run 103", "run 104"}));
+    EXPECT_EQ(qp.inflight(), 0u);
+}

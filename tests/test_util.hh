@@ -1,19 +1,22 @@
 /**
  * @file
  * Shared test utilities: a functional upstream fake for exercising
- * controllers without a full PCIe hierarchy, a recording block
- * device, and run-until helpers.
+ * controllers without a full PCIe hierarchy, a raw-ring NVMe
+ * initiator, a recording block device, and run-until helpers.
  */
 
 #ifndef BMS_TESTS_TEST_UTIL_HH
 #define BMS_TESTS_TEST_UTIL_HH
 
 #include <functional>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "host/block.hh"
+#include "nvme/queue_pair.hh"
 #include "pcie/device.hh"
 #include "sim/check.hh"
 #include "sim/simulator.hh"
@@ -147,6 +150,114 @@ runUntil(sim::Simulator &sim, const std::function<bool()> &pred,
     }
     return true;
 }
+
+/**
+ * Test-side NVMe initiator over raw rings in untimed memory (e.g. a
+ * FakeUpstream), writing each register and doorbell straight to the
+ * device through @p mmio. Queues are named by qid; the admin pair (32
+ * entries, SQ at 0x10000, CQ at 0x20000) is qid 0. CIDs count up per
+ * queue and are never reused, so a test may fill a ring without
+ * reaping it and read dispatch order off the CIDs.
+ */
+class RingInitiator
+{
+  public:
+    using Mmio = std::function<void(std::uint64_t offset,
+                                    std::uint64_t value)>;
+
+    RingInitiator(sim::Simulator &sim, pcie::MemoryIf &memory, Mmio mmio)
+        : _sim(sim), _memory(memory), _mmio(std::move(mmio))
+    {
+        _queues.emplace(0, Queue{{memory, 0, 32, 0x10000, 0x20000}});
+    }
+
+    /** Enable the controller with the admin pair. */
+    void
+    enable()
+    {
+        for (const nvme::RegWrite &w : _queues.at(0).rings.enable())
+            write(w);
+    }
+
+    /** Create IO pair @p qid of @p entries at @p sq / @p cq in WRR
+     *  class @p prio; both admin commands must succeed. */
+    void
+    createIoQueue(std::uint16_t qid, std::uint16_t entries,
+                  std::uint64_t sq, std::uint64_t cq,
+                  std::uint8_t prio = nvme::kQPrioMedium)
+    {
+        Queue &q = _queues.insert_or_assign(
+                              qid, Queue{{_memory, qid, entries, sq, cq}})
+                       .first->second;
+        EXPECT_TRUE(submit(0, q.rings.createCq()).ok());
+        EXPECT_TRUE(submit(0, q.rings.createSq(prio)).ok());
+    }
+
+    /** Write @p sqe at queue @p qid's tail with its next CID, without
+     *  ringing. */
+    void
+    place(std::uint16_t qid, const nvme::Sqe &sqe)
+    {
+        Queue &q = _queues.at(qid);
+        q.rings.push(sqe, q.nextCid++);
+    }
+
+    /** Ring queue @p qid's SQ doorbell at its tail. */
+    void ring(std::uint16_t qid) { write(_queues.at(qid).rings.sqDoorbell()); }
+
+    /** place() then ring(). */
+    void
+    post(std::uint16_t qid, const nvme::Sqe &sqe)
+    {
+        place(qid, sqe);
+        ring(qid);
+    }
+
+    /** Pop queue @p qid's next CQE into @p out if it has landed, and
+     *  ring the CQ head. */
+    bool
+    poll(std::uint16_t qid, nvme::Cqe &out)
+    {
+        nvme::QueueRings &rings = _queues.at(qid).rings;
+        std::optional<nvme::Cqe> cqe = rings.pop();
+        if (!cqe)
+            return false;
+        write(rings.cqDoorbell());
+        out = *cqe;
+        return true;
+    }
+
+    /** Wait for queue @p qid's next CQE. */
+    nvme::Cqe
+    reap(std::uint16_t qid)
+    {
+        nvme::Cqe out;
+        EXPECT_TRUE(runUntil(_sim, [&] { return poll(qid, out); }));
+        return out;
+    }
+
+    /** post() then reap(). */
+    nvme::Cqe
+    submit(std::uint16_t qid, const nvme::Sqe &sqe)
+    {
+        post(qid, sqe);
+        return reap(qid);
+    }
+
+  private:
+    struct Queue
+    {
+        nvme::QueueRings rings;
+        std::uint16_t nextCid = 0;
+    };
+
+    void write(const nvme::RegWrite &w) { _mmio(w.offset, w.value); }
+
+    sim::Simulator &_sim;
+    pcie::MemoryIf &_memory;
+    Mmio _mmio;
+    std::map<std::uint16_t, Queue> _queues;
+};
 
 } // namespace bms::test
 

@@ -25,14 +25,13 @@ struct Fixture
     sim::Simulator sim{71};
     test::FakeUpstream up{sim};
     ZnsSsd *dev;
+    test::RingInitiator host{
+        sim, up, [this](std::uint64_t offset, std::uint64_t value) {
+            dev->mmioWrite(0, offset, value);
+        }};
 
-    std::uint64_t io_sq = 0x30000, io_cq = 0x40000;
     /** Data buffer of every IO command, and its PRP list if needed. */
     std::uint64_t data_buf = 0x100000, prp_list = 0x50000;
-    std::uint16_t depth = 256;
-    std::uint16_t tail = 0, head = 0;
-    bool phase = true;
-    std::uint16_t next_cid = 0;
 
     explicit Fixture(ssd::ZnsProfile profile = smallProfile(),
                      bool functional = false)
@@ -43,24 +42,8 @@ struct Fixture
         dev = sim.make<ZnsSsd>(sim, "zns", cfg);
         dev->attached(up);
         // Bring up admin queues + one IO queue pair directly.
-        dev->mmioWrite(0, nvme::kRegAqa, (31ull << 16) | 31);
-        dev->mmioWrite(0, nvme::kRegAsq, 0x10000);
-        dev->mmioWrite(0, nvme::kRegAcq, 0x20000);
-        dev->mmioWrite(0, nvme::kRegCc, nvme::kCcEnable);
-        adminCmd([](nvme::Sqe &s) {
-            s.opcode =
-                static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoCq);
-            s.prp1 = 0x40000;
-            s.cdw10 = (255u << 16) | 1;
-            s.cdw11 = (1u << 16) | 0x3;
-        });
-        adminCmd([](nvme::Sqe &s) {
-            s.opcode =
-                static_cast<std::uint8_t>(nvme::AdminOpcode::CreateIoSq);
-            s.prp1 = 0x30000;
-            s.cdw10 = (255u << 16) | 1;
-            s.cdw11 = (1u << 16) | 0x1;
-        });
+        host.enable();
+        host.createIoQueue(1, 256, 0x30000, 0x40000);
     }
 
     /** Small geometry so limits are easy to hit: 64 MiB zones. */
@@ -73,39 +56,6 @@ struct Fixture
         p.maxOpenZones = 4;
         p.maxActiveZones = 6;
         return p;
-    }
-
-    std::uint16_t admin_tail = 0, admin_head = 0;
-    bool admin_phase = true;
-
-    void
-    adminCmd(const std::function<void(nvme::Sqe &)> &fill)
-    {
-        nvme::Sqe sqe;
-        fill(sqe);
-        sqe.cid = next_cid++;
-        std::uint8_t raw[64];
-        nvme::toBytes(sqe, raw);
-        up.memory.write(0x10000 + admin_tail * 64ull, 64, raw);
-        admin_tail = static_cast<std::uint16_t>((admin_tail + 1) % 32);
-        dev->mmioWrite(0, nvme::sqDoorbellOffset(0), admin_tail);
-        bool done = false;
-        // Poll admin CQ.
-        EXPECT_TRUE(test::runUntil(sim, [&] {
-            std::uint8_t craw[16];
-            up.memory.read(0x20000 + admin_head * 16ull, 16, craw);
-            nvme::Cqe cqe = nvme::fromBytes<nvme::Cqe>(craw);
-            if (cqe.phase() != admin_phase)
-                return false;
-            admin_head =
-                static_cast<std::uint16_t>((admin_head + 1) % 32);
-            if (admin_head == 0)
-                admin_phase = !admin_phase;
-            EXPECT_TRUE(cqe.ok());
-            done = true;
-            return true;
-        }));
-        EXPECT_TRUE(done);
     }
 
     /**
@@ -122,27 +72,7 @@ struct Fixture
             nvme::buildPrp(data_buf, sqe.dataBytes(), prp_list, up);
         sqe.prp1 = prp.prp1;
         sqe.prp2 = prp.prp2;
-        sqe.cid = next_cid++;
-        std::uint8_t raw[64];
-        nvme::toBytes(sqe, raw);
-        up.memory.write(io_sq + tail * 64ull, 64, raw);
-        tail = static_cast<std::uint16_t>((tail + 1) % depth);
-        dev->mmioWrite(0, nvme::sqDoorbellOffset(1), tail);
-
-        nvme::Cqe out;
-        EXPECT_TRUE(test::runUntil(sim, [&] {
-            std::uint8_t craw[16];
-            up.memory.read(io_cq + head * 16ull, 16, craw);
-            nvme::Cqe cqe = nvme::fromBytes<nvme::Cqe>(craw);
-            if (cqe.phase() != phase)
-                return false;
-            head = static_cast<std::uint16_t>((head + 1) % depth);
-            if (head == 0)
-                phase = !phase;
-            out = cqe;
-            return true;
-        }));
-        return out;
+        return host.submit(1, sqe);
     }
 
     std::uint64_t zb() const { return dev->zoneBlocks(); }
