@@ -14,10 +14,10 @@
 #    image ships gcc only). Reuses build/compile_commands.json when
 #    the default build tree already exported one.
 # 3. A fresh ASan+UBSan build (-DBMS_SANITIZE="address;undefined")
-#    running the full ctest suite, the pinned fuzz seeds and the quick
-#    benches, and failing unless ext_fleet --quick replays the pinned
-#    trace hash and event count and ext_full_card --quick the pinned
-#    event counts.
+#    running the full ctest suite, the pinned fuzz seed families
+#    (scripts/fuzz_families.sh) and the quick benches, and failing
+#    unless ext_fleet --quick replays the pinned trace hash and event
+#    count and ext_full_card --quick the pinned event counts.
 #
 # Build trees land in build-lint/, build-tidy/ and build-asan/ so they
 # never disturb an existing build/.
@@ -86,41 +86,13 @@ run_san() {
     cmake -B build-asan -S . -DBMS_SANITIZE="address;undefined" >/dev/null
     cmake --build build-asan -j "${jobs}"
     (cd build-asan && ctest --output-on-failure -j "${jobs}") || fail=1
-    # The fixed-seed fuzz schedule under sanitizers: the torture mix
-    # (splits, upgrades, fault windows) reaches datapaths the unit
-    # tests don't, which is exactly where ASan/UBSan earn their keep.
-    echo "== ASan+UBSan fuzz (fixed seeds) =="
-    ./build-asan/fuzz --seeds=1:8 --horizon-ms=30 || fail=1
-    # The pinned migration seeds: forced chunk moves + evacuations
-    # with fault windows overlapping the copy on both legs.
-    echo "== ASan+UBSan fuzz (migration seeds) =="
-    ./build-asan/fuzz --seeds=201:204 --horizon-ms=30 --min-ssds=2 \
-        --force-migration || fail=1
-    # The pinned multi-VF seeds: up to 16 tenants riding VFs with
-    # randomized SQ counts, arbitration modes and QPRIO mixes.
-    echo "== ASan+UBSan fuzz (multi-VF seeds) =="
-    ./build-asan/fuzz --seeds=301:304 --horizon-ms=20 \
-        --max-tenants=16 || fail=1
-    # The pinned tiering seeds: remote storage nodes with a forced
-    # early spill, a mid-run storage-node loss (recovery must be an
-    # atomic flip to the local shadows — zero data loss) and a
-    # post-recovery promote, plus random link-latency spikes.
-    echo "== ASan+UBSan fuzz (tiering seeds) =="
-    ./build-asan/fuzz --seeds=401:404 --horizon-ms=120 --min-ssds=2 \
-        --remote-nodes=2 --force-tiering || fail=1
-    # The pinned thin-provisioning seeds: every tenant thin (allocate
-    # on first write, TRIMs in the stream), a forced mid-run snapshot
-    # of tenant 0, a clone verified against the snapshot's stamp
-    # lineage, and a late snapshot delete — chunk CoW under live I/O.
-    echo "== ASan+UBSan fuzz (thin/snapshot seeds) =="
-    ./build-asan/fuzz --seeds=501:504 --horizon-ms=30 \
-        --force-thin || fail=1
-    # The pinned fleet seeds: 2-4 cards in one simulation, admissions
-    # through the placement scorer, a rolling wave (firmware or
-    # lossless replace) under a failure budget, and a correlated
-    # drill with node losses and upgrade storms mid-wave.
-    echo "== ASan+UBSan fuzz (fleet seeds) =="
-    ./build-asan/fuzz --seeds=601:604 --fleet --horizon-ms=60 || fail=1
+    # The six pinned fuzz seed families under sanitizers: the torture
+    # mix, migration, multi-VF, tiering, thin/snapshot and fleet
+    # schedules reach datapaths the unit tests don't, which is exactly
+    # where ASan/UBSan earn their keep (their output is also pinned by
+    # ctest FuzzFamilies.OutputIsPinned).
+    echo "== ASan+UBSan fuzz (pinned seed families) =="
+    scripts/fuzz_families.sh build-asan || fail=1
     # The quick benches write their JSON records into build-asan/, so
     # the committed full-mode BENCH_*.json files stay untouched.
     #

@@ -1,13 +1,19 @@
 #include "core/ctrl/bms_controller.hh"
 
-#include <algorithm>
 #include <utility>
 
 namespace bms::core {
 
+namespace {
+
+/** ARM-side protocol analysis and service processing per command. */
+constexpr sim::Tick kArmProcessing = sim::microseconds(50);
+
+} // namespace
+
 BmsController::BmsController(sim::Simulator &sim, std::string name,
                              BmsEngine &engine, Config cfg)
-    : SimObject(sim, name), _engine(engine), _cfg(cfg),
+    : SimObject(sim, name), _engine(engine),
       _nsMgr(engine, cfg.mapGeometry)
 {
     _endpoint = std::make_unique<MctpEndpoint>(sim, name + ".mctp",
@@ -19,11 +25,11 @@ BmsController::BmsController(sim::Simulator &sim, std::string name,
     _monitor = std::make_unique<IoMonitor>(sim, name + ".iomon", engine,
                                            cfg.monitorPeriod);
     _hotUpgrade = std::make_unique<HotUpgradeManager>(
-        sim, name + ".hotupgrade", engine, cfg.upgrade);
-    _hotPlug = std::make_unique<HotPlugManager>(sim, name + ".hotplug",
-                                                engine, cfg.hotplug);
+        sim, name + ".hotupgrade", engine);
+    _hotPlug =
+        std::make_unique<HotPlugManager>(sim, name + ".hotplug", engine);
     _migration = std::make_unique<MigrationManager>(
-        sim, name + ".migration", engine, _nsMgr, cfg.migration);
+        sim, name + ".migration", engine, _nsMgr);
     _migration->setMonitor(_monitor.get());
     _migration->setSlotBusyProbe(
         [this](int slot) { return _hotUpgrade->upgradeInProgress(slot); });
@@ -108,7 +114,7 @@ BmsController::handleMessage(Eid src, MctpMsgType type,
         return;
     }
     // ARM-side protocol analyzer + service processing.
-    schedule(_cfg.armProcessing, [this, src, req] { dispatch(src, req); });
+    schedule(kArmProcessing, [this, src, req] { dispatch(src, req); });
 }
 
 void
@@ -124,16 +130,42 @@ BmsController::respond(Eid dest, const MiMessage &req, MiStatus status,
     _endpoint->sendMessage(dest, MctpMsgType::NvmeMi, resp.serialize());
 }
 
+template <class Outcome>
+void
+BmsController::respondOutcome(Eid dest, const MiMessage &req,
+                              const Outcome &outcome)
+{
+    respond(dest, req,
+            outcome.ok ? MiStatus::Success : MiStatus::InternalError,
+            wire::encode(outcome));
+}
+
+bool
+BmsController::validFn(std::uint8_t fn) const
+{
+    return fn < _engine.config().totalFunctions();
+}
+
+std::vector<MiDfEntry>
+BmsController::df() const
+{
+    std::uint64_t chunk_bytes = _nsMgr.chunkBlocks() * nvme::kBlockSize;
+    std::vector<MiDfEntry> out;
+    for (const NamespaceManager::Occupancy &o : _nsMgr.occupancy()) {
+        out.push_back(MiDfEntry{static_cast<std::uint8_t>(o.slot), o.total,
+                                o.used, o.free, o.logical, o.quiesced,
+                                chunk_bytes});
+    }
+    return out;
+}
+
 void
 BmsController::dispatch(Eid src, const MiMessage &req)
 {
-    wire::Reader r(req.payload);
     switch (req.opcode) {
       case MiOpcode::HealthStatusPoll: {
-        wire::Writer w;
-        int slots = _engine.ssdSlots();
-        w.u8(static_cast<std::uint8_t>(slots));
-        for (int s = 0; s < slots; ++s) {
+        MiHealth out;
+        for (int s = 0; s < _engine.ssdSlots(); ++s) {
             SlotHealth h;
             if (slotHealthProbe) {
                 h = slotHealthProbe(s);
@@ -143,385 +175,247 @@ BmsController::dispatch(Eid src, const MiMessage &req)
                 h.capacityBytes = _engine.adaptor(s).capacityBytes();
                 h.inflight = _engine.adaptor(s).inflight();
             }
-            w.u8(h.slot);
-            w.u8(h.present ? 1 : 0);
-            w.u8(h.upgrading ? 1 : 0);
-            w.str(h.firmwareRev);
-            w.u64(h.capacityBytes);
-            w.u32(h.inflight);
-            w.u16(h.temperatureK);
-            w.u8(h.percentageUsed);
-            w.u64(h.powerOnHours);
-            w.u64(h.mediaErrors);
+            out.slots.push_back(std::move(h));
         }
-        respond(src, req, MiStatus::Success, w.take());
+        respond(src, req, MiStatus::Success, wire::encode(out));
         return;
       }
       case MiOpcode::VendorCreateNamespace: {
-        auto fn = static_cast<pcie::FunctionId>(r.u8());
-        std::uint64_t bytes = r.u64();
-        auto policy = static_cast<NamespaceManager::Policy>(r.u8());
-        QosLimits qos;
-        qos.iopsLimit = r.f64();
-        qos.mbPerSecLimit = r.f64();
-        bool thin = r.u8() != 0;
-        if (!r.ok()) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiCreateNamespaceReq q;
+        if (!wire::decode(req.payload, q) || !validFn(q.fn)) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        auto nsid = thin ? _nsMgr.createThin(fn, bytes, policy, qos)
-                         : _nsMgr.createAndAttach(fn, bytes, policy, qos);
+        auto policy = static_cast<NamespaceManager::Policy>(q.policy);
+        auto nsid =
+            q.thin ? _nsMgr.createThin(q.fn, q.bytes, policy, q.qos)
+                   : _nsMgr.createAndAttach(q.fn, q.bytes, policy, q.qos);
         if (!nsid) {
-            respond(src, req, MiStatus::InternalError, {});
+            respond(src, req, MiStatus::InternalError);
             return;
         }
-        wire::Writer w;
-        w.u32(*nsid);
-        respond(src, req, MiStatus::Success, w.take());
+        respond(src, req, MiStatus::Success, wire::encode(MiNsid{*nsid}));
         return;
       }
       case MiOpcode::VendorDestroyNamespace: {
-        auto fn = static_cast<pcie::FunctionId>(r.u8());
-        std::uint32_t nsid = r.u32();
-        bool ok = r.ok() && _nsMgr.destroy(fn, nsid);
+        MiNsRef q;
+        bool ok = wire::decode(req.payload, q) && _nsMgr.destroy(q.fn, q.nsid);
         if (ok)
-            _tiering->forgetNamespace(fn, nsid);
+            _tiering->forgetNamespace(q.fn, q.nsid);
         respond(src, req,
-                ok ? MiStatus::Success : MiStatus::InvalidParameter, {});
+                ok ? MiStatus::Success : MiStatus::InvalidParameter);
         return;
       }
       case MiOpcode::VendorSetQos: {
-        auto fn = static_cast<pcie::FunctionId>(r.u8());
-        std::uint32_t nsid = r.u32();
-        QosLimits qos;
-        qos.iopsLimit = r.f64();
-        qos.mbPerSecLimit = r.f64();
-        if (!r.ok() || !_engine.findBinding(fn, nsid)) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiSetQosReq q;
+        if (!wire::decode(req.payload, q) ||
+            !_engine.findBinding(q.fn, q.nsid)) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        _engine.setQos(fn, nsid, qos);
-        respond(src, req, MiStatus::Success, {});
+        _engine.setQos(q.fn, q.nsid, q.qos);
+        respond(src, req, MiStatus::Success);
         return;
       }
       case MiOpcode::VendorIoStats: {
-        auto fn = static_cast<pcie::FunctionId>(r.u8());
-        if (!r.ok() ||
-            fn >= static_cast<pcie::FunctionId>(
-                      _engine.config().totalFunctions())) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiFn q;
+        if (!wire::decode(req.payload, q) || !validFn(q.fn)) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        const IoMonitor::FnSample &s = _monitor->current(fn);
-        wire::Writer w;
-        w.u64(s.readOps);
-        w.u64(s.writeOps);
-        w.f64(s.readIops);
-        w.f64(s.writeIops);
-        w.f64(s.readMbps);
-        w.f64(s.writeMbps);
-        // Multi-queue arbitration state (paper §IV-E fan-out).
-        w.u16(s.activeSqs);
-        w.u32(s.maxSqBacklog);
-        w.u64(s.arbRounds);
-        w.u64(s.fetchBatches);
-        w.u64(s.fetchedSqes);
-        w.u64(s.doorbellsCoalesced);
-        auto occ = _nsMgr.occupancy();
-        std::uint64_t chunk_bytes =
-            _nsMgr.chunkBlocks() * nvme::kBlockSize;
-        w.u8(static_cast<std::uint8_t>(occ.size()));
-        for (const auto &o : occ) {
-            w.u8(static_cast<std::uint8_t>(o.slot));
-            w.u64(o.total);
-            w.u64(o.used);
-            w.u64(o.free);
-            w.u64(o.logical);
-            w.u8(o.quiesced ? 1 : 0);
-            w.u64(chunk_bytes);
-        }
-        respond(src, req, MiStatus::Success, w.take());
+        const IoMonitor::FnSample &s = _monitor->current(q.fn);
+        // Multi-queue arbitration state (paper §IV-E fan-out), then
+        // the per-slot occupancy tail.
+        MiIoStats out{s.readOps, s.writeOps, s.readIops, s.writeIops,
+                      s.readMbps, s.writeMbps, s.activeSqs,
+                      s.maxSqBacklog, s.arbRounds, s.fetchBatches,
+                      s.fetchedSqes, s.doorbellsCoalesced, df()};
+        respond(src, req, MiStatus::Success, wire::encode(out));
         return;
       }
       case MiOpcode::VendorFirmwareUpgrade: {
-        std::uint8_t slot = r.u8();
-        std::uint32_t image_size = r.u32();
-        if (!r.ok() || slot >= _engine.ssdSlots()) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiUpgradeReq q;
+        if (!wire::decode(req.payload, q) || q.slot >= _engine.ssdSlots()) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        std::vector<std::uint8_t> image(image_size, 0xFB);
         _hotUpgrade->upgrade(
-            slot, std::move(image),
+            q.slot, std::vector<std::uint8_t>(q.imageBytes, 0xFB),
             [this, src, req](HotUpgradeManager::Report rep) {
-                wire::Writer w;
-                w.u8(rep.ok ? 1 : 0);
-                w.f64(sim::toMs(rep.storeContext));
-                w.f64(sim::toMs(rep.firmware));
-                w.f64(sim::toMs(rep.reloadContext));
-                w.f64(sim::toMs(rep.total));
-                w.f64(sim::toMs(rep.ioPause));
-                respond(src, req,
-                        rep.ok ? MiStatus::Success
-                               : MiStatus::InternalError,
-                        w.take());
+                respondOutcome(src, req,
+                               MiUpgradeResult{rep.ok,
+                                               sim::toMs(rep.storeContext),
+                                               sim::toMs(rep.firmware),
+                                               sim::toMs(rep.reloadContext),
+                                               sim::toMs(rep.total),
+                                               sim::toMs(rep.ioPause)});
             });
         return;
       }
       case MiOpcode::VendorHotPlug: {
-        std::uint8_t slot = r.u8();
-        bool lossless = r.u8() != 0;
-        if (!r.ok() || slot >= _engine.ssdSlots() || !_spareProvider) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiHotPlugReq q;
+        if (!wire::decode(req.payload, q) || q.slot >= _engine.ssdSlots() ||
+            !_spareProvider) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        pcie::PcieDeviceIf *spare = _spareProvider(slot);
+        pcie::PcieDeviceIf *spare = _spareProvider(q.slot);
         if (!spare) {
-            respond(src, req, MiStatus::InternalError, {});
+            respond(src, req, MiStatus::InternalError);
             return;
         }
         auto reply = [this, src, req](HotPlugManager::Report rep) {
-            wire::Writer w;
-            w.u8(rep.ok ? 1 : 0);
-            w.f64(sim::toMs(rep.ioPause));
-            w.u32(rep.evacuatedChunks);
-            w.f64(sim::toMs(rep.evacTime));
-            respond(src, req,
-                    rep.ok ? MiStatus::Success : MiStatus::InternalError,
-                    w.take());
+            respondOutcome(src, req,
+                           MiHotPlugResult{rep.ok, sim::toMs(rep.ioPause),
+                                           rep.evacuatedChunks,
+                                           sim::toMs(rep.evacTime)});
         };
         // Destructive path: chunk accounting is kept and existing
         // mappings point at the fresh disk's chunks (restoration is a
         // higher layer's job). Lossless path: the slot is drained by
         // the migration subsystem first, so no data is abandoned.
-        if (lossless)
-            _hotPlug->replaceLossless(slot, *spare, std::move(reply));
+        if (q.lossless)
+            _hotPlug->replaceLossless(q.slot, *spare, std::move(reply));
         else
-            _hotPlug->replace(slot, *spare, std::move(reply));
+            _hotPlug->replace(q.slot, *spare, std::move(reply));
         return;
       }
       case MiOpcode::VendorMigrateChunk: {
-        auto fn = static_cast<pcie::FunctionId>(r.u8());
-        std::uint32_t nsid = r.u32();
-        std::uint32_t chunk_index = r.u32();
-        std::uint8_t dst = r.u8();
-        if (!r.ok()) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiMigrateReq q;
+        if (!wire::decode(req.payload, q)) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        int dst_slot = dst == 0xFF ? MigrationManager::kAutoSlot : dst;
+        int dst_slot = q.dstSlot == MiMigrateReq::kAutoSlot
+                           ? MigrationManager::kAutoSlot
+                           : q.dstSlot;
         bool accepted = _migration->migrate(
-            fn, nsid, chunk_index, dst_slot,
+            q.fn, q.nsid, q.chunkIndex, dst_slot,
             [this, src, req](MigrationManager::Report rep) {
-                wire::Writer w;
-                w.u8(rep.ok ? 1 : 0);
-                w.u8(rep.dstSlot);
-                w.f64(sim::toMs(rep.elapsed));
-                w.u64(rep.bytesCopied);
-                respond(src, req,
-                        rep.ok ? MiStatus::Success
-                               : MiStatus::InternalError,
-                        w.take());
+                respondOutcome(src, req,
+                               MiMigrateResult{rep.ok, rep.dstSlot,
+                                               sim::toMs(rep.elapsed),
+                                               rep.bytesCopied});
             });
         if (!accepted)
-            respond(src, req, MiStatus::InvalidParameter, {});
+            respond(src, req, MiStatus::InvalidParameter);
         return;
       }
       case MiOpcode::VendorEvacuate: {
-        std::uint8_t slot = r.u8();
-        if (!r.ok() || slot >= _engine.ssdSlots()) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiSlot q;
+        if (!wire::decode(req.payload, q) || q.slot >= _engine.ssdSlots()) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
         _migration->evacuate(
-            slot, [this, src, req](MigrationManager::EvacReport rep) {
-                wire::Writer w;
-                w.u8(rep.ok ? 1 : 0);
-                w.u32(rep.moved);
-                w.u32(rep.failed);
-                w.f64(sim::toMs(rep.elapsed));
-                respond(src, req,
-                        rep.ok ? MiStatus::Success
-                               : MiStatus::InternalError,
-                        w.take());
+            q.slot, [this, src, req](MigrationManager::EvacReport rep) {
+                respondOutcome(src, req,
+                               MiEvacuateResult{rep.ok, rep.moved,
+                                                rep.failed,
+                                                sim::toMs(rep.elapsed)});
             });
         return;
       }
-      case MiOpcode::VendorMigrationStatus: {
-        auto entries = _migration->status();
-        wire::Writer w;
-        w.u8(static_cast<std::uint8_t>(
-            std::min<std::size_t>(entries.size(), 255)));
-        std::size_t n = 0;
-        for (const MigrationStatus &m : entries) {
-            if (n++ == 255)
-                break;
-            w.u32(m.id);
-            w.u8(m.fn);
-            w.u32(m.nsid);
-            w.u32(m.chunkIndex);
-            w.u8(m.srcSlot);
-            w.u8(m.srcChunk);
-            w.u8(m.dstSlot);
-            w.u8(m.dstChunk);
-            w.u8(static_cast<std::uint8_t>(m.state));
-            w.u32(m.copiedSegments);
-            w.u32(m.totalSegments);
-            w.u64(m.bytesCopied);
-        }
-        respond(src, req, MiStatus::Success, w.take());
+      case MiOpcode::VendorMigrationStatus:
+        respond(src, req, MiStatus::Success,
+                wire::encode(MiMigrations{_migration->status()}));
         return;
-      }
-      case MiOpcode::VendorDf: {
-        auto occ = _nsMgr.occupancy();
-        std::uint64_t chunk_bytes =
-            _nsMgr.chunkBlocks() * nvme::kBlockSize;
-        wire::Writer w;
-        w.u8(static_cast<std::uint8_t>(occ.size()));
-        for (const auto &o : occ) {
-            w.u8(static_cast<std::uint8_t>(o.slot));
-            w.u64(o.total);
-            w.u64(o.used);
-            w.u64(o.free);
-            w.u64(o.logical);
-            w.u8(o.quiesced ? 1 : 0);
-            w.u64(chunk_bytes);
-        }
-        respond(src, req, MiStatus::Success, w.take());
+      case MiOpcode::VendorDf:
+        respond(src, req, MiStatus::Success, wire::encode(MiDf{df()}));
         return;
-      }
       case MiOpcode::VendorTierStats: {
         const TieringManager &t = *_tiering;
-        wire::Writer w;
-        w.u32(t.spills());
-        w.u32(t.promotes());
-        w.u32(t.failures());
-        w.u32(t.nodeLosses());
-        w.u32(t.chunksRecovered());
-        w.u32(t.chunksRespilled());
-        const auto &spilled = t.spilled();
-        w.u16(static_cast<std::uint16_t>(
-            std::min<std::size_t>(spilled.size(), 0xFFFF)));
-        std::size_t n = 0;
-        for (const TieringManager::SpilledChunk &c : spilled) {
-            if (n++ == 0xFFFF)
-                break;
-            w.u8(c.fn);
-            w.u32(c.nsid);
-            w.u32(c.chunkIndex);
-            w.u8(c.remoteSlot);
-            w.u8(c.remoteChunk);
-            w.u8(c.shadowSlot);
-            w.u8(c.shadowChunk);
-            w.f64(_monitor->chunkHeatMbps(c.fn, c.nsid, c.chunkIndex));
+        MiTierStats out{t.spills(), t.promotes(), t.failures(),
+                        t.nodeLosses(), t.chunksRecovered(),
+                        t.chunksRespilled(), {}};
+        for (const TieringManager::SpilledChunk &c : t.spilled()) {
+            out.spilled.push_back(MiSpilledChunk{
+                c.fn, c.nsid, c.chunkIndex, c.remoteSlot, c.remoteChunk,
+                c.shadowSlot, c.shadowChunk,
+                _monitor->chunkHeatMbps(c.fn, c.nsid, c.chunkIndex)});
         }
-        respond(src, req, MiStatus::Success, w.take());
+        respond(src, req, MiStatus::Success, wire::encode(out));
         return;
       }
       case MiOpcode::VendorSetTierPolicy: {
-        double spill_mbps = r.f64();
-        double promote_mbps = r.f64();
-        std::uint64_t period_ns = r.u64();
-        if (!r.ok() || spill_mbps < 0 || promote_mbps < spill_mbps) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiTierPolicyReq q;
+        if (!wire::decode(req.payload, q) || q.spillMbps < 0 ||
+            q.promoteMbps < q.spillMbps) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
         TieringConfig policy = _tiering->policy();
-        policy.spillMbpsThreshold = spill_mbps;
-        policy.promoteMbpsThreshold = promote_mbps;
-        policy.policyPeriod = static_cast<sim::Tick>(period_ns);
+        policy.spillMbpsThreshold = q.spillMbps;
+        policy.promoteMbpsThreshold = q.promoteMbps;
+        policy.policyPeriod = static_cast<sim::Tick>(q.periodNs);
         _tiering->setPolicy(policy);
-        respond(src, req, MiStatus::Success, {});
+        respond(src, req, MiStatus::Success);
         return;
       }
       case MiOpcode::VendorFailNode: {
-        std::uint8_t node = r.u8();
+        MiNode q;
         bool known = false;
-        for (int s = 0; r.ok() && s < _engine.ssdSlots(); ++s) {
-            if (_engine.isRemoteSlot(s) && _engine.slotNode(s) == node)
-                known = true;
+        if (wire::decode(req.payload, q)) {
+            for (int s = 0; s < _engine.ssdSlots(); ++s) {
+                known = known || (_engine.isRemoteSlot(s) &&
+                                  _engine.slotNode(s) == q.node);
+            }
         }
-        if (!r.ok() || !known) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        if (!known) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
         if (_nodeDownHook)
-            _nodeDownHook(node, true);
+            _nodeDownHook(q.node, true);
         _tiering->onNodeLoss(
-            node, [this, src, req](TieringManager::RecoveryReport rep) {
-                wire::Writer w;
-                w.u8(rep.ok ? 1 : 0);
-                w.u32(rep.recovered);
-                w.u32(rep.respilled);
-                respond(src, req,
-                        rep.ok ? MiStatus::Success
-                               : MiStatus::InternalError,
-                        w.take());
+            q.node, [this, src, req](TieringManager::RecoveryReport rep) {
+                respondOutcome(src, req,
+                               MiFailNodeResult{rep.ok, rep.recovered,
+                                                rep.respilled});
             });
         return;
       }
       case MiOpcode::VendorSnapshot: {
-        auto fn = static_cast<pcie::FunctionId>(r.u8());
-        std::uint32_t nsid = r.u32();
-        if (!r.ok()) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiNsRef q;
+        if (!wire::decode(req.payload, q)) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        auto id = _nsMgr.snapshot(fn, nsid);
+        auto id = _nsMgr.snapshot(q.fn, q.nsid);
         if (!id) {
-            respond(src, req, MiStatus::InternalError, {});
+            respond(src, req, MiStatus::InternalError);
             return;
         }
-        wire::Writer w;
-        w.u32(*id);
         // Listing tail: every live snapshot, so one verb doubles as
         // `snapshots` for the console.
-        auto snaps = _nsMgr.snapshots();
-        w.u16(static_cast<std::uint16_t>(
-            std::min<std::size_t>(snaps.size(), 0xFFFF)));
-        std::size_t n = 0;
-        for (const auto &s : snaps) {
-            if (n++ == 0xFFFF)
-                break;
-            w.u32(s.id);
-            w.u8(static_cast<std::uint8_t>(s.srcFn));
-            w.u32(s.srcNsid);
-            w.u64(s.sizeBlocks);
-            w.u32(s.chunks);
-        }
-        respond(src, req, MiStatus::Success, w.take());
+        respond(src, req, MiStatus::Success,
+                wire::encode(MiSnapshotList{*id, _nsMgr.snapshots()}));
         return;
       }
       case MiOpcode::VendorClone: {
-        std::uint32_t snap_id = r.u32();
-        auto fn = static_cast<pcie::FunctionId>(r.u8());
-        QosLimits qos;
-        qos.iopsLimit = r.f64();
-        qos.mbPerSecLimit = r.f64();
-        if (!r.ok()) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+        MiCloneReq q;
+        if (!wire::decode(req.payload, q) || !validFn(q.fn)) {
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        auto nsid = _nsMgr.clone(snap_id, fn, qos);
+        auto nsid = _nsMgr.clone(q.snapId, q.fn, q.qos);
         if (!nsid) {
-            respond(src, req, MiStatus::InvalidParameter, {});
+            respond(src, req, MiStatus::InvalidParameter);
             return;
         }
-        wire::Writer w;
-        w.u32(*nsid);
-        respond(src, req, MiStatus::Success, w.take());
+        respond(src, req, MiStatus::Success, wire::encode(MiNsid{*nsid}));
         return;
       }
       case MiOpcode::VendorDeleteSnapshot: {
-        std::uint32_t snap_id = r.u32();
-        bool ok = r.ok() && _nsMgr.deleteSnapshot(snap_id);
+        MiSnapId q;
+        bool ok = wire::decode(req.payload, q) && _nsMgr.deleteSnapshot(q.id);
         respond(src, req,
-                ok ? MiStatus::Success : MiStatus::InvalidParameter, {});
+                ok ? MiStatus::Success : MiStatus::InvalidParameter);
         return;
       }
       case MiOpcode::VendorListNamespaces:
       default:
-        respond(src, req, MiStatus::InvalidParameter, {});
+        respond(src, req, MiStatus::InvalidParameter);
         return;
     }
 }

@@ -34,14 +34,9 @@ namespace bms::core {
 struct BmsControllerConfig
 {
     Eid eid = 0x20;
-    /** ARM-side processing per management command. */
-    sim::Tick armProcessing = sim::microseconds(50);
     sim::Tick monitorPeriod = sim::milliseconds(100);
     /** Chunk/table geometry for every namespace (tests shrink it). */
     LbaMapGeometry mapGeometry;
-    HotUpgradeManager::Config upgrade;
-    HotPlugManager::Config hotplug;
-    MigrationManager::Config migration;
     TieringConfig tiering;
 };
 
@@ -98,10 +93,17 @@ class BmsController : public sim::SimObject
                        std::vector<std::uint8_t> raw);
     void dispatch(Eid src, const MiMessage &req);
     void respond(Eid dest, const MiMessage &req, MiStatus status,
-                 std::vector<std::uint8_t> payload);
+                 std::vector<std::uint8_t> payload = {});
+    /** Answer with an outcome record; its `ok` picks the status. */
+    template <class Outcome>
+    void respondOutcome(Eid dest, const MiMessage &req,
+                        const Outcome &outcome);
+    /** A function id from the wire names a function of this card. */
+    bool validFn(std::uint8_t fn) const;
+    /** Per-slot occupancy (VendorDf and the ioStats tail). */
+    std::vector<MiDfEntry> df() const;
 
     BmsEngine &_engine;
-    Config _cfg;
     std::unique_ptr<MctpEndpoint> _endpoint;
     NamespaceManager _nsMgr;
     std::unique_ptr<IoMonitor> _monitor;

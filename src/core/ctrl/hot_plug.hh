@@ -25,13 +25,6 @@
 
 namespace bms::core {
 
-/** Tunables of the hot-plug flow. */
-struct HotPlugConfig
-{
-    /** Physical swap time (drive caddy exchange). */
-    sim::Tick swapDelay = sim::milliseconds(800);
-};
-
 /** Orchestrates back-end SSD replacement. */
 class HotPlugManager : public sim::SimObject
 {
@@ -48,11 +41,8 @@ class HotPlugManager : public sim::SimObject
         /// @}
     };
 
-    using Config = HotPlugConfig;
-
-    HotPlugManager(sim::Simulator &sim, std::string name,
-                   BmsEngine &engine, Config cfg = Config())
-        : SimObject(sim, std::move(name)), _engine(engine), _cfg(cfg)
+    HotPlugManager(sim::Simulator &sim, std::string name, BmsEngine &engine)
+        : SimObject(sim, std::move(name)), _engine(engine)
     {}
 
     /**
@@ -160,6 +150,9 @@ class HotPlugManager : public sim::SimObject
     }
 
   private:
+    /** Physical swap time (drive caddy exchange). */
+    static constexpr sim::Tick kSwapDelay = sim::milliseconds(800);
+
     /** Claim per-slot exclusivity; on refusal fires @p done
      *  asynchronously with a default (ok=false) report. */
     bool
@@ -189,9 +182,9 @@ class HotPlugManager : public sim::SimObject
             HostAdaptor &ad = _engine.adaptor(slot);
             ad.detachSsd();
             // Physical swap.
-            schedule(_cfg.swapDelay, [this, slot, &replacement, t0,
-                                      report, done = std::move(done)] {
-                report->swapTime = _cfg.swapDelay;
+            schedule(kSwapDelay, [this, slot, &replacement, t0, report,
+                                  done = std::move(done)] {
+                report->swapTime = kSwapDelay;
                 _engine.attachBackendSsd(
                     slot, replacement,
                     [this, slot, t0, report, done = std::move(done)] {
@@ -206,7 +199,6 @@ class HotPlugManager : public sim::SimObject
     }
 
     BmsEngine &_engine;
-    Config _cfg;
     MigrationManager *_migration = nullptr;
     NamespaceManager *_ns = nullptr;
     std::uint32_t _completed = 0;

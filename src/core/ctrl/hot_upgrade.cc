@@ -8,6 +8,17 @@ namespace bms::core {
 using nvme::AdminOpcode;
 using nvme::Sqe;
 
+namespace {
+
+/** Engine context store and reload cost (ARM + FPGA handshake): the
+ *  ~100 ms of BM-Store processing in Table IX. */
+constexpr sim::Tick kStoreDelay = sim::milliseconds(50);
+constexpr sim::Tick kReloadDelay = sim::milliseconds(50);
+/** Firmware image transfer granularity per download command. */
+constexpr std::uint32_t kDownloadChunk = 256 * 1024;
+
+} // namespace
+
 void
 HotUpgradeManager::download(int slot, std::uint64_t offset,
                             std::shared_ptr<std::vector<std::uint8_t>> image,
@@ -17,7 +28,7 @@ HotUpgradeManager::download(int slot, std::uint64_t offset,
         then(true);
         return;
     }
-    std::uint32_t chunk = _cfg.downloadChunk;
+    std::uint32_t chunk = kDownloadChunk;
     if (offset + chunk > image->size())
         chunk = static_cast<std::uint32_t>(image->size() - offset);
     Sqe dl;
@@ -64,9 +75,9 @@ HotUpgradeManager::upgrade(int slot, std::vector<std::uint8_t> image,
     _engine.storeIoContext(slot, [this, slot, t0, report,
                                   image = std::move(image),
                                   done = std::move(done)]() mutable {
-        schedule(_cfg.storeDelay, [this, slot, t0, report,
-                                   image = std::move(image),
-                                   done = std::move(done)]() mutable {
+        schedule(kStoreDelay, [this, slot, t0, report,
+                               image = std::move(image),
+                               done = std::move(done)]() mutable {
             report->storeContext = now() - t0;
             sim::Tick fw_start = now();
 
@@ -96,7 +107,7 @@ HotUpgradeManager::upgrade(int slot, std::vector<std::uint8_t> image,
 
                         // Step 3: reload I/O context and resume.
                         sim::Tick reload_start = now();
-                        schedule(_cfg.reloadDelay,
+                        schedule(kReloadDelay,
                                  [this, slot, reload_start, t0, report,
                                   done = std::move(done)] {
                                      _engine.reloadIoContext(slot);

@@ -26,16 +26,6 @@
 
 namespace bms::core {
 
-/** Tunables of the hot-upgrade flow. */
-struct HotUpgradeConfig
-{
-    /** Engine context store/reload cost (ARM + FPGA handshake). */
-    sim::Tick storeDelay = sim::milliseconds(50);
-    sim::Tick reloadDelay = sim::milliseconds(50);
-    /** Firmware image transfer granularity per download command. */
-    std::uint32_t downloadChunk = 256 * 1024;
-};
-
 /** Orchestrates firmware hot-upgrades of back-end SSDs. */
 class HotUpgradeManager : public sim::SimObject
 {
@@ -59,11 +49,8 @@ class HotUpgradeManager : public sim::SimObject
         }
     };
 
-    using Config = HotUpgradeConfig;
-
-    HotUpgradeManager(sim::Simulator &sim, std::string name,
-                      BmsEngine &engine, Config cfg = Config())
-        : SimObject(sim, std::move(name)), _engine(engine), _cfg(cfg)
+    HotUpgradeManager(sim::Simulator &sim, std::string name, BmsEngine &engine)
+        : SimObject(sim, std::move(name)), _engine(engine)
     {}
 
     /**
@@ -105,7 +92,6 @@ class HotUpgradeManager : public sim::SimObject
                   std::function<void(bool)> then);
 
     BmsEngine &_engine;
-    Config _cfg;
     std::uint32_t _completed = 0;
     std::uint32_t _rejected = 0;
     std::set<int> _busy;

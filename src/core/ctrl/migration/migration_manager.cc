@@ -9,26 +9,28 @@ namespace bms::core {
 
 namespace {
 
-/** One PRP list page bounds a segment to 4 KiB * 512 = 2 MiB. */
-constexpr std::uint64_t kMaxSegmentBytes = 2ull * 1024 * 1024;
+/** Copy granularity (the staging buffer's size). */
+constexpr std::uint64_t kSegmentBytes = sim::mib(1);
+static_assert(kSegmentBytes % nvme::kBlockSize == 0 &&
+                  kSegmentBytes <= 512 * nvme::kPageSize,
+              "a segment is whole blocks within one PRP list page");
+/** Per-segment copy retries before the migration aborts. */
+constexpr int kMaxSegmentRetries = 16;
+constexpr sim::Tick kRetryDelay = sim::microseconds(200);
+/** Poll period while a slot is busy (hot-upgrade in progress). */
+constexpr sim::Tick kBusyPollDelay = sim::milliseconds(1);
+/** Abort after kCopyFactorCap * segments + 16 segment copies (mirror
+ *  failures re-queue segments; this bounds livelock). */
+constexpr std::uint64_t kCopyFactorCap = 4;
 
 } // namespace
 
 MigrationManager::MigrationManager(sim::Simulator &sim, std::string name,
-                                   BmsEngine &engine, NamespaceManager &ns,
-                                   Config cfg)
-    : SimObject(sim, std::move(name)), _engine(engine), _ns(ns), _cfg(cfg),
-      _qosKey(QosModule::key(0xFE, 1))
+                                   BmsEngine &engine, NamespaceManager &ns)
+    : SimObject(sim, std::move(name)), _engine(engine), _ns(ns),
+      _budgetMbps(400.0), _qosKey(QosModule::key(0xFE, 1))
 {
-    // Normalize the segment to whole blocks within [1 block, 2 MiB].
-    _cfg.segmentBytes = std::max<std::uint64_t>(
-        nvme::kBlockSize,
-        std::min<std::uint64_t>(_cfg.segmentBytes, kMaxSegmentBytes));
-    _cfg.segmentBytes -= _cfg.segmentBytes % nvme::kBlockSize;
-
-    if (_cfg.budgetMbps > 0)
-        _engine.qos().setLimits(_qosKey,
-                                QosLimits{0.0, _cfg.budgetMbps});
+    _engine.qos().setLimits(_qosKey, QosLimits{0.0, _budgetMbps});
 
     registerStat("started", [this] { return double(_started); });
     registerStat("completed", [this] { return double(_completed); });
@@ -39,7 +41,7 @@ MigrationManager::MigrationManager(sim::Simulator &sim, std::string name,
 void
 MigrationManager::setBudget(double mbps)
 {
-    _cfg.budgetMbps = mbps;
+    _budgetMbps = mbps;
     _engine.qos().setLimits(
         _qosKey, mbps > 0 ? QosLimits{0.0, mbps} : QosLimits{});
 }
@@ -49,9 +51,9 @@ MigrationManager::ensureBuffers()
 {
     if (_buf != 0)
         return;
-    _buf = _engine.chipMemory().alloc(_cfg.segmentBytes, nvme::kPageSize);
+    _buf = _engine.chipMemory().alloc(kSegmentBytes, nvme::kPageSize);
     std::uint64_t pages =
-        (_cfg.segmentBytes + nvme::kPageSize - 1) / nvme::kPageSize;
+        (kSegmentBytes + nvme::kPageSize - 1) / nvme::kPageSize;
     if (pages > 2) {
         // The staging buffer never moves, so the PRP list is built
         // once for the largest segment; short tails read a prefix.
@@ -219,14 +221,14 @@ MigrationManager::startNext()
     BMS_ASSERT(locked, "namespace vanished between lookup and lock");
     j.nsLocked = true;
 
-    std::uint64_t seg_bytes = _cfg.segmentBytes;
+    std::uint64_t seg_bytes = kSegmentBytes;
     if (j.opts.segmentBytes > 0) {
-        // The staging buffer is sized for the config default, so a
-        // per-job override may only shrink the segment.
+        // The staging buffer holds kSegmentBytes, so a per-job
+        // override may only shrink the segment.
         seg_bytes = std::max<std::uint64_t>(
             nvme::kBlockSize,
             std::min<std::uint64_t>(j.opts.segmentBytes,
-                                    _cfg.segmentBytes));
+                                    kSegmentBytes));
         seg_bytes -= seg_bytes % nvme::kBlockSize;
     }
     j.segBlocks = seg_bytes / nvme::kBlockSize;
@@ -252,10 +254,10 @@ MigrationManager::copyLoop()
     // Yield to a hot upgrade on either end: its store-context drain
     // must not race a fresh copy segment.
     if (slotBusy(j.srcSlot) || slotBusy(j.dSlot)) {
-        schedule(_cfg.busyPollDelay, [this] { copyLoop(); });
+        schedule(kBusyPollDelay, [this] { copyLoop(); });
         return;
     }
-    if (j.copies > std::uint64_t(_cfg.copyFactorCap) * j.numSegs + 16) {
+    if (j.copies > kCopyFactorCap * j.numSegs + 16) {
         abortCurrent("segment copy cap exceeded (dirty livelock)");
         return;
     }
@@ -294,7 +296,7 @@ MigrationManager::copySegment(std::uint32_t seg, int attempt)
             });
     };
     // The copy read is the paced leg: one QoS charge per segment.
-    if (_cfg.budgetMbps > 0)
+    if (_budgetMbps > 0)
         _engine.qos().submit(_qosKey, bytes, go);
     else
         go();
@@ -335,7 +337,7 @@ MigrationManager::segmentFailed(std::uint32_t seg, int attempt,
     ++_segmentRetries;
     int max_retries = j.opts.maxSegmentRetries >= 0
                           ? j.opts.maxSegmentRetries
-                          : _cfg.maxSegmentRetries;
+                          : kMaxSegmentRetries;
     if (attempt + 1 >= max_retries) {
         logWarn("migration #", j.id, ": segment ", seg, " ", leg,
                 " failed after ", attempt + 1, " attempts");
@@ -343,7 +345,7 @@ MigrationManager::segmentFailed(std::uint32_t seg, int attempt,
         return;
     }
     // The fence stays open across the retry; held writes wait with it.
-    schedule(_cfg.retryDelay,
+    schedule(kRetryDelay,
              [this, seg, attempt] { copySegment(seg, attempt + 1); });
 }
 
@@ -564,10 +566,10 @@ MigrationManager::rebalanceOnce(std::function<void(Report)> done)
     return migrate(c.fn, c.nsid, c.chunkIndex, dst->slot, std::move(done));
 }
 
-MigrationStatus
+MiMigrationInfo
 MigrationManager::snapshot(const Job &j) const
 {
-    MigrationStatus s;
+    MiMigrationInfo s;
     s.id = j.id;
     s.fn = static_cast<std::uint8_t>(j.fn);
     s.nsid = j.nsid;
@@ -583,10 +585,10 @@ MigrationManager::snapshot(const Job &j) const
     return s;
 }
 
-std::vector<MigrationStatus>
+std::vector<MiMigrationInfo>
 MigrationManager::status() const
 {
-    std::vector<MigrationStatus> out;
+    std::vector<MiMigrationInfo> out;
     if (_current)
         out.push_back(snapshot(*_current));
     for (const Job &j : _queue)

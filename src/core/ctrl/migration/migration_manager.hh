@@ -39,53 +39,10 @@
 
 namespace bms::core {
 
-/** Tunables of the chunk mover. */
-struct MigrationConfig
-{
-    /** Copy granularity; clamped to [1 block, 2 MiB] (one PRP list). */
-    std::uint64_t segmentBytes = sim::mib(1);
-    /** Copy bandwidth budget via the QoS module; 0 = unpaced. */
-    double budgetMbps = 400.0;
-    /** Per-segment copy retries before the migration aborts. */
-    int maxSegmentRetries = 16;
-    sim::Tick retryDelay = sim::microseconds(200);
-    /** Poll period while a slot is busy (hot-upgrade in progress). */
-    sim::Tick busyPollDelay = sim::milliseconds(1);
-    /** Abort after copyFactorCap * segments + 16 segment copies
-     *  (mirror failures re-queue segments; this bounds livelock). */
-    std::uint32_t copyFactorCap = 4;
-};
-
-enum class MigrationState : std::uint8_t
-{
-    Queued = 0,
-    Copying = 1,
-    CuttingOver = 2,
-    Done = 3,
-    Aborted = 4,
-};
-
-/** Snapshot of one migration for the `migrations` console verb. */
-struct MigrationStatus
-{
-    std::uint32_t id = 0;
-    std::uint8_t fn = 0;
-    std::uint32_t nsid = 1;
-    std::uint32_t chunkIndex = 0;
-    std::uint8_t srcSlot = 0, srcChunk = 0;
-    std::uint8_t dstSlot = 0, dstChunk = 0;
-    MigrationState state = MigrationState::Queued;
-    std::uint32_t copiedSegments = 0;
-    std::uint32_t totalSegments = 0;
-    std::uint64_t bytesCopied = 0;
-};
-
 /** Live chunk migration: the mover plus evacuation/rebalance policies. */
 class MigrationManager : public sim::SimObject
 {
   public:
-    using Config = MigrationConfig;
-
     /** Destination sentinel: pick the best slot at start time. */
     static constexpr int kAutoSlot = -2;
 
@@ -125,7 +82,8 @@ class MigrationManager : public sim::SimObject
          * between the mirror change and the flip).
          */
         std::function<void(std::uint8_t, std::uint8_t)> beforeCutover;
-        /** Per-job copy granularity (0 = config default; clamped). */
+        /** Per-job copy granularity (0 = the default 1 MiB; may only
+         *  shrink it). */
         std::uint64_t segmentBytes = 0;
         /**
          * Permit a source chunk the tiering registry owns (promote
@@ -145,7 +103,7 @@ class MigrationManager : public sim::SimObject
          */
         bool cowSource = false;
         /**
-         * Per-job segment-retry cap (-1 = config default). Tier
+         * Per-job segment-retry cap (-1 = the default 16). Tier
          * moves lower it: the remote transport already retries each
          * I/O internally, and a write held behind a fenced segment
          * waits out every retry — against a dead node that is
@@ -164,8 +122,7 @@ class MigrationManager : public sim::SimObject
     };
 
     MigrationManager(sim::Simulator &sim, std::string name,
-                     BmsEngine &engine, NamespaceManager &ns,
-                     Config cfg = Config());
+                     BmsEngine &engine, NamespaceManager &ns);
 
     /** Hot-upgrade interlock: copying pauses while a slot is busy. */
     void setSlotBusyProbe(std::function<bool(int)> probe)
@@ -185,9 +142,10 @@ class MigrationManager : public sim::SimObject
         _tierGuard = std::move(guard);
     }
 
-    /** Re-program the copy bandwidth budget (MB/s; 0 = unpaced). */
+    /** Re-program the copy bandwidth budget (MB/s; 0 = unpaced). The
+     *  budget starts at 400 MB/s. */
     void setBudget(double mbps);
-    double budget() const { return _cfg.budgetMbps; }
+    double budget() const { return _budgetMbps; }
 
     /**
      * Queue a migration of namespace chunk @p chunk_index of
@@ -224,7 +182,7 @@ class MigrationManager : public sim::SimObject
     void releaseQuiesce(int slot) { _ns.quiesceRelease(slot); }
 
     /** Active + queued + recently finished migrations. */
-    std::vector<MigrationStatus> status() const;
+    std::vector<MiMigrationInfo> status() const;
 
     bool idle() const { return !_current && _queue.empty(); }
 
@@ -282,11 +240,11 @@ class MigrationManager : public sim::SimObject
     }
     void ensureBuffers();
     void setPrps(nvme::Sqe &sqe, std::uint64_t bytes) const;
-    MigrationStatus snapshot(const Job &j) const;
+    MiMigrationInfo snapshot(const Job &j) const;
 
     BmsEngine &_engine;
     NamespaceManager &_ns;
-    Config _cfg;
+    double _budgetMbps;
     IoMonitor *_monitor = nullptr;
     std::function<bool(int)> _slotBusy;
     std::function<bool(pcie::FunctionId, std::uint32_t, std::uint32_t)>
@@ -299,7 +257,7 @@ class MigrationManager : public sim::SimObject
     std::deque<Job> _queue;
     std::optional<Job> _current;
     std::uint32_t _nextId = 1;
-    std::deque<MigrationStatus> _history;
+    std::deque<MiMigrationInfo> _history;
 
     std::uint32_t _started = 0;
     std::uint32_t _completed = 0;

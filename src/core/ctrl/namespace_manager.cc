@@ -520,24 +520,24 @@ NamespaceManager::deleteSnapshot(std::uint32_t snap_id)
     return true;
 }
 
-std::vector<NamespaceManager::SnapInfo>
+std::vector<MiSnapInfo>
 NamespaceManager::snapshots() const
 {
-    std::vector<SnapInfo> out;
+    std::vector<MiSnapInfo> out;
     out.reserve(_snaps.size());
     for (const SnapRecord &s : _snaps) {
-        SnapInfo info;
+        MiSnapInfo info;
         info.id = s.id;
         info.srcFn = s.srcFn;
         info.srcNsid = s.srcNsid;
         info.sizeBlocks = s.sizeBlocks;
         for (const Allocation &a : s.allocs)
             if (!a.unallocated())
-                ++info.chunks;
+                ++info.pinnedChunks;
         out.push_back(info);
     }
     std::sort(out.begin(), out.end(),
-              [](const SnapInfo &a, const SnapInfo &b) {
+              [](const MiSnapInfo &a, const MiSnapInfo &b) {
                   return a.id < b.id;
               });
     return out;

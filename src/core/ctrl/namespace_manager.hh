@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/engine/bms_engine.hh"
+#include "core/mgmt/nvme_mi.hh"
 
 namespace bms::core {
 
@@ -67,16 +68,6 @@ class NamespaceManager
         std::uint64_t logical = 0;
         bool quiesced = false;
         bool remote = false; ///< a storage-node volume, not a local SSD
-    };
-
-    /** One snapshot's identity and pinned placement. */
-    struct SnapInfo
-    {
-        std::uint32_t id = 0;
-        pcie::FunctionId srcFn = 0;
-        std::uint32_t srcNsid = 1;
-        std::uint64_t sizeBlocks = 0;
-        std::uint32_t chunks = 0; ///< pinned physical chunks
     };
 
     /** One mapped chunk and the namespace owning it. */
@@ -223,7 +214,7 @@ class NamespaceManager
     bool deleteSnapshot(std::uint32_t snap_id);
 
     /** Live snapshots, sorted by id. */
-    std::vector<SnapInfo> snapshots() const;
+    std::vector<MiSnapInfo> snapshots() const;
 
     /** Pool reference count of (@p slot, @p chunk); 0 == free. */
     std::uint16_t chunkRefs(int slot, std::uint8_t chunk) const;

@@ -58,7 +58,7 @@ struct TieringConfig
      * management verbs.
      */
     sim::Tick policyPeriod = 0;
-    /** Copy granularity for tier moves (<= migration segmentBytes). */
+    /** Copy granularity for tier moves (<= the 1 MiB migration segment). */
     std::uint64_t tieringSegmentBytes = sim::kib(256);
 };
 

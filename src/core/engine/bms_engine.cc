@@ -15,6 +15,7 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
     _target = std::make_unique<TargetController>(sim, name + ".target",
                                                  *this);
     _functions.reserve(static_cast<std::size_t>(_cfg.totalFunctions()));
+    _pausingSlots.assign(static_cast<std::size_t>(_cfg.totalFunctions()), 0);
     for (int i = 0; i < _cfg.totalFunctions(); ++i) {
         nvme::ControllerModel::Config fc;
         fc.fn = static_cast<pcie::FunctionId>(i);
@@ -171,10 +172,13 @@ BmsEngine::storeIoContext(int ssd_slot, std::function<void()> stored)
     // Pause every function owning a namespace with a chunk on this
     // SSD; tenant doorbells still latch, commands simply stop being
     // fetched (that is the stored "context": ring state lives in host
-    // memory and engine registers).
-    // BMS_LINT_ALLOW(unordered-iter): pauseFetch() only sets a flag
-    // (idempotent, schedules nothing), so the pause set is identical
-    // for every visit order
+    // memory and engine registers). The slot remembers whom it holds
+    // paused: a function striped over several stored slots resumes
+    // only when the last of them reloads.
+    std::vector<bool> &holds = _slots.at(ssd_slot).holds;
+    holds.resize(_functions.size());
+    // BMS_LINT_ALLOW(unordered-iter): marking and counting commute and
+    // pauseFetch() only sets a flag, so every visit order ends alike
     for (auto &[key, binding] : _bindings) {
         (void)key;
         bool uses = false;
@@ -187,8 +191,11 @@ BmsEngine::storeIoContext(int ssd_slot, std::function<void()> stored)
                 }
             }
         }
-        if (uses)
+        if (uses && !holds[binding->fn]) {
+            holds[binding->fn] = true;
+            ++_pausingSlots[binding->fn];
             _functions.at(binding->fn)->pauseFetch();
+        }
     }
     _adaptors.at(ssd_slot)->whenDrained(std::move(stored));
 }
@@ -196,10 +203,13 @@ BmsEngine::storeIoContext(int ssd_slot, std::function<void()> stored)
 void
 BmsEngine::reloadIoContext(int ssd_slot)
 {
-    (void)ssd_slot;
-    for (auto &fn : _functions) {
-        if (fn->fetchPaused())
-            fn->resumeFetch();
+    std::vector<bool> &holds = _slots.at(ssd_slot).holds;
+    for (std::size_t fn = 0; fn < holds.size(); ++fn) {
+        if (!holds[fn])
+            continue;
+        holds[fn] = false;
+        if (--_pausingSlots[fn] == 0)
+            _functions[fn]->resumeFetch();
     }
 }
 

@@ -127,7 +127,11 @@ class BmsEngine : public sim::SimObject, public pcie::PcieDeviceIf
      */
     void storeIoContext(int ssd_slot, std::function<void()> stored);
 
-    /** Reload I/O context: resume fetching on paused functions. */
+    /**
+     * Reload I/O context: resume fetching on the functions that
+     * @p ssd_slot's store paused, except those another slot's stored
+     * context still holds.
+     */
     void reloadIoContext(int ssd_slot);
     /// @}
 
@@ -152,6 +156,9 @@ class BmsEngine : public sim::SimObject, public pcie::PcieDeviceIf
     {
         bool remote = false;
         int node = -1;
+        /** Per function: this slot's stored I/O context holds it
+         *  paused. */
+        std::vector<bool> holds;
     };
 
     EngineConfig _cfg;
@@ -159,6 +166,8 @@ class BmsEngine : public sim::SimObject, public pcie::PcieDeviceIf
     std::vector<SlotInfo> _slots;
     pcie::PcieUpstreamIf *_hostUp = nullptr;
     std::vector<std::unique_ptr<FrontFunction>> _functions;
+    /** Per function, how many stored slots hold it paused. */
+    std::vector<int> _pausingSlots;
     /** Shared x8 back-end interfaces (one per SSD-slot pair). */
     std::vector<std::unique_ptr<pcie::PcieLink>> _ifaceLinks;
     std::vector<std::unique_ptr<HostAdaptor>> _adaptors;

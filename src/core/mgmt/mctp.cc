@@ -25,8 +25,8 @@ MctpChannel::transmit(MctpPacket pkt)
     // Serialize packets through the VDM path.
     std::uint64_t bytes = pkt.payload.size() + 12; // MCTP + VDM headers
     sim::Tick start = now() > _busyUntil ? now() : _busyUntil;
-    _busyUntil = start + _cfg.bandwidth.delayFor(bytes);
-    sim::Tick arrive = _busyUntil + _cfg.latency;
+    _busyUntil = start + kBandwidth.delayFor(bytes);
+    sim::Tick arrive = _busyUntil + kLatency;
     MctpEndpoint *dst = it->second;
     sim().scheduleAt(arrive, [dst, pkt = std::move(pkt)] {
         dst->receivePacket(pkt);

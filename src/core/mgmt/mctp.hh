@@ -50,13 +50,6 @@ struct MctpPacket
 
 class MctpEndpoint;
 
-/** Timing of the VDM control path. */
-struct MctpChannelConfig
-{
-    sim::Tick latency = sim::microseconds(15);
-    sim::Bandwidth bandwidth = sim::Bandwidth::mbPerSec(30);
-};
-
 /**
  * Timed bidirectional packet pipe (the PCIe VDM path through the
  * BMC). Latency covers VDM forwarding; bandwidth is modest — MCTP is
@@ -65,11 +58,15 @@ struct MctpChannelConfig
 class MctpChannel : public sim::SimObject
 {
   public:
-    using Config = MctpChannelConfig;
+    /** @name Timing of the VDM control path. */
+    /// @{
+    static constexpr sim::Tick kLatency = sim::microseconds(15);
+    static constexpr sim::Bandwidth kBandwidth =
+        sim::Bandwidth::mbPerSec(30);
+    /// @}
 
-    MctpChannel(sim::Simulator &sim, std::string name,
-                Config cfg = Config())
-        : SimObject(sim, std::move(name)), _cfg(cfg)
+    MctpChannel(sim::Simulator &sim, std::string name)
+        : SimObject(sim, std::move(name))
     {}
 
     /** Register an endpoint reachable through this channel. */
@@ -81,7 +78,6 @@ class MctpChannel : public sim::SimObject
     std::uint64_t packetsCarried() const { return _packets; }
 
   private:
-    Config _cfg;
     std::unordered_map<Eid, MctpEndpoint *> _endpoints;
     sim::Tick _busyUntil = 0;
     std::uint64_t _packets = 0;

@@ -15,20 +15,6 @@ MgmtConsole::MgmtConsole(sim::Simulator &sim, std::string name, Eid eid)
 }
 
 void
-MgmtConsole::request(Eid ctrl, MiOpcode op,
-                     std::vector<std::uint8_t> payload, RawHandler handler)
-{
-    MiMessage req;
-    req.kind = MiMessage::Kind::Request;
-    req.opcode = op;
-    req.tag = _nextTag++;
-    req.payload = std::move(payload);
-    _pending[req.tag] = std::move(handler);
-    ++_requests;
-    _endpoint->sendMessage(ctrl, MctpMsgType::NvmeMi, req.serialize());
-}
-
-void
 MgmtConsole::onMessage(Eid src, MctpMsgType type,
                        std::vector<std::uint8_t> raw)
 {
@@ -51,31 +37,68 @@ MgmtConsole::onMessage(Eid src, MctpMsgType type,
     handler(resp);
 }
 
+namespace {
+
+/** @p v when @p status is Success and the payload decoded whole. */
+template <class T>
+std::optional<T>
+valueIf(MiStatus status, bool decoded, T v)
+{
+    if (status != MiStatus::Success || !decoded)
+        return std::nullopt;
+    return v;
+}
+
+} // namespace
+
+template <class Resp, class Req, class Cb>
+void
+MgmtConsole::call(Eid ctrl, MiOpcode op, const Req &req, Cb cb)
+{
+    MiMessage msg;
+    msg.opcode = op;
+    msg.tag = _nextTag++;
+    msg.payload = wire::encode(req);
+    _pending[msg.tag] = [cb = std::move(cb)](const MiMessage &resp) {
+        Resp out;
+        bool decoded = wire::decode(resp.payload, out);
+        cb(resp.status, decoded, std::move(out));
+    };
+    ++_requests;
+    _endpoint->sendMessage(ctrl, MctpMsgType::NvmeMi, msg.serialize());
+}
+
+template <class Req>
+void
+MgmtConsole::callOk(Eid ctrl, MiOpcode op, const Req &req,
+                    std::function<void(bool)> cb)
+{
+    call<MiEmpty>(ctrl, op, req,
+                  [cb = std::move(cb)](MiStatus status, bool, MiEmpty) {
+                      cb(status == MiStatus::Success);
+                  });
+}
+
+template <class Result, class Req>
+void
+MgmtConsole::callResult(Eid ctrl, MiOpcode op, const Req &req,
+                        std::function<void(Result)> cb)
+{
+    call<Result>(ctrl, op, req,
+                 [cb = std::move(cb)](MiStatus status, bool, Result res) {
+                     res.ok = res.ok && status == MiStatus::Success;
+                     cb(res);
+                 });
+}
+
 void
 MgmtConsole::healthPoll(Eid ctrl,
                         std::function<void(std::vector<SlotHealth>)> cb)
 {
-    request(ctrl, MiOpcode::HealthStatusPoll, {},
-            [cb = std::move(cb)](const MiMessage &resp) {
-                std::vector<SlotHealth> out;
-                wire::Reader r(resp.payload);
-                std::uint8_t n = r.u8();
-                for (std::uint8_t i = 0; i < n && r.ok(); ++i) {
-                    SlotHealth h;
-                    h.slot = r.u8();
-                    h.present = r.u8() != 0;
-                    h.upgrading = r.u8() != 0;
-                    h.firmwareRev = r.str();
-                    h.capacityBytes = r.u64();
-                    h.inflight = r.u32();
-                    h.temperatureK = r.u16();
-                    h.percentageUsed = r.u8();
-                    h.powerOnHours = r.u64();
-                    h.mediaErrors = r.u64();
-                    out.push_back(std::move(h));
-                }
-                cb(std::move(out));
-            });
+    call<MiHealth>(ctrl, MiOpcode::HealthStatusPoll, MiEmpty{},
+                   [cb = std::move(cb)](MiStatus, bool, MiHealth h) {
+                       cb(std::move(h.slots));
+                   });
 }
 
 void
@@ -84,24 +107,11 @@ MgmtConsole::createNamespace(
     QosLimits qos,
     std::function<void(std::optional<std::uint32_t>)> cb, bool thin)
 {
-    wire::Writer w;
-    w.u8(fn);
-    w.u64(bytes);
-    w.u8(policy);
-    w.f64(qos.iopsLimit);
-    w.f64(qos.mbPerSecLimit);
-    w.u8(thin ? 1 : 0);
-    request(ctrl, MiOpcode::VendorCreateNamespace, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                if (resp.status != MiStatus::Success) {
-                    cb(std::nullopt);
-                    return;
-                }
-                wire::Reader r(resp.payload);
-                std::uint32_t nsid = r.u32();
-                cb(r.ok() ? std::optional<std::uint32_t>(nsid)
-                          : std::nullopt);
-            });
+    call<MiNsid>(ctrl, MiOpcode::VendorCreateNamespace,
+                 MiCreateNamespaceReq{fn, bytes, policy, qos, thin},
+                 [cb = std::move(cb)](MiStatus st, bool decoded, MiNsid r) {
+                     cb(valueIf(st, decoded, r.nsid));
+                 });
 }
 
 void
@@ -110,35 +120,14 @@ MgmtConsole::snapshot(Eid ctrl, std::uint8_t fn, std::uint32_t nsid,
                                          std::vector<MiSnapInfo>)>
                           cb)
 {
-    wire::Writer w;
-    w.u8(fn);
-    w.u32(nsid);
-    request(ctrl, MiOpcode::VendorSnapshot, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                if (resp.status != MiStatus::Success) {
-                    cb(std::nullopt, {});
-                    return;
-                }
-                wire::Reader r(resp.payload);
-                std::uint32_t id = r.u32();
-                std::vector<MiSnapInfo> snaps;
-                std::uint16_t n = r.u16();
-                for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-                    MiSnapInfo s;
-                    s.id = r.u32();
-                    s.srcFn = r.u8();
-                    s.srcNsid = r.u32();
-                    s.sizeBlocks = r.u64();
-                    s.pinnedChunks = r.u32();
-                    if (r.ok())
-                        snaps.push_back(s);
-                }
-                if (!r.ok()) {
-                    cb(std::nullopt, {});
-                    return;
-                }
-                cb(id, std::move(snaps));
-            });
+    call<MiSnapshotList>(
+        ctrl, MiOpcode::VendorSnapshot, MiNsRef{fn, nsid},
+        [cb = std::move(cb)](MiStatus st, bool decoded, MiSnapshotList r) {
+            if (st == MiStatus::Success && decoded)
+                cb(r.id, std::move(r.snaps));
+            else
+                cb(std::nullopt, {});
+        });
 }
 
 void
@@ -146,34 +135,18 @@ MgmtConsole::clone(Eid ctrl, std::uint32_t snap_id, std::uint8_t fn,
                    QosLimits qos,
                    std::function<void(std::optional<std::uint32_t>)> cb)
 {
-    wire::Writer w;
-    w.u32(snap_id);
-    w.u8(fn);
-    w.f64(qos.iopsLimit);
-    w.f64(qos.mbPerSecLimit);
-    request(ctrl, MiOpcode::VendorClone, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                if (resp.status != MiStatus::Success) {
-                    cb(std::nullopt);
-                    return;
-                }
-                wire::Reader r(resp.payload);
-                std::uint32_t nsid = r.u32();
-                cb(r.ok() ? std::optional<std::uint32_t>(nsid)
-                          : std::nullopt);
-            });
+    call<MiNsid>(ctrl, MiOpcode::VendorClone, MiCloneReq{snap_id, fn, qos},
+                 [cb = std::move(cb)](MiStatus st, bool decoded, MiNsid r) {
+                     cb(valueIf(st, decoded, r.nsid));
+                 });
 }
 
 void
 MgmtConsole::deleteSnapshot(Eid ctrl, std::uint32_t snap_id,
                             std::function<void(bool)> cb)
 {
-    wire::Writer w;
-    w.u32(snap_id);
-    request(ctrl, MiOpcode::VendorDeleteSnapshot, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                cb(resp.status == MiStatus::Success);
-            });
+    callOk(ctrl, MiOpcode::VendorDeleteSnapshot, MiSnapId{snap_id},
+           std::move(cb));
 }
 
 void
@@ -181,71 +154,27 @@ MgmtConsole::destroyNamespace(Eid ctrl, std::uint8_t fn,
                               std::uint32_t nsid,
                               std::function<void(bool)> cb)
 {
-    wire::Writer w;
-    w.u8(fn);
-    w.u32(nsid);
-    request(ctrl, MiOpcode::VendorDestroyNamespace, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                cb(resp.status == MiStatus::Success);
-            });
+    callOk(ctrl, MiOpcode::VendorDestroyNamespace, MiNsRef{fn, nsid},
+           std::move(cb));
 }
 
 void
 MgmtConsole::setQos(Eid ctrl, std::uint8_t fn, std::uint32_t nsid,
                     QosLimits qos, std::function<void(bool)> cb)
 {
-    wire::Writer w;
-    w.u8(fn);
-    w.u32(nsid);
-    w.f64(qos.iopsLimit);
-    w.f64(qos.mbPerSecLimit);
-    request(ctrl, MiOpcode::VendorSetQos, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                cb(resp.status == MiStatus::Success);
-            });
+    callOk(ctrl, MiOpcode::VendorSetQos, MiSetQosReq{fn, nsid, qos},
+           std::move(cb));
 }
 
 void
 MgmtConsole::ioStats(Eid ctrl, std::uint8_t fn,
                      std::function<void(std::optional<MiIoStats>)> cb)
 {
-    wire::Writer w;
-    w.u8(fn);
-    request(ctrl, MiOpcode::VendorIoStats, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                if (resp.status != MiStatus::Success) {
-                    cb(std::nullopt);
-                    return;
-                }
-                wire::Reader r(resp.payload);
-                MiIoStats s;
-                s.readOps = r.u64();
-                s.writeOps = r.u64();
-                s.readIops = r.f64();
-                s.writeIops = r.f64();
-                s.readMbps = r.f64();
-                s.writeMbps = r.f64();
-                s.activeSqs = r.u16();
-                s.maxSqBacklog = r.u32();
-                s.arbRounds = r.u64();
-                s.fetchBatches = r.u64();
-                s.fetchedSqes = r.u64();
-                s.doorbellsCoalesced = r.u64();
-                std::uint8_t slots = r.u8();
-                for (std::uint8_t i = 0; i < slots && r.ok(); ++i) {
-                    MiDfEntry e;
-                    e.slot = r.u8();
-                    e.totalChunks = r.u64();
-                    e.usedChunks = r.u64();
-                    e.freeChunks = r.u64();
-                    e.logicalChunks = r.u64();
-                    e.quiesced = r.u8() != 0;
-                    e.chunkBytes = r.u64();
-                    if (r.ok())
-                        s.slots.push_back(e);
-                }
-                cb(r.ok() ? std::optional<MiIoStats>(s) : std::nullopt);
-            });
+    call<MiIoStats>(
+        ctrl, MiOpcode::VendorIoStats, MiFn{fn},
+        [cb = std::move(cb)](MiStatus st, bool decoded, MiIoStats s) {
+            cb(valueIf(st, decoded, std::move(s)));
+        });
 }
 
 void
@@ -253,22 +182,8 @@ MgmtConsole::firmwareUpgrade(Eid ctrl, std::uint8_t slot,
                              std::uint32_t image_bytes,
                              std::function<void(MiUpgradeResult)> cb)
 {
-    wire::Writer w;
-    w.u8(slot);
-    w.u32(image_bytes);
-    request(ctrl, MiOpcode::VendorFirmwareUpgrade, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                MiUpgradeResult res;
-                wire::Reader r(resp.payload);
-                res.ok = r.u8() != 0 &&
-                         resp.status == MiStatus::Success;
-                res.storeMs = r.f64();
-                res.firmwareMs = r.f64();
-                res.reloadMs = r.f64();
-                res.totalMs = r.f64();
-                res.ioPauseMs = r.f64();
-                cb(res);
-            });
+    callResult(ctrl, MiOpcode::VendorFirmwareUpgrade,
+               MiUpgradeReq{slot, image_bytes}, std::move(cb));
 }
 
 void
@@ -276,20 +191,8 @@ MgmtConsole::hotPlug(Eid ctrl, std::uint8_t slot,
                      std::function<void(MiHotPlugResult)> cb,
                      bool lossless)
 {
-    wire::Writer w;
-    w.u8(slot);
-    w.u8(lossless ? 1 : 0);
-    request(ctrl, MiOpcode::VendorHotPlug, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                MiHotPlugResult res;
-                wire::Reader r(resp.payload);
-                res.ok = r.u8() != 0 &&
-                         resp.status == MiStatus::Success;
-                res.ioPauseMs = r.f64();
-                res.evacuatedChunks = r.u32();
-                res.evacMs = r.f64();
-                cb(res);
-            });
+    callResult(ctrl, MiOpcode::VendorHotPlug, MiHotPlugReq{slot, lossless},
+               std::move(cb));
 }
 
 void
@@ -297,132 +200,45 @@ MgmtConsole::migrateChunk(Eid ctrl, std::uint8_t fn, std::uint32_t nsid,
                           std::uint32_t chunk_index, std::uint8_t dst_slot,
                           std::function<void(MiMigrateResult)> cb)
 {
-    wire::Writer w;
-    w.u8(fn);
-    w.u32(nsid);
-    w.u32(chunk_index);
-    w.u8(dst_slot);
-    request(ctrl, MiOpcode::VendorMigrateChunk, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                MiMigrateResult res;
-                wire::Reader r(resp.payload);
-                res.ok = r.u8() != 0 &&
-                         resp.status == MiStatus::Success;
-                res.dstSlot = r.u8();
-                res.elapsedMs = r.f64();
-                res.bytesCopied = r.u64();
-                cb(res);
-            });
+    callResult(ctrl, MiOpcode::VendorMigrateChunk,
+               MiMigrateReq{fn, nsid, chunk_index, dst_slot}, std::move(cb));
 }
 
 void
 MgmtConsole::evacuate(Eid ctrl, std::uint8_t slot,
                       std::function<void(MiEvacuateResult)> cb)
 {
-    wire::Writer w;
-    w.u8(slot);
-    request(ctrl, MiOpcode::VendorEvacuate, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                MiEvacuateResult res;
-                wire::Reader r(resp.payload);
-                res.ok = r.u8() != 0 &&
-                         resp.status == MiStatus::Success;
-                res.moved = r.u32();
-                res.failed = r.u32();
-                res.elapsedMs = r.f64();
-                cb(res);
-            });
+    callResult(ctrl, MiOpcode::VendorEvacuate, MiSlot{slot}, std::move(cb));
 }
 
 void
 MgmtConsole::migrations(
     Eid ctrl, std::function<void(std::vector<MiMigrationInfo>)> cb)
 {
-    request(ctrl, MiOpcode::VendorMigrationStatus, {},
-            [cb = std::move(cb)](const MiMessage &resp) {
-                std::vector<MiMigrationInfo> out;
-                wire::Reader r(resp.payload);
-                std::uint8_t n = r.u8();
-                for (std::uint8_t i = 0; i < n && r.ok(); ++i) {
-                    MiMigrationInfo m;
-                    m.id = r.u32();
-                    m.fn = r.u8();
-                    m.nsid = r.u32();
-                    m.chunkIndex = r.u32();
-                    m.srcSlot = r.u8();
-                    m.srcChunk = r.u8();
-                    m.dstSlot = r.u8();
-                    m.dstChunk = r.u8();
-                    m.state = r.u8();
-                    m.copiedSegments = r.u32();
-                    m.totalSegments = r.u32();
-                    m.bytesCopied = r.u64();
-                    if (r.ok())
-                        out.push_back(m);
-                }
-                cb(std::move(out));
-            });
+    call<MiMigrations>(ctrl, MiOpcode::VendorMigrationStatus, MiEmpty{},
+                       [cb = std::move(cb)](MiStatus, bool, MiMigrations m) {
+                           cb(std::move(m.entries));
+                       });
 }
 
 void
 MgmtConsole::df(Eid ctrl, std::function<void(std::vector<MiDfEntry>)> cb)
 {
-    request(ctrl, MiOpcode::VendorDf, {},
-            [cb = std::move(cb)](const MiMessage &resp) {
-                std::vector<MiDfEntry> out;
-                wire::Reader r(resp.payload);
-                std::uint8_t n = r.u8();
-                for (std::uint8_t i = 0; i < n && r.ok(); ++i) {
-                    MiDfEntry e;
-                    e.slot = r.u8();
-                    e.totalChunks = r.u64();
-                    e.usedChunks = r.u64();
-                    e.freeChunks = r.u64();
-                    e.logicalChunks = r.u64();
-                    e.quiesced = r.u8() != 0;
-                    e.chunkBytes = r.u64();
-                    if (r.ok())
-                        out.push_back(e);
-                }
-                cb(std::move(out));
-            });
+    call<MiDf>(ctrl, MiOpcode::VendorDf, MiEmpty{},
+               [cb = std::move(cb)](MiStatus, bool, MiDf d) {
+                   cb(std::move(d.slots));
+               });
 }
 
 void
 MgmtConsole::tierStats(Eid ctrl,
                        std::function<void(std::optional<MiTierStats>)> cb)
 {
-    request(ctrl, MiOpcode::VendorTierStats, {},
-            [cb = std::move(cb)](const MiMessage &resp) {
-                if (resp.status != MiStatus::Success) {
-                    cb(std::nullopt);
-                    return;
-                }
-                wire::Reader r(resp.payload);
-                MiTierStats s;
-                s.spills = r.u32();
-                s.promotes = r.u32();
-                s.failures = r.u32();
-                s.nodeLosses = r.u32();
-                s.chunksRecovered = r.u32();
-                s.chunksRespilled = r.u32();
-                std::uint16_t n = r.u16();
-                for (std::uint16_t i = 0; i < n && r.ok(); ++i) {
-                    MiSpilledChunk c;
-                    c.fn = r.u8();
-                    c.nsid = r.u32();
-                    c.chunkIndex = r.u32();
-                    c.remoteSlot = r.u8();
-                    c.remoteChunk = r.u8();
-                    c.shadowSlot = r.u8();
-                    c.shadowChunk = r.u8();
-                    c.heatMbps = r.f64();
-                    if (r.ok())
-                        s.spilled.push_back(c);
-                }
-                cb(r.ok() ? std::optional<MiTierStats>(std::move(s))
-                          : std::nullopt);
-            });
+    call<MiTierStats>(
+        ctrl, MiOpcode::VendorTierStats, MiEmpty{},
+        [cb = std::move(cb)](MiStatus st, bool decoded, MiTierStats s) {
+            cb(valueIf(st, decoded, std::move(s)));
+        });
 }
 
 void
@@ -430,32 +246,16 @@ MgmtConsole::setTierPolicy(Eid ctrl, double spill_mbps,
                            double promote_mbps, std::uint64_t period_ns,
                            std::function<void(bool)> cb)
 {
-    wire::Writer w;
-    w.f64(spill_mbps);
-    w.f64(promote_mbps);
-    w.u64(period_ns);
-    request(ctrl, MiOpcode::VendorSetTierPolicy, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                cb(resp.status == MiStatus::Success);
-            });
+    callOk(ctrl, MiOpcode::VendorSetTierPolicy,
+           MiTierPolicyReq{spill_mbps, promote_mbps, period_ns},
+           std::move(cb));
 }
 
 void
 MgmtConsole::failNode(Eid ctrl, std::uint8_t node,
                       std::function<void(MiFailNodeResult)> cb)
 {
-    wire::Writer w;
-    w.u8(node);
-    request(ctrl, MiOpcode::VendorFailNode, w.take(),
-            [cb = std::move(cb)](const MiMessage &resp) {
-                MiFailNodeResult res;
-                wire::Reader r(resp.payload);
-                res.ok = r.u8() != 0 &&
-                         resp.status == MiStatus::Success;
-                res.recovered = r.u32();
-                res.respilled = r.u32();
-                cb(res);
-            });
+    callResult(ctrl, MiOpcode::VendorFailNode, MiNode{node}, std::move(cb));
 }
 
 } // namespace bms::core

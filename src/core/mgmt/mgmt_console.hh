@@ -121,8 +121,23 @@ class MgmtConsole : public sim::SimObject
   private:
     using RawHandler = std::function<void(const MiMessage &)>;
 
-    void request(Eid ctrl, MiOpcode op, std::vector<std::uint8_t> payload,
-                 RawHandler handler);
+    /**
+     * Send @p req; @p cb gets the response status, whether the payload
+     * decoded whole, and the decoded @p Resp.
+     */
+    template <class Resp, class Req, class Cb>
+    void call(Eid ctrl, MiOpcode op, const Req &req, Cb cb);
+
+    /** A verb answered by its status alone. */
+    template <class Req>
+    void callOk(Eid ctrl, MiOpcode op, const Req &req,
+                std::function<void(bool)> cb);
+
+    /** An outcome record: its `ok` also needs a Success status. */
+    template <class Result, class Req>
+    void callResult(Eid ctrl, MiOpcode op, const Req &req,
+                    std::function<void(Result)> cb);
+
     void onMessage(Eid src, MctpMsgType type,
                    std::vector<std::uint8_t> raw);
 

@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "core/engine/qos.hh"
 #include "core/mgmt/wire.hh"
-#include "sim/types.hh"
 
 namespace bms::core {
 
@@ -54,7 +54,10 @@ enum class MiStatus : std::uint8_t
     InternalError = 0x22,
 };
 
-/** Framed NVMe-MI message: [kind u8][opcode u8][tag u16][payload]. */
+/**
+ * Framed NVMe-MI message: [kind u8][opcode u8][status u8][tag u16]
+ * [payload]. The status byte is meaningful in responses only.
+ */
 struct MiMessage
 {
     enum class Kind : std::uint8_t
@@ -69,37 +72,179 @@ struct MiMessage
     std::uint16_t tag = 0;
     std::vector<std::uint8_t> payload;
 
+    template <class Io>
+    void io(Io &x) { x(kind, opcode, status, tag, wire::Rest{payload}); }
+
     std::vector<std::uint8_t>
     serialize() const
     {
-        wire::Writer w;
-        w.u8(static_cast<std::uint8_t>(kind));
-        w.u8(static_cast<std::uint8_t>(opcode));
-        w.u8(static_cast<std::uint8_t>(status));
-        w.u16(tag);
-        w.bytes(payload);
-        return w.take();
+        return wire::encode(*this);
     }
 
+    /** @return false when @p raw is shorter than the header. */
     static bool
     parse(const std::vector<std::uint8_t> &raw, MiMessage &out)
     {
-        if (raw.size() < 5)
-            return false;
-        out.kind = static_cast<Kind>(raw[0]);
-        out.opcode = static_cast<MiOpcode>(raw[1]);
-        out.status = static_cast<MiStatus>(raw[2]);
-        out.tag = static_cast<std::uint16_t>(raw[3] |
-                                             (raw[4] << 8));
-        out.payload.assign(raw.begin() + 5, raw.end());
-        return true;
+        return wire::decode(raw, out);
     }
 };
 
-/** @name Typed results carried in MI payloads. */
-/// @{
+// Payloads: every request and response of the implemented opcodes,
+// each with its one field list in wire order (see wire.hh).
 
-/** Health of one back-end SSD slot (HealthStatusPoll response). */
+/** No payload (polls and status-only answers). */
+struct MiEmpty
+{
+    template <class Io>
+    void io(Io &) {}
+};
+
+/** @name Requests. */
+/// @{
+/** VendorCreateNamespace request. */
+struct MiCreateNamespaceReq
+{
+    std::uint8_t fn = 0;
+    std::uint64_t bytes = 0;
+    std::uint8_t policy = 0; ///< NamespaceManager::Policy
+    QosLimits qos;
+    bool thin = false;
+
+    template <class Io>
+    void
+    io(Io &x)
+    {
+        x(fn, bytes, policy, qos.iopsLimit, qos.mbPerSecLimit, thin);
+    }
+};
+
+/** A namespace (VendorDestroyNamespace, VendorSnapshot requests). */
+struct MiNsRef
+{
+    std::uint8_t fn = 0;
+    std::uint32_t nsid = 1;
+
+    template <class Io>
+    void io(Io &x) { x(fn, nsid); }
+};
+
+/** VendorSetQos request. */
+struct MiSetQosReq
+{
+    std::uint8_t fn = 0;
+    std::uint32_t nsid = 1;
+    QosLimits qos;
+
+    template <class Io>
+    void io(Io &x) { x(fn, nsid, qos.iopsLimit, qos.mbPerSecLimit); }
+};
+
+/** A front-end function (VendorIoStats request). */
+struct MiFn
+{
+    std::uint8_t fn = 0;
+
+    template <class Io>
+    void io(Io &x) { x(fn); }
+};
+
+/** A back-end slot (VendorEvacuate request). */
+struct MiSlot
+{
+    std::uint8_t slot = 0;
+
+    template <class Io>
+    void io(Io &x) { x(slot); }
+};
+
+/** VendorFirmwareUpgrade request. */
+struct MiUpgradeReq
+{
+    std::uint8_t slot = 0;
+    std::uint32_t imageBytes = 0;
+
+    template <class Io>
+    void io(Io &x) { x(slot, imageBytes); }
+};
+
+/** VendorHotPlug request. */
+struct MiHotPlugReq
+{
+    std::uint8_t slot = 0;
+    bool lossless = false;
+
+    template <class Io>
+    void io(Io &x) { x(slot, lossless); }
+};
+
+/** VendorMigrateChunk request. */
+struct MiMigrateReq
+{
+    /** dstSlot value that lets the controller pick the destination. */
+    static constexpr std::uint8_t kAutoSlot = 0xFF;
+
+    std::uint8_t fn = 0;
+    std::uint32_t nsid = 1;
+    std::uint32_t chunkIndex = 0;
+    std::uint8_t dstSlot = kAutoSlot;
+
+    template <class Io>
+    void io(Io &x) { x(fn, nsid, chunkIndex, dstSlot); }
+};
+
+/** VendorSetTierPolicy request. */
+struct MiTierPolicyReq
+{
+    double spillMbps = 0.0;
+    double promoteMbps = 0.0;
+    std::uint64_t periodNs = 0; ///< 0 = manual
+
+    template <class Io>
+    void io(Io &x) { x(spillMbps, promoteMbps, periodNs); }
+};
+
+/** A storage node (VendorFailNode request). */
+struct MiNode
+{
+    std::uint8_t node = 0;
+
+    template <class Io>
+    void io(Io &x) { x(node); }
+};
+
+/** VendorClone request. */
+struct MiCloneReq
+{
+    std::uint32_t snapId = 0;
+    std::uint8_t fn = 0;
+    QosLimits qos;
+
+    template <class Io>
+    void io(Io &x) { x(snapId, fn, qos.iopsLimit, qos.mbPerSecLimit); }
+};
+
+/** A snapshot (VendorDeleteSnapshot request). */
+struct MiSnapId
+{
+    std::uint32_t id = 0;
+
+    template <class Io>
+    void io(Io &x) { x(id); }
+};
+/// @}
+
+/** @name Responses. */
+/// @{
+/** A namespace id (VendorCreateNamespace, VendorClone responses). */
+struct MiNsid
+{
+    std::uint32_t nsid = 0;
+
+    template <class Io>
+    void io(Io &x) { x(nsid); }
+};
+
+/** Health of one back-end SSD slot. */
 struct SlotHealth
 {
     std::uint8_t slot = 0;
@@ -116,6 +261,23 @@ struct SlotHealth
     std::uint64_t powerOnHours = 0;
     std::uint64_t mediaErrors = 0;
     /// @}
+
+    template <class Io>
+    void
+    io(Io &x)
+    {
+        x(slot, present, upgrading, firmwareRev, capacityBytes, inflight,
+          temperatureK, percentageUsed, powerOnHours, mediaErrors);
+    }
+};
+
+/** HealthStatusPoll response: one entry per slot. */
+struct MiHealth
+{
+    std::vector<SlotHealth> slots;
+
+    template <class Io>
+    void io(Io &x) { x(wire::list<std::uint8_t>(slots)); }
 };
 
 /** Per-SSD chunk occupancy (VendorDf response / ioStats tail). */
@@ -130,6 +292,23 @@ struct MiDfEntry
     std::uint64_t logicalChunks = 0;
     bool quiesced = false;
     std::uint64_t chunkBytes = 0;
+
+    template <class Io>
+    void
+    io(Io &x)
+    {
+        x(slot, totalChunks, usedChunks, freeChunks, logicalChunks,
+          quiesced, chunkBytes);
+    }
+};
+
+/** VendorDf response: one entry per registered slot. */
+struct MiDf
+{
+    std::vector<MiDfEntry> slots;
+
+    template <class Io>
+    void io(Io &x) { x(wire::list<std::uint8_t>(slots)); }
 };
 
 /** One snapshot as reported by VendorSnapshot's listing tail. */
@@ -140,6 +319,19 @@ struct MiSnapInfo
     std::uint32_t srcNsid = 1;
     std::uint64_t sizeBlocks = 0;
     std::uint32_t pinnedChunks = 0;
+
+    template <class Io>
+    void io(Io &x) { x(id, srcFn, srcNsid, sizeBlocks, pinnedChunks); }
+};
+
+/** VendorSnapshot response: the new id plus every live snapshot. */
+struct MiSnapshotList
+{
+    std::uint32_t id = 0;
+    std::vector<MiSnapInfo> snaps;
+
+    template <class Io>
+    void io(Io &x) { x(id, wire::list<std::uint16_t>(snaps)); }
 };
 
 /** Per-function I/O statistics (VendorIoStats response). */
@@ -162,6 +354,15 @@ struct MiIoStats
     /// @}
     /** Per-SSD occupancy appended by controllers that track it. */
     std::vector<MiDfEntry> slots;
+
+    template <class Io>
+    void
+    io(Io &x)
+    {
+        x(readOps, writeOps, readIops, writeIops, readMbps, writeMbps,
+          activeSqs, maxSqBacklog, arbRounds, fetchBatches, fetchedSqes,
+          doorbellsCoalesced, wire::list<std::uint8_t>(slots));
+    }
 };
 
 /** Firmware upgrade outcome (VendorFirmwareUpgrade response). */
@@ -173,6 +374,9 @@ struct MiUpgradeResult
     double reloadMs = 0.0;
     double totalMs = 0.0;
     double ioPauseMs = 0.0;
+
+    template <class Io>
+    void io(Io &x) { x(ok, storeMs, firmwareMs, reloadMs, totalMs, ioPauseMs); }
 };
 
 /** Hot-plug outcome (VendorHotPlug response). */
@@ -185,6 +389,9 @@ struct MiHotPlugResult
     std::uint32_t evacuatedChunks = 0;
     double evacMs = 0.0;
     /// @}
+
+    template <class Io>
+    void io(Io &x) { x(ok, ioPauseMs, evacuatedChunks, evacMs); }
 };
 
 /** Chunk migration outcome (VendorMigrateChunk response). */
@@ -194,6 +401,9 @@ struct MiMigrateResult
     std::uint8_t dstSlot = 0;
     double elapsedMs = 0.0;
     std::uint64_t bytesCopied = 0;
+
+    template <class Io>
+    void io(Io &x) { x(ok, dstSlot, elapsedMs, bytesCopied); }
 };
 
 /** SSD evacuation outcome (VendorEvacuate response). */
@@ -203,6 +413,9 @@ struct MiEvacuateResult
     std::uint32_t moved = 0;
     std::uint32_t failed = 0;
     double elapsedMs = 0.0;
+
+    template <class Io>
+    void io(Io &x) { x(ok, moved, failed, elapsedMs); }
 };
 
 /** One spilled chunk as reported by VendorTierStats. */
@@ -214,6 +427,14 @@ struct MiSpilledChunk
     std::uint8_t remoteSlot = 0, remoteChunk = 0;
     std::uint8_t shadowSlot = 0, shadowChunk = 0;
     double heatMbps = 0.0;
+
+    template <class Io>
+    void
+    io(Io &x)
+    {
+        x(fn, nsid, chunkIndex, remoteSlot, remoteChunk, shadowSlot,
+          shadowChunk, heatMbps);
+    }
 };
 
 /** Tiering counters + spilled-chunk listing (VendorTierStats). */
@@ -226,6 +447,14 @@ struct MiTierStats
     std::uint32_t chunksRecovered = 0;
     std::uint32_t chunksRespilled = 0;
     std::vector<MiSpilledChunk> spilled;
+
+    template <class Io>
+    void
+    io(Io &x)
+    {
+        x(spills, promotes, failures, nodeLosses, chunksRecovered,
+          chunksRespilled, wire::list<std::uint16_t>(spilled));
+    }
 };
 
 /** Storage-node loss recovery outcome (VendorFailNode response). */
@@ -234,9 +463,22 @@ struct MiFailNodeResult
     bool ok = false;
     std::uint32_t recovered = 0;
     std::uint32_t respilled = 0;
+
+    template <class Io>
+    void io(Io &x) { x(ok, recovered, respilled); }
 };
 
-/** One migration's progress (VendorMigrationStatus response). */
+/** Lifecycle of one chunk migration. */
+enum class MigrationState : std::uint8_t
+{
+    Queued = 0,
+    Copying = 1,
+    CuttingOver = 2,
+    Done = 3,
+    Aborted = 4,
+};
+
+/** One migration's progress (an entry of VendorMigrationStatus). */
 struct MiMigrationInfo
 {
     std::uint32_t id = 0;
@@ -245,10 +487,27 @@ struct MiMigrationInfo
     std::uint32_t chunkIndex = 0;
     std::uint8_t srcSlot = 0, srcChunk = 0;
     std::uint8_t dstSlot = 0, dstChunk = 0;
-    std::uint8_t state = 0; ///< MigrationState
+    MigrationState state = MigrationState::Queued;
     std::uint32_t copiedSegments = 0;
     std::uint32_t totalSegments = 0;
     std::uint64_t bytesCopied = 0;
+
+    template <class Io>
+    void
+    io(Io &x)
+    {
+        x(id, fn, nsid, chunkIndex, srcSlot, srcChunk, dstSlot, dstChunk,
+          state, copiedSegments, totalSegments, bytesCopied);
+    }
+};
+
+/** VendorMigrationStatus response: active, queued, then recent. */
+struct MiMigrations
+{
+    std::vector<MiMigrationInfo> entries;
+
+    template <class Io>
+    void io(Io &x) { x(wire::list<std::uint8_t>(entries)); }
 };
 /// @}
 

@@ -164,7 +164,6 @@ class FleetManager
     core::Eid ctrlEid(int card);
 
     // placement.cc
-    DfSnapshot queryDf(int card);
     std::vector<DfSnapshot> queryDfAll();
     int pickCard(const TenantRequest &req,
                  const std::vector<DfSnapshot> &df, std::string &why);

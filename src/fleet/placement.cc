@@ -10,26 +10,6 @@
 
 namespace bms::fleet {
 
-FleetManager::DfSnapshot
-FleetManager::queryDf(int card)
-{
-    DfSnapshot snap;
-    bool done = false;
-    this->card(card).console().df(
-        ctrlEid(card), [&snap, &done](std::vector<core::MiDfEntry> df) {
-            for (const core::MiDfEntry &e : df) {
-                snap.totalChunks += e.totalChunks;
-                snap.freeChunks += e.freeChunks;
-                snap.logicalChunks += e.logicalChunks;
-                snap.anyQuiesced = snap.anyQuiesced || e.quiesced;
-            }
-            snap.valid = true;
-            done = true;
-        });
-    pumpUntil([&done] { return done; });
-    return snap;
-}
-
 std::vector<FleetManager::DfSnapshot>
 FleetManager::queryDfAll()
 {

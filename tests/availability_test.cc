@@ -258,6 +258,49 @@ TEST(IoContext, FullRingWhileFetchPausedLosesNothing)
     EXPECT_TRUE(test::runUntil(bed.sim(), [&] { return done == 4; }));
 }
 
+// A tenant striped over two slots stays paused until the I/O context
+// of both slots is reloaded: reloading one slot's context must not
+// resume fetch for a function another slot still holds stored.
+TEST(IoContext, ReloadOfOneSlotKeepsOtherSlotsTenantsPaused)
+{
+    harness::BmStoreTestbed bed(cfgOf(2));
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(128));
+    core::NamespaceManager &ns = bed.controller().namespaces();
+    std::uint64_t chunk_bytes = ns.chunkBlocks() * nvme::kBlockSize;
+    std::optional<std::uint32_t> on_slot1;
+    for (std::uint32_t c = 0; c < 2; ++c) {
+        auto at = ns.chunkAt(0, 1, c);
+        ASSERT_TRUE(at.has_value());
+        if (at->slot == 1)
+            on_slot1 = c;
+    }
+    ASSERT_TRUE(on_slot1.has_value()); // one chunk on each slot
+
+    int stored = 0;
+    bed.engine().storeIoContext(0, [&] { ++stored; });
+    bed.engine().storeIoContext(1, [&] { ++stored; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return stored == 2; }));
+
+    bed.engine().reloadIoContext(0);
+    EXPECT_TRUE(bed.engine().function(0).fetchPaused());
+    bool done = false;
+    host::BlockRequest rd;
+    rd.op = host::BlockRequest::Op::Read;
+    rd.offset = *on_slot1 * chunk_bytes;
+    rd.len = 4096;
+    rd.done = [&](bool ok) {
+        EXPECT_TRUE(ok);
+        done = true;
+    };
+    disk.submit(std::move(rd));
+    bed.sim().runFor(sim::milliseconds(1));
+    EXPECT_FALSE(done);
+
+    bed.engine().reloadIoContext(1);
+    EXPECT_FALSE(bed.engine().function(0).fetchPaused());
+    EXPECT_TRUE(test::runUntil(bed.sim(), [&] { return done; }));
+}
+
 TEST(IoMonitor, RatesTrackLoad)
 {
     harness::BmStoreTestbed bed(cfgOf(1));

@@ -468,8 +468,7 @@ TEST(Migration, ConsoleVerbsRoundTrip)
     EXPECT_EQ(hist[0].chunkIndex, 0u);
     EXPECT_EQ(hist[0].srcSlot, 0);
     EXPECT_EQ(hist[0].dstSlot, 1);
-    EXPECT_EQ(hist[0].state,
-              static_cast<std::uint8_t>(core::MigrationState::Done));
+    EXPECT_EQ(hist[0].state, core::MigrationState::Done);
     EXPECT_EQ(hist[0].totalSegments, 8u); // 8 MiB in 1 MiB segments
     EXPECT_EQ(hist[0].copiedSegments, hist[0].totalSegments);
 
