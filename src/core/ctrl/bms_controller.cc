@@ -235,12 +235,13 @@ BmsController::dispatch(Eid src, const MiMessage &req)
       }
       case MiOpcode::VendorFirmwareUpgrade: {
         MiUpgradeReq q;
-        if (!wire::decode(req.payload, q) || q.slot >= _engine.ssdSlots()) {
+        if (!wire::decode(req.payload, q) || q.slot >= _engine.ssdSlots() ||
+            !HotUpgradeManager::validImageBytes(q.imageBytes)) {
             respond(src, req, MiStatus::InvalidParameter);
             return;
         }
         _hotUpgrade->upgrade(
-            q.slot, std::vector<std::uint8_t>(q.imageBytes, 0xFB),
+            q.slot, q.imageBytes,
             [this, src, req](HotUpgradeManager::Report rep) {
                 respondOutcome(src, req,
                                MiUpgradeResult{rep.ok,

@@ -1,7 +1,10 @@
 #include "core/ctrl/hot_upgrade.hh"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
+
+#include "sim/check.hh"
 
 namespace bms::core {
 
@@ -20,36 +23,36 @@ constexpr std::uint32_t kDownloadChunk = 256 * 1024;
 } // namespace
 
 void
-HotUpgradeManager::download(int slot, std::uint64_t offset,
-                            std::shared_ptr<std::vector<std::uint8_t>> image,
+HotUpgradeManager::download(int slot, std::uint32_t offset,
+                            std::uint32_t image_bytes,
                             std::function<void(bool)> then)
 {
-    if (offset >= image->size()) {
+    if (offset >= image_bytes) {
         then(true);
         return;
     }
-    std::uint32_t chunk = kDownloadChunk;
-    if (offset + chunk > image->size())
-        chunk = static_cast<std::uint32_t>(image->size() - offset);
+    std::uint32_t chunk = std::min(kDownloadChunk, image_bytes - offset);
     Sqe dl;
     dl.opcode = static_cast<std::uint8_t>(AdminOpcode::FirmwareDownload);
     dl.cdw10 = chunk / 4 - 1; // NUMD, 0-based dwords
-    dl.cdw11 = static_cast<std::uint32_t>(offset / 4);
+    dl.cdw11 = offset / 4;
     _engine.adaptor(slot).adminCommand(
-        dl, [this, slot, offset, chunk, image,
+        dl, [this, slot, offset, chunk, image_bytes,
              then = std::move(then)](const nvme::Cqe &cqe) {
             if (!cqe.ok()) {
                 then(false);
                 return;
             }
-            download(slot, offset + chunk, image, std::move(then));
+            download(slot, offset + chunk, image_bytes, std::move(then));
         });
 }
 
 void
-HotUpgradeManager::upgrade(int slot, std::vector<std::uint8_t> image,
+HotUpgradeManager::upgrade(int slot, std::uint32_t image_bytes,
                            std::function<void(Report)> done)
 {
+    BMS_ASSERT(validImageBytes(image_bytes), "firmware image of ",
+               image_bytes, " bytes");
     if (_busy.count(slot)) {
         // A concurrent upgrade on the same slot would interleave two
         // store/reload-context sequences; reject it cleanly instead.
@@ -72,21 +75,17 @@ HotUpgradeManager::upgrade(int slot, std::vector<std::uint8_t> image,
 
     // Step 1: store I/O context — pause affected front functions and
     // drain the adaptor, then charge the engine handshake cost.
-    _engine.storeIoContext(slot, [this, slot, t0, report,
-                                  image = std::move(image),
+    _engine.storeIoContext(slot, [this, slot, t0, report, image_bytes,
                                   done = std::move(done)]() mutable {
-        schedule(kStoreDelay, [this, slot, t0, report,
-                               image = std::move(image),
+        schedule(kStoreDelay, [this, slot, t0, report, image_bytes,
                                done = std::move(done)]() mutable {
             report->storeContext = now() - t0;
             sim::Tick fw_start = now();
 
             // Step 2: firmware download + commit (SSD activation
             // stall happens inside the commit).
-            auto img =
-                std::make_shared<std::vector<std::uint8_t>>(std::move(image));
-            download(slot, 0, img, [this, slot, fw_start, t0, report,
-                                    done = std::move(done)](bool ok) {
+            download(slot, 0, image_bytes, [this, slot, fw_start, t0, report,
+                                            done = std::move(done)](bool ok) {
                 if (!ok) {
                     _engine.reloadIoContext(slot);
                     report->total = now() - t0;

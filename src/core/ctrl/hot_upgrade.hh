@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <set>
-#include <vector>
 
 #include "core/engine/bms_engine.hh"
 #include "sim/simulator.hh"
@@ -53,17 +52,31 @@ class HotUpgradeManager : public sim::SimObject
         : SimObject(sim, std::move(name)), _engine(engine)
     {}
 
+    /** Largest firmware image accepted; callers send 4 KiB–4 MiB. */
+    static constexpr std::uint32_t kMaxImageBytes = 16u << 20;
+
     /**
-     * Upgrade the firmware of the SSD in back-end slot @p slot.
-     * @p image is the opaque firmware binary. @p done receives the
-     * timing report.
+     * An image size the download can carry: not empty, whole dwords
+     * (FirmwareDownload's NUMD counts dwords) and at most
+     * kMaxImageBytes.
+     */
+    static constexpr bool
+    validImageBytes(std::uint32_t bytes)
+    {
+        return bytes > 0 && bytes % 4 == 0 && bytes <= kMaxImageBytes;
+    }
+
+    /**
+     * Upgrade the firmware of the SSD in back-end slot @p slot with an
+     * opaque image of @p image_bytes, which validImageBytes() must
+     * accept. @p done receives the timing report.
      *
      * Re-entrant safe: a second upgrade requested for a slot whose
      * upgrade is still in flight is rejected cleanly (@p done fires
      * asynchronously with ok=false) instead of interleaving two
      * store/reload sequences on the same engine context.
      */
-    void upgrade(int slot, std::vector<std::uint8_t> image,
+    void upgrade(int slot, std::uint32_t image_bytes,
                  std::function<void(Report)> done);
 
     std::uint32_t upgradesCompleted() const { return _completed; }
@@ -87,8 +100,7 @@ class HotUpgradeManager : public sim::SimObject
     }
 
   private:
-    void download(int slot, std::uint64_t offset,
-                  std::shared_ptr<std::vector<std::uint8_t>> image,
+    void download(int slot, std::uint32_t offset, std::uint32_t image_bytes,
                   std::function<void(bool)> then);
 
     BmsEngine &_engine;

@@ -70,7 +70,9 @@ HostAdaptor::attachSsd(pcie::PcieDeviceIf &ssd)
 void
 HostAdaptor::detachSsd()
 {
+    BMS_ASSERT(_ssd, "detach from empty back-end slot ", int(_slot));
     BMS_ASSERT_EQ(inflight(), 0u, "detach with I/O in flight");
+    _ssd->detached();
     _ssd = nullptr;
     _ready = false;
 }

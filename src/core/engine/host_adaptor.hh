@@ -56,7 +56,10 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     /** Plug an SSD into this back-end slot. */
     void attachSsd(pcie::PcieDeviceIf &ssd);
 
-    /** Remove the SSD (hot-plug). Caller must have drained I/O. */
+    /**
+     * Remove the SSD (hot-plug) and tell it so: a pulled disk gives
+     * its media pages back. Caller must have drained I/O.
+     */
     void detachSsd();
 
     bool hasSsd() const { return _ssd != nullptr; }

@@ -408,7 +408,7 @@ Fuzzer::scheduleUpgrades(sim::Rng &rng)
                         "ctrl hotUpgrade(probe) slot=" +
                             std::to_string(slot));
             _bed->controller().hotUpgrade().upgrade(
-                slot, std::vector<std::uint8_t>(4096, 0xAB),
+                slot, 4096,
                 [this](core::HotUpgradeManager::Report r) {
                     if (r.ok)
                         ++_upgrades; // first finished unusually fast

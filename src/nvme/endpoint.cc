@@ -49,7 +49,15 @@ Endpoint::mmioRead(pcie::FunctionId fn, std::uint64_t offset)
 void
 Endpoint::attached(pcie::PcieUpstreamIf &upstream)
 {
+    BMS_ASSERT(!_detached, name(), " was pulled; a pulled disk is never ",
+               "attached again");
     _ctrl.setUpstream(&upstream);
+}
+
+void
+Endpoint::detached()
+{
+    _detached = true;
 }
 
 void

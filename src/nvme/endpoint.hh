@@ -39,7 +39,11 @@ class Endpoint : public sim::SimObject, public pcie::PcieDeviceIf
                    std::uint64_t value) override;
     std::uint64_t mmioRead(pcie::FunctionId fn,
                            std::uint64_t offset) override;
+    /** Panics when the endpoint was pulled before. */
     void attached(pcie::PcieUpstreamIf &upstream) override;
+    /** Marks the endpoint pulled. A subclass holding media drops it
+     *  here; a remote volume holds none. */
+    void detached() override;
     /// @}
 
     ControllerModel &controller() { return _ctrl; }
@@ -144,6 +148,7 @@ class Endpoint : public sim::SimObject, public pcie::PcieDeviceIf
     };
 
     Controller _ctrl;
+    bool _detached = false;
 };
 
 } // namespace bms::nvme

@@ -80,6 +80,13 @@ class PcieDeviceIf
 
     /** Called by the port once after attach. */
     virtual void attached(PcieUpstreamIf &upstream) = 0;
+
+    /**
+     * Called by the port when the device is pulled (hot-plug), once
+     * nothing is in flight. The device may drop its media; it is
+     * never attached again.
+     */
+    virtual void detached() {}
 };
 
 } // namespace bms::pcie

@@ -87,6 +87,13 @@ class PageStore
     /** Pages holding at least one reference. */
     std::size_t livePages() const { return _live; }
 
+    /**
+     * The most pages ever live at once. alloc() reuses a freed id
+     * before it carves a new one, so the ids carved so far, the zero
+     * page aside, are the live high-water mark.
+     */
+    std::size_t peakPages() const { return _refs.size() - 1; }
+
   private:
     /**
      * Small enough to come from the heap arena rather than a fresh

@@ -108,7 +108,11 @@ class SparseMemory
      */
     const std::uint8_t *page(std::uint64_t addr) const;
 
-    /** Drop all contents (e.g., a replaced hot-plug disk). */
+    /**
+     * Drop all contents. Callers: a disk pulled by hot-plug
+     * (`SsdDevice::detached`, `ZnsSsd::detached`), a wiping
+     * `SsdDevice::hardReset`, and the destructor.
+     */
     void clear();
 
     /**

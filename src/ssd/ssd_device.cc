@@ -1,6 +1,7 @@
 #include "ssd/ssd_device.hh"
 
 #include <utility>
+#include <vector>
 
 namespace bms::ssd {
 
@@ -67,6 +68,13 @@ SsdDevice::hardReset(bool wipe_data)
     controller().regWrite(nvme::kRegCc, 0); // drop CC.EN → full disable
     if (wipe_data)
         _flash.clear();
+}
+
+void
+SsdDevice::detached()
+{
+    Endpoint::detached();
+    _flash.clear();
 }
 
 void
@@ -197,13 +205,11 @@ void
 SsdDevice::executeAdmin(const Sqe &sqe)
 {
     switch (static_cast<AdminOpcode>(sqe.opcode)) {
-      case AdminOpcode::FirmwareDownload: {
-        // cdw10 NUMD (dwords - 1); we stage opaque bytes.
-        std::uint32_t bytes = ((sqe.cdw10 & 0xffff) + 1) * 4;
-        _fwStaging.resize(_fwStaging.size() + bytes);
+      case AdminOpcode::FirmwareDownload:
+        // The image is opaque and never read back: only the commit
+        // that activates it has an effect.
         complete(0, sqe.cid, Status::Success);
         return;
-      }
       case AdminOpcode::FirmwareCommit: {
         if (_upgrading) {
             complete(0, sqe.cid, Status::NamespaceNotReady);
@@ -223,7 +229,6 @@ SsdDevice::executeAdmin(const Sqe &sqe)
             _upgrading = false;
             ++_fwActivations;
             _fwRev = "VDV10" + std::to_string(131 + _fwActivations);
-            _fwStaging.clear();
             controller().resumeFetch();
             complete(0, sqe.cid, Status::Success);
         });

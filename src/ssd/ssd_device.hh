@@ -21,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "nvme/endpoint.hh"
 #include "sim/simulator.hh"
@@ -128,6 +127,9 @@ class SsdDevice : public nvme::Endpoint
      */
     void hardReset(bool wipe_data);
 
+    /** Pulled by hot-plug: the flash pages go back to the store. */
+    void detached() override;
+
     /** Direct access to stored bytes (test support). */
     sim::SparseMemory &flash() { return _flash; }
 
@@ -149,7 +151,6 @@ class SsdDevice : public nvme::Endpoint
 
     // Firmware state.
     std::string _fwRev;
-    std::vector<std::uint8_t> _fwStaging;
     std::uint32_t _fwActivations = 0;
     bool _upgrading = false;
     sim::Tick _lastActivation = 0;

@@ -31,6 +31,13 @@ ZnsSsd::ZnsSsd(sim::Simulator &sim, const std::string &name, Config cfg)
       _zones(_cfg.profile.media.capacityBytes / _cfg.profile.zoneBytes)
 {}
 
+void
+ZnsSsd::detached()
+{
+    Endpoint::detached();
+    _flash.clear();
+}
+
 ZoneState
 ZnsSsd::zoneState(std::uint64_t zone) const
 {

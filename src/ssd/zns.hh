@@ -98,6 +98,12 @@ class ZnsSsd : public nvme::Endpoint
     std::uint32_t activeZones() const { return _activeZones; }
     /// @}
 
+    /** Pulled by hot-plug: the zones' pages go back to the store. */
+    void detached() override;
+
+    /** Stored bytes (test support). */
+    const sim::SparseMemory &flash() const { return _flash; }
+
   protected:
     void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override;
 

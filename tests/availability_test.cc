@@ -45,7 +45,7 @@ TEST(HotUpgrade, NoTenantErrorsAndTimelyRecovery)
     bool upgraded = false;
     bed.sim().scheduleAt(sim::seconds(2), [&] {
         bed.controller().hotUpgrade().upgrade(
-            0, std::vector<std::uint8_t>(1 << 20, 0xFB),
+            0, 1u << 20,
             [&](core::HotUpgradeManager::Report r) {
                 report = r;
                 upgraded = true;
@@ -77,12 +77,12 @@ TEST(HotUpgrade, SecondUpgradeAfterFirst)
     bed.attachTenant(0, sim::gib(128));
     int done = 0;
     bed.controller().hotUpgrade().upgrade(
-        0, std::vector<std::uint8_t>(4096, 1),
+        0, 4096,
         [&](core::HotUpgradeManager::Report r) {
             EXPECT_TRUE(r.ok);
             ++done;
             bed.controller().hotUpgrade().upgrade(
-                0, std::vector<std::uint8_t>(4096, 2),
+                0, 4096,
                 [&](core::HotUpgradeManager::Report r2) {
                     EXPECT_TRUE(r2.ok);
                     ++done;
@@ -189,14 +189,37 @@ TEST(HotPlug, IoContinuesAcrossReplacement)
 }
 
 // A back-end bring-up reuses the adaptor's one chip block of rings, so
-// replacing SSD after SSD does not grow chip memory.
+// replacing SSD after SSD does not grow chip memory. A pulled disk gives
+// its flash pages back, so data written before each swap does not pile
+// up in the page store either.
 TEST(HotPlug, ChipMemoryStaysBoundedAcrossReplacements)
 {
-    harness::BmStoreTestbed bed(cfgOf(1));
+    harness::BmStoreTestbed bed(cfgOf(1, /*functional=*/true));
     host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(128));
-    auto replaceAndRead = [&](int n) {
+    auto &mem = bed.host().memory();
+    // Two pages: PRP1 and PRP2 carry them, so no CID's PRP list page
+    // enters host memory.
+    constexpr std::uint32_t kLen = 8 * 1024;
+    std::uint64_t buf = mem.alloc(kLen);
+    auto writeReplaceAndRead = [&](int n) {
+        std::vector<std::uint8_t> data(kLen, static_cast<std::uint8_t>(n + 1));
+        mem.write(buf, kLen, data.data());
+        bool wrote = false;
+        host::BlockRequest wr;
+        wr.op = host::BlockRequest::Op::Write;
+        wr.len = kLen;
+        wr.dataAddr = buf;
+        wr.done = [&](bool ok) {
+            EXPECT_TRUE(ok);
+            wrote = true;
+        };
+        disk.submit(std::move(wr));
+        ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return wrote; }));
+
+        ssd::SsdDevice::Config scfg;
+        scfg.functionalData = true;
         auto *spare = bed.sim().make<ssd::SsdDevice>(
-            bed.sim(), "spare" + std::to_string(n), ssd::SsdDevice::Config());
+            bed.sim(), "spare" + std::to_string(n), scfg);
         bool replaced = false;
         bed.controller().hotPlug().replace(
             0, *spare, [&](core::HotPlugManager::Report r) {
@@ -219,11 +242,14 @@ TEST(HotPlug, ChipMemoryStaysBoundedAcrossReplacements)
         }
         ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return done == 8; }));
     };
-    replaceAndRead(0);
-    std::size_t pages = bed.engine().chipMemory().allocatedPages();
-    for (int n = 1; n < 4; ++n)
-        replaceAndRead(n);
-    EXPECT_EQ(bed.engine().chipMemory().allocatedPages(), pages);
+    writeReplaceAndRead(0);
+    std::size_t chip = bed.engine().chipMemory().allocatedPages();
+    std::size_t live = bed.sim().pages().livePages();
+    for (int n = 1; n < 4; ++n) {
+        writeReplaceAndRead(n);
+        EXPECT_EQ(bed.engine().chipMemory().allocatedPages(), chip);
+        EXPECT_EQ(bed.sim().pages().livePages(), live) << "swap " << n;
+    }
 }
 
 // Storing a slot's I/O context stops fetch on its tenants' functions.
@@ -346,7 +372,7 @@ TEST(HotUpgrade, OtherSsdTenantsUnaffected)
     bool upgraded = false;
     bed.sim().scheduleAt(sim::seconds(2), [&] {
         bed.controller().hotUpgrade().upgrade(
-            0, std::vector<std::uint8_t>(4096, 1),
+            0, 4096,
             [&](core::HotUpgradeManager::Report r) {
                 EXPECT_TRUE(r.ok);
                 upgraded = true;

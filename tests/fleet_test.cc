@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -372,6 +373,125 @@ TEST(FleetFaults, NodeLossDuringWaveRecoversWithZeroDataLoss)
     for (Active &a : active)
         verified += a.oracle->verifiedBlocks();
     EXPECT_GT(verified, 0u);
+}
+
+// ---------------------------------------------------------------- //
+// Page high-water mark across a lossless-replace wave              //
+// ---------------------------------------------------------------- //
+
+// A pulled disk gives its flash pages back, so the most pages a
+// lossless-replace wave ever holds at once is the tenants' data, host
+// and chip memory, and at most one slot of stale pages (the slot being
+// evacuated) on top: not one more disk of stale pages per slot
+// replaced.
+TEST(FleetWave, LosslessReplacePeakPagesTrackLiveData)
+{
+    fleet::FleetConfig fc;
+    fc.cards = 2;
+    fc.ssdsPerCard = 2;
+    fc.seed = 34;
+    fleet::FleetManager fm(fc);
+    sim::Simulator &sim = fm.sim();
+    fuzz::OpLog log(256);
+    sim::Rng rng(fc.seed ^ 0x0f1ee7ULL);
+
+    // One verified tenant per card; its window is its whole namespace,
+    // one chunk.
+    constexpr std::uint64_t kTenantBytes = sim::mib(4);
+    constexpr std::uint32_t kIoBlocks = 8;
+    std::vector<fuzz::OracleDevice *> oracles;
+    std::vector<fuzz::TenantWorkload *> loads;
+    for (int i = 0; i < fm.cards(); ++i) {
+        fleet::TenantRequest req;
+        req.bytes = kTenantBytes;
+        fleet::Placement p = fm.admit(req);
+        ASSERT_TRUE(p.ok) << p.reason;
+        fuzz::OracleDevice::Config ocfg;
+        ocfg.uid = static_cast<std::uint32_t>(i + 1);
+        ocfg.seed = fc.seed;
+        ocfg.regionBytes = kTenantBytes;
+        ocfg.maxIoBytes = kIoBlocks * 4096;
+        std::string idx = std::to_string(i);
+        oracles.push_back(sim.make<fuzz::OracleDevice>(
+            sim, "pagetest.oracle" + idx, fm.tenantDriver(p.card, p.fn),
+            fm.card(p.card).host().memory(), log, ocfg));
+        fuzz::TenantSpec spec;
+        spec.iodepth = 1;
+        spec.maxIoBlocks = kIoBlocks;
+        loads.push_back(sim.make<fuzz::TenantWorkload>(
+            sim, "pagetest.tenant" + idx, *oracles.back(), rng.fork(),
+            spec));
+    }
+
+    // One pass over every window with a few I/Os in flight per tenant
+    // (so the oracles' buffer pools stay small): stamped writes, or
+    // verified reads.
+    auto sweep = [&](bool write) {
+        constexpr int kDepth = 4;
+        int pending = 0;
+        int errors = 0;
+        std::vector<std::uint64_t> next(oracles.size(), 0);
+        std::function<void(std::size_t)> submit = [&](std::size_t i) {
+            fuzz::OracleDevice &o = *oracles[i];
+            if (next[i] >= o.blocks())
+                return;
+            std::uint64_t b = next[i];
+            auto n = static_cast<std::uint32_t>(
+                std::min<std::uint64_t>(kIoBlocks, o.blocks() - b));
+            next[i] += n;
+            ++pending;
+            auto done = [&, i](bool ok) {
+                --pending;
+                if (!ok)
+                    ++errors;
+                submit(i);
+            };
+            if (write)
+                o.write(b, n, done);
+            else
+                o.read(b, n, done);
+        };
+        for (std::size_t i = 0; i < oracles.size(); ++i)
+            for (int d = 0; d < kDepth; ++d)
+                submit(i);
+        pump(fm, [&pending] { return pending == 0; });
+        EXPECT_EQ(errors, 0);
+    };
+    sweep(true);
+    for (fuzz::TenantWorkload *l : loads)
+        l->start();
+
+    fleet::WaveConfig wc;
+    wc.op = fleet::WaveOp::LosslessReplace;
+    fm.startWave(wc);
+    finishWave(fm);
+    ASSERT_EQ(fm.waveState(), fleet::WaveState::Done);
+    EXPECT_EQ(fm.waveReport().opsOk, 4u);
+    int stopping = static_cast<int>(loads.size());
+    for (fuzz::TenantWorkload *l : loads)
+        l->stop([&stopping] { --stopping; });
+    pump(fm, [&stopping] { return stopping == 0; });
+    sweep(false);
+
+    // Oracle blocks are 4 KiB: one page each.
+    std::size_t tenants = 0;
+    for (fuzz::OracleDevice *o : oracles)
+        tenants += o->blocks();
+    std::size_t host_chip = 0;
+    std::size_t largest_slot = 0;
+    for (int c = 0; c < fm.cards(); ++c) {
+        harness::BmStoreTestbed &bed = fm.card(c);
+        host_chip += bed.host().memory().raw().allocatedPages() +
+                     bed.engine().chipMemory().allocatedPages();
+        for (int s = 0; s < fc.ssdsPerCard; ++s) {
+            auto *dev = dynamic_cast<ssd::SsdDevice *>(
+                bed.engine().adaptor(s).ssd());
+            ASSERT_NE(dev, nullptr);
+            largest_slot =
+                std::max(largest_slot, dev->flash().allocatedPages());
+        }
+    }
+    EXPECT_LE(sim.pages().peakPages(), tenants + host_chip + largest_slot);
 }
 
 // ---------------------------------------------------------------- //

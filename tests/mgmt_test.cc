@@ -518,6 +518,46 @@ TEST(MgmtConsole, FunctionPastTheCardIsRefused)
     EXPECT_NE(bed.engine().findBinding(1, *valid), nullptr);
 }
 
+// The controller checks a firmware image's size at decode: an empty
+// image, one that is not whole dwords (NUMD counts dwords) and one past
+// the cap are refused before anything is allocated or sent to the SSD.
+TEST(MgmtConsole, FirmwareImageSizeCheckedAtDecode)
+{
+    harness::TestbedConfig cfg;
+    cfg.ssdCount = 1;
+    harness::BmStoreTestbed bed(cfg);
+    Eid ctrl = bed.controller().endpoint().eid();
+    auto *raw = bed.sim().make<MctpEndpoint>(bed.sim(), "raw", 0x31);
+    bed.mctp().bind(*raw);
+    std::vector<std::uint8_t> answer;
+    raw->setHandler([&](Eid, MctpMsgType, std::vector<std::uint8_t> msg) {
+        answer = std::move(msg);
+    });
+    auto upgrade = [&](std::uint32_t image_bytes) {
+        std::vector<std::uint8_t> frame = {
+            0x00, static_cast<std::uint8_t>(MiOpcode::VendorFirmwareUpgrade),
+            0x00, 0x01, 0x00};
+        std::vector<std::uint8_t> body =
+            wire::encode(MiUpgradeReq{0, image_bytes});
+        frame.insert(frame.end(), body.begin(), body.end());
+        answer.clear();
+        raw->sendMessage(ctrl, MctpMsgType::NvmeMi, frame);
+        EXPECT_TRUE(test::runUntil(
+            bed.sim(), [&] { return !answer.empty(); }, sim::seconds(30)));
+        return answer.size() < 5 ? MiStatus::InternalError
+                                 : static_cast<MiStatus>(answer[2]);
+    };
+
+    for (std::uint32_t bad :
+         {0u, 6u, HotUpgradeManager::kMaxImageBytes + 4}) {
+        SCOPED_TRACE(bad);
+        EXPECT_EQ(upgrade(bad), MiStatus::InvalidParameter);
+    }
+    EXPECT_EQ(bed.ssd(0).firmwareActivations(), 0u);
+    EXPECT_EQ(upgrade(4096), MiStatus::Success);
+    EXPECT_EQ(bed.ssd(0).firmwareActivations(), 1u);
+}
+
 // df must separate promised (logical) from allocated (physical)
 // capacity per slot: a thick namespace reserves its chunks up front,
 // a thin one only promises them — the gap is the overcommit the

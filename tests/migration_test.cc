@@ -402,6 +402,9 @@ TEST(Migration, ReplaceLosslessKeepsTenantData)
     EXPECT_GT(rep.evacTime, 0u);
     EXPECT_EQ(bed.controller().hotPlug().losslessCompleted(), 1u);
     EXPECT_FALSE(bed.controller().namespaces().quiesced(0));
+    // The pulled disk gave its flash back; the evacuated pages live on
+    // at their destination.
+    EXPECT_EQ(bed.ssd(0).flash().allocatedPages(), 0u);
 
     // Zero data loss: all four stamps read back intact.
     std::uint64_t rbuf = mem.alloc(kLen);

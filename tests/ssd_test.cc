@@ -253,6 +253,25 @@ TEST(SsdDevice, HardResetDisablesController)
     EXPECT_EQ(bed.ssd(0).flash().allocatedPages(), 0u);
 }
 
+// A disk pulled by hot-plug gives its flash back and is never attached
+// again: re-attaching it is a simulator invariant violation.
+TEST(SsdDevice, PulledDiskDropsItsFlashAndCannotReturn)
+{
+    sim::Simulator sim(5);
+    test::FakeUpstream up(sim);
+    ssd::SsdDevice::Config cfg;
+    cfg.functionalData = true;
+    auto *dev = sim.make<ssd::SsdDevice>(sim, "pulled", cfg);
+    dev->attached(up);
+    dev->flash().write(0, 4, reinterpret_cast<const std::uint8_t *>("data"));
+    ASSERT_EQ(sim.pages().livePages(), 1u);
+
+    dev->detached();
+    EXPECT_EQ(dev->flash().allocatedPages(), 0u);
+    EXPECT_EQ(sim.pages().livePages(), 0u);
+    EXPECT_PANIC(dev->attached(up));
+}
+
 /** Timing property: native single-disk envelope matches the paper's
  *  calibration targets within tolerance (guards regressions in any
  *  layer of the stack). */

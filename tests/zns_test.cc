@@ -315,3 +315,53 @@ TEST(ZnsBehindBmStore, SequentialTenantWritesFlowThroughEngine)
         total_wp += zns->writePointer(z) - z * zns->zoneBlocks();
     EXPECT_GT(total_wp, 1000u);
 }
+
+// A ZNS disk hot-plugged into a slot and later replaced gives its
+// zones' pages back when it is pulled.
+TEST(ZnsBehindBmStore, ReplacedZnsDiskReleasesItsZonesPages)
+{
+    harness::TestbedConfig cfg;
+    cfg.ssdCount = 1;
+    cfg.ssd.functionalData = true;
+    harness::BmStoreTestbed bed(cfg);
+    auto replaceSlot0 = [&](pcie::PcieDeviceIf &dev) {
+        bool swapped = false;
+        bed.controller().hotPlug().replace(
+            0, dev, [&](core::HotPlugManager::Report r) {
+                EXPECT_TRUE(r.ok);
+                swapped = true;
+            });
+        ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return swapped; },
+                                   sim::seconds(20)));
+    };
+
+    ssd::ZnsSsd::Config zcfg;
+    zcfg.functionalData = true;
+    auto *zns = bed.sim().make<ssd::ZnsSsd>(bed.sim(), "znsdev", zcfg);
+    replaceSlot0(*zns);
+
+    // Zone-ordered writes from the head of the tenant's first zone.
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(128));
+    auto &mem = bed.host().memory();
+    constexpr std::uint32_t kLen = 16 * 1024;
+    std::uint64_t buf = mem.alloc(kLen);
+    std::vector<std::uint8_t> data(kLen, 0x7E);
+    mem.write(buf, kLen, data.data());
+    bool wrote = false;
+    host::BlockRequest wr;
+    wr.op = host::BlockRequest::Op::Write;
+    wr.len = kLen;
+    wr.dataAddr = buf;
+    wr.done = [&](bool ok) {
+        EXPECT_TRUE(ok);
+        wrote = true;
+    };
+    disk.submit(std::move(wr));
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return wrote; }));
+    ASSERT_EQ(zns->flash().allocatedPages(), kLen / 4096);
+
+    ssd::SsdDevice::Config scfg;
+    scfg.functionalData = true;
+    replaceSlot0(*bed.sim().make<ssd::SsdDevice>(bed.sim(), "spare", scfg));
+    EXPECT_EQ(zns->flash().allocatedPages(), 0u);
+}
