@@ -11,28 +11,18 @@
  * mid-wave. Every active tenant is verified block-for-block by a
  * write-stamp oracle; the final sweep re-reads everything.
  *
- * Gates (CI-enforceable):
- *
- *   --placement-floor=F   placed / requested admissions (default 0.9)
- *   --makespan-limit-s=S  wave makespan in *simulated* seconds
- *                         (default 60)
- *   --events-floor=N      simulator events/sec over the whole run
- *                         (default 200000; pass a lower floor for
- *                         sanitizer builds)
- *   --wall-limit-s=S      whole bench wall-time limit (default 600)
+ * Gates (bench::Report, bounds below): placement quality, wave
+ * makespan, final-sweep read failures, events/sec and wall time.
  *
  * `--quick` shrinks the fleet (8 cards, ~160 admissions) for the
- * pre-PR smoke gate; `--json=PATH` overrides where the
- * machine-readable file lands (default BENCH_fleet.json). The JSON
- * carries the raw fleet measurements `tco_analysis --fleet-json=PATH`
- * feeds into the paper's §VI-C model at fleet scale.
+ * pre-PR smoke gate; `--json=PATH` overrides where the record lands
+ * (default BENCH_fleet.json). The record carries the raw fleet
+ * measurements `tco_analysis --fleet-json=PATH` feeds into the
+ * paper's §VI-C model at fleet scale.
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -41,11 +31,22 @@
 #include "fuzz/oracle.hh"
 #include "fuzz/schedule.hh"
 #include "harness/runner.hh"
+#include "report.hh"
 #include "sim/random.hh"
 
 using namespace bms;
 
 namespace {
+
+/** Gate bounds: placed / requested admissions, wave makespan in
+ *  simulated seconds, then simulator events/sec and whole-bench wall
+ *  seconds, relaxed in sanitized builds (about ten times slower). */
+constexpr double kPlacementFloor = 0.9;
+constexpr double kMakespanLimitS = 60.0;
+constexpr double kEventsFloor = 200e3;
+constexpr double kSanitizedEventsFloor = 20e3;
+constexpr double kWallLimitS = 600.0;
+constexpr double kSanitizedWallLimitS = 580.0;
 
 struct ActiveTenant
 {
@@ -55,121 +56,14 @@ struct ActiveTenant
     fuzz::TenantWorkload *workload = nullptr;
 };
 
-double
-wallSecondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
-
-struct Gate
-{
-    double value = 0.0;
-    double bound = 0.0;
-    bool floorGate = true; ///< pass when value >= bound (else <=)
-    bool pass() const
-    {
-        return floorGate ? value >= bound : value <= bound;
-    }
-};
-
-void
-writeJson(const std::string &path, const char *mode,
-          const fleet::FleetManager &fm, int requested, int placed,
-          int active, std::uint64_t total_ops,
-          std::uint64_t verified_blocks, std::uint64_t events,
-          double events_per_sec, double wall_sec, const Gate &placement,
-          const Gate &makespan, const Gate &eps, const Gate &wall,
-          bool pass)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "ext_fleet: cannot write %s\n", path.c_str());
-        return;
-    }
-    const fleet::WaveReport &w = fm.waveReport();
-    const fleet::FleetConfig &cfg = fm.config();
-    std::fprintf(f, "{\n  \"bench\": \"ext_fleet\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
-    std::fprintf(f, "  \"cards\": %d,\n", fm.cards());
-    std::fprintf(f, "  \"ssdsPerCard\": %d,\n", cfg.ssdsPerCard);
-    std::fprintf(f, "  \"tenantsRequested\": %d,\n", requested);
-    std::fprintf(f, "  \"tenantsPlaced\": %d,\n", placed);
-    std::fprintf(f, "  \"tenantsActive\": %d,\n", active);
-    std::fprintf(f, "  \"totalOps\": %llu,\n",
-                 static_cast<unsigned long long>(total_ops));
-    std::fprintf(f, "  \"verifiedBlocks\": %llu,\n",
-                 static_cast<unsigned long long>(verified_blocks));
-    std::fprintf(f, "  \"wave\": {\"opsOk\": %u, \"opsFailed\": %u, "
-                    "\"pauses\": %u, \"gateTrips\": %u, "
-                    "\"makespanMs\": %.1f, \"ioPauseMsMax\": %.1f, "
-                    "\"evacuatedChunks\": %llu},\n",
-                 w.opsOk, w.opsFailed, w.pauses, w.gateTrips,
-                 sim::toMs(w.makespan), w.ioPauseMsMax,
-                 static_cast<unsigned long long>(w.evacuatedChunks));
-    std::fprintf(f, "  \"drill\": {\"faultWindows\": %u, "
-                    "\"nodeLosses\": %u, \"stormRejections\": %u},\n",
-                 fm.faultWindowsOpened(), fm.nodeLossesRecovered(),
-                 fm.stormRejections());
-    std::fprintf(f, "  \"events\": %llu,\n",
-                 static_cast<unsigned long long>(events));
-    std::fprintf(f, "  \"eventsPerSec\": %.1f,\n", events_per_sec);
-    std::fprintf(f, "  \"wallSeconds\": %.1f,\n", wall_sec);
-    std::fprintf(f, "  \"traceHash\": \"%016llx\",\n",
-                 static_cast<unsigned long long>(fm.traceHash()));
-    std::fprintf(f, "  \"gates\": {\n");
-    std::fprintf(f,
-                 "    \"placementQuality\": {\"value\": %.3f, "
-                 "\"floor\": %.3f, \"pass\": %s},\n",
-                 placement.value, placement.bound,
-                 placement.pass() ? "true" : "false");
-    std::fprintf(f,
-                 "    \"waveMakespanS\": {\"value\": %.2f, "
-                 "\"limit\": %.2f, \"pass\": %s},\n",
-                 makespan.value, makespan.bound,
-                 makespan.pass() ? "true" : "false");
-    std::fprintf(f,
-                 "    \"eventsPerSec\": {\"value\": %.1f, "
-                 "\"floor\": %.1f, \"pass\": %s},\n",
-                 eps.value, eps.bound, eps.pass() ? "true" : "false");
-    std::fprintf(f,
-                 "    \"wallSeconds\": {\"value\": %.1f, "
-                 "\"limit\": %.1f, \"pass\": %s}\n",
-                 wall.value, wall.bound, wall.pass() ? "true" : "false");
-    std::fprintf(f, "  },\n  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-
-    bool quick = false;
-    double placementFloor = 0.9;
-    double makespanLimitS = 60.0;
-    double eventsFloor = 200e3;
-    double wallLimit = 600.0;
-    std::string jsonPath = "BENCH_fleet.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strncmp(argv[i], "--placement-floor=", 18) == 0)
-            placementFloor = std::atof(argv[i] + 18);
-        else if (std::strncmp(argv[i], "--makespan-limit-s=", 19) == 0)
-            makespanLimitS = std::atof(argv[i] + 19);
-        else if (std::strncmp(argv[i], "--events-floor=", 15) == 0)
-            eventsFloor = std::atof(argv[i] + 15);
-        else if (std::strncmp(argv[i], "--wall-limit-s=", 15) == 0)
-            wallLimit = std::atof(argv[i] + 15);
-        else if (std::strncmp(argv[i], "--json=", 7) == 0)
-            jsonPath = argv[i] + 7;
-    }
-
-    auto wall0 = std::chrono::steady_clock::now();
+    bench::Report report("ext_fleet", argc, argv, "BENCH_fleet.json",
+                         /*has_quick=*/true);
+    bool quick = report.quick();
 
     // Fleet shape: full mode is the acceptance scale (32 cards, >1000
     // admissions); quick is the smoke-gate miniature of the same
@@ -306,30 +200,13 @@ main(int argc, char **argv)
         a.workload->stop([&stopping] { --stopping; });
     while (stopping > 0 || !fm.drillIdle())
         sim.runUntil(sim.now() + sim::milliseconds(1));
-    int sweepPending = 0;
-    std::uint64_t sweepErrors = 0;
-    for (ActiveTenant &a : active) {
-        std::uint32_t step = a.oracle->maxIoBlocks();
-        for (std::uint64_t b = 0; b < a.oracle->blocks(); b += step) {
-            auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                step, a.oracle->blocks() - b));
-            ++sweepPending;
-            a.oracle->read(b, n, [&sweepPending, &sweepErrors](bool ok) {
-                --sweepPending;
-                if (!ok)
-                    ++sweepErrors;
-            });
-        }
-    }
-    while (sweepPending > 0)
+    fuzz::OracleDevice::SweepTally sweep;
+    for (ActiveTenant &a : active)
+        a.oracle->sweep(sweep);
+    while (sweep.pending > 0)
         sim.runUntil(sim.now() + sim::milliseconds(1));
-    if (sweepErrors != 0) {
-        std::fprintf(stderr, "ext_fleet: %llu final-sweep reads failed\n",
-                     static_cast<unsigned long long>(sweepErrors));
-        return 1;
-    }
 
-    double wallSec = wallSecondsSince(wall0);
+    double wallSec = report.wallSeconds();
     std::uint64_t events = sim.queue().executedCount() - events0;
     double eventsPerSec =
         wallSec > 0 ? static_cast<double>(events) / wallSec : 0.0;
@@ -341,53 +218,56 @@ main(int argc, char **argv)
     }
 
     const fleet::WaveReport &w = fm.waveReport();
-    Gate placementGate{placementQuality, placementFloor, true};
-    Gate makespanGate{static_cast<double>(w.makespan) / 1e9,
-                      makespanLimitS, false};
-    Gate epsGate{eventsPerSec, eventsFloor, true};
-    Gate wallGate{wallSec, wallLimit, false};
-    bool pass = placementGate.pass() && makespanGate.pass() &&
-                epsGate.pass() && wallGate.pass();
-
+    double makespanS = static_cast<double>(w.makespan) / 1e9;
     harness::Table t({"cards", "placed/req", "active", "wave ok/fail",
-                      "makespan (s)", "io-pause max (ms)", "events (M)",
+                      "makespan (s)", "io-pause max (ms)",
+                      "drill win/loss/storm", "events (M)",
                       "events/sec (k)", "wall (s)"});
     t.addRow({harness::Table::fmtInt(fm.cards()),
               std::to_string(placed) + "/" + std::to_string(requested),
               harness::Table::fmtInt(static_cast<int>(active.size())),
               std::to_string(w.opsOk) + "/" + std::to_string(w.opsFailed),
-              harness::Table::fmt(makespanGate.value, 2),
+              harness::Table::fmt(makespanS, 2),
               harness::Table::fmt(w.ioPauseMsMax, 1),
+              std::to_string(fm.faultWindowsOpened()) + "/" +
+                  std::to_string(fm.nodeLossesRecovered()) + "/" +
+                  std::to_string(fm.stormRejections()),
               harness::Table::fmt(static_cast<double>(events) / 1e6, 2),
               harness::Table::fmt(eventsPerSec / 1e3, 1),
               harness::Table::fmt(wallSec, 1)});
     t.print(quick ? "ext_fleet — rolling upgrade wave (quick)"
                   : "ext_fleet — 32-card rolling upgrade wave");
-    std::printf("\nplacement %.3f (floor %.3f), makespan %.2fs "
-                "(limit %.0fs), %.0fk events/sec (floor %.0fk), "
-                "drill: %u windows / %u node losses / %u storm "
-                "rejections\n",
-                placementQuality, placementFloor, makespanGate.value,
-                makespanLimitS, eventsPerSec / 1e3, eventsFloor / 1e3,
-                fm.faultWindowsOpened(), fm.nodeLossesRecovered(),
-                fm.stormRejections());
 
-    writeJson(jsonPath, quick ? "quick" : "full", fm, requested, placed,
-              static_cast<int>(active.size()), totalOps, verifiedBlocks,
-              events, eventsPerSec, wallSec, placementGate, makespanGate,
-              epsGate, wallGate, pass);
-    std::printf("fleet measurements written to %s\n", jsonPath.c_str());
-
-    if (!pass) {
-        std::fprintf(stderr,
-                     "ext_fleet: GATE FAILURE (placement %.3f/%.3f, "
-                     "makespan %.2f/%.0f, events/sec %.0f/%.0f, "
-                     "wall %.1f/%.0f)\n",
-                     placementQuality, placementFloor, makespanGate.value,
-                     makespanLimitS, eventsPerSec, eventsFloor, wallSec,
-                     wallLimit);
-        return 1;
-    }
-    std::printf("ext_fleet: all gates passed\n");
-    return 0;
+    char traceHash[17];
+    std::snprintf(traceHash, sizeof traceHash, "%016llx",
+                  static_cast<unsigned long long>(fm.traceHash()));
+    report.values()
+        .add("cards", fm.cards())
+        .add("ssdsPerCard", fc.ssdsPerCard)
+        .add("tenantsRequested", requested)
+        .add("tenantsPlaced", placed)
+        .add("tenantsActive", active.size())
+        .add("totalOps", totalOps)
+        .add("verifiedBlocks", verifiedBlocks)
+        .add("opsOk", w.opsOk)
+        .add("opsFailed", w.opsFailed)
+        .add("pauses", w.pauses)
+        .add("gateTrips", w.gateTrips)
+        .add("makespanMs", sim::toMs(w.makespan), 1)
+        .add("ioPauseMsMax", w.ioPauseMsMax, 1)
+        .add("evacuatedChunks", w.evacuatedChunks)
+        .add("faultWindows", fm.faultWindowsOpened())
+        .add("nodeLosses", fm.nodeLossesRecovered())
+        .add("stormRejections", fm.stormRejections())
+        .add("events", events)
+        .add("traceHash", traceHash);
+    bool san = bench::Report::sanitized();
+    report.floor("placementQuality", placementQuality, kPlacementFloor);
+    report.limit("waveMakespanS", makespanS, kMakespanLimitS);
+    report.limit("sweepReadsFailed", sweep.failed, 0.0);
+    report.floor("eventsPerSec", eventsPerSec,
+                 san ? kSanitizedEventsFloor : kEventsFloor);
+    report.limit("wallSeconds", wallSec,
+                 san ? kSanitizedWallLimitS : kWallLimitS);
+    return report.finish();
 }

@@ -9,28 +9,21 @@
  *
  *   churn  tenant p99 while the tiering manager continuously
  *          spills/promotes one chunk at a time under a 200 MB/s
- *          migration budget — the transparency claim, gated:
- *
- *            --p99-factor=F   churn p99 must stay within F x the
- *                             idle p99 (default 2.0)
- *            --moves-floor=N  the window must complete at least N
- *                             tier moves or the gate measured
- *                             nothing (default 4; quick 2)
- *
- *          Any tenant I/O error in either window fails the bench.
+ *          migration budget — the transparency claim, gated
+ *          (bounds below) on churn p99 over idle p99, on the tier
+ *          moves done in the window (or the gate measured nothing)
+ *          and on tenant I/O errors.
  *
  *   sweep  read IOPS/latency with K of the 4 chunks pinned remote
  *          (K = 0..4) — what a cold working set actually costs as
  *          its remote share grows.
  *
+ * Every fio window is also gated on Little's law (bench::Report).
  * `--quick` shrinks both windows for the pre-PR smoke gate;
- * `--json=PATH` overrides the machine-readable output (default
+ * `--json=PATH` overrides where the record lands (default
  * BENCH_remote_tier.json in the current directory).
  */
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -38,6 +31,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -51,6 +45,12 @@ constexpr int kChunks = 4;
 constexpr std::uint64_t kChunkBytes = sim::mib(8);
 constexpr double kMigrationMbps = 200.0;
 
+/** Gate bounds: churn p99 over idle p99, and the tier moves the churn
+ *  window must complete (full / quick). */
+constexpr double kP99Factor = 2.0;
+constexpr int kMovesFloor = 4;
+constexpr int kQuickMovesFloor = 2;
+
 struct PhaseResult
 {
     double iops = 0.0;
@@ -59,20 +59,19 @@ struct PhaseResult
     std::uint64_t errors = 0;
 };
 
-struct SweepPoint
-{
-    int spilledChunks = 0;
-    PhaseResult io;
-};
-
+/** Summarize @p r and add its numbers to @p row. */
 PhaseResult
-phaseOf(const workload::FioResult &r)
+phaseOf(const workload::FioResult &r, bench::Fields &row)
 {
     PhaseResult p;
     p.iops = r.iops;
     p.avgUs = r.avgLatencyUs();
     p.p99Us = static_cast<double>(r.latency.p99()) / 1e3;
     p.errors = r.errors;
+    row.add("iops", p.iops, 1)
+        .add("avgUs", p.avgUs, 2)
+        .add("p99Us", p.p99Us, 2)
+        .add("errors", p.errors);
     return p;
 }
 
@@ -128,88 +127,14 @@ spillChunks(harness::BmStoreTestbed &bed, int k)
         sim::seconds(10));
 }
 
-void
-writeJson(const std::string &path, const char *mode, const PhaseResult &idle,
-          const PhaseResult &churn, int moves, int tierFailures,
-          const std::vector<SweepPoint> &sweep, double p99Ratio,
-          double p99Factor, int movesFloor, std::uint64_t ioErrors, bool pass)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "ext_remote_storage: cannot write %s\n",
-                     path.c_str());
-        return;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"ext_remote_storage\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", mode);
-    std::fprintf(f,
-                 "  \"localSsds\": %d, \"remoteNodes\": %d, "
-                 "\"volumesPerNode\": %d,\n",
-                 kLocalSsds, kRemoteNodes, kVolumesPerNode);
-    std::fprintf(f,
-                 "  \"idle\": {\"iops\": %.1f, \"avgUs\": %.2f, "
-                 "\"p99Us\": %.2f, \"errors\": %llu},\n",
-                 idle.iops, idle.avgUs, idle.p99Us,
-                 static_cast<unsigned long long>(idle.errors));
-    std::fprintf(f,
-                 "  \"churn\": {\"iops\": %.1f, \"avgUs\": %.2f, "
-                 "\"p99Us\": %.2f, \"errors\": %llu, \"tierMoves\": %d, "
-                 "\"tierFailures\": %d},\n",
-                 churn.iops, churn.avgUs, churn.p99Us,
-                 static_cast<unsigned long long>(churn.errors), moves,
-                 tierFailures);
-    std::fprintf(f, "  \"sweep\": [\n");
-    for (std::size_t i = 0; i < sweep.size(); ++i) {
-        const SweepPoint &p = sweep[i];
-        std::fprintf(f,
-                     "    {\"spilledChunks\": %d, \"remoteShare\": %.2f, "
-                     "\"iops\": %.1f, \"avgUs\": %.2f, \"p99Us\": %.2f}%s\n",
-                     p.spilledChunks,
-                     static_cast<double>(p.spilledChunks) / kChunks, p.io.iops,
-                     p.io.avgUs, p.io.p99Us,
-                     i + 1 < sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"gates\": {\n");
-    std::fprintf(f,
-                 "    \"p99Churn\": {\"value\": %.3f, \"limit\": %.3f, "
-                 "\"pass\": %s},\n",
-                 p99Ratio, p99Factor, p99Ratio <= p99Factor ? "true" : "false");
-    std::fprintf(f,
-                 "    \"tierMoves\": {\"value\": %d, \"floor\": %d, "
-                 "\"pass\": %s},\n",
-                 moves, movesFloor, moves >= movesFloor ? "true" : "false");
-    std::fprintf(f,
-                 "    \"ioErrors\": {\"value\": %llu, \"limit\": 0, "
-                 "\"pass\": %s}\n",
-                 static_cast<unsigned long long>(ioErrors),
-                 ioErrors == 0 ? "true" : "false");
-    std::fprintf(f, "  },\n  \"pass\": %s\n}\n", pass ? "true" : "false");
-    std::fclose(f);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-
-    bool quick = false;
-    double p99Factor = 2.0;
-    int movesFloor = -1; // resolved after --quick is known
-    std::string jsonPath = "BENCH_remote_tier.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strncmp(argv[i], "--p99-factor=", 13) == 0)
-            p99Factor = std::atof(argv[i] + 13);
-        else if (std::strncmp(argv[i], "--moves-floor=", 14) == 0)
-            movesFloor = std::atoi(argv[i] + 14);
-        else if (std::strncmp(argv[i], "--json=", 7) == 0)
-            jsonPath = argv[i] + 7;
-    }
-    if (movesFloor < 0)
-        movesFloor = quick ? 2 : 4;
+    bench::Report report("ext_remote_storage", argc, argv,
+                         "BENCH_remote_tier.json", /*has_quick=*/true);
+    bool quick = report.quick();
 
     // ---- Phase 1: idle vs tier-churn tail latency -------------------
     auto bed = makeBed();
@@ -219,7 +144,8 @@ main(int argc, char **argv)
 
     workload::FioJobSpec mixed =
         makeSpec(workload::FioPattern::RandRw, quick, "rand-rw-70-30");
-    PhaseResult idle = phaseOf(harness::runFio(bed->sim(), drv, mixed));
+    PhaseResult idle = phaseOf(report.runFio("idle", bed->sim(), drv, mixed),
+                               report.row("phases").add("phase", "idle"));
 
     // Continuous spill -> promote cycle, one chunk at a time, driven
     // entirely from completion callbacks while fio runs on top.
@@ -248,15 +174,14 @@ main(int argc, char **argv)
                    });
     };
     cycle(0);
-    PhaseResult churn = phaseOf(harness::runFio(bed->sim(), drv, mixed));
+    PhaseResult churn = phaseOf(report.runFio("churn", bed->sim(), drv, mixed),
+                                report.row("phases").add("phase", "churn"));
     stop = true;
     bed->runUntilTrue(
         [&] {
             return tier.idle() && bed->controller().migration().idle();
         },
         sim::seconds(10));
-
-    double p99Ratio = idle.p99Us > 0 ? churn.p99Us / idle.p99Us : 0.0;
 
     harness::Table churnTable(
         {"phase", "IOPS", "avg lat (us)", "p99 (us)", "tier moves"});
@@ -273,7 +198,7 @@ main(int argc, char **argv)
     // ---- Phase 2: remote-hit-ratio sweep ----------------------------
     std::vector<int> ks =
         quick ? std::vector<int>{0, 2, 4} : std::vector<int>{0, 1, 2, 3, 4};
-    std::vector<SweepPoint> sweep;
+    std::uint64_t ioErrors = idle.errors + churn.errors;
     harness::Table sweepTable(
         {"chunks remote", "remote share", "IOPS", "avg lat (us)", "p99 (us)"});
     for (int k : ks) {
@@ -282,46 +207,30 @@ main(int argc, char **argv)
         spillChunks(*kbed, k);
         workload::FioJobSpec rd =
             makeSpec(workload::FioPattern::RandRead, quick, "rand-r-sweep");
-        SweepPoint p;
-        p.spilledChunks = k;
-        p.io = phaseOf(harness::runFio(kbed->sim(), kdrv, rd));
-        sweep.push_back(p);
+        PhaseResult p = phaseOf(
+            report.runFio("remote" + std::to_string(k), kbed->sim(), kdrv, rd),
+            report.row("sweep")
+                .add("spilledChunks", k)
+                .add("remoteShare", static_cast<double>(k) / kChunks, 2));
+        ioErrors += p.errors;
         sweepTable.addRow(
             {harness::Table::fmtInt(k),
              harness::Table::fmt(static_cast<double>(k) / kChunks, 2),
-             harness::Table::fmt(p.io.iops, 0),
-             harness::Table::fmt(p.io.avgUs, 2),
-             harness::Table::fmt(p.io.p99Us, 2)});
+             harness::Table::fmt(p.iops, 0),
+             harness::Table::fmt(p.avgUs, 2),
+             harness::Table::fmt(p.p99Us, 2)});
     }
     sweepTable.print("ext_remote_storage — 4K random read vs remote share "
                      "of the working set");
 
-    std::uint64_t ioErrors = idle.errors + churn.errors;
-    for (const SweepPoint &p : sweep)
-        ioErrors += p.io.errors;
-
-    std::printf("\ntier churn p99: %.2f us vs idle %.2f us = %.2fx "
-                "(limit %.2fx); %d tier moves (floor %d), %d move "
-                "failures, %llu tenant I/O errors\n",
-                churn.p99Us, idle.p99Us, p99Ratio, p99Factor, moves,
-                movesFloor, tierFailures,
-                static_cast<unsigned long long>(ioErrors));
-
-    bool pass =
-        p99Ratio <= p99Factor && moves >= movesFloor && ioErrors == 0;
-    writeJson(jsonPath, quick ? "quick" : "full", idle, churn, moves,
-              tierFailures, sweep, p99Ratio, p99Factor, movesFloor, ioErrors,
-              pass);
-    std::printf("trajectory written to %s\n", jsonPath.c_str());
-
-    if (!pass) {
-        std::fprintf(stderr,
-                     "ext_remote_storage: GATE FAILURE (p99 %.2f/%.2f, "
-                     "moves %d/%d, errors %llu)\n",
-                     p99Ratio, p99Factor, moves, movesFloor,
-                     static_cast<unsigned long long>(ioErrors));
-        return 1;
-    }
-    std::printf("ext_remote_storage: all gates passed\n");
-    return 0;
+    report.values()
+        .add("localSsds", kLocalSsds)
+        .add("remoteNodes", kRemoteNodes)
+        .add("volumesPerNode", kVolumesPerNode)
+        .add("tierFailures", tierFailures);
+    report.limit("p99Churn", idle.p99Us > 0 ? churn.p99Us / idle.p99Us : 0.0,
+                 kP99Factor);
+    report.floor("tierMoves", moves, quick ? kQuickMovesFloor : kMovesFloor);
+    report.limit("ioErrors", static_cast<double>(ioErrors), 0.0);
+    return report.finish();
 }

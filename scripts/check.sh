@@ -93,63 +93,29 @@ run_san() {
     # ctest FuzzFamilies.OutputIsPinned).
     echo "== ASan+UBSan fuzz (pinned seed families) =="
     scripts/fuzz_families.sh build-asan || fail=1
-    # The quick benches write their JSON records into build-asan/, so
-    # the committed full-mode BENCH_*.json files stay untouched.
-    #
-    # Quick-mode full-card sweep: 128-function fan-out under the
-    # sanitizers, with an events/sec floor set low (ASan costs
-    # roughly an order of magnitude of simulator speed).
-    echo "== ASan+UBSan ext_full_card (quick) =="
-    ./build-asan/bench/ext_full_card --quick --events-floor=20000 \
-        --wall-limit-s=300 --json=build-asan/BENCH_full_card.json || fail=1
-    # Quick-mode remote-tier bench: the tiering transparency gate
-    # (tenant p99 under spill/promote churn vs idle) runs on simulated
-    # time, so it holds even at ASan speed.
-    echo "== ASan+UBSan ext_remote_storage (quick) =="
-    ./build-asan/bench/ext_remote_storage --quick \
-        --json=build-asan/BENCH_remote_tier.json || fail=1
-    # Quick-mode fleet smoke: an 8-card rolling wave plus drill with
-    # the makespan gate on simulated time (ASan-proof) and a floor on
-    # events/sec set an order of magnitude under native speed.
-    echo "== ASan+UBSan ext_fleet (quick) =="
-    ./build-asan/bench/ext_fleet --quick --events-floor=20000 \
-        --wall-limit-s=580 --json=build-asan/BENCH_fleet.json || fail=1
-    # The quick wave's replay is pinned: a change that moves a single
-    # event or trace line of the fleet path changes these.
-    echo "== fleet replay gate =="
-    check_fleet_replay build-asan/BENCH_fleet.json || fail=1
-    # The quick full-card sweep's replay is pinned the same way: both
-    # NVMe initiators (tenant driver, host adaptor) sit on its fan-out
-    # path, so any change to their timing moves these counts.
-    echo "== full-card replay gate =="
-    check_full_card_replay build-asan/BENCH_full_card.json || fail=1
+    # The quick benches write their records into build-asan/, so the
+    # committed full-mode BENCH_*.json files stay untouched.
+    for b in ext_full_card ext_remote_storage ext_fleet; do
+        echo "== ASan+UBSan ${b} (quick) =="
+        ./build-asan/bench/${b} --quick --json=build-asan/${b}.json || fail=1
+    done
+    # The quick replays are pinned: one moved event or trace line on the
+    # fleet path, or a timing change in either NVMe initiator on the
+    # full-card fan-out path (tenant driver, host adaptor), moves these.
+    echo "== replay gates =="
+    check_replay build-asan/ext_fleet.json traceHash f559f7f52bc8cbcb || fail=1
+    check_replay build-asan/ext_fleet.json events 42554002 || fail=1
+    check_replay build-asan/ext_full_card.json events "12675 49061 58308" ||
+        fail=1
 }
 
-# Fail unless the fleet record $1 holds the pinned quick-wave replay.
-check_fleet_replay() {
-    local json="$1" hash=f559f7f52bc8cbcb events=42554002
-    if grep -q "\"traceHash\": \"${hash}\"" "${json}" &&
-        grep -q "\"events\": ${events}," "${json}"; then
-        echo "fleet replay: traceHash ${hash}, ${events} events"
-        return 0
-    fi
-    echo "check.sh: fleet replay moved: ${json} does not read traceHash" \
-        "${hash} with ${events} events" >&2
-    return 1
-}
-
-# Fail unless the full-card record $1 holds the pinned quick sweep:
-# these event counts at its 4-, 16- and 48-tenant points, in order.
-check_full_card_replay() {
-    local json="$1" events="12675 49061 58308" got
-    got=$(grep -o '"events": [0-9]*' "${json}" | grep -o '[0-9]*$' |
-          tr '\n' ' ' | sed 's/ $//')
-    if [ "${got}" = "${events}" ]; then
-        echo "full-card replay: events ${events}"
-        return 0
-    fi
-    echo "check.sh: full-card replay moved: ${json} reads events" \
-        "'${got}', not '${events}'" >&2
+# Fail unless bench record $1 reads field $2 as $3: every occurrence,
+# in record order (one per row of a row array), space-separated.
+check_replay() {
+    local got
+    got=$(grep -o "\"$2\": \"\?[0-9a-f]*" "$1" | sed 's/.*: "\?//' | xargs)
+    [ "${got}" = "$3" ] && echo "replay: $1 $2 $3" && return 0
+    echo "check.sh: replay moved: $1 reads $2 '${got}', not '$3'" >&2
     return 1
 }
 

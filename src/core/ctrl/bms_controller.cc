@@ -29,11 +29,10 @@ BmsController::BmsController(sim::Simulator &sim, std::string name,
     _hotPlug =
         std::make_unique<HotPlugManager>(sim, name + ".hotplug", engine);
     _migration = std::make_unique<MigrationManager>(
-        sim, name + ".migration", engine, _nsMgr);
-    _migration->setMonitor(_monitor.get());
+        sim, name + ".migration", engine, _nsMgr, *_monitor);
     _migration->setSlotBusyProbe(
         [this](int slot) { return _hotUpgrade->upgradeInProgress(slot); });
-    _hotPlug->setLossless(_migration.get(), &_nsMgr);
+    _hotPlug->setLossless(*_migration);
     // Maintenance flows mutually exclude per slot: a firmware upgrade
     // must not aim admin commands at a slot whose disk a replacement
     // has detached, and a replacement must not pull the disk out from
@@ -44,8 +43,8 @@ BmsController::BmsController(sim::Simulator &sim, std::string name,
     _hotPlug->setSlotBlocked(
         [this](int slot) { return _hotUpgrade->upgradeInProgress(slot); });
     _tiering = std::make_unique<TieringManager>(
-        sim, name + ".tiering", engine, _nsMgr, *_migration, cfg.tiering);
-    _tiering->setMonitor(_monitor.get());
+        sim, name + ".tiering", engine, _nsMgr, *_migration, *_monitor,
+        cfg.tiering);
     _migration->setTieredSourceGuard(
         [this](pcie::FunctionId fn, std::uint32_t nsid,
                std::uint32_t chunk) {

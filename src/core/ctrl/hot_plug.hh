@@ -68,32 +68,22 @@ class HotPlugManager : public sim::SimObject
                      });
     }
 
-    /** Wire the migration subsystem enabling replaceLossless(). */
-    void
-    setLossless(MigrationManager *migration, NamespaceManager *ns)
-    {
-        _migration = migration;
-        _ns = ns;
-    }
+    /** Wire the migration subsystem replaceLossless() evacuates
+     *  through; the BMS-Controller does so when it is built. */
+    void setLossless(MigrationManager &migration) { _migration = &migration; }
 
     /**
      * Lossless replacement: evacuate every chunk off @p slot through
      * the migration subsystem (tenant I/O keeps flowing and no data
      * is abandoned on the old disk), then run the ordinary swap on
      * the now-empty slot. The slot stays quiesced across the swap so
-     * no chunk lands on it until the fresh disk serves I/O. Falls
-     * back to the destructive replace() when no migration subsystem
-     * is wired or the evacuation fails (report.ok = false without
-     * touching the disk).
+     * no chunk lands on it until the fresh disk serves I/O. A failed
+     * evacuation leaves the disk untouched (report.ok = false).
      */
     void
     replaceLossless(int slot, pcie::PcieDeviceIf &replacement,
                     std::function<void(Report)> done)
     {
-        if (!_migration) {
-            replace(slot, replacement, std::move(done));
-            return;
-        }
         if (!claimSlot(slot, done))
             return;
         _migration->evacuate(
@@ -200,7 +190,6 @@ class HotPlugManager : public sim::SimObject
 
     BmsEngine &_engine;
     MigrationManager *_migration = nullptr;
-    NamespaceManager *_ns = nullptr;
     std::uint32_t _completed = 0;
     std::uint32_t _lossless = 0;
     std::uint32_t _rejected = 0;

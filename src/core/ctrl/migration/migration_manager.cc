@@ -26,9 +26,11 @@ constexpr std::uint64_t kCopyFactorCap = 4;
 } // namespace
 
 MigrationManager::MigrationManager(sim::Simulator &sim, std::string name,
-                                   BmsEngine &engine, NamespaceManager &ns)
+                                   BmsEngine &engine, NamespaceManager &ns,
+                                   IoMonitor &monitor)
     : SimObject(sim, std::move(name)), _engine(engine), _ns(ns),
-      _budgetMbps(400.0), _qosKey(QosModule::key(0xFE, 1))
+      _budgetMbps(400.0), _monitor(monitor),
+      _qosKey(QosModule::key(0xFE, 1))
 {
     _engine.qos().setLimits(_qosKey, QosLimits{0.0, _budgetMbps});
 
@@ -146,7 +148,7 @@ MigrationManager::startNext()
         failBeforeCopy("unknown namespace chunk");
         return;
     }
-    if (!j.opts.allowTieredSource && _tierGuard &&
+    if (!j.opts.allowTieredSource &&
         _tierGuard(j.fn, j.nsid, j.chunkIndex)) {
         failBeforeCopy("source chunk is tier-spilled (promote it instead)");
         return;
@@ -472,7 +474,7 @@ MigrationManager::pickDestination(int src_slot) const
 double
 MigrationManager::slotLoadMbps(int slot) const
 {
-    return _monitor ? _monitor->slotMbps(slot) : 0.0;
+    return _monitor.slotMbps(slot);
 }
 
 void

@@ -121,17 +121,19 @@ class MigrationManager : public sim::SimObject
         sim::Tick elapsed = 0;
     };
 
+    /** @p monitor supplies the per-slot rates load-aware placement
+     *  reads. */
     MigrationManager(sim::Simulator &sim, std::string name,
-                     BmsEngine &engine, NamespaceManager &ns);
+                     BmsEngine &engine, NamespaceManager &ns,
+                     IoMonitor &monitor);
 
-    /** Hot-upgrade interlock: copying pauses while a slot is busy. */
+    /** Hot-upgrade interlock: copying pauses while a slot is busy.
+     *  Required, like the tier guard below: the BMS-Controller
+     *  installs both before any migration can start. */
     void setSlotBusyProbe(std::function<bool(int)> probe)
     {
         _slotBusy = std::move(probe);
     }
-
-    /** I/O-monitor used for load-aware placement (optional). */
-    void setMonitor(IoMonitor *monitor) { _monitor = monitor; }
 
     /** Predicate marking chunks owned by the tiering registry (their
      *  generic migration is refused; see Options::allowTieredSource). */
@@ -234,10 +236,7 @@ class MigrationManager : public sim::SimObject
     void finishCurrent(bool ok);
     int pickDestination(int src_slot) const;
     double slotLoadMbps(int slot) const;
-    bool slotBusy(int slot) const
-    {
-        return _slotBusy && _slotBusy(slot);
-    }
+    bool slotBusy(int slot) const { return _slotBusy(slot); }
     void ensureBuffers();
     void setPrps(nvme::Sqe &sqe, std::uint64_t bytes) const;
     MiMigrationInfo snapshot(const Job &j) const;
@@ -245,7 +244,7 @@ class MigrationManager : public sim::SimObject
     BmsEngine &_engine;
     NamespaceManager &_ns;
     double _budgetMbps;
-    IoMonitor *_monitor = nullptr;
+    IoMonitor &_monitor;
     std::function<bool(int)> _slotBusy;
     std::function<bool(pcie::FunctionId, std::uint32_t, std::uint32_t)>
         _tierGuard;

@@ -11,9 +11,9 @@ namespace bms::core {
 TieringManager::TieringManager(sim::Simulator &sim, std::string name,
                                BmsEngine &engine, NamespaceManager &ns,
                                MigrationManager &migration,
-                               TieringConfig cfg)
+                               IoMonitor &monitor, TieringConfig cfg)
     : SimObject(sim, std::move(name)), _engine(engine), _ns(ns),
-      _mig(migration), _cfg(cfg)
+      _mig(migration), _cfg(cfg), _monitor(monitor)
 {
     registerStat("spills", [this] { return double(_spills); });
     registerStat("promotes", [this] { return double(_promotes); });
@@ -337,7 +337,7 @@ TieringManager::policyTick()
 {
     if (_cfg.policyPeriod == 0)
         return;
-    if (!_recovering && _busy == 0 && _monitor && _mig.idle()) {
+    if (!_recovering && _busy == 0 && _mig.idle()) {
         // At most one move per tick: promote the hottest spilled
         // chunk over the threshold, else spill the coldest local one
         // under it (remote space permitting).
@@ -347,7 +347,7 @@ TieringManager::policyTick()
             if (_downNodes.count(_engine.slotNode(e.remoteSlot)))
                 continue;
             double h =
-                _monitor->chunkHeatMbps(e.fn, e.nsid, e.chunkIndex);
+                _monitor.chunkHeatMbps(e.fn, e.nsid, e.chunkIndex);
             if (h > _cfg.promoteMbpsThreshold &&
                 (!hot || h > hot_heat)) {
                 hot = &e;
@@ -368,7 +368,7 @@ TieringManager::policyTick()
                     if (!a || _engine.isRemoteSlot(a->slot))
                         continue;
                     double h =
-                        _monitor->chunkHeatMbps(b.fn, b.nsid, ci);
+                        _monitor.chunkHeatMbps(b.fn, b.nsid, ci);
                     if (h >= _cfg.spillMbpsThreshold)
                         continue;
                     if (!have || h < best_heat) {

@@ -86,13 +86,11 @@ class TieringManager : public sim::SimObject
         std::uint32_t respilled = 0; ///< re-spilled to surviving nodes
     };
 
+    /** @p monitor is the automatic policy's heat source. */
     TieringManager(sim::Simulator &sim, std::string name,
                    BmsEngine &engine, NamespaceManager &ns,
-                   MigrationManager &migration,
+                   MigrationManager &migration, IoMonitor &monitor,
                    TieringConfig cfg = TieringConfig());
-
-    /** Heat source for the automatic policy (optional). */
-    void setMonitor(IoMonitor *monitor) { _monitor = monitor; }
 
     /** Re-program thresholds/period; (re)starts the policy timer. */
     void setPolicy(TieringConfig cfg);
@@ -156,7 +154,7 @@ class TieringManager : public sim::SimObject
     NamespaceManager &_ns;
     MigrationManager &_mig;
     TieringConfig _cfg;
-    IoMonitor *_monitor = nullptr;
+    IoMonitor &_monitor;
 
     std::vector<SpilledChunk> _spilled;
     std::unordered_set<int> _downNodes;

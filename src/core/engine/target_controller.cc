@@ -131,8 +131,7 @@ TargetController::openChunkOp(std::uint64_t key, OpKind kind,
     (void)inserted;
     // Pin the namespace so destroy/snapshot/generic migration wait
     // out the chunk operation.
-    if (_nsRefHook)
-        _nsRefHook(fn_id, nsid, true);
+    _nsRefHook(fn_id, nsid, true);
     return it->second;
 }
 
@@ -144,8 +143,7 @@ TargetController::finishChunkOp(std::uint64_t key, Status st)
                "finishing an unknown chunk op, key ", key);
     ChunkOp op = std::move(it->second);
     _chunkOps.erase(it);
-    if (_nsRefHook)
-        _nsRefHook(op.fn, op.nsid, false);
+    _nsRefHook(op.fn, op.nsid, false);
     for (auto &w : op.waiters)
         w(st);
 }
@@ -179,21 +177,11 @@ TargetController::classifyChunks(FrontFunction &fn, const Sqe &sqe,
         const auto row = static_cast<std::uint32_t>(ci / g.entriesPerRow);
         const auto col = static_cast<std::uint32_t>(ci % g.entriesPerRow);
         if (!binding.map.entryValid(row, col)) {
-            if (!_allocHook) {
-                // Raw-engine configuration (no backing service):
-                // keep the historical strict behaviour.
-                fail(fn, sqe, sqid, Status::LbaOutOfRange);
-                return true;
-            }
             startAlloc(fn, sqe, sqid, binding,
                        static_cast<std::uint32_t>(ci));
             return true;
         }
         if (binding.map.entryShared(row, col)) {
-            if (!_cowHook) {
-                fail(fn, sqe, sqid, Status::NamespaceNotReady);
-                return true;
-            }
             ChunkOp &op = openChunkOp(key, OpKind::Cow, fn.functionId(),
                                       sqe.nsid);
             op.waiters.push_back(makeRetryWaiter(fn, sqe, sqid));
@@ -238,8 +226,7 @@ TargetController::startAlloc(FrontFunction &fn, const Sqe &sqe,
             if (!ok) {
                 // Roll the reservation back (the entry was never
                 // programmed); queued writes fail.
-                if (_trimHook)
-                    _trimHook(fn_id, nsid, chunk_index);
+                _trimHook(fn_id, nsid, chunk_index);
                 finishChunkOp(key, Status::NamespaceNotReady);
                 return;
             }
@@ -769,10 +756,6 @@ TargetController::trimChunk(FrontFunction &fn, std::shared_ptr<DsmJob> job,
         // Sub-chunk scrub of a snapshot-pinned chunk: CoW first — a
         // write of zeroes must not reach the pinned image. A full-
         // chunk deallocate just drops the reference instead.
-        if (!_cowHook) {
-            done(Status::NamespaceNotReady);
-            return;
-        }
         ChunkOp &op = openChunkOp(key, OpKind::Cow, fn.functionId(),
                                   job->sqe.nsid);
         op.waiters.push_back([this, &fn, job, idx, done](Status st) {
@@ -852,14 +835,8 @@ TargetController::attemptTrim(FrontFunction &fn,
                 return;
             }
             if (dc.full) {
-                bool ok = true;
-                if (_trimHook) {
-                    ok = _trimHook(fn.functionId(), job->sqe.nsid,
-                                   dc.chunk);
-                } else {
-                    // Raw-engine fallback: entry-only invalidation.
-                    b->map.invalidate(row, col);
-                }
+                bool ok =
+                    _trimHook(fn.functionId(), job->sqe.nsid, dc.chunk);
                 if (ok)
                     ++_trimmedChunks;
                 finishChunkOp(key, Status::Success);

@@ -59,7 +59,8 @@ class TargetController : public sim::SimObject
     void handleIo(FrontFunction &fn, const nvme::Sqe &sqe,
                   std::uint16_t sqid);
 
-    /** @name Thin-provisioning hooks (installed by the BMS-Controller). */
+    /** @name Thin-provisioning hooks (the BMS-Controller installs all
+     *  four when it is built, so the data path calls them unchecked). */
     /// @{
     /** Placement of a freshly reserved pool chunk. */
     struct ThinPlacement

@@ -118,24 +118,12 @@ FleetFuzzer::finalSweep()
     // Read back every verified block of every active tenant once —
     // after a wave plus a drill, whatever is on media fleet-wide must
     // still decode to an acceptable stamp.
-    int pending = 0;
-    std::uint64_t sweep_errors = 0;
-    for (Active &a : _active) {
-        std::uint32_t step = a.oracle->maxIoBlocks();
-        for (std::uint64_t b = 0; b < a.oracle->blocks(); b += step) {
-            auto n = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(step, a.oracle->blocks() - b));
-            ++pending;
-            a.oracle->read(b, n, [&pending, &sweep_errors](bool ok) {
-                --pending;
-                if (!ok)
-                    ++sweep_errors;
-            });
-        }
-    }
-    drain("final sweep", [&pending] { return pending == 0; },
+    OracleDevice::SweepTally tally;
+    for (Active &a : _active)
+        a.oracle->sweep(tally);
+    drain("final sweep", [&tally] { return tally.pending == 0; },
           sim::seconds(30));
-    BMS_ASSERT_EQ(sweep_errors, 0u,
+    BMS_ASSERT_EQ(tally.failed, 0u,
                   "fleet final sweep reads failed with fault rates at "
                   "zero");
 }

@@ -772,24 +772,12 @@ Fuzzer::finalSweep()
 {
     // Read back every verified block once, sequentially: whatever the
     // schedule left behind must decode to an acceptable stamp.
-    int pending = 0;
-    std::uint64_t sweep_errors = 0;
-    for (Tenant &t : _tenants) {
-        std::uint32_t step = t.oracle->maxIoBlocks();
-        for (std::uint64_t b = 0; b < t.oracle->blocks(); b += step) {
-            auto n = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(step, t.oracle->blocks() - b));
-            ++pending;
-            t.oracle->read(b, n, [&pending, &sweep_errors](bool ok) {
-                --pending;
-                if (!ok)
-                    ++sweep_errors;
-            });
-        }
-    }
-    drain("final sweep", [&pending] { return pending == 0; },
+    OracleDevice::SweepTally tally;
+    for (Tenant &t : _tenants)
+        t.oracle->sweep(tally);
+    drain("final sweep", [&tally] { return tally.pending == 0; },
           sim::seconds(30));
-    BMS_ASSERT_EQ(sweep_errors, 0u,
+    BMS_ASSERT_EQ(tally.failed, 0u,
                   "final sweep reads failed with fault rates at zero");
 }
 

@@ -53,6 +53,23 @@ OracleDevice::maxIoBlocks() const
     return _cfg.maxIoBytes / nvme::kBlockSize;
 }
 
+void
+OracleDevice::sweep(SweepTally &tally)
+{
+    const std::uint32_t step = maxIoBlocks();
+    for (std::uint64_t b = 0; b < blocks(); b += step) {
+        auto n = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(step, blocks() - b));
+        ++tally.pending;
+        ++tally.reads;
+        read(b, n, [&tally](bool ok) {
+            --tally.pending;
+            if (!ok)
+                ++tally.failed;
+        });
+    }
+}
+
 std::uint64_t
 OracleDevice::acquireBuffer()
 {

@@ -144,6 +144,22 @@ class OracleDevice : public sim::SimObject
     void trim(std::uint64_t block, std::uint32_t nblocks,
               std::function<void(bool ok)> done = nullptr);
 
+    /** Tally of a read-back sweep (see sweep()). */
+    struct SweepTally
+    {
+        int pending = 0;          ///< reads still in flight
+        std::uint64_t reads = 0;  ///< reads issued
+        std::uint64_t failed = 0; ///< reads that completed with an error
+    };
+
+    /**
+     * Read the whole window back once: verified reads of
+     * maxIoBlocks() blocks each, from block 0 up, all issued now.
+     * Each read counts into @p tally, which must outlive them; the
+     * sweep is done when `tally.pending` reaches zero.
+     */
+    void sweep(SweepTally &tally);
+
     /** Flush (never expected to fail, faults or not). */
     void flush(std::function<void(bool ok)> done = nullptr);
 

@@ -349,26 +349,12 @@ TEST(FleetFaults, NodeLossDuringWaveRecoversWithZeroDataLoss)
 
     // Zero data loss: with fault rates back at zero, every verified
     // block of every tenant must still read back with a valid stamp.
-    int pending = 0;
-    int sweep_errors = 0;
-    std::uint64_t swept = 0;
-    for (Active &a : active) {
-        std::uint32_t step = a.oracle->maxIoBlocks();
-        for (std::uint64_t b = 0; b < a.oracle->blocks(); b += step) {
-            auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                step, a.oracle->blocks() - b));
-            ++pending;
-            swept += n;
-            a.oracle->read(b, n, [&pending, &sweep_errors](bool ok) {
-                --pending;
-                if (!ok)
-                    ++sweep_errors;
-            });
-        }
-    }
-    pump(fm, [&pending] { return pending == 0; });
-    EXPECT_EQ(sweep_errors, 0);
-    EXPECT_GT(swept, 0u);
+    fuzz::OracleDevice::SweepTally tally;
+    for (Active &a : active)
+        a.oracle->sweep(tally);
+    pump(fm, [&tally] { return tally.pending == 0; });
+    EXPECT_EQ(tally.failed, 0u);
+    EXPECT_GT(tally.reads, 0u);
     std::uint64_t verified = 0;
     for (Active &a : active)
         verified += a.oracle->verifiedBlocks();
