@@ -11,6 +11,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -29,7 +30,7 @@ struct Point
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("ablation_pipeline", argc, argv);
     // Native reference.
     harness::TestbedConfig ncfg;
     ncfg.ssdCount = 1;
@@ -48,8 +49,6 @@ main(int argc, char **argv)
          sim::microseconds(7), sim::microseconds(3)},
     };
 
-    harness::Table t({"engine pipeline", "rand-r-1 AL(us)",
-                      "delta vs native(us)", "rand-r-128 IOPS"});
     for (const Point &p : points) {
         harness::TestbedConfig cfg;
         cfg.ssdCount = 1;
@@ -61,17 +60,18 @@ main(int argc, char **argv)
             harness::runFio(bed.sim(), disk, workload::fioRandR1());
         workload::FioResult r128 =
             harness::runFio(bed.sim(), disk, workload::fioRandR128());
-        t.addRow({p.label, harness::Table::fmt(r1.avgLatencyUs()),
-                  harness::Table::fmt(r1.avgLatencyUs() -
-                                      nat.avgLatencyUs()),
-                  harness::Table::fmt(r128.iops, 0)});
+        report.row("pipelines")
+            .add("enginePipeline", p.label)
+            .add("randR1AlUs", r1.avgLatencyUs(), 1)
+            .add("deltaVsNativeUs", r1.avgLatencyUs() - nat.avgLatencyUs(), 1)
+            .add("randR128Iops", r128.iops);
     }
-    t.print("Ablation — engine pipeline latency (native rand-r-1: " +
-            harness::Table::fmt(nat.avgLatencyUs()) + " us)");
+    report.table("pipelines", "Ablation — engine pipeline latency");
+    report.values().add("nativeRandR1AlUs", nat.avgLatencyUs(), 1);
     std::printf("\ntakeaway: the FPGA pipeline keeps the constant "
                 "overhead ~3 us and throughput untouched; an ARM-class "
                 "software path (the LeapIO design point the paper "
                 "argues against) multiplies the qd1 overhead several "
                 "times.\n");
-    return 0;
+    return report.finish();
 }

@@ -14,6 +14,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -36,30 +37,25 @@ run(bool zero_copy, const workload::FioJobSpec &spec)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-    harness::Table t({"case", "zero-copy IOPS", "store-fwd IOPS",
-                      "zero-copy AL(us)", "store-fwd AL(us)",
-                      "latency penalty"});
+    bench::Report report("ablation_zero_copy", argc, argv);
     for (const auto &spec : workload::fioTableIv()) {
         workload::FioResult zc = run(true, spec);
         workload::FioResult sf = run(false, spec);
-        t.addRow({spec.caseName, harness::Table::fmt(zc.iops, 0),
-                  harness::Table::fmt(sf.iops, 0),
-                  harness::Table::fmt(zc.avgLatencyUs()),
-                  harness::Table::fmt(sf.avgLatencyUs()),
-                  harness::Table::fmt((sf.avgLatencyUs() /
-                                           zc.avgLatencyUs() -
-                                       1.0) *
-                                      100.0) +
-                      "%"});
+        report.row("cases")
+            .add("case", spec.caseName)
+            .add("zeroCopyIops", zc.iops)
+            .add("storeFwdIops", sf.iops)
+            .add("zeroCopyAlUs", zc.avgLatencyUs(), 1)
+            .add("storeFwdAlUs", sf.avgLatencyUs(), 1)
+            .add("latencyPenaltyPct",
+                 (sf.avgLatencyUs() / zc.avgLatencyUs() - 1.0) * 100.0, 1);
     }
-    t.print("Ablation — zero-copy DMA routing vs store-and-forward "
-            "through engine DRAM (1 SSD)");
+    report.table("cases", "Ablation — zero-copy DMA routing vs "
+                          "store-and-forward through engine DRAM (1 SSD)");
 
     // The decisive case: with 4 back-end SSDs the engine DRAM
     // (≈8 GB/s) becomes the bottleneck for a store-and-forward design
     // while zero-copy routing passes the full 4-SSD bandwidth.
-    harness::Table bw({"design", "4-SSD seq-read total MB/s"});
     for (bool zc : {true, false}) {
         harness::TestbedConfig cfg;
         cfg.ssdCount = 4;
@@ -77,14 +73,15 @@ main(int argc, char **argv)
         double total = 0.0;
         for (const auto &r : results)
             total += r.mbPerSec;
-        bw.addRow({zc ? "zero-copy routing" : "store-and-forward",
-                   harness::Table::fmt(total, 0)});
+        report.row("aggregate")
+            .add("design", zc ? "zero-copy routing" : "store-and-forward")
+            .add("seqReadTotalMbps", total);
     }
-    bw.print("Ablation — aggregate bandwidth, 4 SSDs");
+    report.table("aggregate", "Ablation — aggregate bandwidth, 4 SSDs");
 
     std::printf("\nexpectation: store-and-forward serializes on engine "
                 "DRAM bandwidth (~8 GB/s), capping the 4-SSD aggregate "
                 "well below the ~13 GB/s that zero-copy routing "
                 "sustains; it also adds per-IO staging latency.\n");
-    return 0;
+    return report.finish();
 }

@@ -10,6 +10,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "ssd/hdd_model.hh"
 #include "workload/fio.hh"
 
@@ -34,9 +35,7 @@ run(bool hdd, workload::FioJobSpec spec)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-    harness::Table t({"case", "P4510 SSD IOPS", "SSD MB/s",
-                      "SATA HDD IOPS", "HDD MB/s"});
+    bench::Report report("compat_sata_hdd", argc, argv);
     for (auto spec : workload::fioTableIv()) {
         // A disk has one actuator: run a single stream against it so
         // the comparison is about the medium, not pathological
@@ -50,14 +49,17 @@ main(int argc, char **argv)
 
         workload::FioResult s = run(false, ssd_spec);
         workload::FioResult h = run(true, hdd_spec);
-        t.addRow({spec.caseName, harness::Table::fmt(s.iops, 0),
-                  harness::Table::fmt(s.mbPerSec, 0),
-                  harness::Table::fmt(h.iops, 0),
-                  harness::Table::fmt(h.mbPerSec, 0)});
+        report.row("cases")
+            .add("case", spec.caseName)
+            .add("ssdIops", s.iops)
+            .add("ssdMbps", s.mbPerSec)
+            .add("hddIops", h.iops)
+            .add("hddMbps", h.mbPerSec);
     }
-    t.print("§VI-A — same engine, NVMe SSD vs SATA HDD back end");
+    report.table("cases",
+                 "§VI-A — same engine, NVMe SSD vs SATA HDD back end");
     std::printf("\nNo engine, driver or management change was needed to "
                 "swap the medium — the compatibility claim of the "
                 "paper's Discussion.\n");
-    return 0;
+    return report.finish();
 }

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "report.hh"
 #include "workload/fio.hh"
@@ -126,24 +125,14 @@ main(int argc, char **argv)
     bench::Report report("ext_chunk_migration", argc, argv,
                          "BENCH_chunk_migration.json", /*has_quick=*/false);
 
-    harness::Table t({"copy budget (MB/s)", "tenant IOPS idle",
-                      "tenant IOPS rebal", "retained", "p99 idle (us)",
-                      "p99 rebal (us)", "migration MB/s",
-                      "chunks moved"});
-    for (double budget : {50.0, 200.0, 800.0, 0.0}) {
-        std::string name = budget > 0 ? harness::Table::fmt(budget, 0)
-                                      : "unpaced";
+    // 400 MB/s is the MigrationManager's shipped budget; an unpaced copy
+    // reaches about 590 MB/s, so every paced point binds.
+    for (int budget : {50, 200, 400, 0}) {
+        std::string name = budget > 0 ? std::to_string(budget) : "unpaced";
         BudgetResult r = runBudget(report, budget, name);
         double retained = r.idle.iops > 0 ? r.busy.iops / r.idle.iops : 0;
         double idleP99Us = static_cast<double>(r.idle.latency.p99()) / 1e3;
         double busyP99Us = static_cast<double>(r.busy.latency.p99()) / 1e3;
-        t.addRow({name, harness::Table::fmt(r.idle.iops, 0),
-                  harness::Table::fmt(r.busy.iops, 0),
-                  harness::Table::fmt(retained * 100.0, 1) + "%",
-                  harness::Table::fmt(idleP99Us, 1),
-                  harness::Table::fmt(busyP99Us, 1),
-                  harness::Table::fmt(r.migrationMbps, 1),
-                  harness::Table::fmtInt(r.migrations)});
         report.row("budgets")
             .add("budgetMbps", budget, 0)
             .add("idleIops", r.idle.iops, 1)
@@ -154,8 +143,9 @@ main(int argc, char **argv)
             .add("chunksMoved", r.migrations);
         report.floor("retained." + name, retained, kRetainedFloor);
     }
-    t.print("Ext — tenant throughput/latency during live chunk "
-            "rebalancing (4K randread, namespace dedicated to slot 0)");
+    report.table("budgets", "Ext — tenant throughput/latency during live "
+                            "chunk rebalancing (4K randread, namespace "
+                            "dedicated to slot 0)");
 
     std::printf("\nthe copy budget caps migration speed (QoS-paced "
                 "through the engine); an unpaced copy moves data "

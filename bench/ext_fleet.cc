@@ -14,11 +14,15 @@
  * Gates (bench::Report, bounds below): placement quality, wave
  * makespan, final-sweep read failures, events/sec and wall time.
  *
+ * The record also prices the run with the paper's §VI-C TCO model
+ * at fleet scale: servers of kCardsPerServer cards, the sellable
+ * instances and cost per instance of each deployment, and the
+ * tenant-hours the measured wave pause saves over taking every
+ * placed tenant down for kTakeDownS.
+ *
  * `--quick` shrinks the fleet (8 cards, ~160 admissions) for the
  * pre-PR smoke gate; `--json=PATH` overrides where the record lands
- * (default BENCH_fleet.json). The record carries the raw fleet
- * measurements `tco_analysis --fleet-json=PATH` feeds into the
- * paper's §VI-C model at fleet scale.
+ * (default BENCH_fleet.json).
  */
 
 #include <algorithm>
@@ -30,7 +34,7 @@
 #include "fuzz/op_log.hh"
 #include "fuzz/oracle.hh"
 #include "fuzz/schedule.hh"
-#include "harness/runner.hh"
+#include "harness/tco.hh"
 #include "report.hh"
 #include "sim/random.hh"
 
@@ -47,6 +51,12 @@ constexpr double kEventsFloor = 200e3;
 constexpr double kSanitizedEventsFloor = 20e3;
 constexpr double kWallLimitS = 600.0;
 constexpr double kSanitizedWallLimitS = 580.0;
+
+/** Fleet TCO: BM-Store cards per server (the paper's deployment
+ *  shape), and the per-tenant outage of a firmware roll without a
+ *  transparent hot upgrade (drain or reboot). */
+constexpr int kCardsPerServer = 4;
+constexpr double kTakeDownS = 300.0;
 
 struct ActiveTenant
 {
@@ -219,24 +229,6 @@ main(int argc, char **argv)
 
     const fleet::WaveReport &w = fm.waveReport();
     double makespanS = static_cast<double>(w.makespan) / 1e9;
-    harness::Table t({"cards", "placed/req", "active", "wave ok/fail",
-                      "makespan (s)", "io-pause max (ms)",
-                      "drill win/loss/storm", "events (M)",
-                      "events/sec (k)", "wall (s)"});
-    t.addRow({harness::Table::fmtInt(fm.cards()),
-              std::to_string(placed) + "/" + std::to_string(requested),
-              harness::Table::fmtInt(static_cast<int>(active.size())),
-              std::to_string(w.opsOk) + "/" + std::to_string(w.opsFailed),
-              harness::Table::fmt(makespanS, 2),
-              harness::Table::fmt(w.ioPauseMsMax, 1),
-              std::to_string(fm.faultWindowsOpened()) + "/" +
-                  std::to_string(fm.nodeLossesRecovered()) + "/" +
-                  std::to_string(fm.stormRejections()),
-              harness::Table::fmt(static_cast<double>(events) / 1e6, 2),
-              harness::Table::fmt(eventsPerSec / 1e3, 1),
-              harness::Table::fmt(wallSec, 1)});
-    t.print(quick ? "ext_fleet — rolling upgrade wave (quick)"
-                  : "ext_fleet — 32-card rolling upgrade wave");
 
     char traceHash[17];
     std::snprintf(traceHash, sizeof traceHash, "%016llx",
@@ -261,6 +253,19 @@ main(int argc, char **argv)
         .add("stormRejections", fm.stormRejections())
         .add("events", events)
         .add("traceHash", traceHash);
+
+    harness::TcoInputs tco;
+    harness::TcoResult spdk = harness::tcoSpdk(tco);
+    harness::TcoResult bms = harness::tcoBmStore(tco);
+    int servers = (fm.cards() + kCardsPerServer - 1) / kCardsPerServer;
+    report.values()
+        .add("servers", servers)
+        .add("spdkInstances", servers * spdk.sellableInstances)
+        .add("bmsInstances", servers * bms.sellableInstances)
+        .add("spdkCostPerInstance", spdk.costPerInstance, 4)
+        .add("bmsCostPerInstance", bms.costPerInstance, 4)
+        .add("tenantHoursAvoided",
+             placed * (kTakeDownS - w.ioPauseMsMax / 1e3) / 3600.0);
     bool san = bench::Report::sanitized();
     report.floor("placementQuality", placementQuality, kPlacementFloor);
     report.limit("waveMakespanS", makespanS, kMakespanLimitS);

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "report.hh"
 #include "workload/fio.hh"
@@ -121,22 +120,15 @@ main(int argc, char **argv)
     std::vector<SweepPoint> points;
     std::uint64_t totalEvents = 0;
     double totalWallSec = 0.0;
-    harness::Table t({"tenants", "total IOPS (k)", "total BW (GB/s)",
-                      "sim events (M)", "events/sec (M)", "wall (s)"});
     for (int n : sweep) {
         SweepPoint p = runPoint(report, n, ramp, run);
         points.push_back(p);
         totalEvents += p.events;
         totalWallSec += p.wallSec;
-        t.addRow({harness::Table::fmtInt(n),
-                  harness::Table::fmt(p.iops / 1e3, 1),
-                  harness::Table::fmt(p.mbPerSec / 1e3, 2),
-                  harness::Table::fmt(static_cast<double>(p.events) / 1e6, 2),
-                  harness::Table::fmt(p.eventsPerSec / 1e6, 2),
-                  harness::Table::fmt(p.wallSec, 1)});
     }
-    t.print(quick ? "ext_full_card — tenant fan-out on 4 SSDs (quick)"
-                  : "ext_full_card — 4 PFs + 124 VFs fan-out on 4 SSDs");
+    report.table("points",
+                 quick ? "ext_full_card — tenant fan-out on 4 SSDs (quick)"
+                       : "ext_full_card — 4 PFs + 124 VFs fan-out on 4 SSDs");
 
     bool san = bench::Report::sanitized();
     report.values().add("ssds", 4);

@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "report.hh"
 #include "workload/fio.hh"
@@ -183,24 +182,13 @@ main(int argc, char **argv)
         },
         sim::seconds(10));
 
-    harness::Table churnTable(
-        {"phase", "IOPS", "avg lat (us)", "p99 (us)", "tier moves"});
-    churnTable.addRow({"idle", harness::Table::fmt(idle.iops, 0),
-                       harness::Table::fmt(idle.avgUs, 2),
-                       harness::Table::fmt(idle.p99Us, 2), "0"});
-    churnTable.addRow({"tier churn", harness::Table::fmt(churn.iops, 0),
-                       harness::Table::fmt(churn.avgUs, 2),
-                       harness::Table::fmt(churn.p99Us, 2),
-                       harness::Table::fmtInt(moves)});
-    churnTable.print("ext_remote_storage — tenant 4K rand-rw 70/30 while "
-                     "chunks spill/promote at 200 MB/s");
+    report.table("phases", "ext_remote_storage — tenant 4K rand-rw 70/30 "
+                           "while chunks spill/promote at 200 MB/s");
 
     // ---- Phase 2: remote-hit-ratio sweep ----------------------------
     std::vector<int> ks =
         quick ? std::vector<int>{0, 2, 4} : std::vector<int>{0, 1, 2, 3, 4};
     std::uint64_t ioErrors = idle.errors + churn.errors;
-    harness::Table sweepTable(
-        {"chunks remote", "remote share", "IOPS", "avg lat (us)", "p99 (us)"});
     for (int k : ks) {
         auto kbed = makeBed();
         host::NvmeDriver &kdrv = kbed->attachTenant(0, kChunks * kChunkBytes);
@@ -213,15 +201,9 @@ main(int argc, char **argv)
                 .add("spilledChunks", k)
                 .add("remoteShare", static_cast<double>(k) / kChunks, 2));
         ioErrors += p.errors;
-        sweepTable.addRow(
-            {harness::Table::fmtInt(k),
-             harness::Table::fmt(static_cast<double>(k) / kChunks, 2),
-             harness::Table::fmt(p.iops, 0),
-             harness::Table::fmt(p.avgUs, 2),
-             harness::Table::fmt(p.p99Us, 2)});
     }
-    sweepTable.print("ext_remote_storage — 4K random read vs remote share "
-                     "of the working set");
+    report.table("sweep", "ext_remote_storage — 4K random read vs remote "
+                          "share of the working set");
 
     report.values()
         .add("localSsds", kLocalSsds)

@@ -13,6 +13,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -62,24 +63,25 @@ vhostBandwidth(int cores, const workload::FioJobSpec &spec)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("fig01_spdk_cores", argc, argv);
     // The paper's caption: seq read 128K, qd 256, 4 threads (per VM
     // disk); guests use multi-queue virtio, so every extra bound core
     // picks up rings until the SSDs saturate.
     workload::FioJobSpec spec = workload::fioSeqR256();
 
     double native = nativeBandwidth(spec);
-    harness::Table t({"vhost cores", "bandwidth MB/s", "% of native"});
     for (int cores : {1, 2, 3, 4, 6, 8, 10, 12}) {
         double bw = vhostBandwidth(cores, spec);
-        t.addRow({harness::Table::fmtInt(cores),
-                  harness::Table::fmt(bw, 0),
-                  harness::Table::fmt(bw / native * 100.0)});
+        report.row("cores")
+            .add("vhostCores", cores)
+            .add("mbps", bw)
+            .add("pctOfNative", bw / native * 100.0, 1);
     }
-    t.print("Fig. 1 — SPDK vhost bandwidth vs bound CPU cores (4 SSDs, "
-            "seq read 128K qd256)");
-    std::printf("\nnative 4-disk reference: %.0f MB/s\n", native);
+    report.table("cores", "Fig. 1 — SPDK vhost bandwidth vs bound CPU "
+                          "cores (4 SSDs, seq read 128K qd256)");
+    report.values().add("nativeMbps", native);
+    std::printf("\nnativeMbps: the native 4-disk reference\n");
     std::printf("paper reference: at least 8 cores are needed to reach "
                 "~80%% of native.\n");
-    return 0;
+    return report.finish();
 }

@@ -12,6 +12,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -57,39 +58,35 @@ runVhost(const workload::FioJobSpec &spec)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-    harness::Table perf({"case", "VFIO IOPS", "BMS IOPS", "vhost IOPS",
-                         "BMS/VFIO", "vhost/VFIO", "VFIO MB/s",
-                         "BMS MB/s", "vhost MB/s"});
-    harness::Table lat(
-        {"case", "VFIO AL(us)", "BMS AL(us)", "vhost AL(us)"});
-
+    bench::Report report("fig09_vm_perf", argc, argv);
     for (const auto &spec : workload::fioTableIv()) {
         workload::FioResult vfio = runVfio(spec);
         workload::FioResult bms = runBms(spec);
         workload::FioResult vhost = runVhost(spec);
 
-        perf.addRow(
-            {spec.caseName, harness::Table::fmt(vfio.iops, 0),
-             harness::Table::fmt(bms.iops, 0),
-             harness::Table::fmt(vhost.iops, 0),
-             harness::Table::fmt(bms.iops / vfio.iops * 100.0) + "%",
-             harness::Table::fmt(vhost.iops / vfio.iops * 100.0) + "%",
-             harness::Table::fmt(vfio.mbPerSec, 0),
-             harness::Table::fmt(bms.mbPerSec, 0),
-             harness::Table::fmt(vhost.mbPerSec, 0)});
-        lat.addRow({spec.caseName,
-                    harness::Table::fmt(vfio.avgLatencyUs()),
-                    harness::Table::fmt(bms.avgLatencyUs()),
-                    harness::Table::fmt(vhost.avgLatencyUs())});
+        report.row("perf")
+            .add("case", spec.caseName)
+            .add("vfioIops", vfio.iops)
+            .add("bmsIops", bms.iops)
+            .add("vhostIops", vhost.iops)
+            .add("bmsPctOfVfio", bms.iops / vfio.iops * 100.0, 1)
+            .add("vhostPctOfVfio", vhost.iops / vfio.iops * 100.0, 1)
+            .add("vfioMbps", vfio.mbPerSec)
+            .add("bmsMbps", bms.mbPerSec)
+            .add("vhostMbps", vhost.mbPerSec);
+        report.row("latency")
+            .add("case", spec.caseName)
+            .add("vfioAlUs", vfio.avgLatencyUs(), 1)
+            .add("bmsAlUs", bms.avgLatencyUs(), 1)
+            .add("vhostAlUs", vhost.avgLatencyUs(), 1);
     }
 
-    perf.print("Fig. 9 — single-VM performance, 1 disk (VFIO vs BM-Store "
-               "vs SPDK vhost)");
-    lat.print("Table VII — single-VM average latency");
+    report.table("perf", "Fig. 9 — single-VM performance, 1 disk (VFIO "
+                         "vs BM-Store vs SPDK vhost)");
+    report.table("latency", "Table VII — single-VM average latency");
     std::printf("\npaper reference: BM-Store at 95.6%%-102.7%% of VFIO "
                 "(rand-w-1: 81.2%%); SPDK vhost at 63.0%%-96.0%%, "
                 "collapsing on seq-r-256 (BM-Store +62.9%% there); "
                 "vhost also burns one extra host core.\n");
-    return 0;
+    return report.finish();
 }

@@ -10,6 +10,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -17,10 +18,9 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("fig10_scalability", argc, argv);
     workload::FioJobSpec spec = workload::fioSeqR256();
 
-    harness::Table t({"SSDs", "total BW (GB/s)", "scaling vs 1 SSD"});
     double base = 0.0;
     for (int n = 1; n <= 4; ++n) {
         harness::TestbedConfig cfg;
@@ -39,14 +39,15 @@ main(int argc, char **argv)
             total += r.mbPerSec;
         if (n == 1)
             base = total;
-        t.addRow({harness::Table::fmtInt(n),
-                  harness::Table::fmt(total / 1000.0, 2),
-                  harness::Table::fmt(total / base, 2) + "x"});
+        report.row("ssds")
+            .add("ssds", n)
+            .add("totalGbps", total / 1000.0, 2)
+            .add("scalingVs1Ssd", total / base, 2);
     }
-    t.print("Fig. 10 — BM-Store total bandwidth vs number of SSDs "
-            "(bare metal, seq-r-256)");
+    report.table("ssds", "Fig. 10 — BM-Store total bandwidth vs number of "
+                         "SSDs (bare metal, seq-r-256)");
     std::printf("\npaper reference: bandwidth increases linearly with "
                 "the number of SSDs; 4 SSDs saturate ~12.4 GB/s while "
                 "using about half the FPGA.\n");
-    return 0;
+    return report.finish();
 }

@@ -12,6 +12,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -19,7 +20,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("fig11_multi_vm", argc, argv);
     workload::FioJobSpec spec = workload::fioSeqR256();
     spec.numjobs = 1;
     spec.iodepth = 256;
@@ -31,8 +32,6 @@ main(int argc, char **argv)
     core::QosLimits share;
     share.mbPerSecLimit = 775.0;
 
-    harness::Table t({"VMs", "total BW (GB/s)", "min VM MB/s",
-                      "max VM MB/s", "max/min"});
     for (int vms : {1, 2, 4, 8, 16, 26}) {
         harness::TestbedConfig cfg;
         cfg.ssdCount = 4;
@@ -50,15 +49,17 @@ main(int argc, char **argv)
             lo = std::min(lo, r.mbPerSec);
             hi = std::max(hi, r.mbPerSec);
         }
-        t.addRow({harness::Table::fmtInt(vms),
-                  harness::Table::fmt(total / 1000.0, 2),
-                  harness::Table::fmt(lo, 0), harness::Table::fmt(hi, 0),
-                  harness::Table::fmt(hi / lo, 2)});
+        report.row("vms")
+            .add("vms", vms)
+            .add("totalGbps", total / 1000.0, 2)
+            .add("minVmMbps", lo)
+            .add("maxVmMbps", hi)
+            .add("maxOverMin", hi / lo, 2);
     }
-    t.print("Fig. 11 — BM-Store total bandwidth, multiple VMs on 4 SSDs "
-            "(seq read 128K)");
+    report.table("vms", "Fig. 11 — BM-Store total bandwidth, multiple VMs "
+                        "on 4 SSDs (seq read 128K)");
     std::printf("\npaper reference: throughput scales linearly with VM "
                 "count, reaching ~12.4 GB/s (the 4-SSD ceiling) by 16 "
                 "VMs, with balanced allocation across VMs.\n");
-    return 0;
+    return report.finish();
 }

@@ -9,6 +9,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -16,9 +17,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-    harness::Table t({"case", "VM", "p50(us)", "p99(us)", "p99.9(us)",
-                      "avg(us)"});
+    bench::Report report("fig12_fairness_tail", argc, argv);
     for (auto spec : workload::fioTableIv()) {
         harness::TestbedConfig cfg;
         cfg.ssdCount = 4;
@@ -29,17 +28,19 @@ main(int argc, char **argv)
         auto results = harness::runFioMany(bed.sim(), devs, spec);
         for (int v = 0; v < 4; ++v) {
             const auto &r = results[static_cast<std::size_t>(v)];
-            t.addRow({spec.caseName, "VM" + std::to_string(v),
-                      harness::Table::fmt(sim::toUs(r.latency.p50())),
-                      harness::Table::fmt(sim::toUs(r.latency.p99())),
-                      harness::Table::fmt(sim::toUs(r.latency.p999())),
-                      harness::Table::fmt(r.avgLatencyUs())});
+            report.row("tails")
+                .add("case", spec.caseName)
+                .add("vm", "VM" + std::to_string(v))
+                .add("p50Us", sim::toUs(r.latency.p50()), 1)
+                .add("p99Us", sim::toUs(r.latency.p99()), 1)
+                .add("p999Us", sim::toUs(r.latency.p999()), 1)
+                .add("avgUs", r.avgLatencyUs(), 1);
         }
     }
-    t.print("Fig. 12 — per-VM tail latency, 4 VMs sharing BM-Store "
-            "(fairness)");
+    report.table("tails", "Fig. 12 — per-VM tail latency, 4 VMs sharing "
+                          "BM-Store (fairness)");
     std::printf("\npaper reference: the tail-latency distributions of "
                 "the four VMs are close to each other in every test "
                 "case.\n");
-    return 0;
+    return report.finish();
 }

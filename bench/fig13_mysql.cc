@@ -7,14 +7,12 @@
  */
 
 #include <cstdio>
-#include <functional>
-#include <memory>
 
 #include "apps/mysql_model.hh"
 #include "apps/sysbench.hh"
 #include "apps/tpcc.hh"
-#include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 
 using namespace bms;
 
@@ -96,38 +94,35 @@ runVhost()
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("fig13_mysql", argc, argv);
     AppResult vfio = runVfio();
     AppResult bms = runBms();
     AppResult vhost = runVhost();
 
-    harness::Table a({"scheme", "TPC-C tps", "normalized"});
-    a.addRow({"native (VFIO)", harness::Table::fmt(vfio.tpccTps, 0),
-              "1.00"});
-    a.addRow({"BM-Store", harness::Table::fmt(bms.tpccTps, 0),
-              harness::Table::fmt(bms.tpccTps / vfio.tpccTps, 3)});
-    a.addRow({"SPDK vhost", harness::Table::fmt(vhost.tpccTps, 0),
-              harness::Table::fmt(vhost.tpccTps / vfio.tpccTps, 3)});
-    a.print("Fig. 13(a) — TPC-C normalized transactions (MySQL in VM)");
-
-    harness::Table b({"scheme", "tps", "qps", "norm tps", "avg lat(ms)"});
-    b.addRow({"native (VFIO)", harness::Table::fmt(vfio.sysbenchTps, 0),
-              harness::Table::fmt(vfio.sysbenchQps, 0), "1.00",
-              harness::Table::fmt(vfio.sysbenchLatMs, 2)});
-    b.addRow({"BM-Store", harness::Table::fmt(bms.sysbenchTps, 0),
-              harness::Table::fmt(bms.sysbenchQps, 0),
-              harness::Table::fmt(bms.sysbenchTps / vfio.sysbenchTps, 3),
-              harness::Table::fmt(bms.sysbenchLatMs, 2)});
-    b.addRow({"SPDK vhost", harness::Table::fmt(vhost.sysbenchTps, 0),
-              harness::Table::fmt(vhost.sysbenchQps, 0),
-              harness::Table::fmt(vhost.sysbenchTps / vfio.sysbenchTps,
-                                  3),
-              harness::Table::fmt(vhost.sysbenchLatMs, 2)});
-    b.print("Fig. 13(b) + Table VIII — Sysbench OLTP (MySQL in VM)");
+    // Normalized to native; its own row prints the reference 1.00.
+    auto add = [&](const char *scheme, const AppResult &r, int decimals) {
+        report.row("tpcc")
+            .add("scheme", scheme)
+            .add("tps", r.tpccTps)
+            .add("normalized", r.tpccTps / vfio.tpccTps, decimals);
+        report.row("sysbench")
+            .add("scheme", scheme)
+            .add("tps", r.sysbenchTps)
+            .add("qps", r.sysbenchQps)
+            .add("normTps", r.sysbenchTps / vfio.sysbenchTps, decimals)
+            .add("avgLatMs", r.sysbenchLatMs, 2);
+    };
+    add("native (VFIO)", vfio, 2);
+    add("BM-Store", bms, 3);
+    add("SPDK vhost", vhost, 3);
+    report.table("tpcc",
+                 "Fig. 13(a) — TPC-C normalized transactions (MySQL in VM)");
+    report.table("sysbench",
+                 "Fig. 13(b) + Table VIII — Sysbench OLTP (MySQL in VM)");
 
     std::printf("\npaper reference: BM-Store within ~2.6%% of native; "
                 "up to 13.4%% more TPC-C transactions and ~8.1%% more "
                 "Sysbench queries than SPDK vhost; vhost adds ~11.2%% "
                 "latency vs native's 2.6%% for BM-Store.\n");
-    return 0;
+    return report.finish();
 }

@@ -17,8 +17,8 @@
 #include "apps/rocksdb_model.hh"
 #include "apps/sysbench.hh"
 #include "apps/ycsb.hh"
-#include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 
 using namespace bms;
 
@@ -143,48 +143,38 @@ runVhost()
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("fig14_mixed_workloads", argc, argv);
     MixedResult vfio = runVfio();
     MixedResult bms = runBms();
     MixedResult vhost = runVhost();
 
-    harness::Table a({"scheme", "RocksDB VM0 ops/s", "RocksDB VM1 ops/s",
-                      "norm (vs VFIO)"});
-    auto norm = [&](const MixedResult &r) {
-        return (r.ycsbOps[0] + r.ycsbOps[1]) /
-               (vfio.ycsbOps[0] + vfio.ycsbOps[1]);
+    // Normalized to native; its own row prints the reference 1.00.
+    auto add = [&](const char *scheme, const MixedResult &r, int decimals) {
+        report.row("rocksdb")
+            .add("scheme", scheme)
+            .add("vm0OpsPerSec", r.ycsbOps[0])
+            .add("vm1OpsPerSec", r.ycsbOps[1])
+            .add("normalized",
+                 (r.ycsbOps[0] + r.ycsbOps[1]) /
+                     (vfio.ycsbOps[0] + vfio.ycsbOps[1]),
+                 decimals);
+        report.row("mysql")
+            .add("scheme", scheme)
+            .add("vm2LatMs", r.mysqlLatMs[0], 2)
+            .add("vm3LatMs", r.mysqlLatMs[1], 2)
+            .add("vm2Tps", r.mysqlTps[0])
+            .add("vm3Tps", r.mysqlTps[1]);
     };
-    a.addRow({"native (VFIO)", harness::Table::fmt(vfio.ycsbOps[0], 0),
-              harness::Table::fmt(vfio.ycsbOps[1], 0), "1.00"});
-    a.addRow({"BM-Store", harness::Table::fmt(bms.ycsbOps[0], 0),
-              harness::Table::fmt(bms.ycsbOps[1], 0),
-              harness::Table::fmt(norm(bms), 3)});
-    a.addRow({"SPDK vhost", harness::Table::fmt(vhost.ycsbOps[0], 0),
-              harness::Table::fmt(vhost.ycsbOps[1], 0),
-              harness::Table::fmt(norm(vhost), 3)});
-    a.print("Fig. 14(a) — RocksDB/YCSB throughput under mixed "
-            "multi-VM load");
-
-    harness::Table b({"scheme", "MySQL VM2 lat(ms)", "MySQL VM3 lat(ms)",
-                      "VM2 tps", "VM3 tps"});
-    b.addRow({"native (VFIO)",
-              harness::Table::fmt(vfio.mysqlLatMs[0], 2),
-              harness::Table::fmt(vfio.mysqlLatMs[1], 2),
-              harness::Table::fmt(vfio.mysqlTps[0], 0),
-              harness::Table::fmt(vfio.mysqlTps[1], 0)});
-    b.addRow({"BM-Store", harness::Table::fmt(bms.mysqlLatMs[0], 2),
-              harness::Table::fmt(bms.mysqlLatMs[1], 2),
-              harness::Table::fmt(bms.mysqlTps[0], 0),
-              harness::Table::fmt(bms.mysqlTps[1], 0)});
-    b.addRow({"SPDK vhost", harness::Table::fmt(vhost.mysqlLatMs[0], 2),
-              harness::Table::fmt(vhost.mysqlLatMs[1], 2),
-              harness::Table::fmt(vhost.mysqlTps[0], 0),
-              harness::Table::fmt(vhost.mysqlTps[1], 0)});
-    b.print("Fig. 14(b) — MySQL average latency under mixed multi-VM "
-            "load");
+    add("native (VFIO)", vfio, 2);
+    add("BM-Store", bms, 3);
+    add("SPDK vhost", vhost, 3);
+    report.table("rocksdb", "Fig. 14(a) — RocksDB/YCSB throughput under "
+                            "mixed multi-VM load");
+    report.table("mysql", "Fig. 14(b) — MySQL average latency under mixed "
+                          "multi-VM load");
 
     std::printf("\npaper reference: BM-Store achieves near-native "
                 "performance even under complex mixed workloads, with "
                 "consistent per-VM results (isolation).\n");
-    return 0;
+    return report.finish();
 }

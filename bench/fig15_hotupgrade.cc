@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "sim/stats.hh"
 #include "workload/fio.hh"
 
@@ -71,8 +71,10 @@ runCase(workload::FioPattern pattern, const char *name)
     return out;
 }
 
+/** Print @p run's IOPS timeline as bars and record its samples. */
 void
-printTimeline(const char *title, const UpgradeRun &run)
+printTimeline(bench::Report &report, const char *name, const char *title,
+              const UpgradeRun &run)
 {
     std::printf("\n== Fig. 15 — VM IOPS timeline during hot-upgrade "
                 "(%s) ==\n",
@@ -82,10 +84,14 @@ printTimeline(const char *title, const UpgradeRun &run)
     for (std::size_t i = 0; i < run.iops.size(); ++i)
         peak = std::max(peak, run.iops.rateAt(i));
     for (std::size_t i = 0; i < run.iops.size(); ++i) {
+        double t = 0.2 * static_cast<double>(i);
         double r = run.iops.rateAt(i);
+        report.row("timeline")
+            .add("run", name)
+            .add("tS", t, 1)
+            .add("iops", r);
         int bars = peak > 0 ? static_cast<int>(r / peak * 12.0) : 0;
-        std::printf("  t=%5.1fs %8.0f IOPS |", 0.2 * static_cast<double>(i),
-                    r);
+        std::printf("  t=%5.1fs %8.0f IOPS |", t, r);
         for (int b = 0; b < bars; ++b)
             std::printf("#");
         std::printf("\n");
@@ -99,36 +105,37 @@ printTimeline(const char *title, const UpgradeRun &run)
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("fig15_hotupgrade", argc, argv);
     UpgradeRun rd = runCase(workload::FioPattern::RandRead, "rand-read");
     UpgradeRun wr = runCase(workload::FioPattern::RandWrite,
                             "rand-write");
 
-    printTimeline("4K random read", rd);
-    printTimeline("4K random write", wr);
+    printTimeline(report, "rand-read", "4K random read", rd);
+    printTimeline(report, "rand-write", "4K random write", wr);
 
-    harness::Table t({"run", "upgrade#", "store ctx (ms)",
-                      "firmware (ms)", "reload ctx (ms)", "total (s)",
-                      "I/O pause (s)", "BMS processing (ms)"});
-    auto add = [&t](const char *run, const UpgradeRun &u) {
+    auto add = [&report](const char *run, const UpgradeRun &u) {
         int i = 1;
         for (const auto &r : u.reports) {
-            t.addRow({run, harness::Table::fmtInt(i++),
-                      harness::Table::fmt(r.storeMs),
-                      harness::Table::fmt(r.firmwareMs, 0),
-                      harness::Table::fmt(r.reloadMs),
-                      harness::Table::fmt(r.totalMs / 1000.0, 2),
-                      harness::Table::fmt(r.ioPauseMs / 1000.0, 2),
-                      harness::Table::fmt(r.storeMs + r.reloadMs, 0)});
+            report.row("upgrades")
+                .add("run", run)
+                .add("upgrade", i++)
+                .add("storeCtxMs", r.storeMs, 1)
+                .add("firmwareMs", r.firmwareMs)
+                .add("reloadCtxMs", r.reloadMs, 1)
+                .add("totalS", r.totalMs / 1000.0, 2)
+                .add("ioPauseS", r.ioPauseMs / 1000.0, 2)
+                .add("bmsProcessingMs", r.storeMs + r.reloadMs);
         }
+        report.values().add(std::string(run) + ".ioErrors", u.ioErrors);
     };
     add("rand-read", rd);
     add("rand-write", wr);
-    t.print("Table IX — average time for hot-upgrade of SSD firmware");
+    report.table("upgrades",
+                 "Table IX — average time for hot-upgrade of SSD firmware");
 
     std::printf("\npaper reference: total hot-upgrade time ~6-9 s, of "
                 "which BM-Store's own processing is ~100 ms; tenants "
                 "see an I/O stall but no errors (pause < NVMe "
                 "timeout).\n");
-    return 0;
+    return report.finish();
 }

@@ -1,5 +1,6 @@
 #include "report.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -7,6 +8,7 @@
 #include <thread>
 
 #include "harness/runner.hh"
+#include "sim/check.hh"
 
 namespace bms::bench {
 
@@ -24,19 +26,66 @@ fixed(double v, int decimals)
     return buf;
 }
 
+using Cells = std::vector<std::string>;
+
+/** Terminal columns of a UTF-8 string: one per code point. */
+std::size_t
+columns(const std::string &s)
+{
+    return static_cast<std::size_t>(std::count_if(
+        s.begin(), s.end(), [](char c) { return (c & 0xC0) != 0x80; }));
+}
+
+/** Print @p rows under @p headers, each column as wide as its widest
+ *  cell. */
+void
+printTable(const std::string &title, const Cells &headers,
+           const std::vector<Cells> &rows)
+{
+    std::vector<std::size_t> width(headers.size());
+    for (std::size_t c = 0; c < headers.size(); ++c)
+        width[c] = columns(headers[c]);
+    for (const Cells &row : rows)
+        for (std::size_t c = 0; c < row.size(); ++c)
+            width[c] = std::max(width[c], columns(row[c]));
+
+    std::printf("\n== %s ==\n", title.c_str());
+    auto line = [&] {
+        for (std::size_t w : width)
+            std::printf("+%s", std::string(w + 2, '-').c_str());
+        std::printf("+\n");
+    };
+    auto cells = [&](const Cells &row) {
+        for (std::size_t c = 0; c < row.size(); ++c)
+            std::printf("| %s%s ", row[c].c_str(),
+                        std::string(width[c] - columns(row[c]), ' ').c_str());
+        std::printf("|\n");
+    };
+    line();
+    cells(headers);
+    line();
+    for (const Cells &row : rows)
+        cells(row);
+    line();
+}
+
 } // namespace
 
 Fields &
 Fields::add(const std::string &key, double v, int decimals)
 {
-    return addJson(key, fixed(v, decimals));
+    _fields.push_back(Field{key, fixed(v, decimals), false});
+    return *this;
 }
 
-Fields &
-Fields::addJson(const std::string &key, const std::string &json)
+std::string
+Fields::json() const
 {
-    _json += (_json.empty() ? "\"" : ", \"") + key + "\": " + json;
-    return *this;
+    std::string out;
+    for (const Field &f : _fields)
+        out += (out.empty() ? "\"" : ", \"") + f.key + "\": " +
+               (f.quoted ? "\"" + f.text + "\"" : f.text);
+    return "{" + out + "}";
 }
 
 Report::Report(std::string bench, int argc, char **argv,
@@ -66,6 +115,36 @@ bool
 Report::sanitized()
 {
     return BMS_BUILD_SANITIZE[0] != '\0';
+}
+
+void
+Report::table(const std::string &name, const std::string &title) const
+{
+    auto it = _rows.find(name);
+    BMS_ASSERT(it != _rows.end(), "no row array ", name);
+    auto keys = [](const Fields &fields) {
+        Cells out;
+        for (const Fields::Field &f : fields._fields)
+            out.push_back(f.key);
+        return out;
+    };
+    Cells headers = keys(it->second.front());
+    std::vector<Cells> rows;
+    for (const Fields &fields : it->second) {
+        BMS_ASSERT(keys(fields) == headers, "a row of ", name,
+                   " has other keys than its first");
+        Cells &row = rows.emplace_back();
+        for (const Fields::Field &f : fields._fields)
+            row.push_back(f.text);
+    }
+    printTable(title, headers, rows);
+}
+
+void
+Report::band(const std::string &gate, double value, double floor,
+             double limit)
+{
+    _gates.push_back(Gate{gate, value, floor, limit});
 }
 
 workload::FioResult
@@ -104,26 +183,40 @@ Report::littlesLaw(const std::string &gate,
 int
 Report::finish()
 {
+    if (!_values._fields.empty()) {
+        std::vector<Cells> rows;
+        for (const Fields::Field &f : _values._fields)
+            rows.push_back({f.key, f.text});
+        printTable(_bench + " values", {"field", "value"}, rows);
+    }
     bool pass = true;
-    std::printf("\n%s gates:\n", _bench.c_str());
+    if (!_gates.empty())
+        std::printf("\n%s gates:\n", _bench.c_str());
     for (const Gate &g : _gates) {
-        std::printf("  %-26s %16.4f %s %-14.4f %s\n", g.name.c_str(),
-                    g.value, g.floor ? ">=" : "<=", g.bound,
-                    g.pass() ? "pass" : "FAIL");
+        std::string bound =
+            !std::isfinite(g.limit)   ? ">= " + fixed(g.floor, 4)
+            : !std::isfinite(g.floor) ? "<= " + fixed(g.limit, 4)
+                                      : "in [" + fixed(g.floor, 4) + ", " +
+                                            fixed(g.limit, 4) + "]";
+        std::printf("  %-26s %16.4f %-17s %s\n", g.name.c_str(), g.value,
+                    bound.c_str(), g.pass() ? "pass" : "FAIL");
         pass = pass && g.pass();
     }
-    std::FILE *f = std::fopen(_path.c_str(), "w");
-    bool written = f && std::fputs(json(pass).c_str(), f) >= 0;
-    written = f && std::fclose(f) == 0 && written;
+    bool written = _path.empty();
+    if (!written) {
+        std::FILE *f = std::fopen(_path.c_str(), "w");
+        written = f && std::fputs(json(pass).c_str(), f) >= 0;
+        written = f && std::fclose(f) == 0 && written;
+    }
     if (!written)
         std::fprintf(stderr, "%s: cannot write %s\n", _bench.c_str(),
                      _path.c_str());
     else if (!pass)
-        std::fprintf(stderr, "%s: GATE FAILURE (record in %s)\n",
-                     _bench.c_str(), _path.c_str());
-    else
-        std::printf("%s: all gates passed (record in %s)\n", _bench.c_str(),
-                    _path.c_str());
+        std::fprintf(stderr, "%s: GATE FAILURE\n", _bench.c_str());
+    else if (!_gates.empty())
+        std::printf("%s: all gates passed\n", _bench.c_str());
+    if (written && !_path.empty())
+        std::printf("%s: record in %s\n", _bench.c_str(), _path.c_str());
     return written && pass ? 0 : 1;
 }
 
@@ -148,10 +241,13 @@ Report::json(bool pass) const
         rows += "\n    ]";
     }
     for (const Gate &g : _gates) {
+        std::string bound;
+        if (std::isfinite(g.floor))
+            bound += ", \"floor\": " + fixed(g.floor, 4);
+        if (std::isfinite(g.limit))
+            bound += ", \"limit\": " + fixed(g.limit, 4);
         gates += (gates.empty() ? "\n    \"" : ",\n    \"") + g.name +
-                 "\": {\"value\": " + fixed(g.value, 4) +
-                 (g.floor ? ", \"floor\": " : ", \"limit\": ") +
-                 fixed(g.bound, 4) +
+                 "\": {\"value\": " + fixed(g.value, 4) + bound +
                  ", \"pass\": " + (g.pass() ? "true" : "false") + "}";
     }
     return "{\n  \"bench\": \"" + _bench + "\",\n  \"provenance\": " +

@@ -1,23 +1,29 @@
 /**
  * @file
- * The one record a gated bench writes.
+ * The one output of every bench: what it prints and what it records.
  *
- * `bench::Report` owns what the gated benches share: the command
- * line, build provenance, the JSON record and its one schema
+ * `bench::Report` owns what the benches share: the command line,
+ * build provenance, the printed tables, the JSON record and its one
+ * schema
  *
  *   {"bench", "provenance": {gitSha, buildType, compiler, sanitize,
  *    nproc, mode, wallSeconds}, "values": {...},
  *    "rows": {ARRAY: [{...}, ...]},
- *    "gates": {GATE: {value, floor | limit, pass}}, "pass"},
+ *    "gates": {GATE: {value, floor and/or limit, pass}}, "pass"},
  *
- * the gate checks, one gate summary and the exit status. It reads the
- * wall clock, so only bench binaries link it (bms-lint R1).
+ * the gate checks, one gate summary and the exit status. A bench
+ * prints its numbers only through the Report: a row array prints as
+ * a fixed-width table whose columns are the field keys and whose
+ * cells are the values as recorded, so the terminal and the record
+ * cannot disagree. It reads the wall clock, so only bench binaries
+ * link it (bms-lint R1).
  */
 
 #ifndef BMS_BENCH_REPORT_HH
 #define BMS_BENCH_REPORT_HH
 
 #include <chrono>
+#include <limits>
 #include <map>
 #include <span>
 #include <string>
@@ -29,7 +35,7 @@
 
 namespace bms::bench {
 
-/** Ordered JSON fields: a record's scalars or one row of an array. */
+/** Ordered fields: a record's scalars or one row of an array. */
 class Fields
 {
   public:
@@ -39,29 +45,39 @@ class Fields
 
     Fields &add(const std::string &key, const std::string &v)
     {
-        return addJson(key, "\"" + v + "\"");
+        _fields.push_back(Field{key, v, true});
+        return *this;
     }
 
-    std::string json() const { return "{" + _json + "}"; }
+    std::string json() const;
 
   private:
-    Fields &addJson(const std::string &key, const std::string &json);
+    friend class Report;
 
-    std::string _json;
+    struct Field
+    {
+        std::string key;
+        /** The value as printed: a fixed-point number or the string. */
+        std::string text;
+        bool quoted = false;
+    };
+
+    std::vector<Field> _fields;
 };
 
-/** Flags, provenance, values, gates and exit status of one bench run. */
+/** Flags, provenance, tables, values, gates and exit status of one
+ *  bench run. */
 class Report
 {
   public:
     /**
      * Parse the command line: `--quick` (only when @p has_quick),
-     * `--json=PATH` (default @p default_json), `--paranoid` and
-     * `--log=LEVEL`; any other argument exits 2. Starts the wall
-     * clock.
+     * `--json=PATH` (default @p default_json; none when empty),
+     * `--paranoid` and `--log=LEVEL`; any other argument exits 2.
+     * Starts the wall clock.
      */
     Report(std::string bench, int argc, char **argv,
-           std::string default_json, bool has_quick);
+           std::string default_json = {}, bool has_quick = false);
 
     bool quick() const { return _quick; }
 
@@ -78,24 +94,34 @@ class Report
             .count();
     }
 
+    /** The record's scalars; finish() prints them. */
     Fields &values() { return _values; }
 
     /** Append a row to the array @p name; the reference is valid
-     *  until the next row() call. */
+     *  until the next row() call. Every row of an array carries the
+     *  same keys in the same order. */
     Fields &row(const std::string &name) { return _rows[name].emplace_back(); }
+
+    /** Print the row array @p name as a fixed-width table under
+     *  @p title: one column per key, each cell as recorded. */
+    void table(const std::string &name, const std::string &title) const;
+
+    /** Gate: pass when @p floor <= @p value <= @p limit. */
+    void band(const std::string &gate, double value, double floor,
+              double limit);
 
     /** Gate: pass when @p value >= @p bound. */
     void
     floor(const std::string &gate, double value, double bound)
     {
-        _gates.push_back(Gate{gate, value, bound, true});
+        band(gate, value, bound, std::numeric_limits<double>::infinity());
     }
 
     /** Gate: pass when @p value <= @p bound. */
     void
     limit(const std::string &gate, double value, double bound)
     {
-        _gates.push_back(Gate{gate, value, bound, false});
+        band(gate, value, -std::numeric_limits<double>::infinity(), bound);
     }
 
     /**
@@ -114,8 +140,9 @@ class Report
                const workload::FioJobSpec &spec);
 
     /**
-     * Print the gate summary and write the record. Returns the exit
-     * status: 0 when every gate passes and the record is written.
+     * Print the values and the gate summary and write the record (if
+     * a path is set). Returns the exit status: 0 when every gate
+     * passes and the record, if any, is written.
      */
     int finish();
 
@@ -124,9 +151,9 @@ class Report
     {
         std::string name;
         double value = 0.0;
-        double bound = 0.0;
-        bool floor = true;
-        bool pass() const { return floor ? value >= bound : value <= bound; }
+        double floor = 0.0;
+        double limit = 0.0;
+        bool pass() const { return value >= floor && value <= limit; }
     };
 
     void littlesLaw(const std::string &gate,

@@ -8,23 +8,35 @@
 
 #include <cstdio>
 
-#include "harness/runner.hh"
+#include "report.hh"
 
 using namespace bms;
 
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-    harness::Table t({"property", "MDev", "SPDK vhost", "SR-IOV",
-                      "LeapIO", "FVM", "BM-Store"});
-    t.addRow({"Host efficiency", "-", "-", "yes", "yes", "yes", "yes"});
-    t.addRow({"Compatibility", "yes", "yes", "-", "yes", "yes", "yes"});
-    t.addRow({"Transparency", "-", "-", "yes", "-", "-", "yes"});
-    t.addRow({"Performance", "yes", "yes", "yes", "-", "yes", "yes"});
-    t.addRow({"Deployability", "yes", "yes", "yes", "-", "-", "yes"});
-    t.addRow({"Manageability", "-", "-", "-", "-", "-", "yes"});
-    t.print("Table I — features of existing local storage techniques");
+    bench::Report report("table01_features", argc, argv);
+    auto feature = [&report](const char *property, const char *mdev,
+                             const char *vhost, const char *sriov,
+                             const char *leapio, const char *fvm,
+                             const char *bms) {
+        report.row("features")
+            .add("property", property)
+            .add("mdev", mdev)
+            .add("spdkVhost", vhost)
+            .add("srIov", sriov)
+            .add("leapIo", leapio)
+            .add("fvm", fvm)
+            .add("bmStore", bms);
+    };
+    feature("Host efficiency", "-", "-", "yes", "yes", "yes", "yes");
+    feature("Compatibility", "yes", "yes", "-", "yes", "yes", "yes");
+    feature("Transparency", "-", "-", "yes", "-", "-", "yes");
+    feature("Performance", "yes", "yes", "yes", "-", "yes", "yes");
+    feature("Deployability", "yes", "yes", "yes", "-", "-", "yes");
+    feature("Manageability", "-", "-", "-", "-", "-", "yes");
+    report.table("features",
+                 "Table I — features of existing local storage techniques");
 
     std::printf(
         "\nevidence in this repository for the two modeled schemes:\n"
@@ -41,5 +53,5 @@ main(int argc, char **argv)
         "plane rides MCTP out of band (out_of_band_mgmt example)\n"
         "  manageability   : remote namespace mgmt, I/O monitor, "
         "hot-upgrade, hot-plug (fig15, mgmt tests)\n");
-    return 0;
+    return report.finish();
 }

@@ -8,36 +8,35 @@
 #include <cstdio>
 
 #include "core/engine/resources.hh"
-#include "harness/runner.hh"
+#include "report.hh"
 
 using namespace bms;
 
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("table02_fpga_resources", argc, argv);
     core::FpgaResourceModel model;
     core::FpgaDevice device;
 
-    harness::Table t({"Design", "LUTs", "Registers", "BRAMs", "URAMs",
-                      "Clock"});
     for (int n : {1, 2, 4, 6}) {
         core::FpgaUtilization u = model.forSsds(n);
-        t.addRow({harness::Table::fmtInt(n) + " SSDs",
-                  harness::Table::fmtInt(u.luts) + " (" +
-                      harness::Table::fmt(u.lutPct(device), 0) + "%)",
-                  harness::Table::fmtInt(u.registers) + " (" +
-                      harness::Table::fmt(u.regPct(device), 0) + "%)",
-                  harness::Table::fmtInt(u.brams) + " (" +
-                      harness::Table::fmt(u.bramPct(device), 0) + "%)",
-                  harness::Table::fmt(u.urams) + " (" +
-                      harness::Table::fmt(u.uramPct(device), 0) + "%)",
-                  harness::Table::fmtInt(u.clockMhz) + "MHz"});
+        report.row("designs")
+            .add("ssds", n)
+            .add("luts", u.luts)
+            .add("lutPct", u.lutPct(device))
+            .add("registers", u.registers)
+            .add("regPct", u.regPct(device))
+            .add("brams", u.brams)
+            .add("bramPct", u.bramPct(device))
+            .add("urams", u.urams, 1)
+            .add("uramPct", u.uramPct(device))
+            .add("clockMhz", u.clockMhz);
     }
-    t.print("Table II — FPGA resource utilization (ZU19EG)");
-    std::printf("\nmax SSDs that fit the device per the model: %d "
-                "(paper: \"BM-Store can support more SSDs with the "
-                "remaining resources\")\n",
-                model.maxSsds(device));
-    return 0;
+    report.table("designs", "Table II — FPGA resource utilization (ZU19EG)");
+    report.values().add("maxSsds", model.maxSsds(device));
+    std::printf("\nmaxSsds: the most SSDs that fit the device per the "
+                "model (paper: \"BM-Store can support more SSDs with the "
+                "remaining resources\")\n");
+    return report.finish();
 }

@@ -15,6 +15,7 @@
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
+#include "report.hh"
 #include "workload/fio.hh"
 
 using namespace bms;
@@ -22,7 +23,7 @@ using namespace bms;
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
+    bench::Report report("table06_os_kernels", argc, argv);
     struct Platform
     {
         host::PlatformProfile profile;
@@ -34,7 +35,6 @@ main(int argc, char **argv)
         {host::fedora33("5.8.15"), 8},
     };
 
-    harness::Table t({"OS", "kernel", "IOPS", "BW(MB/s)", "AL(us)"});
     for (const auto &p : platforms) {
         harness::TestbedConfig cfg;
         cfg.ssdCount = 1;
@@ -51,15 +51,17 @@ main(int argc, char **argv)
         spec.caseName = "rand-r-16";
         workload::FioResult res = harness::runFio(bed.sim(), disk, spec);
 
-        t.addRow({p.profile.os, p.profile.kernel,
-                  harness::Table::fmt(res.iops / 1000.0, 0) + "K",
-                  harness::Table::fmt(res.mbPerSec, 0),
-                  harness::Table::fmt(res.avgLatencyUs())});
+        report.row("platforms")
+            .add("os", p.profile.os)
+            .add("kernel", p.profile.kernel)
+            .add("kiops", res.iops / 1000.0)
+            .add("mbps", res.mbPerSec)
+            .add("alUs", res.avgLatencyUs(), 1);
     }
-    t.print("Table VI — BM-Store across OS / kernel versions (4K rand "
-            "read, qd16)");
+    report.table("platforms", "Table VI — BM-Store across OS / kernel "
+                              "versions (4K rand read, qd16)");
     std::printf("\npaper reference: CentOS rows 642K IOPS / ~395 us; "
                 "Fedora rows ~605K IOPS / ~207 us; identical results "
                 "across kernels within an OS.\n");
-    return 0;
+    return report.finish();
 }

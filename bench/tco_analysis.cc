@@ -1,173 +1,45 @@
 /**
  * @file
  * Reproduces the §VI-C TCO analysis: sellable instances per server and
- * cost per instance for the SPDK-vhost and BM-Store deployments.
- *
- * `--fleet-json=PATH` additionally re-runs the model at fleet scale,
- * fed by the measurements `bench/ext_fleet` wrote to BENCH_fleet.json:
- * the fleet's card count maps to servers (4 cards per server, the
- * paper's deployment shape), the admitted tenants are the sellable
- * instances actually placed, and the measured rolling-upgrade I/O
- * pause is compared against a take-the-instance-down baseline to
- * price the downtime a transparent hot upgrade avoids fleet-wide.
+ * cost per instance for the SPDK-vhost and BM-Store deployments. The
+ * same model priced at fleet scale is part of `ext_fleet`'s record.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <vector>
 
-#include "harness/runner.hh"
 #include "harness/tco.hh"
+#include "report.hh"
 
 using namespace bms;
-
-namespace {
-
-/** Minimal scan for `"key": <number>` in a one-object JSON file.
- *  Good enough for BENCH_fleet.json, which we also write. */
-bool
-jsonNumber(const std::string &text, const std::string &key, double &out)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t'))
-        ++pos;
-    char *end = nullptr;
-    double v = std::strtod(text.c_str() + pos, &end);
-    if (end == text.c_str() + pos)
-        return false;
-    out = v;
-    return true;
-}
-
-void
-fleetScaleTco(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        std::fprintf(stderr, "tco_analysis: cannot read %s\n",
-                     path.c_str());
-        std::exit(1);
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
-    double cards = 0, ssds_per_card = 0, tenants = 0, requested = 0;
-    double io_pause_ms = 0, makespan_ms = 0;
-    bool ok = jsonNumber(text, "cards", cards) &&
-              jsonNumber(text, "ssdsPerCard", ssds_per_card) &&
-              jsonNumber(text, "tenantsPlaced", tenants) &&
-              jsonNumber(text, "tenantsRequested", requested) &&
-              jsonNumber(text, "ioPauseMsMax", io_pause_ms) &&
-              jsonNumber(text, "makespanMs", makespan_ms);
-    if (!ok) {
-        std::fprintf(stderr,
-                     "tco_analysis: %s is missing fleet fields "
-                     "(expected ext_fleet output)\n",
-                     path.c_str());
-        std::exit(1);
-    }
-
-    harness::TcoInputs in;
-    harness::TcoComparison cmp = harness::compareTco(in);
-    harness::TcoResult spdk = harness::tcoSpdk(in);
-    harness::TcoResult bms = harness::tcoBmStore(in);
-
-    // Paper deployment shape: 4 cards per server. The per-server
-    // sellable-instance delta compounds across the fleet.
-    int servers =
-        static_cast<int>((cards + 3) / 4);
-    int fleet_spdk = servers * spdk.sellableInstances;
-    int fleet_bms = servers * bms.sellableInstances;
-
-    // Rolling-upgrade downtime avoided: without a transparent hot
-    // upgrade, a firmware roll means draining (or rebooting) every
-    // tenant on the card — conservatively a 300 s outage per tenant
-    // per wave. BM-Store's measured worst tenant-visible pause is the
-    // wave's ioPauseMsMax.
-    const double baseline_outage_s = 300.0;
-    double pause_s = io_pause_ms / 1e3;
-    double avoided_s =
-        tenants * (baseline_outage_s - pause_s);
-    double avoided_tenant_hours = avoided_s / 3600.0;
-
-    harness::Table t({"fleet", "servers", "sellable instances",
-                      "cost / instance"});
-    t.addRow({"SPDK vhost", harness::Table::fmtInt(servers),
-              harness::Table::fmtInt(fleet_spdk),
-              harness::Table::fmt(spdk.costPerInstance, 4)});
-    t.addRow({"BM-Store", harness::Table::fmtInt(servers),
-              harness::Table::fmtInt(fleet_bms),
-              harness::Table::fmt(bms.costPerInstance, 4)});
-    t.print("fleet-scale TCO — " + std::to_string(static_cast<int>(cards)) +
-            " cards (" + std::to_string(static_cast<int>(tenants)) + "/" +
-            std::to_string(static_cast<int>(requested)) +
-            " tenants placed)");
-
-    std::printf("\nfleet sells %d more instances (%.1f%%), per-instance "
-                "TCO down %.1f%%\n",
-                fleet_bms - fleet_spdk, cmp.moreInstancesPct,
-                cmp.tcoReductionPct);
-    std::printf("rolling upgrade: makespan %.1f s for %d slots, worst "
-                "tenant pause %.1f ms\n",
-                makespan_ms / 1e3,
-                static_cast<int>(cards * ssds_per_card), io_pause_ms);
-    std::printf("downtime avoided vs %.0f s take-down baseline: "
-                "%.0f tenant-hours per fleet-wide wave\n",
-                baseline_outage_s, avoided_tenant_hours);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
-    bms::harness::applyCommonFlags(argc, argv);
-    std::string fleetJson;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--fleet-json=", 13) == 0)
-            fleetJson = argv[i] + 13;
-    }
-
+    bench::Report report("tco_analysis", argc, argv);
     harness::TcoInputs in;
     harness::TcoResult spdk = harness::tcoSpdk(in);
     harness::TcoResult bms = harness::tcoBmStore(in);
     harness::TcoComparison cmp = harness::compareTco(in);
 
-    harness::Table t({"deployment", "usable HT", "sellable instances",
-                      "server cost", "cost / instance"});
-    t.addRow({"SPDK vhost (16 polling cores)",
-              harness::Table::fmtInt(in.serverHt - in.vhostDedicatedHt),
-              harness::Table::fmtInt(spdk.sellableInstances),
-              harness::Table::fmt(spdk.serverCost, 3),
-              harness::Table::fmt(spdk.costPerInstance, 4)});
-    t.addRow({"BM-Store (4 cards, +3% HW)",
-              harness::Table::fmtInt(in.serverHt),
-              harness::Table::fmtInt(bms.sellableInstances),
-              harness::Table::fmt(bms.serverCost, 3),
-              harness::Table::fmt(bms.costPerInstance, 4)});
-    t.print("§VI-C — TCO analysis (server: 128 HT / 1024 GB / 16 SSDs; "
-            "instance: 8 HT / 64 GB / 1 SSD)");
-
-    std::printf("\nBM-Store sells %.1f%% more instances and reduces "
-                "per-instance TCO by %.1f%%\n",
-                cmp.moreInstancesPct, cmp.tcoReductionPct);
-    std::printf("paper reference: 14.3%% more instances per server, at "
+    auto add = [&report](const char *deployment, int usable_ht,
+                         const harness::TcoResult &r) {
+        report.row("deployments")
+            .add("deployment", deployment)
+            .add("usableHt", usable_ht)
+            .add("sellableInstances", r.sellableInstances)
+            .add("serverCost", r.serverCost, 3)
+            .add("costPerInstance", r.costPerInstance, 4);
+    };
+    add("SPDK vhost (16 polling cores)", in.serverHt - in.vhostDedicatedHt,
+        spdk);
+    add("BM-Store (4 cards, +3% HW)", in.serverHt, bms);
+    report.table("deployments",
+                 "§VI-C — TCO analysis (server: 128 HT / 1024 GB / 16 SSDs; "
+                 "instance: 8 HT / 64 GB / 1 SSD)");
+    report.values()
+        .add("moreInstancesPct", cmp.moreInstancesPct, 1)
+        .add("tcoReductionPct", cmp.tcoReductionPct, 1);
+    std::printf("\npaper reference: 14.3%% more instances per server, at "
                 "least 11.3%% TCO reduction.\n");
-
-    if (!fleetJson.empty()) {
-        std::printf("\n");
-        fleetScaleTco(fleetJson);
-    }
-    return 0;
+    return report.finish();
 }

@@ -41,16 +41,15 @@ main()
     spec.numjobs = 2;
     auto results = harness::runFioMany(bed.sim(), devs, spec);
 
-    harness::Table t({"VM", "tier", "MB/s", "avg lat (ms)"});
+    std::printf("8 tenants, 4 SSDs, QoS-tiered shares\n\n"
+                "VM   tier      MB/s  avg lat (ms)\n");
     double total = 0.0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         total += results[i].mbPerSec;
-        t.addRow({"vm" + std::to_string(i), tiers[i],
-                  harness::Table::fmt(results[i].mbPerSec, 0),
-                  harness::Table::fmt(
-                      sim::toMs(results[i].latency.mean()), 1)});
+        std::printf("vm%zu  %-6s %7.0f %13.1f\n", i, tiers[i].c_str(),
+                    results[i].mbPerSec,
+                    sim::toMs(results[i].latency.mean()));
     }
-    t.print("8 tenants, 4 SSDs, QoS-tiered shares");
 
     std::printf("\naggregate: %.1f GB/s; QoS passed %llu commands, "
                 "buffered %llu\n",

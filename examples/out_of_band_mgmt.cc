@@ -76,8 +76,9 @@ main()
     // 3. Live I/O statistics.
     step = false;
     bed.console().ioStats(ctrl, 4, [&](std::optional<core::MiIoStats> s) {
+        const core::MiIoStats &stats = s.value();
         std::printf("[monitor] VF4: %.0f read IOPS, %.0f MB/s\n",
-                    s->readIops, s->readMbps);
+                    stats.readIops, stats.readMbps);
         step = true;
     });
     bed.runUntilTrue([&] { return step; });

@@ -13,11 +13,11 @@
 #    with a warning when clang-tidy is not installed — the container
 #    image ships gcc only). Reuses build/compile_commands.json when
 #    the default build tree already exported one.
-# 3. A fresh ASan+UBSan build (-DBMS_SANITIZE="address;undefined")
-#    running the full ctest suite, the pinned fuzz seed families
-#    (scripts/fuzz_families.sh) and the quick benches, and failing
-#    unless ext_fleet --quick replays the pinned trace hash and event
-#    count and ext_full_card --quick the pinned event counts.
+# 3. A fresh ASan+UBSan build (-DBMS_SANITIZE="address;undefined",
+#    warnings as errors) running the full ctest suite, the pinned fuzz
+#    seed families (scripts/fuzz_families.sh) and the quick benches,
+#    and failing unless ext_fleet --quick replays the pinned trace hash
+#    and event count and ext_full_card --quick the pinned event counts.
 #
 # Build trees land in build-lint/, build-tidy/ and build-asan/ so they
 # never disturb an existing build/.
@@ -83,7 +83,10 @@ run_tidy() {
 
 run_san() {
     echo "== ASan+UBSan ctest =="
-    cmake -B build-asan -S . -DBMS_SANITIZE="address;undefined" >/dev/null
+    # -Werror here only: the tree builds warning-free, and a new warning
+    # fails this gate without breaking builds on other compilers.
+    cmake -B build-asan -S . -DBMS_SANITIZE="address;undefined" \
+          -DCMAKE_CXX_FLAGS=-Werror >/dev/null
     cmake --build build-asan -j "${jobs}"
     (cd build-asan && ctest --output-on-failure -j "${jobs}") || fail=1
     # The six pinned fuzz seed families under sanitizers: the torture

@@ -24,8 +24,8 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
         fc.arb = _cfg.frontArb;
         fc.arbBurst = _cfg.frontArbBurst;
         fc.doorbellBatchDelay = _cfg.frontDoorbellBatch;
-        fc.maxIoQueues = _cfg.frontMaxIoQueues;
-        bool is_pf = i < _cfg.pfCount;
+        fc.maxIoQueues = EngineConfig::kFrontMaxIoQueues;
+        bool is_pf = i < EngineConfig::kPfCount;
         _functions.push_back(std::make_unique<FrontFunction>(
             sim, name + (is_pf ? ".pf" : ".vf") + std::to_string(i), fc,
             is_pf,
@@ -38,7 +38,7 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
     _ifaceLinks.reserve(static_cast<std::size_t>(ifaces));
     for (int i = 0; i < ifaces; ++i) {
         _ifaceLinks.push_back(
-            std::make_unique<pcie::PcieLink>(2 * _cfg.backendLanes));
+            std::make_unique<pcie::PcieLink>(2 * EngineConfig::kBackendLanes));
     }
     _slots.resize(static_cast<std::size_t>(_cfg.ssdSlots));
     _adaptors.reserve(static_cast<std::size_t>(_cfg.ssdSlots));

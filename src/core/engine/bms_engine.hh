@@ -2,7 +2,7 @@
  * @file
  * BMS-Engine — the FPGA data-path card of BM-Store (paper Fig. 3).
  *
- * One PCIe endpoint exposing pfCount + vfCount standard NVMe
+ * One PCIe endpoint exposing kPfCount + kVfCount standard NVMe
  * functions to the host (SR-IOV layer) and driving up to ssdSlots
  * back-end NVMe SSDs through host adaptors. Composes:
  *

@@ -1,7 +1,9 @@
 /**
  * @file
- * BMS-Engine configuration: front-end SR-IOV shape, pipeline
- * latencies, back-end link widths, and the zero-copy ablation switch.
+ * BMS-Engine configuration: the fixed front-end SR-IOV shape, link
+ * widths and datapath costs, plus the knobs benches, tests and the
+ * fuzzer set (slots, pipeline latencies, arbitration, the zero-copy
+ * ablation switch).
  */
 
 #ifndef BMS_CORE_ENGINE_ENGINE_CONFIG_HH
@@ -18,12 +20,29 @@ namespace bms::core {
 struct EngineConfig
 {
     /** Front end: 4 PFs + 124 VFs (paper §IV-E). */
-    int pfCount = 4;
-    int vfCount = 124;
+    static constexpr int kPfCount = 4;
+    static constexpr int kVfCount = 124;
+
+    static constexpr int totalFunctions() { return kPfCount + kVfCount; }
+
+    /** IO queue pairs each front function advertises. */
+    static constexpr std::uint16_t kFrontMaxIoQueues = 64;
+
+    /** PCIe lanes per back-end SSD slot. */
+    static constexpr int kBackendLanes = 4;
+
+    /** Per-transfer DMA routing cost (function-id decode + forward). */
+    static constexpr sim::Tick kDmaRouteDelay = sim::nanoseconds(150);
+
+    /** Chip SRAM/DRAM access latency for SSD-initiated fetches. */
+    static constexpr sim::Tick kChipMemLatency = sim::nanoseconds(200);
+
+    /** Engine DRAM bandwidth for the store-and-forward ablation. */
+    static constexpr sim::Bandwidth kEngineDramBw =
+        sim::Bandwidth::gbPerSec(8.0);
 
     /** Back-end SSD slots (two x8 interfaces → 4 x4 slots). */
     int ssdSlots = 4;
-    int backendLanes = 4;
 
     /**
      * Engine pipeline latency from SQE arrival to back-end forward:
@@ -34,12 +53,6 @@ struct EngineConfig
     /** Completion-side pipeline: back-end CQE to front CQE post. */
     sim::Tick completionPipelineDelay = sim::nanoseconds(500);
 
-    /** Per-transfer DMA routing cost (function-id decode + forward). */
-    sim::Tick dmaRouteDelay = sim::nanoseconds(150);
-
-    /** Chip SRAM/DRAM access latency for SSD-initiated fetches. */
-    sim::Tick chipMemLatency = sim::nanoseconds(200);
-
     /**
      * Zero-copy DMA routing (the paper's design). When false, data is
      * staged through engine DRAM (store-and-forward ablation): each
@@ -47,9 +60,6 @@ struct EngineConfig
      * full reception before forwarding.
      */
     bool zeroCopy = true;
-
-    /** Engine DRAM bandwidth for the store-and-forward ablation. */
-    sim::Bandwidth engineDramBw = sim::Bandwidth::gbPerSec(8.0);
 
     /**
      * Front-end SQ fetch arbitration across each function's IO SQs
@@ -64,11 +74,6 @@ struct EngineConfig
 
     /** Doorbell batching window for front functions (0 = same-tick). */
     sim::Tick frontDoorbellBatch = 0;
-
-    /** IO queue pairs each front function advertises. */
-    std::uint16_t frontMaxIoQueues = 64;
-
-    int totalFunctions() const { return pfCount + vfCount; }
 };
 
 } // namespace bms::core

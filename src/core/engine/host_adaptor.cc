@@ -42,7 +42,7 @@ HostAdaptor::HostAdaptor(sim::Simulator &sim, std::string name,
       _slot(ssd_slot),
       _chip(chip),
       _cfg(cfg),
-      _backLink(cfg.backendLanes),
+      _backLink(EngineConfig::kBackendLanes),
       _ifaceLink(iface_link),
       _block(chip.alloc(kBlockBytes, nvme::kPageSize)),
       _admin(chip, 0, kAdminEntries, _block + kAdminSq, _block + kAdminCq),
@@ -237,7 +237,8 @@ HostAdaptor::dmaRead(std::uint64_t addr, std::uint32_t len,
         // Command fetch, PRP-list fetch, or a migration segment's
         // write data: served from chip memory.
         _chipBytes += len;
-        sim::Tick fin = reserveDown(now() + _cfg.chipMemLatency, len);
+        sim::Tick fin =
+            reserveDown(now() + EngineConfig::kChipMemLatency, len);
         sim().scheduleAt(fin, [this, orig, len, out,
                                done = std::move(done)] {
             if (out)
@@ -258,7 +259,7 @@ HostAdaptor::dmaWrite(std::uint64_t addr, std::uint32_t len,
         // CQE post into the adaptor's completion ring, or a
         // migration segment's read data landing in its staging buffer.
         _chipBytes += len;
-        sim::Tick fin = reserveUp(now(), len) + _cfg.chipMemLatency;
+        sim::Tick fin = reserveUp(now(), len) + EngineConfig::kChipMemLatency;
         sim().scheduleAt(fin, [this, orig, len, data,
                                done = std::move(done)] {
             if (data)
@@ -291,15 +292,15 @@ HostAdaptor::routeToHost(bool to_host, std::uint64_t addr,
         // parallel; completion when both have carried the payload.
         sim::Tick back_fin =
             to_host ? reserveUp(now(), len)
-                    : reserveDown(now() + _cfg.dmaRouteDelay, len);
+                    : reserveDown(now() + EngineConfig::kDmaRouteDelay, len);
         auto barrier = std::make_shared<int>(2);
         auto arm = [barrier, done = std::move(done)] {
             if (--*barrier == 0)
                 done();
         };
         sim().scheduleAt(back_fin, arm);
-        schedule(_cfg.dmaRouteDelay, [this, to_host, orig, len, rbuf, wbuf,
-                                      arm] {
+        schedule(EngineConfig::kDmaRouteDelay,
+                 [this, to_host, orig, len, rbuf, wbuf, arm] {
             if (to_host)
                 _hostUp->dmaWrite(orig, len, wbuf, arm);
             else
@@ -311,7 +312,7 @@ HostAdaptor::routeToHost(bool to_host, std::uint64_t addr,
     // Store-and-forward ablation: stage the payload in engine DRAM.
     auto dram_stage = [this, len](sim::Tick start) {
         sim::Tick s = start > *_dramBusy ? start : *_dramBusy;
-        *_dramBusy = s + _cfg.engineDramBw.delayFor(len);
+        *_dramBusy = s + EngineConfig::kEngineDramBw.delayFor(len);
         return *_dramBusy;
     };
     if (to_host) {

@@ -18,8 +18,8 @@
  * BMS_FUZZ_SEED=N is equivalent to --seed=N (repro from CI logs).
  * Exits nonzero on the first failing seed, after printing the seed
  * and the op log of the interleaving that broke. A malformed number,
- * an empty --seeds range (B < A) or an unknown flag exits 2 before
- * running anything.
+ * an empty --seeds range (B < A), an unknown flag or log level exits
+ * 2 before running anything.
  */
 
 #include <cctype>
@@ -216,7 +216,7 @@ main(int argc, char **argv)
             fleet_cfg.enableWave = false;
         } else if (std::strcmp(a, "--no-drill") == 0) {
             fleet_cfg.enableDrill = false;
-        } else if (std::strncmp(a, "--paranoid", 10) == 0 ||
+        } else if (std::strcmp(a, "--paranoid") == 0 ||
                    std::strncmp(a, "--log=", 6) == 0) {
             // handled by applyCommonFlags
         } else {

@@ -107,7 +107,7 @@ Fuzzer::scheduleControlOps(sim::Rng &rng)
     sim::Simulator &sim = _bed->sim();
     core::MgmtConsole &console = _bed->console();
     core::Eid eid = _bed->controller().endpoint().eid();
-    int pf_count = _bed->engine().config().pfCount;
+    int pf_count = core::EngineConfig::kPfCount;
     int n = 4 + static_cast<int>(rng.uniformInt(0, 6));
     for (int i = 0; i < n; ++i) {
         sim::Tick at =
@@ -713,7 +713,7 @@ Fuzzer::cloneFromSnapshot(core::Eid eid, std::uint32_t snap_id,
                           TenantSpec cspec, sim::Rng crng)
 {
     // The clone rides the topmost VF — far above tenant functions
-    // (<= 16) and the scratch VFs (pfCount..pfCount+3).
+    // (<= 16) and the scratch VFs (kPfCount..kPfCount+3).
     auto fn = static_cast<pcie::FunctionId>(
         _bed->engine().config().totalFunctions() - 1);
     _log.record(_bed->sim().now(),

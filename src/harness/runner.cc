@@ -28,8 +28,13 @@ applyCommonFlags(int argc, char **argv)
                 sim::Log::setLevel(sim::LogLevel::Debug);
             else if (std::strcmp(lvl, "trace") == 0)
                 sim::Log::setLevel(sim::LogLevel::Trace);
-            else
-                std::fprintf(stderr, "unknown log level '%s'\n", lvl);
+            else {
+                std::fprintf(stderr,
+                             "unknown log level '%s'; accepted: "
+                             "warn info debug trace\n",
+                             lvl);
+                std::exit(2);
+            }
         }
     }
 }
@@ -75,88 +80,6 @@ runFioMany(sim::Simulator &sim,
     for (auto *r : runners)
         out.push_back(r->result());
     return out;
-}
-
-Table::Table(std::vector<std::string> headers)
-    : _headers(std::move(headers))
-{
-}
-
-void
-Table::addRow(std::vector<std::string> cells)
-{
-    BMS_ASSERT_EQ(cells.size(), _headers.size(),
-                  "table row does not match header");
-    _rows.push_back(std::move(cells));
-}
-
-std::string
-Table::fmt(double v, int decimals)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-    return buf;
-}
-
-std::string
-Table::fmtInt(std::uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-void
-Table::printCsv(const std::string &title) const
-{
-    std::printf("# %s\n", title.c_str());
-    auto row_out = [](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c)
-            std::printf("%s%s", c ? "," : "", cells[c].c_str());
-        std::printf("\n");
-    };
-    row_out(_headers);
-    for (const auto &row : _rows)
-        row_out(row);
-}
-
-void
-Table::print(const std::string &title) const
-{
-    if (const char *csv = std::getenv("BMS_TABLE_CSV");
-        csv && csv[0] == '1') {
-        printCsv(title);
-        return;
-    }
-    std::vector<std::size_t> width(_headers.size());
-    for (std::size_t c = 0; c < _headers.size(); ++c)
-        width[c] = _headers[c].size();
-    for (const auto &row : _rows)
-        for (std::size_t c = 0; c < row.size(); ++c)
-            width[c] = std::max(width[c], row[c].size());
-
-    std::printf("\n== %s ==\n", title.c_str());
-    auto line = [&] {
-        for (std::size_t c = 0; c < width.size(); ++c) {
-            std::printf("+");
-            for (std::size_t i = 0; i < width[c] + 2; ++i)
-                std::printf("-");
-        }
-        std::printf("+\n");
-    };
-    auto row_out = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c)
-            std::printf("| %-*s ", static_cast<int>(width[c]),
-                        cells[c].c_str());
-        std::printf("|\n");
-    };
-    line();
-    row_out(_headers);
-    line();
-    for (const auto &row : _rows)
-        row_out(row);
-    line();
 }
 
 } // namespace bms::harness

@@ -1,13 +1,11 @@
 /**
  * @file
- * Experiment runners and table printers shared by bench binaries.
+ * Experiment runners and the common flags shared by bench binaries.
  */
 
 #ifndef BMS_HARNESS_RUNNER_HH
 #define BMS_HARNESS_RUNNER_HH
 
-#include <cstdio>
-#include <string>
 #include <vector>
 
 #include "host/block.hh"
@@ -17,11 +15,13 @@
 namespace bms::harness {
 
 /**
- * Parse the flags every bench/example binary shares:
+ * Apply the flags every bench and the fuzz driver share:
  *   --paranoid   enable structure-wide invariant sweeps on hot paths
  *                (sim::Check::paranoid(); also BMS_PARANOID=1)
- *   --log=LEVEL  raise the log level (warn|info|debug|trace)
- * Unknown arguments are left alone so binaries can add their own.
+ *   --log=LEVEL  raise the log level (warn|info|debug|trace); any
+ *                other level exits 2
+ * Other arguments are left to the caller, which rejects the ones it
+ * does not know.
  */
 void applyCommonFlags(int argc, char **argv);
 
@@ -37,31 +37,6 @@ std::vector<workload::FioResult>
 runFioMany(sim::Simulator &sim,
            const std::vector<host::BlockDeviceIf *> &devs,
            const workload::FioJobSpec &spec);
-
-/**
- * Fixed-width text table matching the paper's rows/columns. Setting
- * the environment variable `BMS_TABLE_CSV=1` switches every bench's
- * output to machine-readable CSV for plotting pipelines.
- */
-class Table
-{
-  public:
-    explicit Table(std::vector<std::string> headers);
-
-    void addRow(std::vector<std::string> cells);
-
-    /** Pretty-print (or CSV when BMS_TABLE_CSV is set). */
-    void print(const std::string &title) const;
-
-    void printCsv(const std::string &title) const;
-
-    static std::string fmt(double v, int decimals = 1);
-    static std::string fmtInt(std::uint64_t v);
-
-  private:
-    std::vector<std::string> _headers;
-    std::vector<std::vector<std::string>> _rows;
-};
 
 } // namespace bms::harness
 

@@ -168,7 +168,7 @@ BmStoreTestbed::BmStoreTestbed(const TestbedConfig &cfg) : TestbedBase(cfg)
     runUntilTrue([&ready, n = cfg.ssdCount + remote_slots] {
         return ready == n;
     });
-    _nextVf = static_cast<pcie::FunctionId>(ecfg.pfCount);
+    _nextVf = static_cast<pcie::FunctionId>(core::EngineConfig::kPfCount);
 }
 
 host::NvmeDriver &

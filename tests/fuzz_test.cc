@@ -68,8 +68,9 @@ TEST(Fuzz, FixedSeedsPassTheOracle)
         EXPECT_GT(r.totalOps, 100u);
         EXPECT_GT(r.verifiedBlocks, 0u);
         // Failed tenant I/Os are only ever excused fault injections.
-        if (r.totalErrors != 0)
+        if (r.totalErrors != 0) {
             EXPECT_GT(r.faultWindows, 0);
+        }
         // Transparency: nothing may stall past the host timeout.
         EXPECT_LE(r.maxCompletionGap, sim::seconds(10));
     }
@@ -115,8 +116,9 @@ TEST(Fuzz, MultiVfSeedsPassTheOracle)
         fuzz::FuzzReport r = fuzzer.run();
         EXPECT_GT(r.totalOps, 100u);
         EXPECT_GT(r.verifiedBlocks, 0u);
-        if (r.totalErrors != 0)
+        if (r.totalErrors != 0) {
             EXPECT_GT(r.faultWindows, 0);
+        }
         EXPECT_LE(r.maxCompletionGap, sim::seconds(10));
     }
 }
@@ -405,8 +407,9 @@ TEST(Fuzz, ThinSeedsPassTheOracle)
         EXPECT_GT(r.trims, 0u);
         EXPECT_GT(r.dsmCommands, 0u);
         total_cow += r.cowCopies;
-        if (r.totalErrors != 0)
+        if (r.totalErrors != 0) {
             EXPECT_GT(r.faultWindows, 0);
+        }
         EXPECT_LE(r.maxCompletionGap, sim::seconds(10));
     }
     // A seed whose snapshot lands in the window's last breath may see
@@ -647,8 +650,9 @@ TEST(Fuzz, FleetSeedsPassTheOracle)
         // The drill opened its window and every node loss recovered.
         EXPECT_EQ(r.faultWindows, 1u);
         EXPECT_GT(r.nodeLosses, 0u);
-        if (r.totalErrors != 0)
+        if (r.totalErrors != 0) {
             EXPECT_GT(r.faultWindows, 0u);
+        }
         EXPECT_LE(r.maxCompletionGap, sim::seconds(10));
     }
 }
