@@ -16,8 +16,7 @@ BmsController::BmsController(sim::Simulator &sim, std::string name,
     : SimObject(sim, name), _engine(engine),
       _nsMgr(engine, cfg.mapGeometry)
 {
-    _endpoint = std::make_unique<MctpEndpoint>(sim, name + ".mctp",
-                                               cfg.eid);
+    _endpoint = std::make_unique<MctpEndpoint>(sim, name + ".mctp", kEid);
     _endpoint->setHandler(
         [this](Eid src, MctpMsgType type, std::vector<std::uint8_t> raw) {
             handleMessage(src, type, std::move(raw));
@@ -26,25 +25,12 @@ BmsController::BmsController(sim::Simulator &sim, std::string name,
                                            cfg.monitorPeriod);
     _hotUpgrade = std::make_unique<HotUpgradeManager>(
         sim, name + ".hotupgrade", engine);
-    _hotPlug =
-        std::make_unique<HotPlugManager>(sim, name + ".hotplug", engine);
     _migration = std::make_unique<MigrationManager>(
         sim, name + ".migration", engine, _nsMgr, *_monitor);
-    _migration->setSlotBusyProbe(
-        [this](int slot) { return _hotUpgrade->upgradeInProgress(slot); });
-    _hotPlug->setLossless(*_migration);
-    // Maintenance flows mutually exclude per slot: a firmware upgrade
-    // must not aim admin commands at a slot whose disk a replacement
-    // has detached, and a replacement must not pull the disk out from
-    // under an upgrade's stored I/O context. Either loser is rejected
-    // cleanly (ok=false), never interleaved.
-    _hotUpgrade->setSlotBlocked(
-        [this](int slot) { return _hotPlug->replaceInProgress(slot); });
-    _hotPlug->setSlotBlocked(
-        [this](int slot) { return _hotUpgrade->upgradeInProgress(slot); });
+    _hotPlug = std::make_unique<HotPlugManager>(
+        sim, name + ".hotplug", engine, *_migration, _nsMgr);
     _tiering = std::make_unique<TieringManager>(
-        sim, name + ".tiering", engine, _nsMgr, *_migration, *_monitor,
-        cfg.tiering);
+        sim, name + ".tiering", engine, _nsMgr, *_migration, *_monitor);
     _migration->setTieredSourceGuard(
         [this](pcie::FunctionId fn, std::uint32_t nsid,
                std::uint32_t chunk) {

@@ -33,11 +33,9 @@ namespace bms::core {
 /** Configuration of the ARM control plane. */
 struct BmsControllerConfig
 {
-    Eid eid = 0x20;
     sim::Tick monitorPeriod = sim::milliseconds(100);
     /** Chunk/table geometry for every namespace (tests shrink it). */
     LbaMapGeometry mapGeometry;
-    TieringConfig tiering;
 };
 
 /** The ARM control plane of one BM-Store card. */
@@ -45,6 +43,10 @@ class BmsController : public sim::SimObject
 {
   public:
     using Config = BmsControllerConfig;
+
+    /** MCTP endpoint id of every card's controller (each card sits on
+     *  its own channel). */
+    static constexpr Eid kEid = 0x20;
 
     BmsController(sim::Simulator &sim, std::string name,
                   BmsEngine &engine, Config cfg = Config());

@@ -17,7 +17,7 @@
 #define BMS_CORE_CTRL_HOT_PLUG_HH
 
 #include <functional>
-#include <set>
+#include <memory>
 
 #include "core/ctrl/migration/migration_manager.hh"
 #include "core/engine/bms_engine.hh"
@@ -41,126 +41,99 @@ class HotPlugManager : public sim::SimObject
         /// @}
     };
 
-    HotPlugManager(sim::Simulator &sim, std::string name, BmsEngine &engine)
-        : SimObject(sim, std::move(name)), _engine(engine)
+    /** replaceLossless() evacuates through @p migration and holds
+     *  the slot's pool in @p ns quiesced. */
+    HotPlugManager(sim::Simulator &sim, std::string name, BmsEngine &engine,
+                   MigrationManager &migration, NamespaceManager &ns)
+        : SimObject(sim, std::move(name)), _engine(engine),
+          _migration(migration), _ns(ns)
     {}
 
     /**
      * Replace the SSD in @p slot with @p replacement. @p done fires
      * once the new device serves I/O.
      *
-     * Re-entrant safe: a replacement requested for a slot that is
-     * already mid-replacement — or blocked by another maintenance
-     * flow (see setSlotBlocked) — is rejected cleanly (@p done fires
-     * asynchronously with ok=false) instead of detaching a disk out
-     * from under the flow that owns the slot.
+     * The replacement claims the slot in the engine
+     * (SlotOwner::Replace) until it reports. A slot another flow
+     * holds — an upgrade or a second replacement — is refused
+     * cleanly (@p done fires asynchronously with ok=false) instead of
+     * detaching a disk out from under that flow.
      */
     void
     replace(int slot, pcie::PcieDeviceIf &replacement,
             std::function<void(Report)> done)
     {
-        if (!claimSlot(slot, done))
+        if (!claim(slot, done))
             return;
         replaceInner(slot, replacement,
                      [this, slot, done = std::move(done)](Report rep) {
-                         _busy.erase(slot);
+                         _engine.releaseSlot(slot);
                          done(rep);
                      });
     }
-
-    /** Wire the migration subsystem replaceLossless() evacuates
-     *  through; the BMS-Controller does so when it is built. */
-    void setLossless(MigrationManager &migration) { _migration = &migration; }
 
     /**
      * Lossless replacement: evacuate every chunk off @p slot through
      * the migration subsystem (tenant I/O keeps flowing and no data
      * is abandoned on the old disk), then run the ordinary swap on
-     * the now-empty slot. The slot stays quiesced across the swap so
-     * no chunk lands on it until the fresh disk serves I/O. A failed
-     * evacuation leaves the disk untouched (report.ok = false).
+     * the now-empty slot. The slot stays quiesced from before the
+     * evacuation until the fresh disk serves I/O, so no chunk lands
+     * on it in between. A failed evacuation — a chunk that would not
+     * move, or one the slot still holds — leaves the disk untouched
+     * (report.ok = false).
      */
     void
     replaceLossless(int slot, pcie::PcieDeviceIf &replacement,
                     std::function<void(Report)> done)
     {
-        if (!claimSlot(slot, done))
+        if (!claim(slot, done))
             return;
-        _migration->evacuate(
-            slot,
-            [this, slot, &replacement,
-             done = std::move(done)](MigrationManager::EvacReport ev) {
-                if (!ev.ok) {
-                    // Old disk untouched; operator can retry or force
-                    // the destructive path explicitly. The failed
-                    // evacuation released its own quiesce claim
-                    // (keep_quiesced only holds on success).
-                    Report rep;
-                    rep.evacuatedChunks = ev.moved;
-                    rep.evacTime = ev.elapsed;
-                    _busy.erase(slot);
-                    done(rep);
-                    return;
-                }
-                replaceInner(slot, replacement,
-                             [this, slot, ev,
-                              done = std::move(done)](Report rep) {
-                                 rep.evacuatedChunks = ev.moved;
-                                 rep.evacTime = ev.elapsed;
-                                 if (rep.ok)
-                                     ++_lossless;
-                                 _migration->releaseQuiesce(slot);
-                                 _busy.erase(slot);
-                                 done(rep);
-                             });
-            },
-            /*keep_quiesced=*/true);
+        _ns.quiesceAcquire(slot);
+        auto evacuated = [this, slot, &replacement, done = std::move(done)](
+                             MigrationManager::EvacReport ev) {
+            auto finish = [this, slot, ev, done](Report rep) {
+                rep.evacuatedChunks = ev.moved;
+                rep.evacTime = ev.elapsed;
+                if (rep.ok)
+                    ++_lossless;
+                _ns.quiesceRelease(slot);
+                _engine.releaseSlot(slot);
+                done(rep);
+            };
+            // Old disk untouched on failure; the operator can retry or
+            // force the destructive path explicitly.
+            if (ev.ok)
+                replaceInner(slot, replacement, finish);
+            else
+                finish(Report{});
+        };
+        _migration.evacuate(slot, std::move(evacuated));
     }
 
     std::uint32_t replacementsCompleted() const { return _completed; }
     std::uint32_t losslessCompleted() const { return _lossless; }
 
-    /** Rejected because the slot was already mid-replacement or
-     *  blocked by another maintenance flow. */
+    /** Rejected because another flow owned the slot. */
     std::uint32_t replacementsRejected() const { return _rejected; }
-
-    /** True while slot @p slot has a replacement in flight (the
-     *  evacuation phase of a lossless replacement included). */
-    bool replaceInProgress(int slot) const { return _busy.count(slot); }
-
-    /**
-     * External mutual exclusion: when the predicate says @p slot is
-     * blocked (e.g. a firmware upgrade holds its I/O context stored),
-     * replace()/replaceLossless() reject cleanly instead of swapping
-     * the disk out from under the upgrade's admin commands.
-     */
-    void setSlotBlocked(std::function<bool(int)> blocked)
-    {
-        _slotBlocked = std::move(blocked);
-    }
 
   private:
     /** Physical swap time (drive caddy exchange). */
     static constexpr sim::Tick kSwapDelay = sim::milliseconds(800);
 
-    /** Claim per-slot exclusivity; on refusal fires @p done
+    /** Claim @p slot for a replacement; on refusal fires @p done
      *  asynchronously with a default (ok=false) report. */
     bool
-    claimSlot(int slot, std::function<void(Report)> &done)
+    claim(int slot, std::function<void(Report)> &done)
     {
-        if (_busy.count(slot) || (_slotBlocked && _slotBlocked(slot))) {
-            ++_rejected;
-            logWarn("replace rejected: slot ", slot,
-                    _busy.count(slot) ? " already mid-replacement"
-                                      : " owned by another flow");
-            schedule(0, [done = std::move(done)] { done(Report{}); });
-            return false;
-        }
-        _busy.insert(slot);
-        return true;
+        if (_engine.claimSlot(slot, SlotOwner::Replace))
+            return true;
+        ++_rejected;
+        logWarn("replace rejected: slot ", slot, " owned by another flow");
+        schedule(0, [done = std::move(done)] { done(Report{}); });
+        return false;
     }
 
-    /** The swap itself; callers own the _busy claim. */
+    /** The swap itself; callers own the slot claim. */
     void
     replaceInner(int slot, pcie::PcieDeviceIf &replacement,
                  std::function<void(Report)> done)
@@ -189,12 +162,11 @@ class HotPlugManager : public sim::SimObject
     }
 
     BmsEngine &_engine;
-    MigrationManager *_migration = nullptr;
+    MigrationManager &_migration;
+    NamespaceManager &_ns;
     std::uint32_t _completed = 0;
     std::uint32_t _lossless = 0;
     std::uint32_t _rejected = 0;
-    std::set<int> _busy;
-    std::function<bool(int)> _slotBlocked;
 };
 
 } // namespace bms::core

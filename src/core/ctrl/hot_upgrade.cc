@@ -53,23 +53,14 @@ HotUpgradeManager::upgrade(int slot, std::uint32_t image_bytes,
 {
     BMS_ASSERT(validImageBytes(image_bytes), "firmware image of ",
                image_bytes, " bytes");
-    if (_busy.count(slot)) {
-        // A concurrent upgrade on the same slot would interleave two
-        // store/reload-context sequences; reject it cleanly instead.
+    if (!_engine.claimSlot(slot, SlotOwner::Upgrade)) {
+        // A second upgrade would interleave two store/reload-context
+        // sequences; a replacement may have the disk out of the caddy.
         ++_rejected;
-        logWarn("upgrade rejected: slot ", slot, " already mid-upgrade");
+        logWarn("upgrade rejected: slot ", slot, " owned by another flow");
         schedule(0, [done = std::move(done)] { done(Report{}); });
         return;
     }
-    if (_slotBlocked && _slotBlocked(slot)) {
-        // A hot-plug replacement owns the slot: its disk may already
-        // be detached, so firmware admin commands have no target.
-        ++_rejected;
-        logWarn("upgrade rejected: slot ", slot, " mid-replacement");
-        schedule(0, [done = std::move(done)] { done(Report{}); });
-        return;
-    }
-    _busy.insert(slot);
     auto report = std::make_shared<Report>();
     sim::Tick t0 = now();
 
@@ -89,7 +80,7 @@ HotUpgradeManager::upgrade(int slot, std::uint32_t image_bytes,
                 if (!ok) {
                     _engine.reloadIoContext(slot);
                     report->total = now() - t0;
-                    _busy.erase(slot);
+                    _engine.releaseSlot(slot);
                     done(*report);
                     return;
                 }
@@ -116,7 +107,7 @@ HotUpgradeManager::upgrade(int slot, std::uint32_t image_bytes,
                                      report->ioPause = report->total;
                                      if (report->ok)
                                          ++_completed;
-                                     _busy.erase(slot);
+                                     _engine.releaseSlot(slot);
                                      done(*report);
                                  });
                     });

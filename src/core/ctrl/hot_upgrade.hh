@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 
 #include "core/engine/bms_engine.hh"
 #include "sim/simulator.hh"
@@ -71,33 +70,18 @@ class HotUpgradeManager : public sim::SimObject
      * opaque image of @p image_bytes, which validImageBytes() must
      * accept. @p done receives the timing report.
      *
-     * Re-entrant safe: a second upgrade requested for a slot whose
-     * upgrade is still in flight is rejected cleanly (@p done fires
-     * asynchronously with ok=false) instead of interleaving two
-     * store/reload sequences on the same engine context.
+     * The upgrade claims the slot in the engine (SlotOwner::Upgrade)
+     * until it reports. A slot another flow holds — a second upgrade
+     * or a replacement — is refused cleanly: @p done fires
+     * asynchronously with ok=false.
      */
     void upgrade(int slot, std::uint32_t image_bytes,
                  std::function<void(Report)> done);
 
     std::uint32_t upgradesCompleted() const { return _completed; }
 
-    /** Rejected because the slot was already mid-upgrade (or blocked
-     *  by another maintenance flow, see setSlotBlocked). */
+    /** Rejected because another flow owned the slot. */
     std::uint32_t upgradesRejected() const { return _rejected; }
-
-    /** True while slot @p slot has an upgrade in flight. */
-    bool upgradeInProgress(int slot) const { return _busy.count(slot); }
-
-    /**
-     * External mutual exclusion: when the predicate says @p slot is
-     * blocked (e.g. a hot-plug replacement has it detached or
-     * quiesced), upgrade() rejects cleanly instead of issuing admin
-     * commands toward a slot whose disk may be out of the caddy.
-     */
-    void setSlotBlocked(std::function<bool(int)> blocked)
-    {
-        _slotBlocked = std::move(blocked);
-    }
 
   private:
     void download(int slot, std::uint32_t offset, std::uint32_t image_bytes,
@@ -106,8 +90,6 @@ class HotUpgradeManager : public sim::SimObject
     BmsEngine &_engine;
     std::uint32_t _completed = 0;
     std::uint32_t _rejected = 0;
-    std::set<int> _busy;
-    std::function<bool(int)> _slotBlocked;
 };
 
 } // namespace bms::core

@@ -9,7 +9,6 @@
 #ifndef BMS_CORE_CTRL_IO_MONITOR_HH
 #define BMS_CORE_CTRL_IO_MONITOR_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -112,31 +111,6 @@ class IoMonitor : public sim::SimObject
         auto it = _heat.find(TargetController::heatKey(
             QosModule::key(fn, nsid), chunk));
         return it == _heat.end() ? 0.0 : it->second;
-    }
-
-    /**
-     * Visit every tracked (qos key, chunk, MB/s) triple in ascending
-     * heat-key order — callers break heat ties by visit order (e.g. a
-     * tiering policy's argmax), so the order must not leak the hash
-     * layout.
-     */
-    void
-    forEachChunkHeat(const std::function<void(std::uint32_t, std::uint32_t,
-                                              double)> &fn) const
-    {
-        std::vector<std::uint64_t> keys;
-        keys.reserve(_heat.size());
-        // BMS_LINT_ALLOW(unordered-iter): keys are sorted before use
-        for (const auto &[key, mbps] : _heat) {
-            (void)mbps;
-            keys.push_back(key);
-        }
-        std::sort(keys.begin(), keys.end());
-        for (std::uint64_t key : keys) {
-            fn(static_cast<std::uint32_t>(key >> 32),
-               static_cast<std::uint32_t>(key & 0xffffffffu),
-               _heat.at(key));
-        }
     }
     /// @}
 

@@ -17,8 +17,8 @@ static_assert(kSegmentBytes % nvme::kBlockSize == 0 &&
 /** Per-segment copy retries before the migration aborts. */
 constexpr int kMaxSegmentRetries = 16;
 constexpr sim::Tick kRetryDelay = sim::microseconds(200);
-/** Poll period while a slot is busy (hot-upgrade in progress). */
-constexpr sim::Tick kBusyPollDelay = sim::milliseconds(1);
+/** Poll period while a hot upgrade holds either end of a copy. */
+constexpr sim::Tick kUpgradePollDelay = sim::milliseconds(1);
 /** Abort after kCopyFactorCap * segments + 16 segment copies (mirror
  *  failures re-queue segments; this bounds livelock). */
 constexpr std::uint64_t kCopyFactorCap = 4;
@@ -255,8 +255,8 @@ MigrationManager::copyLoop()
     Job &j = *_current;
     // Yield to a hot upgrade on either end: its store-context drain
     // must not race a fresh copy segment.
-    if (slotBusy(j.srcSlot) || slotBusy(j.dSlot)) {
-        schedule(kBusyPollDelay, [this] { copyLoop(); });
+    if (upgrading(j.srcSlot) || upgrading(j.dSlot)) {
+        schedule(kUpgradePollDelay, [this] { copyLoop(); });
         return;
     }
     if (j.copies > kCopyFactorCap * j.numSegs + 16) {
@@ -279,6 +279,10 @@ MigrationManager::copySegment(std::uint32_t seg, int attempt)
     std::uint64_t bytes = std::uint64_t(blocks) * nvme::kBlockSize;
 
     auto go = [this, seg, attempt, blocks, bytes] {
+        if (!endsReady()) {
+            abortCurrent("adaptor not ready (disk pulled)");
+            return;
+        }
         Job &j = *_current;
         nvme::Sqe rd;
         rd.opcode = static_cast<std::uint8_t>(nvme::IoOpcode::Read);
@@ -308,6 +312,10 @@ void
 MigrationManager::writeSegment(std::uint32_t seg, int attempt,
                                std::uint32_t blocks, std::uint64_t bytes)
 {
+    if (!endsReady()) {
+        abortCurrent("adaptor not ready (disk pulled)");
+        return;
+    }
     Job &j = *_current;
     nvme::Sqe wr;
     wr.opcode = static_cast<std::uint8_t>(nvme::IoOpcode::Write);
@@ -329,6 +337,14 @@ MigrationManager::writeSegment(std::uint32_t seg, int attempt,
             _engine.migrationGate().segmentCopied(seg);
             copyLoop();
         });
+}
+
+bool
+MigrationManager::endsReady() const
+{
+    const Job &j = *_current;
+    return _engine.adaptor(j.srcSlot).ready() &&
+           _engine.adaptor(j.dSlot).ready();
 }
 
 void
@@ -478,8 +494,7 @@ MigrationManager::slotLoadMbps(int slot) const
 }
 
 void
-MigrationManager::evacuate(int slot, std::function<void(EvacReport)> done,
-                           bool keep_quiesced)
+MigrationManager::evacuate(int slot, std::function<void(EvacReport)> done)
 {
     if (slot < 0 || slot >= _engine.ssdSlots()) {
         schedule(0, [done = std::move(done)] { done(EvacReport{}); });
@@ -491,7 +506,6 @@ MigrationManager::evacuate(int slot, std::function<void(EvacReport)> done,
     struct EvacState
     {
         int slot = 0;
-        bool keep = false;
         sim::Tick t0 = 0;
         std::size_t remaining = 0;
         std::uint32_t moved = 0, failed = 0;
@@ -499,18 +513,20 @@ MigrationManager::evacuate(int slot, std::function<void(EvacReport)> done,
     };
     auto st = std::make_shared<EvacState>();
     st->slot = slot;
-    st->keep = keep_quiesced;
     st->t0 = now();
     st->done = std::move(done);
 
     auto finish = [this, st] {
         EvacReport rep;
-        rep.ok = st->failed == 0;
+        // The chunk list came from namespace records only; a chunk
+        // copied in meanwhile, a tier shadow or a snapshot-only chunk
+        // still holds the pool, and the disk holds its bytes.
+        rep.ok = st->failed == 0 &&
+                 _ns.freeChunks(st->slot) == _ns.totalChunks(st->slot);
         rep.moved = st->moved;
         rep.failed = st->failed;
         rep.elapsed = now() - st->t0;
-        if (!(st->keep && rep.ok))
-            _ns.quiesceRelease(st->slot);
+        _ns.quiesceRelease(st->slot);
         st->done(rep);
     };
 

@@ -127,16 +127,10 @@ class MigrationManager : public sim::SimObject
                      BmsEngine &engine, NamespaceManager &ns,
                      IoMonitor &monitor);
 
-    /** Hot-upgrade interlock: copying pauses while a slot is busy.
-     *  Required, like the tier guard below: the BMS-Controller
-     *  installs both before any migration can start. */
-    void setSlotBusyProbe(std::function<bool(int)> probe)
-    {
-        _slotBusy = std::move(probe);
-    }
-
     /** Predicate marking chunks owned by the tiering registry (their
-     *  generic migration is refused; see Options::allowTieredSource). */
+     *  generic migration is refused; see Options::allowTieredSource).
+     *  Required: the BMS-Controller installs it before any migration
+     *  can start. */
     void setTieredSourceGuard(
         std::function<bool(pcie::FunctionId, std::uint32_t, std::uint32_t)>
             guard)
@@ -166,11 +160,12 @@ class MigrationManager : public sim::SimObject
 
     /**
      * Drain every chunk off @p slot. The slot is quiesced (no new
-     * allocations) for the duration; with @p keep_quiesced it stays
-     * quiesced on success so a hot-plug swap can follow.
+     * allocations) for the duration. The report is ok only when every
+     * move succeeded and the slot's pool ends with no referenced
+     * chunk: a chunk that landed during the drain, a tier shadow or a
+     * snapshot-only chunk keeps the slot in use.
      */
-    void evacuate(int slot, std::function<void(EvacReport)> done,
-                  bool keep_quiesced = false);
+    void evacuate(int slot, std::function<void(EvacReport)> done);
 
     /**
      * One rebalance step: move a chunk from the fullest (ties: the
@@ -179,9 +174,6 @@ class MigrationManager : public sim::SimObject
      * already balanced (spread <= 1 chunk) or no move is possible.
      */
     bool rebalanceOnce(std::function<void(Report)> done);
-
-    /** Release a quiesce taken by evacuate(keep_quiesced=true). */
-    void releaseQuiesce(int slot) { _ns.quiesceRelease(slot); }
 
     /** Active + queued + recently finished migrations. */
     std::vector<MiMigrationInfo> status() const;
@@ -236,7 +228,14 @@ class MigrationManager : public sim::SimObject
     void finishCurrent(bool ok);
     int pickDestination(int src_slot) const;
     double slotLoadMbps(int slot) const;
-    bool slotBusy(int slot) const { return _slotBusy(slot); }
+    /** A firmware upgrade holds @p slot: copying waits it out. */
+    bool upgrading(int slot) const
+    {
+        return _engine.slotOwner(slot) == SlotOwner::Upgrade;
+    }
+    /** Both ends of the current copy can take a command (a hot-plug
+     *  swap leaves an adaptor not ready). */
+    bool endsReady() const;
     void ensureBuffers();
     void setPrps(nvme::Sqe &sqe, std::uint64_t bytes) const;
     MiMigrationInfo snapshot(const Job &j) const;
@@ -245,7 +244,6 @@ class MigrationManager : public sim::SimObject
     NamespaceManager &_ns;
     double _budgetMbps;
     IoMonitor &_monitor;
-    std::function<bool(int)> _slotBusy;
     std::function<bool(pcie::FunctionId, std::uint32_t, std::uint32_t)>
         _tierGuard;
 

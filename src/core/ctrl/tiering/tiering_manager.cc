@@ -11,9 +11,9 @@ namespace bms::core {
 TieringManager::TieringManager(sim::Simulator &sim, std::string name,
                                BmsEngine &engine, NamespaceManager &ns,
                                MigrationManager &migration,
-                               IoMonitor &monitor, TieringConfig cfg)
+                               IoMonitor &monitor)
     : SimObject(sim, std::move(name)), _engine(engine), _ns(ns),
-      _mig(migration), _cfg(cfg), _monitor(monitor)
+      _mig(migration), _monitor(monitor)
 {
     registerStat("spills", [this] { return double(_spills); });
     registerStat("promotes", [this] { return double(_promotes); });
@@ -21,13 +21,6 @@ TieringManager::TieringManager(sim::Simulator &sim, std::string name,
     registerStat("nodeLosses", [this] { return double(_nodeLosses); });
     registerStat("chunksRecovered", [this] { return double(_recovered); });
     registerStat("chunksRespilled", [this] { return double(_respilled); });
-    if (_cfg.policyPeriod > 0) {
-        std::uint64_t gen = ++_policyGen;
-        schedule(_cfg.policyPeriod, [this, gen] {
-            if (gen == _policyGen)
-                policyTick();
-        });
-    }
 }
 
 void

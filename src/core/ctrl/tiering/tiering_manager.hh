@@ -86,11 +86,11 @@ class TieringManager : public sim::SimObject
         std::uint32_t respilled = 0; ///< re-spilled to surviving nodes
     };
 
-    /** @p monitor is the automatic policy's heat source. */
+    /** @p monitor is the automatic policy's heat source. The policy
+     *  starts manual; setPolicy() programs it. */
     TieringManager(sim::Simulator &sim, std::string name,
                    BmsEngine &engine, NamespaceManager &ns,
-                   MigrationManager &migration, IoMonitor &monitor,
-                   TieringConfig cfg = TieringConfig());
+                   MigrationManager &migration, IoMonitor &monitor);
 
     /** Re-program thresholds/period; (re)starts the policy timer. */
     void setPolicy(TieringConfig cfg);

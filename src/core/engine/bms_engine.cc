@@ -152,6 +152,30 @@ BmsEngine::slotNode(int slot) const
     return _slots.at(static_cast<std::size_t>(slot)).node;
 }
 
+bool
+BmsEngine::claimSlot(int slot, SlotOwner owner)
+{
+    SlotOwner &held = _slots.at(static_cast<std::size_t>(slot)).owner;
+    if (held != SlotOwner::None)
+        return false;
+    held = owner;
+    return true;
+}
+
+void
+BmsEngine::releaseSlot(int slot)
+{
+    SlotOwner &held = _slots.at(static_cast<std::size_t>(slot)).owner;
+    BMS_ASSERT(held != SlotOwner::None, "release of unclaimed slot ", slot);
+    held = SlotOwner::None;
+}
+
+SlotOwner
+BmsEngine::slotOwner(int slot) const
+{
+    return _slots.at(static_cast<std::size_t>(slot)).owner;
+}
+
 void
 BmsEngine::setQos(pcie::FunctionId fn, std::uint32_t nsid,
                   QosLimits limits)

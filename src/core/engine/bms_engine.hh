@@ -56,6 +56,14 @@ struct NsBinding
     std::uint32_t key() const { return QosModule::key(fn, nsid); }
 };
 
+/** Maintenance flow that owns a back-end slot (paper §IV-D). */
+enum class SlotOwner : std::uint8_t
+{
+    None,
+    Upgrade, ///< firmware hot-upgrade
+    Replace, ///< hot-plug replacement, its evacuation included
+};
+
 /** The BM-Store data-path card. */
 class BmsEngine : public sim::SimObject, public pcie::PcieDeviceIf
 {
@@ -95,6 +103,16 @@ class BmsEngine : public sim::SimObject, public pcie::PcieDeviceIf
     bool isRemoteSlot(int slot) const;
     /** Storage node owning a remote slot (-1 for local slots). */
     int slotNode(int slot) const;
+
+    /**
+     * Give back-end slot @p slot to maintenance flow @p owner.
+     * @return false, changing nothing, when a flow already holds it:
+     *         one slot never runs two store/reload sequences or
+     *         loses its disk under an upgrade's admin commands.
+     */
+    bool claimSlot(int slot, SlotOwner owner);
+    void releaseSlot(int slot);
+    SlotOwner slotOwner(int slot) const;
     /// @}
 
     /** @name Configuration surface driven by the BMS-Controller. */
@@ -151,11 +169,13 @@ class BmsEngine : public sim::SimObject, public pcie::PcieDeviceIf
     void handleFrontIo(FrontFunction &fn, const nvme::Sqe &sqe,
                        std::uint16_t sqid);
 
-    /** Per-slot catalog entry (local SSD vs remote-node volume). */
+    /** Per-slot state: catalog entry (local SSD vs remote-node
+     *  volume), maintenance owner and stored I/O context. */
     struct SlotInfo
     {
         bool remote = false;
         int node = -1;
+        SlotOwner owner = SlotOwner::None;
         /** Per function: this slot's stored I/O context holds it
          *  paused. */
         std::vector<bool> holds;

@@ -26,7 +26,8 @@ constexpr sim::Tick kTrimRetryDelay = sim::microseconds(200);
 constexpr std::uint64_t kMaxZeroBlocks = 0x10000;
 
 /** Poll period / budget while a scrub waits for a not-ready adaptor
- *  (firmware activation pauses the slot for seconds, never minutes). */
+ *  (a hot-plug swap empties the slot for about a second, never
+ *  minutes). */
 constexpr sim::Tick kScrubReadyPoll = sim::milliseconds(1);
 constexpr sim::Tick kScrubReadyWait = sim::seconds(20);
 
@@ -285,10 +286,10 @@ TargetController::zeroPhysRangeUntil(std::uint8_t slot,
     }
     HostAdaptor &ad = _engine.adaptor(slot);
     if (!ad.ready()) {
-        // Firmware activation holds the slot for a few seconds; the
-        // commands queued on this scrub are held like any other
-        // upgrade-crossing I/O, so wait the pause out rather than
-        // failing a thin write that would succeed moments later.
+        // A hot-plug swap empties the slot until the new disk is up;
+        // the commands queued on this scrub are held like any other
+        // swap-crossing I/O, so wait the swap out rather than failing
+        // a thin write that would succeed moments later.
         if (now() >= deadline) {
             done(false);
             return;

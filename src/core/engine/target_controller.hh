@@ -251,9 +251,10 @@ class TargetController : public sim::SimObject
 
     /** Chain WriteZeroes commands over a physical block range
      *  (<= 65536 blocks per command); done(ok). An adaptor that is
-     *  temporarily not ready (firmware activation pause) is waited
-     *  out until @p deadline — allocation scrubs and sub-chunk trims
-     *  stay transparent across hot upgrades, like held writes. */
+     *  temporarily not ready (a hot-plug swap: the disk is out until
+     *  the new one is brought up) is waited out until @p deadline —
+     *  allocation scrubs and sub-chunk trims stay transparent across
+     *  a replacement, like held writes. */
     void zeroPhysRange(std::uint8_t slot, std::uint64_t phys_lba,
                        std::uint64_t blocks,
                        std::function<void(bool)> done);

@@ -252,6 +252,90 @@ TEST(HotPlug, ChipMemoryStaysBoundedAcrossReplacements)
     }
 }
 
+// One maintenance flow owns a back-end slot at a time. A flow that
+// finds its slot held is refused (ok=false, counted) and changes
+// nothing, a flow on another slot proceeds, and every flow, failed or
+// not, hands the slot back when it reports.
+TEST(SlotOwner, OneMaintenanceFlowPerSlot)
+{
+    harness::TestbedConfig cfg = cfgOf(2);
+    cfg.chunkBytes = sim::mib(8);
+    harness::BmStoreTestbed bed(cfg);
+    bed.attachTenant(0, sim::mib(16)); // one chunk on each slot
+    core::BmsEngine &engine = bed.engine();
+    core::HotUpgradeManager &up = bed.controller().hotUpgrade();
+    core::HotPlugManager &hp = bed.controller().hotPlug();
+    core::NamespaceManager &ns = bed.controller().namespaces();
+    int spares = 0;
+    auto spare = [&]() -> ssd::SsdDevice & {
+        return *bed.sim().make<ssd::SsdDevice>(
+            bed.sim(), "spare" + std::to_string(spares++),
+            bed.config().ssd);
+    };
+    using Up = core::HotUpgradeManager::Report;
+    using Swap = core::HotPlugManager::Report;
+    // Every flow has reported and both slots are free again.
+    auto settled = [&](const std::function<bool()> &pred) {
+        return test::runUntil(bed.sim(), pred, sim::seconds(40)) &&
+               engine.slotOwner(0) == core::SlotOwner::None &&
+               engine.slotOwner(1) == core::SlotOwner::None;
+    };
+
+    // An upgrade holds slot 0: a second upgrade and a replacement of
+    // slot 0 are refused, an upgrade of slot 1 proceeds.
+    std::optional<bool> up0, up0_again, swap0, up1;
+    up.upgrade(0, 4096, [&](Up r) { up0 = r.ok; });
+    EXPECT_EQ(engine.slotOwner(0), core::SlotOwner::Upgrade);
+    up.upgrade(0, 4096, [&](Up r) { up0_again = r.ok; });
+    hp.replace(0, spare(), [&](Swap r) { swap0 = r.ok; });
+    up.upgrade(1, 4096, [&](Up r) { up1 = r.ok; });
+    ASSERT_TRUE(settled([&] { return up0 && up0_again && swap0 && up1; }));
+    EXPECT_TRUE(*up0);
+    EXPECT_FALSE(*up0_again);
+    EXPECT_FALSE(*swap0);
+    EXPECT_TRUE(*up1);
+    EXPECT_EQ(up.upgradesCompleted(), 2u);
+    EXPECT_EQ(up.upgradesRejected(), 1u);
+    EXPECT_EQ(hp.replacementsRejected(), 1u);
+    EXPECT_EQ(bed.ssd(0).firmwareActivations(), 1u);
+
+    // A destructive replacement holds slot 0: an upgrade is refused.
+    std::optional<bool> replaced, up_in_swap;
+    hp.replace(0, spare(), [&](Swap r) { replaced = r.ok; });
+    EXPECT_EQ(engine.slotOwner(0), core::SlotOwner::Replace);
+    up.upgrade(0, 4096, [&](Up r) { up_in_swap = r.ok; });
+    ASSERT_TRUE(settled([&] { return replaced && up_in_swap; }));
+    EXPECT_TRUE(*replaced);
+    EXPECT_FALSE(*up_in_swap);
+    EXPECT_EQ(up.upgradesRejected(), 2u);
+
+    // A lossless replacement holds slot 0 through its evacuation.
+    std::optional<bool> lossless, up_in_evac;
+    hp.replaceLossless(0, spare(), [&](Swap r) { lossless = r.ok; });
+    bed.sim().runFor(sim::milliseconds(2));
+    ASSERT_FALSE(bed.controller().migration().idle()); // evacuating
+    EXPECT_EQ(engine.slotOwner(0), core::SlotOwner::Replace);
+    up.upgrade(0, 4096, [&](Up r) { up_in_evac = r.ok; });
+    ASSERT_TRUE(settled([&] { return lossless && up_in_evac; }));
+    EXPECT_TRUE(*lossless);
+    EXPECT_FALSE(*up_in_evac);
+    EXPECT_EQ(up.upgradesRejected(), 3u);
+    EXPECT_EQ(hp.losslessCompleted(), 1u);
+
+    // A failed lossless replacement hands its slot back too: slot 1
+    // now holds both chunks, and with slot 0 quiesced they have
+    // nowhere to go.
+    ns.quiesceAcquire(0);
+    std::optional<bool> stuck;
+    hp.replaceLossless(1, spare(), [&](Swap r) { stuck = r.ok; });
+    ASSERT_TRUE(settled([&] { return stuck.has_value(); }));
+    ns.quiesceRelease(0);
+    EXPECT_FALSE(*stuck);
+    EXPECT_FALSE(ns.quiesced(1));
+    EXPECT_EQ(hp.replacementsCompleted(), 2u);
+    EXPECT_EQ(hp.replacementsRejected(), 1u);
+}
+
 // Storing a slot's I/O context stops fetch on its tenants' functions.
 // A tenant that fills its ring meanwhile must lose nothing: a ring of N
 // entries holds N - 1 commands, and the rest wait in the driver.

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
 #include "tests/test_util.hh"
@@ -416,6 +418,112 @@ TEST(Migration, ReplaceLosslessKeepsTenantData)
         mem.read(rbuf, kLen, got.data());
         EXPECT_EQ(got, want) << "chunk " << c;
     }
+}
+
+// A chunk migrating *into* a slot when the slot's lossless replacement
+// starts lands after the evacuation listed the slot's chunks. The
+// evacuation must not call the slot empty: the old disk stays in, and
+// the tenant's bytes with it.
+TEST(Migration, ReplaceLosslessKeepsDiskWhenAChunkLandsMidEvacuation)
+{
+    harness::BmStoreTestbed bed(migConfig(2, /*functional=*/true));
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::mib(16));
+    auto &mem = bed.host().memory();
+    auto &ns = bed.controller().namespaces();
+    ASSERT_EQ(ns.chunkAt(0, 1, 0).value().slot, 0);
+
+    constexpr std::uint32_t kLen = 64 * 1024;
+    auto data = pattern(kLen, 0x50);
+    std::uint64_t buf = mem.alloc(kLen);
+    mem.write(buf, kLen, data.data());
+    ASSERT_TRUE(
+        doIo(bed, disk, host::BlockRequest::Op::Write, 0, kLen, buf));
+
+    std::optional<bool> moved;
+    ASSERT_TRUE(bed.controller().migration().migrate(
+        0, 1, 0, /*dst_slot=*/1,
+        [&](core::MigrationManager::Report r) { moved = r.ok; }));
+    bed.sim().runFor(sim::milliseconds(2));
+    ASSERT_FALSE(moved.has_value()); // still copying into slot 1
+
+    auto *spare =
+        bed.sim().make<ssd::SsdDevice>(bed.sim(), "spare", bed.config().ssd);
+    std::optional<core::HotPlugManager::Report> rep;
+    bed.controller().hotPlug().replaceLossless(
+        1, *spare, [&](core::HotPlugManager::Report r) { rep = r; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return rep.has_value(); },
+                               sim::seconds(20)));
+    EXPECT_TRUE(moved.value_or(false));
+    EXPECT_FALSE(rep->ok);
+    EXPECT_EQ(rep->evacuatedChunks, 1u); // chunk 1; chunk 0 came later
+    EXPECT_EQ(bed.controller().hotPlug().losslessCompleted(), 0u);
+    EXPECT_EQ(ns.chunkAt(0, 1, 0).value().slot, 1);
+    EXPECT_FALSE(ns.quiesced(1));
+    EXPECT_EQ(bed.engine().slotOwner(1), core::SlotOwner::None);
+
+    std::uint64_t rbuf = mem.alloc(kLen);
+    std::vector<std::uint8_t> got(kLen);
+    ASSERT_TRUE(
+        doIo(bed, disk, host::BlockRequest::Op::Read, 0, kLen, rbuf));
+    mem.read(rbuf, kLen, got.data());
+    EXPECT_EQ(got, data);
+}
+
+namespace {
+
+/**
+ * Pull the disk of @p pulled (0: the copy's source, 1: its
+ * destination) with a destructive replacement while a 32 MiB chunk is
+ * mid-copy from slot 0 to slot 1. The copy's next leg finds no disk:
+ * the migration aborts and gives its destination chunk back, and the
+ * replacement completes.
+ */
+void
+expectPullAbortsCopy(int pulled)
+{
+    harness::BmStoreTestbed bed(
+        migConfig(2, /*functional=*/false, sim::mib(32)));
+    bed.attachTenant(0, sim::mib(64)); // chunk 0 on slot 0, 1 on slot 1
+    auto &ns = bed.controller().namespaces();
+    core::MigrationManager &mig = bed.controller().migration();
+
+    std::optional<core::MigrationManager::Report> moved;
+    ASSERT_TRUE(mig.migrate(
+        0, 1, 0, /*dst_slot=*/1,
+        [&](core::MigrationManager::Report r) { moved = r; }));
+    bed.sim().runFor(sim::milliseconds(5));
+    ASSERT_FALSE(moved.has_value()); // still copying
+
+    auto *spare =
+        bed.sim().make<ssd::SsdDevice>(bed.sim(), "spare", bed.config().ssd);
+    std::optional<core::HotPlugManager::Report> swapped;
+    bed.controller().hotPlug().replace(
+        pulled, *spare,
+        [&](core::HotPlugManager::Report r) { swapped = r; });
+    ASSERT_TRUE(test::runUntil(
+        bed.sim(), [&] { return moved && swapped; }, sim::seconds(5)));
+    EXPECT_TRUE(swapped->ok);
+    EXPECT_FALSE(moved->ok);
+    EXPECT_EQ(mig.aborted(), 1u);
+    EXPECT_FALSE(bed.engine().migrationGate().migrationActive());
+    EXPECT_EQ(bed.engine().slotOwner(pulled), core::SlotOwner::None);
+    // The chunk stayed on its source; the destination chunk is free.
+    EXPECT_EQ(ns.chunkAt(0, 1, 0).value().slot, 0);
+    auto occ = ns.occupancy();
+    EXPECT_EQ(occ[0].used, 1u);
+    EXPECT_EQ(occ[1].used, 1u);
+}
+
+} // namespace
+
+TEST(Migration, PulledSourceDiskAbortsLiveCopy)
+{
+    expectPullAbortsCopy(0);
+}
+
+TEST(Migration, PulledDestinationDiskAbortsLiveCopy)
+{
+    expectPullAbortsCopy(1);
 }
 
 // The out-of-band verbs: df occupancy, migrate, migrations listing

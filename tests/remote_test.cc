@@ -579,6 +579,64 @@ TEST(Tiering, NodeLossRecoversOntoShadowThenRespills)
     EXPECT_EQ(int(stats->spilled[0].remoteSlot), bed.remoteSlot(1, 0));
 }
 
+// A spilled chunk keeps its shadow on a local slot, outside every
+// namespace record. A lossless replacement of that slot must keep the
+// disk: a node loss flips the chunk back onto the shadow's bytes.
+TEST(Tiering, LosslessReplaceKeepsDiskHoldingAShadow)
+{
+    harness::BmStoreTestbed bed(tierConfig(1));
+    bed.enableSpareDisks();
+    auto &sim = bed.sim();
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::mib(2));
+    auto &mem = bed.host().memory();
+    auto &ns = bed.controller().namespaces();
+    core::Eid ctrl = bed.controller().endpoint().eid();
+
+    constexpr std::uint32_t kLen = 32 * 1024;
+    auto base = pattern(kLen, 0x66);
+    std::uint64_t buf = mem.alloc(kLen);
+    mem.write(buf, kLen, base.data());
+    ASSERT_TRUE(
+        doIo(bed, disk, host::BlockRequest::Op::Write, 0, kLen, buf));
+    std::uint8_t shadow_slot = ns.chunkAt(0, 1, 0).value().slot;
+
+    bool done = false, ok = false;
+    bed.controller().tiering().spill(0, 1, 0, bed.remoteSlot(0, 0),
+                                     [&](bool o) {
+                                         ok = o;
+                                         done = true;
+                                     });
+    ASSERT_TRUE(
+        test::runUntil(sim, [&] { return done; }, sim::seconds(10)));
+    ASSERT_TRUE(ok);
+    ASSERT_TRUE(ns.chunksOn(shadow_slot).empty()); // only the shadow
+
+    std::optional<core::MiHotPlugResult> swap;
+    bed.console().hotPlug(
+        ctrl, shadow_slot,
+        [&](core::MiHotPlugResult r) { swap = r; }, /*lossless=*/true);
+    ASSERT_TRUE(test::runUntil(sim, [&] { return swap.has_value(); },
+                               sim::seconds(10)));
+    EXPECT_FALSE(swap->ok);
+    EXPECT_EQ(swap->evacuatedChunks, 0u);
+    EXPECT_FALSE(ns.quiesced(shadow_slot));
+
+    std::optional<core::MiFailNodeResult> res;
+    bed.console().failNode(ctrl, 0,
+                           [&](core::MiFailNodeResult r) { res = r; });
+    ASSERT_TRUE(test::runUntil(sim, [&] { return res.has_value(); },
+                               sim::seconds(30)));
+    EXPECT_EQ(res->recovered, 1u);
+    EXPECT_EQ(ns.chunkAt(0, 1, 0).value().slot, shadow_slot);
+
+    std::uint64_t rbuf = mem.alloc(kLen);
+    std::vector<std::uint8_t> got(kLen);
+    ASSERT_TRUE(
+        doIo(bed, disk, host::BlockRequest::Op::Read, 0, kLen, rbuf));
+    mem.read(rbuf, kLen, got.data());
+    EXPECT_EQ(got, base);
+}
+
 // The automatic policy spills cold chunks and promotes them back when
 // they heat up, driven by the decayed per-chunk heat in the monitor —
 // programmed entirely through the setTierPolicy verb.

@@ -328,6 +328,65 @@ TEST(Snapshots, CloneLifecycleOverConsoleVerbs)
     await(bed, [&] { return !second; });
 }
 
+// A namespace CoW'd off its chunk leaves the snapshot's pin as the
+// chunk's only reference: no namespace record names it any more. A
+// lossless replacement of its slot must keep the disk, or a clone made
+// afterwards reads a blank chunk.
+TEST(Snapshots, LosslessReplaceKeepsDiskHoldingASnapshotOnlyChunk)
+{
+    harness::BmStoreTestbed bed(thinConfig(2));
+    NamespaceManager &ns = bed.controller().namespaces();
+    host::NvmeDriver &drv = bed.attachTenant(
+        0, sim::mib(8), NamespaceManager::Policy::RoundRobin,
+        core::QosLimits(), nullptr, -1, /*thin=*/true);
+    fuzz::OpLog log(64);
+    fuzz::OracleDevice &parent = makeChunkOracle(bed, drv, log, 1);
+
+    bool wrote = false;
+    parent.write(0, 32, [&](bool ok) { wrote = ok; });
+    await(bed, [&] { return wrote; });
+    sim::Tick pin_submit = bed.sim().now();
+    auto snap = ns.snapshot(0, 1);
+    ASSERT_TRUE(snap.has_value());
+    fuzz::OracleDevice::Lineage lineage =
+        parent.captureLineage(pin_submit);
+    auto pinned = ns.chunkAt(0, 1, 0);
+    ASSERT_TRUE(pinned.has_value());
+
+    // The parent diverges through CoW onto the other slot.
+    wrote = false;
+    parent.write(0, 32, [&](bool ok) { wrote = ok; });
+    await(bed, [&] { return wrote; });
+    drainChunkOps(bed);
+    ASSERT_NE(ns.chunkAt(0, 1, 0).value().slot, pinned->slot);
+    ASSERT_TRUE(ns.chunksOn(pinned->slot).empty());
+
+    auto *spare =
+        bed.sim().make<ssd::SsdDevice>(bed.sim(), "spare", bed.config().ssd);
+    std::optional<core::HotPlugManager::Report> rep;
+    bed.controller().hotPlug().replaceLossless(
+        pinned->slot, *spare,
+        [&](core::HotPlugManager::Report r) { rep = r; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return rep.has_value(); },
+                               sim::seconds(30)));
+    EXPECT_FALSE(rep->ok);
+    EXPECT_EQ(rep->evacuatedChunks, 0u);
+    EXPECT_EQ(ns.chunkRefs(pinned->slot, pinned->chunk), 1u);
+
+    // A clone of the snapshot still reads the pinned image.
+    pcie::FunctionId clone_fn = bed.claimVf();
+    auto clone_nsid = ns.clone(*snap, clone_fn, core::QosLimits());
+    ASSERT_TRUE(clone_nsid.has_value());
+    host::NvmeDriver &cdrv = bed.attachDriver(clone_fn, *clone_nsid);
+    fuzz::OracleDevice &clone = makeChunkOracle(bed, cdrv, log, 7);
+    clone.adoptLineage(lineage);
+    bool read_ok = false;
+    clone.read(0, 32, [&](bool ok) { read_ok = ok; });
+    await(bed, [&] { return read_ok; });
+    EXPECT_GE(clone.verifiedBlocks(), 32u);
+    ns.checkRefInvariants(true);
+}
+
 // Chunk CoW under live tenant I/O: a closed-loop workload hammers a
 // thin namespace while a snapshot pins it mid-stream; every post-pin
 // write diverts through the CoW copy path (writes held, copied,
