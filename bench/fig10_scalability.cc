@@ -4,6 +4,10 @@
  * the number of back-end SSDs grows from 1 to 4 (seq-r-256). One
  * tenant namespace is dedicated per SSD, each running the fio case;
  * linear scaling demonstrates the engine is not the bottleneck.
+ *
+ * Gates (bench::Report): four SSDs give at least kScalingFloor times
+ * one SSD's bandwidth, and their total is within kTolerance of the
+ * paper's ~12.4 GB/s.
  */
 
 #include <cstdio>
@@ -14,6 +18,15 @@
 #include "workload/fio.hh"
 
 using namespace bms;
+
+namespace {
+
+/** Fig. 10's 4-SSD total; the paper calls the scaling linear. */
+constexpr double kPaperFourSsdGbps = 12.4;
+constexpr double kTolerance = 0.10;
+constexpr double kScalingFloor = 3.8;
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -43,6 +56,13 @@ main(int argc, char **argv)
             .add("ssds", n)
             .add("totalGbps", total / 1000.0, 2)
             .add("scalingVs1Ssd", total / base, 2);
+        if (n == 4) {
+            report.floor("fig10.scalingVs1Ssd.4ssds", total / base,
+                         kScalingFloor);
+            report.band("fig10.totalGbps.4ssds", total / 1000.0,
+                        kPaperFourSsdGbps * (1.0 - kTolerance),
+                        kPaperFourSsdGbps * (1.0 + kTolerance));
+        }
     }
     report.table("ssds", "Fig. 10 — BM-Store total bandwidth vs number of "
                          "SSDs (bare metal, seq-r-256)");

@@ -5,10 +5,16 @@
  * striped round-robin across the four back-end disks and bound to its
  * own VF (26 is the paper's production maximum per server). Also
  * reports the min/max per-VM share — the balanced-allocation claim.
+ *
+ * Gates (bench::Report): the 16-VM total is within kTolerance of the
+ * paper's ~12.4 GB/s, and up to 16 VMs the largest VM's bandwidth is
+ * at most kBalanceLimit times the smallest's. The 26-VM row is past
+ * the 4-SSD ceiling and is not gated.
  */
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "harness/runner.hh"
 #include "harness/testbeds.hh"
@@ -16,6 +22,15 @@
 #include "workload/fio.hh"
 
 using namespace bms;
+
+namespace {
+
+/** Fig. 11: 16 VMs reach the 4-SSD ceiling, evenly shared. */
+constexpr double kPaperSixteenVmGbps = 12.4;
+constexpr double kTolerance = 0.10;
+constexpr double kBalanceLimit = 1.05;
+
+} // namespace
 
 int
 main(int argc, char **argv)
@@ -55,6 +70,13 @@ main(int argc, char **argv)
             .add("minVmMbps", lo)
             .add("maxVmMbps", hi)
             .add("maxOverMin", hi / lo, 2);
+        const std::string n = std::to_string(vms) + "vms";
+        if (vms <= 16)
+            report.limit("fig11.maxOverMin." + n, hi / lo, kBalanceLimit);
+        if (vms == 16)
+            report.band("fig11.totalGbps." + n, total / 1000.0,
+                        kPaperSixteenVmGbps * (1.0 - kTolerance),
+                        kPaperSixteenVmGbps * (1.0 + kTolerance));
     }
     report.table("vms", "Fig. 11 — BM-Store total bandwidth, multiple VMs "
                         "on 4 SSDs (seq read 128K)");

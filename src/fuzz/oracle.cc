@@ -1,7 +1,9 @@
 #include "fuzz/oracle.hh"
 
 #include <algorithm>
+#include <array>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -11,6 +13,8 @@
 namespace bms::fuzz {
 
 namespace {
+
+using sim::PageStore;
 
 /** Pattern salt base; xor'd with the oracle uid per word group. */
 constexpr std::uint64_t kMagic = 0xb35ee0f5'0c1e0000ULL;
@@ -25,6 +29,22 @@ mixWord(std::uint32_t uid, std::uint64_t block, std::uint64_t stamp)
                       (stamp * 0x9e3779b97f4a7c15ULL);
     v ^= v >> 29;
     return v;
+}
+
+/** The group every 32 bytes of a written block hold. */
+PageStore::Unit
+pattern(std::uint32_t uid, std::uint64_t block, std::uint64_t stamp)
+{
+    return {kMagic ^ uid, block, stamp, mixWord(uid, block, stamp)};
+}
+
+std::string
+hexGroup(const std::uint64_t *w)
+{
+    std::ostringstream os;
+    os << std::hex << "{" << w[0] << ", " << w[1] << ", " << w[2] << ", "
+       << w[3] << "}";
+    return os.str();
 }
 
 } // namespace
@@ -90,19 +110,6 @@ OracleDevice::releaseBuffer(std::uint64_t addr)
 }
 
 void
-OracleDevice::fillPattern(std::uint8_t *buf, std::uint64_t block,
-                          std::uint64_t stamp) const
-{
-    auto *words = reinterpret_cast<std::uint64_t *>(buf);
-    for (std::uint32_t k = 0; k < kWordsPerBlock; k += 4) {
-        words[k] = kMagic ^ _cfg.uid;
-        words[k + 1] = block;
-        words[k + 2] = stamp;
-        words[k + 3] = mixWord(_cfg.uid, block, stamp);
-    }
-}
-
-void
 OracleDevice::fail(const std::string &what)
 {
     _log.dump(std::cerr);
@@ -110,20 +117,38 @@ OracleDevice::fail(const std::string &what)
               " [seed=", _cfg.seed, " tick=", now(), "]");
 }
 
+PageStore::Unit
+OracleDevice::blockUnit(std::uint64_t addr, std::uint64_t block)
+{
+    if (std::optional<PageStore::Unit> unit = _mem.raw().unit(addr))
+        return *unit;
+    // A frame: some byte write landed in the block. It holds one group
+    // only when all 128 are equal.
+    std::array<std::uint64_t, kWordsPerBlock> words{};
+    _mem.raw().read(addr, nvme::kBlockSize,
+                    reinterpret_cast<std::uint8_t *>(words.data()));
+    for (std::uint32_t k = 4; k < kWordsPerBlock; k += 4) {
+        if (!std::equal(words.begin(), words.begin() + 4,
+                        words.begin() + k)) {
+            fail("block " + std::to_string(block) + " torn at word " +
+                 std::to_string(k) + ": got " + hexGroup(&words[k]) +
+                 ", first group " + hexGroup(words.data()));
+        }
+    }
+    return {words[0], words[1], words[2], words[3]};
+}
+
 std::uint64_t
-OracleDevice::verifyBlock(const std::uint8_t *img, std::uint64_t block,
+OracleDevice::verifyBlock(const PageStore::Unit &unit, std::uint64_t block,
                           const std::vector<StampLife> &valid)
 {
-    const auto *words = reinterpret_cast<const std::uint64_t *>(img);
-    bool all_zero =
-        std::all_of(words, words + kWordsPerBlock,
-                    [](std::uint64_t w) { return w == 0; });
-    std::uint64_t stamp = all_zero ? 0 : words[2];
+    bool all_zero = unit == PageStore::Unit{};
+    std::uint64_t stamp = all_zero ? 0 : unit[2];
     // Clone lineages carry parent-written patterns, so the writer's
     // uid is part of the identity: recover it from the salt word and
     // require the exact (uid, stamp) pair to be acceptable.
     std::uint32_t uid =
-        all_zero ? 0 : static_cast<std::uint32_t>(words[0] ^ kMagic);
+        all_zero ? 0 : static_cast<std::uint32_t>(unit[0] ^ kMagic);
     bool acceptable = std::any_of(
         valid.begin(), valid.end(), [&](const StampLife &l) {
             return all_zero ? l.stamp == 0
@@ -138,21 +163,10 @@ OracleDevice::verifyBlock(const std::uint8_t *img, std::uint64_t block,
         os << " }";
         fail(os.str());
     }
-    if (all_zero)
-        return 0;
-    for (std::uint32_t k = 0; k < kWordsPerBlock; k += 4) {
-        if (words[k] != (kMagic ^ uid) || words[k + 1] != block ||
-            words[k + 2] != stamp ||
-            words[k + 3] != mixWord(uid, block, stamp)) {
-            std::ostringstream os;
-            os << "block " << block << " torn at word " << k
-               << ": got {" << std::hex << words[k] << ", " << words[k + 1]
-               << ", " << words[k + 2] << ", " << words[k + 3]
-               << "}, expected uid " << std::dec << uid << " stamp "
-               << stamp;
-            fail(os.str());
-        }
-    }
+    if (!all_zero && unit != pattern(uid, block, stamp))
+        fail("block " + std::to_string(block) + " torn: group " +
+             hexGroup(unit.data()) + ", expected uid " +
+             std::to_string(uid) + " stamp " + std::to_string(stamp));
     return stamp;
 }
 
@@ -238,11 +252,12 @@ OracleDevice::write(std::uint64_t block, std::uint32_t nblocks,
     }
     std::uint32_t len = nblocks * nvme::kBlockSize;
     std::uint64_t buf = acquireBuffer();
-    // A block is a whole page: the fill takes a fresh page and copies
-    // nothing, and a page the device still holds keeps its bytes.
+    // A block is a whole page: the fill maps a fresh unit page and
+    // copies nothing, and a page the device still holds keeps its
+    // bytes.
     for (std::uint32_t i = 0; i < nblocks; ++i)
-        fillPattern(_mem.raw().fillPage(buf + i * nvme::kBlockSize),
-                    block + i, stamp);
+        _mem.raw().fillUnit(buf + i * nvme::kBlockSize,
+                            pattern(_cfg.uid, block + i, stamp));
 
     bool faulty_at_submit = _faultsActive;
     ++_writes;
@@ -375,7 +390,7 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
             for (const StampLife &l : _state[b].lives)
                 if (l.died >= submitted)
                     valid.push_back(l);
-            verifyBlock(_mem.raw().page(buf + i * nvme::kBlockSize), b,
+            verifyBlock(blockUnit(buf + i * nvme::kBlockSize, b), b,
                         valid);
             ++_verifiedBlocks;
         }

@@ -3,10 +3,17 @@
  * Data-integrity oracle for the simulation fuzzer.
  *
  * Wraps one tenant block device with a write-stamp shadow map: every
- * write fills its buffer with a self-describing pattern (a per-oracle
- * salt, the absolute block index, and a monotonically increasing
- * stamp), and every read is verified word-for-word against the set of
- * stamps the shadow map says that block may legally hold.
+ * write fills each block with a self-describing 32-byte group (a
+ * per-oracle salt, the absolute block index, a monotonically
+ * increasing stamp, and a mix of the three) repeated over the block,
+ * and every read is verified against the set of stamps the shadow map
+ * says that block may legally hold.
+ *
+ * A written block is a unit page (sim/page_store.hh): the group is
+ * stored once, and a read that gets the page back verifies that group.
+ * A block some byte write landed in is a frame: it passes only when
+ * every one of its 128 groups equals the first, and then that group
+ * gets the same check. Either way the whole image is checked.
  *
  * Soundness notes (what "may legally hold" means):
  *
@@ -213,12 +220,14 @@ class OracleDevice : public sim::SimObject
 
     std::uint64_t acquireBuffer();
     void releaseBuffer(std::uint64_t addr);
-    void fillPattern(std::uint8_t *buf, std::uint64_t block,
-                     std::uint64_t stamp) const;
-    /** Verify one block image; returns the decoded stamp or panics.
+    /** The group the block at host address @p addr repeats; panics
+     *  when the block is a frame whose groups differ. */
+    sim::PageStore::Unit blockUnit(std::uint64_t addr, std::uint64_t block);
+    /** Verify one block's group; returns the decoded stamp or panics.
      *  @p valid holds the already-filtered acceptable lives — the
-     *  image must decode to one of their (uid, stamp) pairs. */
-    std::uint64_t verifyBlock(const std::uint8_t *img, std::uint64_t block,
+     *  group must decode to one of their (uid, stamp) pairs. */
+    std::uint64_t verifyBlock(const sim::PageStore::Unit &unit,
+                              std::uint64_t block,
                               const std::vector<StampLife> &valid);
     /** Shared completion bookkeeping of write() and trim(): clear
      *  the inflight token, kill overwritten lives on success, prune

@@ -1,25 +1,21 @@
 #include "sim/page_store.hh"
 
-#include <cstring>
-#include <limits>
-
-#include "sim/check.hh"
+#include <algorithm>
 
 namespace bms::sim {
 
 PageStore::PageStore()
 {
-    // Page 0 of the first slab is the zero page.
-    _slabs.push_back(std::unique_ptr<Slab>(new Slab));
-    std::memset(data(kZero), 0, kPageBytes);
-    _refs.push_back(1);
+    // Unit 0 is the zero page; its one reference is never dropped.
+    _units.push_back(Unit{});
+    _unitRefs.push_back(1);
 }
 
 PageStore::~PageStore()
 {
-    // Slab pages are one heap block per 16 pages, so a leaked
-    // reference is invisible to LeakSanitizer: the store has to count
-    // it itself.
+    // Slab pages are one heap block per 16 pages and unit pages are
+    // vector entries, so a leaked reference is invisible to
+    // LeakSanitizer: the store has to count it itself.
     BMS_ASSERT_EQ(_live, 0u, "pages still referenced when the store dies");
 }
 
@@ -31,25 +27,58 @@ PageStore::alloc()
         id = _free.back();
         _free.pop_back();
     } else {
-        BMS_ASSERT_LT(_refs.size(), std::numeric_limits<Id>::max(),
-                      "page store exhausted");
-        id = static_cast<Id>(_refs.size());
-        if (id % kSlabPages == 0)
+        BMS_ASSERT_LT(_refs.size(), kFrameBit, "page store exhausted");
+        id = static_cast<Id>(_refs.size()) | kFrameBit;
+        if (_refs.size() % kSlabPages == 0)
             // Default-initialized: untouched pages cost no resident
             // memory until first written.
             _slabs.push_back(std::unique_ptr<Slab>(new Slab));
         _refs.push_back(0);
     }
-    _refs[id] = 1;
-    ++_live;
+    _refs[id & ~kFrameBit] = 1;
+    addLive();
     return id;
+}
+
+PageStore::Id
+PageStore::allocUnit(const Unit &unit)
+{
+    Id id;
+    if (!_unitFree.empty()) {
+        id = _unitFree.back();
+        _unitFree.pop_back();
+        _units[id] = unit;
+    } else {
+        BMS_ASSERT_LT(_units.size(), kFrameBit, "page store exhausted");
+        id = static_cast<Id>(_units.size());
+        _units.push_back(unit);
+        _unitRefs.push_back(0);
+    }
+    _unitRefs[id] = 1;
+    addLive();
+    return id;
+}
+
+void
+PageStore::expand(const Unit &unit, std::uint64_t off, std::uint64_t len,
+                  std::uint8_t *dst)
+{
+    const auto *bytes = reinterpret_cast<const std::uint8_t *>(unit.data());
+    while (len > 0) {
+        std::uint64_t at = off % kUnitBytes;
+        std::uint64_t n = std::min(len, kUnitBytes - at);
+        std::memcpy(dst, bytes + at, n);
+        off += n;
+        dst += n;
+        len -= n;
+    }
 }
 
 void
 PageStore::free(Id id)
 {
     --_live;
-    _free.push_back(id);
+    (isUnit(id) ? _unitFree : _free).push_back(id);
 }
 
 } // namespace bms::sim

@@ -8,18 +8,29 @@
  * holds one reference. A DMA moves a whole aligned page by taking a
  * reference to it rather than copying its bytes, so a page that more
  * than one holder maps is shared and never changes: writers copy it
- * first (copy-on-write). Pages are carved from 64 KiB slabs, and a
- * freed page goes back on a free list, never to the heap, until the
- * store itself is destroyed.
+ * first (copy-on-write).
+ *
+ * A page is one of two kinds. A *frame* holds its 4 KiB of bytes;
+ * frames are carved from 64 KiB slabs. A *unit page* is one 32-byte
+ * unit repeated 128 times and stores just that unit and its count, so
+ * it costs 36 bytes instead of a frame. A unit page never changes,
+ * even with one holder: a byte write into it carves a frame. A freed
+ * page of either kind goes back on its kind's free list, never to the
+ * heap, until the store itself is destroyed.
  */
 
 #ifndef BMS_SIM_PAGE_STORE_HH
 #define BMS_SIM_PAGE_STORE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
+
+#include "sim/check.hh"
 
 namespace bms::sim {
 
@@ -29,15 +40,27 @@ class PageStore
   public:
     static constexpr std::uint64_t kPageBytes = 4096;
 
+    /**
+     * What a unit page repeats, in memory order: bytes [8k, 8k+8) of
+     * every 32-byte group of the page are word k, in host byte order.
+     */
+    using Unit = std::array<std::uint64_t, 4>;
+    static constexpr std::uint64_t kUnitBytes = sizeof(Unit);
+
     /** Page handle. */
     using Id = std::uint32_t;
 
+    /** Set in the id of a frame, clear in the id of a unit page. */
+    static constexpr Id kFrameBit = Id{1} << 31;
+
     /**
-     * The zero page: all zeroes, owned by the store, never written,
-     * never counted live. An address mapped to it is *absent*; a
-     * mapping of it holds no reference.
+     * The zero page: the zero unit, owned by the store, never counted
+     * live. An address mapped to it is *absent*; a mapping of it holds
+     * no reference.
      */
     static constexpr Id kZero = 0;
+
+    static constexpr bool isUnit(Id id) { return (id & kFrameBit) == 0; }
 
     PageStore();
     /** Panics when a page is still referenced (a leak). */
@@ -46,53 +69,81 @@ class PageStore
     PageStore(const PageStore &) = delete;
     PageStore &operator=(const PageStore &) = delete;
 
-    /** A fresh page with one reference; its bytes are unspecified. */
+    /** A fresh frame with one reference; its bytes are unspecified. */
     Id alloc();
+
+    /** A fresh unit page of @p unit with one reference. */
+    Id allocUnit(const Unit &unit);
 
     /** Add a reference to @p id (a no-op for the zero page). */
     void
     retain(Id id)
     {
         if (id != kZero)
-            ++_refs[id];
+            ++refs(id);
     }
 
     /** Drop a reference to @p id; the last one frees the page. */
     void
     release(Id id)
     {
-        if (id != kZero && --_refs[id] == 0)
+        if (id != kZero && --refs(id) == 0)
             free(id);
     }
 
-    /** True when the sole holder of @p id may write it in place. */
+    /** True when the sole holder of frame @p id may write it in place;
+     *  never for a unit page. */
     bool
     writable(Id id) const
     {
-        return id != kZero && _refs[id] == 1;
+        return !isUnit(id) && _refs[id & ~kFrameBit] == 1;
+    }
+
+    /** The bytes of frame @p id. */
+    const std::uint8_t *
+    data(Id id) const
+    {
+        BMS_ASSERT(!isUnit(id), "data() of unit page ", id);
+        id &= ~kFrameBit;
+        return _slabs[id / kSlabPages]->bytes[id % kSlabPages];
     }
 
     std::uint8_t *
     data(Id id)
     {
-        return _slabs[id / kSlabPages]->bytes[id % kSlabPages];
+        return const_cast<std::uint8_t *>(std::as_const(*this).data(id));
     }
 
-    const std::uint8_t *
-    data(Id id) const
+    /** The 32 bytes unit page @p id repeats. */
+    const Unit &
+    unit(Id id) const
     {
-        return _slabs[id / kSlabPages]->bytes[id % kSlabPages];
+        BMS_ASSERT(isUnit(id), "unit() of frame ", id & ~kFrameBit);
+        return _units[id];
     }
-
-    /** Pages holding at least one reference. */
-    std::size_t livePages() const { return _live; }
 
     /**
-     * The most pages ever live at once. alloc() reuses a freed id
-     * before it carves a new one, so the ids carved so far, the zero
-     * page aside, are the live high-water mark.
+     * Copy bytes [off, off+len) of page @p id, which must lie in the
+     * page, to @p dst; a unit page is expanded.
      */
-    std::size_t peakPages() const { return _refs.size() - 1; }
+    void
+    read(Id id, std::uint64_t off, std::uint64_t len,
+         std::uint8_t *dst) const
+    {
+        if (isUnit(id))
+            expand(_units[id], off, len, dst);
+        else
+            std::memcpy(dst, data(id) + off, len);
+    }
+
+    /** Pages of either kind holding at least one reference. */
+    std::size_t livePages() const { return _live; }
+
+    /** Frames holding at least one reference. */
+    std::size_t liveFrames() const { return _refs.size() - _free.size(); }
+
+    /** The most pages of either kind ever live at once. */
+    std::size_t peakPages() const { return _peak; }
 
   private:
     /**
@@ -107,14 +158,37 @@ class PageStore
         std::uint8_t bytes[kSlabPages][kPageBytes];
     };
 
+    std::uint32_t &
+    refs(Id id)
+    {
+        return isUnit(id) ? _unitRefs[id] : _refs[id & ~kFrameBit];
+    }
+
+    /** Count a page just handed out; the peak is taken here. */
+    void
+    addLive()
+    {
+        if (++_live > _peak)
+            _peak = _live;
+    }
+
+    static void expand(const Unit &unit, std::uint64_t off,
+                       std::uint64_t len, std::uint8_t *dst);
     void free(Id id);
 
     std::vector<std::unique_ptr<Slab>> _slabs;
-    /** Reference count per page id carved so far. */
+    /** Reference count per frame carved so far. */
     std::vector<std::uint32_t> _refs;
-    /** Freed ids, reused last-in first-out. */
+    /** Freed frames, reused last-in first-out. */
     std::vector<Id> _free;
+    /** Unit per unit page made so far; unit 0 is the zero page. */
+    std::vector<Unit> _units;
+    /** Reference count per unit page. */
+    std::vector<std::uint32_t> _unitRefs;
+    /** Freed unit pages, reused last-in first-out. */
+    std::vector<Id> _unitFree;
     std::size_t _live = 0;
+    std::size_t _peak = 0;
 };
 
 } // namespace bms::sim

@@ -74,11 +74,11 @@ SparseMemory::own(std::uint64_t page, bool keep)
     PageStore::Id &slot = c.ids[page % kChunkPages];
     if (_store.writable(slot))
         return _store.data(slot);
-    // Absent or shared: the page other holders see never changes, so
-    // this memory moves to a fresh one.
+    // Absent, shared or a unit page: the page other holders see never
+    // changes, so this memory moves to a fresh frame.
     PageStore::Id fresh = _store.alloc();
     if (keep)
-        std::memcpy(_store.data(fresh), _store.data(slot), kPageBytes);
+        _store.read(slot, 0, kPageBytes, _store.data(fresh));
     if (slot == PageStore::kZero) {
         ++c.present;
         ++_present;
@@ -99,7 +99,7 @@ SparseMemory::read(std::uint64_t addr, std::uint64_t len, DataOut out) const
     while (len > 0) {
         std::uint64_t off = addr % kPageBytes;
         std::uint64_t n = std::min(len, kPageBytes - off);
-        std::memcpy(dst, _store.data(lookup(addr / kPageBytes)) + off, n);
+        _store.read(lookup(addr / kPageBytes), off, n, dst);
         addr += n;
         dst += n;
         len -= n;
@@ -148,17 +148,20 @@ SparseMemory::copyFrom(std::uint64_t addr, std::uint64_t len,
     }
 }
 
-std::uint8_t *
-SparseMemory::fillPage(std::uint64_t addr)
+void
+SparseMemory::fillUnit(std::uint64_t addr, const PageStore::Unit &unit)
 {
-    BMS_ASSERT_EQ(addr % kPageBytes, 0u, "fillPage needs a page address");
-    return own(addr / kPageBytes, false);
+    BMS_ASSERT_EQ(addr % kPageBytes, 0u, "fillUnit needs a page address");
+    map(addr / kPageBytes, _store.allocUnit(unit));
 }
 
-const std::uint8_t *
-SparseMemory::page(std::uint64_t addr) const
+std::optional<PageStore::Unit>
+SparseMemory::unit(std::uint64_t addr) const
 {
-    return _store.data(lookup(addr / kPageBytes));
+    PageStore::Id id = lookup(addr / kPageBytes);
+    if (!PageStore::isUnit(id))
+        return std::nullopt;
+    return _store.unit(id);
 }
 
 void

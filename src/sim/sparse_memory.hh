@@ -11,7 +11,9 @@
  * Between two memories at the same in-page offset, a transfer moves
  * every whole page by reference and copies only the unaligned edges.
  * A page nobody wrote is absent: it reads as zeroes, and moving it
- * leaves the destination page absent too.
+ * leaves the destination page absent too. A page filled as a unit
+ * (fillUnit) stays a unit page, moved by reference, until a byte write
+ * lands in it.
  */
 
 #ifndef BMS_SIM_SPARSE_MEMORY_HH
@@ -20,6 +22,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <unordered_map>
 
@@ -83,30 +86,32 @@ class SparseMemory
     SparseMemory &operator=(const SparseMemory &) = delete;
 
     /**
-     * Read [addr, addr+len) into @p out: bytes are copied; a memory
-     * range receives whole aligned pages by reference.
+     * Read [addr, addr+len) into @p out: bytes are copied (unit pages
+     * expanded); a memory range receives whole aligned pages by
+     * reference.
      */
     void read(std::uint64_t addr, std::uint64_t len, DataOut out) const;
 
     /**
-     * Write [addr, addr+len) from @p in: bytes are copied (a shared
-     * page first, when only part of it is written); a memory range
-     * hands over whole aligned pages by reference.
+     * Write [addr, addr+len) from @p in: bytes are copied into a frame
+     * (a shared frame or a unit page is copied into a fresh one first,
+     * when only part of it is written); a memory range hands over
+     * whole aligned pages by reference.
      */
     void write(std::uint64_t addr, std::uint64_t len, DataIn in);
 
     /**
-     * The bytes of the page at page-aligned @p addr, for the caller to
-     * overwrite whole. A shared or absent page is replaced by a fresh
-     * one without copying it.
+     * Map the page at page-aligned @p addr to a fresh unit page of
+     * @p unit: its 4 KiB read as @p unit repeated. The page it
+     * replaces is released, never copied.
      */
-    std::uint8_t *fillPage(std::uint64_t addr);
+    void fillUnit(std::uint64_t addr, const PageStore::Unit &unit);
 
     /**
-     * The bytes of the page holding @p addr (the zero page when
-     * absent), valid until this memory is next written.
+     * The unit the page holding @p addr repeats (the zero unit when
+     * absent), or nothing when the page is a frame.
      */
-    const std::uint8_t *page(std::uint64_t addr) const;
+    std::optional<PageStore::Unit> unit(std::uint64_t addr) const;
 
     /**
      * Drop all contents. Callers: a disk pulled by hot-plug
@@ -141,8 +146,9 @@ class SparseMemory
     PageStore::Id lookup(std::uint64_t page) const;
     /** Map @p page to @p id, whose reference the caller hands over. */
     void map(std::uint64_t page, PageStore::Id id);
-    /** Bytes of @p page that only this memory holds; @p keep copies
-     *  the old contents in when the page must be replaced. */
+    /** Bytes of @p page that only this memory holds: a frame. @p keep
+     *  copies (or expands) the old contents in when the page must be
+     *  replaced. */
     std::uint8_t *own(std::uint64_t page, bool keep);
     void copyFrom(std::uint64_t addr, std::uint64_t len,
                   const SparseMemory &src, std::uint64_t src_addr);

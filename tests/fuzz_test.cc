@@ -356,6 +356,95 @@ TEST(Fuzz, OracleCatchesTornBlock)
     }());
 }
 
+// The torn check covers every group: a bad word in the block's last
+// 32-byte group (group 127, word 509 is its block-index word) trips
+// it, though the first 127 groups are intact.
+TEST(Fuzz, OracleCatchesTornLastGroup)
+{
+    harness::TestbedConfig cfg;
+    cfg.ssdCount = 1;
+    cfg.ssd.functionalData = true;
+    harness::BmStoreTestbed bed(cfg);
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(64));
+
+    fuzz::OpLog log(64);
+    fuzz::OracleDevice::Config ocfg;
+    ocfg.uid = 1;
+    ocfg.baseOffset = 0;
+    ocfg.regionBytes = sim::mib(1);
+    auto &oracle = *bed.sim().make<fuzz::OracleDevice>(
+        bed.sim(), "oracle", disk, bed.host().memory(), log, ocfg);
+
+    bool wrote = false;
+    oracle.write(0, 1, [&](bool ok) { wrote = ok; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return wrote; }));
+
+    std::uint64_t junk = 0x12345678;
+    bed.ssd(0).flash().write(509 * 8, 8,
+                             reinterpret_cast<std::uint8_t *>(&junk));
+    EXPECT_PANIC([&] {
+        oracle.read(0, 1, nullptr);
+        test::runUntil(bed.sim(), [] { return false; },
+                       sim::milliseconds(5));
+    }());
+}
+
+// The oracle's payload costs no frame: each written block is a unit
+// page (one 32-byte group, sim/page_store.hh) from the host buffer,
+// through the engine, to flash and back. A 4 MiB prefill leaves every
+// flash page of its 1024 blocks a unit page, and a read-back sweep
+// verifies them all. Protocol units (SQEs, CQEs, PRP lists) are byte
+// writes, so a command may carve a frame for its PRP list in host and
+// in chip memory and for a ring page it is the first to touch: fewer
+// than 3 per command, where a frame per block would be 32.
+TEST(Fuzz, OraclePrefillCarvesNoFrame)
+{
+    harness::TestbedConfig cfg;
+    cfg.ssdCount = 1;
+    cfg.ssd.functionalData = true;
+    harness::BmStoreTestbed bed(cfg);
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(64));
+
+    fuzz::OpLog log(64);
+    fuzz::OracleDevice::Config ocfg;
+    ocfg.uid = 1;
+    ocfg.regionBytes = sim::mib(4);
+    auto &oracle = *bed.sim().make<fuzz::OracleDevice>(
+        bed.sim(), "oracle", disk, bed.host().memory(), log, ocfg);
+    sim::PageStore &pages = bed.sim().pages();
+    std::size_t frames = pages.liveFrames();
+
+    int pending = 0;
+    const std::uint32_t step = oracle.maxIoBlocks();
+    for (std::uint64_t b = 0; b < oracle.blocks(); b += step) {
+        ++pending;
+        oracle.write(b, step, [&](bool ok) {
+            EXPECT_TRUE(ok);
+            --pending;
+        });
+    }
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return pending == 0; }));
+    const sim::SparseMemory &flash = bed.ssd(0).flash();
+    std::uint64_t units = 0;
+    for (std::uint64_t b = 0; b < oracle.blocks(); ++b) {
+        std::optional<sim::PageStore::Unit> u =
+            flash.unit(b * nvme::kBlockSize);
+        units += u && *u != sim::PageStore::Unit{};
+    }
+    EXPECT_EQ(units, oracle.blocks());
+    EXPECT_EQ(flash.allocatedPages(), oracle.blocks());
+    EXPECT_LT(pages.liveFrames() - frames, 3 * oracle.writes());
+
+    fuzz::OracleDevice::SweepTally tally;
+    oracle.sweep(tally);
+    ASSERT_TRUE(
+        test::runUntil(bed.sim(), [&] { return tally.pending == 0; }));
+    EXPECT_EQ(tally.failed, 0u);
+    EXPECT_EQ(oracle.verifiedBlocks(), oracle.blocks());
+    EXPECT_LT(pages.liveFrames() - frames,
+              3 * (oracle.writes() + oracle.reads()));
+}
+
 // Unwritten blocks must read back all-zero (stamp 0): the final
 // sweep relies on this to verify blocks the schedule never touched.
 TEST(Fuzz, OracleAcceptsZeroFillOnUnwrittenBlocks)

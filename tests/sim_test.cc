@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -387,6 +388,28 @@ pageAt(const SparseMemory &m, std::uint64_t addr)
     return out;
 }
 
+/** A unit whose 32 bytes are all @p byte. */
+PageStore::Unit
+byteUnit(std::uint8_t byte)
+{
+    std::uint64_t w = 0x0101010101010101ULL * byte;
+    return {w, w, w, w};
+}
+
+/** A unit with 32 distinct bytes, so an offset slip shows. */
+const PageStore::Unit kRamp = {0x0706050403020100ULL, 0x0f0e0d0c0b0a0908ULL,
+                               0x1716151413121110ULL, 0x1f1e1d1c1b1a1918ULL};
+
+/** The 4 KiB of a page repeating @p unit, built by hand. */
+std::vector<std::uint8_t>
+expanded(const PageStore::Unit &unit)
+{
+    std::vector<std::uint8_t> out(SparseMemory::kPageBytes);
+    for (std::size_t i = 0; i < out.size(); i += sizeof(unit))
+        std::memcpy(out.data() + i, unit.data(), sizeof(unit));
+    return out;
+}
+
 } // namespace
 
 TEST(SparseMemory, PartialWriteToSharedPageLeavesOtherHolder)
@@ -415,18 +438,13 @@ TEST(SparseMemory, WholePageWriteTakesFreshPageWithoutCopying)
     auto old = filled(0x11);
     a.write(0, old.size(), old.data());
     b.write(0, old.size(), DataIn(a, 0));
-    {
-        // Leave a freed page of 0xEE on the free list: the next fresh
-        // page reuses it.
-        SparseMemory gone(store);
-        auto junk = filled(0xEE);
-        gone.write(0, junk.size(), junk.data());
-    }
-    std::uint8_t *fresh = b.fillPage(0);
-    EXPECT_NE(fresh, a.page(0));
-    EXPECT_EQ(fresh[0], 0xEE); // the shared page was not copied in
+    // A unit fill maps a fresh unit page: the shared frame is neither
+    // copied nor written, and no frame is carved.
+    b.fillUnit(0, byteUnit(0x22));
+    EXPECT_EQ(b.unit(0), byteUnit(0x22));
+    EXPECT_FALSE(a.unit(0)); // a still maps its frame
     EXPECT_EQ(store.livePages(), 2u);
-    std::fill(fresh, fresh + SparseMemory::kPageBytes, 0x22);
+    EXPECT_EQ(store.liveFrames(), 1u);
     EXPECT_EQ(pageAt(a, 0), old);
     EXPECT_EQ(pageAt(b, 0), filled(0x22));
 
@@ -436,6 +454,99 @@ TEST(SparseMemory, WholePageWriteTakesFreshPageWithoutCopying)
     b.write(0, next.size(), next.data());
     EXPECT_EQ(pageAt(a, 0), old);
     EXPECT_EQ(pageAt(b, 0), next);
+}
+
+TEST(SparseMemory, PartialWriteIntoUnitPageCarvesFrame)
+{
+    PageStore store;
+    SparseMemory m(store);
+    m.fillUnit(0x2000, kRamp);
+    ASSERT_EQ(store.liveFrames(), 0u);
+
+    const std::uint8_t patch[8] = {0xa0, 0xa1, 0xa2, 0xa3,
+                                   0xa4, 0xa5, 0xa6, 0xa7};
+    m.write(0x2000 + 100, sizeof(patch), patch);
+    // The unit was expanded into a frame, then patched.
+    EXPECT_FALSE(m.unit(0x2000));
+    EXPECT_EQ(store.liveFrames(), 1u);
+    EXPECT_EQ(store.livePages(), 1u);
+    auto want = expanded(kRamp);
+    std::copy(patch, patch + sizeof(patch), want.begin() + 100);
+    EXPECT_EQ(pageAt(m, 0x2000), want);
+}
+
+TEST(SparseMemory, PartialWriteToSharedUnitPageLeavesOtherHolder)
+{
+    PageStore store;
+    SparseMemory a(store), b(store);
+    a.fillUnit(0, kRamp);
+    b.write(0x8000, SparseMemory::kPageBytes, DataIn(a, 0));
+    ASSERT_EQ(store.livePages(), 1u);
+
+    const std::uint8_t patch[4] = {9, 9, 9, 9};
+    b.write(0x8000 + 4000, sizeof(patch), patch);
+    EXPECT_EQ(a.unit(0), kRamp);
+    EXPECT_EQ(pageAt(a, 0), expanded(kRamp));
+    EXPECT_FALSE(b.unit(0x8000));
+    EXPECT_EQ(store.livePages(), 2u);
+}
+
+TEST(SparseMemory, WholePageTransferKeepsUnitPage)
+{
+    PageStore store;
+    SparseMemory a(store), b(store), c(store);
+    a.fillUnit(0x1000, kRamp);
+    a.fillUnit(0x2000, byteUnit(0x5c));
+    // A write from memory and a read into memory both move by
+    // reference, at any page-aligned distance.
+    b.write(0x40000, 2 * SparseMemory::kPageBytes, DataIn(a, 0x1000));
+    b.read(0x40000, 2 * SparseMemory::kPageBytes, DataOut(c, 0x7000));
+    EXPECT_EQ(c.unit(0x7000), kRamp);
+    EXPECT_EQ(c.unit(0x8000), byteUnit(0x5c));
+    EXPECT_EQ(store.livePages(), 2u);
+    EXPECT_EQ(store.liveFrames(), 0u);
+}
+
+TEST(SparseMemory, ReadExpandsUnitPage)
+{
+    PageStore store;
+    SparseMemory m(store);
+    m.fillUnit(0, kRamp);
+    m.fillUnit(SparseMemory::kPageBytes, byteUnit(0x3d));
+    // From an offset inside a group, across the page boundary.
+    std::vector<std::uint8_t> out(SparseMemory::kPageBytes);
+    m.read(13, out.size(), out.data());
+    std::vector<std::uint8_t> want = expanded(kRamp);
+    want.erase(want.begin(), want.begin() + 13);
+    want.insert(want.end(), 13, 0x3d);
+    EXPECT_EQ(out, want);
+    EXPECT_EQ(store.liveFrames(), 0u);
+}
+
+TEST(SparseMemory, ClearRangeZeroesPartOfUnitPage)
+{
+    PageStore store;
+    SparseMemory m(store);
+    m.fillUnit(0, kRamp);
+    m.clearRange(100, 200);
+    auto want = expanded(kRamp);
+    std::fill(want.begin() + 100, want.begin() + 300, 0);
+    EXPECT_EQ(pageAt(m, 0), want);
+    EXPECT_EQ(m.allocatedPages(), 1u);
+}
+
+TEST(PageStore, PeakCountsPagesOfBothKinds)
+{
+    PageStore store;
+    PageStore::Id frame = store.alloc();
+    PageStore::Id unit = store.allocUnit(kRamp);
+    store.release(frame);
+    store.release(unit);
+    // Reuse hands out freed pages: the peak stays at two.
+    store.release(store.allocUnit(kRamp));
+    store.release(store.alloc());
+    EXPECT_EQ(store.livePages(), 0u);
+    EXPECT_EQ(store.peakPages(), 2u);
 }
 
 TEST(SparseMemory, MovingAbsentPageInstallsNothing)
@@ -491,6 +602,16 @@ TEST(PageStoreDeathTest, LeakedPagePanicsAtTeardown)
         {
             PageStore store;
             store.alloc();
+        },
+        "pages still referenced");
+}
+
+TEST(PageStoreDeathTest, LeakedUnitPagePanicsAtTeardown)
+{
+    EXPECT_DEATH(
+        {
+            PageStore store;
+            store.allocUnit(kRamp);
         },
         "pages still referenced");
 }
