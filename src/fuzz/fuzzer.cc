@@ -10,6 +10,16 @@
 
 namespace bms::fuzz {
 
+namespace {
+
+/** The transparency bound: no tenant I/O may stall longer, which
+ *  keeps it well inside the host NVMe timeout (30 s). */
+constexpr sim::Tick kMaxStall = sim::seconds(10);
+/** Retry period of a refused scratch-namespace destroy. */
+constexpr sim::Tick kDestroyRetry = sim::milliseconds(5);
+
+} // namespace
+
 Fuzzer::Fuzzer(FuzzConfig cfg) : _cfg(cfg), _log(cfg.opLogCapacity)
 {
     BMS_ASSERT(_cfg.maxTenants >= 1 && _cfg.maxTenants <= 16,
@@ -233,11 +243,14 @@ Fuzzer::destroyScratch(core::Eid eid, std::uint8_t vf,
             }
             // A migration (usually an evacuation sweeping the scratch
             // chunk along) holds the namespace locked; destroy is
-            // refused until the copy settles, so retry.
-            if (attempt >= 200)
+            // refused until the copy settles, so retry. A copy leg
+            // caught in a firmware-activation stall keeps the lock for
+            // seconds, so only a lock held past the transparency bound
+            // is a failure.
+            if (static_cast<sim::Tick>(attempt) * kDestroyRetry >= kMaxStall)
                 fail("scratch namespace destroy kept failing");
             _bed->sim().scheduleAfter(
-                sim::milliseconds(5), [this, eid, vf, nsid, attempt] {
+                kDestroyRetry, [this, eid, vf, nsid, attempt] {
                     destroyScratch(eid, vf, nsid, attempt + 1);
                 });
         });
@@ -654,16 +667,22 @@ Fuzzer::attemptSnapshot(core::Eid eid, int attempt, TenantSpec cspec,
     // the scratch destroy does. The budget matches the scrub's own
     // firmware-activation patience (20 s): an allocation scrub caught
     // under a hot upgrade legally pins the namespace for seconds.
-    sim::Tick submit = _bed->sim().now();
+    //
+    // Tenant 0's oracle holds a pin at the submit tick while the verb is
+    // on the MCTP wire, so a block overwritten twice meanwhile still
+    // lists the image the snapshot may have frozen.
+    OracleDevice &oracle = *_tenants[0].oracle;
+    sim::Tick submit = oracle.holdPin();
     if (attempt % 25 == 0)
         _log.record(submit, "ctrl snapshot fn=0 attempt=" +
                                 std::to_string(attempt));
     _bed->console().snapshot(
         eid, 0, 1,
-        [this, eid, attempt, cspec, crng, del_frac,
+        [this, &oracle, eid, attempt, cspec, crng, del_frac,
          submit](std::optional<std::uint32_t> snap_id,
                  std::vector<core::MiSnapInfo> all) {
             if (!snap_id) {
+                oracle.releasePin(submit);
                 if (attempt >= 10'000)
                     fail("snapshot kept being refused");
                 _bed->sim().scheduleAfter(
@@ -681,7 +700,8 @@ Fuzzer::attemptSnapshot(core::Eid eid, int attempt, TenantSpec cspec,
             // hold: every stamp alive at any point since this verb was
             // submitted. Writes landing while the verb was on the MCTP
             // wire only widen the set — lenient, still sound.
-            _cloneLineage = _tenants[0].oracle->captureLineage(submit);
+            _cloneLineage = oracle.captureLineage(submit);
+            oracle.releasePin(submit);
             // The snapshot dies late in the window; the clone keeps
             // its own chunk pins and lives on.
             sim::Tick del_at = std::max(
@@ -1001,9 +1021,8 @@ Fuzzer::run()
 
     if (!_faultsEverActive && rep.totalErrors != 0)
         fail("tenant I/O failed without any fault window");
-    // The longest stall must stay well inside the host NVMe timeout
-    // (30 s) or the transparency story breaks.
-    if (rep.maxCompletionGap > sim::seconds(10))
+    // The longest stall must stay within the transparency bound.
+    if (rep.maxCompletionGap > kMaxStall)
         fail("completion gap exceeded 10 s: " +
              std::to_string(sim::toMs(rep.maxCompletionGap)) + " ms");
     return rep;

@@ -64,6 +64,8 @@ OracleDevice::OracleDevice(sim::Simulator &sim, std::string name,
     BMS_ASSERT(_cfg.maxIoBytes >= nvme::kBlockSize &&
                    _cfg.maxIoBytes % nvme::kBlockSize == 0,
                "bad oracle maxIoBytes: ", _cfg.maxIoBytes);
+    BMS_ASSERT_LT(_cfg.regionBytes / nvme::kBlockSize, std::uint64_t{kNone},
+                  "oracle window too large");
     _state.resize(_cfg.regionBytes / nvme::kBlockSize);
 }
 
@@ -138,87 +140,165 @@ OracleDevice::blockUnit(std::uint64_t addr, std::uint64_t block)
     return {words[0], words[1], words[2], words[3]};
 }
 
-std::uint64_t
+template <typename F>
+void
+OracleDevice::forLives(std::uint64_t b, sim::Tick since, F f) const
+{
+    const BlockState &st = _state[b];
+    f(Stamp{st.uid, st.stamp});
+    for (std::uint32_t i = st.more; i != kNone; i = _lives[i].next)
+        if (_lives[i].died >= since)
+            f(Stamp{_lives[i].uid, _lives[i].stamp});
+}
+
+void
 OracleDevice::verifyBlock(const PageStore::Unit &unit, std::uint64_t block,
-                          const std::vector<StampLife> &valid)
+                          sim::Tick since)
 {
     bool all_zero = unit == PageStore::Unit{};
-    std::uint64_t stamp = all_zero ? 0 : unit[2];
     // Clone lineages carry parent-written patterns, so the writer's
     // uid is part of the identity: recover it from the salt word and
     // require the exact (uid, stamp) pair to be acceptable.
-    std::uint32_t uid =
-        all_zero ? 0 : static_cast<std::uint32_t>(unit[0] ^ kMagic);
-    bool acceptable = std::any_of(
-        valid.begin(), valid.end(), [&](const StampLife &l) {
-            return all_zero ? l.stamp == 0
-                            : (l.stamp == stamp && l.uid == uid);
-        });
+    Stamp got;
+    if (!all_zero)
+        got = {static_cast<std::uint32_t>(unit[0] ^ kMagic), unit[2]};
+    bool acceptable = false;
+    forLives(block, since,
+             [&](Stamp s) { acceptable = acceptable || s == got; });
     if (!acceptable) {
         std::ostringstream os;
-        os << "block " << block << " decoded uid " << uid << " stamp "
-           << stamp << " not in acceptable set {";
-        for (const StampLife &l : valid)
-            os << " " << l.uid << ":" << l.stamp;
+        os << "block " << block << " decoded uid " << got.uid << " stamp "
+           << got.stamp << " not in acceptable set {";
+        forLives(block, since,
+                 [&](Stamp s) { os << " " << s.uid << ":" << s.stamp; });
         os << " }";
         fail(os.str());
     }
-    if (!all_zero && unit != pattern(uid, block, stamp))
+    if (!all_zero && unit != pattern(got.uid, block, got.stamp))
         fail("block " + std::to_string(block) + " torn: group " +
              hexGroup(unit.data()) + ", expected uid " +
-             std::to_string(uid) + " stamp " + std::to_string(stamp));
-    return stamp;
+             std::to_string(got.uid) + " stamp " +
+             std::to_string(got.stamp));
+}
+
+bool
+OracleDevice::pending(std::uint64_t b) const
+{
+    std::uint32_t first = _state[b].more;
+    return first != kNone && _lives[first].died == kPending;
+}
+
+void
+OracleDevice::pushLife(std::uint64_t b, Stamp s, sim::Tick died)
+{
+    Life life{s.stamp, died, s.uid, _state[b].more};
+    if (_free.empty()) {
+        _state[b].more = static_cast<std::uint32_t>(_lives.size());
+        _lives.push_back(life);
+    } else {
+        _state[b].more = _free.back();
+        _free.pop_back();
+        _lives[_state[b].more] = life;
+    }
+}
+
+void
+OracleDevice::startOp(std::uint64_t block, std::uint32_t nblocks, Stamp s)
+{
+    for (std::uint64_t b = block; b < block + nblocks; ++b) {
+        BMS_ASSERT(!pending(b), "overlapping in-flight ops on block ", b,
+                   " (generator bug)");
+        // The op's image may land on media any time from now on.
+        pushLife(b, s, kPending);
+    }
 }
 
 void
 OracleDevice::settleOverwrite(std::uint64_t block, std::uint32_t nblocks,
-                              std::uint64_t token, bool ok)
+                              bool ok)
 {
-    // Oldest in-flight read submit tick: dead stamps no read can
-    // observe any more are pruned below.
-    sim::Tick prune_before = now();
-    for (sim::Tick t : _readSubmits)
-        prune_before = std::min(prune_before, t);
     for (std::uint64_t b = block; b < block + nblocks; ++b) {
+        BMS_ASSERT(pending(b), "settled block ", b, " has no op in flight");
         BlockState &st = _state[b];
-        if (st.inflight == token)
-            st.inflight = 0;
-        if (ok) {
-            // Read-your-writes: every older stamp is dead from here
-            // on (the overwrite committed no later than this
-            // completion).  A failed op's stamp instead stays alive
-            // next to the old ones — it may have partially committed
-            // (per-extent splits / per-chunk deallocation).
-            for (StampLife &l : st.lives)
-                if (l.died == kNever && l.id != token)
-                    l.died = now();
+        Life &own = _lives[st.more];
+        // A failed op's image stays alive next to the old ones — it may
+        // have partially committed (per-extent splits / per-chunk
+        // deallocation).
+        own.died = kNever;
+        if (!ok)
+            continue;
+        // Read-your-writes: every older image is dead from here on (the
+        // overwrite committed no later than this completion).  The op's
+        // image becomes the settled one; its node keeps the old one.
+        std::swap(st.stamp, own.stamp);
+        std::swap(st.uid, own.uid);
+        for (std::uint32_t i = st.more; i != kNone; i = _lives[i].next) {
+            if (_lives[i].died == kNever) {
+                _lives[i].died = now();
+                _deaths.push_back({static_cast<std::uint32_t>(b), i});
+            }
         }
-        std::erase_if(st.lives, [prune_before](const StampLife &l) {
-            return l.died < prune_before;
-        });
+    }
+    prune();
+}
+
+void
+OracleDevice::prune()
+{
+    // A read submitted later in this tick may still accept a life that
+    // died at it, so only earlier deaths can go, and only those no
+    // observer is at or before.
+    sim::Tick keep_from = now();
+    for (sim::Tick t : _observers)
+        keep_from = std::min(keep_from, t);
+    while (!_deaths.empty() && _lives[_deaths.front().life].died < keep_from) {
+        auto [b, life] = _deaths.front();
+        _deaths.pop_front();
+        std::uint32_t *link = &_state[b].more;
+        while (*link != life)
+            link = &_lives[*link].next;
+        *link = _lives[life].next;
+        _free.push_back(life);
     }
 }
 
-OracleDevice::Lineage
-OracleDevice::captureLineage(sim::Tick pin_submit) const
+sim::Tick
+OracleDevice::holdPin()
 {
+    _observers.push_back(now());
+    return now();
+}
+
+void
+OracleDevice::releasePin(sim::Tick pin)
+{
+    unobserve(pin);
+}
+
+void
+OracleDevice::unobserve(sim::Tick tick)
+{
+    auto it = std::find(_observers.begin(), _observers.end(), tick);
+    BMS_ASSERT(it != _observers.end(), "observer tick ", tick, " lost");
+    _observers.erase(it);
+    prune();
+}
+
+OracleDevice::Lineage
+OracleDevice::captureLineage(sim::Tick pin) const
+{
+    BMS_ASSERT(pin == now() || std::find(_observers.begin(),
+                                         _observers.end(),
+                                         pin) != _observers.end(),
+               "lineage captured at tick ", pin,
+               " with no pin held there (holdPin)");
     Lineage out(_state.size());
-    for (std::size_t b = 0; b < _state.size(); ++b) {
-        for (const StampLife &l : _state[b].lives) {
-            if (l.died < pin_submit)
-                continue;
-            StampLife pinned = l;
-            // Whichever of these stamps the pin froze, nothing
-            // overwrites it on the snapshot chunk: the parent's later
-            // writes divert through chunk CoW.  Only the adopting
-            // clone's own writes kill inherited entries.
-            pinned.died = kNever;
-            out[b].push_back(pinned);
-        }
-        BMS_ASSERT(!out[b].empty(),
-                   "lineage capture left block ", b,
-                   " with no acceptable stamp");
-    }
+    // Whichever of these images the pin froze, nothing overwrites it
+    // on the snapshot chunk: the parent's later writes divert through
+    // chunk CoW.  Only the adopting clone's own writes kill inherited
+    // entries.
+    for (std::size_t b = 0; b < _state.size(); ++b)
+        forLives(b, pin, [&](Stamp s) { out[b].push_back(s); });
     return out;
 }
 
@@ -229,8 +309,14 @@ OracleDevice::adoptLineage(const Lineage &lineage)
                   "clone window geometry differs from parent");
     BMS_ASSERT(_writes == 0 && _reads == 0 && _trims == 0,
                "lineage must be adopted before any I/O");
-    for (std::size_t b = 0; b < _state.size(); ++b)
-        _state[b].lives = lineage[b];
+    for (std::size_t b = 0; b < _state.size(); ++b) {
+        BMS_ASSERT(!lineage[b].empty(), "lineage of block ", b,
+                   " holds no image");
+        _state[b].stamp = lineage[b][0].stamp;
+        _state[b].uid = lineage[b][0].uid;
+        for (std::size_t k = lineage[b].size(); k-- > 1;)
+            pushLife(b, lineage[b][k], kNever);
+    }
 }
 
 void
@@ -241,15 +327,7 @@ OracleDevice::write(std::uint64_t block, std::uint32_t nblocks,
                "oracle write size out of range: ", nblocks);
     BMS_ASSERT_LE(block + nblocks, blocks(), "oracle write out of window");
     std::uint64_t stamp = ++_nextStamp;
-    for (std::uint64_t b = block; b < block + nblocks; ++b) {
-        BMS_ASSERT_EQ(_state[b].inflight, 0u,
-                      "overlapping in-flight writes on block ", b,
-                      " (generator bug)");
-        _state[b].inflight = stamp;
-        // The stamp's data may land on media any time from now on.
-        _state[b].lives.push_back(
-            StampLife{stamp, stamp, _cfg.uid, now(), kNever});
-    }
+    startOp(block, nblocks, Stamp{_cfg.uid, stamp});
     std::uint32_t len = nblocks * nvme::kBlockSize;
     std::uint64_t buf = acquireBuffer();
     // A block is a whole page: the fill maps a fresh unit page and
@@ -273,7 +351,7 @@ OracleDevice::write(std::uint64_t block, std::uint32_t nblocks,
     req.done = [this, block, nblocks, stamp, buf, faulty_at_submit,
                 done = std::move(done)](bool ok) {
         releaseBuffer(buf);
-        settleOverwrite(block, nblocks, stamp, ok);
+        settleOverwrite(block, nblocks, ok);
         if (!ok) {
             if (!faulty_at_submit && !_faultsActive)
                 fail("write stamp=" + std::to_string(stamp) +
@@ -297,17 +375,10 @@ OracleDevice::trim(std::uint64_t block, std::uint32_t nblocks,
     BMS_ASSERT(nblocks > 0 && nblocks <= maxIoBlocks(),
                "oracle trim size out of range: ", nblocks);
     BMS_ASSERT_LE(block + nblocks, blocks(), "oracle trim out of window");
-    // A trim is a concurrent zero write: unique op token for the
-    // overwrite-kill rule, but the life it adds is the zero image.
-    std::uint64_t token = ++_nextStamp;
-    for (std::uint64_t b = block; b < block + nblocks; ++b) {
-        BMS_ASSERT_EQ(_state[b].inflight, 0u,
-                      "trim overlapping an in-flight op on block ", b,
-                      " (generator bug)");
-        _state[b].inflight = token;
-        // The zeroes may land on media any time from now on.
-        _state[b].lives.push_back(StampLife{token, 0, 0, now(), kNever});
-    }
+    // A trim is a concurrent zero write. It takes a stamp number like
+    // any op, but the image it adds is all zeroes.
+    ++_nextStamp;
+    startOp(block, nblocks, Stamp{});
     bool faulty_at_submit = _faultsActive;
     ++_trims;
     _log.record(now(), name() + " trim   blk=" + std::to_string(block) +
@@ -317,13 +388,13 @@ OracleDevice::trim(std::uint64_t block, std::uint32_t nblocks,
     req.op = host::BlockRequest::Op::Discard;
     req.offset = _cfg.baseOffset + block * nvme::kBlockSize;
     req.len = nblocks * nvme::kBlockSize;
-    req.done = [this, block, nblocks, token, faulty_at_submit,
+    req.done = [this, block, nblocks, faulty_at_submit,
                 done = std::move(done)](bool ok) {
         // Lenient on failure: the engine deallocates chunk-by-chunk,
         // so a failed DSM may still have freed or scrubbed a prefix —
         // the zero life stays alive NEXT TO the old stamps instead of
         // killing them.
-        settleOverwrite(block, nblocks, token, ok);
+        settleOverwrite(block, nblocks, ok);
         if (!ok) {
             if (!faulty_at_submit && !_faultsActive)
                 fail("trim blk=" + std::to_string(block) + "+" +
@@ -350,7 +421,7 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
     std::uint64_t buf = acquireBuffer();
     bool faulty_at_submit = _faultsActive;
     sim::Tick submitted = now();
-    _readSubmits.push_back(submitted);
+    _observers.push_back(submitted);
     ++_reads;
     _log.record(now(), name() + " read   blk=" + std::to_string(block) +
                            "+" + std::to_string(nblocks));
@@ -362,12 +433,19 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
     req.dataAddr = buf;
     req.done = [this, block, nblocks, buf, submitted, faulty_at_submit,
                 done = std::move(done)](bool ok) {
-        auto it = std::find(_readSubmits.begin(), _readSubmits.end(),
+        // Verified in place, on the pages the device delivered, against
+        // the images whose lives overlap this read's flight.
+        if (ok) {
+            for (std::uint32_t i = 0; i < nblocks; ++i) {
+                std::uint64_t b = block + i;
+                verifyBlock(blockUnit(buf + i * nvme::kBlockSize, b), b,
                             submitted);
-        BMS_ASSERT(it != _readSubmits.end(), "read submit tick lost");
-        _readSubmits.erase(it);
+                ++_verifiedBlocks;
+            }
+        }
+        releaseBuffer(buf);
+        unobserve(submitted);
         if (!ok) {
-            releaseBuffer(buf);
             if (!faulty_at_submit && !_faultsActive)
                 fail("read blk=" + std::to_string(block) + "+" +
                      std::to_string(nblocks) +
@@ -375,28 +453,9 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
             ++_excusedErrors;
             _log.record(now(), name() + " read-FAILED(excused) blk=" +
                                    std::to_string(block));
-            if (done)
-                done(false);
-            return;
         }
-        // Verified in place, on the pages the device delivered.
-        std::vector<StampLife> valid;
-        for (std::uint32_t i = 0; i < nblocks; ++i) {
-            std::uint64_t b = block + i;
-            // Legal stamps: lifetime overlaps this read's flight.
-            // (born <= now() holds for every recorded entry, so only
-            // the death side needs checking.)
-            valid.clear();
-            for (const StampLife &l : _state[b].lives)
-                if (l.died >= submitted)
-                    valid.push_back(l);
-            verifyBlock(blockUnit(buf + i * nvme::kBlockSize, b), b,
-                        valid);
-            ++_verifiedBlocks;
-        }
-        releaseBuffer(buf);
         if (done)
-            done(true);
+            done(ok);
     };
     _dev.submit(std::move(req));
 }
@@ -423,7 +482,7 @@ OracleDevice::writeInflight(std::uint64_t block,
 {
     for (std::uint64_t b = block;
          b < block + nblocks && b < _state.size(); ++b) {
-        if (_state[b].inflight)
+        if (pending(b))
             return true;
     }
     return false;

@@ -17,18 +17,17 @@
  *
  * Soundness notes (what "may legally hold" means):
  *
- *  - Every stamp gets a lifetime window [born, died]: born at the
- *    write's submit (its data may commit to media any time after
- *    that), died at the completion of the next *successful* write to
- *    the block (the latest the overwrite can commit).  Stamp 0 (the
- *    all-zero pre-image) is born at tick 0.
+ *  - Every stamp gets a life: it starts at the write's submit (its
+ *    data may commit to media any time after that) and the stamp dies
+ *    at the completion of the next *successful* write to the block
+ *    (the latest the overwrite can commit).  Stamp 0 (the all-zero
+ *    pre-image) is alive from the start.
  *  - A read whose flight is [submit, complete] may legally return any
- *    stamp whose lifetime overlaps it, i.e. died >= submit.  This
- *    covers reads that are overtaken by one or more whole write
- *    lifecycles while stalled (QoS buffering, latency spikes, hot
- *    upgrade): the intermediate stamp was really on media when the
- *    read's DMA ran, even though it was overwritten before the read
- *    completed.
+ *    stamp whose life overlaps it, i.e. died >= submit.  This covers
+ *    reads that are overtaken by one or more whole write lifecycles
+ *    while stalled (QoS buffering, latency spikes, hot upgrade): the
+ *    intermediate stamp was really on media when the read's DMA ran,
+ *    even though it was overwritten before the read completed.
  *  - A *failed* write's stamp stays alive alongside the old ones: the
  *    engine splits chunk-straddling commands into per-SSD extents, so
  *    a front-end error completion may still have committed some
@@ -39,27 +38,35 @@
  *    every older stamp is dead, so a read submitted afterwards
  *    accepts only the new stamp.
  *  - A TRIM (Dataset-Management deallocate) is modelled as a
- *    concurrent write of zeroes: a zero-stamp life is born at submit,
+ *    concurrent write of zeroes: a zero-stamp life starts at submit,
  *    and a *successful* trim kills every older stamp at completion
  *    (deallocated blocks must read back zero).  A FAILED trim keeps
  *    the old stamps alive next to the zero life — the engine
  *    deallocates chunk-by-chunk, so an error completion may still
  *    have freed or scrubbed a prefix (lenient, like partial writes).
  *  - Snapshot/clone lineage: every life carries the uid of the
- *    oracle that wrote it.  captureLineage(pin_submit) returns, per
- *    block, every life whose residency window overlaps the pin
- *    (died >= pin_submit, including in-flight writes still at
- *    kNever) with the death side reset to kNever — the snapshot
- *    freezes whichever of those stamps was on media, and the
- *    parent's later overwrites divert through chunk CoW without
- *    touching the pinned chunk.  A clone oracle adopts that lineage:
- *    its reads accept any pin-time (uid, stamp) pair until the
- *    clone's own first successful write to the block kills the
- *    inherited entries (divergence), after which read-your-writes
- *    applies to the clone's stamps alone.
+ *    oracle that wrote it.  captureLineage(pin) returns, per block,
+ *    every life whose residency overlaps the pin (died >= pin,
+ *    in-flight writes included) — the snapshot freezes whichever of
+ *    those stamps was on media, and the parent's later overwrites
+ *    divert through chunk CoW without touching the pinned chunk.  A
+ *    clone oracle adopts that lineage: its reads accept any pin-time
+ *    (uid, stamp) pair until the clone's own first successful write
+ *    to the block kills the inherited entries (divergence), after
+ *    which read-your-writes applies to the clone's stamps alone.
  *  - Failed reads and failed writes are only excused while fault
  *    injection is active (setFaultsActive); otherwise they are
  *    integrity violations themselves.
+ *
+ * What is kept: a dead life matters only to an *observer* that may
+ * still accept it — an in-flight read submitted at or before its
+ * death, or a held snapshot pin (holdPin) at or before it.  Every
+ * block keeps its settled stamp inline in 16 bytes; the rare others
+ * (an in-flight op's stamp, a failed op's, an inherited lineage
+ * entry, a dead stamp an observer still needs) sit in one node store
+ * per oracle, and a dead one is dropped once the clock has passed
+ * its death and no observer is at or before it.  A block nobody is
+ * touching holds exactly one life.
  *
  * Any violation dumps the shared OpLog and panics with the seed,
  * simulated tick, and block detail needed to reproduce.
@@ -69,6 +76,7 @@
 #define BMS_FUZZ_ORACLE_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -100,28 +108,18 @@ class OracleDevice : public sim::SimObject
         std::uint64_t seed = 0;
     };
 
-    static constexpr sim::Tick kNever = ~sim::Tick{0};
-
-    /** One stamp's media-residency window on one block. */
-    struct StampLife
+    /** A block image the oracle recognises: the uid of the oracle
+     *  that wrote it and its stamp ({0, 0} = all zeroes). */
+    struct Stamp
     {
-        /** Unique token of the originating op (overwrite kill rule). */
-        std::uint64_t id = 0;
-        /** Decoded pattern stamp (0 = all-zero image). */
-        std::uint64_t stamp = 0;
-        /** Oracle uid that wrote the pattern (0 for zero images);
-         *  clone lineages carry the parent's uid. */
         std::uint32_t uid = 0;
-        /** Write submit tick: earliest the data can be on media. */
-        sim::Tick born = 0;
-        /** Completion tick of the next successful write (kNever while
-         *  the stamp is still current). */
-        sim::Tick died = kNever;
+        std::uint64_t stamp = 0;
+        bool operator==(const Stamp &) const = default;
     };
 
-    /** Per-block acceptable lives at a snapshot pin (see
+    /** Per block, the images a snapshot pin may hold (see
      *  captureLineage). */
-    using Lineage = std::vector<std::vector<StampLife>>;
+    using Lineage = std::vector<std::vector<Stamp>>;
 
     OracleDevice(sim::Simulator &sim, std::string name,
                  host::BlockDeviceIf &dev, host::HostMemory &mem,
@@ -174,17 +172,27 @@ class OracleDevice : public sim::SimObject
     bool writeInflight(std::uint64_t block, std::uint32_t nblocks) const;
 
     /**
-     * Snapshot-pin lineage: for every block, the lives whose media
-     * residency may overlap a pin submitted at @p pin_submit
-     * (died >= pin_submit, in-flight entries included), with `died`
-     * reset to kNever — on the pinned chunk nothing dies until the
-     * adopting clone overwrites it.  Call it from the snapshot verb's
-     * *completion* using the verb's *submit* tick: entries born while
-     * the verb was on the wire land on the still-unshared chunk and
-     * must be captured; filtering from the earlier tick only ever
-     * widens the acceptable set (lenient, sound).
+     * Hold a snapshot pin at now(): until releasePin(), every life that
+     * dies from this tick on is kept, so captureLineage() of the
+     * returned tick still lists it.  Take it before the snapshot verb
+     * is sent; the verb's wire time lets the parent overwrite a block
+     * more than once before the pin lands.
      */
-    Lineage captureLineage(sim::Tick pin_submit) const;
+    sim::Tick holdPin();
+    void releasePin(sim::Tick pin);
+
+    /**
+     * Snapshot-pin lineage: for every block, the images whose media
+     * residency may overlap a pin taken at @p pin (died >= pin,
+     * in-flight writes included) — on the pinned chunk nothing dies
+     * until the adopting clone overwrites it.  Call it from the
+     * snapshot verb's *completion* with the tick holdPin() returned at
+     * its *submit*: images written while the verb was on the wire land
+     * on the still-unshared chunk and must be captured; filtering from
+     * the earlier tick only ever widens the acceptable set (lenient,
+     * sound).  @p pin must be held or be now().
+     */
+    Lineage captureLineage(sim::Tick pin) const;
 
     /**
      * Seed a freshly built clone oracle with its parent's captured
@@ -206,16 +214,48 @@ class OracleDevice : public sim::SimObject
     std::uint64_t verifiedBlocks() const { return _verifiedBlocks; }
     /** I/Os that failed while excused by fault injection. */
     std::uint64_t excusedErrors() const { return _excusedErrors; }
+    /** Lives the shadow map holds: every block's settled one plus
+     *  every node in use (see the class notes). */
+    std::uint64_t
+    retainedLives() const
+    {
+        return blocks() + _lives.size() - _free.size();
+    }
 
   private:
+    static constexpr sim::Tick kNever = ~sim::Tick{0};
+    /** Death tick of an in-flight op's own life: alive, and settled
+     *  when that op completes. */
+    static constexpr sim::Tick kPending = kNever - 1;
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    /** A block's whole record: the settled image (the one it holds
+     *  once every op on it has completed) and the first of its other
+     *  lives in _lives.  An in-flight op's life is always the first. */
     struct BlockState
     {
-        /** Stamps with a still-relevant lifetime; dead entries are
-         *  pruned once no in-flight read can observe them. */
-        std::vector<StampLife> lives{StampLife{}};
-        /** Op token of the one in-flight write/trim covering the
-         *  block (0 = none). */
-        std::uint64_t inflight = 0;
+        std::uint64_t stamp = 0;
+        std::uint32_t uid = 0;
+        std::uint32_t more = kNone;
+    };
+    static_assert(sizeof(BlockState) == 16);
+
+    /** One of a block's other lives: a node of _lives. */
+    struct Life
+    {
+        std::uint64_t stamp = 0;
+        /** Completion tick of the overwrite that killed it (kNever
+         *  while alive, kPending while its own op is in flight). */
+        sim::Tick died = kNever;
+        std::uint32_t uid = 0;
+        std::uint32_t next = kNone; ///< the block's next life
+    };
+
+    /** A dead life queued for its drop; _deaths is in death order. */
+    struct Death
+    {
+        std::uint32_t block = 0;
+        std::uint32_t life = 0;
     };
 
     std::uint64_t acquireBuffer();
@@ -223,17 +263,29 @@ class OracleDevice : public sim::SimObject
     /** The group the block at host address @p addr repeats; panics
      *  when the block is a frame whose groups differ. */
     sim::PageStore::Unit blockUnit(std::uint64_t addr, std::uint64_t block);
-    /** Verify one block's group; returns the decoded stamp or panics.
-     *  @p valid holds the already-filtered acceptable lives — the
-     *  group must decode to one of their (uid, stamp) pairs. */
-    std::uint64_t verifyBlock(const sim::PageStore::Unit &unit,
-                              std::uint64_t block,
-                              const std::vector<StampLife> &valid);
-    /** Shared completion bookkeeping of write() and trim(): clear
-     *  the inflight token, kill overwritten lives on success, prune
-     *  lives no in-flight read can observe. */
+    /** Verify one block's group: it must decode to an image of a life
+     *  of the block with died >= @p since, or this panics. */
+    void verifyBlock(const sim::PageStore::Unit &unit, std::uint64_t block,
+                     sim::Tick since);
+    /** Calls @p f(Stamp) for every life of block @p b with
+     *  died >= @p since, the settled one first. */
+    template <typename F>
+    void forLives(std::uint64_t b, sim::Tick since, F f) const;
+    bool pending(std::uint64_t b) const;
+    /** Link a life to the front of block @p b's list. */
+    void pushLife(std::uint64_t b, Stamp s, sim::Tick died);
+    /** Start an op's life on every covered block: alive from now, and
+     *  settled by settleOverwrite(). */
+    void startOp(std::uint64_t block, std::uint32_t nblocks, Stamp s);
+    /** Shared completion bookkeeping of write() and trim(): on
+     *  success the op's image becomes the settled one and every other
+     *  live image dies now; a failed op's image stays alive. */
     void settleOverwrite(std::uint64_t block, std::uint32_t nblocks,
-                         std::uint64_t token, bool ok);
+                         bool ok);
+    /** Drop an observer (a completed read or a released pin). */
+    void unobserve(sim::Tick tick);
+    /** Drop every dead life no observer can accept any more. */
+    void prune();
     [[noreturn]] void fail(const std::string &what);
 
     host::BlockDeviceIf &_dev;
@@ -242,8 +294,12 @@ class OracleDevice : public sim::SimObject
     Config _cfg;
 
     std::vector<BlockState> _state;
-    /** Submit ticks of in-flight reads — bounds lifetime pruning. */
-    std::vector<sim::Tick> _readSubmits;
+    /** The blocks' other lives, and the free nodes among them. */
+    std::vector<Life> _lives;
+    std::vector<std::uint32_t> _free;
+    std::deque<Death> _deaths;
+    /** Observer ticks: in-flight reads' submits and held pins. */
+    std::vector<sim::Tick> _observers;
     std::vector<std::uint64_t> _bufPool;
     std::uint64_t _nextStamp = 0;
     bool _faultsActive = false;

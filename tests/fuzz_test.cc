@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fuzz/fleet_fuzzer.hh"
 #include "fuzz/fuzzer.hh"
 #include "fuzz/op_log.hh"
@@ -445,6 +447,47 @@ TEST(Fuzz, OraclePrefillCarvesNoFrame)
               3 * (oracle.writes() + oracle.reads()));
 }
 
+// A block nobody is touching holds one life: under QD8 50/50 load a
+// dead stamp is dropped once no in-flight read is at or before its
+// death, so once the load drains and a sweep reads the window back,
+// only every block's settled stamp is left.
+TEST(Fuzz, IdleBlockKeepsOneLife)
+{
+    harness::TestbedConfig cfg;
+    cfg.ssdCount = 1;
+    cfg.ssd.functionalData = true;
+    harness::BmStoreTestbed bed(cfg);
+    host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(64));
+
+    fuzz::OpLog log(64);
+    fuzz::OracleDevice::Config ocfg;
+    ocfg.uid = 1;
+    ocfg.regionBytes = sim::mib(4);
+    auto &oracle = *bed.sim().make<fuzz::OracleDevice>(
+        bed.sim(), "oracle", disk, bed.host().memory(), log, ocfg);
+    fuzz::TenantSpec spec;
+    spec.iodepth = 8;
+    spec.readRatio = 0.5;
+    spec.maxIoBlocks = oracle.maxIoBlocks();
+    auto &load = *bed.sim().make<fuzz::TenantWorkload>(
+        bed.sim(), "load", oracle, sim::Rng(1), spec);
+    load.start();
+    bed.sim().runFor(sim::milliseconds(60));
+    bool drained = false;
+    load.stop([&] { drained = true; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return drained; }));
+    EXPECT_EQ(load.errors(), 0u);
+    // More write ops than blocks: most blocks were overwritten.
+    ASSERT_GT(oracle.writes(), oracle.blocks());
+
+    fuzz::OracleDevice::SweepTally tally;
+    oracle.sweep(tally);
+    ASSERT_TRUE(
+        test::runUntil(bed.sim(), [&] { return tally.pending == 0; }));
+    EXPECT_EQ(tally.failed, 0u);
+    EXPECT_EQ(oracle.retainedLives(), oracle.blocks());
+}
+
 // Unwritten blocks must read back all-zero (stamp 0): the final
 // sweep relies on this to verify blocks the schedule never touched.
 TEST(Fuzz, OracleAcceptsZeroFillOnUnwrittenBlocks)
@@ -713,6 +756,45 @@ TEST(Fuzz, OracleCatchesLostSharedBitSkippingCow)
         test::runUntil(bed.sim(), [] { return false; },
                        sim::milliseconds(5));
     }());
+}
+
+// A snapshot pin holds what the parent overwrites while the verb is
+// on the wire: W1's stamp died at W2's completion, after the pin, so
+// the snapshot may have frozen it even though W3 has completed too.
+TEST(Fuzz, LineageKeepsStampOverwrittenDuringPin)
+{
+    harness::BmStoreTestbed bed(thinSnapCfg());
+    host::NvmeDriver &drv = bed.attachTenant(
+        0, sim::mib(8), core::NamespaceManager::Policy::RoundRobin,
+        core::QosLimits(), nullptr, -1, /*thin=*/true);
+    fuzz::OpLog log(64);
+    fuzz::OracleDevice &parent = chunk0Oracle(bed, drv, log, 1);
+    auto write0 = [&] {
+        bool wrote = false;
+        parent.write(0, 1, [&](bool ok) { wrote = ok; });
+        ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return wrote; }));
+    };
+
+    write0(); // W1: stamp 1
+    sim::Tick pin = parent.holdPin();
+    write0(); // W2 kills W1
+    write0(); // W3 kills W2
+    fuzz::OracleDevice::Lineage lineage = parent.captureLineage(pin);
+    parent.releasePin(pin);
+    using Stamp = fuzz::OracleDevice::Stamp;
+    const std::vector<Stamp> &b0 = lineage[0];
+    EXPECT_NE(std::find(b0.begin(), b0.end(), Stamp{1, 1}), b0.end())
+        << "W1's stamp is missing from the lineage";
+    EXPECT_EQ(b0.size(), 3u); // W1, W2 and W3
+    // An untouched block holds only its zeroes.
+    EXPECT_EQ(lineage[1], std::vector<Stamp>{Stamp{}});
+
+    // With the pin released and the clock moved on, block 0 keeps
+    // only W3.
+    bool read_ok = false;
+    parent.read(0, 1, [&](bool ok) { read_ok = ok; });
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] { return read_ok; }));
+    EXPECT_EQ(parent.retainedLives(), parent.blocks());
 }
 
 // The fleet-pinned seed set (601-604): N cards in one simulation,

@@ -239,8 +239,9 @@ TEST(Snapshots, CloneLifecycleOverConsoleVerbs)
     parent.write(0, 32, [&](bool ok) { wrote = ok; });
     await(bed, [&] { return wrote; });
 
-    // Pin. The lineage filter tick is the verb's submit tick.
-    sim::Tick pin_submit = bed.sim().now();
+    // Pin. The lineage filter tick is the verb's submit tick, held
+    // while the verb is on the wire.
+    sim::Tick pin_submit = parent.holdPin();
     std::optional<std::uint32_t> snap;
     bool pinned = false;
     bed.console().snapshot(ctrl, 0, 1,
@@ -255,6 +256,7 @@ TEST(Snapshots, CloneLifecycleOverConsoleVerbs)
     ASSERT_TRUE(snap.has_value());
     fuzz::OracleDevice::Lineage lineage =
         parent.captureLineage(pin_submit);
+    parent.releasePin(pin_submit);
     auto alloc = ns.chunkAt(0, 1, 0);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(ns.chunkRefs(alloc->slot, alloc->chunk), 2u);
