@@ -89,6 +89,16 @@ runVhost()
     return runApps(bed.sim(), *vm.blk, *vm.vm);
 }
 
+/** BM-Store over native, on TPC-C transactions and Sysbench
+ *  transactions: the paper puts it within 2.6 %. */
+constexpr double kNativeFloor = 0.974;
+constexpr double kNativeLimit = 1.026;
+/** BM-Store over SPDK vhost: +13.4 % TPC-C transactions and +8.1 %
+ *  Sysbench queries in the paper. */
+constexpr double kPaperTpccOverVhost = 1.134;
+constexpr double kPaperSysbenchQpsOverVhost = 1.081;
+constexpr double kTolerance = 0.10;
+
 } // namespace
 
 int
@@ -119,6 +129,19 @@ main(int argc, char **argv)
                  "Fig. 13(a) — TPC-C normalized transactions (MySQL in VM)");
     report.table("sysbench",
                  "Fig. 13(b) + Table VIII — Sysbench OLTP (MySQL in VM)");
+
+    report.band("fig13.bmsOverNative.tpcc", bms.tpccTps / vfio.tpccTps,
+                kNativeFloor, kNativeLimit);
+    report.band("fig13.bmsOverNative.sysbench",
+                bms.sysbenchTps / vfio.sysbenchTps, kNativeFloor,
+                kNativeLimit);
+    report.band("fig13.bmsOverVhost.tpcc", bms.tpccTps / vhost.tpccTps,
+                kPaperTpccOverVhost * (1.0 - kTolerance),
+                kPaperTpccOverVhost * (1.0 + kTolerance));
+    report.band("fig13.bmsOverVhost.sysbenchQps",
+                bms.sysbenchQps / vhost.sysbenchQps,
+                kPaperSysbenchQpsOverVhost * (1.0 - kTolerance),
+                kPaperSysbenchQpsOverVhost * (1.0 + kTolerance));
 
     std::printf("\npaper reference: BM-Store within ~2.6%% of native; "
                 "up to 13.4%% more TPC-C transactions and ~8.1%% more "

@@ -117,6 +117,16 @@ Report::sanitized()
     return BMS_BUILD_SANITIZE[0] != '\0';
 }
 
+bool
+Report::optimized()
+{
+#ifdef __OPTIMIZE__
+    return true;
+#else
+    return false;
+#endif
+}
+
 void
 Report::table(const std::string &name, const std::string &title) const
 {

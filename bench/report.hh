@@ -85,6 +85,10 @@ class Report
      *  simulator about an order of magnitude slower. */
     static bool sanitized();
 
+    /** True when the compiler optimized this build (any build type
+     *  but Debug); an unoptimized one is several times slower. */
+    static bool optimized();
+
     /** Wall seconds since the Report was built. */
     double
     wallSeconds() const

@@ -54,12 +54,11 @@ class ChipMemory : public pcie::MemoryIf
         _mem.write(addr - kWindowBase, len, data);
     }
 
-    /** Drop [addr, addr+len): it reads as zeroes again. */
     void
-    clear(std::uint64_t addr, std::uint64_t len)
+    release(std::uint64_t addr, std::uint64_t len) override
     {
         BMS_ASSERT(contains(addr) && contains(addr + len - 1),
-                   "chip-memory clear outside window: addr=", addr);
+                   "chip-memory release outside window: addr=", addr);
         _mem.clearRange(addr - kWindowBase, len);
     }
 

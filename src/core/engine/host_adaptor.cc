@@ -95,7 +95,7 @@ HostAdaptor::init(std::function<void()> ready)
     // The same block every bring-up, emptied: a hot-plugged SSD's CQs
     // start with no stale phase bits, and chip memory does not grow
     // per replacement.
-    _chip.clear(_block, kBlockBytes);
+    _chip.release(_block, kBlockBytes);
     _admin.reset();
     _io.reset();
     for (const nvme::RegWrite &w : _admin.enable())

@@ -37,6 +37,12 @@ class HostMemory : public pcie::MemoryIf
         _mem.write(addr, len, data);
     }
 
+    void
+    release(std::uint64_t addr, std::uint64_t len) override
+    {
+        _mem.clearRange(addr, len);
+    }
+
     /**
      * Allocate @p len bytes aligned to @p align (power of two).
      * Allocations are never freed — testbeds are torn down whole.

@@ -12,6 +12,44 @@ QueueRings::QueueRings(pcie::MemoryIf &memory, std::uint16_t qid,
       _entries(entries)
 {
     BMS_ASSERT(entries >= 2, "NVMe queues need at least 2 entries");
+    constexpr std::uint64_t kPage = sim::SparseMemory::kPageBytes;
+    std::uint64_t end = sq_base + std::uint64_t{entries} * sizeof(Sqe);
+    _wholeFirst = (sq_base + kPage - 1) / kPage;
+    if (end / kPage > _wholeFirst)
+        _wholePages = static_cast<std::uint32_t>(end / kPage - _wholeFirst);
+}
+
+std::uint16_t
+QueueRings::hold()
+{
+    if (std::uint16_t *n = outstanding(_sqTail))
+        ++*n;
+    return _sqTail;
+}
+
+void
+QueueRings::retire(std::uint16_t slot)
+{
+    std::uint16_t *n = outstanding(slot);
+    if (!n)
+        return; // a page shared with other data stays
+    BMS_ASSERT(*n > 0, "queue ", _qid, " retires SQ slot ", slot,
+               " with nothing outstanding in its page");
+    constexpr std::uint64_t kPage = sim::SparseMemory::kPageBytes;
+    if (--*n == 0 && sqPage(slot) != sqPage(_sqTail))
+        _memory->release(sqPage(slot) * kPage, kPage);
+}
+
+std::uint16_t *
+QueueRings::outstanding(std::uint16_t slot)
+{
+    // Below the first whole page the difference wraps past the count.
+    std::uint64_t i = sqPage(slot) - _wholeFirst;
+    if (i >= _wholePages)
+        return nullptr;
+    if (_outstanding.empty())
+        _outstanding.resize(_wholePages);
+    return &_outstanding[i];
 }
 
 RegWrite

@@ -15,6 +15,16 @@
  * A ring of N entries holds at most N - 1 commands. With N in it the
  * tail would equal the head, which the controller reads as an empty
  * queue (NVMe base specification, "Full Queue").
+ *
+ * An SQ page keeps its backing only while a command written into it
+ * is outstanding. Once the last one completes, a page that lies wholly
+ * inside the SQ and does not hold the tail goes back to memory
+ * (pcie::MemoryIf::release), and the next SQE written there carves a
+ * fresh one. The CQE's SQ head does not free a slot: the controller
+ * moves its head when it issues a fetch, but reads the bytes only when
+ * that DMA lands, so a CQE can report a head past an SQE still being
+ * read. CQ pages always stay: a consumed CQE's stale phase tag is what
+ * tells the initiator its slot holds nothing new.
  */
 
 #ifndef BMS_NVME_QUEUE_PAIR_HH
@@ -31,6 +41,7 @@
 #include "nvme/defs.hh"
 #include "pcie/types.hh"
 #include "sim/check.hh"
+#include "sim/sparse_memory.hh"
 
 namespace bms::nvme {
 
@@ -78,7 +89,27 @@ class QueueRings
      *  as its admin queue. */
     std::array<RegWrite, 4> enable() const;
 
+  protected:
+    /** Count the SQ tail slot outstanding until retire(); returns it.
+     *  Call right before push() writes there. */
+    std::uint16_t hold();
+    /** The command written at SQ slot @p slot completed. Release its
+     *  page once no command in it is outstanding, unless the page
+     *  holds the SQ tail or is shared with other data. */
+    void retire(std::uint16_t slot);
+
   private:
+    /** Memory page (absolute index) of SQ slot @p slot. */
+    std::uint64_t
+    sqPage(std::uint16_t slot) const
+    {
+        return (_sqBase + static_cast<std::uint64_t>(slot) * sizeof(Sqe)) /
+               sim::SparseMemory::kPageBytes;
+    }
+    /** The outstanding count of @p slot's page, or null when that page
+     *  also holds other data. */
+    std::uint16_t *outstanding(std::uint16_t slot);
+
     pcie::MemoryIf *_memory;
     std::uint64_t _sqBase;
     std::uint64_t _cqBase;
@@ -87,6 +118,14 @@ class QueueRings
     std::uint16_t _sqTail = 0;
     std::uint16_t _cqHead = 0;
     bool _phase = true;
+    /** First memory page wholly inside the SQ, and how many are. */
+    std::uint64_t _wholeFirst = 0;
+    std::uint32_t _wholePages = 0;
+    /** Outstanding commands written into each whole SQ page, sized at
+     *  the first hold(). A slot the controller has fetched can be
+     *  written again before its command completes, so a count can pass
+     *  64; it stays below the ring's entries. */
+    std::vector<std::uint16_t> _outstanding;
 };
 
 /** An SQE and the handler for its completion. */
@@ -124,6 +163,19 @@ class QueuePair : public QueueRings
     /** The command holding @p cid. */
     Cmd &operator[](std::uint16_t cid) { return _slots[cid].cmd; }
 
+    /** Write @p sqe as command @p cid (which must hold it, once) at the
+     *  SQ tail; its slot stays outstanding until complete(@p cid). */
+    RegWrite
+    push(Sqe sqe, std::uint16_t cid)
+    {
+        BMS_ASSERT(cid < _slots.size() && _slots[cid].busy &&
+                       _slots[cid].sqSlot == kUnwritten,
+                   "push of CID ", cid, " not admitted or already written "
+                   "on queue ", qid());
+        _slots[cid].sqSlot = hold();
+        return QueueRings::push(sqe, cid);
+    }
+
     /** Commands holding a CID. */
     std::uint32_t inflight() const { return _slots.size() - _free.size(); }
 
@@ -140,8 +192,11 @@ class QueuePair : public QueueRings
                    "completion for CID ", cid, " not in flight on queue ",
                    qid());
         Cmd cmd = std::move(_slots[cid].cmd);
+        std::uint16_t sq_slot = _slots[cid].sqSlot;
         _slots[cid] = Slot{};
         _free.push_back(cid);
+        if (sq_slot != kUnwritten)
+            retire(sq_slot);
         run(std::move(cmd));
         if (_parked.empty())
             return;
@@ -164,9 +219,13 @@ class QueuePair : public QueueRings
     }
 
   private:
+    /** A Slot's sqSlot before push(): no ring slot has 65,535. */
+    static constexpr std::uint16_t kUnwritten = 0xffff;
+
     struct Slot
     {
         bool busy = false;
+        std::uint16_t sqSlot = kUnwritten; ///< where push() wrote it
         Cmd cmd;
     };
 

@@ -64,6 +64,12 @@ class MemoryIf
     /** Write @p len bytes from @p data (must be set) to @p addr. */
     virtual void write(std::uint64_t addr, std::uint32_t len,
                        sim::DataIn data) = 0;
+
+    /**
+     * Give back the backing of [addr, addr+len): it reads as zeroes
+     * until written again (sim::SparseMemory::clearRange).
+     */
+    virtual void release(std::uint64_t addr, std::uint64_t len) = 0;
 };
 
 /** Receiver of MSI-X interrupts (the host interrupt controller). */

@@ -5,6 +5,9 @@
  * management, SQE fetch, CQE posting with phase tags, pause/resume.
  */
 
+#include <optional>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "nvme/controller.hh"
@@ -27,6 +30,8 @@ class EchoController : public nvme::ControllerModel
     {}
 
     int ioSeen = 0;
+    /** The last I/O SQE as it arrived. */
+    Sqe lastIo;
     sim::Tick ioDelay = 0;
     bool holdIo = false;
     std::vector<std::pair<std::uint16_t, std::uint16_t>> held;
@@ -36,6 +41,7 @@ class EchoController : public nvme::ControllerModel
     executeIo(const Sqe &sqe, std::uint16_t sqid) override
     {
         ++ioSeen;
+        lastIo = sqe;
         if (holdIo) {
             held.emplace_back(sqid, sqe.cid);
             return;
@@ -286,4 +292,70 @@ TEST(Controller, SetFeaturesGrantsQueues)
     EXPECT_TRUE(cqe.ok());
     EXPECT_EQ(cqe.dw0 & 0xffff, 15u);
     EXPECT_EQ(cqe.dw0 >> 16, 15u);
+}
+
+// The controller moves an SQ's head when it issues a fetch and reads
+// the SQE when that DMA lands, so a CQE can report a head past an SQE
+// still being read. An initiator that freed SQ pages up to the
+// reported head would free that SQE; nvme::QueuePair frees a page only
+// once every command written into it has completed, so it arrives
+// intact.
+TEST(Controller, SqeFetchOutlivesReportedSqHead)
+{
+    Harness h;
+    h.host.createIoQueue(1, 128, 0x30000, 0x40000); // SQ on two pages
+    nvme::QueuePair<int> qp(h.up, 1, 128, 0x30000, 0x40000);
+    std::vector<Cqe> cqes;
+    int seenAtCqe = 0;
+    h.up.onInterrupt = [&](pcie::FunctionId, std::uint16_t vector) {
+        if (vector != 1)
+            return;
+        while (std::optional<Cqe> cqe = qp.pop()) {
+            cqes.push_back(*cqe);
+            seenAtCqe = h.ctrl->ioSeen;
+            qp.complete(
+                cqe->cid, [](int) {},
+                [](std::uint16_t) { ADD_FAILURE() << "nothing parked"; });
+        }
+        h.ctrl->regWrite(qp.cqDoorbell().offset, qp.cqDoorbell().value);
+    };
+    auto submit = [&](std::uint64_t slba) {
+        std::uint16_t cid = *qp.admit(0);
+        Sqe sqe;
+        sqe.opcode = static_cast<std::uint8_t>(nvme::IoOpcode::Read);
+        sqe.nsid = 1;
+        sqe.prp1 = 0x80000;
+        sqe.setSlba(slba);
+        sqe.setNlb(1);
+        nvme::RegWrite ring = qp.push(sqe, cid);
+        h.ctrl->regWrite(ring.offset, ring.value);
+        return cid;
+    };
+    // Walk the tail to slot 62, two before the second page.
+    for (std::size_t n = 1; n <= 62; ++n) {
+        submit(n);
+        ASSERT_TRUE(test::runUntil(h.sim, [&] { return cqes.size() == n; }));
+    }
+
+    // A at slot 62: fetched after 50 us, completed 10 us later. B at
+    // slot 63 is rung while A executes, so A's CQE reports head 64
+    // while B's fetch is still on its way.
+    h.up.readDelay = sim::microseconds(50);
+    h.ctrl->ioDelay = sim::microseconds(10);
+    submit(1000);
+    h.sim.runFor(sim::microseconds(55));
+    ASSERT_EQ(h.ctrl->ioSeen, 63);
+    std::uint16_t cid_b = submit(2000);
+    ASSERT_TRUE(test::runUntil(h.sim, [&] { return cqes.size() == 64; }));
+    EXPECT_EQ(cqes[62].sqHead, 64u);
+    EXPECT_EQ(seenAtCqe, 64) << "B arrived after A's CQE was consumed";
+
+    EXPECT_EQ(h.ctrl->lastIo.cid, cid_b);
+    EXPECT_EQ(h.ctrl->lastIo.slba(), 2000u);
+    EXPECT_EQ(cqes[63].cid, cid_b);
+    EXPECT_TRUE(cqes[63].ok());
+    // Both done and the tail on the second page: the first page went.
+    std::uint8_t raw[sizeof(Sqe)];
+    h.up.read(0x30000 + 63 * sizeof(Sqe), sizeof(raw), raw);
+    EXPECT_EQ(nvme::fromBytes<Sqe>(raw).slba(), 0u);
 }

@@ -6,6 +6,10 @@
  * chunk-straddling commands split across two back-end SSDs.
  */
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
@@ -171,15 +175,15 @@ TEST(BmsEngine, PrpListRewrittenFor128k)
 
 namespace {
 
-/** Closed loop of 32 KiB writes and reads (8 pages each) at depth 8. */
-class MultiPageLoop
+/** Closed loop of writes and reads, alternating, of @p len bytes each
+ *  at depth @p depth; @p on_done runs after every completion. */
+class IoLoop
 {
   public:
-    static constexpr std::uint32_t kLen = 32 * 1024;
-    static constexpr std::uint64_t kDepth = 8;
-
-    MultiPageLoop(host::BlockDeviceIf &dev, std::uint64_t buf)
-        : _dev(dev), _buf(buf)
+    IoLoop(host::BlockDeviceIf &dev, std::uint64_t buf, std::uint32_t len,
+           std::uint64_t depth, std::function<void()> on_done = {})
+        : _dev(dev), _buf(buf), _len(len), _depth(depth),
+          _onDone(std::move(on_done))
     {}
 
     /** Issue I/Os until @p total have been submitted in all. */
@@ -196,16 +200,18 @@ class MultiPageLoop
     void
     pump()
     {
-        while (_issued < _limit && _issued - _done < kDepth) {
+        while (_issued < _limit && _issued - _done < _depth) {
             host::BlockRequest req;
             req.op = _issued % 2 ? host::BlockRequest::Op::Read
                                  : host::BlockRequest::Op::Write;
-            req.offset = (_issued % 1024) * kLen;
-            req.len = kLen;
-            req.dataAddr = _buf + (_issued % kDepth) * kLen;
+            req.offset = (_issued % 1024) * _len;
+            req.len = _len;
+            req.dataAddr = _buf + (_issued % _depth) * _len;
             req.done = [this](bool ok) {
                 EXPECT_TRUE(ok);
                 ++_done;
+                if (_onDone)
+                    _onDone();
                 pump();
             };
             ++_issued;
@@ -215,6 +221,9 @@ class MultiPageLoop
 
     host::BlockDeviceIf &_dev;
     std::uint64_t _buf;
+    std::uint32_t _len;
+    std::uint64_t _depth;
+    std::function<void()> _onDone;
     std::uint64_t _issued = 0, _done = 0, _limit = 0;
 };
 
@@ -222,23 +231,59 @@ class MultiPageLoop
 
 // Each back-end leg of more than two pages holds a PRP-list slot in
 // chip memory only until its completion, so chip memory stops growing
-// once the slots cover the most legs ever in flight at once.
+// once the slots cover the most legs ever in flight at once. Both
+// samples leave the back-end SQ tail at the same slot (one leg per
+// I/O, 1,025 ring entries): which SQ pages hold a frame depends on
+// where the tail rests.
 TEST(BmsEngine, PrpListSlotsBoundChipMemory)
 {
     harness::BmStoreTestbed bed(bmsConfig(1, /*functional=*/false));
     host::NvmeDriver &disk = bed.attachTenant(0, sim::gib(16));
-    MultiPageLoop loop(disk, bed.host().memory().alloc(
-                                 MultiPageLoop::kLen * MultiPageLoop::kDepth));
-    loop.runTo(1000);
+    constexpr std::uint32_t kLen = 32 * 1024; // 8 pages: a PRP list
+    constexpr std::uint64_t kDepth = 8;
+    IoLoop loop(disk, bed.host().memory().alloc(kLen * kDepth), kLen,
+                kDepth);
+    loop.runTo(1025);
     ASSERT_TRUE(test::runUntil(
-        bed.sim(), [&] { return loop.completed() == 1000; }));
+        bed.sim(), [&] { return loop.completed() == 1025; }));
     std::size_t pages = bed.engine().chipMemory().allocatedPages();
 
-    loop.runTo(10000);
+    loop.runTo(10250);
     ASSERT_TRUE(test::runUntil(
-        bed.sim(), [&] { return loop.completed() == 10000; }));
+        bed.sim(), [&] { return loop.completed() == 10250; }));
     EXPECT_GE(bed.engine().targetController().rewrittenPrpLists(), 10000u);
     EXPECT_EQ(bed.engine().chipMemory().allocatedPages(), pages);
+}
+
+// A tenant's SQ page keeps its frame only while a command written into
+// it is outstanding. Over three laps of its 1,024-entry rings at QD2 a
+// function holds its admin rings and identify page (3), its CQ (4) and
+// at most the two SQ pages two commands can straddle.
+TEST(BmsEngine, TenantRingsHoldNinePagesPerFunction)
+{
+    harness::TestbedConfig cfg = bmsConfig(1, /*functional=*/false);
+    cfg.ioQueues = 1;
+    harness::BmStoreTestbed bed(cfg);
+    constexpr int kFunctions = 4;
+    constexpr std::uint64_t kIos = 3 * 1024 + 100;
+    sim::SparseMemory &mem = bed.host().memory().raw();
+    std::size_t peak = 0;
+    std::vector<std::unique_ptr<IoLoop>> loops;
+    for (int f = 0; f < kFunctions; ++f) {
+        host::NvmeDriver &disk =
+            bed.attachTenant(static_cast<pcie::FunctionId>(f), sim::gib(1));
+        EXPECT_EQ(disk.ioQueues(), 1);
+        loops.push_back(std::make_unique<IoLoop>(
+            disk, bed.host().memory().alloc(2 * 4096), 4096, 2,
+            [&] { peak = std::max(peak, mem.allocatedPages()); }));
+        loops.back()->runTo(kIos);
+    }
+    ASSERT_TRUE(test::runUntil(bed.sim(), [&] {
+        return std::all_of(loops.begin(), loops.end(), [](const auto &l) {
+            return l->completed() == kIos;
+        });
+    }));
+    EXPECT_LE(peak, 9u * kFunctions);
 }
 
 // The page store checks its own count when the simulation dies: a

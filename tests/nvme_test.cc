@@ -34,6 +34,14 @@ class TestMemory : public bms::pcie::MemoryIf
     {
         _mem.write(addr, len, data);
     }
+    void
+    release(std::uint64_t addr, std::uint64_t len) override
+    {
+        _mem.clearRange(addr, len);
+    }
+
+    /** Pages holding a frame (written and not released since). */
+    std::size_t pages() const { return _mem.allocatedPages(); }
 
   private:
     bms::sim::PageStore _store;
@@ -239,6 +247,20 @@ sqeAt(TestMemory &mem, std::uint16_t slot)
     return fromBytes<Sqe>(raw);
 }
 
+/** Admit @p v on @p qp and push it with its value in CDW10; returns
+ *  its CID. */
+std::uint16_t
+pushValue(QueuePair<int> &qp, int v)
+{
+    std::optional<std::uint16_t> cid = qp.admit(v);
+    EXPECT_TRUE(cid);
+    Sqe sqe;
+    sqe.opcode = static_cast<std::uint8_t>(IoOpcode::Read);
+    sqe.cdw10 = static_cast<std::uint32_t>(v);
+    qp.push(sqe, *cid);
+    return *cid;
+}
+
 /** Complete @p cid on @p qp, expecting no parked command to start. */
 template <typename Cmd>
 Cmd
@@ -353,4 +375,106 @@ TEST(QueuePair, WaitingCommandsLeaveInArrivalOrder)
                        "run 101", "issue 102", "run 100", "issue 103",
                        "run 102", "issue 104", "run 103", "run 104"}));
     EXPECT_EQ(qp.inflight(), 0u);
+}
+
+// An SQ page keeps its frame while any command written into it is
+// outstanding, whatever order the others complete in, and gives it
+// back with the last one.
+TEST(QueuePair, SqPageStaysUntilItsLastCommandCompletes)
+{
+    TestMemory mem;
+    QueuePair<int> qp(mem, 1, 128, kSq, kCq); // the SQ fills two pages
+    std::vector<std::uint16_t> cids;
+    for (int n = 0; n < 64; ++n)
+        cids.push_back(pushValue(qp, n)); // slots 0..63: the first page
+    ASSERT_EQ(mem.pages(), 1u);
+    // Every seventh slot in turn (7 and 64 are coprime), 40 left last.
+    for (int i = 1; i < 64; ++i) {
+        int slot = (40 + 7 * i) % 64;
+        EXPECT_EQ(completeIdle(qp, cids[slot]), slot);
+        EXPECT_EQ(mem.pages(), 1u) << "after " << i << " completions";
+    }
+    EXPECT_EQ(sqeAt(mem, 40).cdw10, 40u);
+    completeIdle(qp, cids[40]);
+    EXPECT_EQ(mem.pages(), 0u);
+    EXPECT_EQ(sqeAt(mem, 40).cdw10, 0u);
+    // The next lap writes there again into a fresh frame.
+    for (int n = 64; n < 128 + 40; ++n)
+        completeIdle(qp, pushValue(qp, n));
+    EXPECT_EQ(sqeAt(mem, 39).cdw10, 128u + 39);
+    EXPECT_EQ(mem.pages(), 1u); // the tail's page, slot 40
+}
+
+// Once the controller has fetched an SQE its slot may be written again
+// while the command is still outstanding. The page then counts both,
+// and stays until the newer one completes too.
+TEST(QueuePair, SqSlotRewrittenWhileItsCommandIsOutstanding)
+{
+    TestMemory mem;
+    QueuePair<int> qp(mem, 1, 128, kSq, kCq);
+    std::uint16_t old_cid = pushValue(qp, 1000); // slot 0, left running
+    for (int n = 1; n < 128; ++n)
+        completeIdle(qp, pushValue(qp, n));
+    std::uint16_t new_cid = pushValue(qp, 2000); // slot 0 again
+    for (int n = 1; n < 64; ++n)
+        completeIdle(qp, pushValue(qp, n)); // tail to the second page
+    EXPECT_EQ(completeIdle(qp, old_cid), 1000);
+    EXPECT_EQ(sqeAt(mem, 0).cdw10, 2000u);
+    EXPECT_EQ(completeIdle(qp, new_cid), 2000);
+    EXPECT_EQ(sqeAt(mem, 0).cdw10, 0u);
+}
+
+// The page the SQ tail is in stays even with nothing outstanding in
+// it: the initiator writes there next.
+TEST(QueuePair, SqPageHoldingTheTailStays)
+{
+    TestMemory mem;
+    QueuePair<int> qp(mem, 1, 128, kSq, kCq);
+    std::vector<std::uint16_t> cids;
+    for (int n = 0; n < 66; ++n)
+        cids.push_back(pushValue(qp, n)); // tail at slot 66, page two
+    ASSERT_EQ(mem.pages(), 2u);
+    completeIdle(qp, cids[64]);
+    completeIdle(qp, cids[65]);
+    EXPECT_EQ(mem.pages(), 2u);
+    EXPECT_EQ(sqeAt(mem, 65).cdw10, 65u);
+    for (int n = 0; n < 64; ++n)
+        completeIdle(qp, cids[n]);
+    EXPECT_EQ(mem.pages(), 1u);
+    EXPECT_EQ(sqeAt(mem, 63).cdw10, 0u);
+    EXPECT_EQ(sqeAt(mem, 65).cdw10, 65u);
+}
+
+// A ring that starts inside a page shares its first and last pages
+// with other data: those are never released, and the bytes around the
+// ring survive every lap. The whole page between them still goes.
+TEST(QueuePair, UnalignedSqKeepsItsSharedPages)
+{
+    TestMemory mem;
+    constexpr std::uint64_t kBase = kSq + 0x800; // slots 32..95 fill a page
+    std::vector<std::uint8_t> below(0x800, 0xa5), above(0x800, 0x5a);
+    mem.write(kSq, 0x800, below.data());
+    mem.write(kBase + 128 * sizeof(Sqe), 0x800, above.data());
+    QueuePair<int> qp(mem, 1, 128, kBase, kCq);
+    auto slot = [&](std::uint16_t s) {
+        std::uint8_t raw[sizeof(Sqe)];
+        mem.read(kBase + s * sizeof(Sqe), sizeof(raw), raw);
+        return fromBytes<Sqe>(raw).cdw10;
+    };
+    for (int n = 0; n < 3 * 128; ++n) {
+        completeIdle(qp, pushValue(qp, n));
+        // The shared first page keeps the last SQE written into it.
+        int last31 = n < 31 ? 0 : (n - 31) / 128 * 128 + 31;
+        EXPECT_EQ(slot(31), static_cast<std::uint32_t>(last31));
+        int tail = (n + 1) % 128;
+        if (tail < 32 || tail >= 96) {
+            EXPECT_EQ(mem.pages(), 2u) << "tail at slot " << tail;
+        }
+    }
+    EXPECT_EQ(slot(127), 2u * 128 + 127);
+    std::vector<std::uint8_t> got(0x800);
+    mem.read(kSq, 0x800, got.data());
+    EXPECT_EQ(got, below);
+    mem.read(kBase + 128 * sizeof(Sqe), 0x800, got.data());
+    EXPECT_EQ(got, above);
 }

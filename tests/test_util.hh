@@ -37,7 +37,8 @@
 namespace bms::test {
 
 /**
- * Upstream fake: functional memory, one-tick DMA, interrupt capture.
+ * Upstream fake: functional memory, one-tick DMA (readDelay and
+ * writeDelay lengthen it), interrupt capture.
  * Lets controller-level tests run without links or a host model. Its
  * MemoryIf face gives tests untimed access to the same memory (e.g.
  * for nvme::buildPrp to place a PRP list).
@@ -62,11 +63,17 @@ class FakeUpstream : public pcie::PcieUpstreamIf, public pcie::MemoryIf
     }
 
     void
+    release(std::uint64_t addr, std::uint64_t len) override
+    {
+        memory.clearRange(addr, len);
+    }
+
+    void
     dmaRead(std::uint64_t addr, std::uint32_t len, sim::DataOut out,
             std::function<void()> done) override
     {
-        _sim.scheduleAfter(1, [this, addr, len, out,
-                               done = std::move(done)] {
+        _sim.scheduleAfter(readDelay, [this, addr, len, out,
+                                       done = std::move(done)] {
             if (out)
                 memory.read(addr, len, out);
             done();
@@ -97,6 +104,9 @@ class FakeUpstream : public pcie::PcieUpstreamIf, public pcie::MemoryIf
     sim::SparseMemory memory;
     /** Device → memory writes issued so far. */
     std::uint64_t dmaWrites = 0;
+    /** Ticks a device's read of memory takes: the bytes are read
+     *  when it lands. */
+    sim::Tick readDelay = 1;
     /** Ticks a device → memory write takes to land. */
     sim::Tick writeDelay = 1;
     std::vector<std::pair<pcie::FunctionId, std::uint16_t>> interrupts;
