@@ -98,6 +98,9 @@ constexpr double kNativeLimit = 1.026;
 constexpr double kPaperTpccOverVhost = 1.134;
 constexpr double kPaperSysbenchQpsOverVhost = 1.081;
 constexpr double kTolerance = 0.10;
+/** BM-Store must beat vhost on Sysbench queries: ±10 % around +8.1 %
+ *  would reach down to 0.973 and pass a vhost that wins. */
+constexpr double kSysbenchQpsOverVhostFloor = 1.0;
 
 } // namespace
 
@@ -140,7 +143,7 @@ main(int argc, char **argv)
                 kPaperTpccOverVhost * (1.0 + kTolerance));
     report.band("fig13.bmsOverVhost.sysbenchQps",
                 bms.sysbenchQps / vhost.sysbenchQps,
-                kPaperSysbenchQpsOverVhost * (1.0 - kTolerance),
+                kSysbenchQpsOverVhostFloor,
                 kPaperSysbenchQpsOverVhost * (1.0 + kTolerance));
 
     std::printf("\npaper reference: BM-Store within ~2.6%% of native; "

@@ -202,14 +202,19 @@ Report::finish()
     bool pass = true;
     if (!_gates.empty())
         std::printf("\n%s gates:\n", _bench.c_str());
+    // The name column fits the longest gate name, so the value, bounds
+    // and verdict columns line up on every row.
+    int width = 0;
+    for (const Gate &g : _gates)
+        width = std::max(width, static_cast<int>(g.name.size()));
     for (const Gate &g : _gates) {
         std::string bound =
             !std::isfinite(g.limit)   ? ">= " + fixed(g.floor, 4)
             : !std::isfinite(g.floor) ? "<= " + fixed(g.limit, 4)
                                       : "in [" + fixed(g.floor, 4) + ", " +
                                             fixed(g.limit, 4) + "]";
-        std::printf("  %-26s %16.4f %-17s %s\n", g.name.c_str(), g.value,
-                    bound.c_str(), g.pass() ? "pass" : "FAIL");
+        std::printf("  %-*s %16.4f %-17s %s\n", width, g.name.c_str(),
+                    g.value, bound.c_str(), g.pass() ? "pass" : "FAIL");
         pass = pass && g.pass();
     }
     bool written = _path.empty();

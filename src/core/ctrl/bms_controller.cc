@@ -31,11 +31,6 @@ BmsController::BmsController(sim::Simulator &sim, std::string name,
         sim, name + ".hotplug", engine, *_migration, _nsMgr);
     _tiering = std::make_unique<TieringManager>(
         sim, name + ".tiering", engine, _nsMgr, *_migration, *_monitor);
-    _migration->setTieredSourceGuard(
-        [this](pcie::FunctionId fn, std::uint32_t nsid,
-               std::uint32_t chunk) {
-            return _tiering->isSpilled(fn, nsid, chunk);
-        });
     // Thin-provisioning back-ends for the engine data path: chunk
     // reservation/release against the namespace manager's pools, and
     // chunk CoW through the migration copy machinery (QoS-paced
@@ -55,11 +50,10 @@ BmsController::BmsController(sim::Simulator &sim, std::string name,
         },
         [this](pcie::FunctionId fn, std::uint32_t nsid,
                std::uint32_t chunk_index, std::function<void(bool)> done) {
-            MigrationManager::Options opts;
-            opts.cowSource = true;
             bool accepted = _migration->migrate(
-                fn, nsid, chunk_index, MigrationManager::kAutoSlot, opts,
-                [done](MigrationManager::Report rep) { done(rep.ok); });
+                fn, nsid, chunk_index, MigrationManager::kAutoSlot,
+                [done](MigrationManager::Report rep) { done(rep.ok); },
+                {MoveKind::Cow, 0});
             if (!accepted)
                 done(false);
         },
@@ -185,8 +179,6 @@ BmsController::dispatch(Eid src, const MiMessage &req)
       case MiOpcode::VendorDestroyNamespace: {
         MiNsRef q;
         bool ok = wire::decode(req.payload, q) && _nsMgr.destroy(q.fn, q.nsid);
-        if (ok)
-            _tiering->forgetNamespace(q.fn, q.nsid);
         respond(src, req,
                 ok ? MiStatus::Success : MiStatus::InvalidParameter);
         return;

@@ -16,6 +16,11 @@ static_assert(kSegmentBytes % nvme::kBlockSize == 0 &&
               "a segment is whole blocks within one PRP list page");
 /** Per-segment copy retries before the migration aborts. */
 constexpr int kMaxSegmentRetries = 16;
+/** Tier moves retry less: the remote transport already retries each
+ *  I/O internally, and a write held behind a fenced segment waits out
+ *  every retry — against a dead node that is ~750 ms per attempt, so
+ *  16 of them would stall tenants past the transparency budget. */
+constexpr int kTierSegmentRetries = 2;
 constexpr sim::Tick kRetryDelay = sim::microseconds(200);
 /** Poll period while a hot upgrade holds either end of a copy. */
 constexpr sim::Tick kUpgradePollDelay = sim::milliseconds(1);
@@ -86,23 +91,12 @@ MigrationManager::setPrps(nvme::Sqe &sqe, std::uint64_t bytes) const
 bool
 MigrationManager::migrate(pcie::FunctionId fn, std::uint32_t nsid,
                           std::uint32_t chunk_index, int dst_slot,
-                          std::function<void(Report)> done)
-{
-    return migrate(fn, nsid, chunk_index, dst_slot, Options(),
-                   std::move(done));
-}
-
-bool
-MigrationManager::migrate(pcie::FunctionId fn, std::uint32_t nsid,
-                          std::uint32_t chunk_index, int dst_slot,
-                          Options opts, std::function<void(Report)> done)
+                          std::function<void(Report)> done, Options opts)
 {
     if (dst_slot != kAutoSlot &&
         (dst_slot < 0 || dst_slot >= _engine.ssdSlots())) {
         return false;
     }
-    if (opts.pinnedDstChunk >= 0 && dst_slot == kAutoSlot)
-        return false; // a pinned chunk only makes sense on a known slot
     Job j;
     j.id = _nextId++;
     j.fn = fn;
@@ -120,15 +114,10 @@ void
 MigrationManager::failBeforeCopy(const char *why)
 {
     Job &j = *_current;
+    // Every refusal comes before the job reserves or locks anything.
     logWarn("migration #", j.id, " rejected: ", why, " (fn=", j.fn,
             " nsid=", j.nsid, " chunk=", j.chunkIndex, ")");
     ++_rejected;
-    if (j.dstTaken)
-        _ns.releaseChunk(j.dSlot, j.dChunk);
-    if (j.nsLocked)
-        _ns.unlockNs(j.fn, j.nsid);
-    j.nsLocked = false;
-    j.dstTaken = false;
     finishCurrent(false);
 }
 
@@ -148,12 +137,18 @@ MigrationManager::startNext()
         failBeforeCopy("unknown namespace chunk");
         return;
     }
-    if (!j.opts.allowTieredSource &&
-        _tierGuard(j.fn, j.nsid, j.chunkIndex)) {
-        failBeforeCopy("source chunk is tier-spilled (promote it instead)");
+    const MoveKind kind = j.opts.kind;
+    // Only a promote moves a spilled chunk: any other move would
+    // strand the armed strict mirror and stale the shadow the loss
+    // recovery depends on.
+    auto shadow = _ns.shadowOf(*alloc);
+    if (shadow.has_value() != (kind == MoveKind::Promote)) {
+        failBeforeCopy(shadow ? "source chunk is tier-spilled (promote it "
+                                "instead)"
+                              : "promote of a chunk that is not spilled");
         return;
     }
-    if (!j.opts.cowSource && _ns.locked(j.fn, j.nsid)) {
+    if (kind != MoveKind::Cow && _ns.locked(j.fn, j.nsid)) {
         // A chunk operation (allocation scrub, CoW, trim) pins the
         // namespace; moving chunks under it would race the scrub.
         failBeforeCopy("namespace busy with a chunk operation");
@@ -163,8 +158,6 @@ MigrationManager::startNext()
     j.srcChunk = alloc->chunk;
     const LbaMapGeometry &geom = binding->map.geometry();
     j.chunkBlocks = geom.chunkBlocks;
-    j.row = j.chunkIndex / geom.entriesPerRow;
-    j.col = j.chunkIndex % geom.entriesPerRow;
     // The namespace record and the mapping table must agree on where
     // the chunk lives — verify through the translation path.
     auto mapping =
@@ -174,7 +167,9 @@ MigrationManager::startNext()
         failBeforeCopy("record/table placement mismatch");
         return;
     }
-    if (!j.opts.cowSource && binding->map.entryShared(j.row, j.col)) {
+    if (kind != MoveKind::Cow &&
+        binding->map.entryShared(j.chunkIndex / geom.entriesPerRow,
+                                 j.chunkIndex % geom.entriesPerRow)) {
         // A snapshot pins the source chunk; a generic move would
         // either strand the pinned image or double-place the chunk.
         // Only the chunk-CoW path copies off a shared entry.
@@ -183,11 +178,14 @@ MigrationManager::startNext()
     }
 
     // CoW may land on the source's own slot — it separates ownership,
-    // not placement — so only generic moves exclude it.
-    int dst = j.dstSlot == kAutoSlot
-                  ? pickDestination(j.opts.cowSource ? -1 : j.srcSlot)
-                  : j.dstSlot;
-    if (dst < 0 || (dst == j.srcSlot && !j.opts.cowSource) ||
+    // not placement — so only the other kinds exclude it. A promote
+    // lands on the shadow.
+    int dst = j.dstSlot;
+    if (shadow)
+        dst = shadow->slot;
+    else if (dst == kAutoSlot)
+        dst = pickDestination(kind == MoveKind::Cow ? -1 : j.srcSlot);
+    if (dst < 0 || (dst == j.srcSlot && kind != MoveKind::Cow) ||
         dst >= _engine.ssdSlots()) {
         failBeforeCopy("no usable destination slot");
         return;
@@ -197,31 +195,16 @@ MigrationManager::startNext()
         failBeforeCopy("source or destination adaptor not ready");
         return;
     }
-    if (j.opts.pinnedDstChunk >= 0) {
-        // The caller owns the destination chunk already (a tier
-        // shadow); it never entered the free pool, so nothing to
-        // reserve or release.
-        if (static_cast<std::uint64_t>(j.opts.pinnedDstChunk) >=
-            _ns.totalChunks(dst)) {
-            failBeforeCopy("pinned destination chunk out of range");
-            return;
-        }
-        j.dSlot = static_cast<std::uint8_t>(dst);
-        j.dChunk = static_cast<std::uint8_t>(j.opts.pinnedDstChunk);
-        j.dstTaken = false;
-    } else {
-        auto dchunk = _ns.takeChunk(dst);
-        if (!dchunk) {
-            failBeforeCopy("destination has no free chunk");
-            return;
-        }
-        j.dSlot = static_cast<std::uint8_t>(dst);
-        j.dChunk = *dchunk;
-        j.dstTaken = true;
+    // The shadow is the tier's already; nothing to reserve.
+    auto dchunk = shadow ? std::optional(shadow->chunk) : _ns.takeChunk(dst);
+    if (!dchunk) {
+        failBeforeCopy("destination has no free chunk");
+        return;
     }
+    j.dSlot = static_cast<std::uint8_t>(dst);
+    j.dChunk = *dchunk;
     bool locked = _ns.lockNs(j.fn, j.nsid);
     BMS_ASSERT(locked, "namespace vanished between lookup and lock");
-    j.nsLocked = true;
 
     std::uint64_t seg_bytes = kSegmentBytes;
     if (j.opts.segmentBytes > 0) {
@@ -239,7 +222,6 @@ MigrationManager::startNext()
     ensureBuffers();
     _engine.migrationGate().open(j.srcSlot, j.srcChunk, j.dSlot, j.dChunk,
                                  j.chunkBlocks, j.segBlocks);
-    j.opened = true;
     j.state = MigrationState::Copying;
     ++_started;
     logInfo("migration #", j.id, ": fn=", j.fn, " nsid=", j.nsid,
@@ -353,8 +335,9 @@ MigrationManager::segmentFailed(std::uint32_t seg, int attempt,
 {
     Job &j = *_current;
     ++_segmentRetries;
-    int max_retries = j.opts.maxSegmentRetries >= 0
-                          ? j.opts.maxSegmentRetries
+    int max_retries = j.opts.kind == MoveKind::Spill ||
+                              j.opts.kind == MoveKind::Promote
+                          ? kTierSegmentRetries
                           : kMaxSegmentRetries;
     if (attempt + 1 >= max_retries) {
         logWarn("migration #", j.id, ": segment ", seg, " ", leg,
@@ -375,23 +358,13 @@ MigrationManager::cutover()
     MigrationGate &gate = _engine.migrationGate();
     BMS_ASSERT_EQ(gate.heldCount(), std::size_t(0),
                   "cutover with held writes");
-    NsBinding *binding = _engine.findBinding(j.fn, j.nsid);
-    BMS_ASSERT(binding, "binding vanished during migration (ns locked)");
-    // Tier bookkeeping (arming/clearing the shadow mirror) happens in
-    // the same instant as the flip, so no write can observe one
-    // without the other.
-    if (j.opts.beforeCutover)
-        j.opts.beforeCutover(j.dSlot, j.dChunk);
-    // The atomic one-byte flip of Fig. 4(a): every later translate
-    // resolves to the destination chunk.
-    bool flipped = binding->map.setEntry(j.row, j.col, j.dChunk, j.dSlot);
-    BMS_ASSERT(flipped, "cutover map flip rejected at row=", j.row,
-               " col=", j.col);
-    bool moved = _ns.recordMove(j.fn, j.nsid, j.chunkIndex, j.dSlot,
-                                j.dChunk);
-    BMS_ASSERT(moved, "namespace record lost during migration");
-    gate.closeMigration();
-    if (j.opts.keepSource) {
+    // The map flip, the record and both rows, and the tier mirror
+    // change in this one instant; the source is the one this job
+    // copied from.
+    _ns.flip(j.opts.kind, j.fn, j.nsid, j.chunkIndex,
+             {j.srcSlot, j.srcChunk}, {j.dSlot, j.dChunk});
+    gate.closeMigration(/*flipped=*/true);
+    if (j.opts.kind == MoveKind::Spill) {
         // The source chunk stays allocated (it is now the shadow
         // copy); in-flight pre-cutover reads against it are harmless.
         logInfo("migration #", j.id, " done (source kept): ",
@@ -399,8 +372,9 @@ MigrationManager::cutover()
         finishCurrent(true);
         return;
     }
-    // The source chunk returns to the free pool only once the last
-    // pre-cutover command that translated onto it has completed.
+    // The source ends its drain (back to the pool, or to the
+    // snapshots still holding it) only once the last pre-cutover
+    // command that translated onto it has completed.
     gate.whenChunkIdle(j.srcSlot, j.srcChunk, [this] {
         Job &j = *_current;
         _ns.releaseChunk(j.srcSlot, j.srcChunk);
@@ -415,16 +389,13 @@ MigrationManager::abortCurrent(const char *why)
 {
     Job &j = *_current;
     logWarn("migration #", j.id, " aborted: ", why);
-    if (j.opened)
-        _engine.migrationGate().closeMigration();
+    _engine.migrationGate().closeMigration(/*flipped=*/false);
     // In-flight mirror legs still target the destination chunk; free
-    // it only once they have landed.
+    // it only once they have landed (a promote's shadow stays).
     _engine.migrationGate().whenChunkIdle(j.dSlot, j.dChunk, [this] {
         Job &j = *_current;
-        if (j.dstTaken) {
+        if (j.opts.kind != MoveKind::Promote)
             _ns.releaseChunk(j.dSlot, j.dChunk);
-            j.dstTaken = false;
-        }
         finishCurrent(false);
     });
 }
@@ -433,14 +404,13 @@ void
 MigrationManager::finishCurrent(bool ok)
 {
     Job &j = *_current;
+    // A started job locked its namespace just before it began copying.
     bool started = j.state != MigrationState::Queued;
     j.state = ok ? MigrationState::Done : MigrationState::Aborted;
-    if (j.nsLocked) {
+    if (started) {
         _ns.unlockNs(j.fn, j.nsid);
-        j.nsLocked = false;
-    }
-    if (started)
         ok ? ++_completed : ++_aborted;
+    }
     _bytesCopied += j.bytesCopied;
 
     Report rep;
@@ -479,18 +449,12 @@ MigrationManager::pickDestination(int src_slot) const
             continue;
         if (best < 0 || free > best_free ||
             (free == best_free &&
-             slotLoadMbps(s) < slotLoadMbps(best))) {
+             _monitor.slotMbps(s) < _monitor.slotMbps(best))) {
             best = s;
             best_free = free;
         }
     }
     return best;
-}
-
-double
-MigrationManager::slotLoadMbps(int slot) const
-{
-    return _monitor.slotMbps(slot);
 }
 
 void
@@ -564,12 +528,12 @@ MigrationManager::rebalanceOnce(std::function<void(Report)> done)
             continue;
         if (!src || o.used > src->used ||
             (o.used == src->used &&
-             slotLoadMbps(o.slot) > slotLoadMbps(src->slot))) {
+             _monitor.slotMbps(o.slot) > _monitor.slotMbps(src->slot))) {
             src = &o;
         }
         if (!dst || o.free > dst->free ||
             (o.free == dst->free &&
-             slotLoadMbps(o.slot) < slotLoadMbps(dst->slot))) {
+             _monitor.slotMbps(o.slot) < _monitor.slotMbps(dst->slot))) {
             dst = &o;
         }
     }

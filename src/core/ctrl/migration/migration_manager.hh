@@ -58,59 +58,26 @@ class MigrationManager : public sim::SimObject
         std::uint64_t bytesCopied = 0;
     };
 
-    /** Per-job knobs used by the tiering manager. */
+    /** Per-job knobs: what the job does, and its copy granularity. */
     struct Options
     {
         /**
-         * Destination physical chunk already owned by the caller
-         * (-1 = reserve one via takeChunk). A promote lands on the
-         * spilled chunk's existing local shadow, which the tiering
-         * manager never released.
-         */
-        int pinnedDstChunk = -1;
-        /**
-         * Keep the source chunk allocated after cutover (a spill
-         * turns the old local chunk into the shadow copy instead of
-         * freeing it).
-         */
-        bool keepSource = false;
-        /**
-         * Runs synchronously at cutover with the resolved
-         * (dst_slot, dst_chunk), immediately before the map entry
-         * flips (the tiering manager arms/clears the gate's tier
-         * mirror inside this same instant, so no write can slip
-         * between the mirror change and the flip).
-         */
-        std::function<void(std::uint8_t, std::uint8_t)> beforeCutover;
-        /** Per-job copy granularity (0 = the default 1 MiB; may only
-         *  shrink it). */
-        std::uint64_t segmentBytes = 0;
-        /**
-         * Permit a source chunk the tiering registry owns (promote
-         * and respill paths only). Generic moves of a spilled chunk
-         * are refused: they would strand the armed strict mirror and
-         * stale the shadow the loss recovery depends on.
-         */
-        bool allowTieredSource = false;
-        /**
-         * This job is a chunk copy-on-write triggered by a tenant
-         * write through a snapshot-shared mapping entry. It relaxes
-         * three generic-move refusals: the source may carry a shared
-         * entry (that is the point), the namespace may be locked (the
+         * Move: a generic move; the source frees once drained.
+         * Cow: a chunk copy-on-write triggered by a tenant write
+         * through a snapshot-shared entry. The source may be shared
+         * (that is the point), the namespace may be locked (the
          * TargetController pins it for the chunk op that queued this
          * very job), and the destination may be the source's own slot
          * (CoW changes ownership, not placement).
+         * Spill, Promote: tier moves (TieringManager). A spill keeps
+         * its source as the shadow; a promote lands on the spilled
+         * chunk's shadow and is the only job that may move a spilled
+         * chunk. Both cap segment retries at 2.
          */
-        bool cowSource = false;
-        /**
-         * Per-job segment-retry cap (-1 = the default 16). Tier
-         * moves lower it: the remote transport already retries each
-         * I/O internally, and a write held behind a fenced segment
-         * waits out every retry — against a dead node that is
-         * ~750 ms per attempt, so 16 of them would stall tenants
-         * past the transparency budget.
-         */
-        int maxSegmentRetries = -1;
+        MoveKind kind = MoveKind::Move;
+        /** Per-job copy granularity (0 = the default 1 MiB; may only
+         *  shrink it). */
+        std::uint64_t segmentBytes = 0;
     };
 
     struct EvacReport
@@ -127,36 +94,22 @@ class MigrationManager : public sim::SimObject
                      BmsEngine &engine, NamespaceManager &ns,
                      IoMonitor &monitor);
 
-    /** Predicate marking chunks owned by the tiering registry (their
-     *  generic migration is refused; see Options::allowTieredSource).
-     *  Required: the BMS-Controller installs it before any migration
-     *  can start. */
-    void setTieredSourceGuard(
-        std::function<bool(pcie::FunctionId, std::uint32_t, std::uint32_t)>
-            guard)
-    {
-        _tierGuard = std::move(guard);
-    }
-
     /** Re-program the copy bandwidth budget (MB/s; 0 = unpaced). The
      *  budget starts at 400 MB/s. */
     void setBudget(double mbps);
     double budget() const { return _budgetMbps; }
 
     /**
-     * Queue a migration of namespace chunk @p chunk_index of
-     * (@p fn, @p nsid) to @p dst_slot (kAutoSlot = emptiest).
+     * Queue a job of kind @p opts.kind on namespace chunk
+     * @p chunk_index of (@p fn, @p nsid) to @p dst_slot (kAutoSlot =
+     * emptiest; a promote lands on the chunk's shadow).
      * @return false when the request is malformed; otherwise @p done
      *         fires with the outcome once the migration finishes.
      */
     bool migrate(pcie::FunctionId fn, std::uint32_t nsid,
                  std::uint32_t chunk_index, int dst_slot,
-                 std::function<void(Report)> done);
-
-    /** Same, with per-job options (tiering spill/promote). */
-    bool migrate(pcie::FunctionId fn, std::uint32_t nsid,
-                 std::uint32_t chunk_index, int dst_slot, Options opts,
-                 std::function<void(Report)> done);
+                 std::function<void(Report)> done,
+                 Options opts = {MoveKind::Move, 0});
 
     /**
      * Drain every chunk off @p slot. The slot is quiesced (no new
@@ -205,7 +158,6 @@ class MigrationManager : public sim::SimObject
         // Resolved at start.
         std::uint8_t srcSlot = 0, srcChunk = 0;
         std::uint8_t dSlot = 0, dChunk = 0;
-        std::uint32_t row = 0, col = 0;
         std::uint64_t chunkBlocks = 0, segBlocks = 0;
         std::uint32_t numSegs = 0;
         std::uint32_t copies = 0;
@@ -213,7 +165,6 @@ class MigrationManager : public sim::SimObject
         sim::Tick startedAt = 0;
         std::uint64_t bytesCopied = 0;
         std::uint32_t copiedSegs = 0;
-        bool opened = false, nsLocked = false, dstTaken = false;
     };
 
     void startNext();
@@ -227,7 +178,6 @@ class MigrationManager : public sim::SimObject
     void abortCurrent(const char *why);
     void finishCurrent(bool ok);
     int pickDestination(int src_slot) const;
-    double slotLoadMbps(int slot) const;
     /** A firmware upgrade holds @p slot: copying waits it out. */
     bool upgrading(int slot) const
     {
@@ -244,8 +194,6 @@ class MigrationManager : public sim::SimObject
     NamespaceManager &_ns;
     double _budgetMbps;
     IoMonitor &_monitor;
-    std::function<bool(pcie::FunctionId, std::uint32_t, std::uint32_t)>
-        _tierGuard;
 
     std::uint32_t _qosKey;
     std::uint64_t _buf = 0;  ///< chip-memory staging buffer

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace bms::core {
 
@@ -53,7 +54,7 @@ NamespaceManager::registerSsd(int slot, std::uint64_t capacity_bytes,
         chunks, static_cast<std::uint64_t>(_geom.maxChunkBase()) + 1);
     Pool pool;
     pool.slot = slot;
-    pool.refs.assign(chunks, 0);
+    pool.rows.resize(chunks);
     pool.remote = remote;
     auto it = std::find_if(_pools.begin(), _pools.end(),
                            [slot](const Pool &p) { return p.slot == slot; });
@@ -73,22 +74,16 @@ NamespaceManager::allocate(std::uint32_t chunks, Policy policy,
     out.reserve(chunks);
     if (_pools.empty())
         return std::nullopt;
-    auto take_from = [&out, policy](Pool &pool) {
-        if (pool.quiesce > 0)
-            return false;
+    auto take_from = [this, &out, policy](Pool &pool) {
         // Capacity placement stays on local SSDs; remote pools only
         // fill via the tiering manager (or an explicit Dedicate pin).
         if (pool.remote && policy != Policy::Dedicate)
             return false;
-        for (std::size_t c = 0; c < pool.refs.size(); ++c) {
-            if (pool.refs[c] == 0) {
-                pool.refs[c] = 1;
-                out.push_back(Allocation{static_cast<std::uint8_t>(pool.slot),
-                                         static_cast<std::uint8_t>(c)});
-                return true;
-            }
-        }
-        return false;
+        auto c = claimFree(pool, ChunkState::Owned);
+        if (c)
+            out.push_back(
+                Allocation{static_cast<std::uint8_t>(pool.slot), *c});
+        return c.has_value();
     };
     for (std::uint32_t i = 0; i < chunks; ++i) {
         bool ok = false;
@@ -126,7 +121,7 @@ NamespaceManager::release(const std::vector<Allocation> &allocs)
     for (const Allocation &a : allocs) {
         if (a.unallocated())
             continue;
-        releaseChunk(a.slot, a.chunk);
+        dropHolder(a.slot, a.chunk);
     }
 }
 
@@ -262,25 +257,27 @@ NamespaceManager::destroy(pcie::FunctionId fn, std::uint32_t nsid)
     _engine.unbind(fn, nsid);
     release(allocs);
     if (sim::Check::paranoid())
-        checkRefInvariants(false);
+        checkRefInvariants();
     return true;
 }
 
 std::uint64_t
 NamespaceManager::freeChunks(int slot) const
 {
-    if (const Pool *pool = poolFor(slot)) {
-        return static_cast<std::uint64_t>(
-            std::count(pool->refs.begin(), pool->refs.end(), 0));
-    }
-    return 0;
+    const Pool *pool = poolFor(slot);
+    if (!pool)
+        return 0;
+    return static_cast<std::uint64_t>(std::count_if(
+        pool->rows.begin(), pool->rows.end(), [](const ChunkRow &r) {
+            return r.state == ChunkState::Free;
+        }));
 }
 
 std::uint64_t
 NamespaceManager::totalChunks(int slot) const
 {
     if (const Pool *pool = poolFor(slot))
-        return pool->refs.size();
+        return pool->rows.size();
     return 0;
 }
 
@@ -292,12 +289,9 @@ NamespaceManager::occupancy() const
     for (const Pool &pool : _pools) {
         Occupancy o;
         o.slot = pool.slot;
-        o.total = pool.refs.size();
-        o.used = static_cast<std::uint64_t>(
-            pool.refs.size() -
-            static_cast<std::size_t>(
-                std::count(pool.refs.begin(), pool.refs.end(), 0)));
-        o.free = o.total - o.used;
+        o.total = pool.rows.size();
+        o.free = freeChunks(pool.slot);
+        o.used = o.total - o.free;
         o.quiesced = pool.quiesce > 0;
         o.remote = pool.remote;
         out.push_back(o);
@@ -416,9 +410,9 @@ NamespaceManager::freeChunkAt(pcie::FunctionId fn, std::uint32_t nsid,
     Allocation a = rec->allocs[chunk_index];
     rec->allocs[chunk_index] = Allocation{kUnallocSlot, 0};
     rec->thin = true; // it now has a hole: backing returns on write
-    releaseChunk(a.slot, a.chunk);
+    dropHolder(a.slot, a.chunk);
     if (sim::Check::paranoid())
-        checkRefInvariants(false);
+        checkRefInvariants();
     return true;
 }
 
@@ -461,7 +455,7 @@ NamespaceManager::snapshot(pcie::FunctionId fn, std::uint32_t nsid)
     _snaps.push_back(SnapRecord{id, fn, nsid, binding->info.sizeBlocks,
                                 rec->allocs, rec->policy, rec->pinSlot});
     if (sim::Check::paranoid())
-        checkRefInvariants(false);
+        checkRefInvariants();
     return id;
 }
 
@@ -497,7 +491,7 @@ NamespaceManager::clone(std::uint32_t snap_id, pcie::FunctionId fn,
     _records.push_back(NsRecord{fn, nsid, snap->allocs, 0, true,
                                 snap->policy, snap->pinSlot});
     if (sim::Check::paranoid())
-        checkRefInvariants(false);
+        checkRefInvariants();
     return nsid;
 }
 
@@ -516,7 +510,7 @@ NamespaceManager::deleteSnapshot(std::uint32_t snap_id)
     _snaps.erase(it);
     release(allocs);
     if (sim::Check::paranoid())
-        checkRefInvariants(false);
+        checkRefInvariants();
     return true;
 }
 
@@ -543,35 +537,84 @@ NamespaceManager::snapshots() const
     return out;
 }
 
+const NamespaceManager::ChunkRow *
+NamespaceManager::findRow(int slot, std::uint8_t chunk) const
+{
+    const Pool *pool = poolFor(slot);
+    return pool && chunk < pool->rows.size() ? &pool->rows[chunk] : nullptr;
+}
+
+NamespaceManager::ChunkRow &
+NamespaceManager::rowAt(int slot, std::uint8_t chunk)
+{
+    Pool *pool = poolFor(slot);
+    BMS_ASSERT(pool && chunk < pool->rows.size(), "chunk outside pool: slot=",
+               slot, " chunk=", chunk);
+    return pool->rows[chunk];
+}
+
+std::optional<std::uint8_t>
+NamespaceManager::claimFree(Pool &pool, ChunkState state)
+{
+    if (pool.quiesce > 0)
+        return std::nullopt;
+    for (std::size_t c = 0; c < pool.rows.size(); ++c) {
+        if (pool.rows[c].state == ChunkState::Free) {
+            pool.rows[c] = ChunkRow{state, state == ChunkState::Owned};
+            return static_cast<std::uint8_t>(c);
+        }
+    }
+    return std::nullopt;
+}
+
 std::uint16_t
 NamespaceManager::chunkRefs(int slot, std::uint8_t chunk) const
 {
-    const Pool *pool = poolFor(slot);
-    if (!pool || chunk >= pool->refs.size())
-        return 0;
-    return pool->refs[chunk];
+    const ChunkRow *row = findRow(slot, chunk);
+    return row ? row->holders : 0;
 }
 
 void
 NamespaceManager::retainChunk(int slot, std::uint8_t chunk)
 {
-    Pool *pool = poolFor(slot);
-    BMS_ASSERT(pool && chunk < pool->refs.size(),
-               "retainChunk outside pool: slot=", slot, " chunk=",
-               int(chunk));
-    BMS_ASSERT(pool->refs[chunk] > 0, "retain of a free chunk ",
-               int(chunk), " on slot ", slot);
-    ++pool->refs[chunk];
+    // A CoW source still draining may be named by a snapshot or a
+    // sharing namespace, and a clone or snapshot of it retains it.
+    ChunkRow &row = rowAt(slot, chunk);
+    BMS_ASSERT(row.holders > 0, "retain of a chunk no record holds: ", chunk,
+               " on slot ", slot);
+    ++row.holders;
+}
+
+void
+NamespaceManager::dropHolder(int slot, std::uint8_t chunk)
+{
+    ChunkRow &row = rowAt(slot, chunk);
+    BMS_ASSERT(row.holders > 0, "double free of chunk ", chunk, " on slot ",
+               slot);
+    if (--row.holders == 0 && row.state == ChunkState::Owned) {
+        if (!row.link.unallocated()) {
+            // The last holder of a spilled primary: its shadow and
+            // the strict mirror into it go in the same instant.
+            _engine.migrationGate().clearTierMirror(
+                static_cast<std::uint8_t>(slot), chunk);
+            rowAt(row.link.slot, row.link.chunk) = ChunkRow();
+        }
+        row = ChunkRow();
+    }
+    // Dropping to a single holder ends CoW protection for it — every
+    // record release (destroy, TRIM, snapshot delete) funnels here.
+    maybeClearShared(slot, chunk);
 }
 
 void
 NamespaceManager::maybeClearShared(int slot, std::uint8_t chunk)
 {
-    const Pool *pool = poolFor(slot);
-    if (!pool || chunk >= pool->refs.size() || pool->refs[chunk] != 1)
+    const ChunkRow *row = findRow(slot, chunk);
+    // A draining chunk's pre-flip I/O still counts as a sharer.
+    if (!row || row->state != ChunkState::Owned || row->holders != 1)
         return;
-    // Exactly one owner remains. If it is a namespace, its mapping
-    // entry no longer needs CoW protection; a snapshot owner has no
+    // Exactly one holder remains. If it is a namespace, its mapping
+    // entry no longer needs CoW protection; a snapshot holder has no
     // mapping table to update.
     for (const NsRecord &rec : _records) {
         for (std::size_t i = 0; i < rec.allocs.size(); ++i) {
@@ -591,37 +634,63 @@ NamespaceManager::maybeClearShared(int slot, std::uint8_t chunk)
 }
 
 void
-NamespaceManager::checkRefInvariants(bool strict) const
+NamespaceManager::checkRefInvariants() const
 {
+    std::size_t reserved = 0, draining = 0, links = 0;
     for (const Pool &pool : _pools) {
-        std::vector<std::uint16_t> owners(pool.refs.size(), 0);
-        for (const NsRecord &rec : _records)
-            for (const Allocation &a : rec.allocs)
-                if (!a.unallocated() && a.slot == pool.slot)
-                    ++owners[a.chunk];
-        for (const SnapRecord &snap : _snaps)
-            for (const Allocation &a : snap.allocs)
-                if (!a.unallocated() && a.slot == pool.slot)
-                    ++owners[a.chunk];
-        for (std::size_t c = 0; c < pool.refs.size(); ++c) {
-            if (strict) {
-                BMS_ASSERT_EQ(pool.refs[c], owners[c],
-                              "chunk refcount out of sync with owners: "
-                              "slot=", pool.slot, " chunk=", c, " refs=",
-                              pool.refs[c], " owners=", owners[c]);
-            } else {
-                // Mid-run a migration source carries one transient
-                // reference between cutover and idle release; a
-                // refcount BELOW the owner count is always a bug.
-                BMS_ASSERT_LE(owners[c], pool.refs[c],
-                              "chunk refcount below owner count: slot=",
-                              pool.slot, " chunk=", c, " refs=",
-                              pool.refs[c], " owners=", owners[c]);
-            }
+        std::vector<std::uint16_t> named(pool.rows.size(), 0);
+        auto count = [&named, &pool](const auto &records) {
+            for (const auto &rec : records)
+                for (const Allocation &a : rec.allocs)
+                    if (!a.unallocated() && a.slot == pool.slot)
+                        ++named[a.chunk];
+        };
+        count(_records);
+        count(_snaps);
+        for (std::size_t c = 0; c < pool.rows.size(); ++c) {
+            const ChunkRow &row = pool.rows[c];
+            const bool linked = !row.link.unallocated();
+            const ChunkState st = row.state;
+            reserved += st == ChunkState::MigratingIn;
+            draining += st == ChunkState::Draining;
+            links += linked && st != ChunkState::Shadow;
+            // Owned rows have holders (a spilled primary is owned and
+            // linked); a draining row may keep snapshot holders; free,
+            // reserved and shadow rows have none, and of those only a
+            // shadow is linked.
+            bool fits;
+            if (st == ChunkState::Owned)
+                fits = row.holders > 0;
+            else if (st == ChunkState::Draining)
+                fits = !linked;
+            else
+                fits = row.holders == 0 && linked == (st == ChunkState::Shadow);
+            // A spilled primary and its shadow name each other.
+            const ChunkRow *other =
+                linked ? findRow(row.link.slot, row.link.chunk) : nullptr;
+            bool mutual = !linked || (other && other->link.slot == pool.slot &&
+                                      other->link.chunk == c &&
+                                      (other->state == ChunkState::Shadow) !=
+                                          (st == ChunkState::Shadow));
+            BMS_ASSERT(row.holders == named[c] && fits && mutual,
+                       "chunk row out of sync with records and links: slot=",
+                       pool.slot, " chunk=", c, " state=", int(st),
+                       " holders=", row.holders, " records=", named[c],
+                       " linked=", linked);
         }
     }
+    // Only a running job reserves or drains (one chunk of each), and
+    // it keeps its namespace locked until its source has drained.
+    const std::size_t job =
+        std::any_of(_records.begin(), _records.end(),
+                    [](const NsRecord &r) { return r.locks > 0; });
+    BMS_ASSERT(reserved <= job && draining <= job,
+               "chunks reserved or draining beyond the running job: ",
+               reserved, " reserved, ", draining, " draining");
+    BMS_ASSERT_EQ(links, _engine.migrationGate().tierMirrorCount(),
+                  "tier mirrors out of sync with spilled chunks");
     // A valid mapping entry must be marked shared iff its chunk has
-    // other owners (the CoW trigger would otherwise miss or misfire).
+    // other holders (the CoW trigger would otherwise miss or misfire).
     for (const NsRecord &rec : _records) {
         NsBinding *binding = _engine.findBinding(rec.fn, rec.nsid);
         if (!binding)
@@ -635,62 +704,123 @@ NamespaceManager::checkRefInvariants(bool strict) const
             auto col = static_cast<std::uint32_t>(i % geom.entriesPerRow);
             if (!binding->map.entryValid(row, col))
                 continue; // thin allocation mid-scrub
-            bool shared = binding->map.entryShared(row, col);
-            bool multi = chunkRefs(a.slot, a.chunk) > 1;
-            BMS_ASSERT_EQ(shared, multi,
-                          "shared bit out of sync with refcount: fn=",
-                          rec.fn, " nsid=", rec.nsid, " chunk=", i,
-                          " shared=", shared, " refs=",
-                          chunkRefs(a.slot, a.chunk));
+            const ChunkRow *r = findRow(a.slot, a.chunk);
+            BMS_ASSERT(r, "record names a chunk outside every pool: slot=",
+                       a.slot, " chunk=", a.chunk);
+            int sharers = r->holders + (r->state == ChunkState::Draining);
+            BMS_ASSERT_EQ(binding->map.entryShared(row, col), sharers > 1,
+                          "shared bit out of sync with holders: fn=", rec.fn,
+                          " nsid=", rec.nsid, " chunk=", i, " holders=",
+                          r->holders);
         }
     }
+}
+
+std::optional<NamespaceManager::Allocation>
+NamespaceManager::shadowOf(Allocation primary) const
+{
+    const ChunkRow *row = findRow(primary.slot, primary.chunk);
+    if (!row || row->state != ChunkState::Owned || row->link.unallocated())
+        return std::nullopt;
+    return row->link;
+}
+
+std::vector<NamespaceManager::SpilledChunk>
+NamespaceManager::spilled() const
+{
+    std::vector<SpilledChunk> out;
+    for (const NsRecord &rec : _records) {
+        for (std::size_t i = 0; i < rec.allocs.size(); ++i) {
+            const Allocation &a = rec.allocs[i];
+            if (auto shadow = a.unallocated() ? std::nullopt : shadowOf(a))
+                out.push_back(SpilledChunk{rec.fn, rec.nsid,
+                                           static_cast<std::uint32_t>(i),
+                                           a.slot, a.chunk, shadow->slot,
+                                           shadow->chunk});
+        }
+    }
+    auto seq = [this](const SpilledChunk &c) {
+        return findRow(c.remoteSlot, c.remoteChunk)->spillSeq;
+    };
+    std::sort(out.begin(), out.end(),
+              [&seq](const auto &a, const auto &b) { return seq(a) < seq(b); });
+    return out;
 }
 
 std::optional<std::uint8_t>
 NamespaceManager::takeChunk(int slot)
 {
     Pool *pool = poolFor(slot);
-    if (!pool || pool->quiesce > 0)
-        return std::nullopt;
-    for (std::size_t c = 0; c < pool->refs.size(); ++c) {
-        if (pool->refs[c] == 0) {
-            pool->refs[c] = 1;
-            return static_cast<std::uint8_t>(c);
-        }
-    }
-    return std::nullopt;
+    return pool ? claimFree(*pool, ChunkState::MigratingIn) : std::nullopt;
 }
 
 void
 NamespaceManager::releaseChunk(int slot, std::uint8_t chunk)
 {
-    Pool *pool = poolFor(slot);
-    BMS_ASSERT(pool && chunk < pool->refs.size(),
-               "releaseChunk outside pool: slot=", slot, " chunk=",
-               int(chunk));
-    BMS_ASSERT(pool->refs[chunk] > 0, "double free of chunk ", int(chunk),
-               " on slot ", slot);
-    --pool->refs[chunk];
-    // Dropping to a single owner ends CoW protection for it — every
-    // decrement path (destroy, TRIM, CoW cutover, snapshot delete)
-    // funnels through here.
+    ChunkRow &row = rowAt(slot, chunk);
+    if (row.state == ChunkState::Owned) {
+        dropHolder(slot, chunk);
+        return;
+    }
+    BMS_ASSERT(row.state == ChunkState::MigratingIn ||
+                   row.state == ChunkState::Draining,
+               "release of a chunk no job holds: slot=", slot, " chunk=",
+               chunk, " state=", int(row.state));
+    // A reserved chunk has no holder; a drained one may keep snapshots.
+    row.state = row.holders > 0 ? ChunkState::Owned : ChunkState::Free;
     maybeClearShared(slot, chunk);
 }
 
-bool
-NamespaceManager::recordMove(pcie::FunctionId fn, std::uint32_t nsid,
-                             std::uint32_t chunk_index,
-                             std::uint8_t new_slot, std::uint8_t new_chunk)
+void
+NamespaceManager::flip(MoveKind kind, pcie::FunctionId fn,
+                       std::uint32_t nsid, std::uint32_t chunk_index,
+                       Allocation src, Allocation dst)
 {
-    for (NsRecord &rec : _records) {
-        if (rec.fn != fn || rec.nsid != nsid)
-            continue;
-        if (chunk_index >= rec.allocs.size())
-            return false;
-        rec.allocs[chunk_index] = Allocation{new_slot, new_chunk};
-        return true;
+    NsRecord *rec = recordFor(fn, nsid);
+    NsBinding *binding = _engine.findBinding(fn, nsid);
+    BMS_ASSERT(rec && binding && chunk_index < rec->allocs.size() &&
+                   rec->allocs[chunk_index].slot == src.slot &&
+                   rec->allocs[chunk_index].chunk == src.chunk,
+               "flip source is not the recorded placement: fn=", fn,
+               " nsid=", nsid, " chunk=", chunk_index);
+    ChunkRow &from = rowAt(src.slot, src.chunk);
+    ChunkRow &to = rowAt(dst.slot, dst.chunk);
+    const bool promote = kind == MoveKind::Promote;
+    BMS_ASSERT(from.state == ChunkState::Owned &&
+                   (promote ? to.state == ChunkState::Shadow &&
+                                  from.link.slot == dst.slot &&
+                                  from.link.chunk == dst.chunk
+                            : to.state == ChunkState::MigratingIn &&
+                                  from.link.unallocated()),
+               "flip between chunks the job does not hold: ", src.slot, ":",
+               src.chunk, " -> ", dst.slot, ":", dst.chunk);
+
+    // The atomic one-byte flip of Fig. 4(a): every later translate
+    // resolves to the destination chunk.
+    const LbaMapGeometry &geom = binding->map.geometry();
+    bool flipped = binding->map.setEntry(chunk_index / geom.entriesPerRow,
+                                         chunk_index % geom.entriesPerRow,
+                                         dst.chunk, dst.slot);
+    BMS_ASSERT(flipped, "map flip rejected: fn=", fn, " nsid=", nsid,
+               " chunk=", chunk_index);
+    rec->allocs[chunk_index] = dst;
+    --from.holders;
+    to = ChunkRow{ChunkState::Owned, 1};
+    MigrationGate &gate = _engine.migrationGate();
+    if (kind == MoveKind::Spill) {
+        // Every later write to the remote primary also lands on the
+        // shadow: the gate's strict mirror keeps it a recovery image.
+        from = ChunkRow{ChunkState::Shadow, 0, dst};
+        to.link = src;
+        to.spillSeq = ++_spillSeq;
+        gate.setTierMirror(dst.slot, dst.chunk, src.slot, src.chunk);
+        return;
     }
-    return false;
+    if (promote)
+        gate.clearTierMirror(src.slot, src.chunk);
+    // Pre-flip commands may still run on the source; the job releases
+    // it once they drain.
+    from = ChunkRow{ChunkState::Draining, from.holders};
 }
 
 bool

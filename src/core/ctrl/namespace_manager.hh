@@ -6,10 +6,11 @@
  * dynamically divided into multiple namespaces for the front-end
  * virtual function").
  *
- * Destroyed namespaces return their chunks to the per-SSD free pool,
- * where allocate/grow and the MigrationManager reuse them. The same
- * pools back the per-SSD occupancy report surfaced through the `df`
- * console verb and `ioStats`.
+ * Every back-end slot has one chunk table: a row per physical chunk
+ * with its state and holder count (the namespace and snapshot records
+ * naming it). Allocation, release and every placement change rewrite
+ * rows at one transition. The same tables back the per-SSD occupancy
+ * report surfaced through the `df` console verb and `ioStats`.
  */
 
 #ifndef BMS_CORE_CTRL_NAMESPACE_MANAGER_HH
@@ -23,6 +24,15 @@
 #include "core/mgmt/nvme_mi.hh"
 
 namespace bms::core {
+
+/** The four placement changes a migration job makes (its kind). */
+enum class MoveKind : std::uint8_t
+{
+    Move,    ///< generic move; the source drains, then frees
+    Cow,     ///< chunk copy-on-write off a snapshot-shared entry
+    Spill,   ///< to a remote slot; the source stays as the shadow
+    Promote, ///< a spilled chunk back onto its shadow
+};
 
 /** Chunk allocator + namespace lifecycle. */
 class NamespaceManager
@@ -68,6 +78,18 @@ class NamespaceManager
         std::uint64_t logical = 0;
         bool quiesced = false;
         bool remote = false; ///< a storage-node volume, not a local SSD
+    };
+
+    /** One chunk whose primary lives on a remote node. */
+    struct SpilledChunk
+    {
+        pcie::FunctionId fn = 0;
+        std::uint32_t nsid = 1;
+        std::uint32_t chunkIndex = 0;
+        std::uint8_t remoteSlot = 0;
+        std::uint8_t remoteChunk = 0;
+        std::uint8_t shadowSlot = 0;
+        std::uint8_t shadowChunk = 0;
     };
 
     /** One mapped chunk and the namespace owning it. */
@@ -136,8 +158,9 @@ class NamespaceManager
          Policy policy = Policy::RoundRobin, int pin_slot = -1);
 
     /**
-     * Destroy a namespace and free its chunks. Refused (returns
-     * false) while a migration holds the namespace locked.
+     * Destroy a namespace and free its chunks; a spilled chunk's
+     * shadow and tier mirror go with it. Refused (returns false)
+     * while a migration holds the namespace locked.
      */
     bool destroy(pcie::FunctionId fn, std::uint32_t nsid);
 
@@ -174,8 +197,8 @@ class NamespaceManager
 
     /**
      * Deallocate chunk @p chunk_index (full-chunk TRIM): invalidates
-     * the mapping entry and drops this namespace's reference — the
-     * chunk returns to the free pool unless a snapshot still pins it.
+     * the mapping entry and drops this namespace's hold — the chunk
+     * returns to the free pool unless a snapshot still pins it.
      * The caller must have drained in-flight I/O to the chunk first
      * (MigrationGate::whenChunkIdle). @return false when unknown or
      * already unallocated.
@@ -188,7 +211,7 @@ class NamespaceManager
     /// @{
     /**
      * Pin the namespace's current content as a snapshot: every
-     * allocated chunk gains a pool reference and its mapping entry is
+     * allocated chunk gains a holder and its mapping entry is
      * marked shared, so subsequent tenant writes trigger chunk CoW.
      * Refused (nullopt) while the namespace is locked (migration or
      * CoW in flight), while a thin allocation is still scrubbing, or
@@ -216,21 +239,31 @@ class NamespaceManager
     /** Live snapshots, sorted by id. */
     std::vector<MiSnapInfo> snapshots() const;
 
-    /** Pool reference count of (@p slot, @p chunk); 0 == free. */
+    /** Records (namespaces and snapshots) holding (@p slot,
+     *  @p chunk); 0 for a free, reserved or shadow chunk. */
     std::uint16_t chunkRefs(int slot, std::uint8_t chunk) const;
 
     /**
-     * Structure-wide refcount self-check (BMS_ASSERT on violation):
-     * every pool chunk's refcount covers the namespace and snapshot
-     * records naming it, and a valid mapping entry is marked shared
-     * iff its chunk has other owners. Runs after snapshot lifecycle
-     * mutations under Check::paranoid() with @p strict false — a
-     * migration source holds one extra transient reference between
-     * its cutover and the idle-wait release, so mid-run only
-     * refs >= owners can be asserted. Tests at drained points call
-     * this directly with @p strict true to demand exact equality.
+     * Exact census (BMS_ASSERT on violation), valid at every instant:
+     * each row's holders are the records naming it; a shadow and its
+     * primary link each other, with one armed tier mirror per link;
+     * only the running job, which keeps its namespace locked, has a
+     * chunk reserved or draining (one of each); and a valid entry is
+     * shared iff its chunk has another sharer (a draining chunk's
+     * pre-flip I/O counts as one). Runs after snapshot lifecycle
+     * mutations under Check::paranoid(); the fuzzers run it at the
+     * end of every seed.
      */
-    void checkRefInvariants(bool strict = true) const;
+    void checkRefInvariants() const;
+    /// @}
+
+    /** @name Tier links. */
+    /// @{
+    /** The shadow of @p primary when it is a spilled chunk. */
+    std::optional<Allocation> shadowOf(Allocation primary) const;
+
+    /** Every spilled chunk, in spill order. */
+    std::vector<SpilledChunk> spilled() const;
     /// @}
 
     /** @name Migration support. */
@@ -239,19 +272,28 @@ class NamespaceManager
     std::optional<std::uint8_t> takeChunk(int slot);
 
     /**
-     * Drop one reference to a chunk; it returns to @p slot's free
-     * pool when no namespace or snapshot references remain.
+     * Drop one hold on a chunk: a reserved destination returns to the
+     * pool, a draining source ends its drain, and an owned chunk
+     * loses one holder (freeing at none).
      */
     void releaseChunk(int slot, std::uint8_t chunk);
 
     /**
-     * Record that a namespace chunk moved (after the map entry
-     * flipped). The destination chunk must have been reserved with
-     * takeChunk(); the caller releases the source separately.
+     * The one placement transition. In one instant it flips chunk
+     * @p chunk_index of (@p fn, @p nsid) from @p src to @p dst in the
+     * mapping table, moves the record, rewrites both rows and arms or
+     * clears the gate's tier mirror:
+     *   Move, Cow  src drains (releaseChunk once idle), the reserved
+     *              dst becomes owned;
+     *   Spill      src becomes dst's shadow and the mirror is armed;
+     *   Promote    dst must be src's shadow; the link and mirror go
+     *              and src drains (node-loss recovery releases it at
+     *              once: nothing can land on a dead node).
+     * @p src is where the running job found the chunk, never where a
+     * request saw it.
      */
-    bool recordMove(pcie::FunctionId fn, std::uint32_t nsid,
-                    std::uint32_t chunk_index, std::uint8_t new_slot,
-                    std::uint8_t new_chunk);
+    void flip(MoveKind kind, pcie::FunctionId fn, std::uint32_t nsid,
+              std::uint32_t chunk_index, Allocation src, Allocation dst);
 
     /** Lock a namespace against destroy (nested). */
     bool lockNs(pcie::FunctionId fn, std::uint32_t nsid);
@@ -270,12 +312,31 @@ class NamespaceManager
     std::uint64_t chunkBlocks() const { return _geom.chunkBlocks; }
 
   private:
+    /** What one chunk row is doing. */
+    enum class ChunkState : std::uint8_t
+    {
+        Free,        ///< in the pool
+        Owned,       ///< named by namespace and/or snapshot records
+        MigratingIn, ///< reserved as the running job's destination
+        Draining,    ///< the map flipped off it; pre-flip I/O may run
+        Shadow,      ///< a spilled chunk's local recovery copy
+    };
+
+    /** One physical chunk. */
+    struct ChunkRow
+    {
+        ChunkState state = ChunkState::Free;
+        std::uint16_t holders = 0; ///< records naming the chunk
+        /** A spilled primary and its shadow name each other here. */
+        Allocation link{kUnallocSlot, 0};
+        std::uint32_t spillSeq = 0; ///< primary only: orders spilled()
+    };
+
+    /** One back-end slot's chunk table. */
     struct Pool
     {
         int slot = 0;
-        /** Per-chunk owner count: 0 == free, 1 == private, >1 ==
-         *  shared between a namespace and snapshots/clones. */
-        std::vector<std::uint16_t> refs;
+        std::vector<ChunkRow> rows;
         int quiesce = 0;
         bool remote = false;
     };
@@ -310,9 +371,16 @@ class NamespaceManager
     NsRecord *recordFor(pcie::FunctionId fn, std::uint32_t nsid);
     const NsRecord *recordFor(pcie::FunctionId fn,
                               std::uint32_t nsid) const;
-    /** Take one more reference to an already-owned chunk. */
+    ChunkRow &rowAt(int slot, std::uint8_t chunk);
+    const ChunkRow *findRow(int slot, std::uint8_t chunk) const;
+    /** Take a free chunk of @p pool into @p state, if any. */
+    std::optional<std::uint8_t> claimFree(Pool &pool, ChunkState state);
+    /** One more record names a chunk records already hold. */
     void retainChunk(int slot, std::uint8_t chunk);
-    /** Clear the shared bit of the last owner once refs drop to 1. */
+    /** One record stops naming the chunk; the last one frees it (and
+     *  a spilled primary's shadow and mirror). */
+    void dropHolder(int slot, std::uint8_t chunk);
+    /** Clear the shared bit of the last holder once only it remains. */
     void maybeClearShared(int slot, std::uint8_t chunk);
 
     BmsEngine &_engine;
@@ -323,6 +391,7 @@ class NamespaceManager
     std::vector<NsRecord> _records;
     std::vector<SnapRecord> _snaps;
     std::uint32_t _nextSnapId = 1;
+    std::uint32_t _spillSeq = 0;
     std::vector<std::uint32_t> _nextNsid =
         std::vector<std::uint32_t>(pcie::kMaxFunctions, 1);
 };

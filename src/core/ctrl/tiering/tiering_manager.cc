@@ -36,28 +36,6 @@ TieringManager::setPolicy(TieringConfig cfg)
     }
 }
 
-TieringManager::SpilledChunk *
-TieringManager::find(pcie::FunctionId fn, std::uint32_t nsid,
-                     std::uint32_t chunk_index)
-{
-    for (SpilledChunk &e : _spilled) {
-        if (e.fn == fn && e.nsid == nsid && e.chunkIndex == chunk_index)
-            return &e;
-    }
-    return nullptr;
-}
-
-bool
-TieringManager::isSpilled(pcie::FunctionId fn, std::uint32_t nsid,
-                          std::uint32_t chunk_index) const
-{
-    for (const SpilledChunk &e : _spilled) {
-        if (e.fn == fn && e.nsid == nsid && e.chunkIndex == chunk_index)
-            return true;
-    }
-    return false;
-}
-
 int
 TieringManager::pickRemoteSlot() const
 {
@@ -78,67 +56,16 @@ TieringManager::spill(pcie::FunctionId fn, std::uint32_t nsid,
                       std::uint32_t chunk_index, int remote_slot,
                       std::function<void(bool)> done)
 {
-    auto reject = [this, &done] {
-        ++_failures;
-        schedule(0, [done = std::move(done)] { done(false); });
-    };
-    if (_recovering || find(fn, nsid, chunk_index)) {
-        reject();
-        return;
-    }
+    // A spilled chunk already sits on a remote slot.
     auto alloc = _ns.chunkAt(fn, nsid, chunk_index);
-    if (!alloc || _engine.isRemoteSlot(alloc->slot)) {
-        reject();
-        return;
-    }
     int rs = remote_slot < 0 ? pickRemoteSlot() : remote_slot;
-    if (rs < 0 || rs >= _engine.ssdSlots() || !_engine.isRemoteSlot(rs) ||
-        _downNodes.count(_engine.slotNode(rs)) ||
-        !_engine.adaptor(rs).ready() || _ns.freeChunks(rs) == 0) {
-        reject();
-        return;
-    }
-
-    std::uint8_t shadow_slot = alloc->slot;
-    std::uint8_t shadow_chunk = alloc->chunk;
-    auto done_p =
-        std::make_shared<std::function<void(bool)>>(std::move(done));
-    MigrationManager::Options opts;
-    opts.keepSource = true;
-    opts.segmentBytes = _cfg.tieringSegmentBytes;
-    opts.maxSegmentRetries = 2;
-    opts.beforeCutover = [this, shadow_slot,
-                          shadow_chunk](std::uint8_t dst_slot,
-                                        std::uint8_t dst_chunk) {
-        _engine.migrationGate().setTierMirror(dst_slot, dst_chunk,
-                                              shadow_slot, shadow_chunk);
-    };
-    ++_busy;
-    bool accepted = _mig.migrate(
-        fn, nsid, chunk_index, rs, std::move(opts),
-        [this, fn, nsid, chunk_index, shadow_slot, shadow_chunk,
-         done_p](MigrationManager::Report r) {
-            --_busy;
-            if (!r.ok) {
-                ++_failures;
-                (*done_p)(false);
-                return;
-            }
-            _spilled.push_back(SpilledChunk{fn, nsid, chunk_index,
-                                            r.dstSlot, r.dstChunk,
-                                            shadow_slot, shadow_chunk});
-            ++_spills;
-            logInfo("spilled fn=", fn, " nsid=", nsid, " chunk=",
-                    chunk_index, " -> remote slot ", int(r.dstSlot),
-                    ":", int(r.dstChunk), " (shadow ", int(shadow_slot),
-                    ":", int(shadow_chunk), ")");
-            (*done_p)(true);
-        });
-    if (!accepted) {
-        --_busy;
-        ++_failures;
-        schedule(0, [done_p] { (*done_p)(false); });
-    }
+    bool valid = !_recovering && alloc && !_engine.isRemoteSlot(alloc->slot) &&
+                 rs >= 0 && rs < _engine.ssdSlots() &&
+                 _engine.isRemoteSlot(rs) &&
+                 !_downNodes.count(_engine.slotNode(rs)) &&
+                 _engine.adaptor(rs).ready() && _ns.freeChunks(rs) > 0;
+    queueMove(valid, MoveKind::Spill, fn, nsid, chunk_index, rs,
+              std::move(done));
 }
 
 void
@@ -146,76 +73,52 @@ TieringManager::promote(pcie::FunctionId fn, std::uint32_t nsid,
                         std::uint32_t chunk_index,
                         std::function<void(bool)> done)
 {
-    SpilledChunk *entry = find(fn, nsid, chunk_index);
-    if (!entry || _recovering ||
-        _downNodes.count(_engine.slotNode(entry->remoteSlot))) {
-        ++_failures;
-        schedule(0, [done = std::move(done)] { done(false); });
-        return;
-    }
-    const SpilledChunk e = *entry; // registry may reallocate
+    auto alloc = _ns.chunkAt(fn, nsid, chunk_index);
+    bool valid = alloc && _ns.shadowOf(*alloc) && !_recovering &&
+                 !_downNodes.count(_engine.slotNode(alloc->slot));
+    queueMove(valid, MoveKind::Promote, fn, nsid, chunk_index,
+              MigrationManager::kAutoSlot, std::move(done));
+}
+
+void
+TieringManager::queueMove(bool valid, MoveKind kind, pcie::FunctionId fn,
+                          std::uint32_t nsid, std::uint32_t chunk_index,
+                          int dst_slot, std::function<void(bool)> done)
+{
     auto done_p =
         std::make_shared<std::function<void(bool)>>(std::move(done));
-    MigrationManager::Options opts;
-    opts.pinnedDstChunk = e.shadowChunk;
-    opts.segmentBytes = _cfg.tieringSegmentBytes;
-    opts.maxSegmentRetries = 2;
-    opts.allowTieredSource = true;
-    opts.beforeCutover = [this, e](std::uint8_t, std::uint8_t) {
-        _engine.migrationGate().clearTierMirror(e.remoteSlot,
-                                                e.remoteChunk);
+    auto fail = [this, done_p] {
+        ++_failures;
+        schedule(0, [done_p] { (*done_p)(false); });
     };
+    if (!valid) {
+        fail();
+        return;
+    }
     ++_busy;
     bool accepted = _mig.migrate(
-        fn, nsid, chunk_index, e.shadowSlot, std::move(opts),
-        [this, e, done_p](MigrationManager::Report r) {
+        fn, nsid, chunk_index, dst_slot,
+        [this, kind, fn, nsid, chunk_index,
+         done_p](MigrationManager::Report r) {
             --_busy;
+            // Without a flip nothing changed: a spill's chunk stays
+            // local, a promote's stays spilled with its mirror armed.
             if (!r.ok) {
-                // The mirror is still armed (the cutover hook never
-                // ran) and the registry entry stands: the chunk is
-                // simply still spilled.
                 ++_failures;
                 (*done_p)(false);
                 return;
             }
-            _spilled.erase(
-                std::remove_if(_spilled.begin(), _spilled.end(),
-                               [&e](const SpilledChunk &s) {
-                                   return s.fn == e.fn &&
-                                          s.nsid == e.nsid &&
-                                          s.chunkIndex == e.chunkIndex;
-                               }),
-                _spilled.end());
-            ++_promotes;
-            logInfo("promoted fn=", e.fn, " nsid=", e.nsid, " chunk=",
-                    e.chunkIndex, " back to local slot ",
-                    int(e.shadowSlot), ":", int(e.shadowChunk));
+            ++(kind == MoveKind::Spill ? _spills : _promotes);
+            logInfo(kind == MoveKind::Spill ? "spilled" : "promoted",
+                    " fn=", fn, " nsid=", nsid, " chunk=", chunk_index,
+                    " (", r.srcSlot, ":", r.srcChunk, ") -> (", r.dstSlot,
+                    ":", r.dstChunk, ")");
             (*done_p)(true);
-        });
+        },
+        {kind, _cfg.tieringSegmentBytes});
     if (!accepted) {
         --_busy;
-        ++_failures;
-        schedule(0, [done_p] { (*done_p)(false); });
-    }
-}
-
-void
-TieringManager::forgetNamespace(pcie::FunctionId fn, std::uint32_t nsid)
-{
-    for (auto it = _spilled.begin(); it != _spilled.end();) {
-        if (it->fn != fn || it->nsid != nsid) {
-            ++it;
-            continue;
-        }
-        // The namespace's own teardown releases the remote (current)
-        // chunk through its record; the shadow and the armed mirror
-        // are tier state only the registry knows about.
-        _engine.migrationGate().clearTierMirror(it->remoteSlot,
-                                                it->remoteChunk);
-        _ns.releaseChunk(it->shadowSlot, it->shadowChunk);
-        logInfo("forgot spilled fn=", fn, " nsid=", nsid, " chunk=",
-                it->chunkIndex, " (namespace destroyed)");
-        it = _spilled.erase(it);
+        fail();
     }
 }
 
@@ -255,41 +158,24 @@ TieringManager::recoverNow(int node,
 
     auto rep = std::make_shared<RecoveryReport>();
     auto lost = std::make_shared<std::vector<SpilledChunk>>();
-    for (auto it = _spilled.begin(); it != _spilled.end();) {
-        if (_engine.slotNode(it->remoteSlot) == node) {
-            lost->push_back(*it);
-            it = _spilled.erase(it);
-        } else {
-            ++it;
-        }
-    }
+    for (const SpilledChunk &e : _ns.spilled())
+        if (_engine.slotNode(e.remoteSlot) == node)
+            lost->push_back(e);
 
     for (const SpilledChunk &e : *lost) {
         // The shadow received a strict mirror leg for every write
         // acknowledged since the spill, so flipping the map back to
-        // it is loss-free — the same single-instant cutover as a
-        // migration, just without a copy.
-        _engine.migrationGate().clearTierMirror(e.remoteSlot,
-                                                e.remoteChunk);
-        NsBinding *binding = _engine.findBinding(e.fn, e.nsid);
-        BMS_ASSERT(binding, "spilled chunk of unknown namespace fn=",
-                   e.fn, " nsid=", e.nsid);
-        const LbaMapGeometry &geom = binding->map.geometry();
-        std::uint32_t row = e.chunkIndex / geom.entriesPerRow;
-        std::uint32_t col = e.chunkIndex % geom.entriesPerRow;
-        bool flipped =
-            binding->map.setEntry(row, col, e.shadowChunk, e.shadowSlot);
-        BMS_ASSERT(flipped, "recovery map flip rejected at row=", row,
-                   " col=", col);
-        bool moved = _ns.recordMove(e.fn, e.nsid, e.chunkIndex,
-                                    e.shadowSlot, e.shadowChunk);
-        BMS_ASSERT(moved, "namespace record lost during recovery");
-        _ns.releaseChunk(e.remoteSlot, e.remoteChunk);
+        // it is loss-free: a promote's flip without the copy. The
+        // dead node's chunk frees at once (nothing lands on it).
+        NamespaceManager::Allocation remote{e.remoteSlot, e.remoteChunk};
+        _ns.flip(MoveKind::Promote, e.fn, e.nsid, e.chunkIndex, remote,
+                 {e.shadowSlot, e.shadowChunk});
+        _ns.releaseChunk(remote.slot, remote.chunk);
         ++rep->recovered;
         ++_recovered;
         logInfo("recovered fn=", e.fn, " nsid=", e.nsid, " chunk=",
-                e.chunkIndex, " onto shadow ", int(e.shadowSlot), ":",
-                int(e.shadowChunk));
+                e.chunkIndex, " onto shadow ", e.shadowSlot, ":",
+                e.shadowChunk);
     }
     _recovering = false;
 
@@ -336,7 +222,8 @@ TieringManager::policyTick()
         // under it (remote space permitting).
         const SpilledChunk *hot = nullptr;
         double hot_heat = 0.0;
-        for (const SpilledChunk &e : _spilled) {
+        const std::vector<SpilledChunk> spilled = _ns.spilled();
+        for (const SpilledChunk &e : spilled) {
             if (_downNodes.count(_engine.slotNode(e.remoteSlot)))
                 continue;
             double h =

@@ -24,9 +24,11 @@
  *             the strict mirror kept the shadow current), then
  *             re-spill to surviving nodes. Zero tenant data loss.
  *
- * Both moves reuse the MigrationManager's QoS-paced segment
- * copy/mirror/atomic-flip machinery; the only additions are the
- * per-job options (pinned destination, kept source, cutover hook).
+ * Both moves are MigrationManager jobs (kinds Spill and Promote) and
+ * reuse its QoS-paced segment copy and mirror; their flips, like the
+ * recovery's, are the NamespaceManager's one placement transition,
+ * whose chunk rows hold the primary <-> shadow links. This service
+ * keeps only policy and node state.
  */
 
 #ifndef BMS_CORE_CTRL_TIERING_TIERING_MANAGER_HH
@@ -66,17 +68,7 @@ struct TieringConfig
 class TieringManager : public sim::SimObject
 {
   public:
-    /** One chunk whose primary lives on a remote node. */
-    struct SpilledChunk
-    {
-        pcie::FunctionId fn = 0;
-        std::uint32_t nsid = 1;
-        std::uint32_t chunkIndex = 0;
-        std::uint8_t remoteSlot = 0;
-        std::uint8_t remoteChunk = 0;
-        std::uint8_t shadowSlot = 0;
-        std::uint8_t shadowChunk = 0;
-    };
+    using SpilledChunk = NamespaceManager::SpilledChunk;
 
     /** Outcome of one storage-node loss. */
     struct RecoveryReport
@@ -111,13 +103,6 @@ class TieringManager : public sim::SimObject
                  std::function<void(bool)> done);
 
     /**
-     * Namespace (@p fn, @p nsid) is being destroyed: disarm its tier
-     * mirrors, free its shadow chunks, and drop its registry entries
-     * (the namespace's own release covers its current chunks).
-     */
-    void forgetNamespace(pcie::FunctionId fn, std::uint32_t nsid);
-
-    /**
      * Storage node @p node is gone (all its volumes with it).
      * Re-points every chunk it held at the local shadow and
      * re-spills to surviving nodes; @p done fires when both phases
@@ -129,9 +114,8 @@ class TieringManager : public sim::SimObject
 
     /** @name Introspection. */
     /// @{
-    const std::vector<SpilledChunk> &spilled() const { return _spilled; }
-    bool isSpilled(pcie::FunctionId fn, std::uint32_t nsid,
-                   std::uint32_t chunk_index) const;
+    /** Every spilled chunk, in spill order (the chunk rows' links). */
+    std::vector<SpilledChunk> spilled() const { return _ns.spilled(); }
     bool idle() const { return _busy == 0 && !_recovering; }
     bool nodeDown(int node) const { return _downNodes.count(node) > 0; }
 
@@ -147,8 +131,11 @@ class TieringManager : public sim::SimObject
     void policyTick();
     void recoverNow(int node, std::function<void(RecoveryReport)> done);
     int pickRemoteSlot() const;
-    SpilledChunk *find(pcie::FunctionId fn, std::uint32_t nsid,
-                       std::uint32_t chunk_index);
+    /** Queue a tier job of @p kind; @p done(false) at once unless
+     *  @p valid. */
+    void queueMove(bool valid, MoveKind kind, pcie::FunctionId fn,
+                   std::uint32_t nsid, std::uint32_t chunk_index,
+                   int dst_slot, std::function<void(bool)> done);
 
     BmsEngine &_engine;
     NamespaceManager &_ns;
@@ -156,7 +143,6 @@ class TieringManager : public sim::SimObject
     TieringConfig _cfg;
     IoMonitor &_monitor;
 
-    std::vector<SpilledChunk> _spilled;
     std::unordered_set<int> _downNodes;
     int _busy = 0; ///< tier moves in flight (spill/promote)
     bool _recovering = false;

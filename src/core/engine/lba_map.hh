@@ -110,11 +110,11 @@ class LbaMapTable
      * @name Shared (copy-on-write) entry state.
      *
      * A shared entry points at a physical chunk that is also pinned
-     * by a snapshot or referenced by a clone (pool refcount > 1). The
-     * data path must not write through a shared entry: the engine
-     * holds such writes and triggers a chunk CoW first. setEntry()
-     * and invalidate() clear the bit — a freshly programmed or
-     * invalidated entry is always private.
+     * by a snapshot or referenced by a clone (its chunk row has more
+     * than one holder). The data path must not write through a shared
+     * entry: the engine holds such writes and triggers a chunk CoW
+     * first. setEntry() and invalidate() clear the bit — a freshly
+     * programmed or invalidated entry is always private.
      */
     /// @{
     void setShared(std::uint32_t row, std::uint32_t col, bool shared);

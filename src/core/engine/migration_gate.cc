@@ -189,7 +189,7 @@ MigrationGate::admitNow(bool is_write, std::vector<PhysExtent> extents,
     cont(token, std::move(extents), std::move(mirrors));
 }
 
-void
+bool
 MigrationGate::complete(std::uint64_t token, bool mirror_ok)
 {
     auto it = _recs.find(token);
@@ -230,6 +230,7 @@ MigrationGate::complete(std::uint64_t token, bool mirror_ok)
             deliverFence();
         }
     }
+    return mirror_ok || !rec.flipped;
 }
 
 void
@@ -329,9 +330,20 @@ MigrationGate::segmentCopied(std::uint32_t seg)
 }
 
 void
-MigrationGate::closeMigration()
+MigrationGate::closeMigration(bool flipped)
 {
     BMS_ASSERT(_active, "closeMigration without an open migration");
+    if (flipped) {
+        // Writes still mirroring into the new placement can no longer
+        // be re-copied: a failed leg now loses them (complete()).
+        // BMS_LINT_ALLOW(unordered-iter): sets one flag per record —
+        // commutative across records, no order leaks out
+        for (auto &[token, rec] : _recs) {
+            (void)token;
+            if (rec.mirrored && rec.epoch == _epoch)
+                rec.flipped = true;
+        }
+    }
     _active = false;
     _fencedSeg = -1;
     _fenceReady = false;

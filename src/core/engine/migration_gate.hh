@@ -15,9 +15,11 @@
  *    destination chunk; the front-end completion waits for both legs
  *    so a read issued after the CQE sees the data on either side of
  *    the cutover;
- *  - a failed mirror leg does not fail the tenant write (the source
- *    leg is authoritative) — the touched segments are re-queued dirty
- *    and copied again.
+ *  - a failed mirror leg does not fail the tenant write while the
+ *    source is authoritative — the touched segments are re-queued
+ *    dirty and copied again. Once the map has flipped the destination
+ *    is authoritative, so a mirror leg that fails after the flip fails
+ *    the write (its bytes are only on the released source).
  *
  * Copying a segment is: fenceNextSegment() (waits in-flight writes to
  * that segment to drain, holds new ones), the manager copies it
@@ -85,9 +87,11 @@ class MigrationGate : public sim::SimObject
     /**
      * Complete a previously admitted command. @p mirror_ok is false
      * when any mirror leg failed (the touched copied segments are
-     * re-queued dirty).
+     * re-queued dirty). @return false when the write is lost: a
+     * mirror leg failed and its migration has since flipped, so only
+     * the released source holds the bytes.
      */
-    void complete(std::uint64_t token, bool mirror_ok);
+    [[nodiscard]] bool complete(std::uint64_t token, bool mirror_ok);
     /// @}
 
     /** @name Migration control (MigrationManager; one at a time). */
@@ -108,8 +112,9 @@ class MigrationGate : public sim::SimObject
     /** The fenced segment's copy landed; releases held writes. */
     void segmentCopied(std::uint32_t seg);
 
-    /** End the migration (after cutover, or abort); releases holds. */
-    void closeMigration();
+    /** End the migration; @p flipped when its map entry flipped
+     *  (cutover), false on abort. Releases holds. */
+    void closeMigration(bool flipped);
 
     /** Fire @p idle once no admitted I/O touches (slot, chunk). */
     void whenChunkIdle(std::uint8_t slot, std::uint8_t chunk,
@@ -163,6 +168,7 @@ class MigrationGate : public sim::SimObject
         std::vector<PhysExtent> extents;
         std::vector<std::uint32_t> segs; ///< touched src-chunk segments
         bool mirrored = false;
+        bool flipped = false; ///< its migration cut over while in flight
         std::vector<std::uint32_t> chunkKeys; ///< extents + mirrors
     };
 

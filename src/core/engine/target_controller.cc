@@ -474,7 +474,11 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
                    mirror_ok] {
         if (--*remaining != 0)
             return;
-        _engine.migrationGate().complete(gate_token, *mirror_ok);
+        // A mirror leg that failed after its migration flipped leaves
+        // the write only on the released source: it did not happen.
+        if (!_engine.migrationGate().complete(gate_token, *mirror_ok) &&
+            *worst == Status::Success)
+            *worst = Status::DataTransferError;
         // Step ⑦: post the front-end CQE after the completion
         // pipeline.
         Status st = *worst;
@@ -488,9 +492,9 @@ TargetController::dispatch(FrontFunction &fn, const Sqe &sqe,
             *worst = cqe.status();
         finish();
     };
-    // The source leg stays authoritative: a failed mirror does not
-    // fail the tenant write, it dirties the touched segments so the
-    // migration re-copies them.
+    // Until the flip the source leg stays authoritative: a failed
+    // mirror does not fail the tenant write, it dirties the touched
+    // segments so the migration re-copies them.
     auto on_mirror_cqe = [mirror_ok, finish](const nvme::Cqe &cqe) {
         if (!cqe.ok())
             *mirror_ok = false;

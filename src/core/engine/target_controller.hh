@@ -71,7 +71,7 @@ class TargetController : public sim::SimObject
 
     /**
      * Reserve physical backing for logical chunk `chunk_index` of
-     * (fn, nsid). The pool refcount goes 0→1 but the mapping entry is
+     * (fn, nsid). The chunk's row goes free → owned but the entry is
      * NOT programmed — the controller scrubs the chunk first and
      * programs the entry itself. nullopt = pools exhausted (the write
      * fails with CapacityExceeded).

@@ -247,6 +247,10 @@ FleetFuzzer::run()
     }
 
     finalSweep();
+    // Ownership census on every card: the wave's lossless replaces
+    // and the drill's node losses all move chunks.
+    for (int c = 0; c < _fleet->cards(); ++c)
+        _fleet->card(c).controller().namespaces().checkRefInvariants();
 
     for (Active &a : _active) {
         report.totalOps += a.workload->ops();

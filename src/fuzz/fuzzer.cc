@@ -954,12 +954,9 @@ Fuzzer::run()
                   "held writes left behind after drain");
     BMS_ASSERT_EQ(_bed->engine().targetController().pendingChunkOps(),
                   std::size_t(0), "chunk ops left behind after drain");
-    // Everything is quiesced: pool refcounts must match the owner
-    // census exactly (namespaces + surviving snapshots). Remote-tier
-    // runs skip the strict form — a spilled chunk's local shadow
-    // holds a reference with no record owner by design.
-    if (_bed->remoteNodes() == 0)
-        _bed->controller().namespaces().checkRefInvariants(true);
+    // Every chunk row's holders, tier links and mirrors must match
+    // the records (namespaces, surviving snapshots, spilled chunks).
+    _bed->controller().namespaces().checkRefInvariants();
     for (Tenant &t : _tenants) {
         core::NsBinding *b = _bed->engine().findBinding(t.fn, 1);
         BMS_ASSERT(b, "tenant binding vanished: fn=", t.fn);

@@ -22,8 +22,8 @@ constexpr sim::Tick kRequestTimeout = sim::milliseconds(250);
 /**
  * Retries after the first attempt before giving up. A command to a
  * dead node therefore fails after kRequestTimeout x (1 + kMaxRetries)
- * = 750 ms, the figure behind TieringManager capping its chunk moves
- * at maxSegmentRetries = 2.
+ * = 750 ms, the figure behind tier chunk moves capping their segment
+ * retries at 2.
  */
 constexpr int kMaxRetries = 2;
 

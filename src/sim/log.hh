@@ -10,9 +10,9 @@
 #ifndef BMS_SIM_LOG_HH
 #define BMS_SIM_LOG_HH
 
-#include <sstream>
 #include <string>
 
+#include "sim/check.hh"
 #include "sim/types.hh"
 
 namespace bms::sim {
@@ -42,33 +42,18 @@ class Log
     static LogLevel _level;
 };
 
-namespace detail {
-
-inline void
-appendAll(std::ostringstream &)
-{
-}
-
-template <typename T, typename... Rest>
-void
-appendAll(std::ostringstream &os, const T &v, const Rest &...rest)
-{
-    os << v;
-    appendAll(os, rest...);
-}
-
-} // namespace detail
-
-/** Compose a message from stream-able parts and log it. */
+/**
+ * Compose a message from stream-able parts and log it. Parts format
+ * like a panic report's (check.hh): one-byte integers such as a
+ * pcie::FunctionId print as numbers, bools as true/false.
+ */
 template <typename... Parts>
 void
 logAt(LogLevel lvl, Tick now, const std::string &who, const Parts &...parts)
 {
     if (!Log::enabled(lvl))
         return;
-    std::ostringstream os;
-    detail::appendAll(os, parts...);
-    Log::write(lvl, now, who, os.str());
+    Log::write(lvl, now, who, detail::formatParts(parts...));
 }
 
 } // namespace bms::sim

@@ -334,6 +334,17 @@ pattern(std::size_t n, std::uint8_t seed)
     return v;
 }
 
+/** Chunk @p chunk_index of (@p fn, @p nsid) has a remote primary. */
+bool
+isSpilled(const core::TieringManager &tier, pcie::FunctionId fn,
+          std::uint32_t nsid, std::uint32_t chunk_index)
+{
+    for (const auto &c : tier.spilled())
+        if (c.fn == fn && c.nsid == nsid && c.chunkIndex == chunk_index)
+            return true;
+    return false;
+}
+
 } // namespace
 
 // The tentpole round trip: a chunk spills to a remote node, reads
@@ -371,7 +382,7 @@ TEST(Tiering, SpillReadPromoteRoundTripKeepsEveryByte)
         test::runUntil(sim, [&] { return done; }, sim::seconds(10)));
     ASSERT_TRUE(ok);
     EXPECT_EQ(tier.spills(), 1u);
-    ASSERT_TRUE(tier.isSpilled(0, 1, 0));
+    ASSERT_TRUE(isSpilled(tier, 0, 1, 0));
     auto spilled_at = ns.chunkAt(0, 1, 0);
     ASSERT_TRUE(spilled_at.has_value());
     EXPECT_EQ(int(spilled_at->slot), rslot);
@@ -409,7 +420,7 @@ TEST(Tiering, SpillReadPromoteRoundTripKeepsEveryByte)
         test::runUntil(sim, [&] { return done; }, sim::seconds(10)));
     ASSERT_TRUE(ok);
     EXPECT_EQ(tier.promotes(), 1u);
-    EXPECT_FALSE(tier.isSpilled(0, 1, 0));
+    EXPECT_FALSE(isSpilled(tier, 0, 1, 0));
     EXPECT_EQ(bed.engine().migrationGate().tierMirrorCount(), 0u);
     auto after = ns.chunkAt(0, 1, 0);
     ASSERT_TRUE(after.has_value());
@@ -432,6 +443,48 @@ TEST(Tiering, SpillReadPromoteRoundTripKeepsEveryByte)
                            live.begin()));
     EXPECT_TRUE(std::equal(got.begin() + 8192, got.end(),
                            head.begin() + 8192));
+}
+
+// A spill queued behind a move of the same chunk keeps the chunk the
+// spill job copied from — the move's destination — as its shadow, not
+// the placement the request saw, which the move has since freed.
+TEST(Tiering, SpillQueuedBehindAMoveShadowsWhereItCopiedFrom)
+{
+    harness::BmStoreTestbed bed(tierConfig(1));
+    auto &sim = bed.sim();
+    bed.attachTenant(0, sim::mib(2));
+    auto &ns = bed.controller().namespaces();
+    core::TieringManager &tier = bed.controller().tiering();
+
+    auto before = ns.chunkAt(0, 1, 0);
+    ASSERT_TRUE(before.has_value());
+    const std::uint64_t free_before = ns.freeChunks(before->slot);
+    bool moved = false, spilled = false, ok = false;
+    core::MigrationManager::Report move;
+    ASSERT_TRUE(bed.controller().migration().migrate(
+        0, 1, 0, core::MigrationManager::kAutoSlot,
+        [&](core::MigrationManager::Report r) {
+            move = r;
+            moved = true;
+        }));
+    tier.spill(0, 1, 0, -1, [&](bool o) {
+        ok = o;
+        spilled = true;
+    });
+    ASSERT_TRUE(test::runUntil(
+        sim, [&] { return moved && spilled; }, sim::seconds(10)));
+    ASSERT_TRUE(move.ok);
+    ASSERT_TRUE(ok);
+
+    auto spilled_now = tier.spilled();
+    ASSERT_EQ(spilled_now.size(), 1u);
+    const auto &c = spilled_now[0];
+    EXPECT_EQ(c.shadowSlot, move.dstSlot);
+    EXPECT_EQ(c.shadowChunk, move.dstChunk);
+    // The pre-move chunk is back in the pool: not a shadow, not held
+    // by a record, not left reserved or draining.
+    EXPECT_EQ(ns.freeChunks(before->slot), free_before + 1);
+    ns.checkRefInvariants();
 }
 
 // Reads keep flowing while the spill cutover happens mid-stream: no
@@ -546,7 +599,7 @@ TEST(Tiering, NodeLossRecoversOntoShadowThenRespills)
     EXPECT_TRUE(tier.nodeDown(0));
 
     // The chunk now lives on node 1, with a fresh local shadow.
-    ASSERT_TRUE(tier.isSpilled(0, 1, 0));
+    ASSERT_TRUE(isSpilled(tier, 0, 1, 0));
     auto at = ns.chunkAt(0, 1, 0);
     ASSERT_TRUE(at.has_value());
     EXPECT_EQ(int(at->slot), bed.remoteSlot(1, 0));
@@ -673,7 +726,7 @@ TEST(Tiering, HeatDrivenPolicySpillsColdAndPromotesHot)
     auto *fio = sim.make<workload::FioRunner>(sim, "heat", disk, spec);
     fio->start();
     ASSERT_TRUE(test::runUntil(
-        sim, [&] { return !tier.isSpilled(0, 1, 0); }, sim::seconds(5)));
+        sim, [&] { return !isSpilled(tier, 0, 1, 0); }, sim::seconds(5)));
     EXPECT_GE(tier.promotes(), 1u);
     test::runUntil(sim, [&] { return fio->finished(); }, sim::seconds(7));
 

@@ -13,6 +13,7 @@
 
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
+#include "sim/log.hh"
 #include "sim/random.hh"
 #include "sim/simulator.hh"
 #include "sim/sparse_memory.hh"
@@ -176,6 +177,25 @@ TEST(Check, MacrosPassOnSatisfiedConditions)
     BMS_ASSERT_LE(7, 7);
     BMS_ASSERT_LT(7, 8);
     EXPECT_PANIC(BMS_PANIC("unreachable state ", 3));
+}
+
+// A log line formats its parts like a panic report: a function id
+// (one byte) prints as a number, where a raw byte 0 would be a NUL
+// that cuts the line short.
+TEST(Log, OneByteIdsPrintAsNumbers)
+{
+    LogLevel before = Log::level();
+    Log::setLevel(LogLevel::Info);
+    testing::internal::CaptureStderr();
+    std::uint8_t fn = 0;
+    logAt(LogLevel::Info, 0, "ctrl.migration", "migration #3: fn=", fn,
+          " nsid=", 1u, " slot=", std::uint8_t(7), " ok=", true);
+    std::string line = testing::internal::GetCapturedStderr();
+    Log::setLevel(before);
+    EXPECT_NE(line.find("ctrl.migration: migration #3: fn=0 nsid=1 "
+                        "slot=7 ok=true\n"),
+              std::string::npos)
+        << line;
 }
 
 TEST(EventQueue, RunUntilStopsAtLimit)

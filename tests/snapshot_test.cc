@@ -5,8 +5,8 @@
  * never free; a whole-chunk deallocate returns the chunk to the
  * pool), the snapshot → clone → delete lifecycle over the console
  * verbs, and chunk CoW under live tenant I/O — all data verified
- * through the fuzzer's write-stamp oracle, with pool refcount
- * invariants checked strictly at every drained point.
+ * through the fuzzer's write-stamp oracle, with the chunk-row
+ * ownership census checked at every drained point.
  */
 
 #include <gtest/gtest.h>
@@ -146,7 +146,7 @@ TEST(ThinProvisioning, TenfoldOvercommitFleet)
         oracle->read(0, 512, [&](bool r) { ok = r; });
         await(bed, [&] { return ok; });
     }
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
 }
 
 // DSM/Deallocate semantics: a partial-chunk trim scrubs the range to
@@ -216,7 +216,7 @@ TEST(ThinProvisioning, DeallocateScrubsAndFreesWholeChunksOnly)
     await(bed, [&] { return wrote; });
     EXPECT_TRUE(ns.chunkAt(0, 1, 0).has_value());
     EXPECT_EQ(ns.occupancy()[0].used, 1u);
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
 }
 
 // Snapshot → clone → delete over the console verbs: the clone reads
@@ -321,7 +321,7 @@ TEST(Snapshots, CloneLifecycleOverConsoleVerbs)
     read_ok = false;
     parent.read(0, 32, [&](bool ok) { read_ok = ok; });
     await(bed, [&] { return read_ok; });
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
 
     // Deleting it twice is a clean refusal.
     bool second = true;
@@ -386,7 +386,7 @@ TEST(Snapshots, LosslessReplaceKeepsDiskHoldingASnapshotOnlyChunk)
     clone.read(0, 32, [&](bool ok) { read_ok = ok; });
     await(bed, [&] { return read_ok; });
     EXPECT_GE(clone.verifiedBlocks(), 32u);
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
 }
 
 // Chunk CoW under live tenant I/O: a closed-loop workload hammers a
@@ -431,9 +431,9 @@ TEST(Snapshots, CowUnderLiveTenantIo)
     EXPECT_GT(tc.cowTriggers(), 0u);
     EXPECT_GT(oracle.writes(), 0u);
     EXPECT_GT(oracle.verifiedBlocks(), 0u);
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
     ASSERT_TRUE(ns.deleteSnapshot(*snap));
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
 }
 
 // Refcount bookkeeping across the whole lifecycle, strictly checked
@@ -455,7 +455,7 @@ TEST(Snapshots, RefcountsBalanceAcrossLifecycle)
     auto alloc = ns.chunkAt(0, 1, 0);
     ASSERT_TRUE(alloc.has_value());
     EXPECT_EQ(ns.chunkRefs(alloc->slot, alloc->chunk), 1u);
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
 
     auto snap1 = ns.snapshot(0, 1);
     ASSERT_TRUE(snap1.has_value());
@@ -463,7 +463,7 @@ TEST(Snapshots, RefcountsBalanceAcrossLifecycle)
     auto snap2 = ns.snapshot(0, 1);
     ASSERT_TRUE(snap2.has_value());
     EXPECT_EQ(ns.chunkRefs(alloc->slot, alloc->chunk), 3u);
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
 
     // Parent overwrite: CoW separates the namespace from the pins.
     wrote = false;
@@ -474,12 +474,73 @@ TEST(Snapshots, RefcountsBalanceAcrossLifecycle)
     auto moved = ns.chunkAt(0, 1, 0);
     ASSERT_TRUE(moved.has_value());
     EXPECT_EQ(ns.chunkRefs(moved->slot, moved->chunk), 1u);
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
 
     ASSERT_TRUE(ns.deleteSnapshot(*snap1));
     EXPECT_EQ(ns.chunkRefs(alloc->slot, alloc->chunk), 1u);
     ASSERT_TRUE(ns.deleteSnapshot(*snap2));
     EXPECT_EQ(ns.chunkRefs(alloc->slot, alloc->chunk), 0u);
-    ns.checkRefInvariants(true);
+    ns.checkRefInvariants();
     EXPECT_EQ(ns.occupancy()[0].used, 1u); // only the CoW'd chunk
+}
+
+// A CoW source drains after its flip while pre-flip I/O may still run
+// on it, yet the snapshot keeps naming it: a clone of that snapshot
+// taken mid-drain must be able to hold it too, and the census stays
+// exact through the flip, the clone and the drain's end.
+TEST(Snapshots, CloneDuringACowSourceDrainHoldsIt)
+{
+    harness::BmStoreTestbed bed(thinConfig());
+    NamespaceManager &ns = bed.controller().namespaces();
+    bed.attachTenant(0, sim::mib(8));
+    auto src = ns.chunkAt(0, 1, 0);
+    ASSERT_TRUE(src.has_value());
+    auto snap = ns.snapshot(0, 1);
+    ASSERT_TRUE(snap.has_value());
+
+    // The CoW cutover's transition, without the copy or the drain; a
+    // job holds its namespace locked from reservation to drain.
+    ASSERT_TRUE(ns.lockNs(0, 1));
+    auto dst = ns.takeChunk(src->slot);
+    ASSERT_TRUE(dst.has_value());
+    ns.flip(core::MoveKind::Cow, 0, 1, 0, *src, {src->slot, *dst});
+    EXPECT_EQ(ns.chunkRefs(src->slot, src->chunk), 1u); // the snapshot
+    ns.checkRefInvariants();
+
+    ASSERT_TRUE(ns.clone(*snap, bed.claimVf()).has_value());
+    EXPECT_EQ(ns.chunkRefs(src->slot, src->chunk), 2u);
+    ns.checkRefInvariants();
+
+    ns.releaseChunk(src->slot, src->chunk); // the drain ends
+    ns.unlockNs(0, 1);
+    EXPECT_EQ(ns.chunkRefs(src->slot, src->chunk), 2u);
+    ns.checkRefInvariants();
+}
+
+// Only the running job reserves or drains a chunk: once no namespace
+// is locked, one leaked reservation or undrained source fails the
+// census.
+TEST(Snapshots, CensusFailsOnALeakedReservationOrDrain)
+{
+    harness::BmStoreTestbed bed(thinConfig());
+    NamespaceManager &ns = bed.controller().namespaces();
+    bed.attachTenant(0, sim::mib(8));
+    auto src = ns.chunkAt(0, 1, 0);
+    ASSERT_TRUE(src.has_value());
+
+    ASSERT_TRUE(ns.lockNs(0, 1));
+    auto dst = ns.takeChunk(src->slot);
+    ASSERT_TRUE(dst.has_value());
+    ns.checkRefInvariants(); // the job's reservation
+    ns.unlockNs(0, 1);
+    EXPECT_PANIC(ns.checkRefInvariants());
+
+    ASSERT_TRUE(ns.lockNs(0, 1));
+    ns.flip(core::MoveKind::Move, 0, 1, 0, *src, {src->slot, *dst});
+    ns.checkRefInvariants(); // the job's draining source
+    ns.unlockNs(0, 1);
+    EXPECT_PANIC(ns.checkRefInvariants());
+
+    ns.releaseChunk(src->slot, src->chunk);
+    ns.checkRefInvariants();
 }
