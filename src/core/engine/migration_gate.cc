@@ -75,30 +75,32 @@ MigrationGate::touchesFenced(const std::vector<PhysExtent> &extents,
     return false;
 }
 
-void
-MigrationGate::admit(bool is_write, std::vector<PhysExtent> extents,
-                     std::uint64_t chunk_blocks, Cont cont)
+bool
+MigrationGate::admit(std::uint32_t h, bool is_write,
+                     const std::vector<PhysExtent> &extents,
+                     std::uint64_t chunk_blocks,
+                     std::vector<PhysExtent> &mirrors,
+                     std::function<void()> release)
 {
     if (_active && is_write && touchesFenced(extents, chunk_blocks)) {
         ++_heldTotal;
-        _held.push_back(Held{is_write, std::move(extents), chunk_blocks,
-                             std::move(cont)});
-        return;
+        _held.push_back(std::move(release));
+        return false;
     }
-    admitNow(is_write, std::move(extents), chunk_blocks, std::move(cont));
-}
-
-void
-MigrationGate::admitNow(bool is_write, std::vector<PhysExtent> extents,
-                        std::uint64_t chunk_blocks, Cont cont)
-{
     ++_admitted;
-    std::uint64_t token = _nextToken++;
-    Rec rec;
+    if (h >= _recs.size())
+        _recs.resize(h + 1);
+    Rec &rec = _recs[h];
+    BMS_ASSERT(!rec.live, "gate slot ", h, " admitted twice");
+    rec.live = true;
     rec.isWrite = is_write;
-    rec.extents = extents;
+    rec.epoch = 0;
+    rec.segTracked = rec.mirrored = rec.flipped = false;
+    rec.extents.assign(extents.begin(), extents.end());
+    rec.segs.clear();
+    rec.chunkKeys.clear();
 
-    std::vector<PhysExtent> mirrors;
+    mirrors.clear();
     if (_active && is_write) {
         rec.epoch = _epoch;
         bool any_copied = false;
@@ -184,19 +186,16 @@ MigrationGate::admitNow(bool is_write, std::vector<PhysExtent> extents,
         rec.chunkKeys.push_back(key);
         ++_chunkInflight[key];
     }
-
-    _recs.emplace(token, std::move(rec));
-    cont(token, std::move(extents), std::move(mirrors));
+    return true;
 }
 
 bool
-MigrationGate::complete(std::uint64_t token, bool mirror_ok)
+MigrationGate::complete(std::uint32_t h, bool mirror_ok)
 {
-    auto it = _recs.find(token);
-    BMS_ASSERT(it != _recs.end(),
-               "completion for unknown gate token ", token);
-    Rec rec = std::move(it->second);
-    _recs.erase(it);
+    BMS_ASSERT(h < _recs.size() && _recs[h].live,
+               "completion for unadmitted gate slot ", h);
+    Rec &rec = _recs[h];
+    rec.live = false;
 
     for (std::uint32_t key : rec.chunkKeys) {
         auto ci = _chunkInflight.find(key);
@@ -208,6 +207,9 @@ MigrationGate::complete(std::uint64_t token, bool mirror_ok)
         }
     }
 
+    // Read before deliverFence(): its callback may re-admit commands
+    // and grow _recs under `rec`.
+    const bool lost = !mirror_ok && rec.flipped;
     if (_active && rec.segTracked && rec.epoch == _epoch) {
         for (std::uint32_t s : rec.segs) {
             BMS_ASSERT(_segWrites[s] > 0, "segment write-count underflow");
@@ -230,7 +232,7 @@ MigrationGate::complete(std::uint64_t token, bool mirror_ok)
             deliverFence();
         }
     }
-    return mirror_ok || !rec.flipped;
+    return !lost;
 }
 
 void
@@ -263,11 +265,8 @@ MigrationGate::open(std::uint8_t src_slot, std::uint8_t src_chunk,
     // Writes already in flight on the source chunk were admitted
     // before the migration existed; count them into the per-segment
     // fences so the copier waits for them like any other write.
-    // BMS_LINT_ALLOW(unordered-iter): purely additive per-record seg
-    // accounting — commutative across records, no order leaks out
-    for (auto &[token, rec] : _recs) {
-        (void)token;
-        if (!rec.isWrite || rec.segTracked)
+    for (Rec &rec : _recs) {
+        if (!rec.live || !rec.isWrite || rec.segTracked)
             continue;
         for (const PhysExtent &e : rec.extents) {
             if (!onSrcChunk(e, chunk_blocks))
@@ -336,13 +335,9 @@ MigrationGate::closeMigration(bool flipped)
     if (flipped) {
         // Writes still mirroring into the new placement can no longer
         // be re-copied: a failed leg now loses them (complete()).
-        // BMS_LINT_ALLOW(unordered-iter): sets one flag per record —
-        // commutative across records, no order leaks out
-        for (auto &[token, rec] : _recs) {
-            (void)token;
-            if (rec.mirrored && rec.epoch == _epoch)
+        for (Rec &rec : _recs)
+            if (rec.live && rec.mirrored && rec.epoch == _epoch)
                 rec.flipped = true;
-        }
     }
     _active = false;
     _fencedSeg = -1;
@@ -361,13 +356,12 @@ MigrationGate::releaseHeld()
 {
     // Released writes may immediately be re-held by the next fence
     // (admit re-checks), so drain from a local queue.
-    std::deque<Held> held;
+    std::deque<std::function<void()>> held;
     held.swap(_held);
     while (!held.empty()) {
-        Held h = std::move(held.front());
+        std::function<void()> release = std::move(held.front());
         held.pop_front();
-        admit(h.isWrite, std::move(h.extents), h.chunkBlocks,
-              std::move(h.cont));
+        release();
     }
 }
 

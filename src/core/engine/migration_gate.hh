@@ -62,36 +62,31 @@ struct PhysExtent
 class MigrationGate : public sim::SimObject
 {
   public:
-    /**
-     * Admission result: the opaque token to complete() with, the
-     * original extents handed back, and the mirror legs (same
-     * byteOffset/blocks, destination chunk) to submit alongside.
-     */
-    using Cont = std::function<void(std::uint64_t token,
-                                    std::vector<PhysExtent> extents,
-                                    std::vector<PhysExtent> mirrors)>;
-
     MigrationGate(sim::Simulator &sim, std::string name);
 
     /** @name Data-path hooks (TargetController). */
     /// @{
     /**
-     * Admit one translated front-end command. @p cont runs
-     * immediately unless the command is a write into the fenced
-     * segment, in which case it is held until the segment's copy
-     * lands (or the migration closes).
+     * Admit front-end command @p h (a TargetController handle) with its
+     * translated @p extents. Returns true when it may go now; @p mirrors
+     * then holds the mirror legs (same byteOffset/blocks, destination
+     * chunk) to submit alongside. Returns false when it is a write into
+     * the fenced segment: it is held, and @p release runs once the
+     * segment's copy lands (or the migration closes), to admit it again.
      */
-    void admit(bool is_write, std::vector<PhysExtent> extents,
-               std::uint64_t chunk_blocks, Cont cont);
+    bool admit(std::uint32_t h, bool is_write,
+               const std::vector<PhysExtent> &extents,
+               std::uint64_t chunk_blocks, std::vector<PhysExtent> &mirrors,
+               std::function<void()> release);
 
     /**
-     * Complete a previously admitted command. @p mirror_ok is false
-     * when any mirror leg failed (the touched copied segments are
-     * re-queued dirty). @return false when the write is lost: a
-     * mirror leg failed and its migration has since flipped, so only
-     * the released source holds the bytes.
+     * Complete admitted command @p h. @p mirror_ok is false when any
+     * mirror leg failed (the touched copied segments are re-queued
+     * dirty). @return false when the write is lost: a mirror leg
+     * failed and its migration has since flipped, so only the released
+     * source holds the bytes.
      */
-    [[nodiscard]] bool complete(std::uint64_t token, bool mirror_ok);
+    [[nodiscard]] bool complete(std::uint32_t h, bool mirror_ok);
     /// @}
 
     /** @name Migration control (MigrationManager; one at a time). */
@@ -160,8 +155,11 @@ class MigrationGate : public sim::SimObject
     /// @}
 
   private:
+    /** Fence state of one admitted command, in the slot its handle
+     *  names. */
     struct Rec
     {
+        bool live = false;         ///< admitted and not yet complete
         bool isWrite = false;
         std::uint32_t epoch = 0;   ///< migration epoch at admit
         bool segTracked = false;   ///< counted in _segWrites
@@ -170,14 +168,6 @@ class MigrationGate : public sim::SimObject
         bool mirrored = false;
         bool flipped = false; ///< its migration cut over while in flight
         std::vector<std::uint32_t> chunkKeys; ///< extents + mirrors
-    };
-
-    struct Held
-    {
-        bool isWrite = false;
-        std::vector<PhysExtent> extents;
-        std::uint64_t chunkBlocks = 0;
-        Cont cont;
     };
 
     static std::uint32_t
@@ -191,8 +181,6 @@ class MigrationGate : public sim::SimObject
     std::vector<std::uint32_t> touchedSegs(const PhysExtent &e) const;
     bool touchesFenced(const std::vector<PhysExtent> &extents,
                        std::uint64_t chunk_blocks) const;
-    void admitNow(bool is_write, std::vector<PhysExtent> extents,
-                  std::uint64_t chunk_blocks, Cont cont);
     void deliverFence();
     void releaseHeld();
     void fireIdleWaiters(std::uint32_t key);
@@ -204,12 +192,11 @@ class MigrationGate : public sim::SimObject
         std::uint32_t chunk = 0;
     };
 
-    // Always-on in-flight accounting.
-    std::unordered_map<std::uint64_t, Rec> _recs;
+    // Always-on in-flight accounting, indexed by command handle.
+    std::vector<Rec> _recs;
     /** Spilled-chunk key → local shadow (persists across migrations). */
     std::unordered_map<std::uint32_t, TierTarget> _tierMirrors;
     std::uint64_t _tierMirrored = 0;
-    std::uint64_t _nextToken = 1;
     std::unordered_map<std::uint32_t, std::uint32_t> _chunkInflight;
     std::vector<std::pair<std::uint32_t, std::function<void()>>>
         _idleWaiters;
@@ -228,7 +215,8 @@ class MigrationGate : public sim::SimObject
     int _fencedSeg = -1;
     bool _fenceReady = false;
     std::function<void(std::uint32_t)> _fenceCb;
-    std::deque<Held> _held;
+    /** Held writes' release callbacks, in arrival order. */
+    std::deque<std::function<void()>> _held;
 
     std::uint64_t _admitted = 0;
     std::uint64_t _mirrored = 0;

@@ -30,8 +30,8 @@
 #define BMS_CORE_ENGINE_TARGET_CONTROLLER_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -158,6 +158,9 @@ class TargetController : public sim::SimObject
     /// @}
 
   private:
+    /** Names one in-flight front-end command: its index in _cmds. */
+    using Handle = std::uint32_t;
+
     /** Why a chunk is temporarily fenced inside the controller. */
     enum class OpKind : std::uint8_t
     {
@@ -172,9 +175,9 @@ class TargetController : public sim::SimObject
         OpKind kind = OpKind::Alloc;
         pcie::FunctionId fn = 0;
         std::uint32_t nsid = 0;
-        /** Queued continuations; run in arrival order with the op's
+        /** Queued commands; resumed in arrival order with the op's
          *  final status (Success = retry, else fail). */
-        std::vector<std::function<void(nvme::Status)>> waiters;
+        std::vector<Handle> waiters;
     };
 
     /** Zero-filled byte ranges of a read (unallocated chunks). */
@@ -193,36 +196,70 @@ class TargetController : public sim::SimObject
         std::vector<std::pair<std::uint64_t, std::uint64_t>> pieces;
     };
 
-    /** One DSM command walking its touched chunks sequentially. */
-    struct DsmJob
+    /**
+     * One in-flight front-end command (read, write, flush, DSM): the
+     * command context that walks steps ②-⑦ of Fig. 6. A record never
+     * moves (the host PRP list is DMAed into `pages`) and keeps its
+     * vectors' capacity for the next command once freed.
+     */
+    struct Cmd
     {
+        FrontFunction *fn = nullptr;
         nvme::Sqe sqe;
         std::uint16_t sqid = 0;
+        std::uint64_t chunkBlocks = 0; ///< the namespace's, at translate
+        std::vector<PhysExtent> extents;
+        std::vector<PhysExtent> mirrors;
+        std::vector<ZeroRange> zeros;
+        /** PRP1, then the host PRP list (or a DSM's range list). */
+        std::vector<std::uint64_t> pages;
+        /** Per leg (extents, then mirrors): its PRP-list slot or 0. */
+        std::vector<std::uint64_t> listSlots;
+        /** Completion barrier. */
+        std::size_t legsLeft = 0;
+        nvme::Status worst = nvme::Status::Success;
+        bool mirrorOk = true;
+        /** The chunk op it drives: an allocation's logical chunk, the
+         *  physical chunk being scrubbed, and the scrub's cursor. */
+        std::uint32_t opChunk = 0;
+        std::uint8_t opSlot = 0;
+        std::uint32_t opBase = 0;
+        std::uint64_t scrubLba = 0;
+        std::uint64_t scrubBlocks = 0;
+        sim::Tick scrubDeadline = 0;
+        /** DSM: touched chunks walked from `next`, scrubbing `piece`. */
         std::vector<DsmChunk> chunks;
         std::size_t next = 0;
-        nvme::Status worst = nvme::Status::Success;
+        std::size_t piece = 0;
     };
 
-    void forward(FrontFunction &fn, const nvme::Sqe &sqe,
-                 std::uint16_t sqid, NsBinding &binding);
-    void forwardFlush(FrontFunction &fn, const nvme::Sqe &sqe,
-                      std::uint16_t sqid, NsBinding &binding);
-    void dispatch(FrontFunction &fn, const nvme::Sqe &sqe,
-                  std::uint16_t sqid, std::uint64_t gate_token,
-                  std::vector<PhysExtent> extents,
-                  std::vector<PhysExtent> mirrors,
-                  std::vector<ZeroRange> zeros,
-                  std::vector<std::uint64_t> host_pages);
-    void fail(FrontFunction &fn, const nvme::Sqe &sqe, std::uint16_t sqid,
-              nvme::Status st);
+    Handle openCmd(FrontFunction &fn, const nvme::Sqe &sqe,
+                   std::uint16_t sqid);
+    /** The command's namespace, looked up again (null once destroyed):
+     *  every step after an asynchronous gap starts here. */
+    NsBinding *bindingOf(const Cmd &c);
+
+    /** Post the front-end completion now and free the record. */
+    void post(Handle h, nvme::Status st);
+    /** Fail the command now, counted as an error. */
+    void fail(Handle h, nvme::Status st);
+    /** Count @p st and post it after the completion pipeline (step ⑦). */
+    void completeAfterPipeline(Handle h, nvme::Status st);
+
+    void forward(Handle h);
+    /** Step ②½: through the migration gate, then fetch the host PRP
+     *  list if the transfer has one. */
+    void admit(Handle h);
+    void dispatch(Handle h);
+    /** Step ③: rewrite leg @p leg's PRPs and submit it. */
+    void submitLeg(Handle h, std::uint32_t leg);
+    void legDone(Handle h, std::uint32_t leg, const nvme::Cqe &cqe);
+    /** The completion barrier: one leg of the command finished. */
+    void legFinished(Handle h);
+    void forwardFlush(Handle h, NsBinding &binding);
 
     /** A page-aligned chip-memory page for one leg's PRP list. */
     std::uint64_t takeListSlot();
-
-    /** Re-enter forward() after a chunk op resolved (QoS was already
-     *  charged on the first pass). */
-    void retryForward(FrontFunction &fn, const nvme::Sqe &sqe,
-                      std::uint16_t sqid);
 
     /**
      * Classification pass over the chunks a command touches: queue it
@@ -230,53 +267,41 @@ class TargetController : public sim::SimObject
      * let it through. @return true when the command was consumed
      * (held or failed) and must not proceed to translation.
      */
-    bool classifyChunks(FrontFunction &fn, const nvme::Sqe &sqe,
-                        std::uint16_t sqid, NsBinding &binding);
+    bool classifyChunks(Handle h, NsBinding &binding);
 
     ChunkOp &openChunkOp(std::uint64_t key, OpKind kind,
                          pcie::FunctionId fn_id, std::uint32_t nsid);
     void finishChunkOp(std::uint64_t key, nvme::Status st);
+    /** A chunk op the command waited on finished: retry it on
+     *  success, fail it (or its DSM chunk) otherwise. */
+    void resume(Handle h, nvme::Status st);
 
-    /** Waiter that re-forwards the command on success, fails it with
-     *  the op's status otherwise. */
-    std::function<void(nvme::Status)>
-    makeRetryWaiter(FrontFunction &fn, const nvme::Sqe &sqe,
-                    std::uint16_t sqid);
-
-    void startAlloc(FrontFunction &fn, const nvme::Sqe &sqe,
-                    std::uint16_t sqid, NsBinding &binding,
-                    std::uint32_t chunk_index);
+    void startAlloc(Handle h, NsBinding &binding, std::uint32_t chunk_index);
+    void allocScrubbed(Handle h, bool ok);
     void startCow(std::uint64_t key, pcie::FunctionId fn_id,
                   std::uint32_t nsid, std::uint32_t chunk_index);
 
-    /** Chain WriteZeroes commands over a physical block range
-     *  (<= 65536 blocks per command); done(ok). An adaptor that is
-     *  temporarily not ready (a hot-plug swap: the disk is out until
-     *  the new one is brought up) is waited out until @p deadline —
+    /** Zero @p blocks from @p phys_lba on the command's `opSlot` with
+     *  chained WriteZeroes (<= 65536 blocks each), then scrubbed(). A
+     *  not-ready adaptor (a hot-plug swap: the disk is out until the
+     *  new one is brought up) is waited out for kScrubReadyWait, so
      *  allocation scrubs and sub-chunk trims stay transparent across
      *  a replacement, like held writes. */
-    void zeroPhysRange(std::uint8_t slot, std::uint64_t phys_lba,
-                       std::uint64_t blocks,
-                       std::function<void(bool)> done);
-    void zeroPhysRangeUntil(std::uint8_t slot, std::uint64_t phys_lba,
-                            std::uint64_t blocks, sim::Tick deadline,
-                            std::function<void(bool)> done);
+    void scrub(Handle h, std::uint64_t phys_lba, std::uint64_t blocks);
+    void scrubNext(Handle h);
+    /** Its allocation (a write) or DSM piece (a DSM) is scrubbed. */
+    void scrubbed(Handle h, bool ok);
 
-    void handleDsm(FrontFunction &fn, const nvme::Sqe &sqe,
-                   std::uint16_t sqid, NsBinding &binding);
-    void processNextDsmChunk(FrontFunction &fn,
-                             std::shared_ptr<DsmJob> job);
-    void trimChunk(FrontFunction &fn, std::shared_ptr<DsmJob> job,
-                   std::size_t idx,
-                   std::function<void(nvme::Status)> done);
-    void attemptTrim(FrontFunction &fn, std::shared_ptr<DsmJob> job,
-                     std::size_t idx, std::uint64_t key,
-                     std::function<void(nvme::Status)> done);
-    void zeroPieces(std::shared_ptr<DsmJob> job, std::size_t idx,
-                    std::size_t piece, std::uint8_t slot,
-                    std::uint32_t base, std::uint64_t chunk_blocks,
-                    std::uint64_t key,
-                    std::function<void(nvme::Status)> done);
+    void handleDsm(Handle h);
+    void parseDsm(Handle h);
+    void dsmChunkDone(Handle h, nvme::Status st);
+    /** Trim the DSM's current chunk; past the last, complete it. */
+    void trimChunk(Handle h);
+    void attemptTrim(Handle h);
+    void trimIdle(Handle h);
+    void zeroPieces(Handle h);
+    /** Finish the trim op with @p op_st and the DSM chunk with @p st. */
+    void trimDone(Handle h, nvme::Status op_st, nvme::Status st);
 
     BmsEngine &_engine;
     std::unordered_map<std::uint64_t, std::uint64_t> _heatBytes;
@@ -286,8 +311,14 @@ class TargetController : public sim::SimObject
     TrimHook _trimHook;
     CowHook _cowHook;
     NsRefHook _nsRefHook;
+    /** Command records; a record's index is its handle. */
+    std::deque<Cmd> _cmds;
+    /** Handles of free records, reused last-in first-out. */
+    std::vector<Handle> _freeCmds;
     /** PRP-list slots no leg holds, reused last-in first-out. */
     std::vector<std::uint64_t> _freeListSlots;
+    /** Scratch for one leg's rewritten PRP list. */
+    std::vector<std::uint64_t> _list;
     std::uint64_t _forwarded = 0;
     std::uint64_t _split = 0;
     std::uint64_t _listsRewritten = 0;

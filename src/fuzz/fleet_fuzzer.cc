@@ -51,8 +51,9 @@ FleetFuzzer::admitTenants(sim::Rng &rng, FleetFuzzReport &report)
         fleet::Placement p = _fleet->admit(req);
         if (!p.ok) {
             ++report.refused;
-            _log.record(_fleet->sim().now(),
-                        "admit refused: " + p.reason);
+            _log.record(_fleet->sim().now(), nullptr,
+                        "admit refused tenant={} bytes={}",
+                        static_cast<std::uint64_t>(t), req.bytes);
             continue;
         }
         ++report.placed;
@@ -185,7 +186,7 @@ FleetFuzzer::run()
         wc.availabilityBound = sim::seconds(5);
         sim::Tick at = _start + _cfg.horizon / 5;
         sim.scheduleAt(at, [this, wc] {
-            _log.record(_fleet->sim().now(), "wave start");
+            _log.record(_fleet->sim().now(), nullptr, "wave start");
             _fleet->startWave(wc);
         });
     }

@@ -131,7 +131,7 @@ Fuzzer::scheduleControlOps(sim::Rng &rng)
           case 0:
             ++_pendingControl;
             sim.scheduleAt(at, [this, &console, eid] {
-                _log.record(_bed->sim().now(), "ctrl healthPoll");
+                _log.record(_bed->sim().now(), nullptr, "ctrl healthPoll");
                 console.healthPoll(eid, [this](std::vector<core::SlotHealth>
                                                    health) {
                     BMS_ASSERT(!health.empty(), "health poll empty");
@@ -143,8 +143,8 @@ Fuzzer::scheduleControlOps(sim::Rng &rng)
           case 1:
             ++_pendingControl;
             sim.scheduleAt(at, [this, &console, eid, fn] {
-                _log.record(_bed->sim().now(),
-                            "ctrl ioStats fn=" + std::to_string(fn));
+                _log.record(_bed->sim().now(), nullptr,
+                            "ctrl ioStats fn={}", fn);
                 console.ioStats(
                     eid, static_cast<std::uint8_t>(fn),
                     [this](std::optional<core::MiIoStats> stats) {
@@ -162,8 +162,8 @@ Fuzzer::scheduleControlOps(sim::Rng &rng)
             qos.iopsLimit = 200'000.0 + 100'000.0 * rng.uniform01();
             ++_pendingControl;
             sim.scheduleAt(at, [this, &console, eid, fn, qos] {
-                _log.record(_bed->sim().now(),
-                            "ctrl setQos fn=" + std::to_string(fn));
+                _log.record(_bed->sim().now(), nullptr,
+                            "ctrl setQos fn={}", fn);
                 console.setQos(eid, static_cast<std::uint8_t>(fn), 1, qos,
                                [this](bool ok) {
                                    BMS_ASSERT(ok, "setQos failed");
@@ -186,8 +186,8 @@ Fuzzer::scheduleControlOps(sim::Rng &rng)
             ++_pendingControl;
             sim.scheduleAt(at, [this, &console, eid, vf, bytes,
                                 destroy_after] {
-                _log.record(_bed->sim().now(),
-                            "ctrl createNs vf=" + std::to_string(vf));
+                _log.record(_bed->sim().now(), nullptr,
+                            "ctrl createNs vf={}", vf);
                 console.createNamespace(
                     eid, vf, bytes, 0, core::QosLimits(),
                     [this, &console, eid, vf,
@@ -201,9 +201,8 @@ Fuzzer::scheduleControlOps(sim::Rng &rng)
                         _bed->sim().scheduleAfter(
                             destroy_after,
                             [this, eid, vf, nsid = *nsid] {
-                                _log.record(_bed->sim().now(),
-                                            "ctrl destroyNs vf=" +
-                                                std::to_string(vf));
+                                _log.record(_bed->sim().now(), nullptr,
+                                            "ctrl destroyNs vf={}", vf);
                                 destroyScratch(eid, vf, nsid, 0);
                             });
                     });
@@ -219,9 +218,10 @@ Fuzzer::scheduleControlOps(sim::Rng &rng)
             sim.scheduleAt(at, [this, fn, extra] {
                 auto grown = _bed->controller().namespaces().grow(
                     fn, 1, extra);
-                _log.record(_bed->sim().now(),
-                            "ctrl grow fn=" + std::to_string(fn) +
-                                (grown ? " ok" : " exhausted"));
+                _log.record(_bed->sim().now(), nullptr,
+                            grown ? "ctrl grow fn={} ok"
+                                  : "ctrl grow fn={} exhausted",
+                            fn);
                 ++_controlOps;
             });
             break;
@@ -287,9 +287,8 @@ Fuzzer::scheduleMigrations(sim::Rng &rng)
                 static_cast<std::uint32_t>(rng.uniformInt(0, 1));
             ++_pendingControl;
             sim.scheduleAt(at, [this, &console, eid, fn, chunk_ix] {
-                _log.record(_bed->sim().now(),
-                            "ctrl migrate fn=" + std::to_string(fn) +
-                                " chunk=" + std::to_string(chunk_ix));
+                _log.record(_bed->sim().now(), nullptr,
+                            "ctrl migrate fn={} chunk={}", fn, chunk_ix);
                 // May fail legally: chunk index past the namespace
                 // end, destination full, or copy faulted out.
                 console.migrateChunk(
@@ -306,8 +305,8 @@ Fuzzer::scheduleMigrations(sim::Rng &rng)
                 rng.uniformInt(0, _bed->ssdCount() - 1));
             ++_pendingControl;
             sim.scheduleAt(at, [this, &console, eid, slot] {
-                _log.record(_bed->sim().now(),
-                            "ctrl evacuate slot=" + std::to_string(slot));
+                _log.record(_bed->sim().now(), nullptr,
+                            "ctrl evacuate slot={}", slot);
                 console.evacuate(
                     eid, static_cast<std::uint8_t>(slot),
                     [this](core::MiEvacuateResult) {
@@ -320,7 +319,7 @@ Fuzzer::scheduleMigrations(sim::Rng &rng)
           case 2:
             ++_pendingControl;
             sim.scheduleAt(at, [this, &console, eid] {
-                _log.record(_bed->sim().now(), "ctrl migrations");
+                _log.record(_bed->sim().now(), nullptr, "ctrl migrations");
                 console.migrations(
                     eid, [this](std::vector<core::MiMigrationInfo>) {
                         ++_controlOps;
@@ -331,7 +330,7 @@ Fuzzer::scheduleMigrations(sim::Rng &rng)
           default:
             ++_pendingControl;
             sim.scheduleAt(at, [this, &console, eid] {
-                _log.record(_bed->sim().now(), "ctrl df");
+                _log.record(_bed->sim().now(), nullptr, "ctrl df");
                 console.df(eid, [this](std::vector<core::MiDfEntry> df) {
                     int slots =
                         _bed->ssdCount() +
@@ -361,7 +360,7 @@ Fuzzer::scheduleMigrations(sim::Rng &rng)
             r.latencySpikeRate = rng.uniformDouble(0.005, 0.03);
         }
         sim.scheduleAt(first_at, [this, rates] {
-            _log.record(_bed->sim().now(),
+            _log.record(_bed->sim().now(), nullptr,
                         "fault window OPEN (migration)");
             ++_faultWindows;
             _faultsEverActive = true;
@@ -371,7 +370,7 @@ Fuzzer::scheduleMigrations(sim::Rng &rng)
                 t.oracle->setFaultsActive(true);
         });
         sim.scheduleAt(t1, [this] {
-            _log.record(_bed->sim().now(),
+            _log.record(_bed->sim().now(), nullptr,
                         "fault window CLOSE (migration)");
             for (int s = 0; s < _bed->ssdCount(); ++s)
                 _bed->ssd(s).faults() = ssd::FaultConfig{};
@@ -400,8 +399,8 @@ Fuzzer::scheduleUpgrades(sim::Rng &rng)
                            static_cast<double>(_cfg.horizon));
     ++_pendingControl;
     sim.scheduleAt(at, [this, eid, slot] {
-        _log.record(_bed->sim().now(),
-                    "ctrl hotUpgrade slot=" + std::to_string(slot));
+        _log.record(_bed->sim().now(), nullptr, "ctrl hotUpgrade slot={}",
+                    slot);
         _bed->console().firmwareUpgrade(
             eid, static_cast<std::uint8_t>(slot), 1u << 20,
             [this](core::MiUpgradeResult r) {
@@ -417,9 +416,8 @@ Fuzzer::scheduleUpgrades(sim::Rng &rng)
         // interleave two context store/reload sequences.
         ++_pendingControl;
         sim.scheduleAt(at + sim::milliseconds(20), [this, slot] {
-            _log.record(_bed->sim().now(),
-                        "ctrl hotUpgrade(probe) slot=" +
-                            std::to_string(slot));
+            _log.record(_bed->sim().now(), nullptr,
+                        "ctrl hotUpgrade(probe) slot={}", slot);
             _bed->controller().hotUpgrade().upgrade(
                 slot, 4096,
                 [this](core::HotUpgradeManager::Report r) {
@@ -455,7 +453,7 @@ Fuzzer::scheduleFaultWindows(sim::Rng &rng)
             r.latencySpikeRate = rng.uniformDouble(0.005, 0.05);
         }
         sim.scheduleAt(t0, [this, rates] {
-            _log.record(_bed->sim().now(), "fault window OPEN");
+            _log.record(_bed->sim().now(), nullptr, "fault window OPEN");
             ++_faultWindows;
             _faultsEverActive = true;
             for (int s = 0; s < _bed->ssdCount(); ++s)
@@ -469,7 +467,7 @@ Fuzzer::scheduleFaultWindows(sim::Rng &rng)
                 t.oracle->setFaultsActive(true);
         });
         sim.scheduleAt(t1, [this] {
-            _log.record(_bed->sim().now(), "fault window CLOSE");
+            _log.record(_bed->sim().now(), nullptr, "fault window CLOSE");
             for (int s = 0; s < _bed->ssdCount(); ++s)
                 _bed->ssd(s).faults() = ssd::FaultConfig{};
         });
@@ -507,9 +505,8 @@ Fuzzer::scheduleTiering(sim::Rng &rng)
                                     hz);
         ++_pendingControl;
         sim.scheduleAt(at, [this, &tier, fn, chunk_ix, slot] {
-            _log.record(_bed->sim().now(),
-                        "tier spill fn=" + std::to_string(fn) +
-                            " chunk=" + std::to_string(chunk_ix));
+            _log.record(_bed->sim().now(), nullptr,
+                        "tier spill fn={} chunk={}", fn, chunk_ix);
             // May fail legally: chunk past the namespace end, remote
             // slot full, recovery in progress, or the copy aborted.
             tier.spill(fn, 1, chunk_ix, slot, [this](bool) {
@@ -539,9 +536,8 @@ Fuzzer::scheduleTiering(sim::Rng &rng)
                                     hz);
         ++_pendingControl;
         sim.scheduleAt(at, [this, &tier, fn, chunk_ix] {
-            _log.record(_bed->sim().now(),
-                        "tier promote fn=" + std::to_string(fn) +
-                            " chunk=" + std::to_string(chunk_ix));
+            _log.record(_bed->sim().now(), nullptr,
+                        "tier promote fn={} chunk={}", fn, chunk_ix);
             tier.promote(fn, 1, chunk_ix, [this](bool) {
                 ++_controlOps;
                 --_pendingControl;
@@ -555,7 +551,7 @@ Fuzzer::scheduleTiering(sim::Rng &rng)
         sim::Tick at = _start + static_cast<sim::Tick>(0.1 * hz);
         ++_pendingControl;
         sim.scheduleAt(at, [this, &console, eid] {
-            _log.record(_bed->sim().now(), "ctrl setTierPolicy");
+            _log.record(_bed->sim().now(), nullptr, "ctrl setTierPolicy");
             console.setTierPolicy(
                 eid, 0.5, 8.0, sim::milliseconds(10), [this](bool ok) {
                     BMS_ASSERT(ok, "setTierPolicy verb failed");
@@ -579,8 +575,8 @@ Fuzzer::scheduleTiering(sim::Rng &rng)
                                 rng.uniformDouble(0.05, 0.2) * hz);
         sim::Tick extra = sim::milliseconds(1 + rng.uniformInt(0, 49));
         sim.scheduleAt(t0, [this, node, extra] {
-            _log.record(_bed->sim().now(),
-                        "net spike OPEN node=" + std::to_string(node));
+            _log.record(_bed->sim().now(), nullptr,
+                        "net spike OPEN node={}", node);
             ++_faultWindows;
             _faultsEverActive = true;
             _bed->link(node).setExtraDelay(extra);
@@ -588,8 +584,8 @@ Fuzzer::scheduleTiering(sim::Rng &rng)
                 t.oracle->setFaultsActive(true);
         });
         sim.scheduleAt(t1, [this, node] {
-            _log.record(_bed->sim().now(),
-                        "net spike CLOSE node=" + std::to_string(node));
+            _log.record(_bed->sim().now(), nullptr,
+                        "net spike CLOSE node={}", node);
             _bed->link(node).setExtraDelay(0);
         });
     }
@@ -611,8 +607,8 @@ Fuzzer::scheduleTiering(sim::Rng &rng)
                                     hz);
         ++_pendingControl;
         sim.scheduleAt(at, [this, &console, eid, node] {
-            _log.record(_bed->sim().now(),
-                        "tier failNode node=" + std::to_string(node));
+            _log.record(_bed->sim().now(), nullptr,
+                        "tier failNode node={}", node);
             ++_faultWindows;
             _faultsEverActive = true;
             for (Tenant &t : _tenants)
@@ -674,8 +670,8 @@ Fuzzer::attemptSnapshot(core::Eid eid, int attempt, TenantSpec cspec,
     OracleDevice &oracle = *_tenants[0].oracle;
     sim::Tick submit = oracle.holdPin();
     if (attempt % 25 == 0)
-        _log.record(submit, "ctrl snapshot fn=0 attempt=" +
-                                std::to_string(attempt));
+        _log.record(submit, nullptr, "ctrl snapshot fn=0 attempt={}",
+                    attempt);
     _bed->console().snapshot(
         eid, 0, 1,
         [this, &oracle, eid, attempt, cspec, crng, del_frac,
@@ -711,9 +707,8 @@ Fuzzer::attemptSnapshot(core::Eid eid, int attempt, TenantSpec cspec,
             ++_pendingControl;
             _bed->sim().scheduleAt(
                 del_at, [this, eid, snap = *snap_id] {
-                    _log.record(_bed->sim().now(),
-                                "ctrl deleteSnapshot id=" +
-                                    std::to_string(snap));
+                    _log.record(_bed->sim().now(), nullptr,
+                                "ctrl deleteSnapshot id={}", snap);
                     _bed->console().deleteSnapshot(
                         eid, snap, [this](bool ok) {
                             if (!ok)
@@ -736,9 +731,8 @@ Fuzzer::cloneFromSnapshot(core::Eid eid, std::uint32_t snap_id,
     // (<= 16) and the scratch VFs (kPfCount..kPfCount+3).
     auto fn = static_cast<pcie::FunctionId>(
         _bed->engine().config().totalFunctions() - 1);
-    _log.record(_bed->sim().now(),
-                "ctrl clone snap=" + std::to_string(snap_id) +
-                    " fn=" + std::to_string(fn));
+    _log.record(_bed->sim().now(), nullptr, "ctrl clone snap={} fn={}",
+                snap_id, fn);
     _bed->console().clone(
         eid, snap_id, static_cast<std::uint8_t>(fn), core::QosLimits(),
         [this, fn, cspec, crng](std::optional<std::uint32_t> nsid) {
@@ -873,8 +867,8 @@ Fuzzer::run()
     sim::Rng thin_rng(_cfg.seed ^ 0x7411'c0de'5a11ULL);
     _bed = std::make_unique<harness::BmStoreTestbed>(tb);
     _start = _bed->sim().now();
-    _log.record(_start, "run start: seed=" + std::to_string(_cfg.seed) +
-                            " ssds=" + std::to_string(ssds));
+    _log.record(_start, nullptr, "run start: seed={} ssds={}", _cfg.seed,
+                ssds);
 
     buildTenants(rng, thin_rng);
     // Tenant bring-up (driver init, namespace attach) advances the

@@ -339,9 +339,8 @@ OracleDevice::write(std::uint64_t block, std::uint32_t nblocks,
 
     bool faulty_at_submit = _faultsActive;
     ++_writes;
-    _log.record(now(), name() + " write  blk=" + std::to_string(block) +
-                           "+" + std::to_string(nblocks) +
-                           " stamp=" + std::to_string(stamp));
+    _log.record(now(), this, "write  blk={}+{} stamp={}", block, nblocks,
+                stamp);
 
     host::BlockRequest req;
     req.op = host::BlockRequest::Op::Write;
@@ -359,8 +358,8 @@ OracleDevice::write(std::uint64_t block, std::uint32_t nblocks,
                      std::to_string(nblocks) +
                      " failed with no fault injection active");
             ++_excusedErrors;
-            _log.record(now(), name() + " write-FAILED(excused) stamp=" +
-                                   std::to_string(stamp));
+            _log.record(now(), this, "write-FAILED(excused) stamp={}",
+                        stamp);
         }
         if (done)
             done(ok);
@@ -381,8 +380,7 @@ OracleDevice::trim(std::uint64_t block, std::uint32_t nblocks,
     startOp(block, nblocks, Stamp{});
     bool faulty_at_submit = _faultsActive;
     ++_trims;
-    _log.record(now(), name() + " trim   blk=" + std::to_string(block) +
-                           "+" + std::to_string(nblocks));
+    _log.record(now(), this, "trim   blk={}+{}", block, nblocks);
 
     host::BlockRequest req;
     req.op = host::BlockRequest::Op::Discard;
@@ -401,8 +399,7 @@ OracleDevice::trim(std::uint64_t block, std::uint32_t nblocks,
                      std::to_string(nblocks) +
                      " failed with no fault injection active");
             ++_excusedErrors;
-            _log.record(now(), name() + " trim-FAILED(excused) blk=" +
-                                   std::to_string(block));
+            _log.record(now(), this, "trim-FAILED(excused) blk={}", block);
         }
         if (done)
             done(ok);
@@ -423,8 +420,7 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
     sim::Tick submitted = now();
     _observers.push_back(submitted);
     ++_reads;
-    _log.record(now(), name() + " read   blk=" + std::to_string(block) +
-                           "+" + std::to_string(nblocks));
+    _log.record(now(), this, "read   blk={}+{}", block, nblocks);
 
     host::BlockRequest req;
     req.op = host::BlockRequest::Op::Read;
@@ -451,8 +447,7 @@ OracleDevice::read(std::uint64_t block, std::uint32_t nblocks,
                      std::to_string(nblocks) +
                      " failed with no fault injection active");
             ++_excusedErrors;
-            _log.record(now(), name() + " read-FAILED(excused) blk=" +
-                                   std::to_string(block));
+            _log.record(now(), this, "read-FAILED(excused) blk={}", block);
         }
         if (done)
             done(ok);
@@ -464,7 +459,7 @@ void
 OracleDevice::flush(std::function<void(bool)> done)
 {
     ++_flushes;
-    _log.record(now(), name() + " flush");
+    _log.record(now(), this, "flush");
     host::BlockRequest req;
     req.op = host::BlockRequest::Op::Flush;
     req.done = [this, done = std::move(done)](bool ok) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 
 #include "fuzz/fleet_fuzzer.hh"
 #include "fuzz/fuzzer.hh"
@@ -857,4 +858,46 @@ TEST(Fuzz, FleetSeedsAreDeterministic)
     EXPECT_EQ(a.finishedAt, b.finishedAt);
     // Golden anchor (see Anchor above).
     EXPECT_EQ(a.traceHash, 0x04f68b3d686cfc64u);
+}
+
+TEST(OpLog, KeepsTheLastEntriesAndDumpsThemOldestFirst)
+{
+    sim::Simulator sim;
+    sim::SimObject oracle(sim, "oracle0");
+    fuzz::OpLog log(3);
+    log.record(10, &oracle, "write  blk={}+{} stamp={}", 7, 2, 41);
+    log.record(20, &oracle, "read   blk={}+{}", 7, 2);
+    log.record(30, nullptr, "fault window OPEN");
+    log.record(40, nullptr, "ctrl clone snap={} fn={}", 3, 5);
+    log.record(50, &oracle, "flush");
+    EXPECT_EQ(log.recorded(), 5u);
+    EXPECT_EQ(log.capacity(), 3u);
+
+    std::ostringstream os;
+    log.dump(os);
+    EXPECT_EQ(os.str(), "---- fuzz op log (last 3 of 5 ops) ----\n"
+                        "  [30] fault window OPEN\n"
+                        "  [40] ctrl clone snap=3 fn=5\n"
+                        "  [50] oracle0 flush\n"
+                        "---- end op log ----\n");
+}
+
+TEST(OpLog, EachKindDumpsOneLine)
+{
+    sim::Simulator sim;
+    sim::SimObject oracle(sim, "t0");
+    fuzz::OpLog log(8);
+    log.record(1, &oracle, "write  blk={}+{} stamp={}", 4, 1, 9);
+    log.record(2, &oracle, "write-FAILED(excused) stamp={}", 9);
+    log.record(3, &oracle, "trim-FAILED(excused) blk={}", 4);
+    log.record(4, nullptr, "run start: seed={} ssds={}", 12, 2);
+
+    std::ostringstream os;
+    log.dump(os);
+    EXPECT_EQ(os.str(), "---- fuzz op log (last 4 of 4 ops) ----\n"
+                        "  [1] t0 write  blk=4+1 stamp=9\n"
+                        "  [2] t0 write-FAILED(excused) stamp=9\n"
+                        "  [3] t0 trim-FAILED(excused) blk=4\n"
+                        "  [4] run start: seed=12 ssds=2\n"
+                        "---- end op log ----\n");
 }
