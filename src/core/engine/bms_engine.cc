@@ -28,9 +28,7 @@ BmsEngine::BmsEngine(sim::Simulator &sim, std::string name,
         bool is_pf = i < EngineConfig::kPfCount;
         _functions.push_back(std::make_unique<FrontFunction>(
             sim, name + (is_pf ? ".pf" : ".vf") + std::to_string(i), fc,
-            is_pf,
-            [this](FrontFunction &fn, const nvme::Sqe &sqe,
-                   std::uint16_t sqid) { handleFrontIo(fn, sqe, sqid); }));
+            is_pf, *_target));
     }
     // The production board exposes two x8 back-end interfaces; every
     // pair of SSD slots shares one (paper §IV-E).
@@ -104,8 +102,10 @@ BmsEngine::bind(pcie::FunctionId fn, std::uint32_t nsid,
 void
 BmsEngine::unbind(pcie::FunctionId fn, std::uint32_t nsid)
 {
-    _bindings.erase(QosModule::key(fn, nsid));
+    const std::uint32_t key = QosModule::key(fn, nsid);
+    _bindings.erase(key);
     _functions.at(fn)->removeNamespace(nsid);
+    _qos->drop(key);
 }
 
 NsBinding *
@@ -181,13 +181,6 @@ BmsEngine::setQos(pcie::FunctionId fn, std::uint32_t nsid,
                   QosLimits limits)
 {
     _qos->setLimits(QosModule::key(fn, nsid), limits);
-}
-
-void
-BmsEngine::handleFrontIo(FrontFunction &fn, const nvme::Sqe &sqe,
-                         std::uint16_t sqid)
-{
-    _target->handleIo(fn, sqe, sqid);
 }
 
 void

@@ -126,7 +126,8 @@ class BmsEngine : public sim::SimObject, public pcie::PcieDeviceIf
                     std::uint64_t size_blocks,
                     LbaMapGeometry geom = LbaMapGeometry());
 
-    /** Remove a front-end namespace. */
+    /** Remove a front-end namespace and its QoS state; commands its
+     *  QoS buffer held fail at once (InvalidNamespace). */
     void unbind(pcie::FunctionId fn, std::uint32_t nsid);
 
     NsBinding *findBinding(pcie::FunctionId fn, std::uint32_t nsid);
@@ -166,9 +167,6 @@ class BmsEngine : public sim::SimObject, public pcie::PcieDeviceIf
     /// @}
 
   private:
-    void handleFrontIo(FrontFunction &fn, const nvme::Sqe &sqe,
-                       std::uint16_t sqid);
-
     /** Per-slot state: catalog entry (local SSD vs remote-node
      *  volume), maintenance owner and stored I/O context. */
     struct SlotInfo

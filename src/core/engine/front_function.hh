@@ -6,15 +6,15 @@
  * as it would to a physical SSD: that is BM-Store's transparency.
  *
  * All protocol handling is inherited from nvme::ControllerModel; I/O
- * commands are handed to the Target Controller.
+ * commands are handed to the Target Controller by handle.
  */
 
 #ifndef BMS_CORE_ENGINE_FRONT_FUNCTION_HH
 #define BMS_CORE_ENGINE_FRONT_FUNCTION_HH
 
-#include <functional>
 #include <utility>
 
+#include "core/engine/target_controller.hh"
 #include "nvme/controller.hh"
 
 namespace bms::core {
@@ -23,29 +23,21 @@ namespace bms::core {
 class FrontFunction : public nvme::ControllerModel
 {
   public:
-    /** Handler receiving fetched I/O commands (the target ctrl). */
-    using IoHandler = std::function<void(FrontFunction &,
-                                         const nvme::Sqe &, std::uint16_t)>;
-
     FrontFunction(sim::Simulator &sim, std::string name, Config cfg,
-                  bool is_pf, IoHandler io)
+                  bool is_pf, TargetController &target)
         : ControllerModel(sim, std::move(name), cfg),
           _isPf(is_pf),
-          _io(std::move(io))
+          _target(target)
     {}
 
     bool isPf() const { return _isPf; }
 
   protected:
-    void
-    executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override
-    {
-        _io(*this, sqe, sqid);
-    }
+    void executeIo(Handle h) override { _target.handleIo(*this, h); }
 
   private:
     bool _isPf;
-    IoHandler _io;
+    TargetController &_target;
 };
 
 } // namespace bms::core

@@ -81,11 +81,8 @@ void
 HostAdaptor::ssdMmio(nvme::RegWrite w)
 {
     BMS_ASSERT(_ssd, "MMIO write to empty back-end slot");
-    sim::Tick arrive = _backLink.down().controlArrival(now());
-    pcie::PcieDeviceIf *ssd = _ssd;
-    sim().scheduleAt(arrive, [ssd, w] {
-        ssd->mmioWrite(0, w.offset, w.value);
-    });
+    _records.mmio(_backLink.down().controlArrival(now()), *_ssd, 0, w.offset,
+                  w.value);
 }
 
 void
@@ -207,24 +204,14 @@ HostAdaptor::checkDrained()
 }
 
 sim::Tick
-HostAdaptor::reserveDown(sim::Tick start, std::uint64_t bytes)
+HostAdaptor::reserve(bool down, sim::Tick start, std::uint64_t bytes)
 {
-    sim::Tick fin = _backLink.down().reserve(start, bytes);
-    if (_ifaceLink) {
-        sim::Tick ifin = _ifaceLink->down().reserve(start, bytes);
-        fin = std::max(fin, ifin);
-    }
-    return fin;
-}
-
-sim::Tick
-HostAdaptor::reserveUp(sim::Tick start, std::uint64_t bytes)
-{
-    sim::Tick fin = _backLink.up().reserve(start, bytes);
-    if (_ifaceLink) {
-        sim::Tick ifin = _ifaceLink->up().reserve(start, bytes);
-        fin = std::max(fin, ifin);
-    }
+    auto channel = [down](pcie::PcieLink &l) -> pcie::LinkChannel & {
+        return down ? l.down() : l.up();
+    };
+    sim::Tick fin = channel(_backLink).reserve(start, bytes);
+    if (_ifaceLink)
+        fin = std::max(fin, channel(*_ifaceLink).reserve(start, bytes));
     return fin;
 }
 
@@ -232,107 +219,99 @@ void
 HostAdaptor::dmaRead(std::uint64_t addr, std::uint32_t len,
                      sim::DataOut out, std::function<void()> done)
 {
-    std::uint64_t orig = GlobalPrp::originalAddr(addr);
-    if (ChipMemory::contains(orig)) {
-        // Command fetch, PRP-list fetch, or a migration segment's
-        // write data: served from chip memory.
-        _chipBytes += len;
-        sim::Tick fin =
-            reserveDown(now() + EngineConfig::kChipMemLatency, len);
-        sim().scheduleAt(fin, [this, orig, len, out,
-                               done = std::move(done)] {
-            if (out)
-                _chip.read(orig, len, out);
-            done();
-        });
-        return;
-    }
-    routeToHost(false, addr, len, out, nullptr, std::move(done));
+    route(Dma{addr, len, false, out, nullptr, 0, std::move(done)});
 }
 
 void
 HostAdaptor::dmaWrite(std::uint64_t addr, std::uint32_t len,
                       sim::DataIn data, std::function<void()> done)
 {
-    std::uint64_t orig = GlobalPrp::originalAddr(addr);
-    if (ChipMemory::contains(orig)) {
-        // CQE post into the adaptor's completion ring, or a
-        // migration segment's read data landing in its staging buffer.
-        _chipBytes += len;
-        sim::Tick fin = reserveUp(now(), len) + EngineConfig::kChipMemLatency;
-        sim().scheduleAt(fin, [this, orig, len, data,
-                               done = std::move(done)] {
-            if (data)
-                _chip.write(orig, len, data);
-            done();
-        });
-        return;
-    }
-    routeToHost(true, addr, len, nullptr, data, std::move(done));
+    route(Dma{addr, len, true, nullptr, data, 0, std::move(done)});
 }
 
 void
-HostAdaptor::routeToHost(bool to_host, std::uint64_t addr,
-                         std::uint32_t len, sim::DataOut rbuf,
-                         sim::DataIn wbuf, std::function<void()> done)
+HostAdaptor::route(Dma dma)
 {
+    const std::uint64_t tagged = dma.addr;
+    dma.addr = GlobalPrp::originalAddr(tagged);
+    if (ChipMemory::contains(dma.addr)) {
+        // Reads: command fetch, PRP-list fetch, or a migration
+        // segment's write data. Writes: a CQE post into the adaptor's
+        // completion ring, or a migration segment's read data landing
+        // in its staging buffer. All served from chip memory.
+        _chipBytes += dma.len;
+        const std::uint32_t len = dma.len;
+        _records.land(
+            dma.toHost
+                ? reserve(false, now(), len) + EngineConfig::kChipMemLatency
+                : reserve(true, now() + EngineConfig::kChipMemLatency, len),
+            std::move(dma));
+        return;
+    }
     BMS_ASSERT(_hostUp, "engine not attached to host");
+    const Handle h = _records.dmas.open();
+    Dma &d = _records.dmas[h] = std::move(dma);
     if (sim::Check::paranoid())
-        GlobalPrp::checkInvariants(addr);
-    std::uint64_t orig = GlobalPrp::originalAddr(addr);
+        GlobalPrp::checkInvariants(tagged);
     // The function id recovered from the TLP address selects the host
     // PF/VF. The host root port routes by address in this model, so
     // the id's role here is validation/accounting — exactly the
     // "retrieve the function id and route the request" step of §IV-C.
-    [[maybe_unused]] pcie::FunctionId fn = GlobalPrp::functionOf(addr);
-    _routedHostBytes += len;
+    [[maybe_unused]] pcie::FunctionId fn = GlobalPrp::functionOf(tagged);
+    _routedHostBytes += d.len;
 
     if (_cfg.zeroCopy) {
         // Cut-through: the back-end link and the host link stream in
         // parallel; completion when both have carried the payload.
         sim::Tick back_fin =
-            to_host ? reserveUp(now(), len)
-                    : reserveDown(now() + EngineConfig::kDmaRouteDelay, len);
-        auto barrier = std::make_shared<int>(2);
-        auto arm = [barrier, done = std::move(done)] {
-            if (--*barrier == 0)
-                done();
-        };
-        sim().scheduleAt(back_fin, arm);
-        schedule(EngineConfig::kDmaRouteDelay,
-                 [this, to_host, orig, len, rbuf, wbuf, arm] {
-            if (to_host)
-                _hostUp->dmaWrite(orig, len, wbuf, arm);
-            else
-                _hostUp->dmaRead(orig, len, rbuf, arm);
-        });
+            d.toHost
+                ? reserve(false, now(), d.len)
+                : reserve(true, now() + EngineConfig::kDmaRouteDelay, d.len);
+        d.legs = 2;
+        sim().scheduleAt(back_fin, [this, h] { legDone(h); });
+        schedule(EngineConfig::kDmaRouteDelay, [this, h] { hostLeg(h); });
         return;
     }
 
     // Store-and-forward ablation: stage the payload in engine DRAM.
-    auto dram_stage = [this, len](sim::Tick start) {
-        sim::Tick s = start > *_dramBusy ? start : *_dramBusy;
-        *_dramBusy = s + EngineConfig::kEngineDramBw.delayFor(len);
-        return *_dramBusy;
-    };
-    if (to_host) {
+    if (d.toHost) {
         // SSD → back link → DRAM → host link.
-        sim::Tick back_fin = reserveUp(now(), len);
-        sim::Tick staged = dram_stage(back_fin);
-        sim().scheduleAt(staged, [this, orig, len, wbuf,
-                                  done = std::move(done)] {
-            _hostUp->dmaWrite(orig, len, wbuf, std::move(done));
-        });
+        d.legs = 1;
+        sim::Tick staged = stageInDram(reserve(false, now(), d.len), d.len);
+        sim().scheduleAt(staged, [this, h] { hostLeg(h); });
     } else {
         // Host link → DRAM → back link → SSD.
-        _hostUp->dmaRead(orig, len, rbuf,
-                         [this, len, dram_stage,
-                          done = std::move(done)]() mutable {
-                             sim::Tick staged = dram_stage(now());
-                             sim::Tick fin = reserveDown(staged, len);
-                             sim().scheduleAt(fin, std::move(done));
-                         });
+        _hostUp->dmaRead(d.addr, d.len, d.out, [this, h] {
+            const std::uint32_t len = _records.dmas[h].len;
+            sim::Tick fin = reserve(true, stageInDram(now(), len), len);
+            sim().scheduleAt(fin, [this, h] { _records.finish(h); });
+        });
     }
+}
+
+void
+HostAdaptor::hostLeg(Handle h)
+{
+    const Dma &d = _records.dmas[h];
+    if (d.toHost)
+        _hostUp->dmaWrite(d.addr, d.len, d.in, [this, h] { legDone(h); });
+    else
+        _hostUp->dmaRead(d.addr, d.len, d.out, [this, h] { legDone(h); });
+}
+
+void
+HostAdaptor::legDone(Handle h)
+{
+    if (--_records.dmas[h].legs == 0)
+        _records.finish(h);
+}
+
+sim::Tick
+HostAdaptor::stageInDram(sim::Tick start, std::uint32_t len)
+{
+    sim::Tick s = start > *_dramBusy ? start : *_dramBusy;
+    *_dramBusy = s + EngineConfig::kEngineDramBw.delayFor(len);
+    return *_dramBusy;
 }
 
 } // namespace bms::core

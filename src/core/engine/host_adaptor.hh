@@ -13,6 +13,9 @@
  * of their function id and forwarded to the corresponding host PF/VF
  * with cut-through timing (zero-copy). A store-and-forward ablation
  * stages data in engine DRAM instead.
+ *
+ * Every DMA through the router and every doorbell write on its way to
+ * the SSD is one record (pcie::PortRecords) until it is done.
  */
 
 #ifndef BMS_CORE_ENGINE_HOST_ADAPTOR_HH
@@ -111,6 +114,8 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
 
   private:
     using Ring = nvme::QueuePair<nvme::Command>;
+    using Dma = pcie::PortRecords::Dma;
+    using Handle = std::uint32_t;
 
     void ssdMmio(nvme::RegWrite w);
     void push(Ring &ring, const nvme::Sqe &sqe, CqeHandler done);
@@ -119,13 +124,17 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     void scanCq(Ring &ring);
 
     /** Reserve the slot link and the shared x8 interface (if any)
-     *  for a transfer toward the SSD; returns the finish tick. */
-    sim::Tick reserveDown(sim::Tick start, std::uint64_t bytes);
-    /** Same, toward the engine. */
-    sim::Tick reserveUp(sim::Tick start, std::uint64_t bytes);
-    void routeToHost(bool to_host, std::uint64_t addr, std::uint32_t len,
-                     sim::DataOut rbuf, sim::DataIn wbuf,
-                     std::function<void()> done);
+     *  toward the SSD (@p down) or the engine; returns the finish
+     *  tick. */
+    sim::Tick reserve(bool down, sim::Tick start, std::uint64_t bytes);
+    /** Serve @p dma from chip memory or route it to the host. */
+    void route(Dma dma);
+    /** Issue @p h's transfer on the host link. */
+    void hostLeg(Handle h);
+    void legDone(Handle h);
+    /** Store-and-forward: stage @p len bytes through the card DRAM
+     *  from @p start; returns when they are staged. */
+    sim::Tick stageInDram(sim::Tick start, std::uint32_t len);
     void checkDrained();
 
     std::uint8_t _slot;
@@ -150,6 +159,8 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     sim::Tick _dramBusyLocal = 0;
     sim::Tick *_dramBusy = &_dramBusyLocal;
 
+    /** Chip-served DMAs, routed ones and doorbell writes. */
+    pcie::PortRecords _records{sim(), _chip};
     std::vector<std::function<void()>> _drainWaiters;
     std::uint64_t _routedHostBytes = 0;
     std::uint64_t _chipBytes = 0;

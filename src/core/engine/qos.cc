@@ -56,6 +56,16 @@ QosModule::limitsFor(std::uint32_t ns_key) const
     return &it->second.limits;
 }
 
+void
+QosModule::drop(std::uint32_t ns_key)
+{
+    auto dropped = _ns.extract(ns_key);
+    if (!dropped.empty()) {
+        for (auto &waiting : dropped.mapped().buffer)
+            waiting.second();
+    }
+}
+
 std::size_t
 QosModule::bufferDepth(std::uint32_t ns_key) const
 {
@@ -165,7 +175,10 @@ QosModule::scheduleDispatch(std::uint32_t ns_key)
 void
 QosModule::dispatch(std::uint32_t ns_key)
 {
-    NsState &ns = _ns[ns_key];
+    auto it = _ns.find(ns_key);
+    if (it == _ns.end())
+        return; // dropped with its namespace
+    NsState &ns = it->second;
     ns.dispatchScheduled = false;
     refill(ns);
     ++_dispatchDepth;

@@ -68,6 +68,13 @@ class QosModule : public sim::SimObject
     const QosLimits *limitsFor(std::uint32_t ns_key) const;
 
     /**
+     * Forget namespace @p ns_key, which is being unbound: its limits
+     * and buckets go, and its buffered commands are released at once,
+     * oldest first (each then finds its namespace gone and fails).
+     */
+    void drop(std::uint32_t ns_key);
+
+    /**
      * Admit a command of @p bytes for namespace @p ns_key. @p forward
      * runs immediately when within threshold, or later when the
      * dispatcher releases it from the command buffer.

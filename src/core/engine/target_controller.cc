@@ -50,31 +50,16 @@ TargetController::TargetController(sim::Simulator &sim, std::string name,
     registerStat("cowTriggers", [this] { return double(_cowTriggers); });
 }
 
-TargetController::Handle
-TargetController::openCmd(FrontFunction &fn, const Sqe &sqe,
-                          std::uint16_t sqid)
+const Sqe &
+TargetController::sqeOf(const Cmd &c)
 {
-    Handle h;
-    if (_freeCmds.empty()) {
-        h = static_cast<Handle>(_cmds.size());
-        _cmds.emplace_back();
-    } else {
-        h = _freeCmds.back();
-        _freeCmds.pop_back();
-    }
-    Cmd &c = _cmds[h];
-    c.fn = &fn;
-    c.sqe = sqe;
-    c.sqid = sqid;
-    c.worst = Status::Success;
-    c.mirrorOk = true;
-    return h;
+    return c.fn->sqe(c.front);
 }
 
 NsBinding *
 TargetController::bindingOf(const Cmd &c)
 {
-    return _engine.findBinding(c.fn->functionId(), c.sqe.nsid);
+    return _engine.findBinding(c.fn->functionId(), sqeOf(c).nsid);
 }
 
 void
@@ -82,9 +67,10 @@ TargetController::post(Handle h, Status st)
 {
     // complete() may accept a new command into the freed record; its
     // arguments are copied before it runs.
-    const Cmd &c = _cmds[h];
-    _freeCmds.push_back(h);
-    c.fn->complete(c.sqid, c.sqe.cid, st);
+    FrontFunction &fn = *_cmds[h].fn;
+    const nvme::ControllerModel::Handle front = _cmds[h].front;
+    _cmds.free(h);
+    fn.complete(front, st);
 }
 
 void
@@ -105,11 +91,17 @@ TargetController::completeAfterPipeline(Handle h, Status st)
 }
 
 void
-TargetController::handleIo(FrontFunction &fn, const Sqe &sqe,
-                           std::uint16_t sqid)
+TargetController::handleIo(FrontFunction &fn,
+                           nvme::ControllerModel::Handle front)
 {
-    const Handle h = openCmd(fn, sqe, sqid);
-    NsBinding *binding = bindingOf(_cmds[h]);
+    const Handle h = _cmds.open();
+    Cmd &c = _cmds[h];
+    c.fn = &fn;
+    c.front = front;
+    c.worst = Status::Success;
+    c.mirrorOk = true;
+    const Sqe &sqe = fn.sqe(front);
+    NsBinding *binding = bindingOf(c);
     if (!binding) {
         fail(h, Status::InvalidNamespace);
         return;
@@ -142,7 +134,7 @@ void
 TargetController::resume(Handle h, Status st)
 {
     const bool dsm =
-        static_cast<IoOpcode>(_cmds[h].sqe.opcode) == IoOpcode::Dsm;
+        static_cast<IoOpcode>(sqeOf(_cmds[h]).opcode) == IoOpcode::Dsm;
     if (st == Status::Success)
         dsm ? trimChunk(h) : forward(h);
     else
@@ -183,7 +175,7 @@ TargetController::finishChunkOp(std::uint64_t key, Status st)
 bool
 TargetController::classifyChunks(Handle h, NsBinding &binding)
 {
-    const Sqe &sqe = _cmds[h].sqe;
+    const Sqe &sqe = sqeOf(_cmds[h]);
     const bool is_write =
         static_cast<IoOpcode>(sqe.opcode) == IoOpcode::Write;
     const LbaMapGeometry &g = binding.map.geometry();
@@ -253,7 +245,7 @@ TargetController::allocScrubbed(Handle h, bool ok)
 {
     const Cmd &c = _cmds[h];
     const pcie::FunctionId fn_id = c.fn->functionId();
-    const std::uint32_t nsid = c.sqe.nsid;
+    const std::uint32_t nsid = sqeOf(c).nsid;
     const std::uint32_t chunk_index = c.opChunk;
     const std::uint64_t key =
         heatKey(QosModule::key(fn_id, nsid), chunk_index);
@@ -355,7 +347,7 @@ TargetController::scrubNext(Handle h)
 void
 TargetController::scrubbed(Handle h, bool ok)
 {
-    if (static_cast<IoOpcode>(_cmds[h].sqe.opcode) != IoOpcode::Dsm) {
+    if (static_cast<IoOpcode>(sqeOf(_cmds[h]).opcode) != IoOpcode::Dsm) {
         allocScrubbed(h, ok);
         return;
     }
@@ -391,8 +383,8 @@ TargetController::forward(Handle h)
     c.chunkBlocks = chunk_blocks;
     c.extents.clear();
     c.zeros.clear();
-    std::uint64_t lba = c.sqe.slba();
-    std::uint64_t remaining = c.sqe.nlb();
+    std::uint64_t lba = sqeOf(c).slba();
+    std::uint64_t remaining = sqeOf(c).nlb();
     std::uint64_t byte_off = 0;
     while (remaining > 0) {
         std::uint64_t in_chunk = chunk_blocks - (lba % chunk_blocks);
@@ -428,28 +420,29 @@ TargetController::admit(Handle h)
     // list fetch) still targets chunks the gate knows about, writes
     // may pick up mirror legs or be held while a segment copy runs.
     Cmd &c = _cmds[h];
+    const Sqe &sqe = sqeOf(c);
     const bool is_write =
-        static_cast<IoOpcode>(c.sqe.opcode) == IoOpcode::Write;
+        static_cast<IoOpcode>(sqe.opcode) == IoOpcode::Write;
     if (!_engine.migrationGate().admit(h, is_write, c.extents,
                                        c.chunkBlocks, c.mirrors,
                                        [this, h] { admit(h); }))
         return;
 
-    const std::uint64_t len = c.sqe.dataBytes();
-    c.pages.assign(1, c.sqe.prp1);
-    if (!nvme::needsPrpList(c.sqe.prp1, len)) {
-        if (nvme::prpPageCount(c.sqe.prp1, len) == 2)
-            c.pages.push_back(c.sqe.prp2);
+    const std::uint64_t len = sqe.dataBytes();
+    c.pages.assign(1, sqe.prp1);
+    if (!nvme::needsPrpList(sqe.prp1, len)) {
+        if (nvme::prpPageCount(sqe.prp1, len) == 2)
+            c.pages.push_back(sqe.prp2);
         dispatch(h);
         return;
     }
     // Step ③: fetch the host PRP list over the host link straight
     // into the record, to be rewritten into global PRPs and staged in
     // chip memory per leg.
-    const std::uint32_t entries = nvme::prpPageCount(c.sqe.prp1, len) - 1;
+    const std::uint32_t entries = nvme::prpPageCount(sqe.prp1, len) - 1;
     c.pages.resize(1 + entries);
     _engine.hostUpstream()->dmaRead(
-        c.sqe.prp2, entries * 8,
+        sqe.prp2, entries * 8,
         reinterpret_cast<std::uint8_t *>(c.pages.data() + 1),
         [this, h] { dispatch(h); });
 }
@@ -458,7 +451,7 @@ void
 TargetController::dispatch(Handle h)
 {
     Cmd &c = _cmds[h];
-    const Sqe &sqe = c.sqe;
+    const Sqe &sqe = sqeOf(c);
     BMS_ASSERT(!c.extents.empty() || !c.zeros.empty(),
                "I/O resolved to no extents");
     // The single-extent fast path rewrites the whole transfer's PRPs;
@@ -546,7 +539,7 @@ TargetController::submitLeg(Handle h, std::uint32_t leg)
                                 ? c.extents[leg]
                                 : c.mirrors[leg - c.extents.size()];
     const pcie::FunctionId fn_id = c.fn->functionId();
-    Sqe bsqe = c.sqe;
+    Sqe bsqe = sqeOf(c);
     bsqe.nsid = 1; // back-end SSDs expose one raw namespace
     bsqe.setSlba(ext.physLba);
     bsqe.setNlb(static_cast<std::uint32_t>(ext.blocks));
@@ -639,17 +632,18 @@ TargetController::handleDsm(Handle h)
 {
     ++_dsmCommands;
     Cmd &c = _cmds[h];
-    if (!(c.sqe.cdw11 & nvme::kDsmAttrDeallocate)) {
+    const Sqe &sqe = sqeOf(c);
+    if (!(sqe.cdw11 & nvme::kDsmAttrDeallocate)) {
         // Only the deallocate attribute is implemented; the access
         // hints are acknowledged and ignored.
         post(h, Status::Success);
         return;
     }
-    const std::uint32_t nr = (c.sqe.cdw10 & 0xff) + 1;
+    const std::uint32_t nr = (sqe.cdw10 & 0xff) + 1;
     const std::uint32_t bytes =
         nr * static_cast<std::uint32_t>(sizeof(nvme::DsmRange));
-    if (c.sqe.prp1 == 0 ||
-        c.sqe.prp1 % nvme::kPageSize + bytes > nvme::kPageSize) {
+    if (sqe.prp1 == 0 ||
+        sqe.prp1 % nvme::kPageSize + bytes > nvme::kPageSize) {
         // The range list always fits one page (256 * 16 B); a buffer
         // straddling pages is malformed here.
         fail(h, Status::InvalidField);
@@ -657,7 +651,7 @@ TargetController::handleDsm(Handle h)
     }
     c.pages.resize(bytes / sizeof(std::uint64_t));
     _engine.hostUpstream()->dmaRead(
-        c.sqe.prp1, bytes, reinterpret_cast<std::uint8_t *>(c.pages.data()),
+        sqe.prp1, bytes, reinterpret_cast<std::uint8_t *>(c.pages.data()),
         [this, h] { parseDsm(h); });
 }
 
@@ -672,7 +666,7 @@ TargetController::parseDsm(Handle h)
     }
     const std::uint64_t size_blocks = b->info.sizeBlocks;
     const std::uint64_t chunk_blocks = b->map.geometry().chunkBlocks;
-    const std::uint32_t nr = (c.sqe.cdw10 & 0xff) + 1;
+    const std::uint32_t nr = (sqeOf(c).cdw10 & 0xff) + 1;
     const auto *raw = reinterpret_cast<const std::uint8_t *>(c.pages.data());
     c.chunks.clear();
     c.next = 0;
@@ -785,7 +779,7 @@ void
 TargetController::trimDone(Handle h, Status op_st, Status st)
 {
     const Cmd &c = _cmds[h];
-    finishChunkOp(heatKey(QosModule::key(c.fn->functionId(), c.sqe.nsid),
+    finishChunkOp(heatKey(QosModule::key(c.fn->functionId(), sqeOf(c).nsid),
                           c.chunks[c.next].chunk),
                   op_st);
     dsmChunkDone(h, st);
@@ -899,7 +893,7 @@ TargetController::forwardFlush(Handle h, NsBinding &binding)
 
     Cmd &c = _cmds[h];
     c.legsLeft = used.count();
-    Sqe bsqe = c.sqe;
+    Sqe bsqe = sqeOf(c);
     bsqe.nsid = 1;
     for (int s = 0; s < _engine.ssdSlots(); ++s) {
         if (!used[static_cast<std::size_t>(s)])

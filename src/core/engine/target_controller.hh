@@ -30,7 +30,6 @@
 #define BMS_CORE_ENGINE_TARGET_CONTROLLER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <unordered_map>
@@ -38,6 +37,7 @@
 
 #include "core/engine/engine_config.hh"
 #include "core/engine/migration_gate.hh"
+#include "nvme/controller.hh"
 #include "nvme/defs.hh"
 #include "pcie/device.hh"
 #include "sim/simulator.hh"
@@ -55,9 +55,8 @@ class TargetController : public sim::SimObject
     TargetController(sim::Simulator &sim, std::string name,
                      BmsEngine &engine);
 
-    /** Entry point for I/O commands fetched by a front function. */
-    void handleIo(FrontFunction &fn, const nvme::Sqe &sqe,
-                  std::uint16_t sqid);
+    /** Entry point for I/O command @p front fetched by @p fn. */
+    void handleIo(FrontFunction &fn, nvme::ControllerModel::Handle front);
 
     /** @name Thin-provisioning hooks (the BMS-Controller installs all
      *  four when it is built, so the data path calls them unchecked). */
@@ -204,9 +203,9 @@ class TargetController : public sim::SimObject
      */
     struct Cmd
     {
+        /** The front function and its record of the command (the SQE). */
         FrontFunction *fn = nullptr;
-        nvme::Sqe sqe;
-        std::uint16_t sqid = 0;
+        nvme::ControllerModel::Handle front = 0;
         std::uint64_t chunkBlocks = 0; ///< the namespace's, at translate
         std::vector<PhysExtent> extents;
         std::vector<PhysExtent> mirrors;
@@ -233,8 +232,7 @@ class TargetController : public sim::SimObject
         std::size_t piece = 0;
     };
 
-    Handle openCmd(FrontFunction &fn, const nvme::Sqe &sqe,
-                   std::uint16_t sqid);
+    static const nvme::Sqe &sqeOf(const Cmd &c);
     /** The command's namespace, looked up again (null once destroyed):
      *  every step after an asynchronous gap starts here. */
     NsBinding *bindingOf(const Cmd &c);
@@ -311,10 +309,7 @@ class TargetController : public sim::SimObject
     TrimHook _trimHook;
     CowHook _cowHook;
     NsRefHook _nsRefHook;
-    /** Command records; a record's index is its handle. */
-    std::deque<Cmd> _cmds;
-    /** Handles of free records, reused last-in first-out. */
-    std::vector<Handle> _freeCmds;
+    sim::RecordPool<Cmd> _cmds{sim()};
     /** PRP-list slots no leg holds, reused last-in first-out. */
     std::vector<std::uint64_t> _freeListSlots;
     /** Scratch for one leg's rewritten PRP list. */

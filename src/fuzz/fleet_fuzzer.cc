@@ -252,6 +252,8 @@ FleetFuzzer::run()
     // and the drill's node losses all move chunks.
     for (int c = 0; c < _fleet->cards(); ++c)
         _fleet->card(c).controller().namespaces().checkRefInvariants();
+    if (_fleet->sim().liveRecords() != 0)
+        fail("command records left open after drain");
 
     for (Active &a : _active) {
         report.totalOps += a.workload->ops();

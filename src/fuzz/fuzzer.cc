@@ -941,6 +941,8 @@ Fuzzer::run()
     for (int s = 0; s < total_slots; ++s)
         BMS_ASSERT_EQ(_bed->engine().adaptor(s).inflight(), 0u,
                       "adaptor ", s, " left with in-flight commands");
+    BMS_ASSERT_EQ(_bed->sim().liveRecords(), std::size_t(0),
+                  "command records left open after drain");
     core::MigrationGate &gate = _bed->engine().migrationGate();
     BMS_ASSERT(!gate.migrationActive(),
                "migration window left open after drain");

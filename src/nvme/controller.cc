@@ -207,7 +207,7 @@ ControllerModel::doorbell(const DoorbellRef &ref, std::uint64_t value)
         // Admin commands are strict-priority in every mode; IO SQs go
         // through the configured arbiter.
         if (ref.qid == 0 || _cfg.arb == ArbitrationMode::Immediate) {
-            pump(ref.qid);
+            fetchEach(ref.qid);
         } else {
             ++_sqDoorbells;
             signalArbitration();
@@ -221,18 +221,10 @@ ControllerModel::doorbell(const DoorbellRef &ref, std::uint64_t value)
 }
 
 void
-ControllerModel::pump(std::uint16_t sqid)
+ControllerModel::fetchEach(std::uint16_t sqid)
 {
-    auto &sq = _sqs[sqid];
-    while (sq.valid && !_fetchPaused && sq.head != sq.tail) {
-        std::uint64_t addr =
-            sq.base + static_cast<std::uint64_t>(sq.head) * sizeof(Sqe);
-        sq.head = static_cast<std::uint16_t>((sq.head + 1) % sq.size);
-        auto buf = std::make_shared<std::array<std::uint8_t, sizeof(Sqe)>>();
-        _up->dmaRead(addr, sizeof(Sqe), buf->data(), [this, buf, sqid] {
-            fetched(fromBytes<Sqe>(buf->data()), sqid);
-        });
-    }
+    while (!_fetchPaused && _sqs[sqid].backlog() != 0)
+        fetchBurst(sqid, 1);
 }
 
 void
@@ -249,12 +241,10 @@ ControllerModel::resumeFetch()
     _fetchPaused = false;
     if (_cfg.arb == ArbitrationMode::Immediate) {
         for (std::uint16_t qid = 0; qid < _sqs.size(); ++qid)
-            if (_sqs[qid].valid)
-                pump(qid);
+            fetchEach(qid);
         return;
     }
-    if (_sqs[0].valid)
-        pump(0); // admin drains immediately in every mode
+    fetchEach(0); // admin drains immediately in every mode
     signalArbitration();
 }
 
@@ -344,38 +334,49 @@ ControllerModel::fetchBurst(std::uint16_t sqid, std::uint32_t maxN)
     std::uint64_t addr =
         sq.base + static_cast<std::uint64_t>(sq.head) * sizeof(Sqe);
     sq.head = static_cast<std::uint16_t>((sq.head + n) % sq.size);
-    sq.fetched += n;
-    ++_fetchBatches;
-    _fetchedSqes += n;
-    auto buf =
-        std::make_shared<std::vector<std::uint8_t>>(n * sizeof(Sqe));
-    _up->dmaRead(addr, n * sizeof(Sqe), buf->data(),
-                 [this, buf, sqid, n] {
-        // One completion delivers the whole burst in ring order; the
-        // event queue's same-tick FIFO keeps intra-SQ order intact.
-        for (std::uint32_t i = 0; i < n; ++i)
-            fetched(fromBytes<Sqe>(buf->data() + i * sizeof(Sqe)), sqid);
+    if (sqid != 0) {
+        sq.fetched += n;
+        ++_fetchBatches;
+        _fetchedSqes += n;
+    }
+    const Handle first = _cmds.open();
+    _cmds[first].sqid = sqid;
+    _cmds[first].fetch.resize(n * sizeof(Sqe));
+    _up->dmaRead(addr, n * sizeof(Sqe), _cmds[first].fetch.data(),
+                 [this, first, n] {
+        // One completion delivers the whole burst in ring order, each
+        // SQE into a record of its own; the event queue's same-tick
+        // FIFO keeps intra-SQ order intact. The first record keeps the
+        // bytes through the loop: it is posted a DMA later at least.
+        for (std::uint32_t i = 0; i < n; ++i) {
+            const Handle h = i == 0 ? first : _cmds.open();
+            _cmds[h].sqe = fromBytes<Sqe>(_cmds[first].fetch.data() +
+                                          i * sizeof(Sqe));
+            _cmds[h].sqid = _cmds[first].sqid;
+            fetched(h);
+        }
     });
 }
 
 void
-ControllerModel::fetched(const Sqe &sqe, std::uint16_t sqid)
+ControllerModel::fetched(Handle h)
 {
     if (_cfg.cmdProcDelay == 0) {
-        dispatch(sqe, sqid);
+        dispatch(h);
         return;
     }
-    schedule(_cfg.cmdProcDelay, [this, sqe, sqid] { dispatch(sqe, sqid); });
+    schedule(_cfg.cmdProcDelay, [this, h] { dispatch(h); });
 }
 
 void
-ControllerModel::dispatch(const Sqe &sqe, std::uint16_t sqid)
+ControllerModel::dispatch(Handle h)
 {
     ++_inflight;
-    if (sqid == 0) {
-        adminBuiltin(sqe);
+    if (_cmds[h].sqid == 0) {
+        adminBuiltin(h);
         return;
     }
+    const Sqe &sqe = _cmds[h].sqe;
     switch (static_cast<IoOpcode>(sqe.opcode)) {
       case IoOpcode::Read:
         ++_readOps;
@@ -388,19 +389,20 @@ ControllerModel::dispatch(const Sqe &sqe, std::uint16_t sqid)
       default:
         break;
     }
-    executeIo(sqe, sqid);
+    executeIo(h);
 }
 
 void
-ControllerModel::adminBuiltin(const Sqe &sqe)
+ControllerModel::adminBuiltin(Handle h)
 {
+    const Sqe &sqe = _cmds[h].sqe;
     switch (static_cast<AdminOpcode>(sqe.opcode)) {
       case AdminOpcode::CreateIoCq: {
         std::uint16_t qid = sqe.cdw10 & 0xffff;
         std::uint16_t qsize =
             static_cast<std::uint16_t>(((sqe.cdw10 >> 16) & 0xffff) + 1);
         if (qid == 0 || qid >= _cqs.size()) {
-            complete(0, sqe.cid, Status::InvalidField);
+            complete(h, Status::InvalidField);
             return;
         }
         auto &cq = _cqs[qid];
@@ -412,7 +414,7 @@ ControllerModel::adminBuiltin(const Sqe &sqe)
         cq.phase = true;
         cq.irqEnabled = (sqe.cdw11 >> 1) & 0x1;
         cq.vector = static_cast<std::uint16_t>(sqe.cdw11 >> 16);
-        complete(0, sqe.cid, Status::Success);
+        complete(h, Status::Success);
         return;
       }
       case AdminOpcode::CreateIoSq: {
@@ -421,7 +423,7 @@ ControllerModel::adminBuiltin(const Sqe &sqe)
             static_cast<std::uint16_t>(((sqe.cdw10 >> 16) & 0xffff) + 1);
         std::uint16_t cqid = static_cast<std::uint16_t>(sqe.cdw11 >> 16);
         if (qid == 0 || qid >= _sqs.size() || !_cqs[cqid].valid) {
-            complete(0, sqe.cid, Status::InvalidField);
+            complete(h, Status::InvalidField);
             return;
         }
         auto &sq = _sqs[qid];
@@ -432,21 +434,21 @@ ControllerModel::adminBuiltin(const Sqe &sqe)
         sq.head = sq.tail = 0;
         sq.cqid = cqid;
         sq.prio = static_cast<std::uint8_t>((sqe.cdw11 >> 1) & 0x3);
-        complete(0, sqe.cid, Status::Success);
+        complete(h, Status::Success);
         return;
       }
       case AdminOpcode::DeleteIoSq: {
         std::uint16_t qid = sqe.cdw10 & 0xffff;
         if (qid > 0 && qid < _sqs.size())
             _sqs[qid] = SubQueue{};
-        complete(0, sqe.cid, Status::Success);
+        complete(h, Status::Success);
         return;
       }
       case AdminOpcode::DeleteIoCq: {
         std::uint16_t qid = sqe.cdw10 & 0xffff;
         if (qid > 0 && qid < _cqs.size())
             _cqs[qid] = ComplQueue{};
-        complete(0, sqe.cid, Status::Success);
+        complete(h, Status::Success);
         return;
       }
       case AdminOpcode::SetFeatures: {
@@ -455,62 +457,62 @@ ControllerModel::adminBuiltin(const Sqe &sqe)
             std::uint32_t grant =
                 (static_cast<std::uint32_t>(_cfg.maxIoQueues - 1) << 16) |
                 (_cfg.maxIoQueues - 1);
-            complete(0, sqe.cid, Status::Success, grant);
+            complete(h, Status::Success, grant);
         } else {
-            complete(0, sqe.cid, Status::Success);
+            complete(h, Status::Success);
         }
         return;
       }
       case AdminOpcode::GetFeatures:
-        complete(0, sqe.cid, Status::Success);
+        complete(h, Status::Success);
         return;
       case AdminOpcode::Identify:
-        identify(sqe);
+        identify(h);
         return;
       default:
-        executeAdmin(sqe);
+        executeAdmin(h);
         return;
     }
 }
 
 void
-ControllerModel::executeAdmin(const Sqe &sqe)
+ControllerModel::executeAdmin(Handle h)
 {
     logWarn("unsupported admin opcode 0x",
-            static_cast<unsigned>(sqe.opcode));
-    complete(0, sqe.cid, Status::InvalidOpcode);
+            static_cast<unsigned>(_cmds[h].sqe.opcode));
+    complete(h, Status::InvalidOpcode);
 }
 
 void
-ControllerModel::identify(const Sqe &sqe)
+ControllerModel::identify(Handle h)
 {
-    auto data = std::make_shared<std::vector<std::uint8_t>>(kPageSize, 0);
+    const Sqe &sqe = _cmds[h].sqe;
+    std::uint8_t data[kPageSize] = {};
     auto cns = static_cast<IdentifyCns>(sqe.cdw10 & 0xff);
     switch (cns) {
       case IdentifyCns::Controller: {
         // Bytes 24..63: model number (ASCII).
         std::size_t n = std::min<std::size_t>(_cfg.model.size(), 40);
-        std::memcpy(data->data() + 24, _cfg.model.data(), n);
+        std::memcpy(data + 24, _cfg.model.data(), n);
         // Byte 516..519: number of namespaces.
         std::uint32_t nn = static_cast<std::uint32_t>(_nses.size());
-        std::memcpy(data->data() + 516, &nn, sizeof(nn));
+        std::memcpy(data + 516, &nn, sizeof(nn));
         break;
       }
       case IdentifyCns::Namespace: {
         const NamespaceInfo *ns = findNamespace(sqe.nsid);
         if (!ns) {
-            complete(0, sqe.cid, Status::InvalidNamespace);
+            complete(h, Status::InvalidNamespace);
             return;
         }
         std::uint64_t nsze = ns->sizeBlocks;
-        std::memcpy(data->data() + 0, &nsze, sizeof(nsze));  // NSZE
-        std::memcpy(data->data() + 8, &nsze, sizeof(nsze));  // NCAP
-        std::memcpy(data->data() + 16, &nsze, sizeof(nsze)); // NUSE
+        std::memcpy(data + 0, &nsze, sizeof(nsze));  // NSZE
+        std::memcpy(data + 8, &nsze, sizeof(nsze));  // NCAP
+        std::memcpy(data + 16, &nsze, sizeof(nsze)); // NUSE
         break;
       }
       case IdentifyCns::ActiveNsList: {
-        std::uint32_t *ids =
-            reinterpret_cast<std::uint32_t *>(data->data());
+        auto *ids = reinterpret_cast<std::uint32_t *>(data);
         std::size_t i = 0;
         for (const auto &n : _nses) {
             if (i >= kPageSize / sizeof(std::uint32_t))
@@ -520,27 +522,31 @@ ControllerModel::identify(const Sqe &sqe)
         break;
       }
       default:
-        complete(0, sqe.cid, Status::InvalidField);
+        complete(h, Status::InvalidField);
         return;
     }
-    std::uint16_t cid = sqe.cid;
-    dmaToHost(sqe, data->data(), kPageSize,
-              [this, cid, data] { complete(0, cid, Status::Success); });
+    sendPage(h, data);
 }
 
 void
-ControllerModel::dmaToHost(const Sqe &sqe, const std::uint8_t *data,
-                           std::uint32_t len, std::function<void()> done)
+ControllerModel::sendPage(Handle h, const std::uint8_t *data)
 {
-    BMS_ASSERT(len <= kPageSize && sqe.prp1 % kPageSize == 0,
+    Cmd &c = _cmds[h];
+    BMS_ASSERT(c.sqe.prp1 % kPageSize == 0,
                "admin data buffers are single page-aligned pages");
-    _up->dmaWrite(sqe.prp1, len, data, std::move(done));
+    if (data)
+        c.page.assign(data, data + kPageSize);
+    else
+        c.page.assign(kPageSize, 0);
+    _up->dmaWrite(c.sqe.prp1, kPageSize, c.page.data(),
+                  [this, h] { complete(h, Status::Success); });
 }
 
 void
-ControllerModel::complete(std::uint16_t sqid, std::uint16_t cid, Status st,
-                          std::uint32_t dw0)
+ControllerModel::complete(Handle h, Status st, std::uint32_t dw0)
 {
+    Cmd &c = _cmds[h];
+    const std::uint16_t sqid = c.sqid;
     BMS_ASSERT(sqid < _sqs.size() && _sqs[sqid].valid,
                "completion for invalid SQ ", sqid);
     BMS_ASSERT(_inflight > 0, "completion with nothing in flight");
@@ -553,7 +559,7 @@ ControllerModel::complete(std::uint16_t sqid, std::uint16_t cid, Status st,
     cqe.dw0 = dw0;
     cqe.sqHead = sq.head;
     cqe.sqId = sqid;
-    cqe.cid = cid;
+    cqe.cid = c.sqe.cid;
     cqe.setStatusPhase(st, cq.phase);
 
     std::uint64_t addr =
@@ -562,13 +568,16 @@ ControllerModel::complete(std::uint16_t sqid, std::uint16_t cid, Status st,
     if (cq.tail == 0)
         cq.phase = !cq.phase;
 
-    auto buf = std::make_shared<std::array<std::uint8_t, sizeof(Cqe)>>();
-    toBytes(cqe, buf->data());
-    bool irq = cq.irqEnabled;
-    std::uint16_t vector = cq.vector;
-    _up->dmaWrite(addr, sizeof(Cqe), buf->data(), [this, buf, irq, vector] {
-        if (irq)
-            _up->msix(_cfg.fn, vector);
+    toBytes(cqe, c.cqe.data());
+    c.irq = cq.irqEnabled;
+    c.vector = cq.vector;
+    _up->dmaWrite(addr, sizeof(Cqe), c.cqe.data(), [this, h] {
+        Cmd &c = _cmds[h];
+        if (c.irq)
+            _up->msix(_cfg.fn, c.vector);
+        // Admin pages are rare: a freed record keeps none.
+        std::vector<std::uint8_t>().swap(c.page);
+        _cmds.free(h);
     });
 }
 

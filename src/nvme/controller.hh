@@ -12,9 +12,8 @@
 #ifndef BMS_NVME_CONTROLLER_HH
 #define BMS_NVME_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,10 +50,17 @@ struct NamespaceInfo
  * fetched commands to the subclass. All upstream traffic (SQE fetch,
  * CQE post, MSI-X) is timed through the PcieUpstreamIf the owning
  * device was attached with.
+ *
+ * Every command has one record, named by a Handle, from the fetch
+ * that brings its SQE in until the posted write of its CQE lands; the
+ * subclass executes and completes commands by handle.
  */
 class ControllerModel : public sim::SimObject
 {
   public:
+    /** Names one command in flight: its record's handle. */
+    using Handle = std::uint32_t;
+
     struct Config
     {
         pcie::FunctionId fn = 0;
@@ -116,7 +122,7 @@ class ControllerModel : public sim::SimObject
 
     bool fetchPaused() const { return _fetchPaused; }
 
-    /** Commands fetched and not yet completed. */
+    /** Commands dispatched and not yet completed. */
     std::uint32_t inflight() const { return _inflight; }
 
     /** @name I/O accounting (read by the BMS I/O monitor). */
@@ -151,27 +157,30 @@ class ControllerModel : public sim::SimObject
     std::uint64_t sqDoorbells() const { return _sqDoorbells; }
     /** Rings absorbed by an already-pending arbitration pass. */
     std::uint64_t doorbellsCoalesced() const { return _doorbellsCoalesced; }
-    /** Coalesced SQE fetch DMAs issued. */
+    /** SQE fetch DMAs issued on IO SQs (one per SQE in Immediate
+     *  mode, one per burst when arbitrated). */
     std::uint64_t fetchBatches() const { return _fetchBatches; }
-    /** Total SQEs fetched through the arbitrated path. */
+    /** Total SQEs fetched from IO SQs. */
     std::uint64_t fetchedSqes() const { return _fetchedSqes; }
     /// @}
 
-    /**
-     * Post a completion for (sqid, cid). Public so the owning device
-     * model (which executes commands on the controller's behalf) can
-     * finish them.
-     */
-    void complete(std::uint16_t sqid, std::uint16_t cid, Status st,
-                  std::uint32_t dw0 = 0);
+    /** The SQE of command @p h as fetched, and the SQ it came from. */
+    const Sqe &sqe(Handle h) const { return _cmds[h].sqe; }
+    std::uint16_t sqid(Handle h) const { return _cmds[h].sqid; }
 
     /**
-     * DMA @p len bytes of @p data into the host buffer described by a
-     * (page-aligned, single-page) PRP1 — used for Identify and log
-     * pages.
+     * Post command @p h's completion. Public so the owning device
+     * model (which executes commands on the controller's behalf) can
+     * finish them. The record lives until the CQE write lands.
      */
-    void dmaToHost(const Sqe &sqe, const std::uint8_t *data,
-                   std::uint32_t len, std::function<void()> done);
+    void complete(Handle h, Status st, std::uint32_t dw0 = 0);
+
+    /**
+     * DMA the page @p data (zeroes when null) into the host buffer
+     * command @p h's (page-aligned, single-page) PRP1 names, then
+     * complete it with Success: Identify, log pages, zone reports.
+     */
+    void sendPage(Handle h, const std::uint8_t *data);
 
   protected:
     /**
@@ -179,10 +188,10 @@ class ControllerModel : public sim::SimObject
      * (queue management, identify, set/get features are built in).
      * Must eventually call complete().
      */
-    virtual void executeAdmin(const Sqe &sqe);
+    virtual void executeAdmin(Handle h);
 
     /** Execute an NVM I/O command; must eventually call complete(). */
-    virtual void executeIo(const Sqe &sqe, std::uint16_t sqid) = 0;
+    virtual void executeIo(Handle h) = 0;
 
     /** Hook invoked when the host enables / disables the controller. */
     virtual void onEnabled() {}
@@ -222,21 +231,37 @@ class ControllerModel : public sim::SimObject
         std::uint16_t vector = 0;
     };
 
+    struct Cmd
+    {
+        Sqe sqe;
+        std::uint16_t sqid = 0;
+        /** Fetch DMA bytes: a burst, on the record of its first SQE. */
+        std::vector<std::uint8_t> fetch;
+        /** An admin command's data page, until the record is freed. */
+        std::vector<std::uint8_t> page;
+        /** The CQE on its way, and the interrupt its landing raises. */
+        std::array<std::uint8_t, sizeof(Cqe)> cqe{};
+        bool irq = false;
+        std::uint16_t vector = 0;
+    };
+
     /** Sentinel for serviceRound(): any priority class qualifies. */
     static constexpr std::uint8_t kPrioAny = 0xff;
 
     void enable();
     void disable();
     void doorbell(const DoorbellRef &ref, std::uint64_t value);
-    void pump(std::uint16_t sqid);
+    /** Fetch every SQE rung on @p sqid, one DMA each: the admin SQ,
+     *  and every SQ in Immediate mode. */
+    void fetchEach(std::uint16_t sqid);
     /**
      * A fetched SQE: dispatch it after cmdProcDelay (inline when the
      * delay is zero, as on back-end SSDs).
      */
-    void fetched(const Sqe &sqe, std::uint16_t sqid);
-    void dispatch(const Sqe &sqe, std::uint16_t sqid);
-    void adminBuiltin(const Sqe &sqe);
-    void identify(const Sqe &sqe);
+    void fetched(Handle h);
+    void dispatch(Handle h);
+    void adminBuiltin(Handle h);
+    void identify(Handle h);
     /** Request an arbitration pass (doorbell-batched). */
     void signalArbitration();
     /** One arbitration pass over the IO SQs; re-arms while backlogged. */
@@ -265,6 +290,7 @@ class ControllerModel : public sim::SimObject
     std::vector<SubQueue> _sqs;
     std::vector<ComplQueue> _cqs;
     std::vector<NamespaceInfo> _nses;
+    sim::RecordPool<Cmd> _cmds{sim()};
 
     std::uint32_t _inflight = 0;
     std::uint64_t _readOps = 0, _writeOps = 0;

@@ -1,6 +1,5 @@
 #include "nvme/endpoint.hh"
 
-#include <memory>
 #include <utility>
 
 #include "sim/check.hh"
@@ -21,9 +20,11 @@ functionZero(std::string model)
 } // namespace
 
 Endpoint::Endpoint(sim::Simulator &sim, const std::string &name,
-                   std::string model, std::uint64_t ns_blocks)
+                   std::string model, std::uint64_t ns_blocks,
+                   sim::SparseMemory *store)
     : SimObject(sim, name),
-      _ctrl(sim, name + ".ctrl", functionZero(std::move(model)), *this)
+      _ctrl(sim, name + ".ctrl", functionZero(std::move(model)), *this),
+      _store(store)
 {
     NamespaceInfo ns;
     ns.nsid = 1;
@@ -60,109 +61,128 @@ Endpoint::detached()
     _detached = true;
 }
 
-void
-Endpoint::executeAdmin(const Sqe &sqe)
+Endpoint::Xfer &
+Endpoint::xfer(Handle h)
 {
-    _ctrl.reject(sqe);
+    if (h >= _xfers.size())
+        _xfers.resize(h + 1);
+    if (!_xfers[h])
+        _xfers[h] = std::make_unique<Xfer>(sim().pages());
+    return *_xfers[h];
+}
+
+void
+Endpoint::executeAdmin(Handle h)
+{
+    _ctrl.reject(h);
 }
 
 bool
-Endpoint::checkRange(const Sqe &sqe, std::uint16_t sqid)
+Endpoint::checkRange(Handle h)
 {
-    const NamespaceInfo *ns = _ctrl.findNamespace(sqe.nsid);
+    const Sqe &s = sqe(h);
+    const NamespaceInfo *ns = _ctrl.findNamespace(s.nsid);
     if (!ns) {
-        complete(sqid, sqe.cid, Status::InvalidNamespace);
+        complete(h, Status::InvalidNamespace);
         return false;
     }
     // Written so a huge SLBA cannot wrap the end of the range.
-    if (sqe.slba() >= ns->sizeBlocks ||
-        sqe.nlb() > ns->sizeBlocks - sqe.slba()) {
-        complete(sqid, sqe.cid, Status::LbaOutOfRange);
+    if (s.slba() >= ns->sizeBlocks || s.nlb() > ns->sizeBlocks - s.slba()) {
+        complete(h, Status::LbaOutOfRange);
         return false;
     }
     return true;
 }
 
 void
-Endpoint::resolveSegments(const Sqe &sqe,
-                          std::function<void(std::vector<DmaSegment>)> then)
+Endpoint::resolveSegments(Handle h, std::function<void()> next)
 {
-    std::uint64_t len = sqe.dataBytes();
-    if (!needsPrpList(sqe.prp1, len)) {
-        then(decodePrp(sqe.prp1, sqe.prp2, len, {}));
+    Xfer &t = xfer(h);
+    const Sqe &s = sqe(h);
+    const std::uint64_t len = s.dataBytes();
+    if (!needsPrpList(s.prp1, len)) {
+        t.list.clear();
+        t.segs = decodePrp(s.prp1, s.prp2, len, t.list, std::move(t.segs));
+        next();
         return;
     }
     // Fetch the PRP list from upstream memory (host DRAM natively;
     // BMS-Engine chip memory when behind BM-Store).
-    std::uint32_t entries = prpPageCount(sqe.prp1, len) - 1;
-    auto raw = std::make_shared<std::vector<std::uint64_t>>(entries);
+    t.list.resize(prpPageCount(s.prp1, len) - 1);
+    t.resolved = std::move(next);
     _ctrl.upstream()->dmaRead(
-        sqe.prp2, static_cast<std::uint32_t>(entries * sizeof(std::uint64_t)),
-        reinterpret_cast<std::uint8_t *>(raw->data()),
-        [sqe, len, raw, then = std::move(then)] {
-            then(decodePrp(sqe.prp1, sqe.prp2, len, *raw));
+        s.prp2,
+        static_cast<std::uint32_t>(t.list.size() * sizeof(std::uint64_t)),
+        reinterpret_cast<std::uint8_t *>(t.list.data()), [this, h] {
+            Xfer &t = xfer(h);
+            const Sqe &s = sqe(h);
+            t.segs = decodePrp(s.prp1, s.prp2, s.dataBytes(), t.list,
+                               std::move(t.segs));
+            std::function<void()> next = std::move(t.resolved);
+            next();
         });
 }
 
 void
-Endpoint::dmaSegments(const std::vector<DmaSegment> &segs, bool to_host,
-                      sim::DataOut buf, std::function<void()> done)
+Endpoint::dmaSegments(Handle h, bool to_host, sim::DataOut buf,
+                      std::function<void()> next)
 {
-    BMS_ASSERT(!segs.empty(), "DMA with no PRP segments");
+    Xfer &t = xfer(h);
+    t.toHost = to_host;
+    t.media = nullptr;
+    t.done = std::move(next);
+    moveSegments(h, buf);
+}
+
+void
+Endpoint::transfer(Handle h, bool to_host, std::uint64_t off,
+                   std::function<void()> next)
+{
+    Xfer &t = xfer(h);
+    t.toHost = to_host;
+    t.media = _store;
+    t.off = off;
+    t.done = std::move(next);
+    resolveSegments(h, [this, h] {
+        Xfer &t = xfer(h);
+        if (t.media && t.toHost)
+            t.media->read(t.off, sqe(h).dataBytes(), {t.staged, 0});
+        moveSegments(h, t.media ? sim::DataOut(t.staged, 0) : nullptr);
+    });
+}
+
+void
+Endpoint::moveSegments(Handle h, sim::DataOut buf)
+{
+    Xfer &t = xfer(h);
+    BMS_ASSERT(!t.segs.empty(), "DMA with no PRP segments");
     pcie::PcieUpstreamIf &up = *_ctrl.upstream();
-    // One shared countdown: each segment's callback copies only the
-    // pointer, never @p done.
-    struct Countdown
-    {
-        std::size_t remaining;
-        std::function<void()> done;
-    };
-    auto left = std::make_shared<Countdown>(
-        Countdown{segs.size(), std::move(done)});
-    auto fire = [left] {
-        if (--left->remaining == 0)
-            left->done();
-    };
+    t.left = t.segs.size();
     std::uint64_t off = 0;
-    for (const auto &seg : segs) {
-        if (to_host)
-            up.dmaWrite(seg.addr, seg.len, buf + off, fire);
+    for (const DmaSegment &seg : t.segs) {
+        if (t.toHost)
+            up.dmaWrite(seg.addr, seg.len, buf + off,
+                        [this, h] { segmentDone(h); });
         else
-            up.dmaRead(seg.addr, seg.len, buf + off, fire);
+            up.dmaRead(seg.addr, seg.len, buf + off,
+                       [this, h] { segmentDone(h); });
         off += seg.len;
     }
 }
 
 void
-Endpoint::dmaToHost(const std::vector<DmaSegment> &segs,
-                    const sim::SparseMemory *media, std::uint64_t off,
-                    std::uint64_t len, std::function<void()> done)
+Endpoint::segmentDone(Handle h)
 {
-    if (!media) {
-        dmaSegments(segs, true, nullptr, std::move(done));
+    Xfer &t = xfer(h);
+    if (--t.left != 0)
         return;
+    if (t.media) {
+        if (!t.toHost)
+            t.media->write(t.off, sqe(h).dataBytes(), {t.staged, 0});
+        t.staged.clear();
     }
-    auto data = std::make_shared<sim::SparseMemory>(sim().pages());
-    media->read(off, len, {*data, 0});
-    dmaSegments(segs, true, {*data, 0},
-                [data, done = std::move(done)] { done(); });
-}
-
-void
-Endpoint::dmaFromHost(const std::vector<DmaSegment> &segs,
-                      sim::SparseMemory *media, std::uint64_t off,
-                      std::uint64_t len, std::function<void()> done)
-{
-    if (!media) {
-        dmaSegments(segs, false, nullptr, std::move(done));
-        return;
-    }
-    auto data = std::make_shared<sim::SparseMemory>(sim().pages());
-    dmaSegments(segs, false, {*data, 0},
-                [media, off, len, data, done = std::move(done)] {
-                    media->write(off, len, {*data, 0});
-                    done();
-                });
+    std::function<void()> done = std::move(t.done);
+    done();
 }
 
 } // namespace bms::nvme

@@ -9,6 +9,11 @@
  * data path every device needs: PRP resolution (PRP list fetched over
  * the upstream link), per-segment DMA, and the namespace/LBA-range
  * check. Subclasses keep only their command semantics.
+ *
+ * A command is named by its controller record's handle; the endpoint
+ * keeps the command's segments, PRP-list entries, segment countdown
+ * and staged media pages on a slot of the same index. Every step a
+ * subclass chains captures `this` and that handle.
  */
 
 #ifndef BMS_NVME_ENDPOINT_HH
@@ -16,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,28 +56,34 @@ class Endpoint : public sim::SimObject, public pcie::PcieDeviceIf
     const ControllerModel &controller() const { return _ctrl; }
 
   protected:
+    /** A command is named by its controller record's handle. */
+    using Handle = ControllerModel::Handle;
+
     /**
      * @param model Identify Controller model string
      * @param ns_blocks size of namespace 1 in logical blocks
+     * @param store what transfer() moves data to and from; null moves
+     *        no bytes (timing only)
      */
     Endpoint(sim::Simulator &sim, const std::string &name,
-             std::string model, std::uint64_t ns_blocks);
+             std::string model, std::uint64_t ns_blocks,
+             sim::SparseMemory *store = nullptr);
 
     /** Execute an NVM I/O command; must eventually complete it. */
-    virtual void executeIo(const Sqe &sqe, std::uint16_t sqid) = 0;
+    virtual void executeIo(Handle h) = 0;
 
     /**
      * Execute an admin command the controller does not handle itself.
      * The default rejects it exactly as ControllerModel does.
      */
-    virtual void executeAdmin(const Sqe &sqe);
+    virtual void executeAdmin(Handle h);
 
-    /** Post the completion for (sqid, cid). */
+    const Sqe &sqe(Handle h) const { return _ctrl.sqe(h); }
+
     void
-    complete(std::uint16_t sqid, std::uint16_t cid, Status st,
-             std::uint32_t dw0 = 0)
+    complete(Handle h, Status st, std::uint32_t dw0 = 0)
     {
-        _ctrl.complete(sqid, cid, st, dw0);
+        _ctrl.complete(h, st, dw0);
     }
 
     /**
@@ -79,42 +91,36 @@ class Endpoint : public sim::SimObject, public pcie::PcieDeviceIf
      * it; on failure complete the command (InvalidNamespace or
      * LbaOutOfRange) and return false.
      */
-    bool checkRange(const Sqe &sqe, std::uint16_t sqid);
+    bool checkRange(Handle h);
 
     /**
-     * Resolve the command's PRPs into DMA segments, fetching the PRP
-     * list over the upstream link when present.
+     * Resolve the command's PRPs into its DMA segments, fetching the
+     * PRP list over the upstream link when present, then run @p next.
      */
-    void resolveSegments(const Sqe &sqe,
-                         std::function<void(std::vector<DmaSegment>)> then);
+    void resolveSegments(Handle h, std::function<void()> next);
 
     /**
-     * DMA @p buf segment by segment (@p to_host: device → upstream)
-     * and run @p done once every segment has finished. Each segment's
-     * data moves when that segment arrives. An empty @p buf moves no
-     * real bytes (timing-only transfer).
+     * DMA @p buf over the command's segments (@p to_host: device →
+     * upstream) and run @p next once every segment has finished. Each
+     * segment's data moves when that segment arrives. An empty @p buf
+     * moves no real bytes (timing-only transfer).
      */
-    void dmaSegments(const std::vector<DmaSegment> &segs, bool to_host,
-                     sim::DataOut buf, std::function<void()> done);
+    void dmaSegments(Handle h, bool to_host, sim::DataOut buf,
+                     std::function<void()> next);
 
     /**
-     * DMA [off, off+len) of @p media to the command's buffers. The
-     * pages are taken now, the instant the data leaves the media, so
-     * a later write to @p media cannot change what lands upstream. A
-     * null @p media moves no bytes.
+     * Resolve the command's PRPs, then move its data between its
+     * buffers and [off, off + data bytes) of the store, then run
+     * @p next. Toward the host the pages are taken once the PRPs are
+     * resolved, so a later write to the store cannot change what lands
+     * upstream; from the host the store takes them once every segment
+     * has arrived.
      */
-    void dmaToHost(const std::vector<DmaSegment> &segs,
-                   const sim::SparseMemory *media, std::uint64_t off,
-                   std::uint64_t len, std::function<void()> done);
+    void transfer(Handle h, bool to_host, std::uint64_t off,
+                  std::function<void()> next);
 
-    /**
-     * DMA the command's buffers into [off, off+len) of @p media, which
-     * takes the pages once every segment has arrived, just before
-     * @p done. A null @p media moves no bytes.
-     */
-    void dmaFromHost(const std::vector<DmaSegment> &segs,
-                     sim::SparseMemory *media, std::uint64_t off,
-                     std::uint64_t len, std::function<void()> done);
+    /** The media offset the command's transfer() was given. */
+    std::uint64_t transferOffset(Handle h) const { return _xfers[h]->off; }
 
   private:
     /** The controller, handing fetched commands back to the owner. */
@@ -128,26 +134,44 @@ class Endpoint : public sim::SimObject, public pcie::PcieDeviceIf
         {}
 
         /** ControllerModel's own rejection of an admin opcode. */
-        void reject(const Sqe &sqe) { ControllerModel::executeAdmin(sqe); }
+        void reject(Handle h) { ControllerModel::executeAdmin(h); }
 
       protected:
-        void
-        executeIo(const Sqe &sqe, std::uint16_t sqid) override
-        {
-            _owner.executeIo(sqe, sqid);
-        }
-
-        void
-        executeAdmin(const Sqe &sqe) override
-        {
-            _owner.executeAdmin(sqe);
-        }
+        void executeIo(Handle h) override { _owner.executeIo(h); }
+        void executeAdmin(Handle h) override { _owner.executeAdmin(h); }
 
       private:
         Endpoint &_owner;
     };
 
+    /** A command's data path, on the slot of its controller record. */
+    struct Xfer
+    {
+        explicit Xfer(sim::PageStore &pages) : staged(pages) {}
+
+        /** Fetched PRP-list entries, and the segments they decode to. */
+        std::vector<std::uint64_t> list;
+        std::vector<DmaSegment> segs;
+        /** Segments still moving. */
+        std::size_t left = 0;
+        bool toHost = false;
+        /** transfer(): its media, offset and pages in transit. */
+        sim::SparseMemory *media = nullptr;
+        std::uint64_t off = 0;
+        sim::SparseMemory staged;
+        std::function<void()> resolved;
+        std::function<void()> done;
+    };
+
+    /** @p h's slot, made on first use. */
+    Xfer &xfer(Handle h);
+    /** One DMA per segment of @p buf; `done` runs after the last. */
+    void moveSegments(Handle h, sim::DataOut buf);
+    void segmentDone(Handle h);
+
     Controller _ctrl;
+    sim::SparseMemory *_store;
+    std::vector<std::unique_ptr<Xfer>> _xfers;
     bool _detached = false;
 };
 

@@ -44,13 +44,13 @@ buildPrp(std::uint64_t addr, std::uint64_t len, std::uint64_t list_addr,
     pair.listEntries = pages - 1;
     BMS_ASSERT_LE(pair.listEntries * sizeof(std::uint64_t), kPageSize,
                   "single-page PRP lists only (transfers up to 2 MiB)");
-    std::vector<std::uint64_t> entries(pair.listEntries);
+    std::uint64_t entries[kPageSize / sizeof(std::uint64_t)];
     for (std::uint32_t i = 0; i < pair.listEntries; ++i)
         entries[i] = second_page + static_cast<std::uint64_t>(i) * kPageSize;
     memory.write(list_addr,
-                 static_cast<std::uint32_t>(entries.size() *
+                 static_cast<std::uint32_t>(pair.listEntries *
                                             sizeof(std::uint64_t)),
-                 reinterpret_cast<const std::uint8_t *>(entries.data()));
+                 reinterpret_cast<const std::uint8_t *>(entries));
     return pair;
 }
 
@@ -71,9 +71,10 @@ appendSegment(std::vector<DmaSegment> &segs, std::uint64_t addr,
 
 std::vector<DmaSegment>
 decodePrp(std::uint64_t prp1, std::uint64_t prp2, std::uint64_t len,
-          const std::vector<std::uint64_t> &list_entries)
+          const std::vector<std::uint64_t> &list_entries,
+          std::vector<DmaSegment> segs)
 {
-    std::vector<DmaSegment> segs;
+    segs.clear();
     if (len == 0)
         return segs;
 

@@ -61,10 +61,12 @@ PrpPair buildPrp(std::uint64_t addr, std::uint64_t len,
  * @param prp2 second PRP entry or list pointer
  * @param len total transfer bytes
  * @param list_entries fetched PRP-list entries, if any
+ * @param segs storage to decode into (its capacity is reused)
  */
 std::vector<DmaSegment>
 decodePrp(std::uint64_t prp1, std::uint64_t prp2, std::uint64_t len,
-          const std::vector<std::uint64_t> &list_entries);
+          const std::vector<std::uint64_t> &list_entries,
+          std::vector<DmaSegment> segs = {});
 
 } // namespace bms::nvme
 

@@ -41,6 +41,7 @@
 #include "nvme/defs.hh"
 #include "pcie/types.hh"
 #include "sim/check.hh"
+#include "sim/simulator.hh"
 #include "sim/sparse_memory.hh"
 
 namespace bms::nvme {
@@ -177,7 +178,7 @@ class QueuePair : public QueueRings
     }
 
     /** Commands holding a CID. */
-    std::uint32_t inflight() const { return _slots.size() - _free.size(); }
+    std::uint32_t inflight() const { return _slots.live(); }
 
     /**
      * Complete the command holding @p cid, in this order: free the
@@ -194,7 +195,7 @@ class QueuePair : public QueueRings
         Cmd cmd = std::move(_slots[cid].cmd);
         std::uint16_t sq_slot = _slots[cid].sqSlot;
         _slots[cid] = Slot{};
-        _free.push_back(cid);
+        _slots.free(cid);
         if (sq_slot != kUnwritten)
             retire(sq_slot);
         run(std::move(cmd));
@@ -214,8 +215,7 @@ class QueuePair : public QueueRings
         BMS_ASSERT(inflight() == 0 && _parked.empty(), "queue ", qid(),
                    " reset with commands outstanding");
         QueueRings::reset();
-        _slots.clear();
-        _free.clear();
+        _slots = {};
     }
 
   private:
@@ -232,23 +232,15 @@ class QueuePair : public QueueRings
     std::optional<std::uint16_t>
     takeCid()
     {
-        std::uint16_t cid;
-        if (!_free.empty()) {
-            cid = _free.back();
-            _free.pop_back();
-        } else if (_slots.size() + 1 < entries()) {
-            cid = static_cast<std::uint16_t>(_slots.size());
-            _slots.emplace_back();
-        } else {
+        if (_slots.live() + 1 >= entries())
             return std::nullopt;
-        }
+        const auto cid = static_cast<std::uint16_t>(_slots.open());
         _slots[cid].busy = true;
         return cid;
     }
 
-    std::vector<Slot> _slots;         ///< by CID
-    std::vector<std::uint16_t> _free; ///< released CIDs, newest last
-    std::deque<Cmd> _parked;          ///< waiting for a CID, oldest first
+    sim::RecordPool<Slot> _slots; ///< by CID
+    std::deque<Cmd> _parked;      ///< waiting for a CID, oldest first
 };
 
 } // namespace bms::nvme

@@ -18,7 +18,7 @@
 #include <functional>
 
 #include "pcie/types.hh"
-#include "sim/types.hh"
+#include "sim/simulator.hh"
 
 namespace bms::pcie {
 
@@ -87,6 +87,85 @@ class PcieDeviceIf
      * never attached again.
      */
     virtual void detached() {}
+};
+
+/**
+ * What a port keeps of the traffic it carries, one record each: a DMA
+ * from the device's request until it has landed (in the port's memory,
+ * or wherever the port routes it) and its done has run; an MMIO write
+ * until it reaches the device.
+ */
+class PortRecords
+{
+  public:
+    /** `out` is a read's destination, `in` a write's source (neither
+     *  for a timing-only transfer). */
+    struct Dma
+    {
+        std::uint64_t addr = 0;
+        std::uint32_t len = 0;
+        bool toHost = false; ///< device → upstream
+        sim::DataOut out;
+        sim::DataIn in;
+        int legs = 0; ///< links still carrying it (a router's barrier)
+        std::function<void()> done;
+    };
+
+    PortRecords(sim::Simulator &sim, MemoryIf &memory)
+        : dmas(sim), _sim(sim), _memory(memory), _writes(sim)
+    {}
+
+    /** Land @p d in the memory at @p arrive, then finish it. */
+    void
+    land(sim::Tick arrive, Dma d)
+    {
+        const std::uint32_t h = dmas.open();
+        dmas[h] = std::move(d);
+        _sim.scheduleAt(arrive, [this, h] {
+            if (dmas[h].out)
+                _memory.read(dmas[h].addr, dmas[h].len, dmas[h].out);
+            if (dmas[h].in)
+                _memory.write(dmas[h].addr, dmas[h].len, dmas[h].in);
+            finish(h);
+        });
+    }
+
+    /** Free DMA @p h, then run its done. */
+    void
+    finish(std::uint32_t h)
+    {
+        std::function<void()> done = std::move(dmas[h].done);
+        dmas.free(h);
+        done();
+    }
+
+    /** At @p arrive, write @p value at @p offset of @p dev's @p fn. */
+    void
+    mmio(sim::Tick arrive, PcieDeviceIf &dev, FunctionId fn,
+         std::uint64_t offset, std::uint64_t value)
+    {
+        const std::uint32_t h = _writes.open();
+        _writes[h] = {&dev, fn, offset, value};
+        _sim.scheduleAt(arrive, [this, h] {
+            const Write w = _writes[h];
+            _writes.free(h);
+            w.dev->mmioWrite(w.fn, w.offset, w.value);
+        });
+    }
+
+    sim::RecordPool<Dma> dmas;
+
+  private:
+    struct Write
+    {
+        PcieDeviceIf *dev;
+        FunctionId fn;
+        std::uint64_t offset, value;
+    };
+
+    sim::Simulator &_sim;
+    MemoryIf &_memory;
+    sim::RecordPool<Write> _writes;
 };
 
 } // namespace bms::pcie

@@ -26,10 +26,8 @@ RootPort::hostMmioWrite(FunctionId fn, std::uint64_t offset,
                         std::uint64_t value)
 {
     BMS_ASSERT(_device, "MMIO write with no device attached");
-    sim::Tick arrive = _link.down().controlArrival(now());
-    sim().scheduleAt(arrive, [this, fn, offset, value] {
-        _device->mmioWrite(fn, offset, value);
-    });
+    _records.mmio(_link.down().controlArrival(now()), *_device, fn, offset,
+                  value);
 }
 
 std::uint64_t
@@ -46,12 +44,8 @@ RootPort::dmaRead(std::uint64_t addr, std::uint32_t len, sim::DataOut out,
     // Read request TLP travels upstream; completion data streams back
     // down. The downstream channel carries the payload.
     sim::Tick req = _link.up().controlArrival(now());
-    sim::Tick arrive = _link.down().reserve(req, len);
-    sim().scheduleAt(arrive, [this, addr, len, out, done = std::move(done)] {
-        if (out)
-            _memory.read(addr, len, out);
-        done();
-    });
+    _records.land(_link.down().reserve(req, len),
+                  {addr, len, false, out, nullptr, 0, std::move(done)});
 }
 
 void
@@ -59,12 +53,8 @@ RootPort::dmaWrite(std::uint64_t addr, std::uint32_t len, sim::DataIn data,
                    std::function<void()> done)
 {
     // Posted write: payload occupies the upstream channel.
-    sim::Tick arrive = _link.up().reserve(now(), len);
-    sim().scheduleAt(arrive, [this, addr, len, data, done = std::move(done)] {
-        if (data)
-            _memory.write(addr, len, data);
-        done();
-    });
+    _records.land(_link.up().reserve(now(), len),
+                  {addr, len, true, nullptr, data, 0, std::move(done)});
 }
 
 void

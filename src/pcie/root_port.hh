@@ -21,7 +21,8 @@ namespace bms::pcie {
 /**
  * A root-complex port. Implements PcieUpstreamIf for the attached
  * device using the host's memory and interrupt sink, and offers the
- * host-side MMIO entry points used by drivers.
+ * host-side MMIO entry points used by drivers. Each DMA and each host
+ * MMIO write is one record (PortRecords) until it lands.
  */
 class RootPort : public sim::SimObject, public PcieUpstreamIf
 {
@@ -75,6 +76,7 @@ class RootPort : public sim::SimObject, public PcieUpstreamIf
     InterruptSinkIf &_irq;
     PcieDeviceIf *_device = nullptr;
     std::uint32_t _irqDomain = 0;
+    PortRecords _records{sim(), _memory};
 };
 
 } // namespace bms::pcie

@@ -44,58 +44,43 @@ RemoteNvmeDevice::RemoteNvmeDevice(sim::Simulator &sim,
 }
 
 void
-RemoteNvmeDevice::executeIo(const Sqe &sqe, std::uint16_t sqid)
+RemoteNvmeDevice::executeIo(Handle h)
 {
-    auto op = static_cast<IoOpcode>(sqe.opcode);
+    auto op = static_cast<IoOpcode>(sqe(h).opcode);
     if (op != IoOpcode::Read && op != IoOpcode::Write &&
         op != IoOpcode::Flush) {
-        complete(sqid, sqe.cid, Status::InvalidOpcode);
+        complete(h, Status::InvalidOpcode);
         return;
     }
-    if (op != IoOpcode::Flush && !checkRange(sqe, sqid))
+    if (op != IoOpcode::Flush && !checkRange(h))
         return;
     ++_ios;
-
-    Flight f;
-    f.sqe = sqe;
-    f.sqid = sqid;
-    f.isWrite = op == IoOpcode::Write;
-    f.isFlush = op == IoOpcode::Flush;
-    f.len = f.isFlush ? 0 : sqe.dataBytes();
-
-    if (f.isFlush) {
-        enqueue(std::move(f));
+    if (h >= _wires.size())
+        _wires.resize(h + 1);
+    if (op == IoOpcode::Flush) {
+        enqueue(h);
         return;
     }
-
-    resolveSegments(sqe, [this, f = std::move(f)](
-                             std::vector<nvme::DmaSegment> segs) mutable {
-        f.segs = std::move(segs);
-        f.data =
-            std::make_shared<std::vector<std::uint8_t>>(f.len);
-        if (f.isWrite) {
+    resolveSegments(h, [this, h] {
+        Wire &w = _wires[h];
+        w.data = std::make_shared<std::vector<std::uint8_t>>(
+            sqe(h).dataBytes());
+        if (static_cast<IoOpcode>(sqe(h).opcode) == IoOpcode::Write) {
             // Gather the payload from upstream memory (host natively,
             // or chip memory when behind BM-Store), then go on the
-            // wire with command + data. Copy the layout out before f
-            // moves into the continuation (dmaSegments only reads it
-            // during the call itself).
-            std::vector<nvme::DmaSegment> layout = f.segs;
-            std::uint8_t *p = f.data->data();
-            auto cont = [this, f = std::move(f)]() mutable {
-                enqueue(std::move(f));
-            };
-            dmaSegments(layout, false, p, std::move(cont));
+            // wire with command + data.
+            dmaSegments(h, false, w.data->data(), [this, h] { enqueue(h); });
             return;
         }
-        enqueue(std::move(f));
+        enqueue(h);
     });
 }
 
 void
-RemoteNvmeDevice::enqueue(Flight f)
+RemoteNvmeDevice::enqueue(Handle h)
 {
-    f.attempt = 1;
-    _sendq.push_back(std::move(f));
+    _wires[h].attempt = 1;
+    _sendq.push_back(h);
     pump();
 }
 
@@ -103,27 +88,28 @@ void
 RemoteNvmeDevice::pump()
 {
     while (_wireInflight < kClientWindow && !_sendq.empty()) {
-        Flight f = std::move(_sendq.front());
+        Handle h = _sendq.front();
         _sendq.pop_front();
         ++_wireInflight;
-        sendAttempt(std::move(f));
+        sendAttempt(h);
     }
 }
 
 void
-RemoteNvmeDevice::sendAttempt(Flight f)
+RemoteNvmeDevice::sendAttempt(Handle h)
 {
-    std::uint64_t id = _nextReq++;
-    bool is_write = f.isWrite;
-    bool is_read = !f.isWrite && !f.isFlush;
-    std::uint64_t len = f.len;
+    const std::uint64_t id = (_nextReq++ << 32) | h;
+    const Sqe &s = sqe(h);
+    const auto op = static_cast<IoOpcode>(s.opcode);
+    bool is_read = op == IoOpcode::Read;
+    std::uint64_t len = op == IoOpcode::Flush ? 0 : s.dataBytes();
 
     RemoteIo io;
-    io.isWrite = f.isWrite;
-    io.isFlush = f.isFlush;
-    io.offset = f.sqe.slba() * nvme::kBlockSize;
+    io.isWrite = op == IoOpcode::Write;
+    io.isFlush = op == IoOpcode::Flush;
+    io.offset = s.slba() * nvme::kBlockSize;
     io.len = static_cast<std::uint32_t>(len);
-    io.data = f.data;
+    io.data = _wires[h].data;
     // Runs on the server when the request completes there; the
     // response message (and read data) then crosses the wire back.
     io.done = [this, id, is_read, len](bool ok) {
@@ -132,9 +118,9 @@ RemoteNvmeDevice::sendAttempt(Flight f)
         _link.send(1, resp, [this, id, ok] { onResponse(id, ok); });
     };
 
-    _pending.emplace(id, std::move(f));
+    _wires[h].pending = id;
 
-    std::uint64_t req = pcie::kSqeBytes + (is_write ? len : 0);
+    std::uint64_t req = pcie::kSqeBytes + (io.isWrite ? len : 0);
     _txBytes += req;
     _link.send(0, req, [this, io = std::move(io)]() mutable {
         _server.execute(_volume, std::move(io));
@@ -145,63 +131,63 @@ RemoteNvmeDevice::sendAttempt(Flight f)
 void
 RemoteNvmeDevice::onResponse(std::uint64_t id, bool ok)
 {
-    auto it = _pending.find(id);
-    if (it == _pending.end()) {
+    const auto h = static_cast<Handle>(id);
+    if (_wires[h].pending != id) {
         // Abandoned after timeout: the command was retried (or has
         // already failed); drop the late response.
         ++_staleDrops;
         return;
     }
-    Flight f = std::move(it->second);
-    _pending.erase(it);
-    finishFlight(std::move(f), ok);
+    _wires[h].pending = 0;
+    finishFlight(h, ok);
 }
 
 void
 RemoteNvmeDevice::onTimeout(std::uint64_t id)
 {
-    auto it = _pending.find(id);
-    if (it == _pending.end())
+    const auto h = static_cast<Handle>(id);
+    Wire &w = _wires[h];
+    if (w.pending != id)
         return; // Responded in time.
     ++_timeouts;
-    Flight f = std::move(it->second);
-    _pending.erase(it);
-    if (f.attempt > kMaxRetries) {
+    w.pending = 0;
+    if (w.attempt > kMaxRetries) {
         ++_exhausted;
-        logWarn("remote request gave up after ", f.attempt,
-                " attempts (len=", f.len, ")");
-        finishFlight(std::move(f), false);
+        logWarn("remote request gave up after ", w.attempt,
+                " attempts (len=", w.data ? w.data->size() : 0, ")");
+        finishFlight(h, false);
         return;
     }
     ++_retries;
-    ++f.attempt;
+    ++w.attempt;
     // The retry keeps its window slot; a fresh id fences off the
     // stale response should the original still be in flight.
-    sendAttempt(std::move(f));
+    sendAttempt(h);
 }
 
 void
-RemoteNvmeDevice::finishFlight(Flight f, bool ok)
+RemoteNvmeDevice::finishFlight(Handle h, bool ok)
 {
     --_wireInflight;
     pump();
     if (!ok) {
-        complete(f.sqid, f.sqe.cid, Status::DataTransferError);
+        finish(h, Status::DataTransferError);
         return;
     }
-    if (f.isWrite || f.isFlush || f.len == 0) {
-        complete(f.sqid, f.sqe.cid, Status::Success);
+    if (static_cast<IoOpcode>(sqe(h).opcode) != IoOpcode::Read) {
+        finish(h, Status::Success);
         return;
     }
     // Read: scatter the returned payload to the upstream buffers.
-    auto data = f.data;
-    auto segs = std::make_shared<std::vector<nvme::DmaSegment>>(
-        std::move(f.segs));
-    std::uint16_t sqid = f.sqid;
-    std::uint16_t cid = f.sqe.cid;
-    dmaSegments(*segs, true, data->data(), [this, data, segs, sqid, cid] {
-        complete(sqid, cid, Status::Success);
-    });
+    dmaSegments(h, true, _wires[h].data->data(),
+                [this, h] { finish(h, Status::Success); });
+}
+
+void
+RemoteNvmeDevice::finish(Handle h, Status st)
+{
+    _wires[h].data.reset();
+    complete(h, st);
 }
 
 } // namespace bms::remote

@@ -33,7 +33,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nvme/endpoint.hh"
@@ -73,37 +72,37 @@ class RemoteNvmeDevice : public nvme::Endpoint
     /// @}
 
   protected:
-    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override;
+    void executeIo(Handle h) override;
 
   private:
-    /** One command in flight on (or queued for) the wire. */
-    struct Flight
+    /** A command on (or queued for) the wire, beside the endpoint's
+     *  slot that keeps its DMA segments for the read scatter. */
+    struct Wire
     {
-        nvme::Sqe sqe;
-        std::uint16_t sqid = 0;
-        bool isWrite = false;
-        bool isFlush = false;
-        std::uint64_t len = 0;
         /** Payload: gathered for writes, filled by the server for reads. */
         std::shared_ptr<std::vector<std::uint8_t>> data;
-        /** Upstream DMA layout, kept for the read scatter. */
-        std::vector<nvme::DmaSegment> segs;
         int attempt = 0;
+        /** The request id awaiting a response (its low half is the
+         *  handle), 0 when none. */
+        std::uint64_t pending = 0;
     };
 
-    void enqueue(Flight f);
+    void enqueue(Handle h);
     void pump();
-    void sendAttempt(Flight f);
+    void sendAttempt(Handle h);
     void onResponse(std::uint64_t id, bool ok);
     void onTimeout(std::uint64_t id);
-    void finishFlight(Flight f, bool ok);
+    void finishFlight(Handle h, bool ok);
+    /** Drop @p h's payload and complete it. */
+    void finish(Handle h, nvme::Status st);
 
     NetworkLink &_link;
     StorageServer &_server;
     int _volume;
 
-    std::deque<Flight> _sendq;
-    std::unordered_map<std::uint64_t, Flight> _pending;
+    std::deque<Handle> _sendq;
+    /** Indexed by handle. */
+    std::vector<Wire> _wires;
     std::uint64_t _nextReq = 1;
     int _wireInflight = 0;
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Simulator facade: owns the event queue, the root RNG, and the set
- * of named components; provides the scheduling API every model uses.
+ * of named components; provides the scheduling API every model uses,
+ * and the record pools that hold work in flight.
  */
 
 #ifndef BMS_SIM_SIMULATOR_HH
@@ -22,6 +23,7 @@
 namespace bms::sim {
 
 class SimObject;
+template <typename T> class RecordPool;
 
 /**
  * One simulated world. All components of a testbed share one
@@ -43,6 +45,8 @@ class Simulator
     StatsRegistry &stats() { return _stats; }
     /** Pages behind every functional memory of this world. */
     PageStore &pages() { return _pages; }
+    /** Records open in this world's RecordPools: 0 once I/O drained. */
+    std::size_t liveRecords() const { return _liveRecords; }
 
     /** Schedule @p cb at absolute tick @p when. */
     EventId
@@ -85,6 +89,8 @@ class Simulator
     }
 
   private:
+    template <typename T> friend class RecordPool;
+
     // First member, so it dies last: the objects and pending events
     // drop their page references before the store checks its count.
     PageStore _pages;
@@ -92,6 +98,7 @@ class Simulator
     Rng _rng;
     StatsRegistry _stats;
     std::vector<std::unique_ptr<SimObject>> _objects;
+    std::size_t _liveRecords = 0;
 };
 
 /**
@@ -159,6 +166,65 @@ class SimObject
   private:
     Simulator &_sim;
     std::string _name;
+};
+
+/**
+ * Free-listed records of in-flight work, named by 32-bit handles. A
+ * layer keeps each command (DMA, posted write) it holds in flight in a
+ * record and hands its callbacks `this` and the handle: 16 trivially
+ * copyable bytes, which std::function stores inline. A record never
+ * moves, so a DMA may land in it; a freed one keeps its contents (a
+ * vector's capacity) for the next holder, most recently freed first,
+ * and a new one takes the lowest handle never used. Nothing is
+ * allocated before the first open().
+ */
+template <typename T>
+class RecordPool
+{
+  public:
+    using Handle = std::uint32_t;
+
+    RecordPool() = default;
+    /** Open records count in @p sim's liveRecords(). */
+    explicit RecordPool(Simulator &sim) : _simLive(&sim._liveRecords) {}
+    RecordPool(RecordPool &&) = default; // move-only
+    RecordPool &operator=(RecordPool &&) = default;
+
+    Handle
+    open()
+    {
+        if (_simLive)
+            ++*_simLive;
+        if (_free.empty()) {
+            _recs.push_back(std::make_unique<T>());
+            return static_cast<Handle>(_recs.size() - 1);
+        }
+        Handle h = _free.back();
+        _free.pop_back();
+        return h;
+    }
+
+    /** The next open() may hand @p h out again: copy what a
+     *  continuation needs out of the record first. */
+    void
+    free(Handle h)
+    {
+        if (_simLive)
+            --*_simLive;
+        _free.push_back(h);
+    }
+
+    T &operator[](Handle h) { return *_recs[h]; }
+    const T &operator[](Handle h) const { return *_recs[h]; }
+
+    /** Records ever made (every handle is below), and those open. */
+    std::size_t size() const { return _recs.size(); }
+    std::size_t live() const { return _recs.size() - _free.size(); }
+
+  private:
+    std::size_t *_simLive = nullptr;
+    std::vector<std::unique_ptr<T>> _recs;
+    std::vector<Handle> _free;
 };
 
 } // namespace bms::sim

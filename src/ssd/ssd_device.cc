@@ -1,13 +1,11 @@
 #include "ssd/ssd_device.hh"
 
 #include <utility>
-#include <vector>
 
 namespace bms::ssd {
 
 using nvme::AdminOpcode;
 using nvme::IoOpcode;
-using nvme::Sqe;
 using nvme::Status;
 
 SsdDevice::SsdDevice(sim::Simulator &sim, const std::string &name,
@@ -16,7 +14,8 @@ SsdDevice::SsdDevice(sim::Simulator &sim, const std::string &name,
                cfg.hddProfile ? cfg.hddProfile->model : cfg.profile.model,
                (cfg.hddProfile ? cfg.hddProfile->capacityBytes
                                : cfg.profile.capacityBytes) /
-                   nvme::kBlockSize),
+                   nvme::kBlockSize,
+               cfg.functionalData ? &_flash : nullptr),
       _cfg(std::move(cfg)),
       _flash(sim.pages()),
       _fwRev(_cfg.hddProfile ? _cfg.hddProfile->firmwareRev
@@ -78,141 +77,107 @@ SsdDevice::detached()
 }
 
 void
-SsdDevice::executeIo(const Sqe &sqe, std::uint16_t sqid)
+SsdDevice::executeIo(Handle h)
 {
     // Injected latency spike: the command sits inside the drive (GC
     // stall, internal retry) before normal processing begins.
     if (_cfg.faults.latencySpikeRate > 0.0 &&
         sim().rng().chance(_cfg.faults.latencySpikeRate)) {
         ++_latencySpikes;
-        schedule(_cfg.faults.latencySpikeDelay,
-                 [this, sqe, sqid] { dispatchIo(sqe, sqid); });
+        schedule(_cfg.faults.latencySpikeDelay, [this, h] { dispatchIo(h); });
         return;
     }
-    dispatchIo(sqe, sqid);
+    dispatchIo(h);
 }
 
 void
-SsdDevice::dispatchIo(const Sqe &sqe, std::uint16_t sqid)
+SsdDevice::dispatchIo(Handle h)
 {
-    switch (static_cast<IoOpcode>(sqe.opcode)) {
+    switch (static_cast<IoOpcode>(sqe(h).opcode)) {
       case IoOpcode::Read:
-        doRead(sqe, sqid);
+        doReadWrite(h, false);
         return;
       case IoOpcode::Write:
-        doWrite(sqe, sqid);
+        doReadWrite(h, true);
         return;
       case IoOpcode::Flush:
-        doFlush(sqe, sqid);
+        _media->flush([this, h] { complete(h, Status::Success); });
         return;
       case IoOpcode::WriteZeroes:
-        doWriteZeroes(sqe, sqid);
+        doWriteZeroes(h);
         return;
       default:
-        complete(sqid, sqe.cid, Status::InvalidOpcode);
+        complete(h, Status::InvalidOpcode);
         return;
     }
 }
 
 void
-SsdDevice::doRead(const Sqe &sqe, std::uint16_t sqid)
+SsdDevice::doReadWrite(Handle h, bool write)
 {
-    if (!checkRange(sqe, sqid))
+    if (!checkRange(h))
         return;
-    if (_cfg.faults.readErrorRate > 0.0 &&
-        sim().rng().chance(_cfg.faults.readErrorRate)) {
-        // Unrecoverable media error: reported after a full media
-        // access attempt, as real drives do.
-        std::uint64_t bytes = sqe.dataBytes();
-        _media->read(sqe.slba() * nvme::kBlockSize, bytes,
-                     [this, sqe, sqid] {
-                         ++_mediaErrors;
-                         complete(sqid, sqe.cid, Status::DataTransferError);
-                     });
+    const std::uint64_t off = sqe(h).slba() * nvme::kBlockSize;
+    const std::uint64_t len = sqe(h).dataBytes();
+    const double error_rate =
+        write ? _cfg.faults.writeErrorRate : _cfg.faults.readErrorRate;
+    if (error_rate > 0.0 && sim().rng().chance(error_rate)) {
+        // Unrecoverable media error, reported after a full media access
+        // attempt as real drives do. A failed write leaves the stored
+        // bytes untouched (see FaultConfig).
+        auto failed = [this, h] {
+            ++_mediaErrors;
+            complete(h, Status::DataTransferError);
+        };
+        if (write)
+            _media->write(off, len, failed);
+        else
+            _media->read(off, len, failed);
         return;
     }
-    std::uint64_t len = sqe.dataBytes();
-    std::uint64_t media_off = sqe.slba() * nvme::kBlockSize;
-    // Media access first; then the data is DMA'd to the host buffers.
-    _media->read(media_off, len, [this, sqe, sqid, len, media_off] {
-        resolveSegments(sqe, [this, sqe, sqid, len, media_off](
-                                 std::vector<nvme::DmaSegment> segs) {
-            dmaToHost(segs, _cfg.functionalData ? &_flash : nullptr,
-                      media_off, len, [this, sqe, sqid] {
-                          complete(sqid, sqe.cid, Status::Success);
-                      });
+    if (write) {
+        transfer(h, false, off, [this, h] {
+            _media->write(transferOffset(h), sqe(h).dataBytes(),
+                          [this, h] { complete(h, Status::Success); });
         });
-    });
-}
-
-void
-SsdDevice::doWrite(const Sqe &sqe, std::uint16_t sqid)
-{
-    if (!checkRange(sqe, sqid))
-        return;
-    if (_cfg.faults.writeErrorRate > 0.0 &&
-        sim().rng().chance(_cfg.faults.writeErrorRate)) {
-        // Clean write failure: a full media access is attempted but
-        // the stored bytes are left untouched (see FaultConfig).
-        _media->write(sqe.slba() * nvme::kBlockSize, sqe.dataBytes(),
-                      [this, sqe, sqid] {
-                          ++_mediaErrors;
-                          complete(sqid, sqe.cid, Status::DataTransferError);
-                      });
         return;
     }
-    std::uint64_t len = sqe.dataBytes();
-    std::uint64_t media_off = sqe.slba() * nvme::kBlockSize;
-    resolveSegments(sqe, [this, sqe, sqid, len, media_off](
-                             std::vector<nvme::DmaSegment> segs) {
-        dmaFromHost(segs, _cfg.functionalData ? &_flash : nullptr,
-                    media_off, len, [this, sqe, sqid, len, media_off] {
-                        _media->write(media_off, len, [this, sqe, sqid] {
-                            complete(sqid, sqe.cid, Status::Success);
-                        });
-                    });
+    // Media access first; then the data is DMA'd to the host buffers.
+    _media->read(off, len, [this, h] {
+        transfer(h, true, sqe(h).slba() * nvme::kBlockSize,
+                 [this, h] { complete(h, Status::Success); });
     });
 }
 
 void
-SsdDevice::doWriteZeroes(const Sqe &sqe, std::uint16_t sqid)
+SsdDevice::doWriteZeroes(Handle h)
 {
-    if (!checkRange(sqe, sqid))
+    if (!checkRange(h))
         return;
     // FTL unmap: mark the range deallocated so reads return zeroes.
     // No data moves over the interface or to the media — the cost is
     // a mapping-table update, modelled with flush latency. Not subject
     // to write-error injection: the zero guarantee backing thin reads
     // must be unconditional (a real drive retries unmap internally).
-    std::uint64_t off = sqe.slba() * nvme::kBlockSize;
-    std::uint64_t len = sqe.dataBytes();
-    if (_cfg.functionalData)
-        _flash.clearRange(off, len);
-    _media->flush([this, sqe, sqid] {
-        complete(sqid, sqe.cid, Status::Success);
-    });
+    if (_cfg.functionalData) {
+        _flash.clearRange(sqe(h).slba() * nvme::kBlockSize,
+                          sqe(h).dataBytes());
+    }
+    _media->flush([this, h] { complete(h, Status::Success); });
 }
 
 void
-SsdDevice::doFlush(const Sqe &sqe, std::uint16_t sqid)
+SsdDevice::executeAdmin(Handle h)
 {
-    _media->flush([this, sqe, sqid] {
-        complete(sqid, sqe.cid, Status::Success);
-    });
-}
-
-void
-SsdDevice::executeAdmin(const Sqe &sqe)
-{
-    switch (static_cast<AdminOpcode>(sqe.opcode)) {
+    switch (static_cast<AdminOpcode>(sqe(h).opcode)) {
       case AdminOpcode::FirmwareDownload:
         // The image is opaque and never read back: only the commit
         // that activates it has an effect.
-        complete(0, sqe.cid, Status::Success);
+        complete(h, Status::Success);
         return;
       case AdminOpcode::FirmwareCommit: {
         if (_upgrading) {
-            complete(0, sqe.cid, Status::NamespaceNotReady);
+            complete(h, Status::NamespaceNotReady);
             return;
         }
         // Activation stalls the device: no new command fetching until
@@ -225,28 +190,21 @@ SsdDevice::executeAdmin(const Sqe &sqe)
             p.fwActivateMin, p.fwActivateMax));
         _lastActivation = stall;
         logInfo("firmware activation, stall ", sim::toMs(stall), " ms");
-        schedule(stall, [this, sqe] {
+        schedule(stall, [this, h] {
             _upgrading = false;
             ++_fwActivations;
             _fwRev = "VDV10" + std::to_string(131 + _fwActivations);
             controller().resumeFetch();
-            complete(0, sqe.cid, Status::Success);
+            complete(h, Status::Success);
         });
         return;
       }
-      case AdminOpcode::GetLogPage: {
+      case AdminOpcode::GetLogPage:
         // SMART / health page: zero-filled placeholder payload.
-        auto data =
-            std::make_shared<std::vector<std::uint8_t>>(nvme::kPageSize, 0);
-        std::uint16_t cid = sqe.cid;
-        controller().dmaToHost(sqe, data->data(), nvme::kPageSize,
-                               [this, cid, data] {
-                                   complete(0, cid, Status::Success);
-                               });
+        controller().sendPage(h, nullptr);
         return;
-      }
       default:
-        complete(0, sqe.cid, Status::InvalidOpcode);
+        complete(h, Status::InvalidOpcode);
         return;
     }
 }

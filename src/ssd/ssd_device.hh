@@ -134,15 +134,13 @@ class SsdDevice : public nvme::Endpoint
     sim::SparseMemory &flash() { return _flash; }
 
   protected:
-    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override;
-    void executeAdmin(const nvme::Sqe &sqe) override;
+    void executeIo(Handle h) override;
+    void executeAdmin(Handle h) override;
 
   private:
-    void dispatchIo(const nvme::Sqe &sqe, std::uint16_t sqid);
-    void doRead(const nvme::Sqe &sqe, std::uint16_t sqid);
-    void doWrite(const nvme::Sqe &sqe, std::uint16_t sqid);
-    void doWriteZeroes(const nvme::Sqe &sqe, std::uint16_t sqid);
-    void doFlush(const nvme::Sqe &sqe, std::uint16_t sqid);
+    void dispatchIo(Handle h);
+    void doReadWrite(Handle h, bool write);
+    void doWriteZeroes(Handle h);
 
     Config _cfg;
     std::unique_ptr<StorageMediaIf> _media;

@@ -22,7 +22,8 @@ zonedBlocks(const ZnsProfile &p)
 } // namespace
 
 ZnsSsd::ZnsSsd(sim::Simulator &sim, const std::string &name, Config cfg)
-    : Endpoint(sim, name, "BMS-ZNS-SIM", zonedBlocks(cfg.profile)),
+    : Endpoint(sim, name, "BMS-ZNS-SIM", zonedBlocks(cfg.profile),
+               cfg.functionalData ? &_flash : nullptr),
       _cfg(std::move(cfg)),
       _media(std::make_unique<MediaModel>(sim, name + ".media",
                                           _cfg.profile.media)),
@@ -51,62 +52,54 @@ ZnsSsd::writePointer(std::uint64_t zone) const
 }
 
 void
-ZnsSsd::completeZns(std::uint16_t sqid, std::uint16_t cid, ZnsStatus st)
+ZnsSsd::completeZns(Handle h, ZnsStatus st)
 {
-    complete(sqid, cid, static_cast<Status>(st));
+    complete(h, static_cast<Status>(st));
 }
 
 void
-ZnsSsd::executeIo(const Sqe &sqe, std::uint16_t sqid)
+ZnsSsd::executeIo(Handle h)
 {
-    switch (sqe.opcode) {
+    switch (sqe(h).opcode) {
       case static_cast<std::uint8_t>(IoOpcode::Read):
-        doRead(sqe, sqid);
+        doRead(h);
         return;
       case static_cast<std::uint8_t>(IoOpcode::Write):
-        doWrite(sqe, sqid, /*is_append=*/false);
+        doWrite(h, /*is_append=*/false);
         return;
       case kOpZoneAppend:
-        doWrite(sqe, sqid, /*is_append=*/true);
+        doWrite(h, /*is_append=*/true);
         return;
       case kOpZoneMgmtSend:
-        doZoneMgmtSend(sqe, sqid);
+        doZoneMgmtSend(h);
         return;
       case kOpZoneMgmtRecv:
-        doZoneMgmtRecv(sqe, sqid);
+        doZoneMgmtRecv(h);
         return;
       case static_cast<std::uint8_t>(IoOpcode::Flush):
-        _media->flush([this, sqe, sqid] {
-            complete(sqid, sqe.cid, Status::Success);
-        });
+        _media->flush([this, h] { complete(h, Status::Success); });
         return;
       default:
-        complete(sqid, sqe.cid, Status::InvalidOpcode);
+        complete(h, Status::InvalidOpcode);
         return;
     }
 }
 
 void
-ZnsSsd::doRead(const Sqe &sqe, std::uint16_t sqid)
+ZnsSsd::doRead(Handle h)
 {
-    if (!checkRange(sqe, sqid))
+    if (!checkRange(h))
         return;
-    std::uint64_t end = sqe.slba() + sqe.nlb();
+    const Sqe &s = sqe(h);
+    std::uint64_t end = s.slba() + s.nlb();
     // Reads may not cross a zone boundary (spec default).
-    if (sqe.slba() / _zoneBlocks != (end - 1) / _zoneBlocks) {
-        completeZns(sqid, sqe.cid, ZnsStatus::ZoneBoundaryError);
+    if (s.slba() / _zoneBlocks != (end - 1) / _zoneBlocks) {
+        completeZns(h, ZnsStatus::ZoneBoundaryError);
         return;
     }
-    std::uint64_t len = sqe.dataBytes();
-    std::uint64_t off = sqe.slba() * nvme::kBlockSize;
-    _media->read(off, len, [this, sqe, sqid, len, off] {
-        resolveSegments(sqe, [this, sqe, sqid, len, off](
-                                 std::vector<nvme::DmaSegment> segs) {
-            dmaToHost(segs, _cfg.functionalData ? &_flash : nullptr, off,
-                      len, [this, sqe, sqid] {
-                          complete(sqid, sqe.cid, Status::Success);
-                      });
-        });
+    _media->read(s.slba() * nvme::kBlockSize, s.dataBytes(), [this, h] {
+        transfer(h, true, sqe(h).slba() * nvme::kBlockSize,
+                 [this, h] { complete(h, Status::Success); });
     });
 }
 
@@ -177,12 +170,13 @@ ZnsSsd::resetZone(std::uint64_t zone_idx)
 }
 
 void
-ZnsSsd::doWrite(const Sqe &sqe, std::uint16_t sqid, bool is_append)
+ZnsSsd::doWrite(Handle h, bool is_append)
 {
-    if (!checkRange(sqe, sqid))
+    if (!checkRange(h))
         return;
-    std::uint64_t slba = sqe.slba();
-    std::uint32_t blocks = sqe.nlb();
+    const Sqe &s = sqe(h);
+    std::uint64_t slba = s.slba();
+    std::uint32_t blocks = s.nlb();
     std::uint64_t zone_idx = slba / _zoneBlocks;
     Zone &z = _zones[zone_idx];
 
@@ -190,24 +184,23 @@ ZnsSsd::doWrite(const Sqe &sqe, std::uint16_t sqid, bool is_append)
         // Zone Append: slba must name the zone start; the device
         // assigns the actual LBA (returned in CQE dw0).
         if (slba % _zoneBlocks != 0) {
-            completeZns(sqid, sqe.cid, ZnsStatus::ZoneInvalidWrite);
+            completeZns(h, ZnsStatus::ZoneInvalidWrite);
             return;
         }
     } else if (slba != zone_idx * _zoneBlocks + z.wp) {
         // Regular writes must land exactly on the write pointer.
-        completeZns(sqid, sqe.cid, ZnsStatus::ZoneInvalidWrite);
+        completeZns(h, ZnsStatus::ZoneInvalidWrite);
         return;
     }
     if (z.state == ZoneState::Full ||
         z.wp + blocks > _zoneBlocks) {
-        completeZns(sqid, sqe.cid,
-                    z.state == ZoneState::Full
-                        ? ZnsStatus::ZoneIsFull
-                        : ZnsStatus::ZoneBoundaryError);
+        completeZns(h, z.state == ZoneState::Full
+                           ? ZnsStatus::ZoneIsFull
+                           : ZnsStatus::ZoneBoundaryError);
         return;
     }
     if (!openZone(z, /*explicit_open=*/false)) {
-        completeZns(sqid, sqe.cid, ZnsStatus::TooManyOpenZones);
+        completeZns(h, ZnsStatus::TooManyOpenZones);
         return;
     }
 
@@ -216,32 +209,29 @@ ZnsSsd::doWrite(const Sqe &sqe, std::uint16_t sqid, bool is_append)
     if (z.wp == _zoneBlocks)
         finishZone(z);
 
-    std::uint64_t len = static_cast<std::uint64_t>(blocks) *
-                        nvme::kBlockSize;
-    std::uint64_t off = assigned * nvme::kBlockSize;
     // Fetch the payload, commit to media, complete (dw0 = assigned
     // LBA for appends).
-    std::uint32_t dw0 = is_append ? static_cast<std::uint32_t>(assigned) : 0;
-    resolveSegments(sqe, [this, sqe, sqid, len, off, dw0](
-                             std::vector<nvme::DmaSegment> segs) {
-        dmaFromHost(segs, _cfg.functionalData ? &_flash : nullptr, off, len,
-                    [this, sqe, sqid, len, off, dw0] {
-                        _media->write(off, len, [this, sqe, sqid, dw0] {
-                            complete(sqid, sqe.cid, Status::Success, dw0);
-                        });
-                    });
+    transfer(h, false, assigned * nvme::kBlockSize, [this, h] {
+        _media->write(transferOffset(h), sqe(h).dataBytes(), [this, h] {
+            const std::uint64_t lba = transferOffset(h) / nvme::kBlockSize;
+            complete(h, Status::Success,
+                     sqe(h).opcode == kOpZoneAppend
+                         ? static_cast<std::uint32_t>(lba)
+                         : 0);
+        });
     });
 }
 
 void
-ZnsSsd::doZoneMgmtSend(const Sqe &sqe, std::uint16_t sqid)
+ZnsSsd::doZoneMgmtSend(Handle h)
 {
-    std::uint64_t zone_idx = sqe.slba() / _zoneBlocks;
+    const Sqe &s = sqe(h);
+    std::uint64_t zone_idx = s.slba() / _zoneBlocks;
     if (zone_idx >= _zones.size()) {
-        complete(sqid, sqe.cid, Status::LbaOutOfRange);
+        complete(h, Status::LbaOutOfRange);
         return;
     }
-    auto action = static_cast<ZoneAction>(sqe.cdw13 & 0xff);
+    auto action = static_cast<ZoneAction>(s.cdw13 & 0xff);
     Zone &z = _zones[zone_idx];
     switch (action) {
       case ZoneAction::Reset:
@@ -249,7 +239,7 @@ ZnsSsd::doZoneMgmtSend(const Sqe &sqe, std::uint16_t sqid)
         break;
       case ZoneAction::Open:
         if (!openZone(z, /*explicit_open=*/true)) {
-            completeZns(sqid, sqe.cid, ZnsStatus::TooManyOpenZones);
+            completeZns(h, ZnsStatus::TooManyOpenZones);
             return;
         }
         break;
@@ -260,30 +250,29 @@ ZnsSsd::doZoneMgmtSend(const Sqe &sqe, std::uint16_t sqid)
         finishZone(z);
         break;
       default:
-        complete(sqid, sqe.cid, Status::InvalidField);
+        complete(h, Status::InvalidField);
         return;
     }
-    complete(sqid, sqe.cid, Status::Success);
+    complete(h, Status::Success);
 }
 
 void
-ZnsSsd::doZoneMgmtRecv(const Sqe &sqe, std::uint16_t sqid)
+ZnsSsd::doZoneMgmtRecv(Handle h)
 {
     // Report Zones: 64-byte descriptors starting at the zone that
     // contains SLBA, as many as fit the (single-page) buffer.
-    std::uint64_t first = sqe.slba() / _zoneBlocks;
+    std::uint64_t first = sqe(h).slba() / _zoneBlocks;
     if (first >= _zones.size()) {
-        complete(sqid, sqe.cid, Status::LbaOutOfRange);
+        complete(h, Status::LbaOutOfRange);
         return;
     }
     std::uint32_t max_desc = nvme::kPageSize / 64;
     std::uint32_t count = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(max_desc, _zones.size() - first));
-    auto buf = std::make_shared<std::vector<std::uint8_t>>(
-        nvme::kPageSize, 0);
+    std::uint8_t buf[nvme::kPageSize] = {};
     for (std::uint32_t i = 0; i < count; ++i) {
         const Zone &z = _zones[first + i];
-        std::uint8_t *d = buf->data() + i * 64ull;
+        std::uint8_t *d = buf + i * 64ull;
         d[0] = 0x2; // zone type: sequential-write-required
         d[1] = static_cast<std::uint8_t>(
             static_cast<std::uint8_t>(z.state) << 4);
@@ -294,11 +283,7 @@ ZnsSsd::doZoneMgmtRecv(const Sqe &sqe, std::uint16_t sqid)
         std::memcpy(d + 16, &zslba, 8);
         std::memcpy(d + 24, &wp, 8);
     }
-    std::uint16_t cid = sqe.cid;
-    controller().dmaToHost(sqe, buf->data(), nvme::kPageSize,
-                           [this, cid, sqid, buf] {
-                               complete(sqid, cid, Status::Success);
-                           });
+    controller().sendPage(h, buf);
 }
 
 } // namespace bms::ssd

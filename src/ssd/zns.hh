@@ -105,7 +105,7 @@ class ZnsSsd : public nvme::Endpoint
     const sim::SparseMemory &flash() const { return _flash; }
 
   protected:
-    void executeIo(const nvme::Sqe &sqe, std::uint16_t sqid) override;
+    void executeIo(Handle h) override;
 
   private:
     struct Zone
@@ -114,11 +114,10 @@ class ZnsSsd : public nvme::Endpoint
         std::uint64_t wp = 0; ///< offset within the zone, in blocks
     };
 
-    void doRead(const nvme::Sqe &sqe, std::uint16_t sqid);
-    void doWrite(const nvme::Sqe &sqe, std::uint16_t sqid,
-                 bool is_append);
-    void doZoneMgmtSend(const nvme::Sqe &sqe, std::uint16_t sqid);
-    void doZoneMgmtRecv(const nvme::Sqe &sqe, std::uint16_t sqid);
+    void doRead(Handle h);
+    void doWrite(Handle h, bool is_append);
+    void doZoneMgmtSend(Handle h);
+    void doZoneMgmtRecv(Handle h);
 
     /** Transition helpers maintaining open/active accounting. */
     bool openZone(Zone &z, bool explicit_open);
@@ -126,8 +125,7 @@ class ZnsSsd : public nvme::Endpoint
     void finishZone(Zone &z);
     void resetZone(std::uint64_t zone_idx);
 
-    void completeZns(std::uint16_t sqid, std::uint16_t cid,
-                     ZnsStatus st);
+    void completeZns(Handle h, ZnsStatus st);
 
     Config _cfg;
     std::unique_ptr<MediaModel> _media;

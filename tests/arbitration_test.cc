@@ -31,10 +31,10 @@ class RecordingController : public nvme::ControllerModel
 
   protected:
     void
-    executeIo(const Sqe &sqe, std::uint16_t sqid) override
+    executeIo(Handle h) override
     {
-        order.emplace_back(sqid, sqe.cid);
-        complete(sqid, sqe.cid, Status::Success);
+        order.emplace_back(sqid(h), sqe(h).cid);
+        complete(h, Status::Success);
     }
 };
 

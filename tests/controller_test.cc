@@ -34,24 +34,22 @@ class EchoController : public nvme::ControllerModel
     Sqe lastIo;
     sim::Tick ioDelay = 0;
     bool holdIo = false;
-    std::vector<std::pair<std::uint16_t, std::uint16_t>> held;
+    std::vector<Handle> held;
 
   protected:
     void
-    executeIo(const Sqe &sqe, std::uint16_t sqid) override
+    executeIo(Handle h) override
     {
         ++ioSeen;
-        lastIo = sqe;
+        lastIo = sqe(h);
         if (holdIo) {
-            held.emplace_back(sqid, sqe.cid);
+            held.push_back(h);
             return;
         }
         if (ioDelay == 0) {
-            complete(sqid, sqe.cid, Status::Success);
+            complete(h, Status::Success);
         } else {
-            schedule(ioDelay, [this, sqid, cid = sqe.cid] {
-                complete(sqid, cid, Status::Success);
-            });
+            schedule(ioDelay, [this, h] { complete(h, Status::Success); });
         }
     }
 };
@@ -265,8 +263,8 @@ TEST(Controller, InflightTracksOutstanding)
         h.ioSubmit();
     EXPECT_TRUE(test::runUntil(h.sim, [&] { return h.ctrl->ioSeen == 5; }));
     EXPECT_EQ(h.ctrl->inflight(), 5u);
-    for (auto [sqid, cid] : h.ctrl->held)
-        h.ctrl->complete(sqid, cid, Status::Success);
+    for (nvme::ControllerModel::Handle held : h.ctrl->held)
+        h.ctrl->complete(held, Status::Success);
     EXPECT_EQ(h.ctrl->inflight(), 0u);
 }
 
@@ -292,6 +290,50 @@ TEST(Controller, SetFeaturesGrantsQueues)
     EXPECT_TRUE(cqe.ok());
     EXPECT_EQ(cqe.dw0 & 0xffff, 15u);
     EXPECT_EQ(cqe.dw0 >> 16, 15u);
+}
+
+// A command's record holds its CQE until the posted write lands: a
+// command that completes while an earlier CQE is still on its way must
+// leave that CQE's bytes alone, so each arrives with its own CID and
+// status.
+TEST(Controller, CqeBytesLiveUntilThePostedWriteLands)
+{
+    Harness h;
+    h.createIoQueues();
+    Cqe cqe;
+    // Two records to reuse: free again once their CQEs have landed.
+    h.ioSubmit();
+    h.ioSubmit();
+    int landed = 0;
+    ASSERT_TRUE(test::runUntil(h.sim, [&] {
+        landed += h.ioPoll(cqe);
+        return landed == 2;
+    }));
+
+    // The first CQE stays on its way while the second command is
+    // fetched and completed (runUntil steps 1 ms).
+    h.ctrl->holdIo = true;
+    h.up.writeDelay = sim::milliseconds(10);
+    h.ioSubmit();
+    ASSERT_TRUE(
+        test::runUntil(h.sim, [&] { return h.ctrl->held.size() == 1; }));
+    const std::uint16_t first = h.ctrl->lastIo.cid;
+    h.ctrl->complete(h.ctrl->held[0], Status::Success);
+    h.ioSubmit();
+    ASSERT_TRUE(
+        test::runUntil(h.sim, [&] { return h.ctrl->held.size() == 2; }));
+    const std::uint16_t second = h.ctrl->lastIo.cid;
+    h.ctrl->complete(h.ctrl->held[1], Status::LbaOutOfRange);
+
+    std::vector<std::pair<std::uint16_t, Status>> got;
+    EXPECT_TRUE(test::runUntil(h.sim, [&] {
+        if (h.ioPoll(cqe))
+            got.emplace_back(cqe.cid, cqe.status());
+        return got.size() == 2;
+    }));
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0], std::make_pair(first, Status::Success));
+    EXPECT_EQ(got[1], std::make_pair(second, Status::LbaOutOfRange));
 }
 
 // The controller moves an SQ's head when it issues a fetch and reads

@@ -234,6 +234,14 @@ class FlashEndpointTest : public EndpointTest
         }
         host.post(1, rwSqe(IoOpcode::Write, 0, 1, addr, 0));
     }
+
+    std::size_t
+    flashPages() const
+    {
+        if (const auto *s = dynamic_cast<const ssd::SsdDevice *>(dev))
+            return const_cast<ssd::SsdDevice *>(s)->flash().allocatedPages();
+        return dynamic_cast<const ssd::ZnsSsd &>(*dev).flash().allocatedPages();
+    }
 };
 
 } // namespace
@@ -262,6 +270,31 @@ TEST_P(FlashEndpointTest, OverwriteBeforeDmaCompletionDeliversOldBytes)
     up.writeDelay = 1;
     ASSERT_TRUE(rw(IoOpcode::Read, 0, 1, 0x308000, 0).ok());
     EXPECT_EQ(page(0x308000), new_page);
+}
+
+// A finished transfer holds no media pages. A read whose pages leave
+// the flash while it is in flight (a write replaces its block) and a
+// write that reuses a finished command's record must leave only the
+// flash's pages and the test's buffers live.
+TEST_P(FlashEndpointTest, FinishedTransferHoldsNoPages)
+{
+    fillPage(0x200000, 0x11);
+    ASSERT_TRUE(rw(IoOpcode::Write, 0, 1, 0x200000, 0).ok());
+    fillPage(0x210000, 0x77);
+    up.writeDelay = sim::milliseconds(1);
+    std::uint64_t writes = up.dmaWrites;
+    host.post(1, rwSqe(IoOpcode::Read, 0, 1, 0x300000, 0));
+    ASSERT_TRUE(test::runUntil(sim, [&] { return up.dmaWrites > writes; }));
+    postOverwrite(0x210000);
+    int cqes = std::string(GetParam().name) == "Zns" ? 3 : 2;
+    for (int i = 0; i < cqes; ++i)
+        EXPECT_TRUE(host.reap(1).ok());
+
+    // Fresh frames in every buffer: no page is shared with the flash.
+    for (std::uint64_t addr : {0x200000, 0x210000, 0x300000})
+        fillPage(addr, 0x5a);
+    EXPECT_EQ(sim.pages().livePages(),
+              flashPages() + up.memory.allocatedPages());
 }
 
 INSTANTIATE_TEST_SUITE_P(Devices, FlashEndpointTest,

@@ -484,8 +484,9 @@ TEST(BmsEngine, QosBufferedReadOutlivesItsNamespace)
 {
     // 1,000 IOPS admits a burst of 10 commands; the other 22 reads
     // wait in the QoS command buffer when the namespace is destroyed.
-    // Each must then complete with an error: it used to be forwarded
-    // through the freed binding, onto chunks already back in the pool.
+    // Each must then complete with an error, at once: it used to be
+    // forwarded through the freed binding, onto chunks already back in
+    // the pool, and later released at the dead namespace's rate.
     harness::BmStoreTestbed bed(bmsConfig(1, false));
     core::QosLimits lim;
     lim.iopsLimit = 1000.0;
@@ -493,23 +494,32 @@ TEST(BmsEngine, QosBufferedReadOutlivesItsNamespace)
         0, sim::gib(64), core::NamespaceManager::Policy::RoundRobin, lim);
     std::uint64_t buf = bed.host().memory().alloc(32 * 4096);
     int ok = 0, failed = 0;
+    sim::Tick last_done = 0;
     for (std::uint64_t i = 0; i < 32; ++i) {
         host::BlockRequest req;
         req.op = host::BlockRequest::Op::Read;
         req.offset = i * 4096;
         req.len = 4096;
         req.dataAddr = buf + i * 4096;
-        req.done = [&](bool o) { ++(o ? ok : failed); };
+        req.done = [&](bool o) {
+            ++(o ? ok : failed);
+            last_done = bed.sim().now();
+        };
         disk.submit(std::move(req));
     }
     bed.sim().runFor(sim::microseconds(200));
     const std::uint32_t key = core::QosModule::key(0, 1);
     ASSERT_EQ(bed.engine().qos().bufferDepth(key), 22u);
     ASSERT_TRUE(bed.controller().namespaces().destroy(0, 1));
+    const sim::Tick destroyed = bed.sim().now();
     EXPECT_TRUE(test::runUntil(bed.sim(), [&] { return ok + failed == 32; }));
     EXPECT_EQ(ok, 10);
     EXPECT_EQ(failed, 22);
     EXPECT_EQ(bed.engine().qos().bufferDepth(key), 0u);
+    // The namespace's QoS state leaves with it: the buffered reads are
+    // released at once instead of trickling out at its old rate.
+    EXPECT_LE(last_done - destroyed, sim::microseconds(100));
+    EXPECT_EQ(bed.engine().qos().limitsFor(key), nullptr);
 }
 
 TEST(BmsEngine, FlushFansOutToMappedSsds)
