@@ -68,9 +68,9 @@ class InterruptController : public sim::SimObject
                     " fn=", static_cast<int>(fn), " vec=", vector);
             return;
         }
-        // Copy the handler: registration may change while in flight.
-        Handler h = it->second.handler;
-        schedule(it->second.delivery, [h = std::move(h)] { h(); });
+        // Schedule a copy of the handler: registration may change
+        // while the interrupt is in flight.
+        schedule(it->second.delivery, it->second.handler);
     }
 
     /**

@@ -206,12 +206,10 @@ ControllerModel::doorbell(const DoorbellRef &ref, std::uint64_t value)
         sq.maxBacklog = std::max(sq.maxBacklog, sq.backlog());
         // Admin commands are strict-priority in every mode; IO SQs go
         // through the configured arbiter.
-        if (ref.qid == 0 || _cfg.arb == ArbitrationMode::Immediate) {
+        if (ref.qid == 0 || _cfg.arb == ArbitrationMode::Immediate)
             fetchEach(ref.qid);
-        } else {
-            ++_sqDoorbells;
+        else
             signalArbitration();
-        }
     } else {
         auto &cq = _cqs[ref.qid];
         if (!cq.valid)

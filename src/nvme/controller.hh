@@ -153,8 +153,6 @@ class ControllerModel : public sim::SimObject
     std::uint32_t maxSqBacklog() const;
     /** Arbitration passes executed. */
     std::uint64_t arbRounds() const { return _arbRounds; }
-    /** SQ doorbell rings observed (arbitrated modes only). */
-    std::uint64_t sqDoorbells() const { return _sqDoorbells; }
     /** Rings absorbed by an already-pending arbitration pass. */
     std::uint64_t doorbellsCoalesced() const { return _doorbellsCoalesced; }
     /** SQE fetch DMAs issued on IO SQs (one per SQE in Immediate
@@ -300,7 +298,6 @@ class ControllerModel : public sim::SimObject
     std::uint16_t _rrCursor = 1;          ///< plain-RR position
     std::uint16_t _wrrCursor[4] = {1, 1, 1, 1}; ///< per-class positions
     std::uint64_t _arbRounds = 0;
-    std::uint64_t _sqDoorbells = 0;
     std::uint64_t _doorbellsCoalesced = 0;
     std::uint64_t _fetchBatches = 0;
     std::uint64_t _fetchedSqes = 0;

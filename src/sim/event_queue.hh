@@ -9,11 +9,9 @@
  * in a slab indexed by `slot`, so heap sifts move 24-byte entries
  * rather than std::function objects.
  *
- * Cancellation tombstones the slab slot; the entry is purged when it
- * reaches the heap head, so cancelled bookkeeping is always bounded
- * by the heap contents (checkInvariants() enforces the accounting).
- * Slots are reused, so every EventId carries the slot's generation:
- * a stale id can never cancel the event that took its slot over.
+ * A scheduled event always runs: there is no cancellation. A model
+ * that must ignore a step whose reason has gone (a request that timed
+ * out) fences it when the step runs, by record handle or request id.
  */
 
 #ifndef BMS_SIM_EVENT_QUEUE_HH
@@ -27,15 +25,9 @@
 
 namespace bms::sim {
 
-/** Handle for a scheduled event, usable with EventQueue::cancel(). */
-using EventId = std::uint64_t;
-
-/** Id returned for events that were not actually scheduled. */
-inline constexpr EventId kInvalidEventId = 0;
-
 /**
  * Priority queue of timed callbacks with deterministic same-tick
- * ordering, O(log n) schedule/pop, and O(1) cancellation.
+ * ordering and O(log n) schedule/pop.
  */
 class EventQueue
 {
@@ -53,28 +45,21 @@ class EventQueue
     /**
      * Schedule @p cb to run at absolute time @p when.
      * @pre when >= now()
-     * @return id usable with cancel().
      */
-    EventId schedule(Tick when, Callback cb);
+    void schedule(Tick when, Callback cb);
 
     /** Schedule @p cb to run @p delay ticks from now. */
-    EventId
+    void
     scheduleAfter(Tick delay, Callback cb)
     {
-        return schedule(_now + delay, std::move(cb));
+        schedule(_now + delay, std::move(cb));
     }
 
-    /**
-     * Cancel a pending event. Cancelling an already-executed or
-     * unknown id is a harmless no-op.
-     */
-    void cancel(EventId id);
+    /** True if no pending events remain. */
+    bool empty() const { return _heap.empty(); }
 
-    /** True if no runnable events remain. */
-    bool empty() const { return _live == 0; }
-
-    /** Number of runnable (not cancelled) pending events. */
-    std::size_t size() const { return _live; }
+    /** Number of pending events. */
+    std::size_t size() const { return _heap.size(); }
 
     /**
      * Pop and execute the next event.
@@ -98,9 +83,6 @@ class EventQueue
     /**
      * Structure-wide self-check (BMS_ASSERT on violation):
      *  - slab accounting: heap + free list covers the slab;
-     *  - tombstones never outnumber the heap entries, and every other
-     *    heap entry is live, so cancel bookkeeping cannot grow
-     *    unboundedly;
      *  - the heap head is not in the past.
      * Runs after every pop under Check::paranoid(); tests call it
      * directly.
@@ -108,17 +90,7 @@ class EventQueue
     void checkInvariants() const;
 
   private:
-    /** EventId layout: generation(32) | slot(32). Generations start
-     *  at 1, so no issued id equals kInvalidEventId. */
-    static constexpr unsigned kSlotBits = 32;
-    static constexpr std::size_t kMaxSlots = std::size_t{1} << kSlotBits;
-
-    enum class SlotState : std::uint8_t
-    {
-        Free,
-        Pending,
-        Cancelled,
-    };
+    static constexpr std::size_t kMaxSlots = std::size_t{1} << 32;
 
     /** POD heap entry: 24 bytes, no callback, cache friendly. */
     struct HeapEntry
@@ -140,34 +112,11 @@ class EventQueue
         }
     };
 
-    struct Slot
-    {
-        Callback cb;
-        std::uint32_t gen = 1;
-        SlotState state = SlotState::Free;
-    };
-
-    static EventId
-    makeId(std::uint32_t gen, std::uint32_t slot)
-    {
-        return (static_cast<EventId>(gen) << kSlotBits) | slot;
-    }
-
-    void popHead();
-    void releaseSlot(std::uint32_t slot);
-    /**
-     * Drop tombstoned entries sitting at the heap head.
-     * @return false if no runnable event remains.
-     */
-    bool purgeHead();
-
-    std::vector<HeapEntry> _heap; ///< binary heap (EntryLater)
-    std::vector<Slot> _slots;     ///< callback slab
+    std::vector<HeapEntry> _heap;  ///< binary heap (EntryLater)
+    std::vector<Callback> _slots;  ///< callback slab
     std::vector<std::uint32_t> _freeSlots;
-    std::size_t _cancelled = 0; ///< tombstones still in `_heap`
     Tick _now = 0;
     std::uint64_t _nextSeq = 1; ///< schedule order
-    std::size_t _live = 0;
     std::uint64_t _executed = 0;
 };
 

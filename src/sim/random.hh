@@ -58,22 +58,12 @@ class Rng
         return -mean * std::log(u);
     }
 
-    /** Normal sample clamped to be non-negative. */
-    double
-    normalNonNeg(double mean, double stddev)
-    {
-        double v = std::normal_distribution<double>(mean, stddev)(_gen);
-        return v < 0.0 ? 0.0 : v;
-    }
-
     /** Fork an independent stream (e.g., one per tenant). */
     Rng
     fork()
     {
         return Rng(_gen() ^ 0x9e3779b97f4a7c15ULL);
     }
-
-    std::mt19937_64 &engine() { return _gen; }
 
   private:
     std::mt19937_64 _gen;
@@ -96,9 +86,6 @@ class ZipfianGenerator
 
     /** Draw one item index in [0, n). Item 0 is the hottest. */
     std::uint64_t next(Rng &rng) const;
-
-    std::uint64_t itemCount() const { return _n; }
-    double theta() const { return _theta; }
 
   private:
     double hIntegral(double x) const;

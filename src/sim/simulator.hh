@@ -49,20 +49,18 @@ class Simulator
     std::size_t liveRecords() const { return _liveRecords; }
 
     /** Schedule @p cb at absolute tick @p when. */
-    EventId
+    void
     scheduleAt(Tick when, EventQueue::Callback cb)
     {
-        return _queue.schedule(when, std::move(cb));
+        _queue.schedule(when, std::move(cb));
     }
 
     /** Schedule @p cb after @p delay ticks. */
-    EventId
+    void
     scheduleAfter(Tick delay, EventQueue::Callback cb)
     {
-        return _queue.scheduleAfter(delay, std::move(cb));
+        _queue.scheduleAfter(delay, std::move(cb));
     }
-
-    void cancel(EventId id) { _queue.cancel(id); }
 
     /** Run until simulated time @p limit. */
     void runUntil(Tick limit) { _queue.runUntil(limit); }
@@ -122,10 +120,10 @@ class SimObject
     Tick now() const { return _sim.now(); }
 
   protected:
-    EventId
+    void
     schedule(Tick delay, EventQueue::Callback cb)
     {
-        return _sim.scheduleAfter(delay, std::move(cb));
+        _sim.scheduleAfter(delay, std::move(cb));
     }
 
     /** Register a statistic under "<component name>.<stat>". */

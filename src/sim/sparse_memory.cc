@@ -61,7 +61,9 @@ SparseMemory::map(std::uint64_t page, PageStore::Id id)
         }
     }
     _store.release(old);
-    if (c->present == 0) {
+    // A leaf goes with its last page; one emptied by clearPages()
+    // stays until the memory is cleared.
+    if (old != PageStore::kZero && c->present == 0) {
         _chunks.erase(page / kChunkPages);
         _last = nullptr;
     }
@@ -167,13 +169,23 @@ SparseMemory::unit(std::uint64_t addr) const
 void
 SparseMemory::clear()
 {
-    // BMS_LINT_ALLOW(unordered-iter): dropping references commutes —
-    // no order of releases is observable.
-    for (auto &[key, c] : _chunks)
-        for (PageStore::Id id : c.ids)
-            _store.release(id);
+    clearPages();
     _chunks.clear();
     _last = nullptr;
+}
+
+void
+SparseMemory::clearPages()
+{
+    // BMS_LINT_ALLOW(unordered-iter): dropping references commutes —
+    // no order of releases is observable.
+    for (auto &[key, c] : _chunks) {
+        for (PageStore::Id &id : c.ids) {
+            _store.release(id);
+            id = PageStore::kZero;
+        }
+        c.present = 0;
+    }
     _present = 0;
 }
 

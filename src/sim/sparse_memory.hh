@@ -121,6 +121,13 @@ class SparseMemory
     void clear();
 
     /**
+     * Drop every page but keep the page table: a memory refilled at
+     * the same addresses (a transfer's staging memory) then allocates
+     * no table leaf again.
+     */
+    void clearPages();
+
+    /**
      * Drop whole pages inside [addr, addr+len) — subsequent reads
      * return zeroes (TRIM / zone reset). Partial pages at the edges
      * are zero-filled rather than dropped.

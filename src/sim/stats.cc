@@ -1,5 +1,6 @@
 #include "sim/stats.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -89,16 +90,6 @@ LatencyHistogram::quantile(double q) const
         }
     }
     return _max;
-}
-
-void
-LatencyHistogram::reset()
-{
-    _buckets.fill(0);
-    _count = 0;
-    _sum = 0.0;
-    _min = kTickMax;
-    _max = 0;
 }
 
 void

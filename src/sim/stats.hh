@@ -9,58 +9,13 @@
 #ifndef BMS_SIM_STATS_HH
 #define BMS_SIM_STATS_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/types.hh"
 
 namespace bms::sim {
-
-/** Running mean / min / max / stddev over double samples. */
-class SampleStats
-{
-  public:
-    void
-    add(double v)
-    {
-        ++_n;
-        double delta = v - _mean;
-        _mean += delta / static_cast<double>(_n);
-        _m2 += delta * (v - _mean);
-        _min = std::min(_min, v);
-        _max = std::max(_max, v);
-        _sum += v;
-    }
-
-    std::uint64_t count() const { return _n; }
-    double sum() const { return _sum; }
-    double mean() const { return _n ? _mean : 0.0; }
-    double min() const { return _n ? _min : 0.0; }
-    double max() const { return _n ? _max : 0.0; }
-
-    double
-    variance() const
-    {
-        return _n > 1 ? _m2 / static_cast<double>(_n - 1) : 0.0;
-    }
-
-    void
-    reset()
-    {
-        *this = SampleStats{};
-    }
-
-  private:
-    std::uint64_t _n = 0;
-    double _mean = 0.0;
-    double _m2 = 0.0;
-    double _sum = 0.0;
-    double _min = 1e300;
-    double _max = -1e300;
-};
 
 /**
  * Fixed-memory latency histogram with ~3% relative error.
@@ -94,8 +49,6 @@ class LatencyHistogram
     Tick p99() const { return quantile(0.99); }
     Tick p999() const { return quantile(0.999); }
 
-    void reset();
-
     /** Merge another histogram into this one. */
     void merge(const LatencyHistogram &other);
 
@@ -109,52 +62,6 @@ class LatencyHistogram
     double _sum = 0.0;
     Tick _min = kTickMax;
     Tick _max = 0;
-};
-
-/**
- * Counts events over simulated time to report rates (IOPS, MB/s).
- * start() latches the window start; rate helpers divide by the
- * elapsed window.
- */
-class RateMeter
-{
-  public:
-    void
-    start(Tick now)
-    {
-        _start = now;
-        _ops = 0;
-        _bytes = 0;
-    }
-
-    void
-    record(std::uint64_t bytes)
-    {
-        ++_ops;
-        _bytes += bytes;
-    }
-
-    std::uint64_t ops() const { return _ops; }
-    std::uint64_t bytes() const { return _bytes; }
-
-    double
-    iops(Tick now) const
-    {
-        double secs = toSec(now - _start);
-        return secs > 0.0 ? static_cast<double>(_ops) / secs : 0.0;
-    }
-
-    double
-    mbPerSec(Tick now) const
-    {
-        double secs = toSec(now - _start);
-        return secs > 0.0 ? static_cast<double>(_bytes) / 1e6 / secs : 0.0;
-    }
-
-  private:
-    Tick _start = 0;
-    std::uint64_t _ops = 0;
-    std::uint64_t _bytes = 0;
 };
 
 /**
@@ -177,7 +84,6 @@ class TimeSeries
         _counts[idx] += weight;
     }
 
-    Tick bucketWidth() const { return _width; }
     const std::vector<std::uint64_t> &counts() const { return _counts; }
 
     /** Count of bucket @p i expressed as a per-second rate. */

@@ -76,7 +76,7 @@ HddMediaModel::write(std::uint64_t offset, std::uint64_t bytes,
         _cacheFill += bytes;
         sim::Tick ack = now() + _profile.writeCacheLatency;
         access(offset, bytes, true, [] {});
-        sim().scheduleAt(ack, [done = std::move(done)] { done(); });
+        sim().scheduleAt(ack, std::move(done));
         return;
     }
     access(offset, bytes, true, std::move(done));
@@ -88,8 +88,7 @@ HddMediaModel::flush(std::function<void()> done)
     // Wait for the actuator to drain everything queued so far.
     sim::Tick t = now() > _actuatorBusy ? now() : _actuatorBusy;
     _cacheFill = 0;
-    sim().scheduleAt(t + sim::microseconds(100),
-                     [done = std::move(done)] { done(); });
+    sim().scheduleAt(t + sim::microseconds(100), std::move(done));
 }
 
 } // namespace bms::ssd

@@ -57,8 +57,7 @@ MediaModel::startRead(PendingRead op)
         sim::Tick start =
             now() > _readChannelBusy ? now() : _readChannelBusy;
         _readChannelBusy = start + _profile.readChannelBw.delayFor(op.bytes);
-        sim().scheduleAt(_readChannelBusy,
-                         [done = std::move(op.done)] { done(); });
+        sim().scheduleAt(_readChannelBusy, std::move(op.done));
     });
 }
 
@@ -84,15 +83,14 @@ MediaModel::write(std::uint64_t offset, std::uint64_t bytes,
     sim::Tick start = now() > _writeChannelBusy ? now() : _writeChannelBusy;
     _writeChannelBusy = start + _profile.writeChannelBw.delayFor(bytes);
     sim::Tick ack = _writeChannelBusy + jitter(_profile.writeLatency);
-    sim().scheduleAt(ack, [done = std::move(done)] { done(); });
+    sim().scheduleAt(ack, std::move(done));
 }
 
 void
 MediaModel::flush(std::function<void()> done)
 {
     sim::Tick t = now() > _writeChannelBusy ? now() : _writeChannelBusy;
-    sim().scheduleAt(t + _profile.flushLatency,
-                     [done = std::move(done)] { done(); });
+    sim().scheduleAt(t + _profile.flushLatency, std::move(done));
 }
 
 } // namespace bms::ssd

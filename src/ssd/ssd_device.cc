@@ -188,7 +188,6 @@ SsdDevice::executeAdmin(Handle h)
         const auto &p = _cfg.profile;
         sim::Tick stall = static_cast<sim::Tick>(sim().rng().uniformInt(
             p.fwActivateMin, p.fwActivateMax));
-        _lastActivation = stall;
         logInfo("firmware activation, stall ", sim::toMs(stall), " ms");
         schedule(stall, [this, h] {
             _upgrading = false;

@@ -90,9 +90,6 @@ class SsdDevice : public nvme::Endpoint
     /** True while a firmware activation stall is in progress. */
     bool upgrading() const { return _upgrading; }
 
-    /** Duration of the most recent firmware activation stall. */
-    sim::Tick lastActivationTime() const { return _lastActivation; }
-
     /** Injected unrecoverable read/write errors reported so far. */
     std::uint64_t mediaErrors() const { return _mediaErrors; }
 
@@ -151,7 +148,6 @@ class SsdDevice : public nvme::Endpoint
     std::string _fwRev;
     std::uint32_t _fwActivations = 0;
     bool _upgrading = false;
-    sim::Tick _lastActivation = 0;
     std::uint64_t _mediaErrors = 0;
     std::uint64_t _latencySpikes = 0;
 };

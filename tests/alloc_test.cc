@@ -59,9 +59,9 @@ using namespace bms;
 
 namespace {
 
-/** Measured 6.26 (GCC 12, libstdc++); one allocation per I/O more
+/** Measured 3.57 (GCC 12, libstdc++); one allocation per I/O more
  *  fails. */
-constexpr double kMaxAllocsPerIo = 6.32;
+constexpr double kMaxAllocsPerIo = 3.61;
 
 constexpr int kTenants = 4;
 constexpr std::uint64_t kWindowBytes = sim::mib(64);

@@ -1,7 +1,9 @@
 /**
  * @file
- * Unit tests of the discrete-event kernel: event ordering,
- * cancellation, time limits, RNG determinism, histogram quantiles.
+ * Unit tests of the simulation kernel. The event queue has one
+ * contract, run order by (tick, schedule order), checked on small
+ * cases and on a large random schedule; then time limits, RNG
+ * determinism, histogram quantiles and sparse memory.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include "sim/check.hh"
@@ -60,80 +63,58 @@ TEST(EventQueue, SameTickIsFifo)
     }
 }
 
-TEST(EventQueue, CancelPreventsExecution)
+// The order contract on a large random schedule: thousands of events
+// with many same-tick collisions, more scheduled from callbacks at the
+// current tick or later, run through runUntil slices. They execute in
+// (tick, schedule order), each at its tick and none past its slice.
+TEST(EventQueue, RandomScheduleRunsInTickThenScheduleOrder)
 {
     EventQueue q;
-    bool ran = false;
-    EventId id = q.schedule(10, [&] { ran = true; });
-    q.cancel(id);
-    q.runAll();
-    EXPECT_FALSE(ran);
-    EXPECT_TRUE(q.empty());
-}
+    Rng rng(29);
+    std::vector<Tick> ticks; // indexed by schedule order
+    std::vector<std::size_t> ran;
+    std::size_t now_children = 0, later_children = 0;
+    Tick limit = 0;
+    std::function<void(Tick)> add = [&](Tick when) {
+        std::size_t i = ticks.size();
+        ticks.push_back(when);
+        q.schedule(when, [&, i] {
+            q.checkInvariants();
+            EXPECT_EQ(q.now(), ticks[i]);
+            EXPECT_LE(q.now(), limit);
+            ran.push_back(i);
+            if (ticks.size() >= 20'000 || !rng.chance(0.3))
+                return;
+            if (rng.chance(0.5)) {
+                ++now_children;
+                add(q.now());
+            } else {
+                ++later_children;
+                add(q.now() + rng.uniformInt(1, 40));
+            }
+        });
+    };
+    for (int i = 0; i < 5000; ++i)
+        add(rng.uniformInt(0, 999));
+    while (!q.empty()) {
+        limit = q.now() + rng.uniformInt(0, 50);
+        q.runUntil(limit);
+        EXPECT_EQ(q.now(), limit);
+    }
+    q.checkInvariants();
 
-TEST(EventQueue, CancelUnknownIdIsNoop)
-{
-    EventQueue q;
-    q.cancel(kInvalidEventId);
-    q.cancel(12345);
-    EXPECT_TRUE(q.empty());
-    q.checkInvariants();
-}
-
-TEST(EventQueue, CancelOfExecutedIdDoesNotCorruptBookkeeping)
-{
-    EventQueue q;
-    EventId a = q.schedule(10, [] {});
-    q.schedule(20, [] {});
-    ASSERT_TRUE(q.runOne()); // a has executed
-    // Cancelling an already-executed id must not decrement the live
-    // count or park the id in the lazily-deleted set forever.
-    q.cancel(a);
-    EXPECT_EQ(q.size(), 1u);
-    q.checkInvariants();
-    q.runAll();
-    EXPECT_TRUE(q.empty());
-    q.checkInvariants();
-}
-
-// A slot is recycled as soon as its event runs, so a stale id names a
-// slot that a newer event may own. The generation half of the id must
-// keep cancel() of the stale id away from the new owner.
-TEST(EventQueue, StaleIdDoesNotCancelSlotReuser)
-{
-    EventQueue q;
-    EventId a = q.schedule(10, [] {});
-    ASSERT_TRUE(q.runOne());
-    bool b_ran = false;
-    EventId b = q.schedule(20, [&] { b_ran = true; });
-    // b reuses a's slot (the low 32 bits) under a newer generation.
-    ASSERT_EQ(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
-    ASSERT_NE(a, b);
-    q.cancel(a);
-    EXPECT_EQ(q.size(), 1u);
-    q.checkInvariants();
-    q.runAll();
-    EXPECT_TRUE(b_ran);
-    q.checkInvariants();
-}
-
-TEST(EventQueue, CancelledIdsArePurgedWhenTheirTickPops)
-{
-    EventQueue q;
-    std::vector<EventId> ids;
-    ids.reserve(100);
-    for (int i = 0; i < 100; ++i)
-        ids.push_back(q.schedule(10 + i, [] {}));
-    for (EventId id : ids)
-        q.cancel(id);
-    EXPECT_EQ(q.size(), 0u);
-    // Double-cancel is a no-op, not a second decrement.
-    q.cancel(ids.front());
-    q.checkInvariants();
-    q.runUntil(1000); // pops (and purges) every cancelled entry
-    EXPECT_TRUE(q.empty());
-    q.checkInvariants();
-    EXPECT_EQ(q.executedCount(), 0u);
+    std::vector<std::size_t> expected(ticks.size());
+    std::iota(expected.begin(), expected.end(), 0);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [&ticks](std::size_t a, std::size_t b) {
+                         return ticks[a] < ticks[b];
+                     });
+    EXPECT_EQ(ran, expected);
+    EXPECT_EQ(q.executedCount(), ticks.size());
+    std::set<Tick> distinct(ticks.begin(), ticks.end());
+    EXPECT_GT(ticks.size() - distinct.size(), 3000u); // same-tick events
+    EXPECT_GT(now_children, 500u);
+    EXPECT_GT(later_children, 500u);
 }
 
 TEST(EventQueue, SchedulingIntoThePastPanics)
@@ -217,18 +198,6 @@ TEST(EventQueue, RunUntilAdvancesTimeWhenEmpty)
     EventQueue q;
     q.runUntil(1000);
     EXPECT_EQ(q.now(), 1000u);
-}
-
-TEST(EventQueue, CancelledHeadDoesNotLeakLaterEvents)
-{
-    EventQueue q;
-    bool late_ran = false;
-    EventId early = q.schedule(10, [] {});
-    q.schedule(100, [&] { late_ran = true; });
-    q.cancel(early);
-    q.runUntil(50);
-    EXPECT_FALSE(late_ran);
-    EXPECT_EQ(q.now(), 50u);
 }
 
 TEST(EventQueue, EventsCanScheduleEvents)
@@ -352,18 +321,6 @@ TEST(LatencyHistogram, EmptyIsZero)
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.p99(), 0u);
     EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(SampleStats, Moments)
-{
-    SampleStats s;
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(v);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_NEAR(s.mean(), 5.0, 1e-9);
-    EXPECT_EQ(s.min(), 2.0);
-    EXPECT_EQ(s.max(), 9.0);
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-9);
 }
 
 TEST(SparseMemory, ReadBackWritten)
@@ -612,6 +569,27 @@ TEST(SparseMemory, ClearAndDestructionReturnEveryPage)
         EXPECT_EQ(store.livePages(), 5u);
     }
     EXPECT_EQ(store.livePages(), 0u);
+}
+
+// A staging memory drops its pages after every transfer but keeps its
+// page table: no page stays referenced, and the next fill counts again.
+TEST(SparseMemory, ClearPagesReturnsEveryPage)
+{
+    PageStore store;
+    SparseMemory src(store), staged(store);
+    auto data = filled(0x42);
+    src.write(0, data.size(), data.data());
+    for (int round = 0; round < 3; ++round) {
+        staged.write(0, 2 * SparseMemory::kPageBytes, DataIn(src, 0));
+        staged.write(0x10000 + 7, 9, data.data());
+        EXPECT_EQ(staged.allocatedPages(), 2u);
+        EXPECT_EQ(store.livePages(), 2u); // page 0 is shared with src
+        staged.clearPages();
+        EXPECT_EQ(staged.allocatedPages(), 0u);
+        EXPECT_EQ(store.livePages(), 1u);
+        EXPECT_EQ(pageAt(staged, 0), filled(0));
+        EXPECT_EQ(pageAt(staged, 0x10000), filled(0));
+    }
 }
 
 // Slab pages are invisible to LeakSanitizer, so the store counts its
