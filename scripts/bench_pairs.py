@@ -5,7 +5,7 @@ Usage (from anywhere):
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR \
         [--workloads fanout_read,verified_rw,fleet_replace] \
-        [--pairs 10] [--seconds 10] [--held-back 9001] [--per-layer]
+        [--pairs 10] [--seconds 10] [--held-back 9001]
 
 Each tree's own perfbench/run.py builds and runs its perfbench. Pair i
 runs seed i on both trees; odd pairs run the parent first and even
@@ -19,14 +19,11 @@ of the medians, the pairs the change wins and ties, whether the claim
 rule holds (the change better in at least 9 of every 10 pairs, and
 its median better than the parent's by more than the parent's
 Q3 - Q1), and both values on the held-back seed. Then it lists every
-seed whose outcome fingerprint, attempted count or model_* values
-differ between the trees.
-
-With --per-layer, every seed also runs once traced (--trace 1) on
-each tree, right after its untraced pair and in the same order. Per
-workload it prints both trees' Q1 / median / Q3 over the pairs of
-sim.events_per_io and sim.ns_per_event, and lists every seed whose
-traced fingerprint differs between the trees. Standard library only.
+seed whose outcome fingerprint, attempted count, model_* values or
+sim.events_per_io differ between the trees, and prints both trees'
+Q1 / median / Q3 over the pairs of sim.events_per_io and
+sim.ns_per_event, which every untraced run writes to the per_layer
+section of its report. Standard library only.
 
 Exits 1 when any run fails (non-zero exit, no result line, or
 "correct": false), 2 on bad arguments.
@@ -44,12 +41,13 @@ import sys
 PER_LAYER = ("sim.events_per_io", "sim.ns_per_event")
 
 
-def run(tree, workload, seed, seconds, trace=0):
-    """One perfbench run in @p tree; returns (result, fingerprint) or None."""
+def run(tree, workload, seed, seconds):
+    """One untraced perfbench run in @p tree; returns (result,
+    fingerprint, per-layer metrics) or None."""
     res = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
     lines = res.stdout.strip().splitlines()
@@ -58,14 +56,15 @@ def run(tree, workload, seed, seconds, trace=0):
     try:
         result = json.loads(lines[-1])
         report = os.path.join(tree, ".bench_out",
-                              f"{workload}-seed{seed}-trace{trace}.json")
+                              f"{workload}-seed{seed}-trace0.json")
         with open(report) as f:
-            fp = json.load(f)["fingerprint"]
+            doc = json.load(f)
+        fp, layers = doc["fingerprint"], doc["per_layer"]
     except (ValueError, KeyError, OSError):
         return None
     if not result.get("correct"):
         return None
-    return result, fp
+    return result, fp, layers
 
 
 def quartiles(vals):
@@ -80,31 +79,18 @@ def better(a, b, lower):
     return a < b if lower else a > b
 
 
-def print_per_layer(pairs, seeds, traced):
-    """Both trees' quartiles of the PER_LAYER metrics over @p pairs, and
-    every seed whose traced fingerprint differs between the trees."""
-    both = [s for s in pairs if s in traced["parent"] and s in traced["change"]]
-    print(f"\nPer-layer, traced runs ({len(both)} pairs):\n")
+def print_per_layer(got, pairs):
+    """Both trees' quartiles of the PER_LAYER metrics over @p pairs."""
+    print(f"\nPer-layer ({len(pairs)} pairs):\n")
     print("| metric | parent Q1 / median / Q3 | change Q1 / median / Q3 "
           "| median ratio |")
     print("|---|---|---|---|")
-    for name in PER_LAYER if both else []:
-        pq, cq = (quartiles([traced[side][s][0]["metrics"][name]["value"]
-                             for s in both])
+    for name in PER_LAYER if pairs else []:
+        pq, cq = (quartiles([got[side][s][2][name]["value"] for s in pairs])
                   for side in ("parent", "change"))
         ratio = cq[1] / pq[1] if pq[1] else float("nan")
         print(f"| {name} | {pq[0]:.4g} / {pq[1]:.4g} / {pq[2]:.4g} "
               f"| {cq[0]:.4g} / {cq[1]:.4g} / {cq[2]:.4g} | {ratio:.3f} |")
-    print()
-    same = True
-    for seed in seeds:
-        if seed in traced["parent"] and seed in traced["change"]:
-            pfp, cfp = traced["parent"][seed][1], traced["change"][seed][1]
-            if pfp != cfp:
-                same = False
-                print(f"- seed {seed} traced fingerprint {pfp} → {cfp}")
-    if same:
-        print("Every seed traced on both trees has the same fingerprint.")
 
 
 def main():
@@ -117,9 +103,6 @@ def main():
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=int, default=10)
     ap.add_argument("--held-back", type=int, default=9001)
-    ap.add_argument("--per-layer", action="store_true",
-                    help="also run each seed traced and compare "
-                         + " and ".join(PER_LAYER))
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -135,22 +118,17 @@ def main():
     for workload in args.workloads.split(","):
         seeds = list(range(1, args.pairs + 1)) + [args.held_back]
         got = {"parent": {}, "change": {}}
-        traced = {"parent": {}, "change": {}}
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                             "parent")
-            for trace, into in ((0, got), (1, traced)):
-                if trace and not args.per_layer:
-                    continue
-                for side in order:
-                    out = run(trees[side], workload, seed, args.seconds,
-                              trace)
-                    if out is None:
-                        failed_runs += 1
-                        print(f"{workload} seed {seed}: {side} run "
-                              f"(trace {trace}) failed", flush=True)
-                    else:
-                        into[side][seed] = out
+            for side in order:
+                out = run(trees[side], workload, seed, args.seconds)
+                if out is None:
+                    failed_runs += 1
+                    print(f"{workload} seed {seed}: {side} run failed",
+                          flush=True)
+                else:
+                    got[side][seed] = out
             print(f"{workload} seed {seed}: done", file=sys.stderr,
                   flush=True)
 
@@ -197,7 +175,8 @@ def main():
         for seed in seeds:
             if seed not in got["parent"] or seed not in got["change"]:
                 continue
-            (pr, pfp), (cr, cfp) = got["parent"][seed], got["change"][seed]
+            (pr, pfp, pl), (cr, cfp, cl) = (got["parent"][seed],
+                                            got["change"][seed])
             diffs = []
             if pfp != cfp:
                 diffs.append(f"fingerprint {pfp} → {cfp}")
@@ -210,14 +189,18 @@ def main():
                         cm is None or cm["value"] != pm["value"]):
                     cv = cm["value"] if cm else "missing"
                     diffs.append(f"{name} {pm['value']} → {cv}")
+            pe, ce = (layers["sim.events_per_io"]["value"]
+                      for layers in (pl, cl))
+            if pe != ce:
+                diffs.append(f"sim.events_per_io {pe} → {ce}")
             if diffs:
                 same = False
                 print(f"- seed {seed} differs: " + "; ".join(diffs))
         if same:
             print("Every seed run on both trees has the same fingerprint, "
-                  "attempted and failed counts and model_* values.")
-        if args.per_layer:
-            print_per_layer(pairs, seeds, traced)
+                  "attempted and failed counts, model_* values and "
+                  "sim.events_per_io.")
+        print_per_layer(got, pairs)
     return 1 if failed_runs else 0
 
 

@@ -179,7 +179,7 @@ Endpoint::segmentDone(Handle h)
     if (t.media) {
         if (!t.toHost)
             t.media->write(t.off, sqe(h).dataBytes(), {t.staged, 0});
-        t.staged.clearPages();
+        t.staged.clear();
     }
     std::function<void()> done = std::move(t.done);
     done();

@@ -61,8 +61,7 @@ SparseMemory::map(std::uint64_t page, PageStore::Id id)
         }
     }
     _store.release(old);
-    // A leaf goes with its last page; one emptied by clearPages()
-    // stays until the memory is cleared.
+    // A leaf goes with its last page; one emptied by clear() stays.
     if (old != PageStore::kZero && c->present == 0) {
         _chunks.erase(page / kChunkPages);
         _last = nullptr;
@@ -168,14 +167,6 @@ SparseMemory::unit(std::uint64_t addr) const
 
 void
 SparseMemory::clear()
-{
-    clearPages();
-    _chunks.clear();
-    _last = nullptr;
-}
-
-void
-SparseMemory::clearPages()
 {
     // BMS_LINT_ALLOW(unordered-iter): dropping references commutes —
     // no order of releases is observable.

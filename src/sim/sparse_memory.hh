@@ -114,18 +114,13 @@ class SparseMemory
     std::optional<PageStore::Unit> unit(std::uint64_t addr) const;
 
     /**
-     * Drop all contents. Callers: a disk pulled by hot-plug
+     * Drop every page but keep the page table: a memory refilled at
+     * the same addresses (a transfer's staging memory) then allocates
+     * no table leaf again. Other callers: a disk pulled by hot-plug
      * (`SsdDevice::detached`, `ZnsSsd::detached`), a wiping
      * `SsdDevice::hardReset`, and the destructor.
      */
     void clear();
-
-    /**
-     * Drop every page but keep the page table: a memory refilled at
-     * the same addresses (a transfer's staging memory) then allocates
-     * no table leaf again.
-     */
-    void clearPages();
 
     /**
      * Drop whole pages inside [addr, addr+len) — subsequent reads

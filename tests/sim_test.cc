@@ -571,9 +571,10 @@ TEST(SparseMemory, ClearAndDestructionReturnEveryPage)
     EXPECT_EQ(store.livePages(), 0u);
 }
 
-// A staging memory drops its pages after every transfer but keeps its
-// page table: no page stays referenced, and the next fill counts again.
-TEST(SparseMemory, ClearPagesReturnsEveryPage)
+// A staging memory is cleared after every transfer and refilled at the
+// same addresses: no page stays referenced, and the next fill counts
+// again.
+TEST(SparseMemory, RefillAfterClearReturnsEveryPage)
 {
     PageStore store;
     SparseMemory src(store), staged(store);
@@ -584,7 +585,7 @@ TEST(SparseMemory, ClearPagesReturnsEveryPage)
         staged.write(0x10000 + 7, 9, data.data());
         EXPECT_EQ(staged.allocatedPages(), 2u);
         EXPECT_EQ(store.livePages(), 2u); // page 0 is shared with src
-        staged.clearPages();
+        staged.clear();
         EXPECT_EQ(staged.allocatedPages(), 0u);
         EXPECT_EQ(store.livePages(), 1u);
         EXPECT_EQ(pageAt(staged, 0), filled(0));
