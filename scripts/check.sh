@@ -107,8 +107,8 @@ run_san() {
     # full-card fan-out path (tenant driver, host adaptor), moves these.
     echo "== replay gates =="
     check_replay build-asan/ext_fleet.json traceHash f559f7f52bc8cbcb || fail=1
-    check_replay build-asan/ext_fleet.json events 42554002 || fail=1
-    check_replay build-asan/ext_full_card.json events "12675 49061 58308" ||
+    check_replay build-asan/ext_fleet.json events 39074344 || fail=1
+    check_replay build-asan/ext_full_card.json events "11500 44765 53231" ||
         fail=1
 }
 

@@ -86,6 +86,13 @@ HostAdaptor::ssdMmio(nvme::RegWrite w)
 }
 
 void
+HostAdaptor::ssdCqHead(nvme::RegWrite w)
+{
+    BMS_ASSERT(_ssd, "MMIO write to empty back-end slot");
+    _ssd->mmioWrite(0, w.offset, w.value);
+}
+
+void
 HostAdaptor::init(std::function<void()> ready)
 {
     BMS_ASSERT(_ssd, "bring-up with no SSD in slot");
@@ -178,7 +185,7 @@ HostAdaptor::scanCq(Ring &ring)
             [&](std::uint16_t next) { issue(ring, next); });
     }
     if (any)
-        ssdMmio(ring.cqDoorbell());
+        ssdCqHead(ring.cqDoorbell());
     checkDrained();
 }
 

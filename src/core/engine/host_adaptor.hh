@@ -118,6 +118,10 @@ class HostAdaptor : public sim::SimObject, public pcie::PcieUpstreamIf
     using Handle = std::uint32_t;
 
     void ssdMmio(nvme::RegWrite w);
+    /** Write a CQ-head doorbell. Nothing waits for it to arrive, so it
+     *  goes straight into the SSD's register file as written, without
+     *  a link-arrival event. */
+    void ssdCqHead(nvme::RegWrite w);
     void push(Ring &ring, const nvme::Sqe &sqe, CqeHandler done);
     /** Write the command holding @p cid at the SQ tail and ring. */
     void issue(Ring &ring, std::uint16_t cid);

@@ -139,7 +139,7 @@ NvmeDriver::adminIrq()
             },
             [this](std::uint16_t cid) { issueAdmin(cid); });
     }
-    mmio(_admin->cqDoorbell());
+    cqHead(_admin->cqDoorbell());
 }
 
 void
@@ -155,15 +155,16 @@ NvmeDriver::submit(BlockRequest req)
     int idx = req.queueHint >= 0 ? req.queueHint % _cfg.ioQueues
                                  : (_rrQueue++ % _cfg.ioQueues);
     IoQueue &q = _queues[static_cast<std::size_t>(idx)];
-    if (std::optional<std::uint16_t> cid = q.admit(std::move(req)))
+    if (std::optional<std::uint16_t> cid = q.admit({std::move(req), {}}))
         issueIo(q, *cid);
 }
 
 void
 NvmeDriver::issueIo(IoQueue &q, std::uint16_t cid)
 {
-    const BlockRequest &req = q[cid];
-    Sqe sqe;
+    const BlockRequest &req = q[cid].req;
+    Sqe &sqe = q[cid].sqe;
+    sqe = Sqe{};
     sqe.nsid = _cfg.nsid;
     switch (req.op) {
       case BlockRequest::Op::Read:
@@ -219,8 +220,9 @@ NvmeDriver::issueIo(IoQueue &q, std::uint16_t cid)
         now(), _cfg.profile.submit.occupancy, _cfg.profile.deferSlack);
     sim::Tick ring_at = start + _cfg.profile.submit.latency;
     std::uint16_t qid = q.qid();
-    sim().scheduleAt(ring_at, [this, qid, cid, sqe] {
-        mmio(_queues[qid - 1].push(sqe, cid));
+    sim().scheduleAt(ring_at, [this, qid, cid] {
+        IoQueue &q = _queues[qid - 1];
+        mmio(q.push(q[cid].sqe, cid));
     });
 }
 
@@ -238,7 +240,7 @@ NvmeDriver::ioIrq(std::uint16_t qid)
         bool ok = cqe->ok();
         q.complete(
             cqe->cid,
-            [&](BlockRequest req) {
+            [&](IoCmd cmd) {
                 // Per-CQE completion cost: the occupancy caps
                 // throughput, but the requester's callback runs after
                 // only the critical-path part — deferred completion
@@ -249,21 +251,32 @@ NvmeDriver::ioIrq(std::uint16_t qid)
                                _cfg.profile.completion.latency;
                 if (at < now())
                     at = now();
-                if (req.done)
-                    sim().scheduleAt(at, [done = std::move(req.done), ok] {
-                        done(ok);
-                    });
+                if (!cmd.req.done)
+                    return;
+                const auto h = _completions.open();
+                _completions[h] = {std::move(cmd.req.done), ok};
+                sim().scheduleAt(at, [this, h] {
+                    Completion c = std::move(_completions[h]);
+                    _completions.free(h);
+                    c.done(c.ok);
+                });
             },
             [&](std::uint16_t cid) { issueIo(q, cid); });
     }
     if (any)
-        mmio(q.cqDoorbell());
+        cqHead(q.cqDoorbell());
 }
 
 void
 NvmeDriver::mmio(nvme::RegWrite w)
 {
     _port.hostMmioWrite(_fn, w.offset, w.value);
+}
+
+void
+NvmeDriver::cqHead(nvme::RegWrite w)
+{
+    _port.device()->mmioWrite(_fn, w.offset, w.value);
 }
 
 } // namespace bms::host

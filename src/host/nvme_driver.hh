@@ -83,9 +83,17 @@ class NvmeDriver : public sim::SimObject, public BlockDeviceIf
                       std::function<void(const nvme::Cqe &)> done);
 
   private:
+    /** A request holding a CID, and its SQE once issueIo() built it
+     *  (the deferred ring reads it there). */
+    struct IoCmd
+    {
+        BlockRequest req;
+        nvme::Sqe sqe;
+    };
+
     /** An IO queue: its rings and CIDs, and per CID a PRP-list page
      *  then a data slot, at a fixed stride from slotBase. */
-    struct IoQueue : nvme::QueuePair<BlockRequest>
+    struct IoQueue : nvme::QueuePair<IoCmd>
     {
         IoQueue(HostMemory &mem, std::uint16_t qid, std::uint16_t entries,
                 std::uint64_t sq_base, std::uint64_t cq_base,
@@ -108,6 +116,17 @@ class NvmeDriver : public sim::SimObject, public BlockDeviceIf
      *  CPU cost, then write it at the tail and ring. */
     void issueIo(IoQueue &q, std::uint16_t cid);
     void mmio(nvme::RegWrite w);
+    /** Write a CQ-head doorbell. Nothing waits for it to arrive, so it
+     *  goes straight into the function's register file as written,
+     *  without a link-arrival event. */
+    void cqHead(nvme::RegWrite w);
+
+    /** A request's completion, from its CQE until its done runs. */
+    struct Completion
+    {
+        std::function<void(bool ok)> done;
+        bool ok = false;
+    };
 
     HostMemory &_mem;
     InterruptController &_irq;
@@ -123,6 +142,7 @@ class NvmeDriver : public sim::SimObject, public BlockDeviceIf
     std::optional<nvme::QueuePair<nvme::Command>> _admin;
     std::uint64_t _adminDataPage = 0;
     std::vector<IoQueue> _queues; // qid 1..ioQueues at index qid - 1
+    sim::RecordPool<Completion> _completions{sim()};
     int _rrQueue = 0;
     std::uint64_t _interrupts = 0;
 };

@@ -179,6 +179,7 @@ ControllerModel::disable()
     for (auto &cq : _cqs)
         cq = ComplQueue{};
     _inflight = 0;
+    _sqTop = 0;
     _rrCursor = 1;
     for (auto &c : _wrrCursor)
         c = 1;
@@ -282,7 +283,7 @@ ControllerModel::arbitrate()
                      &_wrrCursor[kQPrioMedium]);
         serviceRound(kQPrioLow, kWrrWeightLow, &_wrrCursor[kQPrioLow]);
     }
-    for (std::size_t qid = 1; qid < _sqs.size(); ++qid) {
+    for (std::size_t qid = 1; qid <= _sqTop; ++qid) {
         if (_sqs[qid].valid && _sqs[qid].backlog() != 0) {
             signalArbitration(); // leftover backlog: re-arm the pass
             break;
@@ -294,7 +295,10 @@ std::uint32_t
 ControllerModel::serviceRound(std::uint8_t prio, std::uint32_t credits,
                               std::uint16_t *cursor)
 {
-    const auto n = static_cast<std::uint16_t>(_sqs.size() - 1);
+    // No SQ above the top is valid, so a cycle over [1, top] visits
+    // every queue that can have backlog: a cursor past the top moves
+    // on to 1, as it would after passing the invalid queues above.
+    const std::uint16_t n = _sqTop;
     if (n == 0 || credits == 0)
         return 0;
     std::uint32_t services = 0;
@@ -432,6 +436,7 @@ ControllerModel::adminBuiltin(Handle h)
         sq.head = sq.tail = 0;
         sq.cqid = cqid;
         sq.prio = static_cast<std::uint8_t>((sqe.cdw11 >> 1) & 0x3);
+        _sqTop = std::max(_sqTop, qid);
         complete(h, Status::Success);
         return;
       }
@@ -439,6 +444,8 @@ ControllerModel::adminBuiltin(Handle h)
         std::uint16_t qid = sqe.cdw10 & 0xffff;
         if (qid > 0 && qid < _sqs.size())
             _sqs[qid] = SubQueue{};
+        while (_sqTop > 0 && !_sqs[_sqTop].valid)
+            --_sqTop;
         complete(h, Status::Success);
         return;
       }

@@ -266,8 +266,9 @@ class ControllerModel : public sim::SimObject
     void arbitrate();
     /**
      * Service SQs of class @p prio (kPrioAny matches all) in
-     * round-robin order from @p *cursor, one burst per service, until
-     * @p credits services are spent or a full cycle finds no backlog.
+     * round-robin order from @p *cursor over qids 1 to the highest
+     * valid one, one burst per service, until @p credits services are
+     * spent or a full cycle finds no backlog.
      * @return services performed.
      */
     std::uint32_t serviceRound(std::uint8_t prio, std::uint32_t credits,
@@ -294,6 +295,9 @@ class ControllerModel : public sim::SimObject
     std::uint64_t _readOps = 0, _writeOps = 0;
     std::uint64_t _readBytes = 0, _writeBytes = 0;
 
+    /** Highest valid IO SQ qid (0: none); arbitration scans no
+     *  further. */
+    std::uint16_t _sqTop = 0;
     bool _arbScheduled = false;
     std::uint16_t _rrCursor = 1;          ///< plain-RR position
     std::uint16_t _wrrCursor[4] = {1, 1, 1, 1}; ///< per-class positions

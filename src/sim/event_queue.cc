@@ -17,12 +17,20 @@ EventQueue::~EventQueue()
     Check::popTickSource(this);
 }
 
+namespace {
+
+/** Children per heap node. */
+constexpr std::size_t kArity = 4;
+
+} // namespace
+
 void
 EventQueue::schedule(Tick when, Callback cb)
 {
     BMS_ASSERT(when >= _now, "cannot schedule into the past: when=", when,
                " now=", _now);
     BMS_ASSERT(cb, "null event callback scheduled for tick ", when);
+    BMS_ASSERT_LT(_nextSeq, kMaxSeq, "event sequence space exhausted");
 
     std::uint32_t slot;
     if (!_freeSlots.empty()) {
@@ -35,8 +43,42 @@ EventQueue::schedule(Tick when, Callback cb)
     }
     _slots[slot] = std::move(cb);
 
-    _heap.push_back(HeapEntry{when, _nextSeq++, slot});
-    std::push_heap(_heap.begin(), _heap.end(), EntryLater{});
+    _heap.emplace_back();
+    siftUp(_heap.size() - 1, HeapEntry{when, _nextSeq++ << kSlotBits | slot});
+}
+
+void
+EventQueue::siftUp(std::size_t i, HeapEntry e)
+{
+    while (i > 0) {
+        std::size_t parent = (i - 1) / kArity;
+        if (!e.before(_heap[parent]))
+            break;
+        _heap[i] = _heap[parent];
+        i = parent;
+    }
+    _heap[i] = e;
+}
+
+void
+EventQueue::siftDown(std::size_t i, HeapEntry e)
+{
+    const std::size_t n = _heap.size();
+    for (;;) {
+        std::size_t first = kArity * i + 1;
+        if (first >= n)
+            break;
+        std::size_t last = std::min(first + kArity, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < last; ++c)
+            if (_heap[c].before(_heap[best]))
+                best = c;
+        if (!_heap[best].before(e))
+            break;
+        _heap[i] = _heap[best];
+        i = best;
+    }
+    _heap[i] = e;
 }
 
 bool
@@ -44,12 +86,15 @@ EventQueue::runOne()
 {
     if (_heap.empty())
         return false;
-    HeapEntry h = _heap.front();
-    std::pop_heap(_heap.begin(), _heap.end(), EntryLater{});
+    const HeapEntry h = _heap.front();
+    const HeapEntry tail = _heap.back();
     _heap.pop_back();
-    Callback cb = std::move(_slots[h.slot]);
-    _slots[h.slot] = nullptr;
-    _freeSlots.push_back(h.slot);
+    if (!_heap.empty())
+        siftDown(0, tail);
+    const std::uint32_t slot = h.slot();
+    Callback cb = std::move(_slots[slot]);
+    _slots[slot] = nullptr;
+    _freeSlots.push_back(slot);
 
     BMS_ASSERT(h.when >= _now, "event popped in the past: when=", h.when,
                " now=", _now);

@@ -4,10 +4,12 @@
  *
  * Events scheduled at the same tick execute in scheduling order
  * (FIFO), which keeps every experiment bit-for-bit reproducible for a
- * given seed. The queue is one binary heap of POD (when, seq, slot)
- * entries, where `seq` is a monotone schedule counter; callbacks live
- * in a slab indexed by `slot`, so heap sifts move 24-byte entries
- * rather than std::function objects.
+ * given seed. The queue is one 4-ary heap of 16-byte POD keys
+ * (when, seq << 24 | slot), where `seq` is a monotone schedule counter;
+ * callbacks live in a slab indexed by `slot`, so heap sifts move two
+ * words rather than std::function objects. A 4-ary heap is half as
+ * deep as a binary one, and the sifts move a hole instead of swapping
+ * entries.
  *
  * A scheduled event always runs: there is no cancellation. A model
  * that must ignore a step whose reason has gone (a request that timed
@@ -27,7 +29,9 @@ namespace bms::sim {
 
 /**
  * Priority queue of timed callbacks with deterministic same-tick
- * ordering and O(log n) schedule/pop.
+ * ordering and O(log n) schedule/pop. At most 2^24 events are pending
+ * at once and 2^40 are scheduled in one queue's life; both are
+ * asserted.
  */
 class EventQueue
 {
@@ -90,29 +94,41 @@ class EventQueue
     void checkInvariants() const;
 
   private:
-    static constexpr std::size_t kMaxSlots = std::size_t{1} << 32;
+    /** Low bits of a key: the slot; the bits above: the seq. */
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::size_t kMaxSlots = std::size_t{1} << kSlotBits;
+    static constexpr std::uint64_t kMaxSeq = std::uint64_t{1}
+                                             << (64 - kSlotBits);
 
-    /** POD heap entry: 24 bytes, no callback, cache friendly. */
+    /** POD heap entry: 16 bytes, no callback, cache friendly. Keys
+     *  order as seqs do, since no two events share a seq. */
     struct HeapEntry
     {
         Tick when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
+        std::uint64_t key; ///< seq << kSlotBits | slot
 
-    /** Min-heap comparator: earliest (when, seq) at the front. */
-    struct EntryLater
-    {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
+        std::uint32_t
+        slot() const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq; // FIFO among same-tick events
+            return static_cast<std::uint32_t>(key & (kMaxSlots - 1));
+        }
+
+        /** Runs before @p o: earlier tick, or the same tick and
+         *  scheduled first (FIFO among same-tick events). */
+        bool
+        before(const HeapEntry &o) const
+        {
+            return when != o.when ? when < o.when : key < o.key;
         }
     };
+    static_assert(sizeof(HeapEntry) == 16, "heap keys are two words");
 
-    std::vector<HeapEntry> _heap;  ///< binary heap (EntryLater)
+    /** Fill hole @p i with @p e, moving the hole toward the root. */
+    void siftUp(std::size_t i, HeapEntry e);
+    /** Fill hole @p i with @p e, moving the hole toward the leaves. */
+    void siftDown(std::size_t i, HeapEntry e);
+
+    std::vector<HeapEntry> _heap;  ///< 4-ary min-heap (HeapEntry::before)
     std::vector<Callback> _slots;  ///< callback slab
     std::vector<std::uint32_t> _freeSlots;
     Tick _now = 0;

@@ -7,15 +7,17 @@ namespace bms::sim {
 PageStore::PageStore()
 {
     // Unit 0 is the zero page; its one reference is never dropped.
-    _units.push_back(Unit{});
-    _unitRefs.push_back(1);
+    _unitBlocks.push_back(std::unique_ptr<UnitBlock>(new UnitBlock));
+    _unitBlocks[0]->units[0] = Unit{};
+    _unitBlocks[0]->refs[0] = 1;
+    _units = 1;
 }
 
 PageStore::~PageStore()
 {
-    // Slab pages are one heap block per 16 pages and unit pages are
-    // vector entries, so a leaked reference is invisible to
-    // LeakSanitizer: the store has to count it itself.
+    // Slab pages are one heap block per 16 pages and unit pages one
+    // per 1,024, so a leaked reference is invisible to LeakSanitizer:
+    // the store has to count it itself.
     BMS_ASSERT_EQ(_live, 0u, "pages still referenced when the store dies");
 }
 
@@ -47,14 +49,16 @@ PageStore::allocUnit(const Unit &unit)
     if (!_unitFree.empty()) {
         id = _unitFree.back();
         _unitFree.pop_back();
-        _units[id] = unit;
     } else {
-        BMS_ASSERT_LT(_units.size(), kFrameBit, "page store exhausted");
-        id = static_cast<Id>(_units.size());
-        _units.push_back(unit);
-        _unitRefs.push_back(0);
+        BMS_ASSERT_LT(_units, kFrameBit, "page store exhausted");
+        id = _units++;
+        if (id % kUnitBlockPages == 0)
+            // Default-initialized, as a slab is.
+            _unitBlocks.push_back(std::unique_ptr<UnitBlock>(new UnitBlock));
     }
-    _unitRefs[id] = 1;
+    UnitBlock &b = unitBlock(id);
+    b.units[id % kUnitBlockPages] = unit;
+    b.refs[id % kUnitBlockPages] = 1;
     addLive();
     return id;
 }

@@ -13,7 +13,8 @@
  * A page is one of two kinds. A *frame* holds its 4 KiB of bytes;
  * frames are carved from 64 KiB slabs. A *unit page* is one 32-byte
  * unit repeated 128 times and stores just that unit and its count, so
- * it costs 36 bytes instead of a frame. A unit page never changes,
+ * it costs 36 bytes instead of a frame; unit pages are made in blocks
+ * of 1,024, as frames are in slabs of 16. A unit page never changes,
  * even with one holder: a byte write into it carves a frame. A freed
  * page of either kind goes back on its kind's free list, never to the
  * heap, until the store itself is destroyed.
@@ -119,19 +120,22 @@ class PageStore
     unit(Id id) const
     {
         BMS_ASSERT(isUnit(id), "unit() of frame ", id & ~kFrameBit);
-        return _units[id];
+        return unitBlock(id).units[id % kUnitBlockPages];
     }
 
     /**
      * Copy bytes [off, off+len) of page @p id, which must lie in the
-     * page, to @p dst; a unit page is expanded.
+     * page, to @p dst; a unit page is expanded, the zero page with one
+     * memset.
      */
     void
     read(Id id, std::uint64_t off, std::uint64_t len,
          std::uint8_t *dst) const
     {
-        if (isUnit(id))
-            expand(_units[id], off, len, dst);
+        if (id == kZero)
+            std::memset(dst, 0, len);
+        else if (isUnit(id))
+            expand(unitBlock(id).units[id % kUnitBlockPages], off, len, dst);
         else
             std::memcpy(dst, data(id) + off, len);
     }
@@ -158,10 +162,33 @@ class PageStore
         std::uint8_t bytes[kSlabPages][kPageBytes];
     };
 
+    /** Unit pages per block: 36 KiB, from the heap arena for the same
+     *  reason as a slab, so the unit table never regrows. */
+    static constexpr std::uint32_t kUnitBlockPages = 1024;
+
+    struct UnitBlock
+    {
+        Unit units[kUnitBlockPages];
+        std::uint32_t refs[kUnitBlockPages];
+    };
+
+    const UnitBlock &
+    unitBlock(Id id) const
+    {
+        return *_unitBlocks[id / kUnitBlockPages];
+    }
+
+    UnitBlock &
+    unitBlock(Id id)
+    {
+        return *_unitBlocks[id / kUnitBlockPages];
+    }
+
     std::uint32_t &
     refs(Id id)
     {
-        return isUnit(id) ? _unitRefs[id] : _refs[id & ~kFrameBit];
+        return isUnit(id) ? unitBlock(id).refs[id % kUnitBlockPages]
+                          : _refs[id & ~kFrameBit];
     }
 
     /** Count a page just handed out; the peak is taken here. */
@@ -181,10 +208,11 @@ class PageStore
     std::vector<std::uint32_t> _refs;
     /** Freed frames, reused last-in first-out. */
     std::vector<Id> _free;
-    /** Unit per unit page made so far; unit 0 is the zero page. */
-    std::vector<Unit> _units;
-    /** Reference count per unit page. */
-    std::vector<std::uint32_t> _unitRefs;
+    /** Unit and reference count per unit page; unit 0 is the zero
+     *  page. */
+    std::vector<std::unique_ptr<UnitBlock>> _unitBlocks;
+    /** Unit pages made so far. */
+    std::uint32_t _units = 0;
     /** Freed unit pages, reused last-in first-out. */
     std::vector<Id> _unitFree;
     std::size_t _live = 0;

@@ -40,29 +40,33 @@ SparseMemory::lookup(std::uint64_t page) const
 }
 
 void
-SparseMemory::map(std::uint64_t page, PageStore::Id id)
+SparseMemory::mapRun(std::uint64_t page, std::uint64_t n,
+                     const PageStore::Id *ids)
 {
     Chunk *c = findChunk(page);
-    if (!c) {
-        if (id == PageStore::kZero)
-            return; // absent stays absent
-        c = &chunkFor(page);
-    }
-    PageStore::Id &slot = c->ids[page % kChunkPages];
-    PageStore::Id old = slot;
-    slot = id;
-    if ((old == PageStore::kZero) != (id == PageStore::kZero)) {
-        if (id == PageStore::kZero) {
-            --c->present;
-            --_present;
-        } else {
+    bool dropped = false;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        PageStore::Id id = ids ? ids[i] : PageStore::kZero;
+        if (!c) {
+            if (id == PageStore::kZero)
+                continue; // absent stays absent
+            c = &chunkFor(page);
+        }
+        PageStore::Id &slot = c->ids[(page + i) % kChunkPages];
+        PageStore::Id old = slot;
+        slot = id;
+        if (old == PageStore::kZero && id != PageStore::kZero) {
             ++c->present;
             ++_present;
+        } else if (old != PageStore::kZero && id == PageStore::kZero) {
+            --c->present;
+            --_present;
         }
+        dropped |= old != PageStore::kZero;
+        _store.release(old);
     }
-    _store.release(old);
     // A leaf goes with its last page; one emptied by clear() stays.
-    if (old != PageStore::kZero && c->present == 0) {
+    if (dropped && c->present == 0) {
         _chunks.erase(page / kChunkPages);
         _last = nullptr;
     }
@@ -137,9 +141,19 @@ SparseMemory::copyFrom(std::uint64_t addr, std::uint64_t len,
         std::uint64_t off = addr % kPageBytes;
         std::uint64_t n = std::min(len, kPageBytes - off);
         if (aligned && n == kPageBytes) {
-            PageStore::Id id = src.lookup(src_addr / kPageBytes);
-            _store.retain(id);
-            map(addr / kPageBytes, id);
+            // A run of whole pages inside one leaf of each memory.
+            const std::uint64_t page = addr / kPageBytes;
+            const std::uint64_t src_page = src_addr / kPageBytes;
+            const std::uint64_t pages =
+                std::min({len / kPageBytes, kChunkPages - page % kChunkPages,
+                          kChunkPages - src_page % kChunkPages});
+            const Chunk *from = src.findChunk(src_page);
+            const PageStore::Id *ids =
+                from ? &from->ids[src_page % kChunkPages] : nullptr;
+            for (std::uint64_t i = 0; ids && i < pages; ++i)
+                _store.retain(ids[i]);
+            mapRun(page, pages, ids);
+            n = pages * kPageBytes;
         } else {
             src.read(src_addr, n, own(addr / kPageBytes, n < kPageBytes) + off);
         }
@@ -153,7 +167,8 @@ void
 SparseMemory::fillUnit(std::uint64_t addr, const PageStore::Unit &unit)
 {
     BMS_ASSERT_EQ(addr % kPageBytes, 0u, "fillUnit needs a page address");
-    map(addr / kPageBytes, _store.allocUnit(unit));
+    const PageStore::Id id = _store.allocUnit(unit);
+    mapRun(addr / kPageBytes, 1, &id);
 }
 
 std::optional<PageStore::Unit>
@@ -187,10 +202,15 @@ SparseMemory::clearRange(std::uint64_t addr, std::uint64_t len)
         std::uint64_t page = addr / kPageBytes;
         std::uint64_t off = addr % kPageBytes;
         std::uint64_t n = std::min(len, kPageBytes - off);
-        if (n == kPageBytes)
-            map(page, PageStore::kZero);
-        else if (lookup(page) != PageStore::kZero)
+        if (n == kPageBytes) {
+            // A run of whole pages inside one leaf.
+            const std::uint64_t pages = std::min(
+                len / kPageBytes, kChunkPages - page % kChunkPages);
+            mapRun(page, pages, nullptr);
+            n = pages * kPageBytes;
+        } else if (lookup(page) != PageStore::kZero) {
             std::memset(own(page, true) + off, 0, n);
+        }
         addr += n;
         len -= n;
     }

@@ -146,8 +146,13 @@ class SparseMemory
     Chunk *findChunk(std::uint64_t page) const;
     Chunk &chunkFor(std::uint64_t page);
     PageStore::Id lookup(std::uint64_t page) const;
-    /** Map @p page to @p id, whose reference the caller hands over. */
-    void map(std::uint64_t page, PageStore::Id id);
+    /**
+     * Map @p n pages from @p page on, all in one leaf, to @p ids
+     * (absent when null), whose references the caller hands over: one
+     * leaf lookup for the run.
+     */
+    void mapRun(std::uint64_t page, std::uint64_t n,
+                const PageStore::Id *ids);
     /** Bytes of @p page that only this memory holds: a frame. @p keep
      *  copies (or expands) the old contents in when the page must be
      *  replaced. */

@@ -37,27 +37,29 @@ MediaModel::read(std::uint64_t offset, std::uint64_t bytes,
                  std::function<void()> done)
 {
     (void)offset;
-    PendingRead op{bytes, std::move(done)};
-    if (_busyUnits < _profile.readUnits) {
-        startRead(std::move(op));
-    } else {
-        _readQueue.push_back(std::move(op));
-    }
+    const Handle h = _reads.open();
+    _reads[h] = {bytes, std::move(done)};
+    if (_busyUnits < _profile.readUnits)
+        startRead(h);
+    else
+        _readQueue.push_back(h);
 }
 
 void
-MediaModel::startRead(PendingRead op)
+MediaModel::startRead(Handle h)
 {
     ++_busyUnits;
     sim::Tick media = sampleReadLatency();
-    schedule(media, [this, op = std::move(op)]() mutable {
+    schedule(media, [this, h] {
         releaseUnit();
         // Data crosses the shared internal channel after the NAND
         // access; back-to-back transfers serialize.
         sim::Tick start =
             now() > _readChannelBusy ? now() : _readChannelBusy;
-        _readChannelBusy = start + _profile.readChannelBw.delayFor(op.bytes);
-        sim().scheduleAt(_readChannelBusy, std::move(op.done));
+        _readChannelBusy =
+            start + _profile.readChannelBw.delayFor(_reads[h].bytes);
+        sim().scheduleAt(_readChannelBusy, std::move(_reads[h].done));
+        _reads.free(h);
     });
 }
 
@@ -66,9 +68,9 @@ MediaModel::releaseUnit()
 {
     --_busyUnits;
     if (!_readQueue.empty()) {
-        PendingRead next = std::move(_readQueue.front());
+        const Handle next = _readQueue.front();
         _readQueue.pop_front();
-        startRead(std::move(next));
+        startRead(next);
     }
 }
 

@@ -83,20 +83,25 @@ class MediaModel : public sim::SimObject, public StorageMediaIf
     }
 
   private:
+    /** A read, from its request until its NAND step hands its done
+     *  to the read channel. */
     struct PendingRead
     {
-        std::uint64_t bytes;
+        std::uint64_t bytes = 0;
         std::function<void()> done;
     };
+    using Handle = sim::RecordPool<PendingRead>::Handle;
 
-    void startRead(PendingRead op);
+    void startRead(Handle h);
     void releaseUnit();
     sim::Tick sampleReadLatency();
     sim::Tick jitter(sim::Tick base);
 
     SsdProfile _profile;
     int _busyUnits = 0;
-    std::deque<PendingRead> _readQueue;
+    sim::RecordPool<PendingRead> _reads{sim()};
+    /** Reads waiting for a read unit, oldest first. */
+    std::deque<Handle> _readQueue;
     sim::Tick _readChannelBusy = 0;
     sim::Tick _writeChannelBusy = 0;
 };

@@ -59,9 +59,9 @@ using namespace bms;
 
 namespace {
 
-/** Measured 3.57 (GCC 12, libstdc++); one allocation per I/O more
+/** Measured 1.082 (GCC 12, libstdc++); one allocation per I/O more
  *  fails. */
-constexpr double kMaxAllocsPerIo = 3.61;
+constexpr double kMaxAllocsPerIo = 1.09;
 
 constexpr int kTenants = 4;
 constexpr std::uint64_t kWindowBytes = sim::mib(64);

@@ -3,10 +3,14 @@
  * Multi-SQ fetch arbitration tests: WRR weights are honored within
  * tolerance, plain RR is starvation-free under asymmetric load, and
  * doorbell batching / fetch coalescing never reorder SQEs within one
- * submission queue.
+ * submission queue, and SQs at sparse qids, one deleted and created
+ * again mid-run, are served in a pinned order.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <string>
 
 #include "nvme/controller.hh"
 #include "tests/test_util.hh"
@@ -264,4 +268,116 @@ TEST(Arbitration, FetchCoalescingHandlesRingWrap)
     std::uint16_t next = 0;
     for (const auto &[sqid, cid] : h.ctrl->order)
         EXPECT_EQ(cid, next++);
+}
+
+namespace {
+
+/** Dispatches from @p from on, as runs of "sqid:count". */
+std::string
+dispatchRuns(const std::vector<std::pair<std::uint16_t, std::uint16_t>> &order,
+             std::size_t from)
+{
+    std::string runs;
+    for (std::size_t i = from; i < order.size();) {
+        std::size_t j = i;
+        while (j < order.size() && order[j].first == order[i].first)
+            ++j;
+        if (!runs.empty())
+            runs += ' ';
+        runs += std::to_string(order[i].first) + ":" + std::to_string(j - i);
+        i = j;
+    }
+    return runs;
+}
+
+/**
+ * SQs 1, 3 and 40 in classes @p prio, bursts of 2: a backlog on all
+ * three; then, with 40 deleted, on 1 and 3; then on all three once 40
+ * is created again in class @p prio40. @p phases gets each phase's
+ * dispatch runs.
+ */
+void
+sparseFetchOrder(nvme::ArbitrationMode mode,
+                 const std::array<std::uint8_t, 3> &prio,
+                 std::uint8_t prio40, std::vector<std::string> &phases)
+{
+    nvme::ControllerModel::Config cfg;
+    cfg.arb = mode;
+    cfg.arbBurst = 2;
+    ArbHarness h(cfg);
+    h.createQueue(1, prio[0]);
+    h.createQueue(3, prio[1]);
+    h.createQueue(40, prio[2]);
+    std::size_t from = 0;
+    auto drain = [&](std::size_t total) {
+        ASSERT_TRUE(test::runUntil(
+            h.sim, [&] { return h.ctrl->order.size() == total; }));
+        phases.push_back(dispatchRuns(h.ctrl->order, from));
+        from = total;
+    };
+
+    h.fill(1, 10);
+    h.fill(3, 6);
+    h.fill(40, 8);
+    h.ring(1);
+    h.ring(3);
+    h.ring(40);
+    drain(24);
+
+    Sqe del;
+    del.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::DeleteIoSq);
+    del.cdw10 = 40;
+    ASSERT_TRUE(h.host.submit(0, del).ok());
+    del.opcode = static_cast<std::uint8_t>(nvme::AdminOpcode::DeleteIoCq);
+    ASSERT_TRUE(h.host.submit(0, del).ok());
+    ASSERT_FALSE(h.ctrl->sqSnapshot(40).valid);
+    EXPECT_EQ(h.ctrl->ioSqCount(), 2u);
+    h.fill(1, 7);
+    h.fill(3, 5);
+    h.ring(3);
+    h.ring(1);
+    drain(36);
+
+    h.createQueue(40, prio40);
+    h.fill(1, 6);
+    h.fill(3, 4);
+    h.fill(40, 9);
+    h.ring(40);
+    h.ring(1);
+    h.ring(3);
+    drain(55);
+}
+
+} // namespace
+
+// Plain RR over SQs at sparse qids: every backlogged queue gets one
+// burst per turn in qid order from the cursor, through a delete and a
+// re-create of the highest one.
+TEST(Arbitration, SparseQueuesRoundRobinOrderIsPinned)
+{
+    std::vector<std::string> phases;
+    sparseFetchOrder(nvme::ArbitrationMode::RoundRobin,
+                     {nvme::kQPrioMedium, nvme::kQPrioMedium,
+                      nvme::kQPrioMedium},
+                     nvme::kQPrioMedium, phases);
+    ASSERT_EQ(phases.size(), 3u);
+    EXPECT_EQ(phases[0], "1:2 3:2 40:2 1:2 3:2 40:2 1:2 3:2 40:2 1:2 40:2 1:2");
+    EXPECT_EQ(phases[1], "3:2 1:2 3:2 1:2 3:1 1:3");
+    EXPECT_EQ(phases[2], "3:2 40:2 1:2 3:2 40:2 1:2 40:2 1:2 40:3");
+}
+
+// WRR over the same layout: high, medium and low at 1, 3 and 40, and
+// 40 back as a second high queue, so the high class's cursor wraps
+// past the top qid.
+TEST(Arbitration, SparseQueuesWeightedOrderIsPinned)
+{
+    std::vector<std::string> phases;
+    sparseFetchOrder(nvme::ArbitrationMode::WeightedRoundRobin,
+                     {nvme::kQPrioHigh, nvme::kQPrioMedium,
+                      nvme::kQPrioLow},
+                     nvme::kQPrioHigh, phases);
+    ASSERT_EQ(phases.size(), 3u);
+    EXPECT_EQ(phases[0], "1:8 3:4 40:2 1:2 3:2 40:6");
+    EXPECT_EQ(phases[1], "1:7 3:5");
+    EXPECT_EQ(phases[2], "40:2 1:2 40:2 1:2 3:4 40:2 1:2 40:3");
 }

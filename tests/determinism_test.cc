@@ -71,7 +71,8 @@ TEST(Determinism, EventCountsReproducible)
     // Golden anchor: two runs of one binary cannot notice a change
     // that moves the replay; this recorded count can. It assumes
     // libstdc++ (sim::Rng draws through std::uniform_int_distribution
-    // and std::normal_distribution) and is expected to move only when
-    // objects get their own RNG streams (ROADMAP item 2(b)).
-    EXPECT_EQ(events, 999290u);
+    // and std::normal_distribution). It moves when a change folds an
+    // event away or moves the replay (per-object RNG streams, ROADMAP
+    // item 5(a)).
+    EXPECT_EQ(events, 899345u);
 }

@@ -67,23 +67,34 @@ TEST(EventQueue, SameTickIsFifo)
 // with many same-tick collisions, more scheduled from callbacks at the
 // current tick or later, run through runUntil slices. They execute in
 // (tick, schedule order), each at its tick and none past its slice.
-TEST(EventQueue, RandomScheduleRunsInTickThenScheduleOrder)
+namespace {
+
+/**
+ * Schedule @p initial events on random ticks in [0, @p ticks); each
+ * event may schedule a child at its own tick or up to 40 ticks later,
+ * until @p cap events exist. Drain in random runUntil() steps and
+ * check that every event ran at its tick, in (tick, schedule order).
+ * @return the number of events that shared a tick with an earlier one.
+ */
+std::size_t
+checkTickThenScheduleOrder(std::uint64_t seed, int initial, Tick ticks,
+                           std::size_t cap)
 {
     EventQueue q;
-    Rng rng(29);
-    std::vector<Tick> ticks; // indexed by schedule order
+    Rng rng(seed);
+    std::vector<Tick> when_of; // indexed by schedule order
     std::vector<std::size_t> ran;
     std::size_t now_children = 0, later_children = 0;
     Tick limit = 0;
     std::function<void(Tick)> add = [&](Tick when) {
-        std::size_t i = ticks.size();
-        ticks.push_back(when);
+        std::size_t i = when_of.size();
+        when_of.push_back(when);
         q.schedule(when, [&, i] {
             q.checkInvariants();
-            EXPECT_EQ(q.now(), ticks[i]);
+            EXPECT_EQ(q.now(), when_of[i]);
             EXPECT_LE(q.now(), limit);
             ran.push_back(i);
-            if (ticks.size() >= 20'000 || !rng.chance(0.3))
+            if (when_of.size() >= cap || !rng.chance(0.3))
                 return;
             if (rng.chance(0.5)) {
                 ++now_children;
@@ -94,8 +105,9 @@ TEST(EventQueue, RandomScheduleRunsInTickThenScheduleOrder)
             }
         });
     };
-    for (int i = 0; i < 5000; ++i)
-        add(rng.uniformInt(0, 999));
+    for (int i = 0; i < initial; ++i)
+        add(rng.uniformInt(0, ticks - 1));
+    EXPECT_EQ(q.size(), static_cast<std::size_t>(initial));
     while (!q.empty()) {
         limit = q.now() + rng.uniformInt(0, 50);
         q.runUntil(limit);
@@ -103,18 +115,36 @@ TEST(EventQueue, RandomScheduleRunsInTickThenScheduleOrder)
     }
     q.checkInvariants();
 
-    std::vector<std::size_t> expected(ticks.size());
+    std::vector<std::size_t> expected(when_of.size());
     std::iota(expected.begin(), expected.end(), 0);
     std::stable_sort(expected.begin(), expected.end(),
-                     [&ticks](std::size_t a, std::size_t b) {
-                         return ticks[a] < ticks[b];
+                     [&when_of](std::size_t a, std::size_t b) {
+                         return when_of[a] < when_of[b];
                      });
     EXPECT_EQ(ran, expected);
-    EXPECT_EQ(q.executedCount(), ticks.size());
-    std::set<Tick> distinct(ticks.begin(), ticks.end());
-    EXPECT_GT(ticks.size() - distinct.size(), 3000u); // same-tick events
+    EXPECT_EQ(q.executedCount(), when_of.size());
     EXPECT_GT(now_children, 500u);
     EXPECT_GT(later_children, 500u);
+    std::set<Tick> distinct(when_of.begin(), when_of.end());
+    return when_of.size() - distinct.size();
+}
+
+} // namespace
+
+TEST(EventQueue, RandomScheduleRunsInTickThenScheduleOrder)
+{
+    EXPECT_GT(checkTickThenScheduleOrder(29, 5000, 1000, 20'000),
+              3000u); // same-tick events
+}
+
+// 100,000 events pending at once, five per tick on average, fill the
+// heap nine levels deep, so every depth a sift can start or stop at
+// is walked, on same-tick keys that only the schedule order tells
+// apart.
+TEST(EventQueue, HundredThousandPendingKeepTickThenScheduleOrder)
+{
+    EXPECT_GT(checkTickThenScheduleOrder(31, 100'000, 20'000, 130'000),
+              100'000u);
 }
 
 TEST(EventQueue, SchedulingIntoThePastPanics)
@@ -655,10 +685,32 @@ TEST(StatsRegistry, RegisterDumpVisit)
     EXPECT_EQ(names[1], "b.rate");
 }
 
+namespace {
+
+/** A component with one counter, registered as a stat. */
+class CountingObject : public SimObject
+{
+  public:
+    explicit CountingObject(Simulator &sim) : SimObject(sim, "disk0")
+    {
+        registerStat("reads", [this] { return double(reads); });
+    }
+
+    std::uint64_t reads = 0;
+};
+
+} // namespace
+
 TEST(StatsRegistry, ComponentsSelfRegister)
 {
     Simulator sim(1);
+    EXPECT_EQ(sim.stats().size(), 0u);
     // Registered stats appear under "<component>.<stat>" and follow
     // the live counters.
-    EXPECT_EQ(sim.stats().size(), 0u);
+    CountingObject *obj = sim.make<CountingObject>(sim);
+    EXPECT_EQ(sim.stats().size(), 1u);
+    EXPECT_TRUE(sim.stats().has("disk0.reads"));
+    EXPECT_DOUBLE_EQ(sim.stats().value("disk0.reads"), 0.0);
+    obj->reads = 7;
+    EXPECT_DOUBLE_EQ(sim.stats().value("disk0.reads"), 7.0);
 }
